@@ -3,7 +3,9 @@
 // the unit of analysis throughout the paper. The executor-comparison
 // modes (-vec, -share, -workers, -steps) are clients of the unified
 // core.Request/core.Result API, the same surface cmd/dbserver exposes
-// over HTTP.
+// over HTTP; each side of a comparison is simulated once (-steps prints
+// two comparisons, stream buffers on and off). -cpuprofile writes a pprof
+// CPU profile of the whole run.
 //
 // Examples:
 //
@@ -14,6 +16,7 @@
 //	cmpsim -camp fc -workload dss -clients 8 -share     # cross-query work sharing
 //	cmpsim -camp fc -workload oltp -steps -cohort 16    # STEPS-style staged OLTP
 //	cmpsim -camp fc -workload oltp -steps -parts 4      # partitioned staged OLTP
+//	cmpsim -workload dss -vec -query 6 -cpuprofile q6.prof   # where the simulator's host time goes
 package main
 
 import (
@@ -38,15 +41,33 @@ var collected []obs.Run
 // by a private registry; printJoinStats renders it after joining runs.
 var joinMetrics = obs.NewJoinMetrics(obs.NewRegistry())
 
+// stopProfile flushes the -cpuprofile capture. Every exit goes through
+// it — fail on the error paths, main on the others — because os.Exit
+// runs no deferred calls.
+var stopProfile = func() {}
+
+// fail reports err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, err)
+	stopProfile()
+	os.Exit(code)
+}
+
 func main() {
 	var opts cli.Options
 	opts.RegisterSim(flag.CommandLine)
 	flag.Parse()
 
+	stop, err := opts.StartCPUProfile()
+	if err != nil {
+		fail(1, err)
+	}
+	stopProfile = stop
+	defer stop()
+
 	sc, err := opts.ScaleCfg()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	r := core.NewRunner(sc)
 	r.Join = joinMetrics
@@ -54,8 +75,7 @@ func main() {
 	if mode, ok := opts.Mode(); ok {
 		req, err := opts.Request()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fail(2, err)
 		}
 		switch mode {
 		case core.ModeStagedOLTP:
@@ -69,8 +89,7 @@ func main() {
 		}
 		if opts.TraceOut != "" {
 			if err := writeTrace(opts.TraceOut, collected); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(1, err)
 			}
 		}
 		return
@@ -78,15 +97,13 @@ func main() {
 
 	cell, err := opts.Cell()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fail(2, err)
 	}
 	wk, _ := opts.WorkloadKind()
 	fmt.Printf("cell: %v  (L2 hit latency %d cycles)\n", cell, cell.SimConfig().Hier.L2Lat)
 	res, err := r.RunCell(cell)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(1, err)
 	}
 
 	b := res.Result.Breakdown
@@ -127,8 +144,7 @@ func main() {
 func run(r *core.Runner, req core.Request) core.Result {
 	res, err := r.Run(context.Background(), req)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	collected = append(collected, res.Traces...)
 	return res

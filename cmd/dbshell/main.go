@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/cli"
@@ -39,20 +38,11 @@ func main() {
 // profile when -cpuprofile is given (deferred so the profile is flushed
 // on error paths too).
 func dispatch(opts *cli.Options) error {
-	if opts.CPUProfile != "" {
-		f, err := os.Create(opts.CPUProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := opts.StartCPUProfile()
+	if err != nil {
+		return err
 	}
+	defer stop()
 	counts, err := opts.NativeWorkerCounts()
 	if err != nil {
 		return err

@@ -9,6 +9,8 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -96,6 +98,7 @@ func (o *Options) RegisterSim(fs *flag.FlagSet) {
 	fs.StringVar(&o.Scale, "scale", "full", "workload scale: full or test")
 	fs.StringVar(&o.TraceOut, "trace-out", "", "write executor-mode span traces (dual clock: simulated cycles + wall time) as Chrome trace-event JSON to this file (load in Perfetto)")
 	fs.StringVar(&o.JoinMode, "join-mode", "", "hash-join strategy for joining plans (Q13): chained, partitioned, prefetch, or auto (build-size policy)")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 }
 
 // RegisterNative binds the native driver's (cmd/dbshell) flag surface —
@@ -116,6 +119,27 @@ func (o *Options) RegisterNative(fs *flag.FlagSet) {
 	fs.BoolVar(&o.ZeroCopy, "zero-copy", false, "with -native-workers: also measure each count with borrowed page-aliasing scan blocks (zero-copy), recording the copy-vs-borrow pair side by side")
 	fs.StringVar(&o.JoinMode, "join-mode", "", "hash-join strategy for joining plans (Q13): chained, partitioned, prefetch, or auto (build-size policy); with -native-workers on Q13, an empty value measures all three side by side")
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+}
+
+// StartCPUProfile begins the -cpuprofile capture and returns the function
+// that flushes and closes it; without the flag both are no-ops. Callers
+// run stop on every exit path, os.Exit included, or the profile is empty.
+func (o *Options) StartCPUProfile() (stop func(), err error) {
+	if o.CPUProfile == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(o.CPUProfile)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
 }
 
 // NativeWorkerCounts parses the -native-workers sweep; nil means the

@@ -367,8 +367,10 @@ type Result struct {
 	Traces []obs.Run
 	// Native holds the host-execution sweep when Request.NativeWorkers is
 	// set: the interpreted 1-worker reference first, then one compiled
-	// point per requested worker count (wall-clock, best of 50) — two per
-	// count when NativeZeroCopy also measures the borrowed flavor.
+	// point per requested worker count (wall-clock, best of 50) — a
+	// copying and a borrowing point per count under NativeZeroCopy. These
+	// are distinct measurements, not repeats; the traced sides above are
+	// each simulated once.
 	Native []NativeRun
 	// NativeRows / NativeRowsPerSec headline the best compiled native
 	// point: base-table rows scanned and host throughput.
@@ -378,11 +380,18 @@ type Result struct {
 
 // Run executes one unified request: it applies defaults, validates, runs
 // the mode's paired measurement on identical chip geometry, and returns
-// the typed result. DSS comparison sides are measured twice and the
-// faster run kept (live trace production makes a descheduled goroutine
-// look slow); staged-oltp digests are checked byte-identical against the
-// monolithic reference. ctx cancels between sub-runs (a simulated run in
-// flight is not interrupted).
+// the typed result. Every side is simulated once. vec-dss, the 1-worker
+// point of parallel-dss and the unshared side of shared-dss are
+// deterministic, and the multi-worker points of parallel-dss repeat as
+// long as no worker's producer is starved on the host (the simulator
+// yields to the producer it waits for; see sim.Chip's pump), so a second
+// simulation could only tie. The shared side of shared-dss does not
+// repeat — where a consumer attaches to the circular scan depends on how
+// far the host has let the producers run ahead of the simulator — so its
+// cycles are one draw from a spread of a few percent, not a minimum.
+// staged-oltp digests are checked byte-identical against the monolithic
+// reference. ctx cancels between sub-runs (a simulated run in flight is
+// not interrupted).
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
@@ -430,18 +439,7 @@ func (r *Runner) runVecPair(ctx context.Context, req Request, res *Result) error
 		if err := ctx.Err(); err != nil {
 			return VecDSSResult{}, err
 		}
-		best, err := r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
-		if err != nil {
-			return best, err
-		}
-		again, err := r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
-		if err != nil {
-			return best, err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
-		}
-		return best, nil
+		return r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
 	}
 	row, err := measure(false)
 	if err != nil {
@@ -486,18 +484,7 @@ func (r *Runner) runSharedPair(ctx context.Context, req Request, res *Result) er
 		if err := ctx.Err(); err != nil {
 			return SharedDSSResult{}, err
 		}
-		best, err := r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
-		if err != nil {
-			return best, err
-		}
-		again, err := r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
-		if err != nil {
-			return best, err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
-		}
-		return best, nil
+		return r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
 	}
 	un, err := measure(false)
 	if err != nil {
@@ -541,24 +528,17 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		best, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
+		run, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
 		if err != nil {
 			return err
-		}
-		again, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
-		if err != nil {
-			return err
-		}
-		if again.Cycles < best.Cycles {
-			best = again
 		}
 		res.Sweep = append(res.Sweep, Side{
-			Label: fmt.Sprintf("parallel-%d", n), Cycles: best.Cycles,
-			Result: best.Result, Rows: best.Rows, Digest: best.Digest, Workers: n,
+			Label: fmt.Sprintf("parallel-%d", n), Cycles: run.Cycles,
+			Result: run.Result, Rows: run.Rows, Digest: run.Digest, Workers: n,
 		})
 		if req.Trace {
 			// The morsel-driven executor has no span plumbing yet.
-			res.Traces = append(res.Traces, syntheticRun(fmt.Sprintf("parallel-%d", n), best.Cycles))
+			res.Traces = append(res.Traces, syntheticRun(fmt.Sprintf("parallel-%d", n), run.Cycles))
 		}
 	}
 	res.Baseline = res.Sweep[0]

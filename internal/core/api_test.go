@@ -100,9 +100,8 @@ func TestStagedOptsValidate(t *testing.T) {
 
 // TestRunVecGolden checks that the unified entry point reproduces the
 // legacy vec-dss execution byte-for-byte: same result rows, same typed
-// row digests as direct RunVecDSS calls on the same cell. (Cycles are
-// not asserted — live trace production makes them host-timing
-// sensitive, which is why Run keeps the faster of two runs.)
+// row digests — and, the serial simulation being deterministic, same
+// cycles — as direct RunVecDSS calls on the same cell.
 func TestRunVecGolden(t *testing.T) {
 	cell := DefaultModeCell(ModeVecDSS, sim.FatCamp)
 	res, err := sharedRunner.Run(context.Background(), Request{Mode: ModeVecDSS, Query: 6, Cell: &cell})
@@ -124,6 +123,9 @@ func TestRunVecGolden(t *testing.T) {
 	if res.Main.Digest != vec.Digest || res.Main.Rows != vec.Rows {
 		t.Errorf("main digest %#x (%d rows) vs legacy vec %#x (%d rows)",
 			res.Main.Digest, res.Main.Rows, vec.Digest, vec.Rows)
+	}
+	if res.Baseline.Cycles != row.Cycles || res.Main.Cycles != vec.Cycles {
+		t.Errorf("cycles %d/%d vs legacy %d/%d", res.Baseline.Cycles, res.Main.Cycles, row.Cycles, vec.Cycles)
 	}
 	if res.Digest != res.Main.Digest {
 		t.Errorf("Result.Digest %#x != Main.Digest %#x", res.Digest, res.Main.Digest)

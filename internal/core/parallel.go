@@ -74,12 +74,14 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 		rec, s := trace.PipeSized(256, 2)
 		recs[w], streams[w] = rec, s
 		chip.AddThread(s)
-		ctxs[w] = h.DB.NewCtx(rec, 64+w, 64<<20)
+		ctxs[w] = r.workCtx(h.DB, rec, 64+w)
 		ctxs[w].Join = r.Join
 		if len(mode) > 0 {
 			ctxs[w].JoinMode = mode[0]
 		}
 	}
+	// Every return below follows wg.Wait: no worker touches a workspace then.
+	defer r.releaseWork(ctxs...)
 
 	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
 	var rows int

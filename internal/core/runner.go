@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/engine"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -56,6 +58,56 @@ type Runner struct {
 	mu   sync.Mutex
 	tpcc *workload.TPCC
 	tpch *workload.TPCH
+
+	// free holds the DSS workspaces (all dssWorkBytes) of finished runs: a
+	// traced DSS run takes one per engine context and hands them back,
+	// instead of allocating and zeroing 64 MB per context per simulation.
+	freeMu sync.Mutex
+	free   []*mem.Arena
+}
+
+const (
+	// dssWorkBytes is every traced DSS context's workspace size.
+	dssWorkBytes = 64 << 20
+	// maxFreeArenas bounds the workspaces a Runner retains: enough for
+	// the widest served request (shared-dss mix: 8 clients + 4 producer
+	// workers) beside a serial query on the same Runner. Only the pages a
+	// run touched are resident, so the bound is mostly address space.
+	maxFreeArenas = 16
+)
+
+// workCtx builds the traced DSS engine context of worker slot worker on a
+// recycled workspace when the Runner holds one, else on a fresh one.
+// Callers pass every context they took to releaseWork once nothing of the
+// run — query goroutines, producers — can touch its workspace again.
+func (r *Runner) workCtx(db *engine.DB, rec *trace.Recorder, worker int) *engine.Ctx {
+	base := engine.WorkSlotBase(worker, dssWorkBytes)
+	r.freeMu.Lock()
+	var a *mem.Arena
+	if n := len(r.free); n > 0 {
+		a, r.free = r.free[n-1], r.free[:n-1]
+	}
+	r.freeMu.Unlock()
+	if a == nil {
+		a = mem.NewArena(base, dssWorkBytes)
+	} else {
+		a.Recycle(base)
+	}
+	return db.NewCtxOn(rec, a)
+}
+
+// releaseWork returns the contexts' workspaces to the free list, up to
+// maxFreeArenas; the rest are left to the collector. Workspaces are parked
+// dirty and cleared when next taken (up to their high-water mark), so a
+// Runner that never runs again zeroes nothing.
+func (r *Runner) releaseWork(ctxs ...*engine.Ctx) {
+	r.freeMu.Lock()
+	defer r.freeMu.Unlock()
+	for _, c := range ctxs {
+		if len(r.free) < maxFreeArenas {
+			r.free = append(r.free, c.Work)
+		}
+	}
 }
 
 // NewRunner creates a runner at the given scale.

@@ -117,6 +117,12 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		tracer.StampStart(root, 0)
 	}
 
+	// work collects client and producer contexts alike: every return below
+	// follows wg.Wait, by when the client goroutines and the registry's
+	// producers are done with their workspaces.
+	var work []*engine.Ctx
+	defer func() { r.releaseWork(work...) }()
+
 	// Client threads first (thread ids 0..clients-1), producers after, so
 	// ThreadDone[0:clients] are the query completion times.
 	ctxs := make([]*engine.Ctx, clients)
@@ -126,7 +132,8 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		rec, s := trace.Pipe()
 		recs[i], streams = rec, append(streams, s)
 		chip.AddThread(s)
-		ctxs[i] = h.DB.NewCtx(rec, 64+i, 64<<20)
+		ctxs[i] = r.workCtx(h.DB, rec, 64+i)
+		work = append(work, ctxs[i])
 	}
 
 	var env *workload.ShareEnv
@@ -140,7 +147,8 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 				rec, s := trace.Pipe()
 				prodRecs, streams = append(prodRecs, rec), append(streams, s)
 				chip.AddThread(s)
-				ws[w] = h.DB.NewCtx(rec, slot, 64<<20)
+				ws[w] = r.workCtx(h.DB, rec, slot)
+				work = append(work, ws[w])
 				slot++
 			}
 			prodCtxs[tbl] = ws

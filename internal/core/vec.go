@@ -60,7 +60,8 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 
 	rec, s := trace.Pipe()
 	chip.AddThread(s)
-	ctx := h.DB.NewCtx(rec, 72, 64<<20)
+	ctx := r.workCtx(h.DB, rec, 72)
+	defer r.releaseWork(ctx)
 	ctx.Join = r.Join
 	if len(mode) > 0 {
 		ctx.JoinMode = mode[0]

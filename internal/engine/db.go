@@ -227,6 +227,18 @@ type Ctx struct {
 // NewCtx builds an execution context with a private workspace of workBytes
 // at the worker's slot in the workspace region.
 func (db *DB) NewCtx(rec *trace.Recorder, worker, workBytes int) *Ctx {
-	base := mem.WorkBase + mem.Addr(worker)*mem.Addr(workBytes+(64<<10))
-	return &Ctx{Rec: rec, DB: db, Work: mem.NewArena(base, workBytes)}
+	return db.NewCtxOn(rec, mem.NewArena(WorkSlotBase(worker, workBytes), workBytes))
+}
+
+// NewCtxOn builds an execution context over a workspace the caller owns
+// (and may reuse once nothing of the context's run is live).
+func (db *DB) NewCtxOn(rec *trace.Recorder, work *mem.Arena) *Ctx {
+	return &Ctx{Rec: rec, DB: db, Work: work}
+}
+
+// WorkSlotBase is the simulated address of worker's workspace when every
+// worker has workBytes: consecutive slots lie workBytes plus a 64 KB gap
+// apart in the workspace region.
+func WorkSlotBase(worker, workBytes int) mem.Addr {
+	return mem.WorkBase + mem.Addr(worker)*mem.Addr(workBytes+(64<<10))
 }

@@ -43,6 +43,7 @@ type Arena struct {
 	base Addr
 	buf  []byte
 	off  uint64
+	high uint64 // largest off since creation or Recycle: no byte beyond it was handed out
 }
 
 // NewArena creates an arena of size bytes based at base.
@@ -74,12 +75,26 @@ func (a *Arena) Alloc(n, align int) Addr {
 		panic(fmt.Sprintf("mem: arena exhausted: need %d at offset %d, cap %d", n, off, len(a.buf)))
 	}
 	a.off = off + uint64(n)
+	if a.off > a.high {
+		a.high = a.off
+	}
 	return a.base + Addr(off)
 }
 
 // Reset discards all allocations, retaining the backing store. Workspaces
 // are reset between queries.
 func (a *Arena) Reset() { a.off = 0 }
+
+// Recycle makes the arena indistinguishable from NewArena(base, a.Size()):
+// nothing allocated, every byte zero. Only bytes below the allocation
+// high-water mark can have been written (callers store only into what
+// Alloc returned), so only those are cleared — a workspace that used 2 MB
+// of its 64 MB costs 2 MB to reuse, not 64. The caller must hold the only
+// reference: views from Bytes and Raw alias the backing store.
+func (a *Arena) Recycle(base Addr) {
+	clear(a.buf[:a.high])
+	a.base, a.off, a.high = base, 0, 0
+}
 
 // Contains reports whether addr falls inside the arena.
 func (a *Arena) Contains(addr Addr) bool {

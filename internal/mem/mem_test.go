@@ -127,3 +127,42 @@ func TestCodeSegInstructions(t *testing.T) {
 		t.Fatalf("Instructions = %d, want 64", s.Instructions())
 	}
 }
+
+// TestArenaReuseRecycle: a recycled arena is a fresh one at the new base —
+// nothing allocated, every byte zero — even when the dirtying allocations
+// were made before a Reset, which lowers the offset but not the
+// high-water mark Recycle clears up to.
+func TestArenaReuseRecycle(t *testing.T) {
+	a := NewArena(WorkBase, 1<<16)
+	p := a.Alloc(5000, 64)
+	for i, b := 0, a.Bytes(p, 5000); i < len(b); i++ {
+		b[i] = 0xEE
+	}
+	a.Reset()
+	q := a.Alloc(100, 8)
+	a.Bytes(q, 100)[99] = 0x11
+	if a.Used() != 100 {
+		t.Fatalf("Used after Reset+Alloc = %d, want 100", a.Used())
+	}
+
+	base := WorkBase + 1<<30
+	a.Recycle(base)
+	if a.Base() != base || a.Used() != 0 || a.Size() != 1<<16 {
+		t.Fatalf("recycled arena: base %#x used %d size %d", uint64(a.Base()), a.Used(), a.Size())
+	}
+	buf, rawBase := a.Raw()
+	if rawBase != base {
+		t.Fatalf("Raw base %#x, want %#x", uint64(rawBase), uint64(base))
+	}
+	for i, b := range buf {
+		if b != 0 {
+			t.Fatalf("byte %d of a recycled arena is %#x", i, b)
+		}
+	}
+	if got := a.Alloc(8, 8); got != base {
+		t.Fatalf("first Alloc after Recycle at %#x, want the base %#x", uint64(got), uint64(base))
+	}
+	if a.Contains(WorkBase) {
+		t.Fatal("recycled arena still claims its old address range")
+	}
+}

@@ -8,15 +8,39 @@ import (
 	"repro/internal/trace"
 )
 
-// coreModel is one simulated core advancing cycle by cycle.
+// coreModel is one simulated core. The chip steps it only in cycles where
+// it can do something new and accounts for the rest in bulk (see Run).
 type coreModel interface {
 	// step simulates one cycle, returning the number of instructions
 	// issued and, when zero, the classification of the lost cycle.
 	step(now uint64) (int, StallKind)
-	// hasWork reports whether any software thread is bound to the core.
-	hasWork() bool
+	// coast reports how long from cycle now the core need not be stepped,
+	// and what every cycle in [now, until) amounts to. Either step would
+	// lose each to kind and leave the core exactly as it found it (issue
+	// 0: every context parked on a known wake-up, or — until never, kind
+	// KindIdle — no software thread bound at all); or step would do
+	// nothing but issue the next issue instructions of the Exec record
+	// being drained (kind KindComp). A draining core is moved past those
+	// cycles on the spot, so its until never exceeds end, the last cycle
+	// the caller will account for; a parked core's may. until == now
+	// means the core has to be stepped at now.
+	coast(now, end uint64) (until uint64, kind StallKind, issue int)
 	// contexts exposes the core's hardware contexts for thread placement.
 	contexts() []*hwctx
+}
+
+// never is the wake-up cycle of a core nothing will wake.
+const never = ^uint64(0)
+
+// coastingCore is Run's view of one core between steps: every cycle in
+// [since, until) goes to kind and issues issue instructions, so Run
+// neither steps the core before until nor counts those cycles one by one.
+type coastingCore struct {
+	core  coreModel
+	until uint64
+	kind  StallKind
+	issue int
+	since uint64 // first cycle not yet credited to the window's totals
 }
 
 // Chip is one simulated chip multiprocessor (or, with a private-L2
@@ -25,7 +49,7 @@ type coreModel interface {
 type Chip struct {
 	cfg     Config
 	hier    *cache.Hierarchy
-	cores   []coreModel
+	cores   []coastingCore
 	ctxs    []*hwctx // all hardware contexts, placement order
 	ctxCore []int    // owning core of each placement slot
 
@@ -48,14 +72,14 @@ func NewChip(cfg Config) *Chip {
 	for i := 0; i < cfg.Cores; i++ {
 		switch cfg.Camp {
 		case FatCamp:
-			c := &fcCore{id: i, cfg: &ch.cfg, chip: ch, ctx: &hwctx{}}
-			ch.cores = append(ch.cores, c)
+			c := &fcCore{id: i, cfg: &ch.cfg, chip: ch, ctx: &hwctx{}, firstDone: never}
+			ch.cores = append(ch.cores, coastingCore{core: c})
 		case LeanCamp:
 			c := &lcCore{id: i, cfg: &ch.cfg, chip: ch}
 			for k := 0; k < cfg.CtxPerCore; k++ {
 				c.ctxs = append(c.ctxs, &hwctx{})
 			}
-			ch.cores = append(ch.cores, c)
+			ch.cores = append(ch.cores, coastingCore{core: c})
 		default:
 			panic(fmt.Sprintf("sim: unknown camp %d", cfg.Camp))
 		}
@@ -65,8 +89,8 @@ func NewChip(cfg Config) *Chip {
 	for k := 0; ; k++ {
 		added := false
 		for coreID, c := range ch.cores {
-			if k < len(c.contexts()) {
-				ch.ctxs = append(ch.ctxs, c.contexts()[k])
+			if ctxs := c.core.contexts(); k < len(ctxs) {
+				ch.ctxs = append(ch.ctxs, ctxs[k])
 				ch.ctxCore = append(ch.ctxCore, coreID)
 				added = true
 			}
@@ -98,7 +122,8 @@ func (ch *Chip) AddThreadAt(s *trace.Stream, ctxIdx int) int {
 	id := len(ch.threads)
 	t := newThread(id, s, ch, ch.cfg.BranchEvery)
 	ctxIdx %= len(ch.ctxs)
-	ch.ctxs[ctxIdx].threads = append(ch.ctxs[ctxIdx].threads, t)
+	t.ctx = ch.ctxs[ctxIdx]
+	t.ctx.threads = append(t.ctx.threads, t)
 	ch.threads = append(ch.threads, t)
 	ch.threadCore = append(ch.threadCore, ch.ctxCore[ctxIdx])
 	ch.doneAt = append(ch.doneAt, 0)
@@ -106,15 +131,29 @@ func (ch *Chip) AddThreadAt(s *trace.Stream, ctxIdx int) int {
 	return id
 }
 
+// ownProducerGrace is how long pump leaves the host to the starved
+// thread's own producer before it drains anyone else's. Draining is what
+// lets the other producers run ahead of simulated time, and a simulator
+// that polls while it drains keeps a processor from the one producer it is
+// waiting for: measured on 150 parallel-dss Q1 runs at four workers, 14
+// had a worker starved long enough for its peers to steal its morsels
+// (cycles 8 % off, on an otherwise idle host); with the grace, none.
+// Parking for it frees the processor. A producer that is really blocked
+// (a lock, a barrier, a shared scan with no batch yet) costs one grace per
+// pump call.
+const ownProducerGrace = 50 * time.Microsecond
+
 // pump obtains at least one more chunk for t, returning false when t's
-// trace has ended. While t's producer has nothing ready, the pump drains
-// whatever other producers have queued (into their threads' local chunk
-// buffers) so that a producer blocked on a full channel always makes
-// progress — without this, engine lock coupling between client threads
-// could deadlock the single-threaded simulator.
+// trace has ended. While t's producer has nothing ready — and has had its
+// grace — the pump drains whatever other producers have queued (into
+// their threads' local chunk buffers) so that a producer blocked on a full
+// channel always makes progress — without this, engine lock coupling
+// between client threads could deadlock the single-threaded simulator.
 func (ch *Chip) pump(t *Thread) bool {
+	wait := ownProducerGrace
 	for {
-		c, ok, ended := t.stream.RecvChunk(0)
+		c, ok, ended := t.stream.RecvChunk(wait)
+		wait = 0
 		if ok {
 			t.chunks = append(t.chunks, c)
 			return true
@@ -205,46 +244,98 @@ func (ch *Chip) Warm(refs int) {
 // returns the measured result. It stops early when every thread's trace
 // has been fully executed. Statistics cover only this measurement window,
 // so Warm → Run yields a warmed measurement.
+//
+// Run advances by events, not by cycles. A core that reports it can coast
+// — its contexts all parked on known wake-ups, or its thread draining an
+// Exec record at the full issue rate — is not stepped until that ends,
+// and when no core has anything new to do the clock jumps to the earliest
+// such moment, clamped to the window end. The cycles passed over are
+// credited in bulk to the kind the core was spending them on (which
+// context wakes first, and hence the kind, cannot change while nothing is
+// stepped), so the Result is bit-for-bit what stepping every core every
+// cycle produces.
 func (ch *Chip) Run(maxCycles uint64) Result {
 	start := ch.now
+	end := start + maxCycles
+	if end < start {
+		end = never
+	}
 	statsStart := ch.hier.Stats
 	var bd Breakdown
 	var instructions uint64
-
-	for ch.now-start < maxCycles && ch.live > 0 {
-		for _, c := range ch.cores {
-			if !c.hasWork() {
-				bd.Add(KindIdle)
-				continue
-			}
-			issued, kind := c.step(ch.now)
-			if issued > 0 {
-				instructions += uint64(issued)
-				bd.Add(KindComp)
-			} else {
-				bd.Add(kind)
-			}
-		}
-		ch.now++
+	credit := func(p *coastingCore, upTo uint64) {
+		n := upTo - p.since
+		bd.Cycles[p.kind] += n
+		instructions += n * uint64(p.issue)
 	}
 
+	// Threads were added, warmed or left mid-stall since the last window:
+	// ask every core afresh. Cores without threads stay idle for the whole
+	// window (threads are only added between windows) and are left out of
+	// the loop altogether.
+	active := make([]*coastingCore, 0, len(ch.cores))
+	for i := range ch.cores {
+		p := &ch.cores[i]
+		p.until, p.kind, p.issue = p.core.coast(start, end)
+		p.since = start
+		if p.until != never {
+			active = append(active, p)
+		}
+	}
+
+	for ch.now < end && ch.live > 0 {
+		now := ch.now
+		next := end
+		stepped := false
+		for _, p := range active {
+			if now < p.until {
+				next = min(next, p.until)
+				continue
+			}
+			credit(p, now)
+			issued, kind := p.core.step(now)
+			if issued > 0 {
+				instructions += uint64(issued)
+				kind = KindComp
+			}
+			bd.Add(kind)
+			p.until, p.kind, p.issue = p.core.coast(now+1, end)
+			p.since = now + 1
+			stepped = true
+		}
+		if stepped {
+			ch.now = now + 1
+		} else {
+			ch.now = next
+		}
+	}
+	for i := range ch.cores {
+		credit(&ch.cores[i], ch.now)
+	}
+
+	return ch.result(start, statsStart, bd, instructions)
+}
+
+// result assembles the measurement of the window that began at cycle start
+// with hierarchy counters before.
+func (ch *Chip) result(start uint64, before cache.Stats, bd Breakdown, instructions uint64) Result {
 	stats := ch.hier.Stats
-	stats.L1DHits -= statsStart.L1DHits
-	stats.L1DMisses -= statsStart.L1DMisses
-	stats.L1IHits -= statsStart.L1IHits
-	stats.L1IMisses -= statsStart.L1IMisses
-	stats.StreamBufHits -= statsStart.StreamBufHits
-	stats.L2Hits -= statsStart.L2Hits
-	stats.L2Misses -= statsStart.L2Misses
-	stats.L1Transfers -= statsStart.L1Transfers
-	stats.CohTransfers -= statsStart.CohTransfers
-	stats.MemAccesses -= statsStart.MemAccesses
-	stats.Upgrades -= statsStart.Upgrades
-	stats.PortQueueCycles -= statsStart.PortQueueCycles
-	stats.BackInvalidations -= statsStart.BackInvalidations
-	stats.Prefetches -= statsStart.Prefetches
-	stats.PrefetchHits -= statsStart.PrefetchHits
-	stats.PrefetchLate -= statsStart.PrefetchLate
+	stats.L1DHits -= before.L1DHits
+	stats.L1DMisses -= before.L1DMisses
+	stats.L1IHits -= before.L1IHits
+	stats.L1IMisses -= before.L1IMisses
+	stats.StreamBufHits -= before.StreamBufHits
+	stats.L2Hits -= before.L2Hits
+	stats.L2Misses -= before.L2Misses
+	stats.L1Transfers -= before.L1Transfers
+	stats.CohTransfers -= before.CohTransfers
+	stats.MemAccesses -= before.MemAccesses
+	stats.Upgrades -= before.Upgrades
+	stats.PortQueueCycles -= before.PortQueueCycles
+	stats.BackInvalidations -= before.BackInvalidations
+	stats.Prefetches -= before.Prefetches
+	stats.PrefetchHits -= before.PrefetchHits
+	stats.PrefetchLate -= before.PrefetchLate
 
 	done := make([]uint64, len(ch.doneAt))
 	copy(done, ch.doneAt)

@@ -23,6 +23,7 @@ type fcCore struct {
 	ctx  *hwctx
 
 	outstanding   []fcMiss  // in-flight data misses, append order
+	firstDone     uint64    // earliest doneAt in outstanding; never when empty
 	prevLoadDone  uint64    // completion time of the latest missing load
 	prevLoadCause StallKind // stall class of that load's service level
 	instrIdx      uint64    // instructions issued, for the window bound
@@ -37,14 +38,79 @@ type fcMiss struct {
 
 func (c *fcCore) contexts() []*hwctx { return []*hwctx{c.ctx} }
 
-func (c *fcCore) hasWork() bool { return len(c.ctx.threads) > 0 }
+func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
+	ctx := c.ctx
+	if len(ctx.threads) == 0 {
+		return never, KindIdle, 0
+	}
+	// A blocked context skips retire and issue, so until it wakes the
+	// in-flight misses and the dependence state are not looked at.
+	if q := ctx.quietUntil(now); q > now {
+		return q, ctx.blockCause, 0
+	}
+	if n := c.drainCycles(now, end); n > 0 {
+		t := ctx.threads[ctx.cur]
+		k := int(n) * c.cfg.FCIssue
+		t.execLeft -= k
+		t.untilBranch -= k
+		c.instrIdx += uint64(k)
+		return now + n, KindComp, c.cfg.FCIssue
+	}
+	return now, KindComp, 0
+}
 
-// retire drops completed misses.
+// drainCycles counts the cycles from now, short of end, in which step
+// would do nothing but issue FCIssue more instructions of the running
+// thread's current Exec record: no finished thread to remove or quantum
+// to expire, no structural limit reached, no mispredict charged, and the
+// record not exhausted. Misses that complete meanwhile only loosen the
+// limits, so judging them by the queue as it stands errs on the short
+// side, and the retire step skips is made up by the next one.
+func (c *fcCore) drainCycles(now, end uint64) uint64 {
+	ctx := c.ctx
+	if ctx.reap || now < ctx.blockedUntil {
+		return 0
+	}
+	n := end - now
+	if len(ctx.threads) >= 2 {
+		if ctx.nextSwitch <= now {
+			return 0
+		}
+		n = min(n, ctx.nextSwitch-now)
+	}
+	t := ctx.threads[ctx.cur]
+	if t.execLeft <= 0 || t.untilBranch <= 0 {
+		return 0
+	}
+	w := uint64(c.cfg.FCIssue)
+	// The last FCIssue instructions before a mispredict is due are left
+	// to step, which charges it.
+	n = min(n, uint64(t.execLeft)/w, uint64(t.untilBranch-1)/w)
+	// The miss queue is not full: step checked before it fetched the
+	// record, and no load has issued since. The reorder window can fill.
+	if len(c.outstanding) > 0 {
+		span := c.instrIdx - c.oldest().instrIdx
+		if span >= uint64(c.cfg.Window) {
+			return 0
+		}
+		// Issue stops in the cycle that starts with the window full.
+		n = min(n, (uint64(c.cfg.Window)-span+w-1)/w)
+	}
+	return n
+}
+
+// retire drops completed misses. Most cycles complete none, which
+// firstDone tells without walking the queue.
 func (c *fcCore) retire(now uint64) {
+	if now < c.firstDone {
+		return
+	}
 	live := c.outstanding[:0]
+	c.firstDone = never
 	for _, m := range c.outstanding {
 		if m.doneAt > now {
 			live = append(live, m)
+			c.firstDone = min(c.firstDone, m.doneAt)
 		}
 	}
 	c.outstanding = live
@@ -78,6 +144,7 @@ func (c *fcCore) step(now uint64) (int, StallKind) {
 	if ctx.maybeSwitch(now, c.cfg.Quantum, c.cfg.SwitchCost) {
 		// A new thread's dependence state does not carry over.
 		c.outstanding = c.outstanding[:0]
+		c.firstDone = never
 		c.prevLoadDone = 0
 	}
 	if len(ctx.threads) == 0 {
@@ -147,6 +214,7 @@ issue:
 			if res.Level != cache.LvlL1 {
 				cause := stallFor(res.Level, false)
 				c.outstanding = append(c.outstanding, fcMiss{res.DoneAt, c.instrIdx, cause})
+				c.firstDone = min(c.firstDone, res.DoneAt)
 				c.prevLoadDone = res.DoneAt
 				c.prevLoadCause = cause
 			} else {

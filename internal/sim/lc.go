@@ -20,13 +20,28 @@ type lcCore struct {
 
 func (c *lcCore) contexts() []*hwctx { return c.ctxs }
 
-func (c *lcCore) hasWork() bool {
+// coast never drains: an LC core interleaves its contexts cycle by cycle,
+// so only the all-parked case is known ahead. That lasts until the
+// earliest wake-up over the contexts that have threads; until then step
+// keeps charging the context that wakes first — the first in context order
+// on a tie, as step itself breaks it — and the round-robin pointer does
+// not move.
+func (c *lcCore) coast(now, end uint64) (uint64, StallKind, int) {
+	until, first, kind := never, never, KindIdle
 	for _, ctx := range c.ctxs {
-		if len(ctx.threads) > 0 {
-			return true
+		if len(ctx.threads) == 0 {
+			continue
+		}
+		q := ctx.quietUntil(now)
+		if q <= now {
+			return now, KindComp, 0
+		}
+		until = min(until, q)
+		if ctx.blockedUntil < first {
+			first, kind = ctx.blockedUntil, ctx.blockCause
 		}
 	}
-	return false
+	return until, kind, 0
 }
 
 // step simulates one cycle and returns issued instruction count and, when

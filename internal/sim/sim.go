@@ -59,7 +59,7 @@ type Config struct {
 	// on DBMS workloads (the paper's "limited ILP").
 	FCIssue int // effective FC issue width (default 2)
 	Window  int // reorder window in instructions (default 256, Power5-class)
-	MLP     int // maximum overlapped outstanding data misses (default 8)
+	MLP     int // maximum overlapped outstanding data misses (default 4)
 
 	// Branch behaviour ("other" stalls). A mispredict is charged every
 	// BranchEvery instructions; the penalty reflects pipeline depth.

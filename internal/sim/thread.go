@@ -11,6 +11,7 @@ type Thread struct {
 	ID     int
 	stream *trace.Stream
 	chip   *Chip
+	ctx    *hwctx // the hardware context whose run queue holds the thread
 
 	// Buffered chunks pulled from the stream. The chip's pump fills these
 	// opportunistically across all threads, so one producer blocked on an
@@ -57,6 +58,7 @@ func (t *Thread) next() (trace.Ref, bool) {
 		}
 		if !t.chip.pump(t) {
 			t.done = true
+			t.ctx.reap = true
 			return 0, false
 		}
 	}
@@ -88,6 +90,11 @@ type hwctx struct {
 	blockCause   StallKind
 
 	nextSwitch uint64 // cycle of the next quantum expiry
+
+	// reap is set while some queued thread's trace has ended (Thread.next
+	// raises it): only then can removeFinished find anything, so the
+	// common step skips the queue walk.
+	reap bool
 }
 
 // runningThread returns the thread currently bound to the context.
@@ -101,6 +108,10 @@ func (c *hwctx) runningThread() *Thread {
 // removeFinished drops completed threads from the run queue, recording
 // their completion time with the chip.
 func (c *hwctx) removeFinished(now uint64, ch *Chip) {
+	if !c.reap {
+		return
+	}
+	c.reap = false
 	for i := 0; i < len(c.threads); {
 		t := c.threads[i]
 		if t.finished() {
@@ -111,12 +122,38 @@ func (c *hwctx) removeFinished(now uint64, ch *Chip) {
 			}
 			continue
 		}
+		// Ended but still draining its last Exec record: look again.
+		c.reap = c.reap || t.done
 		i++
 	}
 }
 
-// maybeSwitch rotates the run queue on quantum expiry and returns the
-// context-switch penalty to charge, if any.
+// quietUntil returns the first cycle at or after now in which the
+// context's core has something to do on this context's account: now itself
+// when the context can issue, holds a finished thread that removeFinished
+// has yet to stamp, or is due a quantum switch; else the earlier of its
+// wake-up and (with a run queue to rotate) its next quantum expiry. The
+// context must have threads.
+func (c *hwctx) quietUntil(now uint64) uint64 {
+	until := c.blockedUntil
+	if len(c.threads) >= 2 && c.nextSwitch < until {
+		until = c.nextSwitch
+	}
+	if until <= now {
+		return now
+	}
+	if c.reap {
+		for _, t := range c.threads {
+			if t.finished() {
+				return now
+			}
+		}
+	}
+	return until
+}
+
+// maybeSwitch rotates the run queue on quantum expiry, charging the
+// context-switch penalty as a block, and reports whether it switched.
 func (c *hwctx) maybeSwitch(now, quantum uint64, cost int) bool {
 	if len(c.threads) < 2 {
 		return false
