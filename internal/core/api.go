@@ -63,6 +63,28 @@ func (e *ValidationError) Error() string {
 	return "core: invalid " + e.Field + ": " + e.Reason
 }
 
+// Upper bounds on the counts a request may ask for. Each unit costs a
+// simulated chip thread, a trace pipe and a workspace (64 MB per DSS client
+// or worker, 8 MB per partition) or, for clients x txns, one pre-drawn
+// transaction, so an unbounded count from the wire exhausts memory instead
+// of failing the request. They are several times what any driver, test or
+// benchmark request in the repository uses, and constants on purpose.
+const (
+	maxClients = 128
+	maxWorkers = 64
+	maxParts   = 64
+	maxTxns    = 1024
+	maxCohort  = 1024
+)
+
+// checkCount returns a *ValidationError naming field unless 1 <= n <= limit.
+func checkCount(field, what string, n, limit int) error {
+	if n < 1 || n > limit {
+		return &ValidationError{Field: field, Reason: fmt.Sprintf("%d %s (need 1..%d)", n, what, limit)}
+	}
+	return nil
+}
+
 // Request describes one unified-API execution. The zero value of every
 // field means "mode default"; WithDefaults resolves them in one place.
 type Request struct {
@@ -194,15 +216,15 @@ func (q Request) Validate() error {
 			return &ValidationError{Field: "query", Reason: fmt.Sprintf("query %d (have 1, 6, 13, or 0 for the mix)", q.Query)}
 		}
 	}
-	if q.Clients < 1 {
-		return &ValidationError{Field: "clients", Reason: fmt.Sprintf("%d clients (need >= 1)", q.Clients)}
+	if err := checkCount("clients", "clients", q.Clients, maxClients); err != nil {
+		return err
 	}
-	if q.Workers < 1 {
-		return &ValidationError{Field: "workers", Reason: fmt.Sprintf("%d workers (need >= 1)", q.Workers)}
+	if err := checkCount("workers", "workers", q.Workers, maxWorkers); err != nil {
+		return err
 	}
 	for _, n := range q.WorkerCounts {
-		if n < 1 {
-			return &ValidationError{Field: "workers", Reason: fmt.Sprintf("worker count %d (need >= 1)", n)}
+		if err := checkCount("workers", "workers in the sweep", n, maxWorkers); err != nil {
+			return err
 		}
 	}
 	if len(q.NativeWorkers) > 0 {
@@ -213,8 +235,8 @@ func (q Request) Validate() error {
 			return &ValidationError{Field: "native_workers", Reason: fmt.Sprintf("native execution needs a single query 1, 6, or 13 (query %d)", q.Query)}
 		}
 		for _, n := range q.NativeWorkers {
-			if n < 1 {
-				return &ValidationError{Field: "native_workers", Reason: fmt.Sprintf("native worker count %d (need >= 1)", n)}
+			if err := checkCount("native_workers", "native workers", n, maxWorkers); err != nil {
+				return err
 			}
 		}
 	}
@@ -550,7 +572,13 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 }
 
 func (r *Runner) runStagedSweep(ctx context.Context, req Request, res *Result) error {
-	mono, err := r.RunStagedOLTP(*req.Cell, false, req.stagedOpts(1))
+	measure := func(cohorted bool, parts int) (StagedOLTPResult, error) {
+		if err := ctx.Err(); err != nil {
+			return StagedOLTPResult{}, err
+		}
+		return r.RunStagedOLTP(*req.Cell, cohorted, req.stagedOpts(parts))
+	}
+	mono, err := measure(false, 1)
 	if err != nil {
 		return err
 	}
@@ -559,10 +587,7 @@ func (r *Runner) runStagedSweep(ctx context.Context, req Request, res *Result) e
 		res.Traces = append(res.Traces, *mono.Trace)
 	}
 	for _, p := range req.PartCounts {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		run, err := r.RunStagedOLTP(*req.Cell, true, req.stagedOpts(p))
+		run, err := measure(true, p)
 		if err != nil {
 			return err
 		}

@@ -53,6 +53,15 @@ func TestRequestValidation(t *testing.T) {
 		{"zero worker count", Request{Mode: ModeParallelDSS, WorkerCounts: []int{1, 0}}, "workers"},
 		{"negative parts", Request{Mode: ModeStagedOLTP, Parts: -1}, "parts"},
 		{"negative part count", Request{Mode: ModeStagedOLTP, PartCounts: []int{1, -2}}, "parts"},
+		{"too many clients", Request{Mode: ModeStagedOLTP, Clients: 1e9}, "clients"},
+		{"too many shared clients", Request{Mode: ModeSharedDSS, Clients: maxClients + 1}, "clients"},
+		{"too many workers", Request{Mode: ModeParallelDSS, Workers: maxWorkers + 1}, "workers"},
+		{"too many workers in the sweep", Request{Mode: ModeParallelDSS, WorkerCounts: []int{1, 100000}}, "workers"},
+		{"too many native workers", Request{Mode: ModeVecDSS, NativeWorkers: []int{maxWorkers + 1}}, "native_workers"},
+		{"too many parts", Request{Mode: ModeStagedOLTP, Parts: 100000}, "parts"},
+		{"too many parts in the sweep", Request{Mode: ModeStagedOLTP, PartCounts: []int{1, maxParts + 1}}, "parts"},
+		{"too many txns", Request{Mode: ModeStagedOLTP, Txns: maxTxns + 1}, "txns"},
+		{"cohort too wide", Request{Mode: ModeStagedOLTP, Cohort: maxCohort + 1}, "cohort"},
 		{"remote over 100", Request{Mode: ModeStagedOLTP, RemotePct: 101}, "remote"},
 		{"remote negative", Request{Mode: ModeStagedOLTP, RemotePct: -5}, "remote"},
 	}
@@ -69,6 +78,18 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if err := (Request{Mode: ModeVecDSS}).WithDefaults().Validate(); err != nil {
 		t.Fatalf("default vec request rejected: %v", err)
+	}
+	// The bounds admit their own limits, and the widest sweep the
+	// repository defines.
+	atLimit := Request{Mode: ModeStagedOLTP, Clients: maxClients, Txns: maxTxns, Cohort: maxCohort, Parts: maxParts}
+	if err := atLimit.WithDefaults().Validate(); err != nil {
+		t.Errorf("request at the limits rejected: %v", err)
+	}
+	sweep := DefaultPartitionSweep()
+	widest := Request{Mode: ModeStagedOLTP, Clients: sweep.Opts.Clients, Txns: sweep.Opts.PerClient,
+		Cohort: sweep.Opts.Cohort, PartCounts: sweep.Parts}
+	if err := widest.WithDefaults().Validate(); err != nil {
+		t.Errorf("DefaultPartitionSweep rejected: %v", err)
 	}
 	if _, err := sharedRunner.Run(context.Background(), Request{Mode: ModeStagedOLTP, Parts: -1}); err == nil {
 		t.Fatal("Run accepted parts=-1")
@@ -214,12 +235,19 @@ func TestRunSharedGolden(t *testing.T) {
 	}
 }
 
-// TestRunCancelled checks that a dead context stops the run between
-// sub-measurements.
+// TestRunCancelled checks that a dead context stops every mode before its
+// first side: the request fails with context.Canceled and the Runner has
+// not so much as built a database to simulate against.
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sharedRunner.Run(ctx, Request{Mode: ModeVecDSS}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	for _, mode := range []Mode{ModeVecDSS, ModeSharedDSS, ModeParallelDSS, ModeStagedOLTP} {
+		r := NewRunner(TestScale())
+		if _, err := r.Run(ctx, Request{Mode: mode}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, want context.Canceled", mode, err)
+		}
+		if r.tpch != nil || r.tpcc != nil || r.master != nil || len(r.arenas.free) != 0 {
+			t.Errorf("%s: a cancelled request built a database or took an arena", mode)
+		}
 	}
 }

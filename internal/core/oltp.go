@@ -26,7 +26,6 @@ import (
 	"repro/internal/oltp"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // StagedOLTPOpts shapes one paired staged-OLTP measurement.
@@ -72,21 +71,22 @@ func (o StagedOLTPOpts) WithDefaults() StagedOLTPOpts {
 }
 
 // Validate rejects unrunnable options with a *ValidationError instead of
-// letting a bad partition or remote draw panic deep in partitioning. It
+// letting a bad partition or remote draw panic deep in partitioning, or a
+// huge count from the wire exhaust memory (see the max* constants). It
 // assumes WithDefaults has resolved zero values; RunStagedOLTP applies
 // both.
 func (o StagedOLTPOpts) Validate() error {
-	if o.Clients < 1 {
-		return &ValidationError{Field: "clients", Reason: fmt.Sprintf("%d client streams (need >= 1)", o.Clients)}
+	if err := checkCount("clients", "client streams", o.Clients, maxClients); err != nil {
+		return err
 	}
-	if o.PerClient < 1 {
-		return &ValidationError{Field: "txns", Reason: fmt.Sprintf("%d transactions per client (need >= 1)", o.PerClient)}
+	if err := checkCount("txns", "transactions per client", o.PerClient, maxTxns); err != nil {
+		return err
 	}
-	if o.Cohort < 1 {
-		return &ValidationError{Field: "cohort", Reason: fmt.Sprintf("cohort window %d (need >= 1)", o.Cohort)}
+	if err := checkCount("cohort", "transactions in the cohort window", o.Cohort, maxCohort); err != nil {
+		return err
 	}
-	if o.Parts < 1 {
-		return &ValidationError{Field: "parts", Reason: fmt.Sprintf("%d partitions (need >= 1)", o.Parts)}
+	if err := checkCount("parts", "partitions", o.Parts, maxParts); err != nil {
+		return err
 	}
 	if o.RemotePct < 0 || o.RemotePct > 100 {
 		return &ValidationError{Field: "remote", Reason: fmt.Sprintf("remote%% %d outside [0,100]", o.RemotePct)}
@@ -129,17 +129,23 @@ func (r StagedOLTPResult) IStallFrac() float64 {
 
 // RunStagedOLTP executes the deterministic transaction stream described
 // by o on a fresh chip built from cell — cohort-scheduled when cohorted
-// is set, monolithically otherwise. Each run loads a fresh database (all
-// sides of a comparison must start from identical state), and the
-// returned digest covers the final logical state. The monolithic
-// reference and a single-partition cohort run use one traced worker
-// thread; a partitioned cohort run (o.Parts > 1) uses one per partition.
+// is set, monolithically otherwise. Each run starts from the loaded
+// database (all sides of a comparison must start from identical state):
+// a private fork of the Runner's resident TPC-C image, which is what
+// workload.BuildTPCC would return, byte for byte, for the cost of a page
+// copy. The run owns the fork and its arena until the final state has
+// been digested, then hands the arena back for the next fork; the image
+// itself is never written. The returned digest covers the final logical
+// state. The monolithic reference and a single-partition cohort run use
+// one traced worker, which runs as a coroutine of the simulator: such a
+// side occupies one host thread from fork to digest. A partitioned cohort
+// run (o.Parts > 1) uses one worker thread per partition.
 func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (StagedOLTPResult, error) {
 	o = o.WithDefaults()
 	if err := o.Validate(); err != nil {
 		return StagedOLTPResult{}, err
 	}
-	w, err := workload.BuildTPCC(r.ScaleCfg.TPCC)
+	w, err := r.forkTPCC()
 	if err != nil {
 		return StagedOLTPResult{}, err
 	}
@@ -151,15 +157,31 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 		parts = o.Parts
 	}
 	chip := sim.NewChip(cell.SimConfig())
+	// One traced worker feeds the simulator as its coroutine (trace.Inline):
+	// the side then occupies a single host thread, and its duration does not
+	// depend on the host scheduling a producer thread beside the simulator.
+	// Partition schedulers wait for one another (commit order, fences), so
+	// they need threads of their own and bounded channel pipes.
+	inline := parts == 1
 	recs := make([]*trace.Recorder, parts)
 	streams := make([]*trace.Stream, parts)
 	ctxs := make([]*engine.Ctx, parts)
 	for p := 0; p < parts; p++ {
-		rec, s := trace.Pipe()
-		recs[p], streams[p] = rec, s
-		chip.AddThread(s)
-		ctxs[p] = w.DB.NewCtx(rec, p, 8<<20)
+		if inline {
+			recs[p], streams[p] = trace.Inline()
+		} else {
+			recs[p], streams[p] = trace.Pipe()
+		}
+		chip.AddThread(streams[p])
+		ctxs[p] = r.workCtx(w.DB, recs[p], p, oltpWorkBytes)
 	}
+	// Every return below follows the end of every stream and wg.Wait: the
+	// worker and the partition schedulers it starts are done with the
+	// database and the workspaces by then.
+	defer func() {
+		r.releaseWork(ctxs...)
+		r.arenas.put(w.DB.Release())
+	}()
 
 	label := "monolithic"
 	if cohorted {
@@ -180,15 +202,7 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 
 	res := StagedOLTPResult{Cohorted: cohorted, Parts: parts}
 	var runErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			for _, rec := range recs {
-				rec.Close()
-			}
-		}()
+	work := func() {
 		switch {
 		case !cohorted:
 			res.Sched, runErr = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
@@ -210,7 +224,22 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 				res.Sched.Add(st)
 			}
 		}
-	}()
+	}
+	var wg sync.WaitGroup
+	if inline {
+		streams[0].SetProducer(work)
+	} else {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				for _, rec := range recs {
+					rec.Close()
+				}
+			}()
+			work()
+		}()
+	}
 
 	warm := cell.WarmRefs
 	if warm <= 0 {

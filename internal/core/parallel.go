@@ -74,7 +74,7 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 		rec, s := trace.PipeSized(256, 2)
 		recs[w], streams[w] = rec, s
 		chip.AddThread(s)
-		ctxs[w] = r.workCtx(h.DB, rec, 64+w)
+		ctxs[w] = r.workCtx(h.DB, rec, 64+w, dssWorkBytes)
 		ctxs[w].Join = r.Join
 		if len(mode) > 0 {
 			ctxs[w].JoinMode = mode[0]

@@ -111,10 +111,10 @@ func TestArenaReuseReadsZero(t *testing.T) {
 	if _, err := r.RunVecDSS(cell, 13, true, 7); err != nil { // Q13 builds a hash table in its workspace
 		t.Fatal(err)
 	}
-	if len(r.free) != 1 {
-		t.Fatalf("%d workspaces on the free list after one serial run, want 1", len(r.free))
+	if n := len(r.arenas.free[dssWorkBytes]); n != 1 {
+		t.Fatalf("%d workspaces on the free list after one serial run, want 1", n)
 	}
-	parked := r.free[0]
+	parked := r.arenas.free[dssWorkBytes][0]
 	if buf, _ := parked.Raw(); allZero(buf) {
 		t.Fatal("the run left its workspace all zero: the test would prove nothing")
 	}
@@ -123,7 +123,7 @@ func TestArenaReuseReadsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := r.workCtx(h.DB, nil, 3)
+	ctx := r.workCtx(h.DB, nil, 3, dssWorkBytes)
 	if ctx.Work != parked {
 		t.Fatal("workCtx allocated while a workspace was parked")
 	}
@@ -195,7 +195,7 @@ func TestArenaReuseConcurrentCallers(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if len(r.free) == 0 || len(r.free) > maxFreeArenas {
-		t.Errorf("%d workspaces retained, want 1..%d", len(r.free), maxFreeArenas)
+	if n := len(r.arenas.free[dssWorkBytes]); n == 0 || n > maxFreeBytes/dssWorkBytes {
+		t.Errorf("%d workspaces retained, want 1..%d", n, maxFreeBytes/dssWorkBytes)
 	}
 }

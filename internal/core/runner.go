@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -38,8 +39,8 @@ func TestScale() Scale {
 	}
 }
 
-// Runner executes experiment cells, lazily building and then reusing the
-// workload databases.
+// Runner executes experiment cells and requests, lazily building and then
+// reusing the workload databases. It is safe for concurrent callers.
 type Runner struct {
 	ScaleCfg Scale
 
@@ -55,58 +56,98 @@ type Runner struct {
 	// chain walk would tax the timed loop.
 	Join obs.JoinMetrics
 
-	mu   sync.Mutex
+	// Forks, when set, counts and times the private TPC-C databases forked
+	// from the resident image, one per staged-OLTP side. The zero value
+	// discards the observations.
+	Forks obs.ForkMetrics
+
+	mu sync.Mutex
+	// tpcc and tpch are the shared databases RunCell's clients and the DSS
+	// modes run against; tpcc is mutated by every OLTP cell.
 	tpcc *workload.TPCC
 	tpch *workload.TPCH
+	// master is the resident TPC-C image every staged-OLTP side forks its
+	// private database from. It is built once, never written afterwards,
+	// and is a separate object from tpcc. It owns no arena: the one it was
+	// loaded in went to arenas when the image had been taken.
+	master *workload.TPCCImage
 
-	// free holds the DSS workspaces (all dssWorkBytes) of finished runs: a
-	// traced DSS run takes one per engine context and hands them back,
-	// instead of allocating and zeroing 64 MB per context per simulation.
-	freeMu sync.Mutex
-	free   []*mem.Arena
+	// arenas holds what finished runs handed back: DSS and OLTP workspaces
+	// and the database arenas of staged-OLTP forks. A run owns an arena
+	// from take until it puts it back, which it does only once nothing of
+	// the run — query goroutines, producers, the digest — can touch it.
+	arenas arenaPool
 }
 
 const (
-	// dssWorkBytes is every traced DSS context's workspace size.
-	dssWorkBytes = 64 << 20
-	// maxFreeArenas bounds the workspaces a Runner retains: enough for
-	// the widest served request (shared-dss mix: 8 clients + 4 producer
-	// workers) beside a serial query on the same Runner. Only the pages a
-	// run touched are resident, so the bound is mostly address space.
-	maxFreeArenas = 16
+	// dssWorkBytes is every traced DSS context's workspace size and
+	// oltpWorkBytes every staged-OLTP worker's.
+	dssWorkBytes  = 64 << 20
+	oltpWorkBytes = 8 << 20
+	// maxFreeBytes bounds the arenas a Runner retains of each size: at
+	// 1 GB, the 16 DSS workspaces of the widest served request (shared-dss
+	// mix: 8 clients + 4 producer workers) beside a serial query, four
+	// full-scale or ten test-scale TPC-C arenas, and more OLTP workspaces
+	// than validation admits partitions. Only the pages a run touched are
+	// resident, so the bound is mostly address space.
+	maxFreeBytes = 1 << 30
 )
 
-// workCtx builds the traced DSS engine context of worker slot worker on a
-// recycled workspace when the Runner holds one, else on a fresh one.
-// Callers pass every context they took to releaseWork once nothing of the
-// run — query goroutines, producers — can touch its workspace again.
-func (r *Runner) workCtx(db *engine.DB, rec *trace.Recorder, worker int) *engine.Ctx {
-	base := engine.WorkSlotBase(worker, dssWorkBytes)
-	r.freeMu.Lock()
-	var a *mem.Arena
-	if n := len(r.free); n > 0 {
-		a, r.free = r.free[n-1], r.free[:n-1]
-	}
-	r.freeMu.Unlock()
-	if a == nil {
-		a = mem.NewArena(base, dssWorkBytes)
-	} else {
-		a.Recycle(base)
-	}
-	return db.NewCtxOn(rec, a)
+// arenaPool is a set of free lists of arenas, one per arena size, so that
+// a run recycles what an earlier one allocated instead of allocating and
+// zeroing tens of megabytes per context per simulation.
+type arenaPool struct {
+	mu   sync.Mutex
+	free map[int][]*mem.Arena
 }
 
-// releaseWork returns the contexts' workspaces to the free list, up to
-// maxFreeArenas; the rest are left to the collector. Workspaces are parked
-// dirty and cleared when next taken (up to their high-water mark), so a
-// Runner that never runs again zeroes nothing.
+// take returns an arena of size bytes based at base that reads as a fresh
+// one: a parked arena with what its last owner wrote cleared (up to its
+// allocation high-water mark; nothing for a database arena, which
+// engine.DB.Release scrubs because only the buffer pool knows which
+// frames it dirtied), or a new one when none is parked.
+func (p *arenaPool) take(base mem.Addr, size int) *mem.Arena {
+	p.mu.Lock()
+	var a *mem.Arena
+	if l := p.free[size]; len(l) > 0 {
+		a, p.free[size] = l[len(l)-1], l[:len(l)-1]
+	}
+	p.mu.Unlock()
+	if a == nil {
+		return mem.NewArena(base, size)
+	}
+	a.Recycle(base)
+	return a
+}
+
+// put parks an arena for reuse, unless maxFreeBytes of its size are parked
+// already: then it is left to the collector. The caller must hold the
+// only reference.
+func (p *arenaPool) put(a *mem.Arena) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.free == nil {
+		p.free = make(map[int][]*mem.Arena)
+	}
+	if l := p.free[a.Size()]; (len(l)+1)*a.Size() <= maxFreeBytes {
+		p.free[a.Size()] = append(l, a)
+	}
+}
+
+// workCtx builds the engine context of worker slot worker over a
+// workBytes workspace from the Runner's free lists, at the slot's
+// simulated base address. Callers pass every context they took to
+// releaseWork once nothing of the run can touch its workspace again.
+func (r *Runner) workCtx(db *engine.DB, rec *trace.Recorder, worker, workBytes int) *engine.Ctx {
+	return db.NewCtxOn(rec, r.arenas.take(engine.WorkSlotBase(worker, workBytes), workBytes))
+}
+
+// releaseWork returns the contexts' workspaces to the free lists. They
+// are parked dirty and cleared when next taken, so a Runner that never
+// runs again zeroes nothing.
 func (r *Runner) releaseWork(ctxs ...*engine.Ctx) {
-	r.freeMu.Lock()
-	defer r.freeMu.Unlock()
 	for _, c := range ctxs {
-		if len(r.free) < maxFreeArenas {
-			r.free = append(r.free, c.Work)
-		}
+		r.arenas.put(c.Work)
 	}
 }
 
@@ -132,6 +173,47 @@ func (r *Runner) TPCC() (*workload.TPCC, error) {
 		r.tpcc = w
 	}
 	return r.tpcc, nil
+}
+
+// tpccImage returns the resident TPC-C image, loading it on first use.
+func (r *Runner) tpccImage() (*workload.TPCCImage, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.master == nil {
+		w, err := workload.BuildTPCC(r.ScaleCfg.TPCC)
+		if err != nil {
+			return nil, err
+		}
+		img, err := w.Image()
+		if err != nil {
+			return nil, err
+		}
+		// The image is a copy of the pages in use; the arena it was loaded
+		// in becomes the first fork's.
+		r.master = img
+		r.arenas.put(w.DB.Release())
+	}
+	return r.master, nil
+}
+
+// forkTPCC returns a private TPC-C database in the loaded state, forked
+// from the resident image into a database arena from the free lists. The
+// caller owns it, and ends its life by parking the arena its Release
+// returns.
+func (r *Runner) forkTPCC() (*workload.TPCC, error) {
+	m, err := r.tpccImage()
+	if err != nil {
+		return nil, err
+	}
+	// Timed from taking the arena: when none is parked the fork pays for
+	// allocating one, as every build used to.
+	start := time.Now()
+	w, err := m.Fork(r.arenas.take(mem.HeapBase, m.ArenaBytes()))
+	if err != nil {
+		return nil, fmt.Errorf("core: fork of the TPC-C image: %w", err)
+	}
+	r.Forks.Observe(time.Since(start))
+	return w, nil
 }
 
 // TPCH returns the shared DSS database, building it on first use.

@@ -132,7 +132,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		rec, s := trace.Pipe()
 		recs[i], streams = rec, append(streams, s)
 		chip.AddThread(s)
-		ctxs[i] = r.workCtx(h.DB, rec, 64+i)
+		ctxs[i] = r.workCtx(h.DB, rec, 64+i, dssWorkBytes)
 		work = append(work, ctxs[i])
 	}
 
@@ -147,7 +147,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 				rec, s := trace.Pipe()
 				prodRecs, streams = append(prodRecs, rec), append(streams, s)
 				chip.AddThread(s)
-				ws[w] = r.workCtx(h.DB, rec, slot)
+				ws[w] = r.workCtx(h.DB, rec, slot, dssWorkBytes)
 				work = append(work, ws[w])
 				slot++
 			}

@@ -60,7 +60,7 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 
 	rec, s := trace.Pipe()
 	chip.AddThread(s)
-	ctx := r.workCtx(h.DB, rec, 72)
+	ctx := r.workCtx(h.DB, rec, 72, dssWorkBytes)
 	defer r.releaseWork(ctx)
 	ctx.Join = r.Join
 	if len(mode) > 0 {

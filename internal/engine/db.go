@@ -16,6 +16,7 @@ type DB struct {
 	Pool  *storage.BufferPool
 	Codes *mem.CodeMap
 
+	cfg    Config // resolved geometry, which an Image carries to its forks
 	mu     sync.RWMutex
 	tables map[string]*Table
 }
@@ -42,17 +43,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// NewDB creates an empty database.
+// NewDB creates an empty database in an arena of its own.
 func NewDB(cfg Config) *DB {
 	cfg = cfg.withDefaults()
-	arena := mem.NewArena(mem.HeapBase, cfg.ArenaBytes)
+	return NewDBOn(cfg, mem.NewArena(mem.HeapBase, cfg.ArenaBytes))
+}
+
+// NewDBOn creates an empty database in an arena the caller provides —
+// nothing allocated, every byte zero, as NewArena or DB.Release leave one —
+// whose size stands in for cfg.ArenaBytes.
+func NewDBOn(cfg Config, arena *mem.Arena) *DB {
+	cfg.ArenaBytes = arena.Size()
+	cfg = cfg.withDefaults()
 	codes := mem.NewCodeMap()
 	// The "SQL layer": parser/planner/catalog code executed per statement.
 	// Its large footprint is a defining property of OLTP instruction
 	// streams (the paper's I-stall discussion).
 	codes.Register("sql:frontend", 24<<10)
 	pool := storage.NewBufferPool(arena, cfg.Frames, cfg.MaxPages, codes)
-	return &DB{Arena: arena, Pool: pool, Codes: codes, tables: make(map[string]*Table)}
+	return &DB{Arena: arena, Pool: pool, Codes: codes, cfg: cfg, tables: make(map[string]*Table)}
 }
 
 // Table is a named heap file with schema and secondary indexes.

@@ -96,6 +96,14 @@ func (a *Arena) Recycle(base Addr) {
 	a.base, a.off, a.high = base, 0, 0
 }
 
+// MarkClean discards all allocations on the owner's word that it has
+// zeroed every byte it stored: the arena again equals
+// NewArena(a.Base(), a.Size()) and a following Recycle clears nothing. It
+// is for owners that reserve far more than they write — a buffer pool
+// allocates every frame up front and knows which few it dirtied — where
+// clearing to the high-water mark would cost the whole arena.
+func (a *Arena) MarkClean() { a.off, a.high = 0, 0 }
+
 // Contains reports whether addr falls inside the arena.
 func (a *Arena) Contains(addr Addr) bool {
 	return addr >= a.base && addr < a.base+Addr(len(a.buf))

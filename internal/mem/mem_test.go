@@ -166,3 +166,23 @@ func TestArenaReuseRecycle(t *testing.T) {
 		t.Fatal("recycled arena still claims its old address range")
 	}
 }
+
+// TestArenaReuseMarkClean: MarkClean takes the owner's word that the arena
+// is all zero again, so the Recycle that follows clears nothing — which a
+// byte the owner did not clear shows.
+func TestArenaReuseMarkClean(t *testing.T) {
+	a := NewArena(HeapBase, 1<<16)
+	p := a.Alloc(1<<15, 64)
+	a.Bytes(p, 1<<15)[7] = 0xEE
+	a.MarkClean()
+	if a.Used() != 0 {
+		t.Fatalf("Used after MarkClean = %d, want 0", a.Used())
+	}
+	a.Recycle(HeapBase)
+	if buf, _ := a.Raw(); buf[7] != 0xEE {
+		t.Fatal("Recycle after MarkClean cleared bytes it was told are clean")
+	}
+	if got := a.Alloc(8, 8); got != HeapBase {
+		t.Fatalf("first Alloc after MarkClean at %#x, want the base", uint64(got))
+	}
+}

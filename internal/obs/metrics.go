@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing value.
@@ -448,4 +449,28 @@ type SchedMetrics struct {
 	// on a busy lock before resuming.
 	QuantumSteps *Histogram
 	ParkQuanta   *Histogram
+}
+
+// ForkMetrics counts and times the private TPC-C databases a driver
+// forks from its resident image (nil fields are simply not fed).
+type ForkMetrics struct {
+	Forks   *Counter
+	Seconds *Histogram
+}
+
+// NewForkMetrics registers the fork families on r.
+func NewForkMetrics(r *Registry) ForkMetrics {
+	return ForkMetrics{
+		Forks: r.Counter("dbserver_tpcc_forks_total",
+			"Private TPC-C databases forked from the resident image (one per staged-oltp side)."),
+		Seconds: r.Histogram("dbserver_tpcc_fork_seconds",
+			"Host time of one fork: schema replay plus the copy of the image's pages.",
+			LogBuckets(0.00002, 2, 16)), // 20us .. ~0.66s
+	}
+}
+
+// Observe records one fork that took d.
+func (m ForkMetrics) Observe(d time.Duration) {
+	m.Forks.Inc()
+	m.Seconds.Observe(d.Seconds())
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestLogBuckets(t *testing.T) {
@@ -71,8 +72,33 @@ func TestNilMetricsDiscard(t *testing.T) {
 	h.Observe(1)
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
+	ForkMetrics{}.Observe(time.Millisecond) // a bare core.Runner's zero value
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics recorded something")
+	}
+}
+
+func TestForkMetricsExposition(t *testing.T) {
+	r := NewRegistry()
+	m := NewForkMetrics(r)
+	m.Observe(250 * time.Microsecond)
+	m.Observe(3 * time.Millisecond)
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	out := sb.String()
+	for _, line := range []string{
+		"# TYPE dbserver_tpcc_forks_total counter",
+		"dbserver_tpcc_forks_total 2",
+		"# TYPE dbserver_tpcc_fork_seconds histogram",
+		`dbserver_tpcc_fork_seconds_bucket{le="0.00016"} 0`,
+		`dbserver_tpcc_fork_seconds_bucket{le="0.00032"} 1`,
+		`dbserver_tpcc_fork_seconds_bucket{le="0.00512"} 2`,
+		`dbserver_tpcc_fork_seconds_bucket{le="+Inf"} 2`,
+		"dbserver_tpcc_fork_seconds_count 2",
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("exposition missing %q:\n%s", line, out)
+		}
 	}
 }
 

@@ -62,6 +62,11 @@ type Metrics struct {
 	// distribution, partition fan-out by join mode — from inside every
 	// traced DSS run (plumbed down through core.Runner.Join).
 	Join obs.JoinMetrics
+
+	// Forks counts and times the private TPC-C databases forked from the
+	// runner's resident image, one per staged-OLTP side (plumbed down
+	// through core.Runner.Forks).
+	Forks obs.ForkMetrics
 }
 
 // NewMetrics builds the server metric set on a fresh registry.
@@ -95,7 +100,8 @@ func NewMetrics() *Metrics {
 			QuantumSteps: r.Histogram("dbserver_sched_quantum_steps", "Continuation steps executed per scheduling quantum.", stepsBuckets),
 			ParkQuanta:   r.Histogram("dbserver_sched_park_quanta", "Quanta a transaction stayed parked before resuming.", stepsBuckets),
 		},
-		Join: obs.NewJoinMetrics(r),
+		Join:  obs.NewJoinMetrics(r),
+		Forks: obs.NewForkMetrics(r),
 	}
 }
 

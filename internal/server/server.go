@@ -89,10 +89,12 @@ func New(cfg Config) *Server {
 		Metrics: NewMetrics(),
 		tenants: make(map[string]int),
 	}
-	// Staged-OLTP runs feed the scheduler-internals histograms directly;
-	// traced DSS runs feed the hash-join build metrics the same way.
+	// Staged-OLTP runs feed the scheduler-internals histograms and the
+	// fork counters directly; traced DSS runs feed the hash-join build
+	// metrics the same way.
 	s.runner.Sched = s.Metrics.Sched
 	s.runner.Join = s.Metrics.Join
+	s.runner.Forks = s.Metrics.Forks
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/txn", s.handleTxn)

@@ -272,6 +272,15 @@ func TestValidationOverWire(t *testing.T) {
 		{"/v1/query", api.QueryRequest{Mode: "staged-oltp"}, "mode"},
 		{"/v1/txn", api.TxnRequest{Parts: -1}, "parts"},
 		{"/v1/txn", api.TxnRequest{RemotePct: 140}, "remote"},
+		// Counts no request in the repository comes near: each unit is a
+		// workspace and a chip thread, so these fail the request here and
+		// would otherwise exhaust the process's memory.
+		{"/v1/txn", api.TxnRequest{Parts: 100000}, "parts"},
+		{"/v1/txn", api.TxnRequest{PartCounts: []int{1, 100000}}, "parts"},
+		{"/v1/txn", api.TxnRequest{Clients: 1e9}, "clients"},
+		{"/v1/txn", api.TxnRequest{Txns: 1e9}, "txns"},
+		{"/v1/query", api.QueryRequest{Mode: "shared-dss", Clients: 100000}, "clients"},
+		{"/v1/query", api.QueryRequest{Mode: "parallel-dss", Workers: 100000}, "workers"},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, hs.URL+tc.path, tc.body, "")
@@ -385,19 +394,25 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dbserver_requests_total", "dbserver_sched_parks_total",
 		"dbserver_sched_wounds_total", "dbserver_scan_rotations_total",
 		"dbserver_result_cache_hits_total", "dbserver_inflight_sessions",
+		"dbserver_tpcc_forks_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+metric+" ") || !strings.Contains(text, "\n"+metric+" ") {
 			t.Errorf("metric %s missing from exposition:\n%s", metric, text)
 		}
 	}
-	var parks int
+	var parks, forks, forksTimed int
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "dbserver_sched_parks_total ") {
-			fmt.Sscanf(line, "dbserver_sched_parks_total %d", &parks)
-		}
+		fmt.Sscanf(line, "dbserver_sched_parks_total %d", &parks)
+		fmt.Sscanf(line, "dbserver_tpcc_forks_total %d", &forks)
+		fmt.Sscanf(line, "dbserver_tpcc_fork_seconds_count %d", &forksTimed)
 	}
 	if parks == 0 {
 		t.Error("dbserver_sched_parks_total is zero after an OLTP batch")
+	}
+	// One private database per side: the monolithic reference and the
+	// cohort run.
+	if forks != 2 || forksTimed != 2 {
+		t.Errorf("dbserver_tpcc_forks_total %d, dbserver_tpcc_fork_seconds_count %d after one OLTP batch, want 2 and 2", forks, forksTimed)
 	}
 	if resp, _ := getBody(t, hs.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/mem"
@@ -21,6 +22,9 @@ type BTree struct {
 	pool   *BufferPool
 	root   PageID
 	height int
+	// writes counts Inserts and Deletes; a Cursor positioned under another
+	// count finds its place again before it reads (see Cursor).
+	writes uint64
 
 	codeSearch mem.CodeSeg
 	codeInsert mem.CodeSeg
@@ -167,6 +171,7 @@ func (t *BTree) Get(rec *trace.Recorder, k int64) (uint64, bool, error) {
 func (t *BTree) Insert(rec *trace.Recorder, k int64, v uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.writes++
 	rec.Exec(t.codeInsert, 120)
 	sep, right, grew, err := t.insertAt(rec, t.root, k, v)
 	if err != nil {
@@ -310,6 +315,7 @@ func innerInsertAt(rec *trace.Recorder, d []byte, addr mem.Addr, i int, k int64,
 func (t *BTree) Delete(rec *trace.Recorder, k int64, v uint64) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.writes++
 	leaf, err := t.descend(rec, k)
 	if err != nil {
 		return false, err
@@ -333,11 +339,24 @@ func (t *BTree) Delete(rec *trace.Recorder, k int64, v uint64) (bool, error) {
 	return false, nil
 }
 
-// Cursor iterates leaf entries in key order.
+// Cursor iterates leaf entries in key order. Its position is a leaf and an
+// index into it, which an insert or delete elsewhere in the leaf shifts and
+// a split moves to another page; so the cursor remembers the tree's write
+// count and the key it resumes from, and when the count has moved — another
+// worker wrote between two steps — it descends again to the first entry at
+// or after that key before it reads. Without that, a Delivery summing its
+// order's lines while another partition's commit inserted into the same
+// leaf read a line twice, and the database state depended on host
+// scheduling. The repair is this implementation's bookkeeping and is not
+// traced. After a concurrent write, entries that share the last returned
+// key and were not yet returned are skipped; every index scanned beside
+// writers has unique keys.
 type Cursor struct {
-	tree *BTree
-	pid  PageID
-	idx  int
+	tree   *BTree
+	pid    PageID
+	idx    int
+	writes uint64 // tree.writes when (pid, idx) was taken
+	resume int64  // the next entry is the first with key >= resume
 }
 
 // Seek positions a cursor at the first entry with key >= k.
@@ -350,17 +369,27 @@ func (t *BTree) Seek(rec *trace.Recorder, k int64) (*Cursor, error) {
 	}
 	defer leaf.Release()
 	i := searchNode(rec, leaf.Data, leaf.Addr, k)
-	return &Cursor{tree: t, pid: leaf.ID, idx: i}, nil
+	return &Cursor{tree: t, pid: leaf.ID, idx: i, writes: t.writes, resume: k}, nil
 }
 
 // Next returns the cursor's current entry and advances, or ok=false at
 // the end of the tree. Each step holds the tree's read lock, so steps
-// never observe a leaf mid-split; between steps a concurrent insert may
-// shift entries within a leaf, which scans of the simulated workloads
-// tolerate (they read a consistent prefix, not a serializable snapshot).
+// never observe a leaf mid-split, and a step that follows another
+// worker's write finds its place again first: a scan returns every entry
+// of its range that was there throughout, once, in key order (not a
+// serializable snapshot: entries written meanwhile may or may not show).
 func (c *Cursor) Next(rec *trace.Recorder) (k int64, v uint64, ok bool, err error) {
 	c.tree.mu.RLock()
 	defer c.tree.mu.RUnlock()
+	if c.pid != InvalidPage && c.writes != c.tree.writes {
+		leaf, err := c.tree.descend(nil, c.resume)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		c.pid, c.idx = leaf.ID, searchNode(nil, leaf.Data, leaf.Addr, c.resume)
+		c.writes = c.tree.writes
+		leaf.Release()
+	}
 	for {
 		if c.pid == InvalidPage {
 			return 0, 0, false, nil
@@ -375,6 +404,9 @@ func (c *Cursor) Next(rec *trace.Recorder) (k int64, v uint64, ok bool, err erro
 			rec.Load(ref.Addr+mem.Addr(btKeyOff+c.idx*8), true)
 			rec.Load(ref.Addr+mem.Addr(btLeafValOff+c.idx*8), false)
 			c.idx++
+			if c.resume = k; k < math.MaxInt64 {
+				c.resume = k + 1
+			}
 			ref.Release()
 			return k, v, true, nil
 		}

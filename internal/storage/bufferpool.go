@@ -24,10 +24,12 @@ const InvalidPage PageID = 0
 type BufferPool struct {
 	mu sync.Mutex
 
-	arena     *mem.Arena
-	frames    int
-	frameAddr []mem.Addr
-	frameBuf  [][]byte
+	arena  *mem.Arena
+	frames int
+	// The frames are one contiguous region of the arena: frame fr is the
+	// PageSize bytes at frame0 + fr*PageSize, frameMem[fr*PageSize:].
+	frame0    mem.Addr
+	frameMem  []byte
 	framePage []PageID
 	pins      []int
 	clockRef  []bool
@@ -74,18 +76,29 @@ func NewBufferPool(arena *mem.Arena, frames, maxPages int, codes *mem.CodeMap) *
 		framePage: make([]PageID, frames),
 		pins:      make([]int, frames),
 		clockRef:  make([]bool, frames),
-		table:     make(map[PageID]int, frames),
+		table:     make(map[PageID]int),
 		disk:      make(map[PageID][]byte),
 		tableCap:  maxPages,
 		code:      codes.Register("bufferpool", bufCodeSize),
 	}
 	bp.tableAddr = arena.Alloc(maxPages*pageTableEntry, mem.LineSize)
-	for i := 0; i < frames; i++ {
-		a := arena.Alloc(PageSize, mem.LineSize)
-		bp.frameAddr = append(bp.frameAddr, a)
-		bp.frameBuf = append(bp.frameBuf, arena.Bytes(a, PageSize))
-	}
+	bp.frame0 = arena.Alloc(frames*PageSize, mem.LineSize)
+	bp.frameMem = arena.Bytes(bp.frame0, frames*PageSize)
 	return bp
+}
+
+// frameAddr returns the simulated address of frame fr.
+func (bp *BufferPool) frameAddr(fr int) mem.Addr { return bp.frame0 + mem.Addr(fr*PageSize) }
+
+// frameBuf returns the host bytes of frame fr.
+func (bp *BufferPool) frameBuf(fr int) []byte {
+	off := fr * PageSize
+	return bp.frameMem[off : off+PageSize : off+PageSize]
+}
+
+// pageRef builds the pinned reference to page pid in frame fr.
+func (bp *BufferPool) pageRef(pid PageID, fr int) *PageRef {
+	return &PageRef{ID: pid, Addr: bp.frameAddr(fr), Data: bp.frameBuf(fr), pool: bp, fr: fr}
 }
 
 // PageRef is a pinned page: its host buffer and simulated address. Callers
@@ -202,11 +215,9 @@ func (bp *BufferPool) NewPage(rec *trace.Recorder) (*PageRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range bp.frameBuf[fr] {
-		bp.frameBuf[fr][i] = 0
-	}
+	clear(bp.frameBuf(fr))
 	bp.install(rec, pid, fr)
-	return &PageRef{ID: pid, Addr: bp.frameAddr[fr], Data: bp.frameBuf[fr], pool: bp, fr: fr}, nil
+	return bp.pageRef(pid, fr), nil
 }
 
 // Get pins page pid, reading it back from simulated disk if evicted.
@@ -225,7 +236,7 @@ func (bp *BufferPool) Get(rec *trace.Recorder, pid PageID) (*PageRef, error) {
 		bp.Hits++
 		bp.pins[fr]++
 		bp.clockRef[fr] = true
-		return &PageRef{ID: pid, Addr: bp.frameAddr[fr], Data: bp.frameBuf[fr], pool: bp, fr: fr}, nil
+		return bp.pageRef(pid, fr), nil
 	}
 	bp.Misses++
 	fr, err := bp.grabFrame(rec)
@@ -233,14 +244,12 @@ func (bp *BufferPool) Get(rec *trace.Recorder, pid PageID) (*PageRef, error) {
 		return nil, err
 	}
 	if img, ok := bp.disk[pid]; ok {
-		copy(bp.frameBuf[fr], img)
+		copy(bp.frameBuf(fr), img)
 	} else {
-		for i := range bp.frameBuf[fr] {
-			bp.frameBuf[fr][i] = 0
-		}
+		clear(bp.frameBuf(fr))
 	}
 	bp.install(rec, pid, fr)
-	return &PageRef{ID: pid, Addr: bp.frameAddr[fr], Data: bp.frameBuf[fr], pool: bp, fr: fr}, nil
+	return bp.pageRef(pid, fr), nil
 }
 
 // install binds pid to frame fr (mu held).
@@ -272,7 +281,7 @@ func (bp *BufferPool) grabFrame(rec *trace.Recorder) (int, error) {
 		}
 		old := bp.framePage[fr]
 		img := make([]byte, PageSize)
-		copy(img, bp.frameBuf[fr])
+		copy(img, bp.frameBuf(fr))
 		bp.disk[old] = img
 		delete(bp.table, old)
 		bp.Evictions++

@@ -465,6 +465,53 @@ func TestBTreeSortedIterationProperty(t *testing.T) {
 	}
 }
 
+// TestBTreeCursorSurvivesWrites: a cursor returns every entry of its
+// range once and in order although inserts and deletes between its steps
+// shift entries within its leaf, split the leaf, and grow the tree — what
+// another partition's commit does to a Delivery's order-line scan.
+func TestBTreeCursorSurvivesWrites(t *testing.T) {
+	tree, err := NewBTree(testPool(t, 64), mem.NewCodeMap(), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1000); k < 1200; k++ {
+		if err := tree.Insert(nil, k, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := tree.Seek(nil, 1100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := int64(0)
+	for want := int64(1100); want < 1200; want++ {
+		// Before every step, including the first: eight lower keys shift
+		// the cursor's leaf right (800 of them split it twice), and a
+		// delete of an entry already passed shifts it left.
+		for i := 0; i < 8; i++ {
+			if err := tree.Insert(nil, low, 0); err != nil {
+				t.Fatal(err)
+			}
+			low++
+		}
+		if want > 1100 && want%3 == 0 {
+			if ok, err := tree.Delete(nil, want-1, uint64(want-1)); err != nil || !ok {
+				t.Fatalf("delete %d: %v %v", want-1, ok, err)
+			}
+		}
+		k, v, ok, err := cur.Next(nil)
+		if err != nil || !ok || k != want || v != uint64(want) {
+			t.Fatalf("step returned (%d, %d, %v, %v), want key %d", k, v, ok, err, want)
+		}
+	}
+	if _, _, ok, _ := cur.Next(nil); ok {
+		t.Error("cursor ran past the end of the tree")
+	}
+	if tree.Height() < 2 {
+		t.Error("the writes never split the leaf: the test would prove less than it says")
+	}
+}
+
 func TestBTreeConcurrentReaders(t *testing.T) {
 	bp := testPool(t, 256)
 	bt, _ := NewBTree(bp, mem.NewCodeMap(), "conc")

@@ -6,11 +6,14 @@
 // instruction execution at synthetic code addresses, and data loads/stores
 // at the addresses actually touched. The simulator consumes one stream per
 // software thread. Streams are produced through bounded channels so an
-// arbitrarily long workload never materializes an unbounded trace.
+// arbitrarily long workload never materializes an unbounded trace — or, for
+// a simulation with a single producer, by running the producer as a
+// coroutine of the simulator (Inline), which needs no second host thread.
 package trace
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/mem"
@@ -203,6 +206,22 @@ func PipeSized(chunk, depth int) (*Recorder, *Stream) {
 	return r, s
 }
 
+// Inline creates a pipe without a producer thread: the function given to
+// the stream's SetProducer runs as a coroutine of the consumer, resumed
+// when the consumer asks for a chunk and suspended when the recorder has
+// filled the next one. Producer and consumer never run at the same time,
+// so a simulation fed this way occupies one host thread, and how long it
+// takes does not depend on the host finding a second processor for the
+// producer at the moments the simulator runs dry. The chunks are those a
+// Pipe delivers (same size, same boundaries). It is for simulations with
+// ONE producer: a producer that waits for another stream's producer would
+// wait forever, because nothing else runs while it does.
+func Inline() (*Recorder, *Stream) {
+	stop := make(chan struct{})
+	r := &Recorder{inline: true, stop: stop, chunk: chunkSize, buf: make([]Ref, 0, chunkSize)}
+	return r, &Stream{rec: r, stop: stop}
+}
+
 // Recorder is the producer half of a trace pipe. It is used by exactly one
 // engine thread; it is not safe for concurrent use. A nil Recorder is valid
 // and discards everything, so engine code can run untraced at full speed.
@@ -212,6 +231,11 @@ type Recorder struct {
 	chunk   int
 	buf     []Ref
 	stopped bool
+	// An Inline recorder hands its chunks to yield, which suspends the
+	// producer until the consumer wants the next one; yield is set while
+	// the producer function runs.
+	inline bool
+	yield  func([]Ref) bool
 
 	// Counters for the analytical validation model (Figure 3).
 	Instructions uint64
@@ -253,6 +277,15 @@ func (r *Recorder) flush() {
 	}
 	chunk := r.buf
 	r.buf = make([]Ref, 0, r.chunk)
+	if r.inline {
+		if r.yield == nil {
+			panic("trace: inline recorder used outside its producer function")
+		}
+		if r.Stopped() || !r.yield(chunk) {
+			r.stopped = true
+		}
+		return
+	}
 	select {
 	case r.ch <- chunk:
 	case <-r.stop:
@@ -394,7 +427,8 @@ func (r *Recorder) StoreRange(a mem.Addr, n int) {
 }
 
 // Close flushes buffered records and ends the stream. The producer must not
-// record after Close.
+// record after Close. An Inline pipe closes its recorder itself when the
+// producer function returns.
 func (r *Recorder) Close() {
 	if r == nil {
 		return
@@ -402,13 +436,22 @@ func (r *Recorder) Close() {
 	if !r.stopped {
 		r.flush()
 	}
+	if r.inline {
+		r.stopped = true
+		return
+	}
 	close(r.ch)
 }
 
 // Stream is the consumer half of a trace pipe, read by the simulator.
 type Stream struct {
-	ch     chan []Ref
-	stop   chan struct{}
+	ch   chan []Ref
+	stop chan struct{}
+	// An Inline stream pulls its chunks out of the producer coroutine:
+	// next resumes it until it has filled one, cancel ends it.
+	rec    *Recorder
+	next   func() ([]Ref, bool)
+	cancel func()
 	cur    []Ref
 	pos    int
 	closed bool
@@ -442,6 +485,16 @@ func (s *Stream) Next() (Ref, bool) {
 func (s *Stream) RecvChunk(wait time.Duration) (chunk []Ref, ok, ended bool) {
 	if s.ended {
 		return nil, false, true
+	}
+	if s.rec != nil {
+		// Inline: the producer runs now, on this thread, until it has a
+		// chunk or returns; there is nothing to wait for.
+		c, okc := s.next()
+		if !okc {
+			s.ended = true
+			return nil, false, true
+		}
+		return c, true, false
 	}
 	switch {
 	case wait < 0:
@@ -485,5 +538,30 @@ func (s *Stream) Stop() {
 	if !s.closed {
 		s.closed = true
 		close(s.stop)
+		if s.cancel != nil {
+			// An inline producer suspended in a flush resumes here with its
+			// recorder stopped and runs to its end discarding records; one
+			// that never started never will.
+			s.cancel()
+		}
 	}
+}
+
+// SetProducer gives an Inline stream its producer: run records through
+// the pipe's Recorder and returns when the trace is complete. It starts
+// at the consumer's first receive, runs only inside the consumer's
+// receives (and, to wind down, inside Stop), and the recorder is closed
+// for it when it returns. What run writes is visible to the consumer once
+// the stream has ended.
+func (s *Stream) SetProducer(run func()) {
+	if s.rec == nil || s.next != nil {
+		panic("trace: SetProducer needs an Inline stream without a producer")
+	}
+	r := s.rec
+	s.next, s.cancel = iter.Pull(func(yield func([]Ref) bool) {
+		r.yield = yield
+		run()
+		r.Close()
+		r.yield = nil
+	})
 }

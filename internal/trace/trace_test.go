@@ -207,3 +207,142 @@ func TestStreamConsumedCount(t *testing.T) {
 		t.Fatalf("Consumed = %d, want 100", s.Consumed)
 	}
 }
+
+// drainChunks receives every chunk of a stream.
+func drainChunks(s *Stream) [][]Ref {
+	var out [][]Ref
+	for {
+		c, ok, ended := s.RecvChunk(-1)
+		if ended {
+			return out
+		}
+		if ok {
+			out = append(out, c)
+		}
+	}
+}
+
+// TestInlineMatchesPipe: the coroutine pipe delivers the chunks a channel
+// pipe delivers — same boundaries, same records, the partial last chunk
+// included — with the producer running only inside the consumer's receives.
+func TestInlineMatchesPipe(t *testing.T) {
+	const n = 3*chunkSize + 17
+	produce := func(r *Recorder) {
+		for i := 0; i < n; i++ {
+			if i%5 == 0 {
+				r.Store(mem.Addr(i * 64))
+			} else {
+				r.Load(mem.Addr(i*64), i%3 == 0)
+			}
+		}
+	}
+	pr, ps := Pipe()
+	go func() {
+		produce(pr)
+		pr.Close()
+	}()
+	want := drainChunks(ps)
+
+	ir, is := Inline()
+	running, done := false, false
+	is.SetProducer(func() {
+		running = true
+		produce(ir)
+		done = true
+	})
+	if running {
+		t.Fatal("producer started before the first receive")
+	}
+	got := drainChunks(is)
+	if !done {
+		t.Fatal("stream ended before the producer returned")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d chunks, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("chunk %d: %d records, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("chunk %d record %d: %v, want %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	if ir.Loads != pr.Loads || ir.Stores != pr.Stores {
+		t.Errorf("counters %d/%d, want %d/%d", ir.Loads, ir.Stores, pr.Loads, pr.Stores)
+	}
+	if _, ok := is.Next(); ok {
+		t.Error("record after the end of the stream")
+	}
+}
+
+// TestInlineStop: stopping the consumer resumes a suspended producer with
+// its recorder stopped, inside Stop, so nothing of it is left behind; a
+// producer that never started never runs.
+func TestInlineStop(t *testing.T) {
+	r, s := Inline()
+	emitted, returned := 0, false
+	s.SetProducer(func() {
+		for i := 0; i < 100*chunkSize && !r.Stopped(); i++ {
+			emitted++
+			r.Load(mem.Addr(i*64), false)
+		}
+		returned = true
+	})
+	for i := 0; i < 10; i++ {
+		if _, ok := s.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}
+	if emitted != chunkSize {
+		t.Fatalf("producer ran %d records ahead, want one chunk (%d)", emitted, chunkSize)
+	}
+	s.Stop()
+	if !returned || !r.Stopped() {
+		t.Fatalf("after Stop: producer returned %v, recorder stopped %v", returned, r.Stopped())
+	}
+	if emitted != chunkSize {
+		t.Errorf("producer recorded %d records after the stop", emitted-chunkSize)
+	}
+	// What the consumer already holds is still its to read; then the end.
+	for i := 10; i < chunkSize; i++ {
+		if _, ok := s.Next(); !ok {
+			t.Fatalf("stream lost record %d of the chunk it had", i)
+		}
+	}
+	if _, ok := s.Next(); ok {
+		t.Error("stopped stream delivered a new chunk")
+	}
+
+	_, s = Inline()
+	started := false
+	s.SetProducer(func() { started = true })
+	s.Stop()
+	if _, ok := s.Next(); ok || started {
+		t.Errorf("stopped before the first receive: record %v, producer started %v", ok, started)
+	}
+}
+
+// TestInlineMisuse: an inline recorder has nowhere to put a chunk outside
+// its producer function (it must not block forever instead), and only an
+// inline stream takes a producer.
+func TestInlineMisuse(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	r, _ := Inline()
+	mustPanic("flush outside the producer", func() {
+		for i := 0; i < chunkSize; i++ {
+			r.Load(mem.Addr(i*64), false)
+		}
+	})
+	_, p := Pipe()
+	mustPanic("SetProducer on a channel pipe", func() { p.SetProducer(func() {}) })
+}

@@ -91,7 +91,22 @@ func (w *TPCC) olKey(wh, d, o, line int) int64 {
 // BuildTPCC creates and loads the database.
 func BuildTPCC(cfg TPCCConfig) (*TPCC, error) {
 	cfg = cfg.withDefaults()
-	db := engine.NewDB(engine.Config{ArenaBytes: cfg.ArenaBytes})
+	w, err := newTPCC(cfg, engine.NewDB(engine.Config{ArenaBytes: cfg.ArenaBytes}))
+	if err != nil {
+		return nil, err
+	}
+	if err := w.load(); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// newTPCC is the schema half of a build: transaction manager, code
+// layout, the nine empty tables and their primary indexes, in db. What it
+// does is fixed by cfg alone, so running it again in a database of the
+// same geometry reproduces every address, page id and code segment —
+// which is what lets TPCCImage.Fork adopt a loaded image afterwards.
+func newTPCC(cfg TPCCConfig, db *engine.DB) (*TPCC, error) {
 	w := &TPCC{Cfg: cfg, DB: db, Mgr: txn.NewManager(db.Arena, db.Codes)}
 
 	// Transaction-logic code footprints: TPC-C transaction paths are long
@@ -173,7 +188,46 @@ func BuildTPCC(cfg TPCCConfig) (*TPCC, error) {
 	if w.idxOrderLine, err = db.CreateIndex(w.orderline, "orderline_pk", keyCol(w.orderline)); err != nil {
 		return nil, err
 	}
-	if err := w.load(); err != nil {
+	return w, nil
+}
+
+// TPCCImage is a loaded TPC-C database at rest — the paper's pre-built
+// checkpoint. It is immutable: Fork copies its pages out, and nothing
+// restored from it shares memory with it.
+type TPCCImage struct {
+	cfg TPCCConfig
+	db  *engine.Image
+}
+
+// Image captures the database as it stands. Nothing may be running
+// against it.
+func (w *TPCC) Image() (*TPCCImage, error) {
+	img, err := w.DB.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return &TPCCImage{cfg: w.Cfg, db: img}, nil
+}
+
+// ArenaBytes is the size of the arena Fork needs.
+func (m *TPCCImage) ArenaBytes() int { return m.db.Config().ArenaBytes }
+
+// Fork returns a private database in the image's state, built in arena —
+// ArenaBytes long, based at mem.HeapBase, nothing allocated and every byte
+// zero, as mem.NewArena or engine.DB.Release leave one. The schema is
+// created again (newTPCC) and the loaded pages and bookkeeping copied over
+// it, so the fork is what BuildTPCC would have returned, down to the
+// arena's last byte, for the cost of a page copy instead of a load.
+func (m *TPCCImage) Fork(arena *mem.Arena) (*TPCC, error) {
+	if arena.Base() != mem.HeapBase || arena.Size() != m.ArenaBytes() || arena.Used() != 0 {
+		return nil, fmt.Errorf("workload: fork needs an unused %d-byte arena at %#x, got %d bytes at %#x with %d used",
+			m.ArenaBytes(), uint64(mem.HeapBase), arena.Size(), uint64(arena.Base()), arena.Used())
+	}
+	w, err := newTPCC(m.cfg, engine.NewDBOn(m.db.Config(), arena))
+	if err != nil {
+		return nil, err
+	}
+	if err := w.DB.Restore(m.db); err != nil {
 		return nil, err
 	}
 	return w, nil
