@@ -10,8 +10,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# The second line runs the side-placement tests on one processor and on
+# two, so the sequential path stays exercised on a multi-processor host.
 test:
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork' ./internal/core
 
 race:
 	$(GO) test -race -short ./...

@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -140,9 +141,14 @@ func main() {
 	fmt.Printf("  port queue cycles: %d\n", st.PortQueueCycles)
 }
 
-// run executes one unified request, exiting on error.
+// run executes one unified request, exiting on error: with 2, like every
+// other unusable flag, when the flags describe a request that cannot run.
 func run(r *core.Runner, req core.Request) core.Result {
 	res, err := r.Run(context.Background(), req)
+	var invalid *core.ValidationError
+	if errors.As(err, &invalid) {
+		fail(2, err)
+	}
 	if err != nil {
 		fail(1, err)
 	}

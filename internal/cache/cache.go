@@ -80,6 +80,13 @@ func New(sizeBytes, assoc int) *Cache {
 	}
 }
 
+// Reset empties the cache: every way Invalid and the LRU clock at zero, as
+// New leaves them.
+func (c *Cache) Reset() {
+	clear(c.ways)
+	c.tick = 0
+}
+
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -195,5 +196,60 @@ func TestStatsDeltasNonNegative(t *testing.T) {
 	if after.L1DHits < before.L1DHits || after.L2Hits < before.L2Hits ||
 		after.MemAccesses < before.MemAccesses {
 		t.Fatal("counters regressed")
+	}
+}
+
+// TestResetEqualsNew: a hierarchy that has served traffic of every kind —
+// loads, stores, fetches through the stream buffers, prefetches still in
+// flight, warming — is, after Reset, the hierarchy NewHierarchy builds:
+// equal field for field, and answering the same traffic with the same
+// results and counters. Shared and private L2s both.
+func TestResetEqualsNew(t *testing.T) {
+	traffic := func(h *Hierarchy, seed int64) []Result {
+		rng := rand.New(rand.NewSource(seed))
+		var out []Result
+		now := uint64(0)
+		for i := 0; i < 20000; i++ {
+			core := rng.Intn(4)
+			a := mem.Addr(rng.Intn(256<<10)) &^ 63
+			switch rng.Intn(7) {
+			case 0:
+				out = append(out, h.Read(core, a, now))
+			case 1:
+				out = append(out, h.Write(core, a, now))
+			case 2:
+				out = append(out, h.Fetch(core, a, now))
+			case 3:
+				h.Prefetch(core, a, now)
+			case 4:
+				h.WarmRead(core, a)
+			case 5:
+				h.WarmWrite(core, a)
+			default:
+				h.WarmFetch(core, a)
+			}
+			now += uint64(rng.Intn(20))
+		}
+		return out
+	}
+	for _, shared := range []bool{true, false} {
+		cfg := Config{
+			Cores: 4, L1DSize: 8 << 10, L1ISize: 8 << 10,
+			L2Size: 64 << 10, L2Assoc: 2, L2Lat: 10, SharedL2: shared, StreamBuf: true,
+		}
+		used := NewHierarchy(cfg)
+		traffic(used, 11)
+		if reflect.DeepEqual(used, NewHierarchy(cfg)) {
+			t.Fatal("traffic left the hierarchy as new: the test would prove nothing")
+		}
+		used.Reset()
+		fresh := NewHierarchy(cfg)
+		if !reflect.DeepEqual(used, fresh) {
+			t.Errorf("shared=%v: a reset hierarchy differs from a new one\n reset %+v\n new   %+v", shared, used, fresh)
+		}
+		got, want := traffic(used, 12), traffic(fresh, 12)
+		if !reflect.DeepEqual(got, want) || used.Stats != fresh.Stats {
+			t.Errorf("shared=%v: the same traffic on a reset hierarchy: stats %+v, on a new one %+v", shared, used.Stats, fresh.Stats)
+		}
 	}
 }

@@ -189,6 +189,24 @@ func NewHierarchy(cfg Config) *Hierarchy {
 // Config returns the (defaulted) configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
+// Reset restores the state NewHierarchy(h.Config()) produces — every cache
+// empty, stream buffers and in-flight prefetches gone, ports free, counters
+// zero — so a simulation on a reset hierarchy is the simulation on a new
+// one, without allocating the arrays again (10 MB of ways at a 26 MB L2).
+func (h *Hierarchy) Reset() {
+	for _, cs := range [][]*Cache{h.l1i, h.l1d, h.l2} {
+		for _, c := range cs {
+			c.Reset()
+		}
+	}
+	for i := range h.sb {
+		h.sb[i].lines = h.sb[i].lines[:0]
+		clear(h.pf[i])
+	}
+	clear(h.ports)
+	h.Stats = Stats{}
+}
+
 func (h *Hierarchy) l2of(core int) *Cache {
 	if h.cfg.SharedL2 {
 		return h.l2[0]

@@ -246,6 +246,11 @@ func (q Request) Validate() error {
 	if _, err := engine.ParseJoinMode(q.JoinMode); err != nil {
 		return &ValidationError{Field: "join_mode", Reason: err.Error()}
 	}
+	if q.Cell != nil {
+		if err := q.Cell.validate(); err != nil {
+			return err
+		}
+	}
 	if q.Mode == ModeStagedOLTP {
 		o := q.stagedOpts(q.Parts)
 		if err := o.Validate(); err != nil {
@@ -402,18 +407,39 @@ type Result struct {
 
 // Run executes one unified request: it applies defaults, validates, runs
 // the mode's paired measurement on identical chip geometry, and returns
-// the typed result. Every side is simulated once. vec-dss, the 1-worker
-// point of parallel-dss and the unshared side of shared-dss are
-// deterministic, and the multi-worker points of parallel-dss repeat as
-// long as no worker's producer is starved on the host (the simulator
-// yields to the producer it waits for; see sim.Chip's pump), so a second
-// simulation could only tie. The shared side of shared-dss does not
-// repeat — where a consumer attaches to the circular scan depends on how
-// far the host has let the producers run ahead of the simulator — so its
-// cycles are one draw from a spread of a few percent, not a minimum.
+// the typed result. Every side is simulated once.
+//
+// A side is self-paced when the host cannot influence what it simulates:
+// it has one trace producer, or producers that never wait for one another,
+// and the simulator waits for whichever it needs. Both vec-dss sides, the
+// 1-worker point of parallel-dss, the unshared side of shared-dss and the
+// staged-oltp sides at one partition are self-paced; their sim.Result,
+// cycles and digest are the same on every run, on any host, whatever runs
+// beside them. A side is host-paced when its producers divide work among
+// themselves at simulated pace: the multi-worker points of parallel-dss
+// (morsel claiming) and cohort sides at parts > 1 (commit order, fences)
+// repeat only while the host starves none of their producers (the
+// simulator yields to the producer it waits for; see sim.Chip's pump). The
+// shared side of shared-dss does not repeat at all — where a consumer
+// attaches to the circular scan depends on how far the host has let the
+// producers run ahead of the simulator — so its cycles are one draw from a
+// spread of a few percent, not a minimum.
+//
+// Consecutive self-paced sides (and the shared side, which has nothing to
+// lose) run two at a time, the second on a goroutine of its own, when the
+// host has a second processor to run it on and the database the request
+// runs against is already resident: a request is otherwise one thread of
+// simulation after another while the other processors idle. A host-paced
+// side runs with nothing of its request beside it, and on one processor,
+// or while the database or the TPC-C image still has to be built (both
+// sides would wait for it, and the second would need arenas of its own
+// meanwhile), every side runs in turn on the caller's goroutine. Nothing
+// selects between the two placements but the host; the Result is assembled
+// in side order either way, and an error is the first in side order.
+//
 // staged-oltp digests are checked byte-identical against the monolithic
-// reference. ctx cancels between sub-runs (a simulated run in flight is
-// not interrupted).
+// reference. A panic in a side comes back as a *PanicError. ctx cancels
+// between sides (a simulated run in flight is not interrupted).
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
@@ -457,18 +483,14 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 }
 
 func (r *Runner) runVecPair(ctx context.Context, req Request, res *Result) error {
-	measure := func(vectorized bool) (VecDSSResult, error) {
-		if err := ctx.Err(); err != nil {
-			return VecDSSResult{}, err
-		}
-		return r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
+	var row, vec VecDSSResult
+	measure := func(label string, vectorized bool, out *VecDSSResult) side {
+		return side{label: label, run: func() (err error) {
+			*out, err = r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
+			return err
+		}}
 	}
-	row, err := measure(false)
-	if err != nil {
-		return err
-	}
-	vec, err := measure(true)
-	if err != nil {
+	if err := r.runSides(ctx, req.Mode, measure("row", false, &row), measure("vectorized", true, &vec)); err != nil {
 		return err
 	}
 	res.Baseline = vecSide(row)
@@ -502,18 +524,14 @@ func vecSide(v VecDSSResult) Side {
 }
 
 func (r *Runner) runSharedPair(ctx context.Context, req Request, res *Result) error {
-	measure := func(shared bool) (SharedDSSResult, error) {
-		if err := ctx.Err(); err != nil {
-			return SharedDSSResult{}, err
-		}
-		return r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
+	var un, sh SharedDSSResult
+	measure := func(label string, shared bool, out *SharedDSSResult) side {
+		return side{label: label, run: func() (err error) {
+			*out, err = r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
+			return err
+		}}
 	}
-	un, err := measure(false)
-	if err != nil {
-		return err
-	}
-	sh, err := measure(true)
-	if err != nil {
+	if err := r.runSides(ctx, req.Mode, measure("unshared", false, &un), measure("shared", true, &sh)); err != nil {
 		return err
 	}
 	res.Baseline = sharedSide(un)
@@ -546,21 +564,25 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 			cell.Cores = n
 		}
 	}
-	for _, n := range req.WorkerCounts {
-		if err := ctx.Err(); err != nil {
+	runs := make([]ParallelDSSResult, len(req.WorkerCounts))
+	sides := make([]side, len(req.WorkerCounts))
+	for i, n := range req.WorkerCounts {
+		sides[i] = side{label: fmt.Sprintf("parallel-%d", n), hostPaced: n > 1, run: func() (err error) {
+			runs[i], err = r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
 			return err
-		}
-		run, err := r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
-		if err != nil {
-			return err
-		}
+		}}
+	}
+	if err := r.runSides(ctx, req.Mode, sides...); err != nil {
+		return err
+	}
+	for i, run := range runs {
 		res.Sweep = append(res.Sweep, Side{
-			Label: fmt.Sprintf("parallel-%d", n), Cycles: run.Cycles,
-			Result: run.Result, Rows: run.Rows, Digest: run.Digest, Workers: n,
+			Label: sides[i].label, Cycles: run.Cycles,
+			Result: run.Result, Rows: run.Rows, Digest: run.Digest, Workers: run.Workers,
 		})
 		if req.Trace {
 			// The morsel-driven executor has no span plumbing yet.
-			res.Traces = append(res.Traces, syntheticRun(fmt.Sprintf("parallel-%d", n), run.Cycles))
+			res.Traces = append(res.Traces, syntheticRun(sides[i].label, run.Cycles))
 		}
 	}
 	res.Baseline = res.Sweep[0]
@@ -572,29 +594,32 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 }
 
 func (r *Runner) runStagedSweep(ctx context.Context, req Request, res *Result) error {
-	measure := func(cohorted bool, parts int) (StagedOLTPResult, error) {
-		if err := ctx.Err(); err != nil {
-			return StagedOLTPResult{}, err
-		}
-		return r.RunStagedOLTP(*req.Cell, cohorted, req.stagedOpts(parts))
+	// runs[0] is the monolithic reference, runs[1:] the cohort side at each
+	// partition count.
+	runs := make([]StagedOLTPResult, 1+len(req.PartCounts))
+	measure := func(out *StagedOLTPResult, cohorted bool, parts int) side {
+		return side{label: stagedLabel(cohorted, parts), hostPaced: parts > 1, run: func() (err error) {
+			*out, err = r.RunStagedOLTP(*req.Cell, cohorted, req.stagedOpts(parts))
+			return err
+		}}
 	}
-	mono, err := measure(false, 1)
-	if err != nil {
+	sides := []side{measure(&runs[0], false, 1)}
+	for i, p := range req.PartCounts {
+		sides = append(sides, measure(&runs[i+1], true, p))
+	}
+	if err := r.runSides(ctx, req.Mode, sides...); err != nil {
 		return err
 	}
+	mono := runs[0]
 	res.Baseline = stagedSide(mono)
 	if mono.Trace != nil {
 		res.Traces = append(res.Traces, *mono.Trace)
 	}
-	for _, p := range req.PartCounts {
-		run, err := measure(true, p)
-		if err != nil {
-			return err
-		}
+	for _, run := range runs[1:] {
 		if run.Digest != mono.Digest {
 			return fmt.Errorf(
 				"core: staged OLTP digest mismatch at parts=%d: %#x vs monolithic %#x (determinism contract violated)",
-				p, run.Digest, mono.Digest)
+				run.Parts, run.Digest, mono.Digest)
 		}
 		res.Sweep = append(res.Sweep, stagedSide(run))
 		if run.Trace != nil {
@@ -610,13 +635,17 @@ func (r *Runner) runStagedSweep(ctx context.Context, req Request, res *Result) e
 	return nil
 }
 
-func stagedSide(v StagedOLTPResult) Side {
-	label := "monolithic"
-	if v.Cohorted {
-		label = fmt.Sprintf("cohort-%d", v.Parts)
+// stagedLabel names a staged-oltp side.
+func stagedLabel(cohorted bool, parts int) string {
+	if !cohorted {
+		return "monolithic"
 	}
+	return fmt.Sprintf("cohort-%d", parts)
+}
+
+func stagedSide(v StagedOLTPResult) Side {
 	return Side{
-		Label: label, Cycles: v.Cycles, Result: v.Result, Txns: v.Txns,
+		Label: stagedLabel(v.Cohorted, v.Parts), Cycles: v.Cycles, Result: v.Result, Txns: v.Txns,
 		Digest: v.Digest, Parts: v.Parts, Fenced: v.Fenced,
 		Sched: v.Sched, PerPart: v.PerPart,
 	}

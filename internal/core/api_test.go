@@ -39,6 +39,13 @@ func TestRequestDefaults(t *testing.T) {
 // TestRequestValidation checks that unrunnable requests come back as
 // typed *ValidationError values naming the offending field, not as
 // panics from deep inside partitioning.
+// cellWith is the default vec-dss cell with one edit.
+func cellWith(edit func(*Cell)) *Cell {
+	c := DefaultModeCell(ModeVecDSS, sim.FatCamp)
+	edit(&c)
+	return &c
+}
+
 func TestRequestValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -64,6 +71,13 @@ func TestRequestValidation(t *testing.T) {
 		{"cohort too wide", Request{Mode: ModeStagedOLTP, Cohort: maxCohort + 1}, "cohort"},
 		{"remote over 100", Request{Mode: ModeStagedOLTP, RemotePct: 101}, "remote"},
 		{"remote negative", Request{Mode: ModeStagedOLTP, RemotePct: -5}, "remote"},
+		{"negative L2", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.L2Size = -1 << 20 })}, "cell"},
+		{"L2 below one set", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.L2Size = 256 })}, "cell"},
+		{"negative cores", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.Cores = -2 })}, "cell"},
+		{"negative contexts", Request{Mode: ModeSharedDSS, Cell: cellWith(func(c *Cell) { c.Camp, c.CtxPerCore = sim.LeanCamp, -1 })}, "cell"},
+		{"negative ports", Request{Mode: ModeStagedOLTP, Cell: cellWith(func(c *Cell) { c.L2Ports = -1 })}, "cell"},
+		{"negative L2 latency", Request{Mode: ModeParallelDSS, Cell: cellWith(func(c *Cell) { c.L2Lat = -3 })}, "cell"},
+		{"unknown camp", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.Camp = 9 })}, "cell"},
 	}
 	for _, tc := range cases {
 		err := tc.req.WithDefaults().Validate()
@@ -90,6 +104,13 @@ func TestRequestValidation(t *testing.T) {
 		Cohort: sweep.Opts.Cohort, PartCounts: sweep.Parts}
 	if err := widest.WithDefaults().Validate(); err != nil {
 		t.Errorf("DefaultPartitionSweep rejected: %v", err)
+	}
+	// Zero cell fields are defaults, and the smallest buildable L2 builds.
+	smallest := Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.Cores, c.CtxPerCore, c.L2Ports, c.L2Size = 0, 0, 0, 512 })}
+	if err := smallest.WithDefaults().Validate(); err != nil {
+		t.Errorf("cell of defaults and a one-set L2 rejected: %v", err)
+	} else {
+		sim.NewChip(smallest.Cell.SimConfig())
 	}
 	if _, err := sharedRunner.Run(context.Background(), Request{Mode: ModeStagedOLTP, Parts: -1}); err == nil {
 		t.Fatal("Run accepted parts=-1")

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cacti"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -93,6 +94,33 @@ func DefaultCell(camp sim.Camp, wk WorkloadKind, saturated bool) Cell {
 		c.UnsatTxns = 160
 	}
 	return c
+}
+
+// validate rejects, with a *ValidationError naming "cell", a geometry no
+// chip can be built from: SimConfig, cache.NewHierarchy and sim.NewChip
+// panic on these, because between them and a caller stands this check. Zero
+// fields are the defaults SimConfig and the simulator fill in.
+func (c Cell) validate() error {
+	bad := func(format string, args ...any) error {
+		return &ValidationError{Field: "cell", Reason: fmt.Sprintf(format, args...)}
+	}
+	// One set of the L2 at the associativity every cell uses.
+	oneSet := cache.Config{}.WithDefaults().L2Assoc * mem.LineSize
+	switch {
+	case c.Camp != sim.FatCamp && c.Camp != sim.LeanCamp:
+		return bad("unknown camp %d", c.Camp)
+	case c.Cores < 0:
+		return bad("%d cores (need at least 1, or 0 for the default)", c.Cores)
+	case c.CtxPerCore < 0:
+		return bad("%d contexts per core (need at least 1, or 0 for the default)", c.CtxPerCore)
+	case c.L2Size < oneSet:
+		return bad("L2 of %d bytes (need at least one set, %d bytes)", c.L2Size, oneSet)
+	case c.L2Lat < 0:
+		return bad("L2 latency of %d cycles (need at least 1, or 0 for the Cacti model)", c.L2Lat)
+	case c.L2Ports < 0:
+		return bad("%d L2 ports (need at least 1, or 0 for the default)", c.L2Ports)
+	}
+	return nil
 }
 
 // SimConfig materializes the chip configuration for the cell, deriving

@@ -95,10 +95,20 @@ func checkStagedGoldens(t *testing.T, who string, seed int64, res Result) {
 	}
 }
 
+// sidesAtOnce is how many sides of one request of mode r has live at once
+// now that its database is resident.
+func sidesAtOnce(r *Runner, mode Mode) int {
+	if r.overlapSides(mode) {
+		return 2
+	}
+	return 1
+}
+
 // TestGoldenStagedOLTPSimResults pins the complete simulator output,
 // cycles, digest and scheduler counters of both sides of a staged-oltp
 // request at two seeds, on a Runner that has served requests before (the
-// second seed forks onto the arenas the first released).
+// second seed forks onto the arenas, and simulates on the hierarchies, the
+// first released).
 func TestGoldenStagedOLTPSimResults(t *testing.T) {
 	r := NewRunner(TestScale())
 	for _, seed := range []int64{7, 15, 7} {
@@ -108,13 +118,18 @@ func TestGoldenStagedOLTPSimResults(t *testing.T) {
 		}
 		checkStagedGoldens(t, "lone caller", seed, res)
 	}
-	// Sequential requests keep one database arena and one workspace in
-	// circulation: the image's own arena was the first fork's.
-	if n := len(r.arenas.free[r.master.ArenaBytes()]); n != 1 {
-		t.Errorf("%d database arenas parked after sequential requests, want 1", n)
+	// Requests one after the other keep in circulation what one of them
+	// holds at once: a database arena, a workspace and a hierarchy per side
+	// live (the image's own arena was the first fork's).
+	want := sidesAtOnce(r, ModeStagedOLTP)
+	if n := len(r.arenas.free[r.master.ArenaBytes()]); n != want {
+		t.Errorf("%d database arenas parked after requests in turn, want %d", n, want)
 	}
-	if n := len(r.arenas.free[oltpWorkBytes]); n != 1 {
-		t.Errorf("%d OLTP workspaces parked after sequential requests, want 1", n)
+	if n := len(r.arenas.free[oltpWorkBytes]); n != want {
+		t.Errorf("%d OLTP workspaces parked after requests in turn, want %d", n, want)
+	}
+	if n := len(r.hiers.free); n != want {
+		t.Errorf("%d hierarchies parked after requests in turn, want %d", n, want)
 	}
 }
 
@@ -181,7 +196,7 @@ func TestForkConcurrentCallers(t *testing.T) {
 	if got, err := shared.StateDigest(); err != nil || got == want {
 		t.Errorf("RunCell's database has the loaded digest %#x (%v): its writes went elsewhere", got, err)
 	}
-	if n := len(r.arenas.free[r.master.ArenaBytes()]); n == 0 || n > 3 {
-		t.Errorf("%d database arenas parked after three concurrent callers, want 1..3", n)
+	if n, most := len(r.arenas.free[r.master.ArenaBytes()]), 3*sidesAtOnce(r, ModeStagedOLTP); n == 0 || n > most {
+		t.Errorf("%d database arenas parked after three concurrent callers, want 1..%d", n, most)
 	}
 }

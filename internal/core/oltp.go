@@ -156,7 +156,7 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 	if cohorted {
 		parts = o.Parts
 	}
-	chip := sim.NewChip(cell.SimConfig())
+	chip := r.newChip(cell)
 	// One traced worker feeds the simulator as its coroutine (trace.Inline):
 	// the side then occupies a single host thread, and its duration does not
 	// depend on the host scheduling a producer thread beside the simulator.
@@ -175,18 +175,20 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 		chip.AddThread(streams[p])
 		ctxs[p] = r.workCtx(w.DB, recs[p], p, oltpWorkBytes)
 	}
-	// Every return below follows the end of every stream and wg.Wait: the
-	// worker and the partition schedulers it starts are done with the
-	// database and the workspaces by then.
+	// Every return after the end of every stream and wg.Wait releases what
+	// the run held: the worker and the partition schedulers it starts are
+	// done with the database and the workspaces by then. A run that panics
+	// before has not been joined, and leaves it all to the collector.
+	joined := false
 	defer func() {
-		r.releaseWork(ctxs...)
-		r.arenas.put(w.DB.Release())
+		if joined {
+			r.releaseWork(ctxs...)
+			r.arenas.put(w.DB.Release())
+			r.releaseChip(chip)
+		}
 	}()
 
-	label := "monolithic"
-	if cohorted {
-		label = fmt.Sprintf("cohort-%d", parts)
-	}
+	label := stagedLabel(cohorted, parts)
 	var tracer *obs.Tracer
 	var root *obs.Span
 	if o.Trace {
@@ -261,6 +263,7 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 		}
 	}
 	wg.Wait()
+	joined = true
 	if runErr != nil {
 		return StagedOLTPResult{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, runErr)
 	}

@@ -61,7 +61,7 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 	if cell.Cores < workers {
 		cell.Cores = workers
 	}
-	chip := sim.NewChip(cell.SimConfig())
+	chip := r.newChip(cell)
 
 	ctxs := make([]*engine.Ctx, workers)
 	recs := make([]*trace.Recorder, workers)
@@ -80,8 +80,6 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 			ctxs[w].JoinMode = mode[0]
 		}
 	}
-	// Every return below follows wg.Wait: no worker touches a workspace then.
-	defer r.releaseWork(ctxs...)
 
 	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
 	var rows int
@@ -117,6 +115,10 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 		}
 	}
 	wg.Wait()
+	// No worker touches a workspace from here (released here and not by
+	// defer: see RunVecDSS).
+	r.releaseWork(ctxs...)
+	r.releaseChip(chip)
 	if runErr != nil {
 		return ParallelDSSResult{}, fmt.Errorf("core: parallel q%d x%d: %w", q, workers, runErr)
 	}

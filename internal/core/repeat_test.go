@@ -47,57 +47,76 @@ func TestRunRepeats(t *testing.T) {
 	}
 }
 
-// TestGoldenVecDSSSimResults pins the simulator's complete output for both
-// sides of vec-dss Q6 and Q13 at TestScale, seed 7, default cell. The
-// values were recorded from the cycle-by-cycle simulator that preceded
-// event skipping (commit 6faf8d7); a change that makes the simulator
-// faster must reproduce them to the last counter, and a change to the
-// model itself must say so and re-record them.
-func TestGoldenVecDSSSimResults(t *testing.T) {
-	golden := []struct {
-		query      int
-		vectorized bool
-		cycles     uint64
-		digest     uint64
-		result     sim.Result
-	}{
-		{6, false, 9219179, 0xc5f3d9a449f88df2, sim.Result{
-			Cycles: 0x8cac6c, Instructions: 0x5596bf,
-			Breakdown: sim.Breakdown{Cycles: [8]uint64{0x2acf20, 0x0, 0x0, 0x0, 0x597e32, 0x0, 0x85f18, 0x1a60546}},
-			Cache: cache.Stats{L1DHits: 0x12640, L1DMisses: 0xb961, L1IHits: 0x58f43, L1IMisses: 0x0, StreamBufHits: 0x0,
-				L2Hits: 0x0, L2Misses: 0xb961, MemAccesses: 0xb961, Upgrades: 0x0, PortQueueCycles: 0x0},
-			ThreadDone: []uint64{0x8cac6b}}},
-		{6, true, 4802021, 0xc5f3d9a449f88df2, sim.Result{
-			Cycles: 0x4945e6, Instructions: 0x703eb,
-			Breakdown: sim.Breakdown{Cycles: [8]uint64{0x3867e, 0x0, 0x66a, 0xba0, 0x450dc8, 0x0, 0x9f94, 0xdbd1b4}},
-			Cache: cache.Stats{L1DHits: 0x12aa, L1DMisses: 0xb559, L1IHits: 0x6754, L1IMisses: 0x34, StreamBufHits: 0x30,
-				L2Hits: 0x517, L2Misses: 0xb046, MemAccesses: 0xb046, Upgrades: 0xa, PortQueueCycles: 0x145d},
-			ThreadDone: []uint64{0x4945e5}}},
-		{13, false, 3880967, 0xf7882720d4f5ce68, sim.Result{
-			Cycles: 0x3b3808, Instructions: 0x34de62,
-			Breakdown: sim.Breakdown{Cycles: [8]uint64{0x1a7f9b, 0x0, 0x63f, 0x27f4d, 0x192601, 0x0, 0x50cde, 0xb1a81a}},
-			Cache: cache.Stats{L1DHits: 0x1bc08, L1DMisses: 0xa16f, L1IHits: 0x3a20b, L1IMisses: 0x8, StreamBufHits: 0x4,
-				L2Hits: 0x5f10, L2Misses: 0x4263, MemAccesses: 0x4263, Upgrades: 0x1449, PortQueueCycles: 0x191},
-			ThreadDone: []uint64{0x3b3807}}},
-		{13, true, 2294237, 0xf7882720d4f5ce68, sim.Result{
-			Cycles: 0x2301de, Instructions: 0x1deabe,
-			Breakdown: sim.Breakdown{Cycles: [8]uint64{0xf1a8f, 0x0, 0x9b5, 0x3b79d, 0xd6ddd, 0x0, 0x2b81e, 0x69059c}},
-			Cache: cache.Stats{L1DHits: 0x1de54, L1DMisses: 0xdb1b, L1IHits: 0x21021, L1IMisses: 0x3a, StreamBufHits: 0x34,
-				L2Hits: 0x9556, L2Misses: 0x45cb, MemAccesses: 0x45cb, Upgrades: 0x23d1, PortQueueCycles: 0xa9189},
-			ThreadDone: []uint64{0x2301dd}}},
+// vecGoldens is the simulator's complete output for both sides of vec-dss
+// Q6 and Q13 at TestScale, seed 7, default cell. The values were recorded
+// from the cycle-by-cycle simulator that preceded event skipping (commit
+// 6faf8d7); a change that makes the simulator or the server faster must
+// reproduce them to the last counter, and a change to the model itself
+// must say so and re-record them.
+var vecGoldens = []struct {
+	query      int
+	vectorized bool
+	cycles     uint64
+	digest     uint64
+	result     sim.Result
+}{
+	{6, false, 9219179, 0xc5f3d9a449f88df2, sim.Result{
+		Cycles: 0x8cac6c, Instructions: 0x5596bf,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x2acf20, 0x0, 0x0, 0x0, 0x597e32, 0x0, 0x85f18, 0x1a60546}},
+		Cache: cache.Stats{L1DHits: 0x12640, L1DMisses: 0xb961, L1IHits: 0x58f43, L1IMisses: 0x0, StreamBufHits: 0x0,
+			L2Hits: 0x0, L2Misses: 0xb961, MemAccesses: 0xb961, Upgrades: 0x0, PortQueueCycles: 0x0},
+		ThreadDone: []uint64{0x8cac6b}}},
+	{6, true, 4802021, 0xc5f3d9a449f88df2, sim.Result{
+		Cycles: 0x4945e6, Instructions: 0x703eb,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x3867e, 0x0, 0x66a, 0xba0, 0x450dc8, 0x0, 0x9f94, 0xdbd1b4}},
+		Cache: cache.Stats{L1DHits: 0x12aa, L1DMisses: 0xb559, L1IHits: 0x6754, L1IMisses: 0x34, StreamBufHits: 0x30,
+			L2Hits: 0x517, L2Misses: 0xb046, MemAccesses: 0xb046, Upgrades: 0xa, PortQueueCycles: 0x145d},
+		ThreadDone: []uint64{0x4945e5}}},
+	{13, false, 3880967, 0xf7882720d4f5ce68, sim.Result{
+		Cycles: 0x3b3808, Instructions: 0x34de62,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x1a7f9b, 0x0, 0x63f, 0x27f4d, 0x192601, 0x0, 0x50cde, 0xb1a81a}},
+		Cache: cache.Stats{L1DHits: 0x1bc08, L1DMisses: 0xa16f, L1IHits: 0x3a20b, L1IMisses: 0x8, StreamBufHits: 0x4,
+			L2Hits: 0x5f10, L2Misses: 0x4263, MemAccesses: 0x4263, Upgrades: 0x1449, PortQueueCycles: 0x191},
+		ThreadDone: []uint64{0x3b3807}}},
+	{13, true, 2294237, 0xf7882720d4f5ce68, sim.Result{
+		Cycles: 0x2301de, Instructions: 0x1deabe,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0xf1a8f, 0x0, 0x9b5, 0x3b79d, 0xd6ddd, 0x0, 0x2b81e, 0x69059c}},
+		Cache: cache.Stats{L1DHits: 0x1de54, L1DMisses: 0xdb1b, L1IHits: 0x21021, L1IMisses: 0x3a, StreamBufHits: 0x34,
+			L2Hits: 0x9556, L2Misses: 0x45cb, MemAccesses: 0x45cb, Upgrades: 0x23d1, PortQueueCycles: 0xa9189},
+		ThreadDone: []uint64{0x2301dd}}},
+}
+
+// checkVecGolden compares one simulated vec-dss side with its golden.
+func checkVecGolden(t *testing.T, who string, query int, vectorized bool, cycles, digest uint64, result sim.Result) {
+	t.Helper()
+	for _, g := range vecGoldens {
+		if g.query != query || g.vectorized != vectorized {
+			continue
+		}
+		if cycles != g.cycles || digest != g.digest {
+			t.Errorf("%s q%d vectorized=%v: cycles %d digest %#x, golden %d %#x",
+				who, query, vectorized, cycles, digest, g.cycles, g.digest)
+		}
+		if !reflect.DeepEqual(result, g.result) {
+			t.Errorf("%s q%d vectorized=%v: sim.Result\n got    %+v\n golden %+v", who, query, vectorized, result, g.result)
+		}
+		return
 	}
+	t.Errorf("%s: no golden for q%d vectorized=%v", who, query, vectorized)
+}
+
+// TestGoldenVecDSSSimResults pins vecGoldens on a Runner that has served
+// requests before: every side after the first simulates on a workspace
+// and a memory hierarchy an earlier one released.
+func TestGoldenVecDSSSimResults(t *testing.T) {
 	cell := DefaultModeCell(ModeVecDSS, sim.FatCamp)
-	for _, g := range golden {
-		got, err := sharedRunner.RunVecDSS(cell, g.query, g.vectorized, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cycles != g.cycles || got.Digest != g.digest {
-			t.Errorf("q%d vectorized=%v: cycles %d digest %#x, golden %d %#x",
-				g.query, g.vectorized, got.Cycles, got.Digest, g.cycles, g.digest)
-		}
-		if !reflect.DeepEqual(got.Result, g.result) {
-			t.Errorf("q%d vectorized=%v: sim.Result\n got    %+v\n golden %+v", g.query, g.vectorized, got.Result, g.result)
+	for _, pass := range []string{"first pass", "on recycled hierarchies"} {
+		for _, g := range vecGoldens {
+			got, err := sharedRunner.RunVecDSS(cell, g.query, g.vectorized, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkVecGolden(t, pass, g.query, g.vectorized, got.Cycles, got.Digest, got.Result)
 		}
 	}
 }

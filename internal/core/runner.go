@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -61,6 +63,11 @@ type Runner struct {
 	// discards the observations.
 	Forks obs.ForkMetrics
 
+	// Sides, when set, counts every side of every request by whether it ran
+	// beside its twin or alone (see Run). The zero value discards the
+	// counts.
+	Sides obs.SideMetrics
+
 	mu sync.Mutex
 	// tpcc and tpch are the shared databases RunCell's clients and the DSS
 	// modes run against; tpcc is mutated by every OLTP cell.
@@ -77,6 +84,10 @@ type Runner struct {
 	// from take until it puts it back, which it does only once nothing of
 	// the run — query goroutines, producers, the digest — can touch it.
 	arenas arenaPool
+
+	// hiers holds the memory hierarchies of finished sides, which the next
+	// side of the same geometry resets instead of allocating its own.
+	hiers hierPool
 }
 
 const (
@@ -84,13 +95,22 @@ const (
 	// oltpWorkBytes every staged-OLTP worker's.
 	dssWorkBytes  = 64 << 20
 	oltpWorkBytes = 8 << 20
-	// maxFreeBytes bounds the arenas a Runner retains of each size: at
-	// 1 GB, the 16 DSS workspaces of the widest served request (shared-dss
-	// mix: 8 clients + 4 producer workers) beside a serial query, four
-	// full-scale or ten test-scale TPC-C arenas, and more OLTP workspaces
-	// than validation admits partitions. Only the pages a run touched are
-	// resident, so the bound is mostly address space.
-	maxFreeBytes = 1 << 30
+	// maxFreeBytes bounds the arenas a Runner retains of each size. What is
+	// parked is what requests held at once, and a request holds the arenas
+	// of two sides at once when it overlaps them: the widest served request
+	// (shared-dss mix at 8 clients) has the unshared side's 8 DSS workspaces
+	// and the shared side's 8 + 4 producer workers' live together, 20, and a
+	// serial pair served beside it 2 more. At 24 DSS workspaces (1.5 GB) all
+	// of them park and the next such request allocates none; under a bound
+	// below 20 every shared-dss request allocates, and the collector frees,
+	// the difference. The same bytes are 16 test-scale or 6 full-scale
+	// TPC-C arenas — two per staged-oltp request in flight — and more OLTP
+	// workspaces than validation admits partitions. Only the pages a run
+	// touched are resident, so the bound is mostly address space.
+	maxFreeBytes = 24 * dssWorkBytes
+	// maxFreeHiers bounds the parked hierarchies (10 MB each at the default
+	// 26 MB L2): two sides each of eight requests in flight.
+	maxFreeHiers = 16
 )
 
 // arenaPool is a set of free lists of arenas, one per arena size, so that
@@ -133,6 +153,54 @@ func (p *arenaPool) put(a *mem.Arena) {
 		p.free[a.Size()] = append(l, a)
 	}
 }
+
+// hierPool parks memory hierarchies for reuse, whatever their geometry; the
+// oldest makes room when maxFreeHiers are parked, so geometries no request
+// asks for any more age out.
+type hierPool struct {
+	mu   sync.Mutex
+	free []*cache.Hierarchy
+}
+
+// take returns a hierarchy of geometry cfg (defaults applied) in the state
+// cache.NewHierarchy leaves one: a parked one, reset, or a new one.
+func (p *hierPool) take(cfg cache.Config) *cache.Hierarchy {
+	p.mu.Lock()
+	var h *cache.Hierarchy
+	for i := len(p.free) - 1; i >= 0 && h == nil; i-- {
+		if p.free[i].Config() == cfg {
+			h = p.free[i]
+			p.free = slices.Delete(p.free, i, i+1)
+		}
+	}
+	p.mu.Unlock()
+	if h == nil {
+		return cache.NewHierarchy(cfg)
+	}
+	h.Reset()
+	return h
+}
+
+// put parks a hierarchy no chip uses any more.
+func (p *hierPool) put(h *cache.Hierarchy) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) == maxFreeHiers {
+		p.free = slices.Delete(p.free, 0, 1)
+	}
+	p.free = append(p.free, h)
+}
+
+// newChip builds the chip cell describes on a hierarchy from the Runner's
+// pool. Callers pass it to releaseChip once the simulation has returned its
+// result, on the paths where they release the side's arenas.
+func (r *Runner) newChip(cell Cell) *sim.Chip {
+	cfg := cell.SimConfig().WithDefaults()
+	return sim.NewChipOn(cfg, r.hiers.take(cfg.Hier.WithDefaults()))
+}
+
+// releaseChip parks the chip's hierarchy for the next side.
+func (r *Runner) releaseChip(ch *sim.Chip) { r.hiers.put(ch.Hierarchy()) }
 
 // workCtx builds the engine context of worker slot worker over a
 // workBytes workspace from the Runner's free lists, at the slot's

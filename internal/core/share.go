@@ -102,7 +102,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 	if err != nil {
 		return SharedDSSResult{}, err
 	}
-	chip := sim.NewChip(cell.SimConfig())
+	chip := r.newChip(cell)
 
 	label := "unshared"
 	if shared {
@@ -117,11 +117,10 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		tracer.StampStart(root, 0)
 	}
 
-	// work collects client and producer contexts alike: every return below
-	// follows wg.Wait, by when the client goroutines and the registry's
-	// producers are done with their workspaces.
+	// work collects client and producer contexts alike, released after
+	// wg.Wait, by when the client goroutines and the registry's producers
+	// are done with their workspaces (and not by defer: see RunVecDSS).
 	var work []*engine.Ctx
-	defer func() { r.releaseWork(work...) }()
 
 	// Client threads first (thread ids 0..clients-1), producers after, so
 	// ThreadDone[0:clients] are the query completion times.
@@ -228,6 +227,8 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		}
 	}
 	wg.Wait()
+	r.releaseWork(work...)
+	r.releaseChip(chip)
 
 	out := SharedDSSResult{Camp: cell.Camp, Query: q, Clients: clients, Shared: shared, Result: simRes}
 	dh := fnv.New64a()

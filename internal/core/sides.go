@@ -1,0 +1,108 @@
+// Placement of a request's sides on the host: which of the simulations a
+// request consists of run beside one another, and what becomes of one that
+// panics. Runner.Run's doc comment states the rule callers may rely on.
+
+package core
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+)
+
+// side is one simulation of a request.
+type side struct {
+	// label names the side in errors: the Side.Label it will carry.
+	label string
+	// hostPaced marks a side whose producers divide work among themselves
+	// at simulated pace, so that its cycles repeat only while the host
+	// starves none of them. Nothing of the request runs beside it.
+	hostPaced bool
+	run       func() error
+}
+
+// PanicError is a panic in one side of a request, recovered on the
+// goroutine that simulated it: that goroutine's own panics (the simulator,
+// result assembly) and those of a producer running as its coroutine
+// (trace.Inline), which surface in the simulator's receive. The request
+// fails; the process and the Runner's other requests go on. What the side
+// held — arenas, its hierarchy — is left to the collector, not recycled.
+type PanicError struct {
+	Side  string
+	Value any
+	// Stack is the panicking goroutine's stack, for whoever reports the
+	// error to log once.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("core: %s side panicked: %v", e.Side, e.Value)
+}
+
+// runSide runs s, turning a panic into a *PanicError.
+func runSide(s side) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Side: s.label, Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return s.run()
+}
+
+// overlapSides reports whether a request of mode may run two sides at once:
+// the host has a processor for the second, and what both run against is
+// resident. A request that still has to load the database (or the TPC-C
+// image) has both sides waiting for that load, and the second would take
+// arenas of its own for the wait; it runs as it would on one processor.
+func (r *Runner) overlapSides(mode Mode) bool {
+	if runtime.GOMAXPROCS(0) < 2 {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if mode == ModeStagedOLTP {
+		return r.master != nil
+	}
+	return r.tpch != nil
+}
+
+// runSides runs the sides of one request of mode, each through runSide, and
+// returns the first error in side order. Two consecutive sides that are not
+// host-paced run together when overlapSides allows, the later one on a
+// goroutine that has ended when runSides returns; every other side runs
+// alone on the caller's. ctx is checked before each start.
+func (r *Runner) runSides(ctx context.Context, mode Mode, sides ...side) error {
+	overlap := r.overlapSides(mode)
+	for i := 0; i < len(sides); {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !overlap || i+1 == len(sides) || sides[i].hostPaced || sides[i+1].hostPaced {
+			r.Sides.Sequential.Inc()
+			if err := runSide(sides[i]); err != nil {
+				return err
+			}
+			i++
+			continue
+		}
+		r.Sides.Overlapped.Add(2)
+		twin := sides[i+1]
+		var twinErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			twinErr = runSide(twin)
+		}()
+		err := runSide(sides[i])
+		<-done
+		if err != nil {
+			return err
+		}
+		if twinErr != nil {
+			return twinErr
+		}
+		i += 2
+	}
+	return nil
+}

@@ -56,12 +56,11 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 	if err != nil {
 		return VecDSSResult{}, err
 	}
-	chip := sim.NewChip(cell.SimConfig())
+	chip := r.newChip(cell)
 
 	rec, s := trace.Pipe()
 	chip.AddThread(s)
 	ctx := r.workCtx(h.DB, rec, 72, dssWorkBytes)
-	defer r.releaseWork(ctx)
 	ctx.Join = r.Join
 	if len(mode) > 0 {
 		ctx.JoinMode = mode[0]
@@ -97,6 +96,11 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 		}
 	}
 	wg.Wait()
+	// Released here and not by defer: a side that panics never gets this
+	// far, and what it held — the query goroutine may still be writing to
+	// the workspace — goes to the collector instead of to the next run.
+	r.releaseWork(ctx)
+	r.releaseChip(chip)
 	if runErr != nil {
 		return VecDSSResult{}, fmt.Errorf("core: vec DSS q%d: %w", q, runErr)
 	}

@@ -474,3 +474,20 @@ func (m ForkMetrics) Observe(d time.Duration) {
 	m.Forks.Inc()
 	m.Seconds.Observe(d.Seconds())
 }
+
+// SideMetrics counts the simulations ("sides") of the requests a driver
+// runs by where they ran: Overlapped beside their twin, on a second
+// processor, or Sequential, alone on the request's goroutine (nil fields
+// are simply not fed).
+type SideMetrics struct {
+	Overlapped *Counter
+	Sequential *Counter
+}
+
+// NewSideMetrics registers the side-placement family on r, both children
+// present from the first scrape.
+func NewSideMetrics(r *Registry) SideMetrics {
+	v := r.CounterVec("dbserver_sides_total",
+		"Simulated sides of served requests, by whether the side ran beside its twin or alone.", "placement")
+	return SideMetrics{Overlapped: v.With("overlapped"), Sequential: v.With("sequential")}
+}

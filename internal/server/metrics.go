@@ -27,6 +27,7 @@ type Metrics struct {
 
 	Requests         *obs.Counter
 	Errors           *obs.Counter
+	Panics           *obs.Counter
 	AdmissionRejects *obs.Counter
 	DrainRejects     *obs.Counter
 	InFlight         *obs.Gauge
@@ -67,6 +68,11 @@ type Metrics struct {
 	// runner's resident image, one per staged-OLTP side (plumbed down
 	// through core.Runner.Forks).
 	Forks obs.ForkMetrics
+
+	// Sides counts every simulated side by whether it ran beside its twin
+	// or alone (plumbed down through core.Runner.Sides): the share of
+	// overlapped sides is how much of the load found a second processor.
+	Sides obs.SideMetrics
 }
 
 // NewMetrics builds the server metric set on a fresh registry.
@@ -76,6 +82,7 @@ func NewMetrics() *Metrics {
 		Registry:         r,
 		Requests:         r.Counter("dbserver_requests_total", "Admitted execution requests."),
 		Errors:           r.Counter("dbserver_errors_total", "Requests that failed validation or execution."),
+		Panics:           r.Counter("dbserver_panics_total", "Requests that failed because one of their sides panicked (also counted as errors)."),
 		AdmissionRejects: r.Counter("dbserver_admission_rejects_total", "Requests refused by per-tenant or global caps."),
 		DrainRejects:     r.Counter("dbserver_drain_rejects_total", "Requests refused because the server is draining."),
 		InFlight:         r.Gauge("dbserver_inflight_sessions", "Admitted sessions currently executing."),
@@ -102,6 +109,7 @@ func NewMetrics() *Metrics {
 		},
 		Join:  obs.NewJoinMetrics(r),
 		Forks: obs.NewForkMetrics(r),
+		Sides: obs.NewSideMetrics(r),
 	}
 }
 

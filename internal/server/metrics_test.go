@@ -205,6 +205,19 @@ func TestMetricsExpositionFormat(t *testing.T) {
 	if v := after["dbserver_requests_total{}"]; v != 2 {
 		t.Errorf("dbserver_requests_total = %v after two requests, want 2", v)
 	}
+	// Every side of every request is placed once — two batches of a
+	// monolithic and a cohort side each — and both placements are exposed
+	// whether or not this host could overlap anything. The first batch
+	// loaded the TPC-C image, so its sides ran in turn.
+	overlapped, okO := after[`dbserver_sides_total{placement="overlapped"}`]
+	sequential, okS := after[`dbserver_sides_total{placement="sequential"}`]
+	if !okO || !okS || overlapped+sequential != 4 || sequential < 2 {
+		t.Errorf("dbserver_sides_total: overlapped %v (exposed %v) + sequential %v (exposed %v) after two two-sided requests, want 4 with at least 2 sequential",
+			overlapped, okO, sequential, okS)
+	}
+	if v, ok := after["dbserver_panics_total{}"]; !ok || v != 0 {
+		t.Errorf("dbserver_panics_total = %v (exposed %v) after two good requests, want 0", v, ok)
+	}
 }
 
 // TestRequestLatencyHistogramObserved checks the request-latency and

@@ -91,10 +91,11 @@ func New(cfg Config) *Server {
 	}
 	// Staged-OLTP runs feed the scheduler-internals histograms and the
 	// fork counters directly; traced DSS runs feed the hash-join build
-	// metrics the same way.
+	// metrics the same way, and every request the side placements.
 	s.runner.Sched = s.Metrics.Sched
 	s.runner.Join = s.Metrics.Join
 	s.runner.Forks = s.Metrics.Forks
+	s.runner.Sides = s.Metrics.Sides
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/txn", s.handleTxn)
@@ -304,6 +305,14 @@ func (s *Server) execute(ctx context.Context, jobID string, creq core.Request) (
 	res, err := s.runner.Run(ctx, creq)
 	if err != nil {
 		s.Metrics.Errors.Inc()
+		// A side that panicked has failed its request like any other error
+		// (the job ends "error", the slot is released); its stack is logged
+		// here, once.
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			s.Metrics.Panics.Inc()
+			s.log.Error("side panicked", "id", jobID, "side", pe.Side, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+		}
 		s.jobs.finish(jobID, nil, nil, err)
 		return nil, err
 	}

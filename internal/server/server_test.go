@@ -440,3 +440,55 @@ func TestJobEviction(t *testing.T) {
 		t.Error("newest job evicted")
 	}
 }
+
+// TestPanickingSideFailsTheJob: a request whose side panics (a TPC-C
+// arena too small to load the database into) fails — synchronously with a
+// 500, as a job with status "error" instead of staying "running" — counts
+// dbserver_panics_total, gives its admission slot back, and leaves the
+// process serving.
+func TestPanickingSideFailsTheJob(t *testing.T) {
+	sc := core.TestScale()
+	sc.TPCC.ArenaBytes = 1 << 20
+	s := New(Config{Scale: &sc, MaxInFlight: 1})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+
+	resp, body := post(t, hs.URL+"/v1/txn", api.TxnRequest{Clients: 4, Txns: 2}, "")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "side panicked") {
+		t.Fatalf("synchronous batch on a 1 MB arena: status %d: %s", resp.StatusCode, body)
+	}
+
+	resp, body = post(t, hs.URL+"/v1/txn", api.TxnRequest{Clients: 4, Txns: 2, Async: true}, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async batch: status %d (a slot leaked?): %s", resp.StatusCode, body)
+	}
+	var job api.Job
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); job.Status == "queued" || job.Status == "running"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", job.ID, job.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+		_, b := getBody(t, hs.URL+"/v1/jobs/"+job.ID)
+		if err := json.Unmarshal(b, &job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if job.Status != "error" || !strings.Contains(job.Error, "monolithic side panicked") {
+		t.Errorf("job ended %q with error %q, want \"error\" naming the panicked side", job.Status, job.Error)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics.Panics.Value(); n != 2 {
+		t.Errorf("dbserver_panics_total = %d after two panicked requests, want 2", n)
+	}
+	if n := s.Metrics.Errors.Value(); n != 2 {
+		t.Errorf("dbserver_errors_total = %d, want 2", n)
+	}
+	if resp, _ := getBody(t, hs.URL+"/metrics"); resp.StatusCode != http.StatusOK {
+		t.Errorf("/metrics after the panics: status %d", resp.StatusCode)
+	}
+}

@@ -67,8 +67,19 @@ type Chip struct {
 
 // NewChip builds a chip from cfg; zero config fields take defaults.
 func NewChip(cfg Config) *Chip {
+	return NewChipOn(cfg, cache.NewHierarchy(cfg.withDefaults().Hier))
+}
+
+// NewChipOn is NewChip on a memory hierarchy the caller supplies: one in
+// the state cache.NewHierarchy leaves it (new, or Reset after an earlier
+// chip was done with it) and of the geometry cfg describes. The chip owns
+// it until the caller stops using the chip.
+func NewChipOn(cfg Config, hier *cache.Hierarchy) *Chip {
 	cfg = cfg.withDefaults()
-	ch := &Chip{cfg: cfg, hier: cache.NewHierarchy(cfg.Hier)}
+	if want := cfg.Hier.WithDefaults(); hier.Config() != want {
+		panic(fmt.Sprintf("sim: hierarchy built for %+v on a chip configured %+v", hier.Config(), want))
+	}
+	ch := &Chip{cfg: cfg, hier: hier}
 	for i := 0; i < cfg.Cores; i++ {
 		switch cfg.Camp {
 		case FatCamp:
