@@ -10,11 +10,14 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# The second line runs the side-placement tests on one processor and on
-# two, so the sequential path stays exercised on a multi-processor host.
+# The second line runs the side-placement and exact-repeat tests on one
+# processor and on two, so the sequential path stays exercised on a
+# multi-processor host; the third the paced-request tests (morsel claims at
+# simulated time) the same way, as the CI race job does under -race.
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork' ./internal/core
+	$(GO) test -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
 
 race:
 	$(GO) test -race -short ./...

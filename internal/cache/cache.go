@@ -37,21 +37,27 @@ func (s State) String() string {
 	return "?"
 }
 
-type way struct {
-	tag   mem.Addr // line address; valid only when state != Invalid
-	state State
-	used  uint64 // LRU timestamp
-}
+// stateMask covers the bits of a way word that hold the coherence state:
+// the line-offset bits, which a line address leaves clear.
+const stateMask = mem.Addr(mem.LineSize - 1)
 
 // Cache is one set-associative cache array with LRU replacement over
 // 64-byte lines. It tracks tags and coherence state only; data contents
 // live in the engine's simulated address space.
+//
+// Every line argument must be a line address — a multiple of mem.LineSize,
+// what mem.Addr.Line returns — because a way is one word, line|state, with
+// the state in the offset bits and zero for an empty way. A set keeps its
+// valid ways first, most recently used first: a hit moves its way to the
+// front, an insertion shifts the set right and what falls off the end is
+// the least recently used line, an invalidation closes the gap. A repeated
+// reference so matches the first word read, and a 26 MB L2's array is
+// 3.4 MB of host memory.
 type Cache struct {
 	assoc    int
 	setShift uint
 	setMask  mem.Addr
-	ways     []way // len = sets*assoc, set-major
-	tick     uint64
+	ways     []mem.Addr // len = sets*assoc, set-major
 }
 
 // New builds a cache of sizeBytes capacity and (at least) the given
@@ -76,15 +82,13 @@ func New(sizeBytes, assoc int) *Cache {
 		assoc:    assoc,
 		setShift: 6,
 		setMask:  mem.Addr(sets - 1),
-		ways:     make([]way, sets*assoc),
+		ways:     make([]mem.Addr, sets*assoc),
 	}
 }
 
-// Reset empties the cache: every way Invalid and the LRU clock at zero, as
-// New leaves them.
+// Reset empties the cache, as New leaves it.
 func (c *Cache) Reset() {
 	clear(c.ways)
-	c.tick = 0
 }
 
 // Sets returns the number of sets.
@@ -96,18 +100,42 @@ func (c *Cache) Assoc() int { return c.assoc }
 // SizeBytes returns the capacity.
 func (c *Cache) SizeBytes() int { return c.Sets() * c.assoc * mem.LineSize }
 
-func (c *Cache) set(line mem.Addr) []way {
+func (c *Cache) set(line mem.Addr) []mem.Addr {
 	idx := int(line>>c.setShift&c.setMask) * c.assoc
 	return c.ways[idx : idx+c.assoc]
 }
 
+// holds reports whether way word w is a valid way of line: then the two
+// differ in the state bits alone, and by a state that is not Invalid.
+func holds(w, line mem.Addr) bool { return (w^line)-1 < stateMask }
+
+// find returns the position of line in set s, or -1.
+func find(s []mem.Addr, line mem.Addr) int {
+	for i, w := range s {
+		if holds(w, line) {
+			return i
+		}
+		if w == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// toFront makes w the first way of s, moving the i ways before position i
+// one place back.
+func toFront(s []mem.Addr, i int, w mem.Addr) {
+	for ; i > 0; i-- {
+		s[i] = s[i-1]
+	}
+	s[0] = w
+}
+
 // Probe returns the state of line without updating LRU.
 func (c *Cache) Probe(line mem.Addr) State {
-	for i := range c.set(line) {
-		w := &c.set(line)[i]
-		if w.state != Invalid && w.tag == line {
-			return w.state
-		}
+	s := c.set(line)
+	if i := find(s, line); i >= 0 {
+		return State(s[i] & stateMask)
 	}
 	return Invalid
 }
@@ -115,41 +143,48 @@ func (c *Cache) Probe(line mem.Addr) State {
 // Touch looks up line, updating LRU on hit, and returns its state
 // (Invalid on miss).
 func (c *Cache) Touch(line mem.Addr) State {
-	c.tick++
 	s := c.set(line)
-	for i := range s {
-		if s[i].state != Invalid && s[i].tag == line {
-			s[i].used = c.tick
-			return s[i].state
-		}
+	if w := s[0]; holds(w, line) {
+		return State(w & stateMask) // the repeated reference: nothing moves
 	}
-	return Invalid
+	i := find(s, line)
+	if i < 0 {
+		return Invalid
+	}
+	w := s[i]
+	toFront(s, i, w)
+	return State(w & stateMask)
 }
 
 // SetState changes the state of a resident line; it reports whether the
 // line was present.
 func (c *Cache) SetState(line mem.Addr, st State) bool {
-	s := c.set(line)
-	for i := range s {
-		if s[i].state != Invalid && s[i].tag == line {
-			s[i].state = st
-			return true
-		}
+	if st == Invalid {
+		return c.Invalidate(line) != Invalid
 	}
-	return false
+	s := c.set(line)
+	i := find(s, line)
+	if i < 0 {
+		return false
+	}
+	s[i] = line | mem.Addr(st)
+	return true
 }
 
 // Invalidate removes line, returning its prior state.
 func (c *Cache) Invalidate(line mem.Addr) State {
 	s := c.set(line)
-	for i := range s {
-		if s[i].state != Invalid && s[i].tag == line {
-			st := s[i].state
-			s[i].state = Invalid
-			return st
-		}
+	i := find(s, line)
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	st := State(s[i] & stateMask)
+	last := len(s) - 1
+	for ; i < last; i++ {
+		s[i] = s[i+1]
+	}
+	s[last] = 0
+	return st
 }
 
 // Victim is a line evicted by Insert.
@@ -158,44 +193,30 @@ type Victim struct {
 	State State
 }
 
-// Insert places line with state st, evicting the LRU way if the set is
-// full. It returns the victim, if any. Inserting a line that is already
-// resident just updates its state and LRU position.
+// Insert places line with state st (not Invalid), evicting the LRU way if
+// the set is full. It returns the victim, if any. Inserting a line that is
+// already resident just updates its state and LRU position.
 func (c *Cache) Insert(line mem.Addr, st State) (Victim, bool) {
-	c.tick++
 	s := c.set(line)
-	freeIdx, lruIdx := -1, 0
-	for i := range s {
-		if s[i].state == Invalid {
-			if freeIdx < 0 {
-				freeIdx = i
-			}
-			continue
-		}
-		if s[i].tag == line {
-			s[i].state = st
-			s[i].used = c.tick
+	w := line | mem.Addr(st)
+	for i, old := range s {
+		if old == 0 || holds(old, line) {
+			toFront(s, i, w)
 			return Victim{}, false
 		}
-		if s[i].used < s[lruIdx].used || s[lruIdx].state == Invalid {
-			lruIdx = i
-		}
 	}
-	if freeIdx >= 0 {
-		s[freeIdx] = way{tag: line, state: st, used: c.tick}
-		return Victim{}, false
-	}
-	v := Victim{Line: s[lruIdx].tag, State: s[lruIdx].state}
-	s[lruIdx] = way{tag: line, state: st, used: c.tick}
-	return v, true
+	last := len(s) - 1
+	v := s[last]
+	toFront(s, last, w)
+	return Victim{Line: v &^ stateMask, State: State(v & stateMask)}, true
 }
 
 // ResidentLines returns the number of valid lines (used by tests and the
 // miss-rate reporting of the core-count experiment).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for i := range c.ways {
-		if c.ways[i].state != Invalid {
+	for _, w := range c.ways {
+		if w != 0 {
 			n++
 		}
 	}

@@ -411,31 +411,39 @@ type Result struct {
 //
 // A side is self-paced when the host cannot influence what it simulates:
 // it has one trace producer, or producers that never wait for one another,
-// and the simulator waits for whichever it needs. Both vec-dss sides, the
-// 1-worker point of parallel-dss, the unshared side of shared-dss and the
+// or producers that take every decision they share at a simulated instant,
+// and the simulator waits for whichever it needs. Both vec-dss sides, every
+// point of a parallel-dss sweep, the unshared side of shared-dss and the
 // staged-oltp sides at one partition are self-paced; their sim.Result,
 // cycles and digest are the same on every run, on any host, whatever runs
-// beside them. A side is host-paced when its producers divide work among
-// themselves at simulated pace: the multi-worker points of parallel-dss
-// (morsel claiming) and cohort sides at parts > 1 (commit order, fences)
-// repeat only while the host starves none of their producers (the
-// simulator yields to the producer it waits for; see sim.Chip's pump). The
-// shared side of shared-dss does not repeat at all — where a consumer
-// attaches to the circular scan depends on how far the host has let the
-// producers run ahead of the simulator — so its cycles are one draw from a
-// spread of a few percent, not a minimum.
+// beside them. The workers of a parallel-dss point share one decision, who
+// claims which morsel, and each claim is a paced request: the worker asks
+// through its trace (trace.Recorder.AtPace) and the claim is made when the
+// simulator has brought the worker's thread to that point, in the order the
+// simulation reaches the requests — by cycle in the measured window, cores
+// in order within a cycle, and thread by thread (thread 0's whole prefix
+// first) for the requests that fall inside the warm-up prefix, because that
+// is the order sim.Chip.Warm consumes the threads in. A side is host-paced
+// when its producers divide work among themselves in host time: cohort sides
+// at parts > 1 (commit order, fences) are the only ones, and repeat their
+// digest on every run but their cycles only to within a fraction of a
+// percent. The shared side of shared-dss does not repeat at all — where a
+// consumer attaches to the circular scan depends on how far the host has
+// let the producers run ahead of the simulator — so its cycles are one draw
+// from a spread of a few percent, not a minimum.
 //
 // Consecutive self-paced sides (and the shared side, which has nothing to
 // lose) run two at a time, the second on a goroutine of its own, when the
 // host has a second processor to run it on and the database the request
 // runs against is already resident: a request is otherwise one thread of
-// simulation after another while the other processors idle. A host-paced
-// side runs with nothing of its request beside it, and on one processor,
-// or while the database or the TPC-C image still has to be built (both
-// sides would wait for it, and the second would need arenas of its own
-// meanwhile), every side runs in turn on the caller's goroutine. Nothing
-// selects between the two placements but the host; the Result is assembled
-// in side order either way, and an error is the first in side order.
+// simulation after another while the other processors idle. A parallel-dss
+// sweep so runs pairwise ({1, 4} is one pair). A host-paced side runs with
+// nothing of its request beside it, and on one processor, or while the
+// database or the TPC-C image still has to be built (both sides would wait
+// for it, and the second would need arenas of its own meanwhile), every
+// side runs in turn on the caller's goroutine. Nothing selects between the
+// two placements but the host; the Result is assembled in side order either
+// way, and an error is the first in side order.
 //
 // staged-oltp digests are checked byte-identical against the monolithic
 // reference. A panic in a side comes back as a *PanicError. ctx cancels
@@ -567,7 +575,7 @@ func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result)
 	runs := make([]ParallelDSSResult, len(req.WorkerCounts))
 	sides := make([]side, len(req.WorkerCounts))
 	for i, n := range req.WorkerCounts {
-		sides[i] = side{label: fmt.Sprintf("parallel-%d", n), hostPaced: n > 1, run: func() (err error) {
+		sides[i] = side{label: fmt.Sprintf("parallel-%d", n), run: func() (err error) {
 			runs[i], err = r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
 			return err
 		}}

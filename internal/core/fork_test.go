@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/oltp"
 	"repro/internal/sim"
 )
@@ -111,25 +112,77 @@ func sidesAtOnce(r *Runner, mode Mode) int {
 // first released).
 func TestGoldenStagedOLTPSimResults(t *testing.T) {
 	r := NewRunner(TestScale())
-	for _, seed := range []int64{7, 15, 7} {
+	r.Sides = obs.NewSideMetrics(obs.NewRegistry())
+	run := func(seed int64) {
+		t.Helper()
 		res, err := r.Run(context.Background(), goldenStagedRequest(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkStagedGoldens(t, "lone caller", seed, res)
 	}
-	// Requests one after the other keep in circulation what one of them
-	// holds at once: a database arena, a workspace and a hierarchy per side
-	// live (the image's own arena was the first fork's).
-	want := sidesAtOnce(r, ModeStagedOLTP)
-	if n := len(r.arenas.free[r.master.ArenaBytes()]); n != want {
-		t.Errorf("%d database arenas parked after requests in turn, want %d", n, want)
+	// wantParked: exactly n database arenas, OLTP workspaces and hierarchies
+	// are parked.
+	wantParked := func(when string, n int) {
+		t.Helper()
+		for _, parked := range []struct {
+			what string
+			n    int
+		}{
+			{"database arenas", len(r.arenas.free[r.master.ArenaBytes()])},
+			{"OLTP workspaces", len(r.arenas.free[oltpWorkBytes])},
+			{"hierarchies", len(r.hiers.free)},
+		} {
+			if parked.n != n {
+				t.Errorf("%d %s parked %s, want %d", parked.n, parked.what, when, n)
+			}
+		}
 	}
-	if n := len(r.arenas.free[oltpWorkBytes]); n != want {
-		t.Errorf("%d OLTP workspaces parked after requests in turn, want %d", n, want)
+
+	// The request that loads the image runs its sides in turn: one side's
+	// holdings circulate (the image's own arena was the first fork's).
+	run(7)
+	wantParked("after the request that loaded the image", 1)
+	if o, s := r.Sides.Overlapped.Value(), r.Sides.Sequential.Value(); o != 0 || s != 2 {
+		t.Errorf("loading request: %d sides overlapped, %d in turn, want 0 and 2", o, s)
 	}
-	if n := len(r.hiers.free); n != want {
-		t.Errorf("%d hierarchies parked after requests in turn, want %d", n, want)
+
+	// Later requests keep in circulation what one of them holds at once: a
+	// database arena, a workspace and a hierarchy per side live. Whether a
+	// pair's sides ever are live together is up to the host (a twin whose
+	// goroutine waits out a few-millisecond side for a processor reuses its
+	// arena), so the test holds that much itself once, through the calls a
+	// side makes; from then on the requests must neither add to it nor lose
+	// any of it.
+	most := sidesAtOnce(r, ModeStagedOLTP)
+	cell := *goldenStagedRequest(7).WithDefaults().Cell
+	var release []func()
+	for i := 0; i < most; i++ {
+		w, err := r.forkTPCC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, chip := r.workCtx(w.DB, nil, 0, oltpWorkBytes), r.newChip(cell)
+		release = append(release, func() {
+			r.releaseWork(ctx)
+			r.arenas.put(w.DB.Release())
+			r.releaseChip(chip)
+		})
+	}
+	for _, f := range release {
+		f()
+	}
+	wantParked("after holding what one request holds at once", most)
+
+	run(15)
+	run(7)
+	wantParked("after requests in turn", most)
+	wantO, wantS := uint64(0), uint64(6)
+	if most == 2 {
+		wantO, wantS = 4, 2
+	}
+	if o, s := r.Sides.Overlapped.Value(), r.Sides.Sequential.Value(); o != wantO || s != wantS {
+		t.Errorf("three requests: %d sides overlapped, %d in turn, want %d and %d", o, s, wantO, wantS)
 	}
 }
 

@@ -35,8 +35,8 @@ type ParallelDSSResult struct {
 	Rows int
 	// Digest fingerprints the row count only: multi-worker float
 	// aggregates agree with serial runs up to addition order, and the
-	// addition order follows morsel claiming, so value bits are not
-	// stable across executions.
+	// addition order follows morsel claiming, so value bits differ
+	// between worker counts.
 	Digest uint64
 }
 
@@ -50,6 +50,14 @@ type ParallelDSSResult struct {
 // ParallelSpeedup does — or the cycle ratio mixes in hardware scaling.
 // An optional join mode pins the hash-join strategy of joining plans
 // (Q13); omitted, the auto policy decides per worker partition.
+//
+// The measurement repeats exactly, on any host and beside any load: the
+// workers run ahead of the simulator as far as their pipes let them, but
+// each morsel claim is made at the simulated instant the claiming thread
+// reaches it (engine.MorselScanVec, trace.Recorder.AtPace). Claims that
+// fall inside the warm-up prefix are made in sim.Chip.Warm's order, thread
+// 0's whole prefix first, so at a scale where a scan is shorter than the
+// prefix the first worker takes most of it.
 func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...engine.JoinMode) (ParallelDSSResult, error) {
 	if workers <= 0 {
 		return ParallelDSSResult{}, fmt.Errorf("core: parallel DSS with %d workers", workers)
@@ -67,11 +75,7 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 	recs := make([]*trace.Recorder, workers)
 	streams := make([]*trace.Stream, workers)
 	for w := 0; w < workers; w++ {
-		// Tight pipes: which worker claims which morsel must be decided
-		// at simulated pace, not by which goroutine the host happens to
-		// schedule first — the vectorized executor's traces are short
-		// enough that the default pipe slack would cover a whole query.
-		rec, s := trace.PipeSized(256, 2)
+		rec, s := trace.Pipe()
 		recs[w], streams[w] = rec, s
 		chip.AddThread(s)
 		ctxs[w] = r.workCtx(h.DB, rec, 64+w, dssWorkBytes)
@@ -106,8 +110,12 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 	}
 	chip.Warm(warm)
 	res := chip.Run(1 << 34)
+	// Stop every stream before draining any: a worker released from one
+	// stream may wait at a barrier for a peer still blocked on another.
 	for _, s := range streams {
 		s.Stop()
+	}
+	for _, s := range streams {
 		for {
 			if _, ok := s.Next(); !ok {
 				break

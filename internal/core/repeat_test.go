@@ -17,31 +17,44 @@ import (
 )
 
 // TestRunRepeats: vec-dss and parallel-dss simulate each side once
-// because a second simulation returns the identical measurement. Two
-// requests must agree on both sides' cycles and on every field of the
-// simulator's result.
+// because a second simulation returns the identical measurement. Every
+// request of one kind must agree on both sides' cycles and on every field
+// of the simulator's result: two runs for the serial pair, twenty for each
+// parallel plan at four workers, whose morsel claims (aggregation over one
+// pool; a join over a build and a probe pool with barriers between) are
+// decided in simulated time and so must not depend on the host's scheduling.
 func TestRunRepeats(t *testing.T) {
-	for _, req := range []Request{
-		{Mode: ModeVecDSS, Query: 6},
-		{Mode: ModeParallelDSS, Query: 1},
+	for _, tc := range []struct {
+		req  Request
+		runs int
+	}{
+		{Request{Mode: ModeVecDSS, Query: 6}, 2},
+		{Request{Mode: ModeParallelDSS, Query: 1}, 2},
+		{Request{Mode: ModeParallelDSS, Query: 6, Workers: 4}, 20},
+		{Request{Mode: ModeParallelDSS, Query: ParallelJoinQuery, Workers: 4}, 20},
 	} {
-		first, err := sharedRunner.Run(context.Background(), req)
+		first, err := sharedRunner.Run(context.Background(), tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := sharedRunner.Run(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, side := range []struct {
-			name string
-			a, b Side
-		}{{"baseline", first.Baseline, again.Baseline}, {"main", first.Main, again.Main}} {
-			if side.a.Cycles != side.b.Cycles {
-				t.Errorf("%s q%d %s: cycles %d then %d", req.Mode, req.Query, side.name, side.a.Cycles, side.b.Cycles)
+		for run := 1; run < tc.runs; run++ {
+			again, err := sharedRunner.Run(context.Background(), tc.req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(side.a.Result, side.b.Result) {
-				t.Errorf("%s q%d %s: sim.Result differs between two runs:\n%+v\n%+v", req.Mode, req.Query, side.name, side.a.Result, side.b.Result)
+			for _, side := range []struct {
+				name string
+				a, b Side
+			}{{"baseline", first.Baseline, again.Baseline}, {"main", first.Main, again.Main}} {
+				if side.a.Cycles != side.b.Cycles {
+					t.Errorf("%s q%d %s: cycles %d, in run %d %d", tc.req.Mode, tc.req.Query, side.name, side.a.Cycles, run, side.b.Cycles)
+				}
+				if !reflect.DeepEqual(side.a.Result, side.b.Result) {
+					t.Errorf("%s q%d %s: sim.Result differs in run %d:\n%+v\n%+v", tc.req.Mode, tc.req.Query, side.name, run, side.a.Result, side.b.Result)
+				}
+			}
+			if t.Failed() {
+				break
 			}
 		}
 	}
@@ -177,16 +190,10 @@ func TestArenaReuseConcurrentCallers(t *testing.T) {
 	observe := func(req Request) (outcome, error) {
 		res, err := r.Run(context.Background(), req)
 		o := outcome{res.Baseline.Cycles, res.Main.Cycles, res.Baseline.Digest, res.Main.Digest, res.Main.Rows}
-		switch req.Mode {
-		case ModeSharedDSS:
+		if req.Mode == ModeSharedDSS {
 			// The shared side attaches wherever the live scan is: neither
 			// its cycles nor its float low bits repeat, alone or not.
 			o.mainCycles, o.mainDigest = 0, 0
-		case ModeParallelDSS:
-			// Three callers on two processors starve producer goroutines,
-			// which is when end-of-table morsel stealing resolves
-			// differently; the 1-worker baseline has nothing to steal.
-			o.mainCycles = 0
 		}
 		return o, err
 	}

@@ -16,8 +16,9 @@ type side struct {
 	// label names the side in errors: the Side.Label it will carry.
 	label string
 	// hostPaced marks a side whose producers divide work among themselves
-	// at simulated pace, so that its cycles repeat only while the host
-	// starves none of them. Nothing of the request runs beside it.
+	// in host time — a cohort side at parts > 1 is the only kind — so that
+	// its cycles move with what else the host runs. Nothing of the request
+	// runs beside it.
 	hostPaced bool
 	run       func() error
 }

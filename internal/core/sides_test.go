@@ -81,6 +81,7 @@ func TestSidesOverlapEqualSequential(t *testing.T) {
 		{"staged-oltp seed 7", goldenStagedRequest(7), true, true},
 		{"staged-oltp seed 15 traced", traced(goldenStagedRequest(15)), true, true},
 		{"shared-dss traced", traced(Request{Mode: ModeSharedDSS, Query: 6, Clients: 3}), false, false},
+		{"parallel-dss join", Request{Mode: ModeParallelDSS, Query: ParallelJoinQuery}, true, true},
 	}
 	r := residentRunner(t)
 	for _, tc := range cases {
@@ -138,25 +139,29 @@ func TestSidesOverlapFirstRequestLayout(t *testing.T) {
 	checkVecGolden(t, "first request, overlapped", 6, true, res.Main.Cycles, res.Main.Digest, res.Main.Result)
 }
 
-// TestSidesOverlapOnlySelfPaced: the multi-worker point of parallel-dss and a
-// partitioned cohort side never run beside another side of their request,
-// and a request on a Runner whose database is not loaded yet runs its sides
-// in turn whatever they are.
+// TestSidesOverlapOnlySelfPaced: a partitioned cohort side never runs beside
+// another side of its request; the points of a parallel-dss sweep, whose
+// workers claim morsels in simulated time, pair up like any self-paced
+// sides; and a request on a Runner whose database is not loaded yet runs its
+// sides in turn whatever they are.
 func TestSidesOverlapOnlySelfPaced(t *testing.T) {
 	r := residentRunner(t)
-	for _, req := range []Request{
-		{Mode: ModeParallelDSS, Query: 6},
-		{Mode: ModeStagedOLTP, Clients: 4, Txns: 2, Parts: 2},
+	for _, tc := range []struct {
+		name                   string
+		req                    Request
+		overlapped, sequential uint64
+	}{
+		{"parallel-dss {1,4}", Request{Mode: ModeParallelDSS, Query: 6}, 2, 0},
+		{"parallel-dss {1,2,4}", Request{Mode: ModeParallelDSS, Query: 6, WorkerCounts: []int{1, 2, 4}}, 2, 1},
+		{"staged-oltp parts 2", Request{Mode: ModeStagedOLTP, Clients: 4, Txns: 2, Parts: 2}, 0, 2},
+		// One monolithic + cohort-1 pair, then cohort-2 alone.
+		{"staged-oltp parts {1,2}", Request{Mode: ModeStagedOLTP, Clients: 4, Txns: 2, PartCounts: []int{1, 2}}, 2, 1},
 	} {
-		if _, n := runAt(t, r, 2, req); n != 0 {
-			t.Errorf("%s: %d sides overlapped, want none", req.Mode, n)
+		before := r.Sides.Sequential.Value()
+		_, n := runAt(t, r, 2, tc.req)
+		if seq := r.Sides.Sequential.Value() - before; n != tc.overlapped || seq != tc.sequential {
+			t.Errorf("%s: %d overlapped and %d sequential sides, want %d and %d", tc.name, n, seq, tc.overlapped, tc.sequential)
 		}
-	}
-	// One monolithic + cohort-1 pair, then cohort-2 alone.
-	sweep := Request{Mode: ModeStagedOLTP, Clients: 4, Txns: 2, PartCounts: []int{1, 2}}
-	before := r.Sides.Sequential.Value()
-	if _, n := runAt(t, r, 2, sweep); n != 2 || r.Sides.Sequential.Value()-before != 1 {
-		t.Errorf("sweep {1,2}: %d overlapped and %d sequential sides, want 2 and 1", n, r.Sides.Sequential.Value()-before)
 	}
 
 	cold := NewRunner(TestScale())

@@ -44,6 +44,19 @@ func memoChildVec(children *[]VecOp, n, w int, build func(int) VecOp) VecOp {
 	return (*children)[w]
 }
 
+// unpace ends the pacing of the workers' morsel claims (MorselScanVec,
+// trace.Recorder.Unpace). A worker that gives up before its pool is
+// exhausted calls it on its way out: its simulated thread runs dry while the
+// operator waits for every worker, the simulator waits for that thread's
+// next record, and peers waiting for a grant would wait forever. Released,
+// they take the remaining morsels in host order and the operator returns
+// the error. Untraced contexts have nothing to release.
+func unpace(ctxs []*Ctx) {
+	for _, c := range ctxs {
+		c.Rec.Unpace()
+	}
+}
+
 // Exchange runs one copy of a child subtree per Ctx concurrently and
 // merges their output rows into a single stream, in arbitrary arrival
 // order. Build must return a fresh subtree each call (subtrees typically
@@ -103,6 +116,9 @@ func (e *Exchange) Open(ctx *Ctx) error {
 					return errExchangeClosed
 				}
 			})
+			if err != nil {
+				unpace(e.Ctxs)
+			}
 			if errors.Is(err, errExchangeClosed) {
 				err = nil
 			}
@@ -140,10 +156,14 @@ func (e *Exchange) Next(ctx *Ctx) ([]byte, bool, error) {
 }
 
 // Close implements Op: it aborts in-flight workers and drains the stream
-// so they all exit.
+// so they all exit. Workers still at it may be waiting for a paced claim,
+// which closing done does not reach, so an early Close unpaces them.
 func (e *Exchange) Close(ctx *Ctx) {
 	if e.done == nil {
 		return
+	}
+	if !e.collected {
+		unpace(e.Ctxs)
 	}
 	e.closeOnce.Do(func() { close(e.done) })
 	for range e.rows {
@@ -235,6 +255,11 @@ func (a *ParallelAgg) Open(ctx *Ctx) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if errs[w] != nil {
+					unpace(a.Ctxs)
+				}
+			}()
 			if a.BuildVec != nil {
 				va := &HashAggVec{
 					Child:     a.childVec(w),
@@ -416,6 +441,11 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if errs[w] != nil {
+					unpace(j.Ctxs)
+				}
+			}()
 			wctx := j.Ctxs[w]
 			scatter[w] = make([][]prow, nw)
 			scatterRow := func(row []byte) {

@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // WorkPool is a work-stealing scheduler of items across a fixed set of
@@ -123,6 +124,10 @@ const DefaultMorselPages = 16
 // share and then steal the remainder of slower peers'.
 type MorselPool struct {
 	pool *WorkPool[Morsel]
+	// left counts the morsels no worker has claimed yet; claimed is closed
+	// with the last of them.
+	left    atomic.Int64
+	claimed chan struct{}
 }
 
 // NewMorselPool splits pages heap pages into morsels of morselPages
@@ -131,7 +136,7 @@ func NewMorselPool(workers, pages, morselPages int) *MorselPool {
 	if morselPages <= 0 {
 		morselPages = DefaultMorselPages
 	}
-	p := &MorselPool{pool: NewWorkPool[Morsel](workers)}
+	p := &MorselPool{pool: NewWorkPool[Morsel](workers), claimed: make(chan struct{})}
 	w := 0
 	for lo := 0; lo < pages; lo += morselPages {
 		hi := lo + morselPages
@@ -139,17 +144,31 @@ func NewMorselPool(workers, pages, morselPages int) *MorselPool {
 			hi = pages
 		}
 		p.pool.Push(w, Morsel{Lo: lo, Hi: hi})
+		p.left.Add(1)
 		w = (w + 1) % workers
 	}
 	p.pool.Close()
+	if p.left.Load() == 0 {
+		close(p.claimed)
+	}
 	return p
 }
 
 // Next hands worker w its next morsel, stealing when its own queue is
 // empty; ok is false when the table is fully claimed.
 func (p *MorselPool) Next(w int) (Morsel, bool) {
-	return p.pool.Take(w)
+	m, ok := p.pool.Take(w)
+	if ok && p.left.Add(-1) == 0 {
+		close(p.claimed)
+	}
+	return m, ok
 }
+
+// Claimed returns a channel that is closed when the last morsel has been
+// claimed: from then on Next answers every worker alike, so the order in
+// which workers ask no longer decides anything (trace.Recorder.AtPace's
+// moot channel).
+func (p *MorselPool) Claimed() <-chan struct{} { return p.claimed }
 
 // MorselScan is the morsel-driven scan's legacy row-at-a-time face: a
 // thin RowAdapter over MorselScanVec (vec.go), kept so existing Volcano
@@ -210,6 +229,9 @@ func ParallelScan(ctxs []*Ctx, t *Table, preds []Pred, cols []int, morselPages i
 				}
 				return nil
 			})
+			if errs[w] != nil {
+				unpace(ctxs)
+			}
 		}(w)
 	}
 	wg.Wait()

@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // buildParTable loads a small fact table for parallel-executor tests.
@@ -152,6 +157,193 @@ func TestMorselPoolCoversAllPages(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("pages=%d: page %d covered %d times", pages, i, c)
 			}
+		}
+	}
+}
+
+// TestMorselPoolClaimedClosesWithLastMorsel: the channel that tells a paced
+// claimer its turn no longer matters is closed by the claim that takes the
+// last morsel — whoever makes it, with fewer morsels than workers too — and
+// from the start for a table without pages.
+func TestMorselPoolClaimedClosesWithLastMorsel(t *testing.T) {
+	isClosed := func(p *MorselPool) bool {
+		select {
+		case <-p.Claimed():
+			return true
+		default:
+			return false
+		}
+	}
+	for _, tc := range []struct{ workers, pages, morsels int }{
+		{4, 0, 0}, {4, 5, 1}, {4, 32, 2}, {2, 100, 7},
+	} {
+		p := NewMorselPool(tc.workers, tc.pages, 16)
+		for claim := 0; claim < tc.morsels; claim++ {
+			if isClosed(p) {
+				t.Fatalf("%d workers, %d pages: closed with %d of %d morsels claimed", tc.workers, tc.pages, claim, tc.morsels)
+			}
+			// The last worker claims everything: its own share, then stolen.
+			if _, ok := p.Next(tc.workers - 1); !ok {
+				t.Fatalf("%d workers, %d pages: claim %d of %d found nothing", tc.workers, tc.pages, claim+1, tc.morsels)
+			}
+		}
+		if !isClosed(p) {
+			t.Fatalf("%d workers, %d pages: open after all %d morsels were claimed", tc.workers, tc.pages, tc.morsels)
+		}
+		if _, ok := p.Next(0); ok {
+			t.Fatalf("%d workers, %d pages: a morsel beyond the %d", tc.workers, tc.pages, tc.morsels)
+		}
+	}
+}
+
+// TestMorselScanClaimsAtConsumerPace: two traced workers share a pool; the
+// consumer of their traces runs worker 1's to its end before it looks at
+// worker 0's, so worker 1 scans the whole table — its own morsels and worker
+// 0's, stolen — whichever asked first, and worker 0, released when the last
+// morsel went, finds nothing.
+func TestMorselScanClaimsAtConsumerPace(t *testing.T) {
+	db, tb := buildParTable(t, 20000)
+	pool := NewMorselPool(2, tb.Heap.NumPages(), 4)
+	var streams [2]*trace.Stream
+	var rows [2]int
+	var wg sync.WaitGroup
+	start := func(w int) {
+		rec, s := trace.Pipe()
+		streams[w] = s
+		ctx := db.NewCtx(rec, 40+w, 16<<20)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ms := &MorselScanVec{Table: tb, Pool: pool, Worker: w}
+			if err := RunVec(ctx, ms, func(blk *Block) error { rows[w] += blk.N(); return nil }); err != nil {
+				t.Error(err)
+			}
+			rec.Close()
+		}()
+	}
+	start(0)
+	start(1)
+	for _, w := range []int{1, 0} {
+		for {
+			if _, ok := streams[w].Next(); !ok {
+				break
+			}
+		}
+	}
+	wg.Wait()
+	if rows[0] != 0 || rows[1] != 20000 {
+		t.Errorf("worker 0 scanned %d rows and worker 1 %d, want 0 and 20000", rows[0], rows[1])
+	}
+}
+
+// failingVec hands on its child's blocks until it has passed after of them,
+// then fails.
+type failingVec struct {
+	VecOp
+	after int
+}
+
+var errWorkerGaveUp = errors.New("worker gave up")
+
+func (f *failingVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
+	if f.after == 0 {
+		return nil, false, errWorkerGaveUp
+	}
+	f.after--
+	return f.VecOp.NextBlock(ctx)
+}
+
+// TestWorkerGivingUpReleasesPacedPeers: four traced workers run a parallel
+// plan on a simulated chip, and one of them stops before the pool is
+// exhausted — its subtree fails, its consumer fails, or the exchange above
+// is closed early. Its thread runs dry and the simulator waits for it, so
+// peers waiting for a paced claim must be released (unpace) or nobody moves
+// again: the plan returns what the quitter returned, and the simulation
+// ends.
+func TestWorkerGivingUpReleasesPacedPeers(t *testing.T) {
+	db, tb := buildParTable(t, 20000)
+	const workers = 4
+	// scan is worker w's morsel scan of tb; worker 1's fails after one block.
+	scan := func(pool *MorselPool, failing bool) func(w int) VecOp {
+		return func(w int) VecOp {
+			ms := &MorselScanVec{Table: tb, Pool: pool, Worker: w}
+			if failing && w == 1 {
+				return &failingVec{VecOp: ms, after: 1}
+			}
+			return ms
+		}
+	}
+	newPool := func() *MorselPool { return NewMorselPool(workers, tb.Heap.NumPages(), 2) }
+	for _, tc := range []struct {
+		name    string
+		wantErr bool
+		query   func(ctxs []*Ctx) error
+	}{
+		{"agg subtree fails", true, func(ctxs []*Ctx) error {
+			return Run(ctxs[0], &ParallelAgg{
+				Ctxs: ctxs, BuildVec: scan(newPool(), true),
+				GroupCols: []int{1}, Aggs: []AggSpec{{Func: Count, Name: "n"}}, Expected: 16,
+			}, nil)
+		}},
+		{"join build subtree fails", true, func(ctxs []*Ctx) error {
+			return Run(ctxs[0], &ParallelHashJoin{
+				Ctxs: ctxs, BuildSrcVec: scan(newPool(), true), ProbeSrcVec: scan(newPool(), false),
+			}, nil)
+		}},
+		{"join probe subtree fails", true, func(ctxs []*Ctx) error {
+			return Run(ctxs[0], &ParallelHashJoin{
+				Ctxs: ctxs, BuildSrcVec: scan(newPool(), false), ProbeSrcVec: scan(newPool(), true),
+			}, nil)
+		}},
+		{"scan consumer fails", true, func(ctxs []*Ctx) error {
+			return ParallelScan(ctxs, tb, nil, nil, 2, func(w int, row []byte) error {
+				if w == 1 {
+					return errWorkerGaveUp
+				}
+				return nil
+			})
+		}},
+		{"exchange closed early", false, func(ctxs []*Ctx) error {
+			pool := newPool()
+			ex := &Exchange{Ctxs: ctxs, Build: func(w int) Op { return &RowAdapter{Vec: scan(pool, false)(w)} }}
+			if err := ex.Open(ctxs[0]); err != nil {
+				return err
+			}
+			_, _, err := ex.Next(ctxs[0])
+			ex.Close(ctxs[0])
+			return err
+		}},
+	} {
+		chip := sim.NewChip(sim.Config{Camp: sim.FatCamp, Cores: workers,
+			Hier: cache.Config{L2Size: 1 << 20, L2Lat: 10, SharedL2: true}})
+		recs := make([]*trace.Recorder, workers)
+		ctxs := make([]*Ctx, workers)
+		for w := range ctxs {
+			rec, s := trace.Pipe()
+			recs[w] = rec
+			chip.AddThread(s)
+			ctxs[w] = db.NewCtx(rec, 40+w, 16<<20)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			err := tc.query(ctxs)
+			for _, rec := range recs {
+				rec.Close()
+			}
+			errc <- err
+		}()
+		simulated := make(chan struct{})
+		go func() {
+			chip.Run(1 << 34)
+			close(simulated)
+		}()
+		select {
+		case <-simulated:
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: the simulation has not ended: workers wait for grants the simulator cannot give", tc.name)
+		}
+		if err := <-errc; tc.wantErr != errors.Is(err, errWorkerGaveUp) || !tc.wantErr && err != nil {
+			t.Errorf("%s: plan returned %v", tc.name, err)
 		}
 	}
 }

@@ -1940,11 +1940,16 @@ func (s *MorselScanVec) Close(ctx *Ctx) {
 }
 
 // NextBlock implements VecOp: it drains the current morsel, then claims
-// the next.
+// the next. A traced worker claims at its consumer's pace (the simulated
+// instant its thread gets here, see trace.Recorder.AtPace), so which worker
+// scans which morsel is decided in simulated time, not by the host; an
+// untraced one just claims.
 func (s *MorselScanVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	for {
 		if !s.active {
-			m, ok := s.Pool.Next(s.Worker)
+			var m Morsel
+			var ok bool
+			ctx.Rec.AtPace(s.Pool.Claimed(), func() { m, ok = s.Pool.Next(s.Worker) })
 			if !ok {
 				return nil, false, nil
 			}

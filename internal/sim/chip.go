@@ -142,29 +142,20 @@ func (ch *Chip) AddThreadAt(s *trace.Stream, ctxIdx int) int {
 	return id
 }
 
-// ownProducerGrace is how long pump leaves the host to the starved
-// thread's own producer before it drains anyone else's. Draining is what
-// lets the other producers run ahead of simulated time, and a simulator
-// that polls while it drains keeps a processor from the one producer it is
-// waiting for: measured on 150 parallel-dss Q1 runs at four workers, 14
-// had a worker starved long enough for its peers to steal its morsels
-// (cycles 8 % off, on an otherwise idle host); with the grace, none.
-// Parking for it frees the processor. A producer that is really blocked
-// (a lock, a barrier, a shared scan with no batch yet) costs one grace per
-// pump call.
-const ownProducerGrace = 50 * time.Microsecond
-
 // pump obtains at least one more chunk for t, returning false when t's
-// trace has ended. While t's producer has nothing ready — and has had its
-// grace — the pump drains whatever other producers have queued (into
-// their threads' local chunk buffers) so that a producer blocked on a full
-// channel always makes progress — without this, engine lock coupling
-// between client threads could deadlock the single-threaded simulator.
+// trace has ended. While t's producer has nothing ready the pump drains
+// whatever other producers have queued (into their threads' local chunk
+// buffers) so that a producer blocked on a full channel always makes
+// progress — without this, engine lock coupling between client threads
+// could deadlock the single-threaded simulator — and when nobody has
+// anything it parks briefly on t's stream, which leaves the processor to
+// the producers. Draining lets the other producers run ahead of simulated
+// time; a producer whose decisions must not depend on that takes them
+// through trace.Recorder.AtPace.
 func (ch *Chip) pump(t *Thread) bool {
-	wait := ownProducerGrace
+	var wait time.Duration
 	for {
 		c, ok, ended := t.stream.RecvChunk(wait)
-		wait = 0
 		if ok {
 			t.chunks = append(t.chunks, c)
 			return true
@@ -172,27 +163,15 @@ func (ch *Chip) pump(t *Thread) bool {
 		if ended {
 			return false
 		}
-		progress := false
+		wait = 200 * time.Microsecond
 		for _, o := range ch.threads {
 			if o == t || o.done {
 				continue
 			}
 			if oc, okc, _ := o.stream.RecvChunk(0); okc {
 				o.chunks = append(o.chunks, oc)
-				progress = true
+				wait = 0 // progress elsewhere: look again before parking
 			}
-		}
-		if progress {
-			continue
-		}
-		// Nothing anywhere: wait briefly for t's producer, then rescan.
-		c, ok, ended = t.stream.RecvChunk(200 * time.Microsecond)
-		if ok {
-			t.chunks = append(t.chunks, c)
-			return true
-		}
-		if ended {
-			return false
 		}
 	}
 }
@@ -221,7 +200,12 @@ func (ch *Chip) threadFinished(t *Thread, now uint64) {
 
 // Warm consumes up to refs trace records from every thread, updating cache
 // contents without timing — SimFlex-style functional warming before a
-// measured window.
+// measured window. It takes the threads one after another, each thread's
+// whole prefix before the next thread's first record, and that order is
+// part of every pinned measurement: it decides which thread's lines a
+// shared cache holds when the window opens, and the paced requests
+// (trace.Recorder.AtPace) inside the prefixes are granted in it — thread
+// 0's all before thread 1's first, whatever cycle they would have fallen in.
 func (ch *Chip) Warm(refs int) {
 	for i, t := range ch.threads {
 		core := ch.threadCore[i]

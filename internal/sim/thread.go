@@ -40,7 +40,13 @@ func newThread(id int, s *trace.Stream, ch *Chip, branchEvery int) *Thread {
 	return &Thread{ID: id, stream: s, chip: ch, untilBranch: branchEvery}
 }
 
-// next returns the next trace record, honoring the pushback buffer.
+// next returns the next trace record, honoring the pushback buffer. A
+// chunk of no records is the pace token of a paced request of the thread's
+// producer (trace.Recorder.AtPace): the thread has reached it when it has
+// consumed every record before it, in Warm as in Run, and the simulator
+// stands still while the producer's function runs. Threads so take their
+// turns in the order the simulation reaches their tokens: cycle by cycle in
+// Run, cores in order within a cycle, and in Warm's thread order.
 func (t *Thread) next() (trace.Ref, bool) {
 	if t.hasPending {
 		t.hasPending = false
@@ -51,6 +57,9 @@ func (t *Thread) next() (trace.Ref, bool) {
 			t.cur = t.chunks[0]
 			t.chunks = t.chunks[1:]
 			t.pos = 0
+			if len(t.cur) == 0 {
+				t.stream.Grant()
+			}
 			continue
 		}
 		if t.done {

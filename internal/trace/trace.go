@@ -14,6 +14,8 @@ package trace
 import (
 	"fmt"
 	"iter"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
@@ -189,20 +191,20 @@ func Pipe() (*Recorder, *Stream) {
 }
 
 // PipeSized creates a pipe whose producer can run at most about
-// chunk*(depth+1) references ahead of the consumer. Experiments whose
-// WORK DIVISION depends on simulated pacing — e.g. morsel claiming
-// between parallel workers — use a tight pipe so a host-fast thread
-// cannot grab the whole table before its simulated peers take a step;
-// the default slack (Pipe) only amortizes channel synchronization and is
-// fine when the trace dwarfs it.
+// chunk*(depth+1) references ahead of the consumer. The slack only
+// amortizes channel synchronization: a producer whose decisions must fall
+// at the consumer's pace takes them through Recorder.AtPace, whatever the
+// geometry, so every driver uses Pipe and only tests pick a small one, to
+// reach chunk boundaries and a full pipe with few records.
 func PipeSized(chunk, depth int) (*Recorder, *Stream) {
 	if chunk <= 0 || depth <= 0 {
 		panic(fmt.Sprintf("trace: bad pipe geometry %d x %d", chunk, depth))
 	}
 	ch := make(chan []Ref, depth)
 	stop := make(chan struct{})
-	r := &Recorder{ch: ch, stop: stop, chunk: chunk, buf: make([]Ref, 0, chunk)}
-	s := &Stream{ch: ch, stop: stop}
+	pace := &paceQueue{unpaced: make(chan struct{})}
+	r := &Recorder{ch: ch, stop: stop, pace: pace, chunk: chunk, buf: make([]Ref, 0, chunk)}
+	s := &Stream{ch: ch, stop: stop, pace: pace}
 	return r, s
 }
 
@@ -228,6 +230,7 @@ func Inline() (*Recorder, *Stream) {
 type Recorder struct {
 	ch      chan []Ref
 	stop    chan struct{}
+	pace    *paceQueue
 	chunk   int
 	buf     []Ref
 	stopped bool
@@ -426,6 +429,114 @@ func (r *Recorder) StoreRange(a mem.Addr, n int) {
 	}
 }
 
+// A paced request is a producer's wish to run a function at the instant
+// its consumer reaches the request's place in the trace. It is answered
+// once, by whoever sets answered first: the consumer, which grants it, or
+// the producer, which a closed moot, unpaced or stop channel released.
+type paceReq struct {
+	answered atomic.Bool
+	grant    chan struct{} // closed by the consumer when it grants
+	done     chan struct{} // closed by the producer when the function has returned
+}
+
+// paceQueue holds the requests of one pipe whose pace tokens the consumer
+// has yet to reach, oldest first. It is unbounded: a released producer goes
+// on and may ask again while the token of its released request is still in
+// flight.
+type paceQueue struct {
+	mu   sync.Mutex
+	reqs []*paceReq
+	// unpaced is closed by Recorder.Unpace.
+	unpaced chan struct{}
+	unpace  sync.Once
+}
+
+func (q *paceQueue) push(r *paceReq) {
+	q.mu.Lock()
+	q.reqs = append(q.reqs, r)
+	q.mu.Unlock()
+}
+
+func (q *paceQueue) pop() *paceReq {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	r := q.reqs[0]
+	q.reqs[0] = nil
+	q.reqs = q.reqs[1:]
+	return r
+}
+
+// AtPace runs f at the consumer's pace: it sends what has been recorded so
+// far and then a pace token — a chunk of no records — down the pipe, and
+// blocks until the consumer, having consumed every record before the token,
+// grants the request (Stream.Grant); f then runs on the producer's goroutine
+// while the consumer waits for it to return. Producers that share a consumer
+// (the simulator's threads) so take their turns at f in the order the
+// consumer reaches their tokens — for a simulator, in simulated time —
+// whichever the host ran first. It is how parallel workers claim morsels.
+//
+// moot, when it is closed, says the order of the calls no longer matters
+// (every later f finds the same: nothing left to claim). A request made
+// after that runs f at once, and one waiting when it closes is released to
+// run f; the consumer passes a released request's token without stopping.
+// Without it a producer that has found nothing left and waits at a barrier
+// for its peers would starve the consumer, which waits for that producer's
+// next record before it reaches the peers' tokens. Unpace and a stream that
+// has been stopped release the producer the same way.
+//
+// A nil recorder, an Inline one (its producer has no peers) and one whose
+// stream was stopped run f directly.
+func (r *Recorder) AtPace(moot <-chan struct{}, f func()) {
+	if r == nil || r.inline || r.Stopped() {
+		f()
+		return
+	}
+	select {
+	case <-moot:
+		f()
+		return
+	case <-r.pace.unpaced:
+		f()
+		return
+	default:
+	}
+	r.flush()
+	req := &paceReq{grant: make(chan struct{}), done: make(chan struct{})}
+	r.pace.push(req)
+	// The token is sent even if moot closes meanwhile: requests and tokens
+	// pair up in order. A consumer never leaves a full pipe undrained.
+	select {
+	case r.ch <- nil:
+		select {
+		case <-req.grant:
+		case <-moot:
+		case <-r.pace.unpaced:
+		case <-r.stop:
+			r.stopped = true
+		}
+	case <-r.stop:
+		r.stopped = true
+	}
+	req.answered.Store(true)
+	f()
+	close(req.done)
+}
+
+// Unpace ends the pacing of r's requests, from any goroutine: one that is
+// waiting is released and later ones run their function at once, as if
+// their moot channels had closed. It is for a group of producers one of
+// which gives up early — it fails, or its output is no longer wanted — while
+// the others wait for grants: the consumer waits for the quitter's next
+// record, which never comes, and would not reach their tokens. What the
+// group decides from then on is decided in host order again. A nil or
+// Inline recorder has nothing to release.
+func (r *Recorder) Unpace() {
+	if r == nil || r.inline {
+		return
+	}
+	r.pace.unpace.Do(func() { close(r.pace.unpaced) })
+}
+
 // Close flushes buffered records and ends the stream. The producer must not
 // record after Close. An Inline pipe closes its recorder itself when the
 // producer function returns.
@@ -447,6 +558,7 @@ func (r *Recorder) Close() {
 type Stream struct {
 	ch   chan []Ref
 	stop chan struct{}
+	pace *paceQueue
 	// An Inline stream pulls its chunks out of the producer coroutine:
 	// next resumes it until it has filled one, cancel ends it.
 	rec    *Recorder
@@ -464,10 +576,13 @@ type Stream struct {
 // Next returns the next record, or ok=false when the producer has closed
 // the pipe and all records were consumed.
 func (s *Stream) Next() (Ref, bool) {
-	if s.pos == len(s.cur) {
+	for s.pos == len(s.cur) {
 		chunk, ok, _ := s.RecvChunk(-1)
 		if !ok {
 			return 0, false
+		}
+		if len(chunk) == 0 {
+			s.Grant()
 		}
 		s.cur, s.pos = chunk, 0
 	}
@@ -481,7 +596,9 @@ func (s *Stream) Next() (Ref, bool) {
 // close; wait == 0 polls; wait > 0 waits at most that duration. ended
 // reports producer close. Consumers that multiplex many streams (the
 // simulator) use the polling mode so a producer stalled on an engine lock
-// held by another producer can never wedge them.
+// held by another producer can never wedge them. A chunk of no records is
+// the pace token of a paced request (Recorder.AtPace): the caller owes the
+// stream one Grant, when it has consumed the records received before it.
 func (s *Stream) RecvChunk(wait time.Duration) (chunk []Ref, ok, ended bool) {
 	if s.ended {
 		return nil, false, true
@@ -528,6 +645,22 @@ func (s *Stream) RecvChunk(wait time.Duration) (chunk []Ref, ok, ended bool) {
 		case <-t.C:
 			return nil, false, false
 		}
+	}
+}
+
+// Grant answers the oldest paced request of the stream, whose token the
+// consumer has reached: the producer's function runs now, and Grant returns
+// when it has. A request that was released meanwhile has run, or is running,
+// its function without the consumer, and a stopped stream has released them
+// all: Grant then returns at once.
+func (s *Stream) Grant() {
+	if s.closed {
+		return
+	}
+	req := s.pace.pop()
+	if req.answered.CompareAndSwap(false, true) {
+		close(req.grant)
+		<-req.done
 	}
 }
 
