@@ -13,11 +13,16 @@ build:
 # The second line runs the side-placement and exact-repeat tests on one
 # processor and on two, so the sequential path stays exercised on a
 # multi-processor host; the third the paced-request tests (morsel claims at
-# simulated time) the same way, as the CI race job does under -race.
+# simulated time) the same way, as the CI race job does under -race; the
+# fourth that job's zero-copy and native-aggregate equivalence suites with
+# the alias-debug assertions armed; the last fuzzes the native aggregate
+# against the interpreted one for 15 s on top of the committed corpus.
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork' ./internal/core
 	$(GO) test -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
+	ENGINE_ALIAS_DEBUG=1 $(GO) test -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted' ./internal/engine/ ./internal/workload/ ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzHashAggNative -fuzztime 15s ./internal/engine
 
 race:
 	$(GO) test -race -short ./...

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -103,10 +102,6 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	for w := range ctxs {
 		ctxs[w] = h.DB.NewCtx(nil, 90+w, nativeWorkBytes)
 	}
-	// Collect before timing: earlier sweeps' worker arenas (64 MB each)
-	// otherwise linger on the heap and GC assists tax the timed runs.
-	runtime.GC()
-
 	// Each point is three untimed warmups (page in the scan range, size
 	// the hash tables, let the core ramp) then 50 timed runs — test-scale
 	// queries run in a millisecond or two, where any single timing is one
@@ -196,9 +191,12 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	}
 	// Borrowed blocks pin buffer-pool pages for their lifetime; a sweep
 	// that ends with outstanding leases has leaked a pin somewhere in an
-	// operator's close path.
-	if n := h.DB.Pool.Leases(); n != 0 {
-		return nil, fmt.Errorf("core: native q%d sweep leaked %d page leases", q, n)
+	// operator's close path. Counted on the sweep's own contexts: the pool
+	// is shared with whatever else the Runner is serving.
+	for _, c := range ctxs {
+		if n := c.Leases(); n != 0 {
+			return nil, fmt.Errorf("core: native q%d sweep leaked %d page leases", q, n)
+		}
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -143,6 +144,55 @@ func TestRunNativeDSSZeroCopySweep(t *testing.T) {
 		if n := h.DB.Pool.Leases(); n != 0 {
 			t.Fatalf("q%d: %d page leases outstanding after the sweep", q, n)
 		}
+	}
+}
+
+// TestRunNativeDSSConcurrentSweeps: two zero-copy sweeps share one Runner
+// — and so one buffer pool — and both succeed. Each sweep accounts for
+// the leases of its own contexts; a pool-wide count taken while the other
+// sweep has a page borrowed would call that a leak.
+func TestRunNativeDSSConcurrentSweeps(t *testing.T) {
+	h, err := sharedRunner.TPCH()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(q int) error {
+		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, true)
+		if err == nil && runs[2].Digest != runs[0].Digest {
+			err = fmt.Errorf("q%d: borrowed serial digest %#x != interpreted %#x", q, runs[2].Digest, runs[0].Digest)
+		}
+		return err
+	}
+	// Q6 sweeps, each ending in a lease check, for as long as a Q1 sweep
+	// (the slower one) is borrowing pages.
+	q1Done := make(chan struct{})
+	var q1Err, q6Err error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(q1Done)
+		q1Err = sweep(1)
+	}()
+	go func() {
+		defer wg.Done()
+		for q6Err == nil {
+			q6Err = sweep(6)
+			select {
+			case <-q1Done:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	for _, err := range []error{q1Err, q6Err} {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if n := h.DB.Pool.Leases(); n != 0 {
+		t.Fatalf("%d page leases outstanding after both sweeps", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/staged"
 	"repro/internal/trace"
@@ -111,7 +112,7 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 				DB:     et.db,
 				Source: src,
 				Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
-				Sink:   r.stagedSink(ctxs[0], et),
+				Sink:   r.stagedSink(et),
 			}
 			return pl.RunAffinity(ctxs[0])
 		}, 1, nil)
@@ -129,7 +130,7 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 				DB:     et.db,
 				Source: src,
 				Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
-				Sink:   r.stagedSink(ctxs[2], et),
+				Sink:   r.stagedSink(et),
 			}
 			return pl.RunParallel(ctxs)
 		}, 3, nil)
@@ -150,7 +151,7 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 				DB:     et.db,
 				Source: src,
 				Stages: []staged.Stage{staged.FilterStage(et.db, lineitem.Schema, preds)},
-				Sink:   r.stagedSink(ctxs[2], et),
+				Sink:   r.stagedSink(et),
 			}
 			return pl.RunParallel(ctxs)
 		}, 3, placement)
@@ -162,10 +163,24 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 	return out, nil
 }
 
-func (r *Runner) stagedSink(ctx *engine.Ctx, et *engineTPCH) staged.Sink {
+// stagedSink builds the experiment's aggregate sink on a workspace of its
+// own, in the slot after the workers': the pool's consumers absorb into
+// the sink under its lock while they allocate edge packets from their own
+// workspaces without one, so the sink's table must not grow in any of
+// theirs.
+func (r *Runner) stagedSink(et *engineTPCH) staged.Sink {
 	ls := et.lineitem.Schema
-	return staged.NewAggSink(ctx, et.db, ls, ls.Col("l_suppkey"), ls.Col("l_extendedprice"))
+	work := mem.NewArena(engine.WorkSlotBase(stagedSlot+stagedMaxWorkers, stagedWork), 4<<20)
+	return staged.NewAggSink(et.db.NewCtxOn(nil, work), et.db, ls, ls.Col("l_suppkey"), ls.Col("l_extendedprice"))
 }
+
+// The staged experiment's workspaces: worker i of at most
+// stagedMaxWorkers has slot stagedSlot+i.
+const (
+	stagedSlot       = 32
+	stagedMaxWorkers = 3
+	stagedWork       = 64 << 20
+)
 
 // stagedRun executes fn's workers on a fresh chip, one trace per worker.
 func (r *Runner) stagedRun(mode string, camp sim.Camp, fn func([]*engine.Ctx) (int, error), workers int, placement []int) (StagedResult, error) {
@@ -182,7 +197,7 @@ func (r *Runner) stagedRun(mode string, camp sim.Camp, fn func([]*engine.Ctx) (i
 	for i := 0; i < workers; i++ {
 		rec, s := trace.Pipe()
 		recs[i], streams[i] = rec, s
-		ctxs[i] = h.DB.NewCtx(rec, 32+i, 64<<20)
+		ctxs[i] = h.DB.NewCtx(rec, stagedSlot+i, stagedWork)
 		if placement != nil {
 			chip.AddThreadAt(s, placement[i])
 		} else {

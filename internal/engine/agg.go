@@ -216,12 +216,12 @@ func mergeAccums(cs Schema, aggs []AggSpec, dst, src []byte) {
 			} else {
 				v := math.Float64frombits(binary.LittleEndian.Uint64(dst[off:]))
 				v += math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-				binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
+				binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(canonNaN(v)))
 			}
 		case Avg:
 			v := math.Float64frombits(binary.LittleEndian.Uint64(dst[off:]))
 			v += math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(canonNaN(v)))
 			n := binary.LittleEndian.Uint64(dst[off+8:])
 			binary.LittleEndian.PutUint64(dst[off+8:], n+binary.LittleEndian.Uint64(src[off+8:]))
 		case Min:
@@ -239,24 +239,24 @@ func mergeAccums(cs Schema, aggs []AggSpec, dst, src []byte) {
 	}
 }
 
-// findGroupNative is findGroup as an inline chain walk — no tracing, no
-// per-entry callback — for the native batch-absorb loop. It returns the
-// whole payload (group bytes + accumulators), nil when the group is
-// absent; the walk visits entries in the same chain order as findGroup.
-func (a *HashAgg) findGroupNative(h uint64, gkey []byte) []byte {
+// groupSlot returns the arena offset of gkey's payload (group bytes, then
+// accumulators), inserting the group on first sight: findOrInsertGroupH
+// for the native slot vector, as an inline chain walk with no tracing and
+// no per-entry callback. The walk visits entries in findGroup's order.
+func (a *HashAgg) groupSlot(h uint64, gkey []byte) int {
 	ht := a.ht
 	buf, base := ht.arena.Raw()
 	cur := binary.LittleEndian.Uint64(buf[ht.bucketAddr(h)-base:])
 	for cur != 0 {
-		eo := mem.Addr(cur) - base
-		eb := buf[eo : eo+mem.Addr(ht.entryW)]
-		if binary.LittleEndian.Uint64(eb[8:16]) == h &&
-			string(eb[htEntryHeader:htEntryHeader+a.groupW]) == string(gkey) {
-			return eb[htEntryHeader:]
+		eo := int(mem.Addr(cur) - base)
+		if binary.LittleEndian.Uint64(buf[eo+8:]) == h &&
+			string(buf[eo+htEntryHeader:eo+htEntryHeader+a.groupW]) == string(gkey) {
+			return eo + htEntryHeader
 		}
-		cur = binary.LittleEndian.Uint64(eb[0:8])
+		cur = binary.LittleEndian.Uint64(buf[eo:])
 	}
-	return nil
+	_, at := a.insertGroup(nil, h, gkey)
+	return int(at - base)
 }
 
 // findGroup locates the entry whose stored group bytes equal gkey.
@@ -313,12 +313,12 @@ func (a *HashAgg) update(rec *trace.Recorder, cs Schema, row, acc []byte, at mem
 			} else {
 				v := math.Float64frombits(binary.LittleEndian.Uint64(acc[off:]))
 				v += RowFloat(row, a.offs[g.Col])
-				binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(v))
+				binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(canonNaN(v)))
 			}
 		case Avg:
 			v := math.Float64frombits(binary.LittleEndian.Uint64(acc[off:]))
 			v += a.asFloat(cs, row, g.Col)
-			binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(acc[off:], math.Float64bits(canonNaN(v)))
 			n := binary.LittleEndian.Uint64(acc[off+8:])
 			binary.LittleEndian.PutUint64(acc[off+8:], n+1)
 		case Min:
@@ -337,6 +337,18 @@ func (a *HashAgg) update(rec *trace.Recorder, cs Schema, row, acc []byte, at mem
 		rec.Store(at + mem.Addr(off))
 		off += w
 	}
+}
+
+// canonNaN replaces a NaN by the one bit pattern math.NaN returns; float
+// sums store nothing else. Accumulators are compared and digested as
+// bits, and which payload a NaN sum carries when both operands are NaN
+// (∞ − ∞ earlier in the group, then a NaN input) depends on the operand
+// order the compiler happened to give the add.
+func canonNaN(v float64) float64 {
+	if v != v {
+		return math.NaN()
+	}
+	return v
 }
 
 func (a *HashAgg) asFloat(cs Schema, row []byte, col int) float64 {

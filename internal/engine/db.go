@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -231,6 +232,37 @@ type Ctx struct {
 	// Join receives join-build observations (chain lengths, partition
 	// fanout); the zero value discards them.
 	Join obs.JoinMetrics
+
+	leases atomic.Int64
+}
+
+// Leases returns how many page leases taken through this context are
+// still out (a borrowed block holds one until its Reset or final ring
+// Release, on whichever goroutine that happens): zero once every operator
+// that ran under the context has closed. Unlike BufferPool.Leases it is
+// not disturbed by other contexts' runs on the same database.
+func (c *Ctx) Leases() int { return int(c.leases.Load()) }
+
+// ctxLease is a page lease counted against the context that took it.
+type ctxLease struct {
+	*storage.PageLease
+	ctx *Ctx
+}
+
+func (c *Ctx) lease(pid storage.PageID) (ctxLease, error) {
+	l, err := c.DB.Pool.Lease(c.Rec, pid)
+	if err != nil {
+		return ctxLease{}, err
+	}
+	c.leases.Add(1)
+	return ctxLease{l, c}, nil
+}
+
+// Release ends the lease. It is called once per lease: by aliasPage when
+// it rejects the page, otherwise by the block that borrowed it.
+func (l ctxLease) Release() {
+	l.PageLease.Release()
+	l.ctx.leases.Add(-1)
 }
 
 // NewCtx builds an execution context with a private workspace of workBytes

@@ -922,7 +922,7 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 	if h.Version() != s.ver {
 		return false, nil
 	}
-	lease, err := ctx.DB.Pool.Lease(ctx.Rec, h.PageAt(idx))
+	lease, err := ctx.lease(h.PageAt(idx))
 	if err != nil {
 		return false, err
 	}
@@ -1278,17 +1278,18 @@ type HashAggVec struct {
 	// (default 1024 groups); plans pass it so the table never rehashes—
 	// it is allocated once at roughly twice the expected group count.
 	Expected int
-	// Interpret disables the compiled group-key kernel, keeping the
-	// per-row groupBytes+hashBytes loops (the golden reference; the
-	// kernel computes bit-identical keys and hashes).
+	// Interpret keeps the per-row groupBytes+hashBytes loops and
+	// HashAgg.update on every path (the golden reference): no compiled
+	// group-key kernel on a traced run, no columnar absorb (aggNative) on
+	// a native one. Both compute bit-identical tables.
 	Interpret bool
 
 	inner   *HashAgg
 	blk     *Block
 	gk      GroupKernel
-	ak      []AggKernel // compiled per-agg update closures (native path)
-	keys    []byte      // batch scratch: live rows' group keys, groupW each
-	hashes  []uint64    // batch scratch: live rows' group-key hashes
+	nat     *aggNative // columnar absorb state (native path)
+	keys    []byte     // batch scratch: live rows' group keys, groupW each
+	hashes  []uint64   // batch scratch: live rows' group-key hashes
 	results [][]byte
 	resIdx  int
 	code    mem.CodeSeg
@@ -1316,10 +1317,13 @@ func (a *HashAggVec) Schema() Schema { return a.agg().Schema() }
 func (a *HashAggVec) Open(ctx *Ctx) error {
 	in := a.agg()
 	cs := in.prepare(ctx)
-	a.gk, a.ak = nil, nil
-	if !a.Interpret {
+	a.gk, a.nat = nil, nil
+	switch {
+	case a.Interpret:
+	case ctx.Rec == nil:
+		a.nat = newAggNative(in, cs)
+	default:
 		a.gk = CompileGroupKernel(cs, in.offs, a.GroupCols)
-		a.ak = CompileAggKernels(cs, in.offs, a.Aggs)
 	}
 	a.code = ctx.DB.Codes.Register("op:hashaggvec", 2048)
 	a.results, a.resIdx = nil, 0
@@ -1341,14 +1345,18 @@ func (a *HashAggVec) Open(ctx *Ctx) error {
 	}
 }
 
-// absorbBlock folds one block into the group table batch-at-a-time: a
-// first pass extracts every live row's group key and hashes it into
+// absorbBlock folds one block into the group table batch-at-a-time. On a
+// native run that is aggNative's slot vector and column loops. Otherwise
+// a first pass extracts every live row's group key and hashes it into
 // scratch arrays (pure host arithmetic — the table is untouched, so
-// nothing is traced), then a second pass probes/inserts in row order.
-// The traced probe/update sequence is identical to absorbing row by row,
-// so simulated results match the row path byte for byte; natively, the
-// key/hash work runs as a tight loop with the table walk out of it.
+// nothing is traced), then a second pass probes/inserts in row order:
+// the traced probe/update sequence is identical to absorbing row by row,
+// so simulated results match the row path byte for byte.
 func (a *HashAggVec) absorbBlock(ctx *Ctx, in *HashAgg, cs Schema, blk *Block) {
+	if a.nat != nil {
+		a.nat.absorb(blk)
+		return
+	}
 	live := blk.Live()
 	gw := in.groupW
 	need := live * gw
@@ -1367,28 +1375,6 @@ func (a *HashAggVec) absorbBlock(ctx *Ctx, in *HashAgg, cs Schema, blk *Block) {
 		// Compiled path: one fused key-copy+hash pass over the block
 		// (Sel-aware), bit-identical to the per-row loops below.
 		a.gk(blk.buf, blk.rowW, blk.Sel, live, a.keys, a.hashes)
-		if ctx.Rec == nil && a.ak != nil {
-			// Native: inline group lookup (no per-entry callback) and the
-			// compiled per-agg update closures. Group insertion order and
-			// accumulator bits match the traced loop exactly.
-			for k := 0; k < live; k++ {
-				i := k
-				if blk.Sel != nil {
-					i = int(blk.Sel[k])
-				}
-				row := blk.RowAt(i)
-				gk := a.keys[k*gw : (k+1)*gw]
-				acc := in.findGroupNative(a.hashes[k], gk)
-				if acc == nil {
-					acc, _ = in.insertGroup(nil, a.hashes[k], gk)
-				}
-				acc = acc[in.groupW:]
-				for _, kern := range a.ak {
-					kern(row, acc)
-				}
-			}
-			return
-		}
 		if blk.Sel != nil {
 			for k, i := range blk.Sel {
 				in.absorbHashed(ctx, cs, a.keys[k*gw:(k+1)*gw], a.hashes[k], blk.RowAt(int(i)))

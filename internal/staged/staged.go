@@ -149,7 +149,11 @@ type AggSink struct {
 	isFloat  bool
 }
 
-// NewAggSink groups by integer column groupCol summing column sumCol.
+// NewAggSink groups by integer column groupCol summing column sumCol. The
+// group table grows in ctx's workspace whenever a consumer absorbs a new
+// group, under the pipeline's sink lock only: for RunParallel, ctx must not
+// be one of the workers' contexts, which allocate their edge packets from
+// their own workspaces without that lock.
 func NewAggSink(ctx *engine.Ctx, db *engine.DB, in engine.Schema, groupCol, sumCol int) *AggSink {
 	offs := in.Offsets()
 	return &AggSink{

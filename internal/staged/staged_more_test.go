@@ -137,10 +137,9 @@ func TestVecSourceBothExecutors(t *testing.T) {
 	}
 	checkGroups(t, pl.Sink.(*AggSink).Groups())
 
-	sinkCtx := db.NewCtx(nil, 24, 8<<20)
-	pl2 := mk(sinkCtx)
+	pl2 := mk(db.NewCtx(nil, 25, 8<<20))
 	ctxs := []*engine.Ctx{
-		db.NewCtx(nil, 22, 8<<20), db.NewCtx(nil, 23, 8<<20), sinkCtx,
+		db.NewCtx(nil, 22, 8<<20), db.NewCtx(nil, 23, 8<<20), db.NewCtx(nil, 24, 8<<20),
 	}
 	n2, err := pl2.RunParallel(ctxs)
 	if err != nil {

@@ -80,12 +80,11 @@ func TestAffinityMatchesVolcano(t *testing.T) {
 
 func TestParallelMatchesAffinity(t *testing.T) {
 	db, tb := buildTable(t)
-	sinkCtx := db.NewCtx(nil, 2, 8<<20)
-	pl := pipelineFor(db, tb, sinkCtx)
+	pl := pipelineFor(db, tb, db.NewCtx(nil, 3, 8<<20))
 	ctxs := []*engine.Ctx{
 		db.NewCtx(nil, 0, 8<<20),
 		db.NewCtx(nil, 1, 8<<20),
-		sinkCtx,
+		db.NewCtx(nil, 2, 8<<20),
 	}
 	n, err := pl.RunParallel(ctxs)
 	if err != nil {
