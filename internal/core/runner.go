@@ -63,6 +63,12 @@ type Runner struct {
 	// discards the observations.
 	Forks obs.ForkMetrics
 
+	// Loads, when set, times the lazy database loads below — the TPC-H
+	// build, the TPC-C build, the build and snapshot of the TPC-C master
+	// image — which the first request that needs a database pays for. The
+	// zero value discards the observations.
+	Loads obs.LoadMetrics
+
 	// Sides, when set, counts every side of every request by whether it ran
 	// beside its twin or alone (see Run). The zero value discards the
 	// counts.
@@ -234,10 +240,12 @@ func (r *Runner) TPCC() (*workload.TPCC, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tpcc == nil {
+		start := time.Now()
 		w, err := workload.BuildTPCC(r.ScaleCfg.TPCC)
 		if err != nil {
 			return nil, err
 		}
+		r.Loads.Observe("tpcc", time.Since(start))
 		r.tpcc = w
 	}
 	return r.tpcc, nil
@@ -248,6 +256,7 @@ func (r *Runner) tpccImage() (*workload.TPCCImage, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.master == nil {
+		start := time.Now()
 		w, err := workload.BuildTPCC(r.ScaleCfg.TPCC)
 		if err != nil {
 			return nil, err
@@ -256,6 +265,7 @@ func (r *Runner) tpccImage() (*workload.TPCCImage, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.Loads.Observe("tpcc", time.Since(start))
 		// The image is a copy of the pages in use; the arena it was loaded
 		// in becomes the first fork's.
 		r.master = img
@@ -289,10 +299,12 @@ func (r *Runner) TPCH() (*workload.TPCH, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tpch == nil {
+		start := time.Now()
 		h, err := workload.BuildTPCH(r.ScaleCfg.TPCH)
 		if err != nil {
 			return nil, err
 		}
+		r.Loads.Observe("tpch", time.Since(start))
 		r.tpch = h
 	}
 	return r.tpch, nil

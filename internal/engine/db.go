@@ -22,10 +22,14 @@ type DB struct {
 	tables map[string]*Table
 }
 
-// Config sizes a database instance.
+// Config sizes a database instance. The page table goes first in the
+// arena and the frames follow it, so MaxPages decides the simulated
+// address of frame 0 and Frames how far the frames reach; what is left of
+// ArenaBytes behind them is for page-table growth and for whatever the
+// owner allocates there (TPC-C's lock table and log ring).
 type Config struct {
-	ArenaBytes int // simulated heap for pages + metadata (default 256 MB)
-	Frames     int // buffer-pool frames (default: arena minus slack / page)
+	ArenaBytes int // the arena the database lives in (default 256 MB)
+	Frames     int // buffer-pool frames (default: 7/8 of the arena, in pages)
 	MaxPages   int // page-table capacity (default: 2x frames)
 }
 
@@ -40,6 +44,24 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPages == 0 {
 		c.MaxPages = 2 * c.Frames
+	}
+	return c
+}
+
+// Holding returns c's layout backed for a database of at most pages
+// pages: the page-table capacity c resolves to — hence the simulated
+// address of the page table and of every frame — with pages frames only,
+// in an arena that ends where they do. A database that stays within them
+// is the same database either way, for the cost of the memory it uses
+// rather than the memory it could address; one that outgrows them evicts
+// where it would have taken a new frame, and cannot grow its page table.
+// It is not for a database whose owner allocates behind the frames: that
+// region would move.
+func (c Config) Holding(pages int) Config {
+	c = c.withDefaults()
+	if pages < c.Frames {
+		c.Frames = pages
+		c.ArenaBytes = storage.PoolBytes(pages, c.MaxPages)
 	}
 	return c
 }
@@ -71,7 +93,7 @@ type Table struct {
 	Schema  Schema
 	Offs    []int
 	Heap    *storage.HeapFile
-	indexes map[string]*Index
+	indexes []*Index // in creation order, which is the order inserts maintain them in
 	mu      sync.RWMutex
 }
 
@@ -90,11 +112,10 @@ func (db *DB) CreateTable(name string, schema Schema, layout storage.Layout) (*T
 		return nil, fmt.Errorf("engine: table %q exists", name)
 	}
 	t := &Table{
-		Name:    name,
-		Schema:  schema,
-		Offs:    schema.Offsets(),
-		Heap:    storage.NewHeapFile(db.Pool, layout, schema.Widths(), db.Codes, name),
-		indexes: make(map[string]*Index),
+		Name:   name,
+		Schema: schema,
+		Offs:   schema.Offsets(),
+		Heap:   storage.NewHeapFile(db.Pool, layout, schema.Widths(), db.Codes, name),
 	}
 	db.tables[name] = t
 	return t, nil
@@ -133,23 +154,36 @@ func (db *DB) TableNames() []string {
 
 // CreateIndex adds a secondary index computing its int64 key with keyOf.
 func (db *DB) CreateIndex(t *Table, name string, keyOf func(row []byte) int64) (*Index, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.index(name) != nil {
+		return nil, fmt.Errorf("engine: table %q already has an index %q", t.Name, name)
+	}
 	tree, err := storage.NewBTree(db.Pool, db.Codes, name)
 	if err != nil {
 		return nil, err
 	}
 	idx := &Index{Name: name, Tree: tree, KeyOf: keyOf}
-	t.mu.Lock()
-	t.indexes[name] = idx
-	t.mu.Unlock()
+	t.indexes = append(t.indexes, idx)
 	return idx, nil
+}
+
+// index returns the named index or nil (mu held).
+func (t *Table) index(name string) *Index {
+	for _, idx := range t.indexes {
+		if idx.Name == name {
+			return idx
+		}
+	}
+	return nil
 }
 
 // Index returns the named index.
 func (t *Table) Index(name string) (*Index, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, ok := t.indexes[name]
-	if !ok {
+	idx := t.index(name)
+	if idx == nil {
 		return nil, fmt.Errorf("engine: table %q has no index %q", t.Name, name)
 	}
 	return idx, nil
@@ -201,6 +235,66 @@ func (t *Table) InsertRow(rec *trace.Recorder, row []byte) (storage.RID, error) 
 	}
 	return rid, nil
 }
+
+// Loader is a table's load path: Insert with a nil recorder, without the
+// per-row costs that have nothing to do with the row — it appends through
+// the heap file's storage.Appender and encodes into one reused buffer. The
+// rows land on the pages and slots, and every index receives the
+// Tree.Insert calls in the order, that Insert(nil, vals) would give them.
+// Transactions keep Insert and InsertRow: a Loader takes no recorder.
+//
+// A Loader holds its heap file closed to everyone else until Close (see
+// storage.Appender) and maintains the indexes the table had when it was
+// opened. Loaders of different tables may be open at once.
+type Loader struct {
+	t       *Table
+	app     *storage.Appender
+	indexes []*Index
+	row     []byte
+	fields  [][]byte // the row's columns, for a PAX heap
+}
+
+// Loader opens the table for a load. The caller must Close it.
+func (t *Table) Loader() *Loader {
+	l := &Loader{t: t, app: t.Heap.Appender(), row: make([]byte, t.Schema.RowWidth())}
+	t.mu.RLock()
+	l.indexes = t.indexes
+	t.mu.RUnlock()
+	if t.Heap.Layout() == storage.PAXLayout {
+		l.fields = make([][]byte, len(t.Schema))
+		for i, c := range t.Schema {
+			l.fields[i] = l.row[t.Offs[i] : t.Offs[i]+c.Width]
+		}
+	}
+	return l
+}
+
+// Insert encodes vals, appends the row and maintains all indexes.
+func (l *Loader) Insert(vals ...Value) (storage.RID, error) {
+	if err := l.t.Schema.EncodeRow(l.row, vals); err != nil {
+		return storage.RID{}, err
+	}
+	var rid storage.RID
+	var err error
+	if l.fields == nil {
+		rid, err = l.app.Append(l.row)
+	} else {
+		rid, err = l.app.AppendFields(l.fields)
+	}
+	if err != nil {
+		return rid, err
+	}
+	for _, idx := range l.indexes {
+		if err := idx.Tree.Insert(nil, idx.KeyOf(l.row), rid.Pack()); err != nil {
+			return rid, err
+		}
+	}
+	return rid, nil
+}
+
+// Close ends the load and releases the heap file; a loaded pool has no
+// page pinned.
+func (l *Loader) Close() { l.app.Close() }
 
 // Version returns the table's write-version counter (see
 // storage.HeapFile.Version): the result-reuse cache keys entries by it so

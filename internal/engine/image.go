@@ -42,8 +42,8 @@ func (db *DB) Snapshot() (*Image, error) {
 	for name, t := range db.tables {
 		t.mu.RLock()
 		ti := tableImage{heap: t.Heap.Snapshot(), indexes: make(map[string]storage.BTreeImage, len(t.indexes))}
-		for iname, idx := range t.indexes {
-			ti.indexes[iname] = idx.Tree.Snapshot()
+		for _, idx := range t.indexes {
+			ti.indexes[idx.Name] = idx.Tree.Snapshot()
 		}
 		t.mu.RUnlock()
 		img.tables[name] = ti
@@ -83,8 +83,8 @@ func (db *DB) Restore(img *Image) error {
 		ti := img.tables[name]
 		t.mu.RLock()
 		t.Heap.Restore(ti.heap)
-		for iname, idx := range t.indexes {
-			idx.Tree.Restore(ti.indexes[iname])
+		for _, idx := range t.indexes {
+			idx.Tree.Restore(ti.indexes[idx.Name])
 		}
 		t.mu.RUnlock()
 	}
@@ -98,9 +98,9 @@ func (t *Table) matches(ti tableImage) error {
 	if len(ti.indexes) != len(t.indexes) {
 		return fmt.Errorf("engine: restore: table %q has %d indexes, the image's %d", t.Name, len(t.indexes), len(ti.indexes))
 	}
-	for iname := range t.indexes {
-		if _, ok := ti.indexes[iname]; !ok {
-			return fmt.Errorf("engine: restore: image has no index %q on %q", iname, t.Name)
+	for _, idx := range t.indexes {
+		if _, ok := ti.indexes[idx.Name]; !ok {
+			return fmt.Errorf("engine: restore: image has no index %q on %q", idx.Name, t.Name)
 		}
 	}
 	return nil

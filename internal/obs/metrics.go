@@ -14,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"sort"
 	"strconv"
@@ -473,6 +474,34 @@ func NewForkMetrics(r *Registry) ForkMetrics {
 func (m ForkMetrics) Observe(d time.Duration) {
 	m.Forks.Inc()
 	m.Seconds.Observe(d.Seconds())
+}
+
+// LoadMetrics times the database loads a driver performs lazily, on the
+// first request that needs the database, so that a slow first request can
+// be told from a slow simulation (unset fields are simply not fed).
+type LoadMetrics struct {
+	Seconds *HistogramVec // by database: "tpch" or "tpcc"
+	// Log, when set, gets one line per load.
+	Log *slog.Logger
+}
+
+// NewLoadMetrics registers the load family on r, both databases present
+// from the first scrape.
+func NewLoadMetrics(r *Registry) LoadMetrics {
+	v := r.HistogramVec("dbserver_load_seconds",
+		"Host time of one lazy database load (TPC-H build, or TPC-C build and image).",
+		LogBuckets(0.001, 2, 14), "db") // 1ms .. ~8s
+	v.With("tpch")
+	v.With("tpcc")
+	return LoadMetrics{Seconds: v}
+}
+
+// Observe records one load of database db that took d.
+func (m LoadMetrics) Observe(db string, d time.Duration) {
+	m.Seconds.With(db).Observe(d.Seconds())
+	if m.Log != nil {
+		m.Log.Info("database loaded", "db", db, "seconds", d.Seconds())
+	}
 }
 
 // SideMetrics counts the simulations ("sides") of the requests a driver

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"math"
 	"strings"
 	"testing"
@@ -73,6 +74,7 @@ func TestNilMetricsDiscard(t *testing.T) {
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
 	ForkMetrics{}.Observe(time.Millisecond) // a bare core.Runner's zero value
+	LoadMetrics{}.Observe("tpch", time.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics recorded something")
 	}
@@ -99,6 +101,31 @@ func TestForkMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("exposition missing %q:\n%s", line, out)
 		}
+	}
+}
+
+func TestLoadMetricsExposition(t *testing.T) {
+	r := NewRegistry()
+	var logged strings.Builder
+	m := NewLoadMetrics(r)
+	m.Log = slog.New(slog.NewTextHandler(&logged, nil))
+	m.Observe("tpch", 150*time.Millisecond)
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	out := sb.String()
+	for _, line := range []string{
+		"# TYPE dbserver_load_seconds histogram",
+		`dbserver_load_seconds_bucket{db="tpch",le="0.128"} 0`,
+		`dbserver_load_seconds_bucket{db="tpch",le="0.256"} 1`,
+		`dbserver_load_seconds_count{db="tpch"} 1`,
+		`dbserver_load_seconds_count{db="tpcc"} 0`, // exposed before its first load
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("exposition missing %q:\n%s", line, out)
+		}
+	}
+	if got := logged.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "db=tpch") || !strings.Contains(got, "seconds=0.15") {
+		t.Errorf("one load logged as %q", got)
 	}
 }
 

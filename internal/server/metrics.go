@@ -69,6 +69,11 @@ type Metrics struct {
 	// through core.Runner.Forks).
 	Forks obs.ForkMetrics
 
+	// Loads times the runner's lazy database loads (plumbed down through
+	// core.Runner.Loads): the part of a first request that is not the
+	// request.
+	Loads obs.LoadMetrics
+
 	// Sides counts every simulated side by whether it ran beside its twin
 	// or alone (plumbed down through core.Runner.Sides): the share of
 	// overlapped sides is how much of the load found a second processor.
@@ -109,6 +114,7 @@ func NewMetrics() *Metrics {
 		},
 		Join:  obs.NewJoinMetrics(r),
 		Forks: obs.NewForkMetrics(r),
+		Loads: obs.NewLoadMetrics(r),
 		Sides: obs.NewSideMetrics(r),
 	}
 }

@@ -215,6 +215,17 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		t.Errorf("dbserver_sides_total: overlapped %v (exposed %v) + sequential %v (exposed %v) after two two-sided requests, want 4 with at least 2 sequential",
 			overlapped, okO, sequential, okS)
 	}
+	// The first batch loaded the TPC-C image, once; nothing has needed
+	// TPC-H, whose child is exposed all the same.
+	tpcc, okC := after[`dbserver_load_seconds_count{db="tpcc"}`]
+	tpch, okH := after[`dbserver_load_seconds_count{db="tpch"}`]
+	if !okC || !okH || tpcc != 1 || tpch != 0 {
+		t.Errorf("dbserver_load_seconds_count: tpcc %v (exposed %v), tpch %v (exposed %v) after two transaction batches, want 1 and 0",
+			tpcc, okC, tpch, okH)
+	}
+	if v := after[`dbserver_load_seconds_sum{db="tpcc"}`]; v <= 0 {
+		t.Errorf("dbserver_load_seconds_sum{db=\"tpcc\"} = %v after a load, want > 0", v)
+	}
 	if v, ok := after["dbserver_panics_total{}"]; !ok || v != 0 {
 		t.Errorf("dbserver_panics_total = %v (exposed %v) after two good requests, want 0", v, ok)
 	}

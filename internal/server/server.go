@@ -91,10 +91,13 @@ func New(cfg Config) *Server {
 	}
 	// Staged-OLTP runs feed the scheduler-internals histograms and the
 	// fork counters directly; traced DSS runs feed the hash-join build
-	// metrics the same way, and every request the side placements.
+	// metrics the same way, every request the side placements, and the
+	// request that loads a database how long that took (logged as well).
 	s.runner.Sched = s.Metrics.Sched
 	s.runner.Join = s.Metrics.Join
 	s.runner.Forks = s.Metrics.Forks
+	s.runner.Loads = s.Metrics.Loads
+	s.runner.Loads.Log = s.log
 	s.runner.Sides = s.Metrics.Sides
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)

@@ -31,9 +31,13 @@ type BufferPool struct {
 	frame0    mem.Addr
 	frameMem  []byte
 	framePage []PageID
-	pins      []int
-	clockRef  []bool
-	hand      int
+	// used is the first frame that has never held a page. Frames are
+	// handed out in ascending order and an evicted frame goes straight to
+	// its next page, so the frames in use are always the prefix [0, used).
+	used     int
+	pins     []int
+	clockRef []bool
+	hand     int
 
 	table map[PageID]int // resident pages -> frame
 	disk  map[PageID][]byte
@@ -51,6 +55,9 @@ type BufferPool struct {
 	// the zero-copy leak check asserts this returns to zero after every
 	// equivalence suite.
 	leases atomic.Int64
+
+	// loads counts the open Appenders of the pool's heap files.
+	loads atomic.Int32
 
 	// Counters (protected by mu).
 	Hits, Misses, Evictions uint64
@@ -87,6 +94,13 @@ func NewBufferPool(arena *mem.Arena, frames, maxPages int, codes *mem.CodeMap) *
 	return bp
 }
 
+// PoolBytes returns how much of its arena a pool of that geometry
+// reserves when it is created: the page table, then the frames.
+func PoolBytes(frames, maxPages int) int {
+	table := (maxPages*pageTableEntry + mem.LineSize - 1) &^ (mem.LineSize - 1)
+	return table + frames*PageSize
+}
+
 // frameAddr returns the simulated address of frame fr.
 func (bp *BufferPool) frameAddr(fr int) mem.Addr { return bp.frame0 + mem.Addr(fr*PageSize) }
 
@@ -97,8 +111,8 @@ func (bp *BufferPool) frameBuf(fr int) []byte {
 }
 
 // pageRef builds the pinned reference to page pid in frame fr.
-func (bp *BufferPool) pageRef(pid PageID, fr int) *PageRef {
-	return &PageRef{ID: pid, Addr: bp.frameAddr(fr), Data: bp.frameBuf(fr), pool: bp, fr: fr}
+func (bp *BufferPool) pageRef(pid PageID, fr int) PageRef {
+	return PageRef{ID: pid, Addr: bp.frameAddr(fr), Data: bp.frameBuf(fr), pool: bp, fr: fr}
 }
 
 // PageRef is a pinned page: its host buffer and simulated address. Callers
@@ -200,6 +214,16 @@ func (bp *BufferPool) growTable(rec *trace.Recorder) error {
 
 // NewPage allocates a fresh page, pinned.
 func (bp *BufferPool) NewPage(rec *trace.Recorder) (*PageRef, error) {
+	ref, err := bp.newPage(rec)
+	if err != nil {
+		return nil, err
+	}
+	return &ref, nil
+}
+
+// newPage is NewPage returning the reference by value, for holders that
+// keep it in a field of their own (Appender).
+func (bp *BufferPool) newPage(rec *trace.Recorder) (PageRef, error) {
 	rec.Exec(bp.code, 70)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -208,12 +232,12 @@ func (bp *BufferPool) NewPage(rec *trace.Recorder) (*PageRef, error) {
 	if int(pid) >= bp.tableCap {
 		if err := bp.growTable(rec); err != nil {
 			bp.nextPage--
-			return nil, err
+			return PageRef{}, err
 		}
 	}
 	fr, err := bp.grabFrame(rec)
 	if err != nil {
-		return nil, err
+		return PageRef{}, err
 	}
 	clear(bp.frameBuf(fr))
 	bp.install(rec, pid, fr)
@@ -222,6 +246,15 @@ func (bp *BufferPool) NewPage(rec *trace.Recorder) (*PageRef, error) {
 
 // Get pins page pid, reading it back from simulated disk if evicted.
 func (bp *BufferPool) Get(rec *trace.Recorder, pid PageID) (*PageRef, error) {
+	ref, err := bp.get(rec, pid)
+	if err != nil {
+		return nil, err
+	}
+	return &ref, nil
+}
+
+// get is Get returning the reference by value.
+func (bp *BufferPool) get(rec *trace.Recorder, pid PageID) (PageRef, error) {
 	rec.Exec(bp.code, 55)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -230,7 +263,7 @@ func (bp *BufferPool) Get(rec *trace.Recorder, pid PageID) (*PageRef, error) {
 	// an unsynchronized read of them.
 	rec.Load(bp.tableEntryAddr(pid), true)
 	if pid == InvalidPage || pid > bp.nextPage {
-		return nil, fmt.Errorf("storage: no such page %d", pid)
+		return PageRef{}, fmt.Errorf("storage: no such page %d", pid)
 	}
 	if fr, ok := bp.table[pid]; ok {
 		bp.Hits++
@@ -241,7 +274,7 @@ func (bp *BufferPool) Get(rec *trace.Recorder, pid PageID) (*PageRef, error) {
 	bp.Misses++
 	fr, err := bp.grabFrame(rec)
 	if err != nil {
-		return nil, err
+		return PageRef{}, err
 	}
 	if img, ok := bp.disk[pid]; ok {
 		copy(bp.frameBuf(fr), img)
@@ -264,10 +297,9 @@ func (bp *BufferPool) install(rec *trace.Recorder, pid PageID, fr int) {
 // grabFrame finds a free frame or evicts an unpinned one (clock sweep);
 // mu must be held.
 func (bp *BufferPool) grabFrame(rec *trace.Recorder) (int, error) {
-	for i := 0; i < bp.frames; i++ {
-		if bp.framePage[i] == InvalidPage {
-			return i, nil
-		}
+	if bp.used < bp.frames {
+		bp.used++
+		return bp.used - 1, nil
 	}
 	for sweep := 0; sweep < 2*bp.frames; sweep++ {
 		fr := bp.hand

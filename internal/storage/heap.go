@@ -79,6 +79,20 @@ func NewHeapFile(pool *BufferPool, layout Layout, widths []int, codes *mem.CodeM
 	}
 }
 
+// PageRows returns how many tuples of the given column widths fit one page
+// of the layout, which is how many a file filled by appends alone keeps on
+// every page but its last.
+func PageRows(layout Layout, widths []int) int {
+	if layout == PAXLayout {
+		return PAXCapacity(widths)
+	}
+	rowW := 0
+	for _, w := range widths {
+		rowW += w
+	}
+	return (PageSize - slottedHeader) / (rowW + 4) // a tuple and its slot entry
+}
+
 // Layout returns the file's page layout.
 func (h *HeapFile) Layout() Layout { return h.layout }
 
@@ -201,6 +215,147 @@ func (h *HeapFile) InsertFields(rec *trace.Recorder, fields [][]byte) (RID, erro
 	h.rows++
 	h.version.Add(1)
 	return RID{Page: ref.ID, Slot: uint32(slot)}, nil
+}
+
+// Appender is a heap file's load path: what Insert and InsertFields do
+// with a nil recorder, for the cost of the copy. It holds the file's write
+// latch and bumps its version once for the whole load instead of once per
+// row, and keeps the tail page pinned from the append that opens it to
+// the one that finds it full instead of looking it up in the pool for
+// every row. Pages, slots and RIDs come out as row-at-a-time inserts of
+// the same tuples would produce them, so what is loaded either way is the
+// same bytes at the same simulated addresses (as long as the pool evicts
+// nothing meanwhile: a pinned tail page cannot be the victim an unpinned
+// one might have been).
+//
+// It takes no recorder, so a traced insert cannot come this way. Until
+// Close nothing else may read or write the file — its methods would wait
+// for the latch, on the loading goroutine for ever — and the pool refuses
+// to Snapshot.
+type Appender struct {
+	h   *HeapFile
+	ref PageRef // the tail page, pinned while ref.pool != nil
+	nsm Slotted // ref as the file's layout views it
+	pax PAX
+}
+
+// Appender opens the file for a load. The caller must Close it.
+func (h *HeapFile) Appender() *Appender {
+	h.mu.Lock()
+	h.version.Add(1)
+	h.pool.loads.Add(1)
+	return &Appender{h: h}
+}
+
+// Append adds one NSM tuple and returns its RID, as Insert does.
+func (a *Appender) Append(tuple []byte) (RID, error) {
+	if a.h.layout != NSM {
+		return RID{}, fmt.Errorf("storage: Append on %v heap; use AppendFields", a.h.layout)
+	}
+	if len(tuple) != a.h.rowW {
+		return RID{}, fmt.Errorf("storage: tuple %d bytes, schema row is %d", len(tuple), a.h.rowW)
+	}
+	return a.add(tuple, nil)
+}
+
+// AppendFields adds one PAX tuple given per-column encodings, as
+// InsertFields does.
+func (a *Appender) AppendFields(fields [][]byte) (RID, error) {
+	if a.h.layout != PAXLayout {
+		return RID{}, fmt.Errorf("storage: AppendFields on %v heap; use Append", a.h.layout)
+	}
+	return a.add(nil, fields)
+}
+
+// add puts the tuple — tuple on an NSM file, fields on a PAX one — in the
+// tail page, or in a new page when there is none or it is full.
+func (a *Appender) add(tuple []byte, fields [][]byte) (RID, error) {
+	if err := a.pinTail(); err != nil {
+		return RID{}, err
+	}
+	slot, ok := 0, false
+	if a.ref.pool != nil {
+		slot, ok = a.put(tuple, fields)
+	}
+	if !ok {
+		if err := a.nextPage(); err != nil {
+			return RID{}, err
+		}
+		if slot, ok = a.put(tuple, fields); !ok {
+			return RID{}, fmt.Errorf("storage: tuple does not fit an empty %v page", a.h.layout)
+		}
+	}
+	a.h.rows++
+	return RID{Page: a.ref.ID, Slot: uint32(slot)}, nil
+}
+
+// put stores the tuple in the pinned page, or reports the page full.
+func (a *Appender) put(tuple []byte, fields [][]byte) (slot int, ok bool) {
+	if a.h.layout == NSM {
+		return a.nsm.Insert(nil, tuple)
+	}
+	return a.pax.Append(nil, fields)
+}
+
+// pinTail pins the last page of a file that had pages when the load
+// began; afterwards the appender always holds the page it filled last.
+func (a *Appender) pinTail() error {
+	if a.ref.pool != nil || len(a.h.pages) == 0 {
+		return nil
+	}
+	ref, err := a.h.pool.get(nil, a.h.pages[len(a.h.pages)-1])
+	if err != nil {
+		return err
+	}
+	a.hold(ref)
+	return nil
+}
+
+// nextPage swaps the full tail page for a fresh, formatted one. The full
+// page is unpinned first, as Insert leaves it, so the pool may evict it to
+// make room; if no page can be had the next append pins it again.
+func (a *Appender) nextPage() error {
+	a.release()
+	ref, err := a.h.pool.newPage(nil)
+	if err != nil {
+		return err
+	}
+	a.hold(ref)
+	if a.h.layout == NSM {
+		a.nsm.Init()
+	} else {
+		a.pax.Init()
+	}
+	a.h.pages = append(a.h.pages, ref.ID)
+	return nil
+}
+
+func (a *Appender) hold(ref PageRef) {
+	a.ref = ref
+	if a.h.layout == NSM {
+		a.nsm = AsSlotted(ref.Data, ref.Addr)
+	} else {
+		a.pax = AsPAX(ref.Data, ref.Addr, a.h.widths)
+	}
+}
+
+func (a *Appender) release() {
+	if a.ref.pool != nil {
+		a.ref.Release()
+		a.ref = PageRef{}
+	}
+}
+
+// Close unpins the tail page and releases the file. Closing twice is
+// harmless; appending afterwards is not allowed.
+func (a *Appender) Close() {
+	if a.h == nil {
+		return
+	}
+	a.release()
+	a.h.pool.loads.Add(-1)
+	a.h.mu.Unlock()
+	a.h = nil
 }
 
 // FetchNSM reads the tuple at rid into a fresh slice (NSM heaps).

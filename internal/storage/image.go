@@ -40,21 +40,16 @@ type PoolImage struct {
 	hits, misses, evictions uint64
 }
 
-// usedFrames returns how many frames have ever held a page (mu held).
-func (bp *BufferPool) usedFrames() int {
-	n := 0
-	for n < bp.frames && bp.framePage[n] != InvalidPage {
-		n++
-	}
-	return n
-}
-
 // Snapshot captures the pool. No page may be pinned or leased: a holder
-// could be writing the bytes being copied.
+// could be writing the bytes being copied. Nor may a load be under way —
+// an open Appender has its file latched, whatever it has pinned.
 func (bp *BufferPool) Snapshot() (*PoolImage, error) {
+	if n := bp.loads.Load(); n > 0 {
+		return nil, fmt.Errorf("storage: snapshot with %d appenders open", n)
+	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	n := bp.usedFrames()
+	n := bp.used
 	for fr := 0; fr < n; fr++ {
 		if bp.pins[fr] > 0 {
 			return nil, fmt.Errorf("storage: snapshot with page %d pinned", bp.framePage[fr])
@@ -96,9 +91,9 @@ func (bp *BufferPool) Restore(img *PoolImage) error {
 			img.frames, img.arenaSize, bp.frames, bp.arena.Size())
 	}
 	n := len(img.pages)
-	if used := bp.usedFrames(); used > n || bp.arena.Used() > img.arenaUsed {
+	if bp.used > n || bp.arena.Used() > img.arenaUsed {
 		return fmt.Errorf("storage: restore into a pool holding more (%d frames, %d arena bytes) than the image (%d, %d)",
-			used, bp.arena.Used(), n, img.arenaUsed)
+			bp.used, bp.arena.Used(), n, img.arenaUsed)
 	}
 	for fr := 0; fr < n; fr++ {
 		if bp.pins[fr] > 0 {
@@ -116,6 +111,7 @@ func (bp *BufferPool) Restore(img *PoolImage) error {
 		bp.table[pid] = fr
 	}
 	copy(bp.framePage, img.pages)
+	bp.used = n
 	copy(bp.clockRef, img.clockRef)
 	bp.hand = img.hand
 	bp.disk = make(map[PageID][]byte, len(img.disk))
@@ -135,7 +131,7 @@ func (bp *BufferPool) Restore(img *PoolImage) error {
 func (bp *BufferPool) Scrub() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	clear(bp.frameMem[:bp.usedFrames()*PageSize])
+	clear(bp.frameMem[:bp.used*PageSize])
 }
 
 // HeapImage is a HeapFile's page list and counters.

@@ -85,7 +85,7 @@ func TestPoolImageRestore(t *testing.T) {
 			t.Fatalf("%s: the page table never grew", tc.name)
 		}
 		img, heap, tree := src.snapshot(t)
-		if want := src.pool.usedFrames() * PageSize; len(img.data) != want {
+		if want := src.pool.used * PageSize; len(img.data) != want {
 			t.Errorf("%s: image holds %d bytes of pages, want the %d in use", tc.name, len(img.data), want)
 		}
 

@@ -237,39 +237,50 @@ func (m *TPCCImage) Fork(arena *mem.Arena) (*TPCC, error) {
 // the paper's pre-built checkpoint).
 func (w *TPCC) load() error {
 	rng := rand.New(rand.NewSource(w.Cfg.Seed))
+	name := make([]byte, 0, 24)
+	item := w.item.Loader()
+	defer item.Close()
 	for i := 0; i < w.Cfg.Items; i++ {
-		if _, err := w.item.Insert(nil, []engine.Value{
-			engine.IV(int64(i)), engine.FV(1 + 99*rng.Float64()), engine.SV(fmt.Sprintf("item-%d", i)),
-		}); err != nil {
+		name = appendName(name, "item-", i)
+		if _, err := item.Insert(
+			engine.IV(int64(i)), engine.FV(1+99*rng.Float64()), engine.SV(string(name)),
+		); err != nil {
 			return err
 		}
 	}
+	warehouse, stock := w.warehouse.Loader(), w.stock.Loader()
+	defer warehouse.Close()
+	defer stock.Close()
+	district, customer := w.district.Loader(), w.customer.Loader()
+	defer district.Close()
+	defer customer.Close()
 	for wh := 0; wh < w.Cfg.Warehouses; wh++ {
-		if _, err := w.warehouse.Insert(nil, []engine.Value{
-			engine.IV(int64(wh)), engine.SV(fmt.Sprintf("wh-%d", wh)), engine.FV(0),
-		}); err != nil {
+		name = appendName(name, "wh-", wh)
+		if _, err := warehouse.Insert(
+			engine.IV(int64(wh)), engine.SV(string(name)), engine.FV(0),
+		); err != nil {
 			return err
 		}
 		for i := 0; i < w.Cfg.Items; i++ {
-			if _, err := w.stock.Insert(nil, []engine.Value{
-				engine.IV(w.sKey(wh, i)), engine.IV(int64(10 + rng.Intn(90))),
+			if _, err := stock.Insert(
+				engine.IV(w.sKey(wh, i)), engine.IV(int64(10+rng.Intn(90))),
 				engine.FV(0), engine.IV(0), engine.SV("stockdata"),
-			}); err != nil {
+			); err != nil {
 				return err
 			}
 		}
 		for d := 0; d < 10; d++ {
-			if _, err := w.district.Insert(nil, []engine.Value{
-				engine.IV(w.dKey(wh, d)), engine.IV(1), engine.FV(0),
-				engine.SV(fmt.Sprintf("dist-%d", d)),
-			}); err != nil {
+			name = appendName(name, "dist-", d)
+			if _, err := district.Insert(
+				engine.IV(w.dKey(wh, d)), engine.IV(1), engine.FV(0), engine.SV(string(name)),
+			); err != nil {
 				return err
 			}
 			for c := 0; c < w.Cfg.CustPerDis; c++ {
-				if _, err := w.customer.Insert(nil, []engine.Value{
+				if _, err := customer.Insert(
 					engine.IV(w.cKey(wh, d, c)), engine.FV(-10), engine.FV(10),
 					engine.IV(1), engine.SV(lastName(rng.Intn(1000))), engine.SV("customer data payload"),
-				}); err != nil {
+				); err != nil {
 					return err
 				}
 			}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/storage"
@@ -14,9 +15,14 @@ import (
 // the paper argues (citing DBmbench) that microarchitectural behaviour is
 // insensitive to dataset scale.
 type TPCHConfig struct {
-	Lineitems  int // default 400000 (~38 MB table)
-	Layout     storage.Layout
-	ArenaBytes int // default 256 MB
+	Lineitems int // default 400000 (~38 MB table)
+	Layout    storage.Layout
+	// ArenaBytes is the size of the arena the database is laid out in
+	// (default 256 MB): it fixes the page-table capacity and with it the
+	// simulated address of every page. It is not what BuildTPCH allocates,
+	// which is the page table and the frames the cardinalities fill, plus
+	// headroom — about 50 MB at the default scale.
+	ArenaBytes int
 	Seed       int64
 }
 
@@ -46,52 +52,70 @@ type TPCH struct {
 	nOrders, nCustomers, nParts, nSupps int
 }
 
-// BuildTPCH creates and loads the database.
-func BuildTPCH(cfg TPCHConfig) (*TPCH, error) {
+// tpchHeadroom is how many frames BuildTPCH backs beyond the pages the
+// configured cardinalities fill: an eighth again and 1 MB, for callers
+// that append to a loaded database.
+func tpchHeadroom(pages int) int { return pages/8 + 128 }
+
+// BuildTPCH creates and loads the database. cfg.ArenaBytes lays it out;
+// the arena allocated ends with the last frame the load, and some
+// appending after it, can reach (engine.Config.Holding).
+func BuildTPCH(cfg TPCHConfig) (*TPCH, error) { return buildTPCH(cfg, tpchHeadroom) }
+
+// buildTPCH is BuildTPCH with the headroom rule a parameter: the layout
+// test builds with one that backs every frame of the layout.
+func buildTPCH(cfg TPCHConfig, headroom func(pages int) int) (*TPCH, error) {
 	cfg = cfg.withDefaults()
-	db := engine.NewDB(engine.Config{ArenaBytes: cfg.ArenaBytes})
-	h := &TPCH{Cfg: cfg, DB: db}
+	h := &TPCH{Cfg: cfg}
 	h.nOrders = cfg.Lineitems / 4
 	h.nCustomers = cfg.Lineitems / 40
 	h.nParts = cfg.Lineitems / 20
 	h.nSupps = cfg.Lineitems/400 + 10
 
-	var err error
-	mk := func(name string, s engine.Schema) *engine.Table {
-		if err != nil {
-			return nil
-		}
-		var t *engine.Table
-		t, err = db.CreateTable(name, s, cfg.Layout)
-		return t
+	tables := []struct {
+		name   string
+		dst    **engine.Table
+		rows   int
+		schema engine.Schema
+	}{
+		{"lineitem", &h.lineitem, cfg.Lineitems, engine.Schema{
+			engine.Int("l_orderkey"), engine.Int("l_partkey"), engine.Int("l_suppkey"),
+			engine.Float("l_quantity"), engine.Float("l_extendedprice"),
+			engine.Float("l_discount"), engine.Float("l_tax"),
+			engine.Char("l_returnflag", 4), engine.Char("l_linestatus", 4),
+			engine.Int("l_shipdate"),
+		}},
+		{"orders", &h.orders, h.nOrders, engine.Schema{
+			engine.Int("o_orderkey"), engine.Int("o_custkey"), engine.Float("o_totalprice"),
+			engine.Int("o_orderdate"), engine.Int("o_special"),
+		}},
+		{"customer", &h.customer, h.nCustomers, engine.Schema{
+			engine.Int("c_custkey"), engine.Char("c_mktsegment", 12), engine.Char("c_name", 20),
+		}},
+		{"part", &h.part, h.nParts, engine.Schema{
+			engine.Int("p_partkey"), engine.Char("p_brand", 12),
+			engine.Char("p_type", 16), engine.Int("p_size"),
+		}},
+		{"partsupp", &h.partsupp, 4 * h.nParts, engine.Schema{
+			engine.Int("ps_partkey"), engine.Int("ps_suppkey"),
+			engine.Float("ps_supplycost"), engine.Int("ps_availqty"),
+		}},
+		{"supplier", &h.supplier, h.nSupps, engine.Schema{
+			engine.Int("s_suppkey"), engine.Char("s_name", 20),
+		}},
 	}
-	h.lineitem = mk("lineitem", engine.Schema{
-		engine.Int("l_orderkey"), engine.Int("l_partkey"), engine.Int("l_suppkey"),
-		engine.Float("l_quantity"), engine.Float("l_extendedprice"),
-		engine.Float("l_discount"), engine.Float("l_tax"),
-		engine.Char("l_returnflag", 4), engine.Char("l_linestatus", 4),
-		engine.Int("l_shipdate"),
-	})
-	h.orders = mk("orders", engine.Schema{
-		engine.Int("o_orderkey"), engine.Int("o_custkey"), engine.Float("o_totalprice"),
-		engine.Int("o_orderdate"), engine.Int("o_special"),
-	})
-	h.customer = mk("customer", engine.Schema{
-		engine.Int("c_custkey"), engine.Char("c_mktsegment", 12), engine.Char("c_name", 20),
-	})
-	h.part = mk("part", engine.Schema{
-		engine.Int("p_partkey"), engine.Char("p_brand", 12),
-		engine.Char("p_type", 16), engine.Int("p_size"),
-	})
-	h.partsupp = mk("partsupp", engine.Schema{
-		engine.Int("ps_partkey"), engine.Int("ps_suppkey"),
-		engine.Float("ps_supplycost"), engine.Int("ps_availqty"),
-	})
-	h.supplier = mk("supplier", engine.Schema{
-		engine.Int("s_suppkey"), engine.Char("s_name", 20),
-	})
-	if err != nil {
-		return nil, err
+	pages := 0
+	for _, t := range tables {
+		per := storage.PageRows(cfg.Layout, t.schema.Widths())
+		pages += (t.rows + per - 1) / per
+	}
+	h.DB = engine.NewDB(engine.Config{ArenaBytes: cfg.ArenaBytes}.Holding(pages + headroom(pages)))
+	for _, t := range tables {
+		tbl, err := h.DB.CreateTable(t.name, t.schema, cfg.Layout)
+		if err != nil {
+			return nil, err
+		}
+		*t.dst = tbl
 	}
 	if err := h.load(); err != nil {
 		return nil, err
@@ -99,71 +123,89 @@ func BuildTPCH(cfg TPCHConfig) (*TPCH, error) {
 	return h, nil
 }
 
+// appendName sets buf to prefix followed by n in decimal.
+func appendName(buf []byte, prefix string, n int) []byte {
+	return strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+}
+
 func (h *TPCH) load() error {
 	rng := rand.New(rand.NewSource(h.Cfg.Seed))
 	flags := []string{"A", "N", "R"}
 	status := []string{"O", "F"}
+	segments := []string{"BUILDING", "AUTOMOBILE", "MACHINERY"}
+	name := make([]byte, 0, 24)
+
+	customer := h.customer.Loader()
+	defer customer.Close()
 	for c := 0; c < h.nCustomers; c++ {
-		if _, err := h.customer.Insert(nil, []engine.Value{
-			engine.IV(int64(c)), engine.SV([]string{"BUILDING", "AUTOMOBILE", "MACHINERY"}[c%3]),
-			engine.SV(fmt.Sprintf("cust-%d", c)),
-		}); err != nil {
+		name = appendName(name, "cust-", c)
+		if _, err := customer.Insert(
+			engine.IV(int64(c)), engine.SV(segments[c%3]), engine.SV(string(name)),
+		); err != nil {
 			return err
 		}
 	}
+	supplier := h.supplier.Loader()
+	defer supplier.Close()
 	for s := 0; s < h.nSupps; s++ {
-		if _, err := h.supplier.Insert(nil, []engine.Value{
-			engine.IV(int64(s)), engine.SV(fmt.Sprintf("supp-%d", s)),
-		}); err != nil {
+		name = appendName(name, "supp-", s)
+		if _, err := supplier.Insert(engine.IV(int64(s)), engine.SV(string(name))); err != nil {
 			return err
 		}
 	}
+	part, partsupp := h.part.Loader(), h.partsupp.Loader()
+	defer part.Close()
+	defer partsupp.Close()
 	for p := 0; p < h.nParts; p++ {
-		if _, err := h.part.Insert(nil, []engine.Value{
-			engine.IV(int64(p)),
-			engine.SV(fmt.Sprintf("Brand#%d%d", 1+p%5, 1+p/5%5)),
-			engine.SV(fmt.Sprintf("TYPE %d", p%25)),
-			engine.IV(int64(1 + p%50)),
-		}); err != nil {
+		name = strconv.AppendInt(appendName(name, "Brand#", 1+p%5), int64(1+p/5%5), 10)
+		brand := string(name)
+		name = appendName(name, "TYPE ", p%25)
+		if _, err := part.Insert(
+			engine.IV(int64(p)), engine.SV(brand), engine.SV(string(name)),
+			engine.IV(int64(1+p%50)),
+		); err != nil {
 			return err
 		}
 		// Four suppliers per part, as in TPC-H.
 		for k := 0; k < 4; k++ {
-			if _, err := h.partsupp.Insert(nil, []engine.Value{
-				engine.IV(int64(p)), engine.IV(int64((p*4 + k) % h.nSupps)),
-				engine.FV(10 + 90*rng.Float64()), engine.IV(int64(rng.Intn(10000))),
-			}); err != nil {
+			if _, err := partsupp.Insert(
+				engine.IV(int64(p)), engine.IV(int64((p*4+k)%h.nSupps)),
+				engine.FV(10+90*rng.Float64()), engine.IV(int64(rng.Intn(10000))),
+			); err != nil {
 				return err
 			}
 		}
 	}
+	orders := h.orders.Loader()
+	defer orders.Close()
 	for o := 0; o < h.nOrders; o++ {
 		special := int64(0)
 		if rng.Intn(50) == 0 {
 			special = 1 // ~2% "special requests" comments (Q13's NOT LIKE)
 		}
-		if _, err := h.orders.Insert(nil, []engine.Value{
+		if _, err := orders.Insert(
 			engine.IV(int64(o)), engine.IV(int64(rng.Intn(h.nCustomers))),
-			engine.FV(1000 * rng.Float64()), engine.IV(int64(rng.Intn(dateRange))),
+			engine.FV(1000*rng.Float64()), engine.IV(int64(rng.Intn(dateRange))),
 			engine.IV(special),
-		}); err != nil {
+		); err != nil {
 			return err
 		}
 	}
+	lineitem := h.lineitem.Loader()
+	defer lineitem.Close()
 	for l := 0; l < h.Cfg.Lineitems; l++ {
-		vals := []engine.Value{
-			engine.IV(int64(l / 4)), // orderkey: ~4 lines per order
+		if _, err := lineitem.Insert(
+			engine.IV(int64(l/4)), // orderkey: ~4 lines per order
 			engine.IV(int64(rng.Intn(h.nParts))),
 			engine.IV(int64(rng.Intn(h.nSupps))),
-			engine.FV(float64(1 + rng.Intn(50))),
-			engine.FV(100 + 900*rng.Float64()),
-			engine.FV(float64(rng.Intn(11)) / 100),
-			engine.FV(float64(rng.Intn(9)) / 100),
+			engine.FV(float64(1+rng.Intn(50))),
+			engine.FV(100+900*rng.Float64()),
+			engine.FV(float64(rng.Intn(11))/100),
+			engine.FV(float64(rng.Intn(9))/100),
 			engine.SV(flags[rng.Intn(3)]),
 			engine.SV(status[rng.Intn(2)]),
 			engine.IV(int64(rng.Intn(dateRange))),
-		}
-		if _, err := h.lineitem.Insert(nil, vals); err != nil {
+		); err != nil {
 			return err
 		}
 	}
