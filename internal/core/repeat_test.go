@@ -61,11 +61,13 @@ func TestRunRepeats(t *testing.T) {
 }
 
 // vecGoldens is the simulator's complete output for both sides of vec-dss
-// Q6 and Q13 at TestScale, seed 7, default cell. The values were recorded
-// from the cycle-by-cycle simulator that preceded event skipping (commit
-// 6faf8d7); a change that makes the simulator or the server faster must
-// reproduce them to the last counter, and a change to the model itself
-// must say so and re-record them.
+// Q1, Q6 and Q13 at TestScale, seed 7, default cell. The Q6 and Q13 values
+// were recorded from the cycle-by-cycle simulator that preceded event
+// skipping (commit 6faf8d7), the Q1 values at commit 48abeb9, before the
+// plans were written once and lowered per executor; a change that makes
+// the simulator, the server or the plans faster must reproduce them to the
+// last counter, and a change to the model itself must say so and re-record
+// them.
 var vecGoldens = []struct {
 	query      int
 	vectorized bool
@@ -97,6 +99,121 @@ var vecGoldens = []struct {
 		Cache: cache.Stats{L1DHits: 0x1de54, L1DMisses: 0xdb1b, L1IHits: 0x21021, L1IMisses: 0x3a, StreamBufHits: 0x34,
 			L2Hits: 0x9556, L2Misses: 0x45cb, MemAccesses: 0x45cb, Upgrades: 0x23d1, PortQueueCycles: 0xa9189},
 		ThreadDone: []uint64{0x2301dd}}},
+	{1, false, 11371461, 0xf6b6e60498a61de5, sim.Result{
+		Cycles: 0xad83c6, Instructions: 0x815f10,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x40bac3, 0x0, 0x190, 0x0, 0x60fdbb, 0x0, 0xbc9b6, 0x2088b54}},
+		Cache: cache.Stats{L1DHits: 0xac2fb, L1DMisses: 0xba9b, L1IHits: 0x8e4c8, L1IMisses: 0x1,
+			L2Misses: 0xba9c, MemAccesses: 0xba9c},
+		ThreadDone: []uint64{0xad83c5}}},
+	{1, true, 7158360, 0xf6b6e60498a61de5, sim.Result{
+		Cycles: 0x6d3a59, Instructions: 0x3dc0a0,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x1ee508, 0x0, 0x325, 0x2174, 0x493d0e, 0x0, 0x4f3a8, 0x147af0d}},
+		Cache: cache.Stats{L1DHits: 0xb17e3, L1DMisses: 0x123d2, L1IHits: 0x38726, L1IMisses: 0x3, StreamBufHits: 0x1,
+			L2Hits: 0x6a77, L2Misses: 0xb95d, MemAccesses: 0xb95d, Upgrades: 0x443, PortQueueCycles: 0x12dc50},
+		ThreadDone: []uint64{0x6d3a58}}},
+}
+
+// parGoldens is the simulator's complete output for both points of a
+// parallel-dss request (WorkerCounts {1, 4}) for Q1, Q6 and the Q13 join
+// core at TestScale, seed 7, default cell, recorded at commit 48abeb9.
+// Parallel digests fingerprint the row count.
+var parGoldens = []struct {
+	query, workers int
+	cycles, digest uint64
+	rows           int
+	result         sim.Result
+}{
+	{1, 1, 6841985, 0x6ad26a20123ba583, 6, sim.Result{
+		Cycles: 0x686682, Instructions: 0x3b3083,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x1d9c39, 0x0, 0x190, 0x1f4e, 0x45e999, 0x0, 0x4bfd0, 0x1393388}},
+		Cache: cache.Stats{L1DHits: 0xa9b5e, L1DMisses: 0x116c8, L1IHits: 0x361c5, L1IMisses: 0x1,
+			L2Hits: 0x65cb, L2Misses: 0xb0fe, MemAccesses: 0xb0fe, Upgrades: 0x433, PortQueueCycles: 0x12361f},
+		ThreadDone: []uint64{0x686681}}},
+	{1, 4, 1478823, 0x6ad26a20123ba583, 6, sim.Result{
+		Cycles: 0x1690a8, Instructions: 0x31e45f,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x18f946, 0x0, 0x190, 0x1bc3, 0x3aa473, 0x0, 0x3fea8, 0x288ec}},
+		Cache: cache.Stats{L1DHits: 0x906c8, L1DMisses: 0xea0d, L1IHits: 0x2d9a5, L1IMisses: 0x1,
+			L2Hits: 0x5583, L2Misses: 0x948b, L1Transfers: 0x2d, MemAccesses: 0x948b, Upgrades: 0x3a0, PortQueueCycles: 0x117cb4},
+		ThreadDone: []uint64{0x169075, 0x168fa0, 0x1690a7, 0x1408fb}}},
+	{6, 1, 2019975, 0x89cd31291d2aefa4, 1, sim.Result{
+		Cycles: 0x1ed288, Instructions: 0x2f75d,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x17d46, 0x0, 0x0, 0x50d, 0x1d0cb7, 0x0, 0x437c, 0x5c779a}},
+		Cache: cache.Stats{L1DHits: 0x88d, L1DMisses: 0x4bc9, L1IHits: 0x2bd2,
+			L2Hits: 0x253, L2Misses: 0x4976, MemAccesses: 0x4976, Upgrades: 0x4a, PortQueueCycles: 0x308},
+		ThreadDone: []uint64{0x1ed287}}},
+	{6, 4, 193024, 0x89cd31291d2aefa4, 1, sim.Result{
+		Cycles: 0x2f201, Instructions: 0x477c,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x23dc, 0x0, 0x0, 0x7a, 0x2c751, 0x0, 0x658, 0x8d605}},
+		Cache: cache.Stats{L1DHits: 0xb6, L1DMisses: 0x736, L1IHits: 0x41e,
+			L2Hits: 0x32, L2Misses: 0x704, L1Transfers: 0x1, MemAccesses: 0x704, Upgrades: 0x1, PortQueueCycles: 0x3c},
+		ThreadDone: []uint64{0x2f200, 0x0, 0x0, 0x0}}},
+	{13, 1, 1118906, 0xaff77f624ca23930, 9815, sim.Result{
+		Cycles: 0x1112bb, Instructions: 0x118d71,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x8d4ee, 0x0, 0x323, 0x21fb2, 0x47a4c, 0x0, 0x1a0aa, 0x333833}},
+		Cache: cache.Stats{L1DHits: 0xa173, L1DMisses: 0xa4de, L1IHits: 0x1173f, L1IMisses: 0xb, StreamBufHits: 0x9,
+			L2Hits: 0x748f, L2Misses: 0x3051, MemAccesses: 0x3051, Upgrades: 0x163b, PortQueueCycles: 0x43ef},
+		ThreadDone: []uint64{0x1112ba}}},
+	{13, 4, 185396, 0xaff77f624ca23930, 9815, sim.Result{
+		Cycles: 0x2d435, Instructions: 0x5058e,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x2884c, 0x14, 0x0, 0x127dc, 0x13870, 0x0, 0x7540, 0x5f2e8}},
+		Cache: cache.Stats{L1DHits: 0x31a6, L1DMisses: 0x3ef4, L1IHits: 0x4f53, L1IMisses: 0x3, StreamBufHits: 0x2,
+			L2Hits: 0x3c0f, L2Misses: 0x2e6, L1Transfers: 0x4f6, MemAccesses: 0x2e6, Upgrades: 0x2e5, PortQueueCycles: 0x79d},
+		ThreadDone: []uint64{0x289ba, 0x2d434, 0x0, 0x0}}},
+}
+
+// TestGoldenParallelDSSSimResults pins parGoldens: both points of each
+// query's parallel-dss request, every sim.Result field.
+func TestGoldenParallelDSSSimResults(t *testing.T) {
+	for _, q := range []int{1, 6, ParallelJoinQuery} {
+		res, err := sharedRunner.Run(context.Background(), Request{Mode: ModeParallelDSS, Query: q, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.Sweep {
+			found := false
+			for _, g := range parGoldens {
+				if g.query != q || g.workers != s.Workers {
+					continue
+				}
+				found = true
+				if s.Cycles != g.cycles || s.Digest != g.digest || s.Rows != g.rows {
+					t.Errorf("q%d x%d: cycles %d digest %#x rows %d, golden %d %#x %d",
+						q, s.Workers, s.Cycles, s.Digest, s.Rows, g.cycles, g.digest, g.rows)
+				}
+				if !reflect.DeepEqual(s.Result, g.result) {
+					t.Errorf("q%d x%d: sim.Result\n got    %+v\n golden %+v", q, s.Workers, s.Result, g.result)
+				}
+			}
+			if !found {
+				t.Errorf("no golden for q%d x%d", q, s.Workers)
+			}
+		}
+	}
+}
+
+// TestGoldenSharedMixUnshared pins the unshared side of a 3-client
+// shared-dss mix (Q1, Q6, Q13 on one chip at staggered phases): every
+// client is self-paced, so its cycles, digest and every sim.Result field
+// repeat (TestArenaReuseConcurrentCallers), recorded at commit 48abeb9.
+// The shared side attaches wherever the live scan is and is not pinned.
+func TestGoldenSharedMixUnshared(t *testing.T) {
+	res, err := sharedRunner.Run(context.Background(), Request{Mode: ModeSharedDSS, Query: 0, Clients: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := sim.Result{
+		Cycles: 0x2f784f, Instructions: 0x5e60ab,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x2f73ea, 0x135, 0x4b1, 0x6f33c, 0x403328, 0x0, 0x7e95a, 0x3f57ae}},
+		Cache: cache.Stats{L1DHits: 0xcc572, L1DMisses: 0x27cf4, L1IHits: 0x5bc89, L1IMisses: 0x71, StreamBufHits: 0x65,
+			L2Hits: 0x1bc6f, L2Misses: 0xc091, MemAccesses: 0xc091, Upgrades: 0x2804, PortQueueCycles: 0x1ebe94},
+		ThreadDone: []uint64{0x2f6e3a, 0x2f784e, 0x1fa309}}
+	un := res.Baseline
+	if un.Label != "unshared" || un.Cycles != 3110990 || un.Digest != 0xa684d538093f1c2f || un.Rows != 28 {
+		t.Errorf("%s: cycles %d digest %#x rows %d, golden 3110990 0xa684d538093f1c2f 28", un.Label, un.Cycles, un.Digest, un.Rows)
+	}
+	if !reflect.DeepEqual(un.Result, golden) {
+		t.Errorf("unshared sim.Result\n got    %+v\n golden %+v", un.Result, golden)
+	}
 }
 
 // checkVecGolden compares one simulated vec-dss side with its golden.

@@ -10,7 +10,10 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 	"testing"
 
@@ -158,6 +161,61 @@ func TestNativeGoldenSerial(t *testing.T) {
 		}
 		if n := h.DB.Pool.Leases(); n != 0 {
 			t.Fatalf("%v: %d page leases outstanding", layout, n)
+		}
+	}
+}
+
+// rowsDigest is core.RowsDigest (which this package cannot import): FNV-1a
+// over each row's typed values in row order.
+func rowsDigest(rows [][]engine.Value) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, row := range rows {
+		for _, v := range row {
+			buf[0] = byte(v.Kind)
+			h.Write(buf[:1])
+			switch v.Kind {
+			case engine.TFloat:
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
+				h.Write(buf[:])
+			case engine.TChar:
+				h.Write([]byte(v.S))
+			default:
+				binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
+				h.Write(buf[:])
+			}
+		}
+		buf[0] = 0xfe
+		h.Write(buf[:1])
+	}
+	return h.Sum64()
+}
+
+// TestGoldenSerialDigests pins the result of serial Q1, Q6 and Q13 at the
+// native tests' parameters on both layouts, as digests recorded at commit
+// 48abeb9: TestNativeGoldenSerial and TestVectorizedGoldenSerial compare
+// executors with one another, and would still pass if every executor's
+// plan moved together.
+func TestGoldenSerialDigests(t *testing.T) {
+	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
+	golden := map[int]uint64{1: 0x83b576add71d1f53, 6: 0xc82bf4c88a9b151c, 13: 0x8431780bdda709f0}
+	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
+		h := vecTPCH(t, layout)
+		ctx := h.DB.NewCtx(nil, 58, 48<<20)
+		for _, q := range []int{1, 6, 13} {
+			for _, ex := range []struct {
+				name string
+				run  func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error)
+			}{{"row", h.RunQueryRow}, {"vec", h.RunQuery}} {
+				ctx.Work.Reset()
+				rows, err := ex.run(ctx, q, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := rowsDigest(rows); d != golden[q] {
+					t.Errorf("%v q%d %s: digest %#x, golden %#x", layout, q, ex.name, d, golden[q])
+				}
+			}
 		}
 	}
 }
