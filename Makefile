@@ -14,17 +14,20 @@ build:
 # processor and on two, so the sequential path stays exercised on a
 # multi-processor host; the third the paced-request tests (morsel claims at
 # simulated time) the same way, as the CI race job does under -race; the
-# fourth that job's zero-copy and native-aggregate equivalence suites with
-# the alias-debug assertions armed; the fifth fuzzes the native aggregate
-# against the interpreted one for 15 s on top of the committed corpus; the
-# last loads TPC-H at both scales and TPC-C three times each and prints
-# the MB/s of pages written (hold it against bench's host.memcpy_gbps).
+# fourth that job's zero-copy, native-aggregate and lowering equivalence
+# suites with the alias-debug assertions armed; the fifth fuzzes the
+# native aggregate against the interpreted one, and the sixth every
+# lowering of every plan against the row reference, each for 15 s on top
+# of its committed corpus; the last loads TPC-H at both scales and TPC-C
+# three times each and prints the MB/s of pages written (hold it against
+# bench's host.memcpy_gbps).
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork' ./internal/core
 	$(GO) test -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
-	ENGINE_ALIAS_DEBUG=1 $(GO) test -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted' ./internal/engine/ ./internal/workload/ ./internal/core/
+	ENGINE_ALIAS_DEBUG=1 $(GO) test -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzHashAggNative -fuzztime 15s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzLowerings -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload
 
 race:

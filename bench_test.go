@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,6 +36,16 @@ func benchCell(camp sim.Camp, wk core.WorkloadKind, sat bool) core.Cell {
 	c.WindowCycles = 150000
 	c.UnsatTxns = 64
 	return c
+}
+
+// mustServe runs one unified request on the shared runner.
+func mustServe(b *testing.B, req core.Request) core.Result {
+	b.Helper()
+	res, err := runner().Run(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 func mustRun(b *testing.B, c core.Cell) core.CellResult {
@@ -222,7 +233,7 @@ func BenchmarkAblationPAX(b *testing.B) {
 				}
 			}()
 			ctx := h.DB.NewCtx(rec, 0, 64<<20)
-			if _, err := h.Q6(ctx, workload.QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}); err != nil {
+			if _, err := h.RunQuery(ctx, 6, workload.QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}); err != nil {
 				b.Fatal(err)
 			}
 			rec.Close()
@@ -325,14 +336,11 @@ func parallelSpeedup(b *testing.B, q int) float64 {
 	// Leave the test-scale query observable past warming: vectorized
 	// traces are short, and a 50k warm would consume a 4-worker run.
 	cell.WarmRefs = 5000
-	res, speedup, err := runner().ParallelSpeedup(cell, q, []int{1, 4}, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res[0].Rows == 0 {
+	res := mustServe(b, core.Request{Mode: core.ModeParallelDSS, Query: q, Seed: 7, Workers: 4, WorkerCounts: []int{1, 4}, Cell: &cell})
+	if res.Baseline.Rows == 0 {
 		b.Fatal("parallel query produced no rows")
 	}
-	return speedup
+	return res.SpeedupX
 }
 
 // BenchmarkParallelScan measures the morsel-driven executor on the
@@ -378,27 +386,23 @@ func BenchmarkParallelJoin(b *testing.B) {
 // that sharing never loses (>= 1.05x at 4 clients); the vectorization
 // gain itself is gated separately by BenchmarkVectorized.
 func BenchmarkSharedScan(b *testing.B) {
-	var un, sh core.SharedDSSResult
-	var ratio float64
+	const clients = 4
+	var res core.Result
 	for i := 0; i < b.N; i++ {
 		cell := core.DefaultCell(sim.FatCamp, core.DSS, true)
 		cell.WarmRefs = 20000
-		var err error
-		un, sh, ratio, err = runner().SharedSpeedup(cell, 6, 4, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if un.Rows == 0 || sh.Rows == 0 {
+		res = mustServe(b, core.Request{Mode: core.ModeSharedDSS, Query: 6, Clients: clients, Seed: 7, Cell: &cell})
+		if res.Baseline.Rows == 0 || res.Main.Rows == 0 {
 			b.Fatal("shared-scan benchmark produced no rows")
 		}
-		if ratio < 1.05 {
+		if res.SpeedupX < 1.05 {
 			b.Fatalf("shared mode only %.2fx unshared aggregate throughput, acceptance bar is 1.05x (cycles %d vs %d)",
-				ratio, un.Cycles, sh.Cycles)
+				res.SpeedupX, res.Baseline.Cycles, res.Main.Cycles)
 		}
 	}
-	b.ReportMetric(ratio, "shared/unshared-throughput-x")
-	b.ReportMetric(sh.Throughput(), "shared-q/Mcycle")
-	b.ReportMetric(un.Throughput(), "unshared-q/Mcycle")
+	b.ReportMetric(res.SpeedupX, "shared/unshared-throughput-x")
+	b.ReportMetric(res.Main.PerMcycle(clients), "shared-q/Mcycle")
+	b.ReportMetric(res.Baseline.PerMcycle(clients), "unshared-q/Mcycle")
 }
 
 // vectorizedSpeedup measures one serial query on the row-at-a-time
@@ -408,14 +412,11 @@ func vectorizedSpeedup(b *testing.B, q int) float64 {
 	b.Helper()
 	cell := core.DefaultCell(sim.FatCamp, core.DSS, true)
 	cell.WarmRefs = 5000
-	row, vec, speedup, err := runner().VectorizedSpeedup(cell, q, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if row.Rows == 0 || vec.Rows == 0 {
+	res := mustServe(b, core.Request{Mode: core.ModeVecDSS, Query: q, Seed: 7, Cell: &cell})
+	if res.Baseline.Rows == 0 || res.Main.Rows == 0 {
 		b.Fatal("vectorized benchmark produced no rows")
 	}
-	return speedup
+	return res.SpeedupX
 }
 
 // BenchmarkVectorized gates the vectorized executor's payoff on the
@@ -461,33 +462,27 @@ func BenchmarkVectorizedJoin(b *testing.B) {
 // cohort-scheduled (stage cohorts through ~18 KB of shared stage
 // segments) on identical chip geometry. The cohort path must cut
 // simulated L1I misses by at least 5x (observed ~40-80x) and produce
-// byte-identical database state — StagedOLTPSpeedup fails the run on any
-// digest mismatch.
+// byte-identical database state — Run fails the request on any digest
+// mismatch.
 func BenchmarkStagedOLTP(b *testing.B) {
-	var missRed, speedup float64
-	var mono, coh core.StagedOLTPResult
+	var res core.Result
 	for i := 0; i < b.N; i++ {
 		cell := core.DefaultCell(sim.FatCamp, core.OLTP, false)
 		cell.WarmRefs = 10000
-		var err error
-		mono, coh, missRed, speedup, err = runner().StagedOLTPSpeedup(cell, core.StagedOLTPOpts{
-			Clients: 8, PerClient: 6, Cohort: 16, Seed: 7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = mustServe(b, core.Request{Mode: core.ModeStagedOLTP, Clients: 8, Txns: 6, Cohort: 16, Seed: 7, Cell: &cell})
+		mono, coh := res.Baseline, res.Main
 		if mono.Txns == 0 || coh.Txns != mono.Txns {
 			b.Fatalf("work mismatch: %d monolithic vs %d cohort txns", mono.Txns, coh.Txns)
 		}
-		if missRed < 5 {
+		if res.L1IMissReductionX < 5 {
 			b.Fatalf("cohort scheduling cut L1I misses only %.2fx (%d -> %d), acceptance bar is 5x",
-				missRed, mono.Result.Cache.L1IMisses, coh.Result.Cache.L1IMisses)
+				res.L1IMissReductionX, mono.Result.Cache.L1IMisses, coh.Result.Cache.L1IMisses)
 		}
 	}
-	b.ReportMetric(missRed, "L1Imiss-mono/cohort-x")
-	b.ReportMetric(speedup, "cohort-speedup-x")
-	b.ReportMetric(mono.IStallFrac()*100, "mono-istall-%")
-	b.ReportMetric(coh.IStallFrac()*100, "cohort-istall-%")
+	b.ReportMetric(res.L1IMissReductionX, "L1Imiss-mono/cohort-x")
+	b.ReportMetric(res.SpeedupX, "cohort-speedup-x")
+	b.ReportMetric(res.Baseline.IStallFrac()*100, "mono-istall-%")
+	b.ReportMetric(res.Main.IStallFrac()*100, "cohort-istall-%")
 }
 
 // BenchmarkStagedOLTPParallel gates the partitioned staged-OLTP executor:
@@ -495,7 +490,7 @@ func BenchmarkStagedOLTP(b *testing.B) {
 // cohort scheduler at 1, 2, and 4 partitions (one scheduler worker per
 // simulated core, commits drained in global admission order through the
 // cross-partition clock). Every digest must be byte-identical to the
-// monolithic reference (StagedOLTPScaling fails the run otherwise),
+// monolithic reference (Run fails the request otherwise),
 // parts=2 must beat parts=1 on simulated cycles, and parts=4 must reach
 // >= 2x (observed ~3x; the residual gap to 4x is partition imbalance in
 // the multinomial warehouse draw).
@@ -503,13 +498,17 @@ func BenchmarkStagedOLTPParallel(b *testing.B) {
 	sweep := core.DefaultPartitionSweep()
 	r := core.NewRunner(sweep.Scale)
 	var scaling []float64
-	var runs []core.StagedOLTPResult
+	var runs []core.Side
 	for i := 0; i < b.N; i++ {
-		var err error
-		_, runs, scaling, err = r.StagedOLTPScaling(sweep.Cell, sweep.Opts, sweep.Parts)
+		cell := sweep.Cell
+		res, err := r.Run(context.Background(), core.Request{
+			Mode: core.ModeStagedOLTP, Clients: sweep.Opts.Clients, Txns: sweep.Opts.PerClient,
+			Cohort: sweep.Opts.Cohort, Seed: sweep.Opts.Seed, PartCounts: sweep.Parts, Cell: &cell,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		runs, scaling = res.Sweep, res.ScalingX
 		if scaling[1] <= 1.0 {
 			b.Fatalf("parts=2 is %.2fx parts=1 (cycles %d vs %d); partitioning must not lose",
 				scaling[1], runs[1].Cycles, runs[0].Cycles)
@@ -521,7 +520,7 @@ func BenchmarkStagedOLTPParallel(b *testing.B) {
 	}
 	b.ReportMetric(scaling[1], "2part/1part-speedup")
 	b.ReportMetric(scaling[2], "4part/1part-speedup")
-	b.ReportMetric(runs[2].TxnsPerMcycle(), "4part-txn/Mcycle")
+	b.ReportMetric(runs[2].PerMcycle(runs[2].Txns), "4part-txn/Mcycle")
 }
 
 // BenchmarkSimCycleRate measures raw simulator speed (host ns per

@@ -86,7 +86,7 @@ type oltpEntry struct {
 	Cohort           oltpSide `json:"cohort"`
 	L1IMissReduction float64  `json:"l1i_miss_reduction_x"`
 	SpeedupX         float64  `json:"speedup_x"`
-	// DigestMatch is an invariant, not a measurement: StagedOLTPSpeedup
+	// DigestMatch is an invariant, not a measurement: a staged-oltp Run
 	// fails (and no file is written) on any digest mismatch, so a report
 	// that exists always records true here.
 	DigestMatch bool `json:"digest_match"`
@@ -111,7 +111,7 @@ type oltpPartSide struct {
 // oltpPartEntry is the partitioned staged-OLTP measurement: the cohort
 // executor partitioned by home warehouse across N scheduler workers on a
 // 4-warehouse mix, every run's digest byte-identical to the monolithic
-// reference (StagedOLTPScaling fails, and no file is written, otherwise —
+// reference (the staged-oltp Run fails, and no file is written, otherwise —
 // so DigestMatch records an invariant, like oltpEntry's).
 type oltpPartEntry struct {
 	Warehouses  int            `json:"warehouses"`
@@ -313,13 +313,11 @@ func main() {
 		for i := 0; i < 3; i++ {
 			ctx.Work.Reset()
 			start := time.Now()
-			var err error
+			run := h.RunQuery
 			if path == "row" {
-				_, err = h.Q6Row(ctx, p)
-			} else {
-				_, err = h.Q6(ctx, p)
+				run = h.RunQueryRow
 			}
-			if err != nil {
+			if _, err := run(ctx, 6, p); err != nil {
 				fatal(err)
 			}
 			if d := time.Since(start); best == 0 || d < best {

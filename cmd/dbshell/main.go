@@ -3,10 +3,10 @@
 // the four query analogs, and prints results — demonstrating that the
 // engine underneath the characterization is a real, correct engine.
 //
-// -workers N runs the scan-heavy analogs on the morsel-driven parallel
-// executor; -share routes queries through the cross-query work-sharing
-// subsystem (circular shared scans + result reuse) and, with -clients K,
-// compares shared against unshared multi-client throughput.
+// -workers N runs the planned analogs (Q1, Q6, Q13) on the morsel-driven
+// parallel executor; -share routes queries through the cross-query
+// work-sharing subsystem (circular shared scans + result reuse) and, with
+// -clients K, compares shared against unshared multi-client throughput.
 package main
 
 import (
@@ -78,7 +78,7 @@ func runNative(lineitems int, counts []int, zeroCopy bool, joinMode string) erro
 	}
 	fmt.Printf("loaded %d lineitem rows in %s\n", lineitems, time.Since(start).Truncate(time.Millisecond))
 
-	for _, q := range []int{1, 6, 13} {
+	for _, q := range workload.Planned() {
 		var modes []engine.JoinMode
 		if q == 13 {
 			if joinMode == "" {
@@ -309,12 +309,12 @@ func run(txns, lineitems, workers int, shared bool, clients int, rowPlans bool) 
 		var rows [][]engine.Value
 		mode := "serial-vectorized"
 		switch {
-		case shared && (q == 1 || q == 6 || q == 13):
+		case shared && workload.HasPlan(q):
 			mode = "shared-scan"
 			rows, err = h.RunQueryShared(qctx, q, params, env)
-		case workers > 1 && (q == 1 || q == 6):
+		case workers > 1 && workload.HasPlan(q):
 			mode = fmt.Sprintf("parallel x%d", workers)
-			rows, err = h.RunQueryParallel(pctxs, q, params)
+			rows, err = h.RunQueryParallelNative(pctxs, q, params, workload.NativeOpts{})
 		case rowPlans:
 			mode = "serial-row"
 			rows, err = h.RunQueryRow(qctx, q, params)

@@ -107,7 +107,7 @@ func (o *Options) RegisterNative(fs *flag.FlagSet) {
 	o.fs = fs
 	fs.IntVar(&o.Txns, "txns", 2000, "TPC-C-like transactions to run")
 	fs.IntVar(&o.Lineitems, "lineitems", 100000, "TPC-H-like lineitem rows")
-	fs.IntVar(&o.Workers, "workers", 1, "morsel-parallel workers for the DSS analogs (Q1/Q6)")
+	fs.IntVar(&o.Workers, "workers", 1, "morsel-parallel workers for the planned DSS analogs (Q1/Q6/Q13)")
 	fs.BoolVar(&o.Share, "share", false, "run DSS analogs through the work-sharing subsystem (shared circular scans + result reuse)")
 	fs.IntVar(&o.Clients, "clients", 8, "concurrent clients for the -share throughput comparison")
 	fs.BoolVar(&o.Row, "row", false, "run serial DSS analogs on the row-at-a-time reference operators instead of the vectorized executor")

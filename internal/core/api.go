@@ -2,9 +2,7 @@
 // (mode, query or transaction mix, clients, partitioning, geometry) and
 // one Result carrying every measurement the drivers report. Runner.Run
 // is the single entry point behind cmd/cmpsim, cmd/benchjson, and
-// cmd/dbserver; the historical multi-return experiment functions
-// (VectorizedSpeedup, SharedSpeedup, ParallelSpeedup, StagedOLTPSpeedup,
-// StagedOLTPScaling) survive as thin deprecated wrappers over it.
+// cmd/dbserver.
 
 package core
 
@@ -14,12 +12,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/oltp"
 	"repro/internal/share"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Mode names one execution mode of the unified request API.
@@ -90,8 +91,8 @@ func checkCount(field, what string, n, limit int) error {
 type Request struct {
 	Mode Mode
 
-	// Query is the DSS analog: 1, 6, or 13 (shared-dss also accepts 0
-	// for the Q1/Q6/Q13 mix). Default 6.
+	// Query is the DSS analog, one of workload.Planned (shared-dss also
+	// accepts 0 for their mix). Default 6.
 	Query int
 	// Clients is the shared-dss consumer count or the staged-oltp
 	// logical client-stream count. Default 8.
@@ -208,12 +209,12 @@ func (q Request) Validate() error {
 	}
 	switch q.Mode {
 	case ModeVecDSS, ModeParallelDSS:
-		if q.Query != 1 && q.Query != 6 && q.Query != 13 {
-			return &ValidationError{Field: "query", Reason: fmt.Sprintf("query %d (have 1, 6, 13)", q.Query)}
+		if !workload.HasPlan(q.Query) {
+			return &ValidationError{Field: "query", Reason: fmt.Sprintf("query %d (have %s)", q.Query, plannedList(""))}
 		}
 	case ModeSharedDSS:
-		if q.Query != 0 && q.Query != 1 && q.Query != 6 && q.Query != 13 {
-			return &ValidationError{Field: "query", Reason: fmt.Sprintf("query %d (have 1, 6, 13, or 0 for the mix)", q.Query)}
+		if q.Query != 0 && !workload.HasPlan(q.Query) {
+			return &ValidationError{Field: "query", Reason: fmt.Sprintf("query %d (have %s, or 0 for the mix)", q.Query, plannedList(""))}
 		}
 	}
 	if err := checkCount("clients", "clients", q.Clients, maxClients); err != nil {
@@ -231,8 +232,8 @@ func (q Request) Validate() error {
 		if q.Mode == ModeStagedOLTP {
 			return &ValidationError{Field: "native_workers", Reason: "native execution is DSS-only (staged-oltp has no native path)"}
 		}
-		if q.Query != 1 && q.Query != 6 && q.Query != 13 {
-			return &ValidationError{Field: "native_workers", Reason: fmt.Sprintf("native execution needs a single query 1, 6, or 13 (query %d)", q.Query)}
+		if !workload.HasPlan(q.Query) {
+			return &ValidationError{Field: "native_workers", Reason: fmt.Sprintf("native execution needs a single query %s (query %d)", plannedList("or"), q.Query)}
 		}
 		for _, n := range q.NativeWorkers {
 			if err := checkCount("native_workers", "native workers", n, maxWorkers); err != nil {
@@ -263,6 +264,20 @@ func (q Request) Validate() error {
 		}
 	}
 	return nil
+}
+
+// plannedList formats workload.Planned for messages, "1, 6, 13"; a
+// non-empty conj goes before the last query ("1, 6, or 13").
+func plannedList(conj string) string {
+	qs := workload.Planned()
+	parts := make([]string, len(qs))
+	for i, q := range qs {
+		parts[i] = strconv.Itoa(q)
+	}
+	if conj != "" {
+		parts[len(parts)-1] = conj + " " + parts[len(parts)-1]
+	}
+	return strings.Join(parts, ", ")
 }
 
 // joinMode returns the request's parsed hash-join strategy (Validate has
@@ -656,16 +671,6 @@ func stagedSide(v StagedOLTPResult) Side {
 		Label: stagedLabel(v.Cohorted, v.Parts), Cycles: v.Cycles, Result: v.Result, Txns: v.Txns,
 		Digest: v.Digest, Parts: v.Parts, Fenced: v.Fenced,
 		Sched: v.Sched, PerPart: v.PerPart,
-	}
-}
-
-// stagedResult reconstructs the legacy StagedOLTPResult from a Side for
-// the deprecated wrappers.
-func (s Side) stagedResult() StagedOLTPResult {
-	return StagedOLTPResult{
-		Cohorted: s.Label != "monolithic", Parts: s.Parts, Cycles: s.Cycles,
-		Result: s.Result, Txns: s.Txns, Digest: s.Digest,
-		Sched: s.Sched, PerPart: s.PerPart, Fenced: s.Fenced,
 	}
 }
 

@@ -229,7 +229,7 @@ func TestRunStagedGolden(t *testing.T) {
 
 // TestRunSharedGolden checks that the unified entry point reproduces
 // the legacy shared-dss execution: the unshared baseline's combined
-// per-client digest matches a direct RunSharedDSS call (unshared runs
+// per-client digest matches a direct RunSharedDSSTraced call (unshared runs
 // are deterministic: fixed phases, fixed seeds), and both sides of the
 // pair return the same row counts. The shared side's digest is not
 // compared across modes — consumers attach to the circular scan
@@ -240,7 +240,7 @@ func TestRunSharedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	un, err := sharedRunner.RunSharedDSS(cell, 6, 3, false, 7)
+	un, err := sharedRunner.RunSharedDSSTraced(cell, 6, 3, false, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}

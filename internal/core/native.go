@@ -75,8 +75,8 @@ const nativeWorkBytes = 64 << 20
 // cores still run (goroutines share cores); their scaling numbers just
 // reflect the hardware they got.
 func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bool, modes ...engine.JoinMode) ([]NativeRun, error) {
-	if q != 1 && q != 6 && q != 13 {
-		return nil, fmt.Errorf("core: native DSS query %d (have 1, 6, 13)", q)
+	if !workload.HasPlan(q) {
+		return nil, fmt.Errorf("core: native DSS query %d (have %s)", q, plannedList(""))
 	}
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1}

@@ -17,7 +17,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -294,27 +293,6 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 	return res, nil
 }
 
-// StagedOLTPSpeedup runs the paired experiment — monolithic vs cohort on
-// identical chip geometry and identical inputs — and returns both sides
-// plus the L1I-miss reduction (monolithic misses over cohort misses) and
-// the response-time speedup (monolithic cycles over cohort cycles). It
-// fails if the two executions do not produce byte-identical state.
-//
-// Deprecated: build a Request with ModeStagedOLTP and call Run.
-func (r *Runner) StagedOLTPSpeedup(cell Cell, o StagedOLTPOpts) (mono, coh StagedOLTPResult, missReduction, speedup float64, err error) {
-	o = o.WithDefaults()
-	res, err := r.Run(context.Background(), Request{
-		Mode: ModeStagedOLTP, Clients: o.Clients, Txns: o.PerClient,
-		Cohort: o.Cohort, Seed: o.Seed, Parts: o.Parts, RemotePct: o.RemotePct,
-		Cell: &cell,
-	})
-	if err != nil {
-		return mono, coh, 0, 0, err
-	}
-	return res.Baseline.stagedResult(), res.Main.stagedResult(),
-		res.L1IMissReductionX, res.SpeedupX, nil
-}
-
 // PartitionSweep is the canonical partitioned staged-OLTP measurement:
 // one definition shared by the CI gate (BenchmarkStagedOLTPParallel),
 // the archived BENCH artifact (cmd/benchjson), and the unit tests, so
@@ -339,30 +317,4 @@ func DefaultPartitionSweep() PartitionSweep {
 		Opts:  StagedOLTPOpts{Clients: 8, PerClient: 6, Cohort: 16, Seed: 7},
 		Parts: []int{1, 2, 4},
 	}
-}
-
-// StagedOLTPScaling runs the monolithic reference once and the cohort
-// executor at each partition count in parts, all on identical chip
-// geometry and identical inputs, failing unless every run's digest is
-// byte-identical to the reference. The returned scaling factors are each
-// run's simulated-cycle speedup over the first entry of parts (pass
-// []int{1, ...} to anchor against the single-worker cohort scheduler).
-//
-// Deprecated: build a Request with ModeStagedOLTP and PartCounts and
-// call Run.
-func (r *Runner) StagedOLTPScaling(cell Cell, o StagedOLTPOpts, parts []int) (mono StagedOLTPResult, runs []StagedOLTPResult, scaling []float64, err error) {
-	o = o.WithDefaults()
-	res, err := r.Run(context.Background(), Request{
-		Mode: ModeStagedOLTP, Clients: o.Clients, Txns: o.PerClient,
-		Cohort: o.Cohort, Seed: o.Seed, RemotePct: o.RemotePct,
-		Parts: o.Parts, PartCounts: parts, Cell: &cell,
-	})
-	if err != nil {
-		return mono, nil, nil, err
-	}
-	runs = make([]StagedOLTPResult, 0, len(res.Sweep))
-	for _, s := range res.Sweep {
-		runs = append(runs, s.stagedResult())
-	}
-	return res.Baseline.stagedResult(), runs, res.ScalingX, nil
 }

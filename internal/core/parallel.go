@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -43,13 +42,14 @@ type ParallelDSSResult struct {
 // RunParallelDSS executes one query with the morsel-driven executor on a
 // fresh chip described by cell (camp, cores, L2 geometry, warming):
 // workers worker goroutines, each with its own trace stream on its own
-// hardware context. q is 1, 6, or ParallelJoinQuery. cell.Cores is grown
-// to workers when smaller, so every worker has a core of its own (FC has
-// one context per core; LC cores carry several contexts each); callers
-// comparing worker counts must pass the same cell geometry for each —
-// ParallelSpeedup does — or the cycle ratio mixes in hardware scaling.
-// An optional join mode pins the hash-join strategy of joining plans
-// (Q13); omitted, the auto policy decides per worker partition.
+// hardware context. q is a planned query; ParallelJoinQuery runs its join
+// alone. cell.Cores is grown to workers when smaller, so every worker has
+// a core of its own (FC has one context per core; LC cores carry several
+// contexts each); callers comparing worker counts must pass the same cell
+// geometry for each — a parallel-dss request's sweep does — or the cycle
+// ratio mixes in hardware scaling. An optional join mode pins the
+// hash-join strategy of joining plans (Q13); omitted, the auto policy
+// decides per worker partition.
 //
 // The measurement repeats exactly, on any host and beside any load: the
 // workers run ahead of the simulator as far as their pipes let them, but
@@ -93,10 +93,10 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 	go func() {
 		defer wg.Done()
 		if q == ParallelJoinQuery {
-			rows, runErr = h.OrdersPerCustomerParallel(ctxs)
+			rows, runErr = h.RunJoinParallel(ctxs, q, p)
 		} else {
 			var res [][]engine.Value
-			res, runErr = h.RunQueryParallel(ctxs, q, p)
+			res, runErr = h.RunQueryParallelNative(ctxs, q, p, workload.NativeOpts{})
 			rows = len(res)
 		}
 		for _, rec := range recs {
@@ -144,32 +144,4 @@ func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...e
 		Camp: cell.Camp, Query: q, Workers: workers,
 		Cycles: last, Result: res, Rows: rows, Digest: countDigest(rows),
 	}, nil
-}
-
-// ParallelSpeedup runs q at each worker count on the SAME chip geometry
-// (cell.Cores pinned to the largest count up front, so the ratio
-// measures executor scaling, not hardware scaling) and returns cycles
-// per count plus the speedup of the last count over the first.
-//
-// Deprecated: build a Request with ModeParallelDSS (WorkerCounts for a
-// custom sweep) and call Run.
-func (r *Runner) ParallelSpeedup(cell Cell, q int, counts []int, seed int64) ([]ParallelDSSResult, float64, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4}
-	}
-	res, err := r.Run(context.Background(), Request{
-		Mode: ModeParallelDSS, Query: q, Seed: seed,
-		Workers: counts[len(counts)-1], WorkerCounts: counts, Cell: &cell,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]ParallelDSSResult, 0, len(res.Sweep))
-	for _, s := range res.Sweep {
-		out = append(out, ParallelDSSResult{
-			Camp: cell.Camp, Query: q, Workers: s.Workers,
-			Cycles: s.Cycles, Result: s.Result, Rows: s.Rows, Digest: s.Digest,
-		})
-	}
-	return out, res.SpeedupX, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sim"
@@ -41,12 +42,15 @@ func TestParallelSpeedupScalesWithWorkers(t *testing.T) {
 	// The morsel executor must convert cores into query speedup: 4 workers
 	// beat 1 worker by at least 1.8x on the scan-dominated analog (the
 	// observed ratio is ~2.6; the slack absorbs steal-order variation).
-	_, speedup, err := sharedRunner.ParallelSpeedup(parCell(), 6, []int{1, 4}, 7)
+	cell := parCell()
+	res, err := sharedRunner.Run(context.Background(), Request{
+		Mode: ModeParallelDSS, Query: 6, Seed: 7, Workers: 4, WorkerCounts: []int{1, 4}, Cell: &cell,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if speedup < 1.8 {
-		t.Fatalf("scan speedup %.2f on 4 workers, want >= 1.8", speedup)
+	if res.SpeedupX < 1.8 {
+		t.Fatalf("scan speedup %.2f on 4 workers, want >= 1.8", res.SpeedupX)
 	}
 }
 

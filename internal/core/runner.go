@@ -362,13 +362,9 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 			chip.AddThread(s)
 			wg.Add(1)
 			if c.Saturated {
-				client := h.Client
-				if c.RowPlans {
-					client = h.ClientRow
-				}
 				go func(i int, rec *trace.Recorder) {
 					defer wg.Done()
-					n, err := client(rec, i, clientSeed(DSS, i), 0)
+					n, err := h.Client(rec, i, clientSeed(DSS, i), 0, c.RowPlans)
 					dones[i] = clientDone{work: n, err: err}
 				}(i, rec)
 			} else {

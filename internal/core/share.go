@@ -10,7 +10,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -61,42 +60,24 @@ func (r SharedDSSResult) Throughput() float64 {
 	return float64(r.Clients) / float64(r.Cycles) * 1e6
 }
 
-// sharedTables returns the tables whose scans query q routes through the
-// registry (the tables that need producer threads on the chip).
-func sharedTables(q int) []string {
-	switch q {
-	case 0:
-		return []string{"lineitem", "orders"}
-	case 13:
-		return []string{"orders"}
-	default:
-		return []string{"lineitem"}
-	}
-}
-
-// RunSharedDSS runs clients concurrent DSS clients to completion on a
-// fresh chip described by cell, each firing one query — q of 1, 6, 13, or
-// 0 for the Q1/Q6/Q13 mix — with private predicate parameters. With
-// shared set, scans ride circular shared scans (producer workers on their
-// own chip threads) and aggregates the result-reuse cache; unshared,
-// every client runs the private serial plan at the staggered phases
-// multi-client DSS clients use today. The chip geometry is identical in
-// both modes, so the cycle ratio isolates the work-sharing effect.
-func (r *Runner) RunSharedDSS(cell Cell, q, clients int, shared bool, seed int64) (SharedDSSResult, error) {
-	return r.RunSharedDSSTraced(cell, q, clients, shared, seed, false)
-}
-
-// RunSharedDSSTraced is RunSharedDSS with optional dual-clock span
-// collection: a root run span, one query span per client (on the
-// client's simulated thread), and — on the shared side — a "rotation"
-// span nested inside each query covering the client's attach-to-detach
-// window on the circular scan (one full rotation).
+// RunSharedDSSTraced runs clients concurrent DSS clients to completion on
+// a fresh chip described by cell, each firing one query — a planned query
+// q, or 0 for their mix — with private predicate parameters. With shared
+// set, scans ride circular shared scans (producer workers on their own
+// chip threads) and aggregates the result-reuse cache; unshared, every
+// client runs the private serial plan at the staggered phases multi-client
+// DSS clients use today. The chip geometry is identical in both modes, so
+// the cycle ratio isolates the work-sharing effect. With traced set it
+// collects dual-clock spans: a root run span, one query span per client
+// (on the client's simulated thread), and — on the shared side — a
+// "rotation" span nested inside each query covering the client's
+// attach-to-detach window on the circular scan (one full rotation).
 func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed int64, traced bool) (SharedDSSResult, error) {
 	if clients <= 0 {
 		return SharedDSSResult{}, fmt.Errorf("core: shared DSS with %d clients", clients)
 	}
-	if q != 0 && q != 1 && q != 6 && q != 13 {
-		return SharedDSSResult{}, fmt.Errorf("core: shared DSS query %d (have 1, 6, 13, or 0 for the mix)", q)
+	if q != 0 && !workload.HasPlan(q) {
+		return SharedDSSResult{}, fmt.Errorf("core: shared DSS query %d (have %s, or 0 for the mix)", q, plannedList(""))
 	}
 	h, err := r.TPCH()
 	if err != nil {
@@ -135,12 +116,16 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		work = append(work, ctxs[i])
 	}
 
+	queries := []int{q}
+	if q == 0 {
+		queries = workload.Planned()
+	}
 	var env *workload.ShareEnv
 	var prodRecs []*trace.Recorder
 	if shared {
 		prodCtxs := make(map[string][]*engine.Ctx)
 		slot := 64 + clients
-		for _, tbl := range sharedTables(q) {
+		for _, tbl := range h.SharedTables(queries...) {
 			ws := make([]*engine.Ctx, sharedProducerWorkers)
 			for w := range ws {
 				rec, s := trace.Pipe()
@@ -163,12 +148,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		}, share.NewResultCache(128))
 	}
 
-	queryOf := func(i int) int {
-		if q == 0 {
-			return workload.SharedQueries[i%len(workload.SharedQueries)]
-		}
-		return q
-	}
+	queryOf := func(i int) int { return queries[i%len(queries)] }
 
 	rows := make([]int, clients)
 	digests := make([]uint64, clients)
@@ -259,24 +239,4 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 		out.Trace = &run
 	}
 	return out, nil
-}
-
-// SharedSpeedup measures q at clients concurrent clients in both modes on
-// identical chip geometry and returns (unshared, shared, ratio): the
-// aggregate-throughput gain of cross-query work sharing.
-//
-// Deprecated: build a Request with ModeSharedDSS and call Run.
-func (r *Runner) SharedSpeedup(cell Cell, q, clients int, seed int64) (SharedDSSResult, SharedDSSResult, float64, error) {
-	res, err := r.Run(context.Background(), Request{Mode: ModeSharedDSS, Query: q, Clients: clients, Seed: seed, Cell: &cell})
-	if err != nil {
-		return SharedDSSResult{}, SharedDSSResult{}, 0, err
-	}
-	unpack := func(s Side, shared bool) SharedDSSResult {
-		return SharedDSSResult{
-			Camp: cell.Camp, Query: q, Clients: clients, Shared: shared,
-			Cycles: s.Cycles, Result: s.Result, Rows: s.Rows, Digest: s.Digest,
-			Scans: s.Scans, Cache: s.Reuse,
-		}
-	}
-	return unpack(res.Baseline, false), unpack(res.Main, true), res.SpeedupX, nil
 }

@@ -15,11 +15,11 @@ func TestSharedDSSModes(t *testing.T) {
 	cell.WarmRefs = 20000
 	const clients = 4
 
-	un, err := r.RunSharedDSS(cell, 6, clients, false, 7)
+	un, err := r.RunSharedDSSTraced(cell, 6, clients, false, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := r.RunSharedDSS(cell, 6, clients, true, 7)
+	sh, err := r.RunSharedDSSTraced(cell, 6, clients, true, 7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSharedDSSMix(t *testing.T) {
 	r := NewRunner(TestScale())
 	cell := DefaultCell(sim.FatCamp, DSS, true)
 	cell.WarmRefs = 20000
-	res, err := r.RunSharedDSS(cell, 0, 3, true, 11)
+	res, err := r.RunSharedDSSTraced(cell, 0, 3, true, 11, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -44,13 +43,13 @@ func (r VecDSSResult) Throughput() float64 {
 	return 1e6 / float64(r.Cycles)
 }
 
-// RunVecDSS executes one serial query (1, 6, or 13) to completion on a
+// RunVecDSS executes one serial planned query to completion on a
 // fresh chip described by cell, on the vectorized executor or the
 // row-at-a-time reference path. An optional join mode pins the hash-join
 // strategy of joining plans (Q13); omitted, the auto policy decides.
 func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode ...engine.JoinMode) (VecDSSResult, error) {
-	if q != 1 && q != 6 && q != 13 {
-		return VecDSSResult{}, fmt.Errorf("core: vectorized DSS query %d (have 1, 6, 13)", q)
+	if !workload.HasPlan(q) {
+		return VecDSSResult{}, fmt.Errorf("core: vectorized DSS query %d (have %s)", q, plannedList(""))
 	}
 	h, err := r.TPCH()
 	if err != nil {
@@ -113,23 +112,4 @@ func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode .
 		Camp: cell.Camp, Query: q, Vectorized: vectorized,
 		Cycles: cycles, Result: res, Rows: rows, Digest: digest,
 	}, nil
-}
-
-// VectorizedSpeedup measures query q on both executors on identical chip
-// geometry and returns (row, vectorized, speedup): cycles of the
-// row-at-a-time path over cycles of the vectorized path.
-//
-// Deprecated: build a Request with ModeVecDSS and call Run.
-func (r *Runner) VectorizedSpeedup(cell Cell, q int, seed int64) (VecDSSResult, VecDSSResult, float64, error) {
-	res, err := r.Run(context.Background(), Request{Mode: ModeVecDSS, Query: q, Seed: seed, Cell: &cell})
-	if err != nil {
-		return VecDSSResult{}, VecDSSResult{}, 0, err
-	}
-	unpack := func(s Side, vectorized bool) VecDSSResult {
-		return VecDSSResult{
-			Camp: cell.Camp, Query: q, Vectorized: vectorized,
-			Cycles: s.Cycles, Result: s.Result, Rows: s.Rows, Digest: s.Digest,
-		}
-	}
-	return unpack(res.Baseline, false), unpack(res.Main, true), res.SpeedupX, nil
 }

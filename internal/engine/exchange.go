@@ -173,18 +173,16 @@ func (e *Exchange) Close(ctx *Ctx) {
 
 // ParallelAgg computes the same result as a HashAgg over a partitioned
 // input, with one worker per Ctx. Each worker drains its own subtree
-// (typically a Map over a MorselScan, all sharing one MorselPool) into a
-// private hash table of partial accumulators; at the gather barrier the
-// partials merge into the final table — counts and sums add, Avg merges
-// its (sum, count) halves, Min/Max keep the extremum — so the merged
-// result is exactly what the serial operator computes. Group keys and
-// integer aggregates are bit-identical for every worker count; float
+// (typically a MapVec over a MorselScanVec, all sharing one MorselPool)
+// into a private hash table of partial accumulators; at the gather barrier
+// the partials merge into the final table — counts and sums add, Avg
+// merges its (sum, count) halves, Min/Max keep the extremum — so the
+// merged result is exactly what the serial operator computes. Group keys
+// and integer aggregates are bit-identical for every worker count; float
 // aggregates vary only by addition order.
 type ParallelAgg struct {
-	// Build returns worker w's row subtree; BuildVec its vectorized
-	// subtree. Set exactly one — BuildVec is the preferred path (workers
-	// absorb block-at-a-time through the same machinery as HashAggVec).
-	Build    func(w int) Op
+	// BuildVec returns worker w's vectorized subtree; workers absorb it
+	// block-at-a-time through the same machinery as HashAggVec.
 	BuildVec func(w int) VecOp
 	Ctxs     []*Ctx
 
@@ -192,32 +190,20 @@ type ParallelAgg struct {
 	Aggs      []AggSpec
 	Expected  int
 
-	master      *HashAgg
-	children    []Op
-	vecChildren []VecOp
+	master   *HashAgg
+	children []VecOp
 }
 
-// child builds (once) and returns worker w's row subtree.
-func (a *ParallelAgg) child(w int) Op {
-	return memoChild(&a.children, len(a.Ctxs), w, a.Build)
-}
-
-// childVec builds (once) and returns worker w's vectorized subtree.
-func (a *ParallelAgg) childVec(w int) VecOp {
-	return memoChildVec(&a.vecChildren, len(a.Ctxs), w, a.BuildVec)
+// child builds (once) and returns worker w's subtree.
+func (a *ParallelAgg) child(w int) VecOp {
+	return memoChildVec(&a.children, len(a.Ctxs), w, a.BuildVec)
 }
 
 // gather returns the master aggregate that the merged partials fill.
 func (a *ParallelAgg) gather() *HashAgg {
 	if a.master == nil {
-		var c Op
-		if a.Build != nil {
-			c = a.child(0)
-		} else {
-			c = &RowAdapter{Vec: a.childVec(0)}
-		}
 		a.master = &HashAgg{
-			Child:     c,
+			Child:     &RowAdapter{Vec: a.child(0)},
 			GroupCols: a.GroupCols,
 			Aggs:      a.Aggs,
 			Expected:  a.Expected,
@@ -235,17 +221,10 @@ func (a *ParallelAgg) Open(ctx *Ctx) error {
 	if len(a.Ctxs) == 0 {
 		return fmt.Errorf("engine: parallel agg with no worker contexts")
 	}
-	if (a.Build == nil) == (a.BuildVec == nil) {
-		return fmt.Errorf("engine: parallel agg needs exactly one of Build and BuildVec")
-	}
 	m := a.gather()
 	cs := m.prepare(ctx)
 	for w := range a.Ctxs {
-		if a.Build != nil {
-			a.child(w)
-		} else {
-			a.childVec(w)
-		}
+		a.child(w)
 	}
 
 	partials := make([]*HashAgg, len(a.Ctxs))
@@ -260,25 +239,14 @@ func (a *ParallelAgg) Open(ctx *Ctx) error {
 					unpace(a.Ctxs)
 				}
 			}()
-			if a.BuildVec != nil {
-				va := &HashAggVec{
-					Child:     a.childVec(w),
-					GroupCols: a.GroupCols,
-					Aggs:      a.Aggs,
-					Expected:  a.Expected,
-				}
-				errs[w] = va.Open(a.Ctxs[w])
-				partials[w] = va.agg()
-				return
-			}
-			wa := &HashAgg{
+			va := &HashAggVec{
 				Child:     a.child(w),
 				GroupCols: a.GroupCols,
 				Aggs:      a.Aggs,
 				Expected:  a.Expected,
 			}
-			errs[w] = wa.Open(a.Ctxs[w])
-			partials[w] = wa
+			errs[w] = va.Open(a.Ctxs[w])
+			partials[w] = va.agg()
 		}(w)
 	}
 	wg.Wait()
@@ -328,12 +296,9 @@ type prow struct {
 // Output rows are Probe ++ Build columns, gathered through an Exchange in
 // arrival order.
 type ParallelHashJoin struct {
-	// Row-subtree factories (legacy) or vectorized factories (preferred);
-	// set exactly one of each pair. Vectorized build sides scatter whole
-	// blocks into the key partitions; vectorized probe sides stream
-	// through a RowAdapter into the shared probe state machine.
-	BuildSrc    func(w int) Op
-	ProbeSrc    func(w int) Op
+	// Worker w's build and probe subtrees. Build sides scatter whole
+	// blocks into the key partitions; probe sides stream through a
+	// RowAdapter into the shared probe state machine.
 	BuildSrcVec func(w int) VecOp
 	ProbeSrcVec func(w int) VecOp
 	BuildCol    int // key column in the build schema
@@ -348,36 +313,22 @@ type ParallelHashJoin struct {
 	// the serial prefetch modes recover.
 	Mode JoinMode
 
-	out              Schema
-	buildChildren    []Op
-	probeChildren    []Op
-	buildVecChildren []VecOp
-	parts            []*PartedTable
-	ex               *Exchange
-	code             mem.CodeSeg
+	out           Schema
+	buildChildren []VecOp
+	probeChildren []Op
+	parts         []*PartedTable
+	ex            *Exchange
+	code          mem.CodeSeg
 }
 
-// buildVecChild builds (once) worker w's vectorized build subtree.
-func (j *ParallelHashJoin) buildVecChild(w int) VecOp {
-	return memoChildVec(&j.buildVecChildren, len(j.Ctxs), w, j.BuildSrcVec)
-}
-
-// buildChild builds (once) worker w's build subtree (row view).
-func (j *ParallelHashJoin) buildChild(w int) Op {
-	return memoChild(&j.buildChildren, len(j.Ctxs), w, func(w int) Op {
-		if j.BuildSrc != nil {
-			return j.BuildSrc(w)
-		}
-		return &RowAdapter{Vec: j.buildVecChild(w)}
-	})
+// buildChild builds (once) worker w's build subtree.
+func (j *ParallelHashJoin) buildChild(w int) VecOp {
+	return memoChildVec(&j.buildChildren, len(j.Ctxs), w, j.BuildSrcVec)
 }
 
 // probeChild builds (once) worker w's probe subtree (row view).
 func (j *ParallelHashJoin) probeChild(w int) Op {
 	return memoChild(&j.probeChildren, len(j.Ctxs), w, func(w int) Op {
-		if j.ProbeSrc != nil {
-			return j.ProbeSrc(w)
-		}
 		return &RowAdapter{Vec: j.ProbeSrcVec(w)}
 	})
 }
@@ -403,37 +354,21 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	if len(j.Ctxs) == 0 {
 		return fmt.Errorf("engine: parallel join with no worker contexts")
 	}
-	if (j.BuildSrc == nil) == (j.BuildSrcVec == nil) {
-		return fmt.Errorf("engine: parallel join needs exactly one of BuildSrc and BuildSrcVec")
-	}
-	if (j.ProbeSrc == nil) == (j.ProbeSrcVec == nil) {
-		return fmt.Errorf("engine: parallel join needs exactly one of ProbeSrc and ProbeSrcVec")
-	}
 	j.Schema()
 	j.code = ctx.DB.Codes.Register("op:pjoin", 5120)
 	nw := len(j.Ctxs)
-	vecBuild := j.BuildSrcVec != nil
 	for w := 0; w < nw; w++ {
-		if vecBuild {
-			j.buildVecChild(w)
-		} else {
-			j.buildChild(w)
-		}
+		j.buildChild(w)
 		j.probeChild(w)
 	}
-	var bSchema Schema
-	if vecBuild {
-		bSchema = j.buildVecChild(0).Schema()
-	} else {
-		bSchema = j.buildChild(0).Schema()
-	}
+	bSchema := j.buildChild(0).Schema()
 	bOff := bSchema.Offsets()[j.BuildCol]
 	bWidth := bSchema.RowWidth()
 
 	// Phase 1 — partition: worker w scatters its build rows into per-
-	// worker, per-partition buffers in its own workspace (no locks). A
-	// vectorized build side scatters block-at-a-time, charging the loop
-	// once per block instead of once per row.
+	// worker, per-partition buffers in its own workspace (no locks),
+	// block-at-a-time, charging the loop once per block instead of once
+	// per row.
 	scatter := make([][][]prow, nw)
 	errs := make([]error, nw)
 	var wg sync.WaitGroup
@@ -456,28 +391,20 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 				wctx.Rec.StoreRange(at, len(row))
 				scatter[w][p] = append(scatter[w][p], prow{b: b, at: at})
 			}
-			if vecBuild {
-				errs[w] = RunVec(wctx, j.buildVecChild(w), func(blk *Block) error {
-					wctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecBuildCost)
-					blk.TraceRows(wctx.Rec)
-					// Honor a selection vector (native borrowed scans
-					// deliver Sel-annotated blocks): scatter live rows only.
-					if blk.Sel != nil {
-						for _, i := range blk.Sel {
-							scatterRow(blk.RowAt(int(i)))
-						}
-						return nil
-					}
-					for i := 0; i < blk.N(); i++ {
-						scatterRow(blk.RowAt(i))
+			errs[w] = RunVec(wctx, j.buildChild(w), func(blk *Block) error {
+				wctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecBuildCost)
+				blk.TraceRows(wctx.Rec)
+				// Honor a selection vector (native borrowed scans deliver
+				// Sel-annotated blocks): scatter live rows only.
+				if blk.Sel != nil {
+					for _, i := range blk.Sel {
+						scatterRow(blk.RowAt(int(i)))
 					}
 					return nil
-				})
-				return
-			}
-			errs[w] = Run(wctx, j.buildChild(w), func(row []byte) error {
-				wctx.Rec.Exec(j.code, 60)
-				scatterRow(row)
+				}
+				for i := 0; i < blk.N(); i++ {
+					scatterRow(blk.RowAt(i))
+				}
 				return nil
 			})
 		}(w)

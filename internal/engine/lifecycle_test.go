@@ -314,15 +314,6 @@ func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
 	agg.Close(ctx)
 	agg.Close(ctx)
 
-	aggBoth := &ParallelAgg{
-		Ctxs:     ctxs,
-		Build:    func(w int) Op { return &failOp{Schema_: s} },
-		BuildVec: func(w int) VecOp { return &failVec{Schema_: s} },
-	}
-	if err := aggBoth.Open(ctx); err == nil {
-		t.Fatal("parallel agg accepted both Build and BuildVec")
-	}
-
 	join := &ParallelHashJoin{
 		Ctxs:        ctxs,
 		BuildSrcVec: func(w int) VecOp { return &failVec{Schema_: s, After: 4} },
@@ -343,14 +334,14 @@ func TestLifecycleMorselScanCloseMidMorsel(t *testing.T) {
 	db := testDB(t)
 	tb := mkTable(t, db, storage.NSM, 2000)
 	pool := NewMorselPool(1, tb.Heap.NumPages(), 2)
-	ms := &MorselScan{Table: tb, Pool: pool, Worker: 0}
+	ms := &MorselScanVec{Table: tb, Pool: pool, Worker: 0}
 	ctx := testCtx(t, db)
 	if err := ms.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if _, ok, err := ms.Next(ctx); err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+	for i := 0; i < 2; i++ {
+		if _, ok, err := ms.NextBlock(ctx); err != nil || !ok {
+			t.Fatalf("block %d: ok=%v err=%v", i, ok, err)
 		}
 	}
 	ms.Close(ctx)

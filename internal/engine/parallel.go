@@ -170,40 +170,6 @@ func (p *MorselPool) Next(w int) (Morsel, bool) {
 // moot channel).
 func (p *MorselPool) Claimed() <-chan struct{} { return p.claimed }
 
-// MorselScan is the morsel-driven scan's legacy row-at-a-time face: a
-// thin RowAdapter over MorselScanVec (vec.go), kept so existing Volcano
-// consumers and tests keep working. The decode itself is the vectorized
-// core — there is exactly one scan implementation.
-type MorselScan struct {
-	Table  *Table
-	Preds  []Pred
-	Cols   []int
-	Pool   *MorselPool
-	Worker int
-
-	ad RowAdapter
-}
-
-// vec lazily builds the adapted vectorized scan.
-func (s *MorselScan) vec() *RowAdapter {
-	if s.ad.Vec == nil {
-		s.ad.Vec = &MorselScanVec{Table: s.Table, Preds: s.Preds, Cols: s.Cols, Pool: s.Pool, Worker: s.Worker}
-	}
-	return &s.ad
-}
-
-// Schema implements Op.
-func (s *MorselScan) Schema() Schema { return s.vec().Schema() }
-
-// Open implements Op.
-func (s *MorselScan) Open(ctx *Ctx) error { return s.vec().Open(ctx) }
-
-// Close implements Op.
-func (s *MorselScan) Close(ctx *Ctx) { s.vec().Close(ctx) }
-
-// Next implements Op: it drains the current morsel, then claims the next.
-func (s *MorselScan) Next(ctx *Ctx) ([]byte, bool, error) { return s.vec().Next(ctx) }
-
 // ParallelScan scans t with one worker goroutine per ctx, covering the
 // heap exactly once via a shared morsel pool; each worker drives a
 // vectorized morsel scan and hands fn its blocks row by row. fn is

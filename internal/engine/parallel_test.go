@@ -420,8 +420,8 @@ func aggRows(t *testing.T, db *DB, tb *Table, workers int) [][]Value {
 		pool := NewMorselPool(workers, tb.Heap.NumPages(), 4)
 		op = &ParallelAgg{
 			Ctxs: ctxs,
-			Build: func(w int) Op {
-				return &MorselScan{Table: tb, Pool: pool, Worker: w}
+			BuildVec: func(w int) VecOp {
+				return &MorselScanVec{Table: tb, Pool: pool, Worker: w}
 			},
 			GroupCols: []int{1},
 			Aggs:      specs,
@@ -477,7 +477,7 @@ func TestExchangeMergesAllWorkerRows(t *testing.T) {
 		ex := &Exchange{
 			Ctxs: ctxs,
 			Build: func(w int) Op {
-				return &MorselScan{Table: tb, Pool: pool, Worker: w}
+				return &RowAdapter{Vec: &MorselScanVec{Table: tb, Pool: pool, Worker: w}}
 			},
 		}
 		ctx := db.NewCtx(nil, 30, 16<<20)
@@ -498,7 +498,7 @@ func TestExchangeEarlyCloseReleasesWorkers(t *testing.T) {
 	ex := &Exchange{
 		Ctxs: ctxs,
 		Build: func(w int) Op {
-			return &MorselScan{Table: tb, Pool: pool, Worker: w}
+			return &RowAdapter{Vec: &MorselScanVec{Table: tb, Pool: pool, Worker: w}}
 		},
 	}
 	ctx := db.NewCtx(nil, 30, 16<<20)
@@ -565,11 +565,11 @@ func joinCounts(t *testing.T, jt JoinType, workers int) map[int64]int {
 	buildPool := NewMorselPool(workers, right.Heap.NumPages(), 4)
 	j := &ParallelHashJoin{
 		Ctxs: ctxs,
-		ProbeSrc: func(w int) Op {
-			return &MorselScan{Table: left, Pool: probePool, Worker: w}
+		ProbeSrcVec: func(w int) VecOp {
+			return &MorselScanVec{Table: left, Pool: probePool, Worker: w}
 		},
-		BuildSrc: func(w int) Op {
-			return &MorselScan{Table: right, Pool: buildPool, Worker: w}
+		BuildSrcVec: func(w int) VecOp {
+			return &MorselScanVec{Table: right, Pool: buildPool, Worker: w}
 		},
 		ProbeCol: 0, BuildCol: 0,
 		Type: jt,

@@ -940,7 +940,13 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 		if s.cp != nil && s.cp.Len() > 0 {
 			// Evaluate the scan predicates densely over the span (the
 			// ascending monomorphic kernels) and reverse the survivors:
-			// reversed ascending physical order is exactly slot order.
+			// reversed ascending physical order is exactly slot order. The
+			// scratch is allocated first, so a page without survivors gets
+			// an empty selection rather than a nil one, which means every
+			// row.
+			if s.revsel == nil {
+				s.revsel = make([]int32, 0, n)
+			}
 			sel := s.cp.SelectDense(blk.buf, blk.rowW, n, s.revsel[:0])
 			reverseSelInPlace(sel)
 			s.revsel = sel[:0:cap(sel)]

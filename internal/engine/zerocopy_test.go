@@ -121,6 +121,31 @@ func TestScanVecBorrowedEquivalence(t *testing.T) {
 	}
 }
 
+// TestScanVecBorrowedLeadingEmptyPages: a borrowed filtered scan whose
+// first pages have no survivors returns only the survivors of the later
+// pages, and none when no page has any (an empty selection is not a nil
+// one).
+func TestScanVecBorrowedLeadingEmptyPages(t *testing.T) {
+	db := testDB(t)
+	tb := mkTable(t, db, storage.NSM, 3000)
+	ctx := testCtx(t, db)
+	for _, tc := range []struct {
+		min  int64
+		want int
+	}{{2500, 500}, {3000, 0}} {
+		rows, err := CollectVec(ctx, &ScanVec{Table: tb, Preds: []Pred{PredInt(0, GE, tc.min)}, Borrow: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != tc.want {
+			t.Errorf("id >= %d: %d borrowed rows, want %d", tc.min, len(rows), tc.want)
+		}
+	}
+	if n := db.Pool.Leases(); n != 0 {
+		t.Fatalf("%d leases outstanding after the scans", n)
+	}
+}
+
 // TestScanVecBorrowCloseMidStream: abandoning a borrowed scan with a
 // block still aliasing a page must drop the pin on Close, and double
 // Close stays safe.

@@ -89,7 +89,7 @@ func TestPartitionedBuildRaceHammer(t *testing.T) {
 			for _, c := range ctxs {
 				c.Work.Reset()
 			}
-			rows, err := h.Q13ParallelOpts(ctxs, p, NativeOpts{JoinMode: m})
+			rows, err := h.RunQueryParallelNative(ctxs, 13, p, NativeOpts{JoinMode: m})
 			if err != nil {
 				t.Fatal(err)
 			}

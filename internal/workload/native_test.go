@@ -253,7 +253,7 @@ func TestNativeGoldenParallel(t *testing.T) {
 			want = canonRows(want)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := h.RunQueryParallel(nativeWorkerCtxs(h, workers), q, p)
+			got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestNativeParallelMergeRaceHammer(t *testing.T) {
 			for _, c := range ctxs {
 				c.Work.Reset()
 			}
-			rows, err := h.RunQueryParallel(ctxs, q, p)
+			rows, err := h.RunQueryParallelNative(ctxs, q, p, NativeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

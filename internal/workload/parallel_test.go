@@ -71,7 +71,7 @@ func sameRows(t *testing.T, label string, got, want [][]engine.Value) {
 func TestQ1ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	h := parTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	want, err := h.Q1(h.DB.NewCtx(nil, 49, 32<<20), p)
+	want, err := h.RunQuery(h.DB.NewCtx(nil, 49, 32<<20), 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestQ1ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("Q1 returned no groups")
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := h.Q1Parallel(parCtxs(h, workers), p)
+		got, err := h.RunQueryParallelNative(parCtxs(h, workers), 1, p, NativeOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +90,12 @@ func TestQ1ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 func TestQ6ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	h := parTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	want, err := h.Q6(h.DB.NewCtx(nil, 49, 32<<20), p)
+	want, err := h.RunQuery(h.DB.NewCtx(nil, 49, 32<<20), 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := h.Q6Parallel(parCtxs(h, workers), p)
+		got, err := h.RunQueryParallelNative(parCtxs(h, workers), 6, p, NativeOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,17 +103,29 @@ func TestQ6ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestParallelJoinRowCountMatchesSerial(t *testing.T) {
-	h := parTPCH(t)
-	want, err := h.OrdersPerCustomer(h.DB.NewCtx(nil, 49, 32<<20))
+// serialJoinRows counts the rows of Q13's join alone — customer left outer
+// join its non-special orders — on the row-at-a-time reference operators.
+func serialJoinRows(t *testing.T, h *TPCH, ctx *engine.Ctx) int {
+	t.Helper()
+	pl, err := h.plan(13, QueryParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := 0
+	if err := engine.Run(ctx, h.rowInput(pl), func([]byte) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func TestParallelJoinRowCountMatchesSerial(t *testing.T) {
+	h := parTPCH(t)
+	want := serialJoinRows(t, h, h.DB.NewCtx(nil, 49, 32<<20))
 	if want == 0 {
 		t.Fatal("serial join produced no rows")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := h.OrdersPerCustomerParallel(parCtxs(h, workers))
+		got, err := h.RunJoinParallel(parCtxs(h, workers), 13, QueryParams{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +137,10 @@ func TestParallelJoinRowCountMatchesSerial(t *testing.T) {
 
 func TestRunQueryParallelRejectsUnknown(t *testing.T) {
 	h := parTPCH(t)
-	if _, err := h.RunQueryParallel(parCtxs(h, 2), 16, QueryParams{}); err == nil {
+	if _, err := h.RunQueryParallelNative(parCtxs(h, 2), 16, QueryParams{}, NativeOpts{}); err == nil {
 		t.Fatal("query 16 has no parallel variant but was accepted")
+	}
+	if _, err := h.RunJoinParallel(parCtxs(h, 2), 6, QueryParams{}); err == nil {
+		t.Fatal("query 6 has no join but its join was run")
 	}
 }

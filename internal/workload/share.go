@@ -1,25 +1,23 @@
-// Cross-query work sharing for the DSS analogs: shared-scan variants of
-// Q1/Q6/Q13 that attach to the registry's circular scans instead of
-// running private SeqScans, result reuse for their aggregate outputs, and
-// a multi-client driver firing mixes of the three from K concurrent
-// clients — the saturated many-users regime the paper's Section 6 says
-// staged, work-shared engines should serve with one pass over the data.
+// Cross-query work sharing for the DSS analogs: the shared lowering of
+// every plan, whose origin scans attach to the registry's circular scans
+// instead of running private scans, result reuse for their aggregate
+// outputs, and a multi-client driver firing mixes of the planned queries
+// from K concurrent clients — the saturated many-users regime the paper's
+// Section 6 says staged, work-shared engines should serve with one pass
+// over the data.
 
 package workload
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/share"
 )
-
-// SharedQueries lists the analogs with shared-scan plans (the Q1/Q6/Q13
-// mix the concurrent driver fires).
-var SharedQueries = []int{1, 6, 13}
 
 // ShareEnv bundles the work-sharing services of one server instance.
 type ShareEnv struct {
@@ -30,10 +28,7 @@ type ShareEnv struct {
 // NewShareEnv builds a default registry and result cache over the DSS
 // database.
 func (h *TPCH) NewShareEnv() *ShareEnv {
-	return &ShareEnv{
-		Reg:   share.NewRegistry(h.DB, share.Config{}),
-		Cache: share.NewResultCache(128),
-	}
+	return h.NewShareEnvWith(share.Config{}, share.NewResultCache(128))
 }
 
 // NewShareEnvWith builds an environment with an explicit registry
@@ -43,192 +38,33 @@ func (h *TPCH) NewShareEnvWith(cfg share.Config, cache *share.ResultCache) *Shar
 	return &ShareEnv{Reg: share.NewRegistry(h.DB, cfg), Cache: cache}
 }
 
-// Q1Shared computes Q1 through the circular shared scan of lineitem on
-// the vectorized executor: the rotation's blocks flow straight into the
-// per-query filter, map, and aggregate with no re-materialization. The
-// returned start page is the rotation's origin: the row order — and so
-// the result, bit for bit — equals serial Q1 with StartPage pinned there.
-func (h *TPCH) Q1Shared(ctx *engine.Ctx, p QueryParams, reg *share.Registry) ([][]engine.Value, int, error) {
-	preds, mapped, fn, aggs := h.q1Pieces(p)
-	rd := reg.Attach(h.lineitem)
-	plan := &engine.HashAggVec{
-		Child: &engine.MapVec{
-			Child: &engine.SharedScan{Table: h.lineitem, Preds: preds, Source: rd},
-			Out:   mapped,
-			Fn:    fn,
-			Cost:  18,
-		},
-		GroupCols: []int{0, 1},
-		Aggs:      aggs,
-		Expected:  8,
-	}
-	rows, err := engine.Collect(ctx, &engine.Sort{Child: &engine.RowAdapter{Vec: plan}, Col: 0})
-	return rows, rd.StartPage(), err
-}
-
-// Q6Shared computes Q6 through the circular shared scan of lineitem.
-func (h *TPCH) Q6Shared(ctx *engine.Ctx, p QueryParams, reg *share.Registry) ([][]engine.Value, int, error) {
-	preds, mapped, fn, aggs := h.q6Pieces(p)
-	rd := reg.Attach(h.lineitem)
-	plan := &engine.HashAggVec{
-		Child: &engine.MapVec{
-			Child: &engine.SharedScan{Table: h.lineitem, Preds: preds, Source: rd},
-			Out:   mapped,
-			Fn:    fn,
-			Cost:  12,
-		},
-		GroupCols: []int{0},
-		Aggs:      aggs,
-		Expected:  2,
-	}
-	rows, err := engine.CollectVec(ctx, plan)
-	return rows, rd.StartPage(), err
-}
-
-// Q13Shared computes Q13 with the orders scan — the build side that every
-// concurrent Q13 repeats — routed through the shared registry; the small
-// customer probe side stays private.
-func (h *TPCH) Q13Shared(ctx *engine.Ctx, p QueryParams, reg *share.Registry) ([][]engine.Value, int, error) {
-	os := h.orders.Schema
-	rd := reg.Attach(h.orders)
-	join := &engine.HashJoinVec{
-		Probe: &engine.ScanVec{Table: h.customer, Cols: []int{0}},
-		Build: &engine.SharedScan{
-			Table:  h.orders,
-			Preds:  []engine.Pred{engine.PredInt(os.Col("o_special"), engine.EQ, 0)},
-			Source: rd,
-		},
-		ProbeCol: 0, BuildCol: os.Col("o_custkey"),
-		Type:     engine.LeftOuter,
-		Expected: h.nOrders,
-	}
-	rows, err := engine.Collect(ctx, h.q13TailVec(join))
-	return rows, rd.StartPage(), err
-}
-
-// q13MapPieces returns the match-tagging transform every Q13 tail
-// shares: a matched join row carries a real order (o_totalprice > 0);
-// unmatched outer rows are zero-filled. tpOff is the totalprice byte
-// offset in the join-output row — 8+16 for the full-width orders build,
-// 8+8 for the native plan's projected [o_custkey, o_totalprice] build.
-func (h *TPCH) q13MapPieces(tpOff int) (out engine.Schema, fn func(in, out []byte)) {
-	out = engine.Schema{engine.Int("custkey"), engine.Int("matched")}
-	fn = func(in, o []byte) {
-		engine.PutRowInt(o, 0, engine.RowInt(in, 0))
-		matched := int64(0)
-		if engine.RowFloat(in, tpOff) > 0 {
-			matched = 1
-		}
-		engine.PutRowInt(o, 8, matched)
-	}
-	return out, fn
-}
-
-// q13Tail builds Q13's post-join pipeline on the row operators: tag
-// matches, count orders per customer, then count customers per
-// order-count. Kept as the reference tail for Q13Row.
-func (h *TPCH) q13Tail(join engine.Op) engine.Op {
-	out, fn := h.q13MapPieces(8 + 16)
-	mapped := &engine.Map{Child: join, Out: out, Fn: fn, Cost: 10}
-	perCustomer := &engine.HashAgg{
-		Child:     mapped,
-		GroupCols: []int{0},
-		Aggs:      []engine.AggSpec{{Func: engine.Sum, Col: 1, Name: "c_count"}},
-		Expected:  h.nCustomers,
-	}
-	distribution := &engine.HashAgg{
-		Child:     perCustomer,
-		GroupCols: []int{1},
-		Aggs:      []engine.AggSpec{{Func: engine.Count, Name: "custdist"}},
-		Expected:  64,
-	}
-	return &engine.Sort{Child: distribution, Col: 1, Desc: true}
-}
-
-// q13TailVec is q13Tail on the vectorized operators (shared by the
-// serial-vectorized and shared-scan variants). Both aggregates absorb in
-// the same row order as the row tail, so results are byte-identical.
-func (h *TPCH) q13TailVec(join engine.VecOp) engine.Op {
-	return h.q13TailVecOpts(join, false, 8+16)
-}
-
-// q13TailVecOpts is q13TailVec with the aggregates' interpreted escape
-// hatch exposed (the native golden reference runs the tail without the
-// compiled group kernels too) and the join row's totalprice offset
-// parameterized (the native plan narrows the build side).
-func (h *TPCH) q13TailVecOpts(join engine.VecOp, interpret bool, tpOff int) engine.Op {
-	out, fn := h.q13MapPieces(tpOff)
-	mapped := &engine.MapVec{Child: join, Out: out, Fn: fn, Cost: 10}
-	perCustomer := &engine.HashAggVec{
-		Child:     mapped,
-		GroupCols: []int{0},
-		Aggs:      []engine.AggSpec{{Func: engine.Sum, Col: 1, Name: "c_count"}},
-		Expected:  h.nCustomers,
-		Interpret: interpret,
-	}
-	distribution := &engine.HashAggVec{
-		Child:     perCustomer,
-		GroupCols: []int{1},
-		Aggs:      []engine.AggSpec{{Func: engine.Count, Name: "custdist"}},
-		Expected:  64,
-		Interpret: interpret,
-	}
-	return &engine.Sort{Child: &engine.RowAdapter{Vec: distribution}, Col: 1, Desc: true}
-}
-
 // resultKey builds the reuse-cache key for query q with parameters p: the
-// fingerprint of the canonical (origin-free) plan plus the current write
-// versions of every table the plan reads. The versions are read before
-// execution, so a write racing the query can only cause a miss later,
-// never a stale hit.
+// fingerprint of its row lowering (scan origins and transforms are not
+// part of a fingerprint) plus the current write versions of every table
+// the plan reads. The versions are read before execution, so a write
+// racing the query can only cause a miss later, never a stale hit.
 func (h *TPCH) resultKey(q int, p QueryParams) (share.ResultKey, error) {
-	switch q {
-	case 1:
-		preds, mapped, _, aggs := h.q1Pieces(p)
-		plan := &engine.HashAgg{
-			Child:     &engine.Map{Child: &engine.SeqScan{Table: h.lineitem, Preds: preds}, Out: mapped, Cost: 18},
-			GroupCols: []int{0, 1}, Aggs: aggs, Expected: 8,
-		}
-		return share.ResultKey{
-			Tables:   "lineitem",
-			Versions: share.Versions(h.lineitem.Version()),
-			Plan:     engine.PlanFingerprint(&engine.Sort{Child: plan, Col: 0}),
-		}, nil
-	case 6:
-		preds, mapped, _, aggs := h.q6Pieces(p)
-		plan := &engine.HashAgg{
-			Child:     &engine.Map{Child: &engine.SeqScan{Table: h.lineitem, Preds: preds}, Out: mapped, Cost: 12},
-			GroupCols: []int{0}, Aggs: aggs, Expected: 2,
-		}
-		return share.ResultKey{
-			Tables:   "lineitem",
-			Versions: share.Versions(h.lineitem.Version()),
-			Plan:     engine.PlanFingerprint(plan),
-		}, nil
-	case 13:
-		os := h.orders.Schema
-		join := &engine.HashJoin{
-			Left: &engine.SeqScan{Table: h.customer, Cols: []int{0}},
-			Right: &engine.SeqScan{
-				Table: h.orders,
-				Preds: []engine.Pred{engine.PredInt(os.Col("o_special"), engine.EQ, 0)},
-			},
-			LeftCol: 0, RightCol: os.Col("o_custkey"),
-			Type: engine.LeftOuter,
-		}
-		return share.ResultKey{
-			Tables:   "customer,orders",
-			Versions: share.Versions(h.customer.Version(), h.orders.Version()),
-			Plan:     engine.PlanFingerprint(h.q13Tail(join)),
-		}, nil
+	pl, err := h.plan(q, p)
+	if err != nil {
+		return share.ResultKey{}, err
 	}
-	return share.ResultKey{}, fmt.Errorf("workload: no shared variant of query %d (have %v)", q, SharedQueries)
+	names := make([]string, len(pl.scans))
+	versions := make([]uint64, len(pl.scans))
+	for i, s := range pl.scans {
+		names[i], versions[i] = s.table.Name, s.table.Version()
+	}
+	return share.ResultKey{
+		Tables:   strings.Join(names, ","),
+		Versions: share.Versions(versions...),
+		Plan:     engine.PlanFingerprint(h.lower(pl, exec{src: rowSource}).op),
+	}, nil
 }
 
-// RunQueryShared executes query q (1, 6, or 13) through the work-sharing
-// subsystem: a result-cache hit returns the memoized rows; otherwise the
-// scan rides the table's circular shared scan and the aggregate result is
-// memoized under the pre-execution table versions. A nil env (or nil
+// RunQueryShared executes query q through the work-sharing subsystem: a
+// result-cache hit returns the memoized rows; otherwise its origin scans
+// ride the tables' circular shared scans — the rotation's blocks flow
+// straight into the per-query filter, map and aggregate — and the result
+// is memoized under the pre-execution table versions. A nil env (or nil
 // env.Reg) falls back to the private serial plan.
 func (h *TPCH) RunQueryShared(ctx *engine.Ctx, q int, p QueryParams, env *ShareEnv) ([][]engine.Value, error) {
 	if env == nil || env.Reg == nil {
@@ -248,18 +84,7 @@ func (h *TPCH) RunQueryShared(ctx *engine.Ctx, q int, p QueryParams, env *ShareE
 			return rows, nil
 		}
 	}
-	var rows [][]engine.Value
-	var err error
-	switch q {
-	case 1:
-		rows, _, err = h.Q1Shared(ctx, p, env.Reg)
-	case 6:
-		rows, _, err = h.Q6Shared(ctx, p, env.Reg)
-	case 13:
-		rows, _, err = h.Q13Shared(ctx, p, env.Reg)
-	default:
-		return nil, fmt.Errorf("workload: no shared variant of query %d (have %v)", q, SharedQueries)
-	}
+	rows, err := h.run(ctx, q, p, exec{src: sharedSource, reg: env.Reg})
 	if err == nil && env.Cache != nil {
 		env.Cache.Put(key, rows)
 	}
@@ -284,15 +109,16 @@ func (r ConcurrentDSSResult) Throughput() float64 {
 }
 
 // RunConcurrentDSS fires rounds queries from each of clients concurrent
-// clients, drawing from the Q1/Q6/Q13 mix with private predicate
+// clients, taking the planned queries in turn with private predicate
 // parameters. With env non-nil, scans ride the shared registry and
 // aggregates the result cache; with env nil every client runs the
 // private serial plans — the unshared baseline. It runs natively (no
-// simulation); simulated comparisons live in core.RunSharedDSS.
+// simulation); simulated comparisons live in core.RunSharedDSSTraced.
 func (h *TPCH) RunConcurrentDSS(clients, rounds int, env *ShareEnv, seed int64) (ConcurrentDSSResult, error) {
 	if clients <= 0 || rounds <= 0 {
 		return ConcurrentDSSResult{}, fmt.Errorf("workload: concurrent DSS with %d clients x %d rounds", clients, rounds)
 	}
+	mix := Planned()
 	errs := make([]error, clients)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -303,17 +129,13 @@ func (h *TPCH) RunConcurrentDSS(clients, rounds int, env *ShareEnv, seed int64) 
 			ctx := h.DB.NewCtx(nil, i, 16<<20)
 			prng := rand.New(rand.NewSource(seed + int64(i)))
 			for r := 0; r < rounds; r++ {
-				q := SharedQueries[(i+r)%len(SharedQueries)]
+				q := mix[(i+r)%len(mix)]
 				p := RandomParams(prng)
 				ctx.Work.Reset()
-				var err error
-				if env != nil {
-					_, err = h.RunQueryShared(ctx, q, p, env)
-				} else {
+				if env == nil {
 					p.Phase = float64(i%16) / 80 // the unshared clients' staggered convention
-					_, err = h.RunQuery(ctx, q, p)
 				}
-				if err != nil {
+				if _, err := h.RunQueryShared(ctx, q, p, env); err != nil {
 					errs[i] = err
 					return
 				}

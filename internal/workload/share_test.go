@@ -19,27 +19,21 @@ func shareTPCH(t testing.TB) *TPCH {
 	return h
 }
 
-// runShared executes one shared query and returns its rows plus the
-// rotation's start page.
+// runShared executes one query on the shared lowering and returns its rows
+// plus the rotation's start page: replayed privately from there
+// (QueryParams.StartPage), the plan returns the same rows, bit for bit.
 func runShared(t *testing.T, h *TPCH, ctx *engine.Ctx, q int, p QueryParams, reg *share.Registry) ([][]engine.Value, int) {
 	t.Helper()
-	var rows [][]engine.Value
-	var start int
-	var err error
-	switch q {
-	case 1:
-		rows, start, err = h.Q1Shared(ctx, p, reg)
-	case 6:
-		rows, start, err = h.Q6Shared(ctx, p, reg)
-	case 13:
-		rows, start, err = h.Q13Shared(ctx, p, reg)
-	default:
-		t.Fatalf("no shared variant of q%d", q)
+	pl, err := h.plan(q, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	l := h.lower(pl, exec{src: sharedSource, reg: reg})
+	rows, err := l.collect(ctx)
 	if err != nil {
 		t.Fatalf("q%d shared: %v", q, err)
 	}
-	return rows, start
+	return rows, l.readers[0].StartPage()
 }
 
 // valuesEqual compares result sets bit for bit (float columns by their
@@ -53,7 +47,7 @@ func valuesEqual(a, b [][]engine.Value) bool { return reflect.DeepEqual(a, b) }
 func TestSharedQueriesMatchUnshared(t *testing.T) {
 	h := shareTPCH(t)
 	for _, clients := range []int{1, 2, 8, 32} {
-		for _, q := range SharedQueries {
+		for _, q := range Planned() {
 			if testing.Short() && clients > 8 {
 				continue
 			}

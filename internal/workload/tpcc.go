@@ -5,6 +5,13 @@
 // scan, outer-join, and join-dominated respectively, mirroring the paper's
 // query selection rationale).
 //
+// Q1, Q6 and Q13 are each written once, as a plan (plan.go), and one
+// lowering (lower.go) builds every executor's tree from it: the
+// row-at-a-time reference, the vectorized executor, the native fast path,
+// the shared-scan registry and the morsel-driven workers. Planned and
+// HasPlan are the query set all of them accept. Q16 has no plan: it is a
+// hand-written row plan, run by the row and vectorized executors alike.
+//
 // Client drivers run real transactions/queries in a loop, emitting one
 // trace stream per client for the CMP simulator.
 package workload

@@ -242,196 +242,6 @@ func RandomParams(rng *rand.Rand) QueryParams {
 	}
 }
 
-// q1Pieces returns the plan fragments Q1 and Q1Parallel share: the scan
-// predicates, the Map output schema and row transform, and the aggregate
-// specs. The transform is stateless (it writes only its out argument), so
-// one value is safe across workers, each inside its own Map instance.
-func (h *TPCH) q1Pieces(p QueryParams) (preds []engine.Pred, mapped engine.Schema, fn func(in, out []byte), aggs []engine.AggSpec) {
-	ls := h.lineitem.Schema
-	mapped = engine.Schema{
-		engine.Char("l_returnflag", 4), engine.Char("l_linestatus", 4),
-		engine.Float("qty"), engine.Float("price"), engine.Float("disc_price"),
-		engine.Float("discount"),
-	}
-	qtyOff := ls.Offsets()[ls.Col("l_quantity")]
-	priceOff := ls.Offsets()[ls.Col("l_extendedprice")]
-	discOff := ls.Offsets()[ls.Col("l_discount")]
-	rfOff := ls.Offsets()[ls.Col("l_returnflag")]
-	lsOff := ls.Offsets()[ls.Col("l_linestatus")]
-	preds = []engine.Pred{engine.PredInt(ls.Col("l_shipdate"), engine.LE, p.Date)}
-	fn = func(in, out []byte) {
-		copy(out[0:4], in[rfOff:rfOff+4])
-		copy(out[4:8], in[lsOff:lsOff+4])
-		qty := engine.RowFloat(in, qtyOff)
-		price := engine.RowFloat(in, priceOff)
-		disc := engine.RowFloat(in, discOff)
-		engine.PutRowFloat(out, 8, qty)
-		engine.PutRowFloat(out, 16, price)
-		engine.PutRowFloat(out, 24, price*(1-disc))
-		engine.PutRowFloat(out, 32, disc)
-	}
-	aggs = []engine.AggSpec{
-		{Func: engine.Sum, Col: 2, Name: "sum_qty"},
-		{Func: engine.Sum, Col: 3, Name: "sum_base_price"},
-		{Func: engine.Sum, Col: 4, Name: "sum_disc_price"},
-		{Func: engine.Avg, Col: 2, Name: "avg_qty"},
-		{Func: engine.Avg, Col: 3, Name: "avg_price"},
-		{Func: engine.Avg, Col: 5, Name: "avg_disc"},
-		{Func: engine.Count, Name: "count_order"},
-	}
-	return preds, mapped, fn, aggs
-}
-
-// Q1 is the scan-dominated pricing-summary analog: scan lineitem below a
-// ship date, group by (returnflag, linestatus), and compute the standard
-// sums and averages. It runs on the vectorized executor; Q1Row is the
-// row-at-a-time reference plan with identical semantics (results are
-// byte-identical — same scan order, same accumulator machinery).
-func (h *TPCH) Q1(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	preds, mapped, fn, aggs := h.q1Pieces(p)
-	plan := &engine.HashAggVec{
-		Child: &engine.MapVec{
-			Child: &engine.ScanVec{
-				Table:     h.lineitem,
-				Preds:     preds,
-				StartPage: h.scanOrigin(h.lineitem, p),
-			},
-			Out:  mapped,
-			Fn:   fn,
-			Cost: 18,
-		},
-		GroupCols: []int{0, 1},
-		Aggs:      aggs,
-		Expected:  8,
-	}
-	return engine.Collect(ctx, &engine.Sort{Child: &engine.RowAdapter{Vec: plan}, Col: 0})
-}
-
-// Q1Row is Q1 on the row-at-a-time seed operators (the reference path
-// golden tests and the vectorized-speedup comparison run against).
-func (h *TPCH) Q1Row(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	preds, mapped, fn, aggs := h.q1Pieces(p)
-	plan := &engine.HashAgg{
-		Child: &engine.Map{
-			Child: &engine.SeqScan{
-				Table:     h.lineitem,
-				Preds:     preds,
-				StartPage: h.scanOrigin(h.lineitem, p),
-			},
-			Out:  mapped,
-			Fn:   fn,
-			Cost: 18,
-		},
-		GroupCols: []int{0, 1},
-		Aggs:      aggs,
-		Expected:  8,
-	}
-	return engine.Collect(ctx, &engine.Sort{Child: plan, Col: 0})
-}
-
-// q6Pieces returns the plan fragments Q6 and Q6Parallel share.
-func (h *TPCH) q6Pieces(p QueryParams) (preds []engine.Pred, mapped engine.Schema, fn func(in, out []byte), aggs []engine.AggSpec) {
-	ls := h.lineitem.Schema
-	priceOff := ls.Offsets()[ls.Col("l_extendedprice")]
-	discOff := ls.Offsets()[ls.Col("l_discount")]
-	preds = []engine.Pred{
-		engine.PredIntBetween(ls.Col("l_shipdate"), p.Date-365, p.Date),
-		engine.PredFloatBetween(ls.Col("l_discount"), p.Discount-0.01, p.Discount+0.01),
-		engine.PredFloat(ls.Col("l_quantity"), engine.LT, p.Quantity),
-	}
-	mapped = engine.Schema{engine.Int("one"), engine.Float("revenue")}
-	fn = func(in, out []byte) {
-		engine.PutRowInt(out, 0, 1)
-		engine.PutRowFloat(out, 8, engine.RowFloat(in, priceOff)*engine.RowFloat(in, discOff))
-	}
-	aggs = []engine.AggSpec{{Func: engine.Sum, Col: 1, Name: "revenue"}}
-	return preds, mapped, fn, aggs
-}
-
-// Q6 is the selective-scan forecasting-revenue analog: a tight filter on
-// date, discount, and quantity, summing extendedprice*discount. It runs
-// on the vectorized executor; Q6Row is the row-at-a-time reference.
-func (h *TPCH) Q6(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	preds, mapped, fn, aggs := h.q6Pieces(p)
-	plan := &engine.HashAggVec{
-		Child: &engine.MapVec{
-			Child: &engine.ScanVec{
-				Table:     h.lineitem,
-				Preds:     preds,
-				StartPage: h.scanOrigin(h.lineitem, p),
-			},
-			Out:  mapped,
-			Fn:   fn,
-			Cost: 12,
-		},
-		GroupCols: []int{0},
-		Aggs:      aggs,
-		Expected:  2,
-	}
-	return engine.CollectVec(ctx, plan)
-}
-
-// Q6Row is Q6 on the row-at-a-time seed operators.
-func (h *TPCH) Q6Row(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	preds, mapped, fn, aggs := h.q6Pieces(p)
-	plan := &engine.HashAgg{
-		Child: &engine.Map{
-			Child: &engine.SeqScan{
-				Table:     h.lineitem,
-				Preds:     preds,
-				StartPage: h.scanOrigin(h.lineitem, p),
-			},
-			Out:  mapped,
-			Fn:   fn,
-			Cost: 12,
-		},
-		GroupCols: []int{0},
-		Aggs:      aggs,
-		Expected:  2,
-	}
-	return engine.Collect(ctx, plan)
-}
-
-// Q13 is the outer-join customer-distribution analog: customers left
-// outer join their non-special orders, count orders per customer, then
-// count customers per order-count. It runs on the vectorized executor;
-// Q13Row is the row-at-a-time reference.
-func (h *TPCH) Q13(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	os := h.orders.Schema
-	join := &engine.HashJoinVec{
-		Probe: &engine.ScanVec{Table: h.customer, Cols: []int{0}},
-		Build: &engine.ScanVec{
-			Table:     h.orders,
-			Preds:     []engine.Pred{engine.PredInt(os.Col("o_special"), engine.EQ, 0)},
-			StartPage: h.scanOrigin(h.orders, p),
-		},
-		ProbeCol: 0, BuildCol: os.Col("o_custkey"),
-		Type:     engine.LeftOuter,
-		Expected: h.nOrders,
-	}
-	// The post-join pipeline (match tagging and the two aggregations) is
-	// shared with Q13Shared — see q13TailVec in share.go. A matched join
-	// row carries a real order; unmatched (outer) rows are zero-filled,
-	// and o_totalprice > 0 distinguishes them.
-	return engine.Collect(ctx, h.q13TailVec(join))
-}
-
-// Q13Row is Q13 on the row-at-a-time seed operators.
-func (h *TPCH) Q13Row(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
-	os := h.orders.Schema
-	join := &engine.HashJoin{
-		Left: &engine.SeqScan{Table: h.customer, Cols: []int{0}},
-		Right: &engine.SeqScan{
-			Table:     h.orders,
-			Preds:     []engine.Pred{engine.PredInt(os.Col("o_special"), engine.EQ, 0)},
-			StartPage: h.scanOrigin(h.orders, p),
-		},
-		LeftCol: 0, RightCol: os.Col("o_custkey"),
-		Type: engine.LeftOuter,
-	}
-	return engine.Collect(ctx, h.q13Tail(join))
-}
-
 // Q16 is the join-dominated supplier-relationship analog: partsupp joined
 // with filtered parts, counting distinct suppliers per (brand, type,
 // size). Distinctness comes from a first-level grouping.
@@ -468,64 +278,28 @@ func (h *TPCH) Q16(ctx *engine.Ctx, p QueryParams) ([][]engine.Value, error) {
 	return engine.Collect(ctx, &engine.Sort{Child: counts, Col: 3, Desc: true})
 }
 
-// phasePage converts a phase fraction into a starting page for t.
-func (h *TPCH) phasePage(t *engine.Table, phase float64) int {
-	n := t.Heap.NumPages()
-	if n == 0 || phase <= 0 {
-		return 0
-	}
-	return int(phase * float64(n))
-}
-
 // scanOrigin resolves a query's scan origin on t: an explicit StartPage
-// (1-based) wins, otherwise the phase fraction.
+// (1-based) wins, otherwise the phase fraction of t's pages.
 func (h *TPCH) scanOrigin(t *engine.Table, p QueryParams) int {
 	if p.StartPage > 0 {
 		return p.StartPage - 1
 	}
-	return h.phasePage(t, p.Phase)
-}
-
-// RunQuery executes query q (1, 6, 13, 16) on the vectorized executor
-// and returns its result rows (Q16 has no vectorized plan and runs on
-// the row operators).
-func (h *TPCH) RunQuery(ctx *engine.Ctx, q int, p QueryParams) ([][]engine.Value, error) {
-	switch q {
-	case 1:
-		return h.Q1(ctx, p)
-	case 6:
-		return h.Q6(ctx, p)
-	case 13:
-		return h.Q13(ctx, p)
-	case 16:
-		return h.Q16(ctx, p)
+	if p.Phase <= 0 {
+		return 0
 	}
-	return nil, fmt.Errorf("workload: no query %d (have 1, 6, 13, 16)", q)
+	return int(p.Phase * float64(t.Heap.NumPages()))
 }
 
-// RunQueryRow executes query q on the row-at-a-time reference operators —
-// the seed's Volcano plans, kept for golden equivalence tests and the
-// vectorized-vs-row speedup measurements.
-func (h *TPCH) RunQueryRow(ctx *engine.Ctx, q int, p QueryParams) ([][]engine.Value, error) {
-	switch q {
-	case 1:
-		return h.Q1Row(ctx, p)
-	case 6:
-		return h.Q6Row(ctx, p)
-	case 13:
-		return h.Q13Row(ctx, p)
-	case 16:
-		return h.Q16(ctx, p)
-	}
-	return nil, fmt.Errorf("workload: no query %d (have 1, 6, 13, 16)", q)
-}
-
-// Queries lists the implemented TPC-H analogs in the paper's order.
-var Queries = []int{1, 6, 13, 16}
+// Queries lists the implemented TPC-H analogs in the paper's order: the
+// planned ones, then Q16, which runs on the row operators only.
+var Queries = append(Planned(), 16)
 
 // Client runs queries from the paper's mix until the recorder stops (or
 // limit queries complete; 0 = unlimited), closing the recorder on exit.
-// The workspace is reset between queries.
+// The workspace is reset between queries. rowPlans runs them on the
+// row-at-a-time reference operators (validation cells whose analytic
+// models assume per-tuple blocking access patterns, and
+// vectorized-vs-row comparisons) instead of the vectorized executor.
 //
 // All clients draw the query ORDER from a shared sequence while predicate
 // parameters stay private per client. Concurrent scans of the same tables
@@ -533,24 +307,14 @@ var Queries = []int{1, 6, 13, 16}
 // long-running multi-client DSS systems (trailing scans travel in the
 // leader's L2 wake); from a random initial phase the convoy forms over
 // tens of millions of cycles, far beyond a sampled measurement window.
-func (h *TPCH) Client(rec *trace.Recorder, worker int, seed int64, limit int) (int, error) {
-	return h.client(rec, worker, seed, limit, h.RunQuery)
-}
-
-// ClientRow is Client on the row-at-a-time reference operators (used by
-// validation cells whose analytic models assume per-tuple blocking
-// access patterns, and by vectorized-vs-row comparisons).
-func (h *TPCH) ClientRow(rec *trace.Recorder, worker int, seed int64, limit int) (int, error) {
-	return h.client(rec, worker, seed, limit, h.RunQueryRow)
-}
-
-func (h *TPCH) client(rec *trace.Recorder, worker int, seed int64, limit int, run func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error)) (int, error) {
+func (h *TPCH) Client(rec *trace.Recorder, worker int, seed int64, limit int, rowPlans bool) (int, error) {
 	defer rec.Close()
+	run := h.executor(rowPlans)
 	ctx := h.DB.NewCtx(rec, worker, 96<<20)
 	qrng := rand.New(rand.NewSource(4242)) // shared query order
 	prng := rand.New(rand.NewSource(seed)) // private predicate parameters
 	ran := 0
-	for !rec.Stopped() {
+	for ; !rec.Stopped() && (limit <= 0 || ran < limit); ran++ {
 		q := Queries[qrng.Intn(len(Queries))]
 		ctx.Work.Reset()
 		p := RandomParams(prng)
@@ -561,10 +325,6 @@ func (h *TPCH) client(rec *trace.Recorder, worker int, seed int64, limit int, ru
 		p.Phase = float64(worker%16) / 80
 		if _, err := run(ctx, q, p); err != nil {
 			return ran, err
-		}
-		ran++
-		if limit > 0 && ran >= limit {
-			break
 		}
 	}
 	return ran, nil
@@ -577,11 +337,14 @@ func (h *TPCH) client(rec *trace.Recorder, worker int, seed int64, limit int, ru
 func (h *TPCH) RunOnce(rec *trace.Recorder, worker int, q int, seed int64, rowPlans bool) error {
 	defer rec.Close()
 	ctx := h.DB.NewCtx(rec, worker, 96<<20)
-	rng := rand.New(rand.NewSource(seed))
-	if rowPlans {
-		_, err := h.RunQueryRow(ctx, q, RandomParams(rng))
-		return err
-	}
-	_, err := h.RunQuery(ctx, q, RandomParams(rng))
+	_, err := h.executor(rowPlans)(ctx, q, RandomParams(rand.New(rand.NewSource(seed))))
 	return err
+}
+
+// executor is RunQueryRow when rowPlans is set, RunQuery otherwise.
+func (h *TPCH) executor(rowPlans bool) func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error) {
+	if rowPlans {
+		return h.RunQueryRow
+	}
+	return h.RunQuery
 }

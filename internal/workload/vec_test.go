@@ -133,25 +133,22 @@ func TestVectorizedGoldenParallel(t *testing.T) {
 			for w := range ctxs {
 				ctxs[w] = h.DB.NewCtx(nil, 44+w, 24<<20)
 			}
-			got, err := h.RunQueryParallel(ctxs, q, p)
+			got, err := h.RunQueryParallelNative(ctxs, q, p, NativeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameRows(t, "parallel", got, want)
 		}
 	}
-	// Q13's parallel form is the join core: row counts must match the
-	// serial row-at-a-time join exactly at every worker count.
-	want, err := h.OrdersPerCustomer(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Q13's traced parallel form is the join core: row counts must match
+	// the serial row-at-a-time join exactly at every worker count.
+	want := serialJoinRows(t, h, serial)
 	for _, workers := range []int{1, 2, 4, 8} {
 		ctxs := make([]*engine.Ctx, workers)
 		for w := range ctxs {
 			ctxs[w] = h.DB.NewCtx(nil, 44+w, 24<<20)
 		}
-		got, err := h.OrdersPerCustomerParallel(ctxs)
+		got, err := h.RunJoinParallel(ctxs, 13, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,20 +170,7 @@ func TestVectorizedGoldenShared(t *testing.T) {
 	ctx := h.DB.NewCtx(nil, 52, 48<<20)
 	for _, q := range []int{1, 6, 13} {
 		ctx.Work.Reset()
-		var got [][]engine.Value
-		var start int
-		var err error
-		switch q {
-		case 1:
-			got, start, err = h.Q1Shared(ctx, p, env.Reg)
-		case 6:
-			got, start, err = h.Q6Shared(ctx, p, env.Reg)
-		case 13:
-			got, start, err = h.Q13Shared(ctx, p, env.Reg)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, start := runShared(t, h, ctx, q, p, env.Reg)
 		env.Reg.WaitIdle()
 		replay := p
 		replay.StartPage = start + 1 // pin the rotation's origin (1-based)

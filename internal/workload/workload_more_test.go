@@ -191,7 +191,7 @@ func TestQ6SelectivityBand(t *testing.T) {
 	h := smallTPCH(t)
 	ctx := h.DB.NewCtx(nil, 0, 64<<20)
 	p := QueryParams{Date: dateRange * 3 / 4, Discount: 0.05, Quantity: 24}
-	rows, err := h.Q6(ctx, p)
+	rows, err := h.RunQuery(ctx, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,13 @@ func TestQ6SelectivityBand(t *testing.T) {
 func TestPhasePageBounds(t *testing.T) {
 	h := smallTPCH(t)
 	n := h.lineitem.Heap.NumPages()
-	if got := h.phasePage(h.lineitem, 0); got != 0 {
+	if got := h.scanOrigin(h.lineitem, QueryParams{}); got != 0 {
 		t.Fatalf("phase 0 -> %d", got)
 	}
-	if got := h.phasePage(h.lineitem, 0.999); got >= n {
+	if got := h.scanOrigin(h.lineitem, QueryParams{Phase: 0.999}); got >= n {
 		t.Fatalf("phase 0.999 -> %d of %d pages", got, n)
 	}
-	if got := h.phasePage(h.lineitem, -1); got != 0 {
+	if got := h.scanOrigin(h.lineitem, QueryParams{Phase: -1}); got != 0 {
 		t.Fatalf("negative phase -> %d", got)
 	}
 }

@@ -269,7 +269,7 @@ func TestQ1GroupsAndSums(t *testing.T) {
 	h := smallTPCH(t)
 	ctx := h.DB.NewCtx(nil, 0, 64<<20)
 	p := QueryParams{Date: dateRange} // include everything
-	rows, err := h.Q1(ctx, p)
+	rows, err := h.RunQuery(ctx, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +297,9 @@ func TestQ1GroupsAndSums(t *testing.T) {
 func TestQ1DateFilter(t *testing.T) {
 	h := smallTPCH(t)
 	ctx := h.DB.NewCtx(nil, 0, 64<<20)
-	all, _ := h.Q1(ctx, QueryParams{Date: dateRange})
+	all, _ := h.RunQuery(ctx, 1, QueryParams{Date: dateRange})
 	ctx.Work.Reset()
-	half, err := h.Q1(ctx, QueryParams{Date: dateRange / 2})
+	half, err := h.RunQuery(ctx, 1, QueryParams{Date: dateRange / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 	h := smallTPCH(t)
 	ctx := h.DB.NewCtx(nil, 0, 64<<20)
 	p := QueryParams{Date: dateRange * 3 / 4, Discount: 0.05, Quantity: 24}
-	rows, err := h.Q6(ctx, p)
+	rows, err := h.RunQuery(ctx, 6, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 func TestQ13Distribution(t *testing.T) {
 	h := smallTPCH(t)
 	ctx := h.DB.NewCtx(nil, 0, 64<<20)
-	rows, err := h.Q13(ctx, QueryParams{})
+	rows, err := h.RunQuery(ctx, 13, QueryParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestDSSClientTraced(t *testing.T) {
 	rec, s := trace.Pipe()
 	done := make(chan int, 1)
 	go func() {
-		n, err := h.Client(rec, 0, 11, 3)
+		n, err := h.Client(rec, 0, 11, 3, false)
 		if err != nil {
 			t.Error(err)
 		}
