@@ -1,8 +1,7 @@
 // The unified execution API: one typed Request describing what to run
 // (mode, query or transaction mix, clients, partitioning, geometry) and
 // one Result carrying every measurement the drivers report. Runner.Run
-// is the single entry point behind cmd/cmpsim, cmd/benchjson, and
-// cmd/dbserver.
+// is the single entry point behind cmd/cmpsim, cmd/dbserver and bench.
 
 package core
 

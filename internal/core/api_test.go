@@ -99,11 +99,11 @@ func TestRequestValidation(t *testing.T) {
 	if err := atLimit.WithDefaults().Validate(); err != nil {
 		t.Errorf("request at the limits rejected: %v", err)
 	}
-	sweep := DefaultPartitionSweep()
-	widest := Request{Mode: ModeStagedOLTP, Clients: sweep.Opts.Clients, Txns: sweep.Opts.PerClient,
-		Cohort: sweep.Opts.Cohort, PartCounts: sweep.Parts}
+	sweep := defaultPartitionSweep()
+	widest := Request{Mode: ModeStagedOLTP, Clients: sweep.opts.Clients, Txns: sweep.opts.PerClient,
+		Cohort: sweep.opts.Cohort, PartCounts: sweep.parts}
 	if err := widest.WithDefaults().Validate(); err != nil {
-		t.Errorf("DefaultPartitionSweep rejected: %v", err)
+		t.Errorf("defaultPartitionSweep rejected: %v", err)
 	}
 	// Zero cell fields are defaults, and the smallest buildable L2 builds.
 	smallest := Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.Cores, c.CtxPerCore, c.L2Ports, c.L2Size = 0, 0, 0, 512 })}

@@ -292,29 +292,3 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 	}
 	return res, nil
 }
-
-// PartitionSweep is the canonical partitioned staged-OLTP measurement:
-// one definition shared by the CI gate (BenchmarkStagedOLTPParallel),
-// the archived BENCH artifact (cmd/benchjson), and the unit tests, so
-// all three always measure the same cell.
-type PartitionSweep struct {
-	Scale Scale
-	Cell  Cell
-	Opts  StagedOLTPOpts
-	Parts []int
-}
-
-// DefaultPartitionSweep is the 4-warehouse mix at parts {1, 2, 4} on a
-// 4-core FC chip that the PR 5 scaling gates run.
-func DefaultPartitionSweep() PartitionSweep {
-	scale := TestScale()
-	scale.TPCC.Warehouses = 4
-	cell := DefaultCell(sim.FatCamp, OLTP, false)
-	cell.WarmRefs = 10000
-	return PartitionSweep{
-		Scale: scale,
-		Cell:  cell,
-		Opts:  StagedOLTPOpts{Clients: 8, PerClient: 6, Cohort: 16, Seed: 7},
-		Parts: []int{1, 2, 4},
-	}
-}

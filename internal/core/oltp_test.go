@@ -7,6 +7,28 @@ import (
 	"repro/internal/sim"
 )
 
+// partitionSweep is the canonical partitioned staged-OLTP measurement:
+// the 4-warehouse mix at parts {1, 2, 4} on a 4-core FC chip.
+type partitionSweep struct {
+	scale Scale
+	cell  Cell
+	opts  StagedOLTPOpts
+	parts []int
+}
+
+func defaultPartitionSweep() partitionSweep {
+	scale := TestScale()
+	scale.TPCC.Warehouses = 4
+	cell := DefaultCell(sim.FatCamp, OLTP, false)
+	cell.WarmRefs = 10000
+	return partitionSweep{
+		scale: scale,
+		cell:  cell,
+		opts:  StagedOLTPOpts{Clients: 8, PerClient: 6, Cohort: 16, Seed: 7},
+		parts: []int{1, 2, 4},
+	}
+}
+
 // stagedRequest is the staged-oltp request for opts at partition counts
 // parts on cell.
 func stagedRequest(cell Cell, opts StagedOLTPOpts, parts ...int) Request {
@@ -18,9 +40,9 @@ func stagedRequest(cell Cell, opts StagedOLTPOpts, parts ...int) Request {
 }
 
 // TestStagedOLTPPaired runs the paired monolithic-vs-cohort experiment at
-// test scale and checks the PR's acceptance gate end to end: identical
-// final state, fewer simulated L1I misses, and committed work on both
-// sides.
+// test scale and checks StagedDB's claim end to end: identical final
+// state, committed work on both sides, and cohort scheduling cutting
+// simulated L1I misses at least 5x (it reads 37.6x; the count is exact).
 func TestStagedOLTPPaired(t *testing.T) {
 	r := NewRunner(TestScale())
 	cell := DefaultCell(sim.FatCamp, OLTP, false)
@@ -40,24 +62,26 @@ func TestStagedOLTPPaired(t *testing.T) {
 	t.Logf("cohort:     %d cycles, %d L1I misses, %.1f%% istall, %.2f txn/Mcycle (stats %+v)",
 		coh.Cycles, coh.Result.Cache.L1IMisses, coh.IStallFrac()*100, coh.PerMcycle(coh.Txns), coh.Sched)
 	t.Logf("L1I miss reduction %.2fx, speedup %.2fx", res.L1IMissReductionX, res.SpeedupX)
-	if res.L1IMissReductionX <= 1 {
-		t.Errorf("cohort scheduling did not cut L1I misses (reduction %.2fx)", res.L1IMissReductionX)
+	if res.L1IMissReductionX < 5 {
+		t.Errorf("cohort scheduling cut L1I misses only %.2fx (%d -> %d), want >= 5x",
+			res.L1IMissReductionX, mono.Result.Cache.L1IMisses, coh.Result.Cache.L1IMisses)
 	}
 }
 
-// TestStagedOLTPPartitionedScaling runs the canonical partition sweep —
-// the same cell the CI gate and the BENCH artifact measure — and checks
-// the multi-worker acceptance gate end to end: every digest
-// byte-identical to the monolithic reference (enforced inside Run), all
-// work committed, per-partition stats reported, and simulated cycles
-// improving with partition count.
+// TestStagedOLTPPartitionedScaling runs the canonical partition sweep and
+// checks it end to end: every digest byte-identical to the monolithic
+// reference (enforced inside Run), all work committed, per-partition
+// stats reported, and simulated cycles improving with partition count —
+// parts=2 beats parts=1 and parts=4 reaches at least 2x (≈ 1.65x and
+// ≈ 2.9x at this cell; partitioned sides are host-paced, so their cycles
+// move a few percent from run to run, far from either bar).
 func TestStagedOLTPPartitionedScaling(t *testing.T) {
-	sweep := DefaultPartitionSweep()
-	r := NewRunner(sweep.Scale)
-	cell := sweep.Cell
+	sweep := defaultPartitionSweep()
+	r := NewRunner(sweep.scale)
+	cell := sweep.cell
 	cell.StreamBuf = false
-	opts := sweep.Opts
-	parts := sweep.Parts
+	opts := sweep.opts
+	parts := sweep.parts
 	res, err := r.Run(context.Background(), stagedRequest(cell, opts, parts...))
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +100,11 @@ func TestStagedOLTPPartitionedScaling(t *testing.T) {
 		t.Logf("parts=%d: %d cycles, %.2fx vs 1-part, %.2f txn/Mcycle (sched %+v)",
 			parts[i], run.Cycles, res.ScalingX[i], run.PerMcycle(run.Txns), run.Sched)
 	}
-	if x := res.ScalingX[len(res.ScalingX)-1]; x <= 1.2 {
-		t.Errorf("parts=4 only %.2fx over parts=1; partitioning is not scaling", x)
+	if x := res.ScalingX[1]; x <= 1 {
+		t.Errorf("parts=2 is %.2fx parts=1; partitioning must not lose", x)
+	}
+	if x := res.ScalingX[2]; x < 2 {
+		t.Errorf("parts=4 only %.2fx over parts=1, want >= 2x", x)
 	}
 }
 
@@ -85,9 +112,9 @@ func TestStagedOLTPPartitionedScaling(t *testing.T) {
 // traced partitioned path: fenced transactions must be counted and the
 // digest must still match the monolithic reference (checked inside Run).
 func TestStagedOLTPRemoteMixTraced(t *testing.T) {
-	sweep := DefaultPartitionSweep()
-	r := NewRunner(sweep.Scale)
-	cell := sweep.Cell
+	sweep := defaultPartitionSweep()
+	r := NewRunner(sweep.scale)
+	cell := sweep.cell
 	cell.StreamBuf = false
 	opts := StagedOLTPOpts{Clients: 8, PerClient: 3, Cohort: 16, Seed: 7, RemotePct: 50}
 	res, err := r.Run(context.Background(), stagedRequest(cell, opts, 2))
