@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -90,6 +92,78 @@ func TestRunUnsaturatedDSSCellCompletes(t *testing.T) {
 	}
 	if res.Work != 1 {
 		t.Fatalf("work = %d, want 1 query", res.Work)
+	}
+}
+
+// fig3Cell is Figure 3's cell: saturated row-plan DSS, one client per
+// single-context LC core.
+func fig3Cell() Cell {
+	c := DefaultCell(sim.LeanCamp, DSS, true)
+	c.CtxPerCore = 1
+	c.Clients = 4
+	c.RowPlans = true
+	return c
+}
+
+// cellGoldens is the simulator's complete output for the characterization
+// cells whose traces do not depend on the host: Figure 3's, and shortCell's
+// DSS cells, at TestScale, recorded at commit 9539db3. Work is pinned for
+// the unsaturated cells only: a saturated cell counts the queries its
+// clients finished before the window closed, and how far a client has run
+// ahead of the simulator by then is up to the host. Saturated OLTP cells
+// are not pinned at all: their clients share one database and its locks.
+var cellGoldens = []struct {
+	name     string
+	cell     Cell
+	work     int // -1: not pinned
+	response float64
+	result   sim.Result
+}{
+	{"figure 3", fig3Cell(), -1, 0, sim.Result{
+		Cycles: 0x61a80, Instructions: 0x1af580,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0xd8896, 0x0, 0x0, 0x269d8, 0x7f0bc, 0x0, 0x86d6, 0x0}},
+		Cache: cache.Stats{L1DHits: 0x238d9, L1DMisses: 0x276d, L1IHits: 0x1da00,
+			L2Hits: 0x2253, L2Misses: 0x51a, MemAccesses: 0x51a, PortQueueCycles: 0x2},
+		ThreadDone: []uint64{0x0, 0x0, 0x0, 0x0}}},
+	{"unsaturated DSS q6 FC", shortCell(sim.FatCamp, DSS, false), 1, 1.264375e+06, sim.Result{
+		Cycles: 0x134af8, Instructions: 0x211a6,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x10a68, 0x0, 0x190, 0x628, 0x1209a4, 0x0, 0x2f32, 0x39e0ea}},
+		Cache: cache.Stats{L1DHits: 0x8d7, L1DMisses: 0x3056, L1IHits: 0x1f24, L1IMisses: 0x1,
+			L2Hits: 0x2b8, L2Misses: 0x2d9f, MemAccesses: 0x2d9f, Upgrades: 0x2, PortQueueCycles: 0x8b8},
+		ThreadDone: []uint64{0x134af7}}},
+	{"unsaturated DSS q6 LC", shortCell(sim.LeanCamp, DSS, false), 1, 4.743214e+06, sim.Result{
+		Cycles: 0x48602f, Instructions: 0x211a6,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x1202e, 0x0, 0x190, 0x1c9f, 0x4717b3, 0x0, 0xa1d, 0xd9208f}},
+		Cache: cache.Stats{L1DHits: 0x8d7, L1DMisses: 0x3056, L1IHits: 0x1f24, L1IMisses: 0x1,
+			L2Hits: 0x2b8, L2Misses: 0x2d9f, MemAccesses: 0x2d9f, Upgrades: 0x2, PortQueueCycles: 0x76b},
+		ThreadDone: []uint64{0x48602e}}},
+	{"saturated DSS FC", shortCell(sim.FatCamp, DSS, true), -1, 0, sim.Result{
+		Cycles: 0x1d4c0, Instructions: 0xa66b9,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x53aaa, 0x0, 0x0, 0xc6e0, 0x6765, 0x0, 0xea11, 0x0}},
+		Cache: cache.Stats{L1DHits: 0x1cd3e, L1DMisses: 0x501a, L1IHits: 0x9800,
+			L2Hits: 0x4f03, L2Misses: 0x117, MemAccesses: 0x117, Upgrades: 0x17d, PortQueueCycles: 0x7b09c},
+		ThreadDone: make([]uint64, 16)}},
+}
+
+// TestGoldenCellSimResults pins cellGoldens, twice over, so that the second
+// pass simulates on whatever the first left behind.
+func TestGoldenCellSimResults(t *testing.T) {
+	for _, pass := range []string{"first pass", "second pass"} {
+		for _, g := range cellGoldens {
+			res, err := sharedRunner.RunCell(g.cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.work >= 0 && res.Work != g.work {
+				t.Errorf("%s, %s: work %d, golden %d", pass, g.name, res.Work, g.work)
+			}
+			if res.ResponseCycles != g.response {
+				t.Errorf("%s, %s: response %v cycles, golden %v", pass, g.name, res.ResponseCycles, g.response)
+			}
+			if !reflect.DeepEqual(res.Result, g.result) {
+				t.Errorf("%s, %s: sim.Result\n got    %+v\n golden %+v", pass, g.name, res.Result, g.result)
+			}
+		}
 	}
 }
 
@@ -236,6 +310,20 @@ func TestStagedExperimentModes(t *testing.T) {
 	}
 	if parallel >= volcano {
 		t.Errorf("staged-parallel (%d cycles) not faster than volcano (%d)", parallel, volcano)
+	}
+	// The single-threaded modes repeat exactly (recorded at commit 9539db3);
+	// the pool's workers hand packets to one another in host time, so the
+	// two pool modes' cycles move by a few between runs and are not pinned.
+	for _, g := range []StagedResult{
+		{Mode: "volcano", Cycles: 2628842, Rows: 9033, L1DHitRate: 0.814020699673163},
+		{Mode: "staged-affinity", Cycles: 1888312, Rows: 9033, L1DHitRate: 0.7815555692649372},
+	} {
+		for _, m := range res {
+			if m.Mode == g.Mode && (m.Cycles != g.Cycles || m.Rows != g.Rows || m.L1DHitRate != g.L1DHitRate) {
+				t.Errorf("%s: %d cycles, %d rows, L1D hit rate %v; golden %d, %d, %v",
+					m.Mode, m.Cycles, m.Rows, m.L1DHitRate, g.Cycles, g.Rows, g.L1DHitRate)
+			}
+		}
 	}
 }
 
