@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke serve server-smoke lint fmt
+.PHONY: all build test race bench bench-smoke figures-smoke serve server-smoke lint fmt
 
 all: build lint test
 
@@ -47,6 +47,15 @@ bench:
 # bench/out/.
 bench-smoke: bench
 	$(GO) run ./bench -window 2s
+
+# Mirrors CI's figures step: the paper's Figure 3 validation, Figure 5's
+# breakdown and the staged-execution experiment at test scale, every cell
+# through the one simulation lifecycle (core.Runner.simulate). Figure 2 is
+# left out: its 128-client point does not fit in memory at test scale.
+figures-smoke:
+	$(GO) run ./cmd/figures -exp fig3 -scale test
+	$(GO) run ./cmd/figures -exp fig5 -scale test
+	$(GO) run ./cmd/figures -exp staged -scale test
 
 # Run the execution server on :8080 (POST /v1/query, POST /v1/txn,
 # GET /v1/jobs/{id}, GET /healthz, GET /metrics).

@@ -131,10 +131,10 @@ type Request struct {
 	// Cell overrides the chip geometry; nil picks DefaultModeCell on the
 	// fat camp.
 	Cell *Cell
-	// Trace collects dual-clock spans (Result.Traces) for the subject
-	// executions. Off by default: span markers in the trace stream shift
-	// chunk boundaries, so traced and untraced runs are separate
-	// experiments — never compare cycles across the two.
+	// Trace collects dual-clock spans (Result.Traces) for every side. Off
+	// by default: span markers in the trace stream shift chunk boundaries,
+	// so traced and untraced runs are separate experiments — never compare
+	// cycles across the two.
 	Trace bool
 }
 
@@ -315,11 +315,18 @@ type Side struct {
 	// Workers / Parts identify the sweep point where applicable.
 	Workers int
 	Parts   int
-	Fenced  int
+	// Fenced counts the cross-partition transactions run in isolation.
+	Fenced int
+	// Sched sums the scheduler counters over partitions; PerPart has them
+	// per partition when there are several.
 	Sched   oltp.Stats
 	PerPart []oltp.Stats
-	Scans   share.Stats
-	Reuse   share.CacheStats
+	// Scans and Reuse are the shared scans' and the result cache's counters.
+	Scans share.Stats
+	Reuse share.CacheStats
+	// Trace is the side's dual-clock span run when it was traced; its root
+	// span covers [0, Cycles]. Run gathers them into Result.Traces.
+	Trace *obs.Run
 }
 
 // Stalls is the wire/report-friendly cycle-accounting breakdown of one
@@ -401,10 +408,10 @@ type Result struct {
 	// Digest is Main.Digest: the value the server's byte-identity
 	// acceptance compares against batch runs.
 	Digest uint64
-	// Traces holds one dual-clock span run per traced execution when
-	// Request.Trace is set (subject sides; sweep modes collect one per
-	// sweep point). Exportable as Chrome trace-event JSON via
-	// obs.WriteChrome.
+	// Traces holds the dual-clock span run of every side, in side order,
+	// when Request.Trace is set; executors without span plumbing (vec-dss,
+	// parallel-dss) contribute the root span alone. Exportable as Chrome
+	// trace-event JSON via obs.WriteChrome.
 	Traces []obs.Run
 	// Native holds the host-execution sweep when Request.NativeWorkers is
 	// set: the interpreted 1-worker reference first, then one compiled
@@ -460,27 +467,43 @@ type Result struct {
 // way, and an error is the first in side order.
 //
 // staged-oltp digests are checked byte-identical against the monolithic
-// reference. A panic in a side comes back as a *PanicError. ctx cancels
-// between sides (a simulated run in flight is not interrupted).
+// reference. A panic in a side, or in the producer goroutine its
+// simulation starts, comes back as a *PanicError; one in a goroutine that
+// producer spawns itself (a shared-dss client, a morsel worker) still ends
+// the process. ctx cancels between sides (a simulated run in flight is not
+// interrupted).
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
 		return Result{}, err
 	}
-	res := Result{Mode: req.Mode, Request: req}
-	var err error
-	switch req.Mode {
-	case ModeVecDSS:
-		err = r.runVecPair(ctx, req, &res)
-	case ModeSharedDSS:
-		err = r.runSharedPair(ctx, req, &res)
-	case ModeParallelDSS:
-		err = r.runParallelSweep(ctx, req, &res)
-	case ModeStagedOLTP:
-		err = r.runStagedSweep(ctx, req, &res)
-	}
+	sides, err := r.runSides(ctx, req.Mode, r.requestSides(req)...)
 	if err != nil {
 		return Result{}, err
+	}
+	res := Result{Mode: req.Mode, Request: req, Baseline: sides[0], Main: sides[len(sides)-1]}
+	switch req.Mode {
+	case ModeParallelDSS:
+		res.Sweep = sides
+	case ModeStagedOLTP:
+		res.Sweep = sides[1:]
+		for _, s := range res.Sweep {
+			if s.Digest != res.Baseline.Digest {
+				return Result{}, fmt.Errorf(
+					"core: staged OLTP digest mismatch at parts=%d: %#x vs monolithic %#x (determinism contract violated)",
+					s.Parts, s.Digest, res.Baseline.Digest)
+			}
+		}
+		res.L1IMissReductionX = float64(res.Baseline.Result.Cache.L1IMisses) /
+			float64(max(res.Main.Result.Cache.L1IMisses, 1))
+	}
+	for _, s := range res.Sweep {
+		res.ScalingX = append(res.ScalingX, float64(res.Sweep[0].Cycles)/float64(max(s.Cycles, 1)))
+	}
+	for _, s := range sides {
+		if s.Trace != nil {
+			res.Traces = append(res.Traces, *s.Trace)
+		}
 	}
 	res.Digest = res.Main.Digest
 	if res.Main.Cycles > 0 {
@@ -504,173 +527,47 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	return res, nil
 }
 
-func (r *Runner) runVecPair(ctx context.Context, req Request, res *Result) error {
-	var row, vec VecDSSResult
-	measure := func(label string, vectorized bool, out *VecDSSResult) side {
-		return side{label: label, run: func() (err error) {
-			*out, err = r.RunVecDSS(*req.Cell, req.Query, vectorized, req.Seed, req.joinMode())
-			return err
-		}}
-	}
-	if err := r.runSides(ctx, req.Mode, measure("row", false, &row), measure("vectorized", true, &vec)); err != nil {
-		return err
-	}
-	res.Baseline = vecSide(row)
-	res.Main = vecSide(vec)
-	if req.Trace {
-		// The vectorized executor has no span plumbing yet: synthesize
-		// root-only runs so trace exports treat every mode uniformly.
-		res.Traces = append(res.Traces,
-			syntheticRun(res.Baseline.Label, res.Baseline.Cycles),
-			syntheticRun(res.Main.Label, res.Main.Cycles))
-	}
-	return nil
-}
-
-// syntheticRun builds a root-only trace for executors without span
-// plumbing: one run span covering [0, cycles].
-func syntheticRun(label string, cycles uint64) obs.Run {
-	t := obs.NewTracer()
-	sp := t.BeginAt(0, 0, label, "run")
-	t.StampStart(sp, 0)
-	sp.EndAt(cycles)
-	return t.Snapshot(label, cycles)
-}
-
-func vecSide(v VecDSSResult) Side {
-	label := "row"
-	if v.Vectorized {
-		label = "vectorized"
-	}
-	return Side{Label: label, Cycles: v.Cycles, Result: v.Result, Rows: v.Rows, Digest: v.Digest}
-}
-
-func (r *Runner) runSharedPair(ctx context.Context, req Request, res *Result) error {
-	var un, sh SharedDSSResult
-	measure := func(label string, shared bool, out *SharedDSSResult) side {
-		return side{label: label, run: func() (err error) {
-			*out, err = r.RunSharedDSSTraced(*req.Cell, req.Query, req.Clients, shared, req.Seed, req.Trace)
-			return err
-		}}
-	}
-	if err := r.runSides(ctx, req.Mode, measure("unshared", false, &un), measure("shared", true, &sh)); err != nil {
-		return err
-	}
-	res.Baseline = sharedSide(un)
-	res.Main = sharedSide(sh)
-	for _, v := range []SharedDSSResult{un, sh} {
-		if v.Trace != nil {
-			res.Traces = append(res.Traces, *v.Trace)
+// requestSides returns the simulations of req's mode in side order: the
+// reference first, the subject (or the sweep's last point) last.
+func (r *Runner) requestSides(req Request) []side {
+	cell, q, seed, mode := *req.Cell, req.Query, req.Seed, req.joinMode()
+	var sides []side
+	switch req.Mode {
+	case ModeVecDSS:
+		for _, vectorized := range []bool{false, true} {
+			sides = append(sides, side{label: vecLabel(vectorized), run: func() (Side, error) {
+				return r.vecDSS(cell, q, vectorized, seed, req.Trace, mode)
+			}})
+		}
+	case ModeSharedDSS:
+		for _, shared := range []bool{false, true} {
+			sides = append(sides, side{label: sharedLabel(shared), run: func() (Side, error) {
+				return r.RunSharedDSSTraced(cell, q, req.Clients, shared, seed, req.Trace)
+			}})
+		}
+	case ModeParallelDSS:
+		// One pinned geometry for every count, so the ratio measures
+		// executor scaling, not hardware scaling.
+		for _, n := range req.WorkerCounts {
+			cell.Cores = max(cell.Cores, n)
+		}
+		for _, n := range req.WorkerCounts {
+			sides = append(sides, side{label: parallelLabel(n), run: func() (Side, error) {
+				return r.parallelDSS(cell, q, n, seed, req.Trace, mode)
+			}})
+		}
+	case ModeStagedOLTP:
+		staged := func(cohorted bool, parts int) side {
+			return side{label: stagedLabel(cohorted, parts), hostPaced: parts > 1, run: func() (Side, error) {
+				return r.RunStagedOLTP(cell, cohorted, req.stagedOpts(parts))
+			}}
+		}
+		sides = append(sides, staged(false, 1))
+		for _, p := range req.PartCounts {
+			sides = append(sides, staged(true, p))
 		}
 	}
-	return nil
-}
-
-func sharedSide(v SharedDSSResult) Side {
-	label := "unshared"
-	if v.Shared {
-		label = "shared"
-	}
-	return Side{
-		Label: label, Cycles: v.Cycles, Result: v.Result, Rows: v.Rows,
-		Digest: v.Digest, Scans: v.Scans, Reuse: v.Cache,
-	}
-}
-
-func (r *Runner) runParallelSweep(ctx context.Context, req Request, res *Result) error {
-	// One pinned geometry for every count, so the ratio measures
-	// executor scaling, not hardware scaling.
-	cell := *req.Cell
-	for _, n := range req.WorkerCounts {
-		if cell.Cores < n {
-			cell.Cores = n
-		}
-	}
-	runs := make([]ParallelDSSResult, len(req.WorkerCounts))
-	sides := make([]side, len(req.WorkerCounts))
-	for i, n := range req.WorkerCounts {
-		sides[i] = side{label: fmt.Sprintf("parallel-%d", n), run: func() (err error) {
-			runs[i], err = r.RunParallelDSS(cell, req.Query, n, req.Seed, req.joinMode())
-			return err
-		}}
-	}
-	if err := r.runSides(ctx, req.Mode, sides...); err != nil {
-		return err
-	}
-	for i, run := range runs {
-		res.Sweep = append(res.Sweep, Side{
-			Label: sides[i].label, Cycles: run.Cycles,
-			Result: run.Result, Rows: run.Rows, Digest: run.Digest, Workers: run.Workers,
-		})
-		if req.Trace {
-			// The morsel-driven executor has no span plumbing yet.
-			res.Traces = append(res.Traces, syntheticRun(sides[i].label, run.Cycles))
-		}
-	}
-	res.Baseline = res.Sweep[0]
-	res.Main = res.Sweep[len(res.Sweep)-1]
-	for _, s := range res.Sweep {
-		res.ScalingX = append(res.ScalingX, float64(res.Sweep[0].Cycles)/float64(max(s.Cycles, 1)))
-	}
-	return nil
-}
-
-func (r *Runner) runStagedSweep(ctx context.Context, req Request, res *Result) error {
-	// runs[0] is the monolithic reference, runs[1:] the cohort side at each
-	// partition count.
-	runs := make([]StagedOLTPResult, 1+len(req.PartCounts))
-	measure := func(out *StagedOLTPResult, cohorted bool, parts int) side {
-		return side{label: stagedLabel(cohorted, parts), hostPaced: parts > 1, run: func() (err error) {
-			*out, err = r.RunStagedOLTP(*req.Cell, cohorted, req.stagedOpts(parts))
-			return err
-		}}
-	}
-	sides := []side{measure(&runs[0], false, 1)}
-	for i, p := range req.PartCounts {
-		sides = append(sides, measure(&runs[i+1], true, p))
-	}
-	if err := r.runSides(ctx, req.Mode, sides...); err != nil {
-		return err
-	}
-	mono := runs[0]
-	res.Baseline = stagedSide(mono)
-	if mono.Trace != nil {
-		res.Traces = append(res.Traces, *mono.Trace)
-	}
-	for _, run := range runs[1:] {
-		if run.Digest != mono.Digest {
-			return fmt.Errorf(
-				"core: staged OLTP digest mismatch at parts=%d: %#x vs monolithic %#x (determinism contract violated)",
-				run.Parts, run.Digest, mono.Digest)
-		}
-		res.Sweep = append(res.Sweep, stagedSide(run))
-		if run.Trace != nil {
-			res.Traces = append(res.Traces, *run.Trace)
-		}
-	}
-	res.Main = res.Sweep[len(res.Sweep)-1]
-	for _, s := range res.Sweep {
-		res.ScalingX = append(res.ScalingX, float64(res.Sweep[0].Cycles)/float64(max(s.Cycles, 1)))
-	}
-	res.L1IMissReductionX = float64(mono.Result.Cache.L1IMisses) /
-		float64(max(res.Main.Result.Cache.L1IMisses, 1))
-	return nil
-}
-
-// stagedLabel names a staged-oltp side.
-func stagedLabel(cohorted bool, parts int) string {
-	if !cohorted {
-		return "monolithic"
-	}
-	return fmt.Sprintf("cohort-%d", parts)
-}
-
-func stagedSide(v StagedOLTPResult) Side {
-	return Side{
-		Label: stagedLabel(v.Cohorted, v.Parts), Cycles: v.Cycles, Result: v.Result, Txns: v.Txns,
-		Digest: v.Digest, Parts: v.Parts, Fenced: v.Fenced,
-		Sched: v.Sched, PerPart: v.PerPart,
-	}
+	return sides
 }
 
 // RowsDigest fingerprints a result set: FNV-1a over each row's typed

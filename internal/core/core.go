@@ -97,7 +97,7 @@ func DefaultCell(camp sim.Camp, wk WorkloadKind, saturated bool) Cell {
 }
 
 // validate rejects, with a *ValidationError naming "cell", a geometry no
-// chip can be built from: SimConfig, cache.NewHierarchy and sim.NewChip
+// chip can be built from: SimConfig, cache.NewHierarchy and sim.NewChipOn
 // panic on these, because between them and a caller stands this check. Zero
 // fields are the defaults SimConfig and the simulator fill in.
 func (c Cell) validate() error {

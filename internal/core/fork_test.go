@@ -155,18 +155,18 @@ func TestGoldenStagedOLTPSimResults(t *testing.T) {
 	// side makes; from then on the requests must neither add to it nor lose
 	// any of it.
 	most := sidesAtOnce(r, ModeStagedOLTP)
-	cell := *goldenStagedRequest(7).WithDefaults().Cell
+	geometry := goldenStagedRequest(7).WithDefaults().Cell.SimConfig().WithDefaults().Hier.WithDefaults()
 	var release []func()
 	for i := 0; i < most; i++ {
 		w, err := r.forkTPCC()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, chip := r.workCtx(w.DB, nil, 0, oltpWorkBytes), r.newChip(cell)
+		ctx, hier := r.workCtx(w.DB, nil, 0, oltpWorkBytes), r.hiers.take(geometry)
 		release = append(release, func() {
 			r.releaseWork(ctx)
 			r.arenas.put(w.DB.Release())
-			r.releaseChip(chip)
+			r.hiers.put(hier)
 		})
 	}
 	for _, f := range release {

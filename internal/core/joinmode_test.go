@@ -19,7 +19,7 @@ import (
 // mechanism on the simulated clock.
 func TestQ13JoinModeTracedDigests(t *testing.T) {
 	cell := DefaultModeCell(ModeVecDSS, sim.FatCamp)
-	results := map[engine.JoinMode]VecDSSResult{}
+	results := map[engine.JoinMode]Side{}
 	for _, m := range []engine.JoinMode{engine.JoinChained, engine.JoinPartitioned, engine.JoinPrefetch} {
 		res, err := sharedRunner.RunVecDSS(cell, 13, true, 7, m)
 		if err != nil {
@@ -40,7 +40,7 @@ func TestQ13JoinModeTracedDigests(t *testing.T) {
 	if p, c := results[engine.JoinPrefetch].Result.Cache.Prefetches, ch.Result.Cache.Prefetches; p <= c {
 		t.Errorf("prefetch mode issued %d software prefetches, chained %d — mode not reaching the cache model", p, c)
 	}
-	dstallFrac := func(r VecDSSResult) float64 {
+	dstallFrac := func(r Side) float64 {
 		s := StallsOf(r.Result)
 		return float64(s.DStallL2+s.DStallMem) / float64(s.Busy)
 	}

@@ -18,13 +18,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/oltp"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // StagedOLTPOpts shapes one paired staged-OLTP measurement.
@@ -42,7 +39,7 @@ type StagedOLTPOpts struct {
 	// transactions cross partitions and exercise the global fence.
 	RemotePct int
 	// Trace collects dual-clock spans (run → txn → quantum/step) into
-	// Result.Trace. Span markers shift trace-chunk boundaries, so traced
+	// the side's Trace. Span markers shift trace-chunk boundaries, so traced
 	// cycles are not comparable to untraced cycles.
 	Trace bool
 }
@@ -93,60 +90,32 @@ func (o StagedOLTPOpts) Validate() error {
 	return nil
 }
 
-// StagedOLTPResult is one side of the paired measurement.
-type StagedOLTPResult struct {
-	Cohorted bool   // true: cohort-scheduled; false: monolithic
-	Parts    int    // scheduler workers (1 unless partitioned)
-	Cycles   uint64 // completion cycle of the slowest worker thread
-	Result   sim.Result
-	Txns     int          // transactions committed
-	Digest   uint64       // final database state digest
-	Sched    oltp.Stats   // scheduler counters, summed over partitions
-	PerPart  []oltp.Stats // per-partition scheduler counters (Parts > 1)
-	Fenced   int          // cross-partition transactions run in isolation
-	// Trace is the dual-clock span run when StagedOLTPOpts.Trace was set.
-	// Its root span covers [0, Cycles] — span totals reconcile exactly.
-	Trace *obs.Run
-}
-
-// TxnsPerMcycle is the throughput in transactions per million cycles.
-func (r StagedOLTPResult) TxnsPerMcycle() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Txns) * 1e6 / float64(r.Cycles)
-}
-
-// IStallFrac is the fraction of busy cycles lost to instruction stalls.
-func (r StagedOLTPResult) IStallFrac() float64 {
-	busy := r.Result.Breakdown.Busy()
-	if busy == 0 {
-		return 0
-	}
-	return float64(r.Result.Breakdown.IStalls()) / float64(busy)
-}
-
 // RunStagedOLTP executes the deterministic transaction stream described
 // by o on a fresh chip built from cell — cohort-scheduled when cohorted
-// is set, monolithically otherwise. Each run starts from the loaded
-// database (all sides of a comparison must start from identical state):
-// a private fork of the Runner's resident TPC-C image, which is what
-// workload.BuildTPCC would return, byte for byte, for the cost of a page
-// copy. The run owns the fork and its arena until the final state has
-// been digested, then hands the arena back for the next fork; the image
-// itself is never written. The returned digest covers the final logical
-// state. The monolithic reference and a single-partition cohort run use
-// one traced worker, which runs as a coroutine of the simulator: such a
-// side occupies one host thread from fork to digest. A partitioned cohort
-// run (o.Parts > 1) uses one worker thread per partition.
-func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (StagedOLTPResult, error) {
+// is set, monolithically otherwise — and returns the side labeled
+// stagedLabel: the slowest worker thread's completion cycle, transactions
+// committed, scheduler counters (summed over partitions, and per partition
+// when there are several), the cross-partition transactions run in
+// isolation, and the digest of the final logical state. Each run starts
+// from the loaded database (all sides of a comparison must start from
+// identical state): a private fork of the Runner's resident TPC-C image,
+// which is what workload.BuildTPCC would return, byte for byte, for the
+// cost of a page copy. The run owns the fork and its arena until the final
+// state has been digested, then hands the arena back for the next fork;
+// the image itself is never written. The monolithic reference and a
+// single-partition cohort run use one traced worker, which runs as a
+// coroutine of the simulator: such a side occupies one host thread from
+// fork to digest. A partitioned cohort run (o.Parts > 1) uses one worker
+// thread per partition. With o.Trace set the side carries the span run,
+// whose root span covers [0, Cycles], so span totals reconcile exactly.
+func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side, error) {
 	o = o.WithDefaults()
 	if err := o.Validate(); err != nil {
-		return StagedOLTPResult{}, err
+		return Side{}, err
 	}
 	w, err := r.forkTPCC()
 	if err != nil {
-		return StagedOLTPResult{}, err
+		return Side{}, err
 	}
 	ins := w.StagedInputsMix(o.Clients, o.PerClient, o.Seed, o.RemotePct)
 	progs := w.StagedPrograms(ins, cohorted)
@@ -155,140 +124,73 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Stag
 	if cohorted {
 		parts = o.Parts
 	}
-	chip := r.newChip(cell)
 	// One traced worker feeds the simulator as its coroutine (trace.Inline):
 	// the side then occupies a single host thread, and its duration does not
 	// depend on the host scheduling a producer thread beside the simulator.
 	// Partition schedulers wait for one another (commit order, fences), so
 	// they need threads of their own and bounded channel pipes.
-	inline := parts == 1
-	recs := make([]*trace.Recorder, parts)
-	streams := make([]*trace.Stream, parts)
+	th := newThreads(parts, parts == 1)
 	ctxs := make([]*engine.Ctx, parts)
-	for p := 0; p < parts; p++ {
-		if inline {
-			recs[p], streams[p] = trace.Inline()
-		} else {
-			recs[p], streams[p] = trace.Pipe()
-		}
-		chip.AddThread(streams[p])
-		ctxs[p] = r.workCtx(w.DB, recs[p], p, oltpWorkBytes)
+	for p, rec := range th.recs {
+		ctxs[p] = r.workCtx(w.DB, rec, p, oltpWorkBytes)
 	}
-	// Every return after the end of every stream and wg.Wait releases what
-	// the run held: the worker and the partition schedulers it starts are
-	// done with the database and the workspaces by then. A run that panics
-	// before has not been joined, and leaves it all to the collector.
-	joined := false
-	defer func() {
-		if joined {
-			r.releaseWork(ctxs...)
-			r.arenas.put(w.DB.Release())
-			r.releaseChip(chip)
-		}
-	}()
-
-	label := stagedLabel(cohorted, parts)
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if o.Trace {
-		tracer = obs.NewTracer()
-		chip.SetMarkHandler(tracer.OnMark)
-		// The root run span is virtual: a fresh chip starts at cycle 0 and
-		// the run ends at the reported cycle count, so child span totals
-		// reconcile against [0, Cycles] exactly.
-		root = tracer.BeginAt(0, 0, label, "run")
-		tracer.StampStart(root, 0)
-	}
-	sc := obs.Scope{T: tracer, Parent: root.ID()}
-
-	res := StagedOLTPResult{Cohorted: cohorted, Parts: parts}
+	var sched oltp.Stats
+	var perPart []oltp.Stats
+	var fenced int
 	var runErr error
-	work := func() {
-		switch {
-		case !cohorted:
-			res.Sched, runErr = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
-		case parts == 1:
-			sched := oltp.NewScheduler(w.DB.Codes, oltp.Config{
-				Cohort: o.Cohort, Generation: w.Mgr.LM.Generation,
-				Obs: sc, Metrics: r.Sched,
-			})
-			res.Sched, runErr = sched.Run(ctxs[0], progs)
-		default:
-			plan := w.PartitionPlan(ins, parts)
-			res.Fenced = len(plan.Fences())
-			cfg := oltp.Config{
-				Cohort: oltp.SplitWindow(o.Cohort, parts), Generation: w.Mgr.LM.Generation,
-				Obs: sc, Metrics: r.Sched,
-			}
-			res.PerPart, runErr = oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, cfg)
-			for _, st := range res.PerPart {
-				res.Sched.Add(st)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	if inline {
-		streams[0].SetProducer(work)
-	} else {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				for _, rec := range recs {
-					rec.Close()
+	side, err := r.simulate(run{
+		label: stagedLabel(cohorted, parts), cell: cell, threads: th,
+		// Warm is per thread: the budget is split across partition workers
+		// so every partition count warms the same total number of references
+		// and the scaling comparison stays apples-to-apples.
+		warm: 20000, warmSplit: parts, done: parts, work: ctxs, traced: o.Trace,
+		produce: func(sc obs.Scope) {
+			switch {
+			case !cohorted:
+				sched, runErr = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
+			case parts == 1:
+				s := oltp.NewScheduler(w.DB.Codes, oltp.Config{
+					Cohort: o.Cohort, Generation: w.Mgr.LM.Generation,
+					Obs: sc, Metrics: r.Sched,
+				})
+				sched, runErr = s.Run(ctxs[0], progs)
+			default:
+				plan := w.PartitionPlan(ins, parts)
+				fenced = len(plan.Fences())
+				cfg := oltp.Config{
+					Cohort: oltp.SplitWindow(o.Cohort, parts), Generation: w.Mgr.LM.Generation,
+					Obs: sc, Metrics: r.Sched,
 				}
-			}()
-			work()
-		}()
-	}
-
-	warm := cell.WarmRefs
-	if warm <= 0 {
-		warm = 20000
-	}
-	// Warm is per thread: split the budget across partition workers so
-	// every partition count warms the same total number of references and
-	// the scaling comparison stays apples-to-apples.
-	chip.Warm(warm / parts)
-	sres := chip.Run(1 << 34)
-	for _, s := range streams {
-		s.Stop()
-	}
-	for _, s := range streams {
-		for {
-			if _, ok := s.Next(); !ok {
-				break
+				perPart, runErr = oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, cfg)
+				for _, st := range perPart {
+					sched.Add(st)
+				}
 			}
-		}
-	}
-	wg.Wait()
-	joined = true
-	if runErr != nil {
-		return StagedOLTPResult{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, runErr)
-	}
-
-	digest, err := w.StateDigest()
+		},
+	})
 	if err != nil {
-		return StagedOLTPResult{}, err
+		// Not joined: the fork goes to the collector with the workspaces.
+		return Side{}, err
 	}
-	var cycles uint64
-	for p := 0; p < parts; p++ {
-		if d := sres.ThreadDone[p]; d > cycles {
-			cycles = d
-		}
+	if runErr == nil {
+		side.Digest, err = w.StateDigest()
 	}
-	if cycles == 0 {
-		cycles = sres.Cycles
+	r.arenas.put(w.DB.Release())
+	if runErr != nil {
+		return Side{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, runErr)
 	}
-	res.Result, res.Cycles = sres, cycles
-	res.Txns, res.Digest = res.Sched.Committed, digest
-	if tracer != nil {
-		root.EndAt(cycles)
-		// Spans whose end markers were lost in the teardown drain close at
-		// the run's final cycle, so nothing extends past the root.
-		tracer.Finish(cycles)
-		run := tracer.Snapshot(label, cycles)
-		res.Trace = &run
+	if err != nil {
+		return Side{}, err
 	}
-	return res, nil
+	side.Txns, side.Sched, side.PerPart = sched.Committed, sched, perPart
+	side.Parts, side.Fenced = parts, fenced
+	return side, nil
+}
+
+// stagedLabel names a staged-oltp side.
+func stagedLabel(cohorted bool, parts int) string {
+	if !cohorted {
+		return "monolithic"
+	}
+	return fmt.Sprintf("cohort-%d", parts)
 }

@@ -30,7 +30,7 @@ func TestRunParallelDSSCompletes(t *testing.T) {
 	if res.Rows == 0 {
 		t.Fatal("query produced no result rows")
 	}
-	if res.Workers != 2 || res.Query != 6 {
+	if res.Workers != 2 || res.Label != "parallel-2" {
 		t.Fatalf("result mislabeled: %+v", res)
 	}
 }

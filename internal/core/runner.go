@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -91,8 +90,8 @@ type Runner struct {
 	// the run — query goroutines, producers, the digest — can touch it.
 	arenas arenaPool
 
-	// hiers holds the memory hierarchies of finished sides, which the next
-	// side of the same geometry resets instead of allocating its own.
+	// hiers holds the memory hierarchies of finished simulations, which the
+	// next one of the same geometry resets instead of allocating its own.
 	hiers hierPool
 }
 
@@ -197,17 +196,6 @@ func (p *hierPool) put(h *cache.Hierarchy) {
 	p.free = append(p.free, h)
 }
 
-// newChip builds the chip cell describes on a hierarchy from the Runner's
-// pool. Callers pass it to releaseChip once the simulation has returned its
-// result, on the paths where they release the side's arenas.
-func (r *Runner) newChip(cell Cell) *sim.Chip {
-	cfg := cell.SimConfig().WithDefaults()
-	return sim.NewChipOn(cfg, r.hiers.take(cfg.Hier.WithDefaults()))
-}
-
-// releaseChip parks the chip's hierarchy for the next side.
-func (r *Runner) releaseChip(ch *sim.Chip) { r.hiers.put(ch.Hierarchy()) }
-
 // workCtx builds the engine context of worker slot worker over a
 // workBytes workspace from the Runner's free lists, at the slot's
 // simulated base address. Callers pass every context they took to
@@ -310,102 +298,76 @@ func (r *Runner) TPCH() (*workload.TPCH, error) {
 	return r.tpch, nil
 }
 
-// oltpWork tracks per-client transaction counts for work accounting.
-type clientDone struct {
-	work int
-	err  error
-}
-
 // RunCell executes one characterization cell: it spawns one traced
-// client per Cell.Clients, binds their streams to a fresh simulated
-// chip, functionally warms the caches, measures, and tears the clients
-// down. The executor-comparison modes live behind Run (the unified
-// request API); RunCell is the figure/table machinery underneath the
-// paper's characterization experiments.
+// client per Cell.Clients, binds their streams to a chip, functionally
+// warms the caches, measures, and tears the clients down. The
+// executor-comparison modes live behind Run (the unified request API);
+// RunCell is the figure/table machinery underneath the paper's
+// characterization experiments.
 func (r *Runner) RunCell(c Cell) (CellResult, error) {
-	cfg := c.SimConfig()
-	chip := sim.NewChip(cfg)
-
-	var wg sync.WaitGroup
-	dones := make([]clientDone, c.Clients)
-	streams := make([]*trace.Stream, 0, c.Clients)
-
+	// client runs client i to its end, returning the work it completed.
+	var client func(rec *trace.Recorder, i int) (int, error)
 	switch c.Workload {
 	case OLTP:
 		w, err := r.TPCC()
 		if err != nil {
 			return CellResult{}, err
 		}
-		for i := 0; i < c.Clients; i++ {
-			rec, s := trace.Pipe()
-			streams = append(streams, s)
-			chip.AddThread(s)
-			limit := 0
-			if !c.Saturated {
-				limit = c.UnsatTxns
-			}
-			wg.Add(1)
-			go func(i int, rec *trace.Recorder) {
-				defer wg.Done()
-				counts, err := w.Client(rec, i, clientSeed(OLTP, i), limit)
-				dones[i] = clientDone{work: counts.Total(), err: err}
-			}(i, rec)
+		limit := 0
+		if !c.Saturated {
+			limit = c.UnsatTxns
+		}
+		client = func(rec *trace.Recorder, i int) (int, error) {
+			counts, err := w.Client(rec, i, clientSeed(OLTP, i), limit)
+			return counts.Total(), err
 		}
 	case DSS:
 		h, err := r.TPCH()
 		if err != nil {
 			return CellResult{}, err
 		}
-		for i := 0; i < c.Clients; i++ {
-			rec, s := trace.Pipe()
-			streams = append(streams, s)
-			chip.AddThread(s)
-			wg.Add(1)
+		client = func(rec *trace.Recorder, i int) (int, error) {
 			if c.Saturated {
-				go func(i int, rec *trace.Recorder) {
-					defer wg.Done()
-					n, err := h.Client(rec, i, clientSeed(DSS, i), 0, c.RowPlans)
-					dones[i] = clientDone{work: n, err: err}
-				}(i, rec)
-			} else {
-				go func(i int, rec *trace.Recorder) {
-					defer wg.Done()
-					err := h.RunOnce(rec, i, c.UnsatQuery, clientSeed(DSS, i), c.RowPlans)
-					dones[i] = clientDone{work: 1, err: err}
-				}(i, rec)
+				return h.Client(rec, i, clientSeed(DSS, i), 0, c.RowPlans)
 			}
+			return 1, h.RunOnce(rec, i, c.UnsatQuery, clientSeed(DSS, i), c.RowPlans)
 		}
 	default:
 		return CellResult{}, fmt.Errorf("core: unknown workload %v", c.Workload)
 	}
 
-	chip.Warm(c.WarmRefs)
-	limit := c.WindowCycles
-	if !c.Saturated {
-		// Unsaturated runs go to completion (bounded by a generous cap).
-		limit = 1 << 34
+	th := newThreads(c.Clients, false)
+	work := make([]int, c.Clients)
+	errs := make([]error, c.Clients)
+	var window uint64 // unsaturated runs go to completion
+	if c.Saturated {
+		window = c.WindowCycles
 	}
-	res := chip.Run(limit)
-
-	// Tear down: stop producers and drain so goroutines exit.
-	for _, s := range streams {
-		s.Stop()
-	}
-	for _, s := range streams {
-		for {
-			if _, ok := s.Next(); !ok {
-				break
+	side, err := r.simulate(run{
+		label: c.String(), cell: c, threads: th, window: window, done: 1,
+		produce: func(obs.Scope) {
+			var wg sync.WaitGroup
+			for i, rec := range th.recs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					work[i], errs[i] = client(rec, i)
+				}()
 			}
-		}
+			wg.Wait()
+		},
+	})
+	if err != nil {
+		return CellResult{}, err
 	}
-	wg.Wait()
 
+	res := side.Result
 	out := CellResult{Cell: c, Result: res, Throughput: res.IPC()}
-	for i := range dones {
-		if err := dones[i].err; err != nil {
+	for i, n := range work {
+		if err := errs[i]; err != nil {
 			return out, fmt.Errorf("core: client %d: %w", i, err)
 		}
-		out.Work += dones[i].work
+		out.Work += n
 	}
 	if !c.Saturated {
 		switch c.Workload {
@@ -417,15 +379,7 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 			// cancels out of the ratio the experiments report.
 			out.ResponseCycles = res.CPI() * nominalTxnInstructions
 		case DSS:
-			rt := res.ThreadDone[0]
-			if rt == 0 {
-				rt = res.Cycles
-			}
-			units := out.Work
-			if units == 0 {
-				units = 1
-			}
-			out.ResponseCycles = float64(rt) / float64(units)
+			out.ResponseCycles = float64(side.Cycles) / float64(max(out.Work, 1))
 		}
 	}
 	return out, nil

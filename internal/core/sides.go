@@ -20,15 +20,16 @@ type side struct {
 	// its cycles move with what else the host runs. Nothing of the request
 	// runs beside it.
 	hostPaced bool
-	run       func() error
+	run       func() (Side, error)
 }
 
-// PanicError is a panic in one side of a request, recovered on the
-// goroutine that simulated it: that goroutine's own panics (the simulator,
-// result assembly) and those of a producer running as its coroutine
-// (trace.Inline), which surface in the simulator's receive. The request
-// fails; the process and the Runner's other requests go on. What the side
-// held — arenas, its hierarchy — is left to the collector, not recycled.
+// PanicError is a panic in one side of a request: one on the goroutine
+// that simulated it (the simulator, result assembly) or in a producer
+// running as its coroutine (trace.Inline), which surfaces in the
+// simulator's receive, recovered by runSide; or one in a side's producer
+// goroutine, recovered by simulate. The request fails; the process and the
+// Runner's other requests go on. What the side held — arenas, its
+// hierarchy — is left to the collector, not recycled.
 type PanicError struct {
 	Side  string
 	Value any
@@ -42,7 +43,7 @@ func (e *PanicError) Error() string {
 }
 
 // runSide runs s, turning a panic into a *PanicError.
-func runSide(s side) (err error) {
+func runSide(s side) (out Side, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Side: s.label, Value: p, Stack: debug.Stack()}
@@ -69,41 +70,44 @@ func (r *Runner) overlapSides(mode Mode) bool {
 }
 
 // runSides runs the sides of one request of mode, each through runSide, and
-// returns the first error in side order. Two consecutive sides that are not
-// host-paced run together when overlapSides allows, the later one on a
-// goroutine that has ended when runSides returns; every other side runs
-// alone on the caller's. ctx is checked before each start.
-func (r *Runner) runSides(ctx context.Context, mode Mode, sides ...side) error {
+// returns what they measured in side order, or the first error in side
+// order. Two consecutive sides that are not host-paced run together when
+// overlapSides allows, the later one on a goroutine that has ended when
+// runSides returns; every other side runs alone on the caller's. ctx is
+// checked before each start.
+func (r *Runner) runSides(ctx context.Context, mode Mode, sides ...side) ([]Side, error) {
 	overlap := r.overlapSides(mode)
+	out := make([]Side, len(sides))
 	for i := 0; i < len(sides); {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if !overlap || i+1 == len(sides) || sides[i].hostPaced || sides[i+1].hostPaced {
 			r.Sides.Sequential.Inc()
-			if err := runSide(sides[i]); err != nil {
-				return err
+			var err error
+			if out[i], err = runSide(sides[i]); err != nil {
+				return nil, err
 			}
 			i++
 			continue
 		}
 		r.Sides.Overlapped.Add(2)
-		twin := sides[i+1]
 		var twinErr error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			twinErr = runSide(twin)
+			out[i+1], twinErr = runSide(sides[i+1])
 		}()
-		err := runSide(sides[i])
+		var err error
+		out[i], err = runSide(sides[i])
 		<-done
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if twinErr != nil {
-			return twinErr
+			return nil, twinErr
 		}
 		i += 2
 	}
-	return nil
+	return out, nil
 }

@@ -9,12 +9,15 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // residentRunner is a TestScale Runner with both databases loaded, so that
@@ -62,6 +65,16 @@ func traceShape(runs []obs.Run, spans bool) []obs.Run {
 	return out
 }
 
+// untraced returns sides without their span runs, which carry host times
+// (traceShape compares what of them repeats).
+func untraced(sides ...Side) []Side {
+	out := slices.Clone(sides)
+	for i := range out {
+		out[i].Trace = nil
+	}
+	return out
+}
+
 // TestSidesOverlapEqualSequential: every self-paced side returns, beside
 // its twin on a second processor, the Side it returns alone on one — its
 // sim.Result, cycles, digest and counters, field for field — and the
@@ -93,14 +106,14 @@ func TestSidesOverlapEqualSequential(t *testing.T) {
 		if n != 2 {
 			t.Errorf("%s: %d sides overlapped on two processors, want 2", tc.name, n)
 		}
-		if !reflect.DeepEqual(alone.Baseline, beside.Baseline) {
+		if !reflect.DeepEqual(untraced(alone.Baseline), untraced(beside.Baseline)) {
 			t.Errorf("%s: baseline side\n alone  %+v\n beside %+v", tc.name, alone.Baseline, beside.Baseline)
 		}
 		if tc.mainRepeats {
-			if !reflect.DeepEqual(alone.Main, beside.Main) || alone.Digest != beside.Digest {
+			if !reflect.DeepEqual(untraced(alone.Main), untraced(beside.Main)) || alone.Digest != beside.Digest {
 				t.Errorf("%s: main side\n alone  %+v\n beside %+v", tc.name, alone.Main, beside.Main)
 			}
-			if !reflect.DeepEqual(alone.Sweep, beside.Sweep) {
+			if !reflect.DeepEqual(untraced(alone.Sweep...), untraced(beside.Sweep...)) {
 				t.Errorf("%s: sweep\n alone  %+v\n beside %+v", tc.name, alone.Sweep, beside.Sweep)
 			}
 		} else if alone.Main.Label != beside.Main.Label || alone.Main.Rows != beside.Main.Rows {
@@ -179,20 +192,18 @@ func TestSidesOverlapOnlySelfPaced(t *testing.T) {
 // receive — comes back from runSides as a *PanicError naming the side,
 // whether the side ran alone or beside its twin, and the twin still ran.
 func TestSidePanicFailsTheRequest(t *testing.T) {
+	r := residentRunner(t)
 	ok := func(ran *bool) side {
-		return side{label: "fine", run: func() error { *ran = true; return nil }}
+		return side{label: "fine", run: func() (Side, error) { *ran = true; return Side{}, nil }}
 	}
-	direct := side{label: "row", run: func() error { panic("boom") }}
-	_, stream := trace.Inline()
-	stream.SetProducer(func() { panic("boom in the producer") })
-	inline := side{label: "cohort-1", run: func() error {
-		chip := sim.NewChip(DefaultModeCell(ModeStagedOLTP, sim.FatCamp).SimConfig())
-		chip.AddThread(stream)
-		chip.Run(1 << 20)
-		return errors.New("the simulator outlived its producer's panic")
+	direct := side{label: "row", run: func() (Side, error) { panic("boom") }}
+	inline := side{label: "cohort-1", run: func() (Side, error) {
+		return r.simulate(run{
+			label: "cohort-1", cell: DefaultModeCell(ModeStagedOLTP, sim.FatCamp), threads: newThreads(1, true), done: 1,
+			produce: func(obs.Scope) { panic("boom in the producer") },
+		})
 	}}
 
-	r := residentRunner(t)
 	for _, procs := range []int{1, 2} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -205,7 +216,7 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 				{"panic in the second side", func(ran *bool) []side { return []side{ok(ran), direct} }, "core: row side panicked: boom"},
 			} {
 				ran := false
-				err := r.runSides(context.Background(), ModeVecDSS, tc.sides(&ran)...)
+				_, err := r.runSides(context.Background(), ModeVecDSS, tc.sides(&ran)...)
 				var pe *PanicError
 				if !errors.As(err, &pe) || err.Error() != tc.want {
 					t.Errorf("%s, %d processor(s): got %v, want %q", tc.name, procs, err, tc.want)
@@ -223,7 +234,7 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 		}()
 	}
 
-	err := runSide(inline)
+	_, err := runSide(inline)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Side != "cohort-1" || !strings.Contains(err.Error(), "boom in the producer") {
 		t.Errorf("panic in an inline producer: got %v", err)
@@ -232,9 +243,9 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 	// An error in both sides of a pair is reported in side order.
 	first, second := errors.New("first"), errors.New("second")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	err = r.runSides(context.Background(), ModeVecDSS,
-		side{label: "a", run: func() error { return first }},
-		side{label: "b", run: func() error { return second }})
+	_, err = r.runSides(context.Background(), ModeVecDSS,
+		side{label: "a", run: func() (Side, error) { return Side{}, first }},
+		side{label: "b", run: func() (Side, error) { return Side{}, second }})
 	if err != first {
 		t.Errorf("both sides failed: got %v, want the first side's error", err)
 	}
@@ -242,7 +253,7 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := r.runSides(ctx, ModeVecDSS, ok(&ran), ok(&ran)); !errors.Is(err, context.Canceled) || ran {
+	if _, err := r.runSides(ctx, ModeVecDSS, ok(&ran), ok(&ran)); !errors.Is(err, context.Canceled) || ran {
 		t.Errorf("cancelled request: err %v, a side ran = %v", err, ran)
 	}
 }
@@ -264,4 +275,55 @@ func TestRunSurvivesPanickingSide(t *testing.T) {
 		t.Fatalf("vec-dss after a panicked request: %v", err)
 	}
 	checkVecGolden(t, "after a panicked request", 6, true, res.Main.Cycles, res.Main.Digest, res.Main.Result)
+}
+
+// TestSidePanicInProducer: a panic in a side's producer goroutine, which
+// would end the process if nothing recovered it, comes back from simulate
+// as a *PanicError once the chip has run its streams down, and what the
+// run held stays out of the free lists.
+func TestSidePanicInProducer(t *testing.T) {
+	r := NewRunner(TestScale())
+	simulate := func(panics bool) (Side, error) {
+		th := newThreads(2, false)
+		work := []*engine.Ctx{r.workCtx(nil, th.recs[0], 0, oltpWorkBytes), r.workCtx(nil, th.recs[1], 1, oltpWorkBytes)}
+		return r.simulate(run{
+			label: "row", cell: DefaultModeCell(ModeVecDSS, sim.FatCamp), threads: th, done: 2, work: work,
+			produce: func(obs.Scope) {
+				// More than a pipe holds, so the producer waits for the
+				// simulator before it fails; thread 1 never hears from it.
+				for i := 0; i < 1<<15; i++ {
+					th.recs[0].Load(mem.HeapBase+mem.Addr(i*mem.LineSize), false)
+				}
+				if panics {
+					panic("boom in the producer")
+				}
+			},
+		})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := simulate(true)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("simulate hung after its producer panicked")
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Side != "row" || pe.Value != "boom in the producer" ||
+		!strings.Contains(string(pe.Stack), "TestSidePanicInProducer") {
+		t.Fatalf("got %v, want the producer's panic as a *PanicError of the row side", err)
+	}
+	if w, h := len(r.arenas.free[oltpWorkBytes]), len(r.hiers.free); w != 0 || h != 0 {
+		t.Errorf("%d workspaces and %d hierarchies parked after the producer panicked, want none", w, h)
+	}
+	// The same run without the panic parks both workspaces and the hierarchy.
+	if _, err := simulate(false); err != nil {
+		t.Fatal(err)
+	}
+	if w, h := len(r.arenas.free[oltpWorkBytes]), len(r.hiers.free); w != 2 || h != 1 {
+		t.Errorf("%d workspaces and %d hierarchies parked after a clean run, want 2 and 1", w, h)
+	}
 }

@@ -11,105 +11,68 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// VecDSSResult is one serial-query measurement on one executor.
-type VecDSSResult struct {
-	Camp  sim.Camp
-	Query int
-	// Vectorized reports which executor ran the plan.
-	Vectorized bool
-	// Cycles is the query's completion cycle (response time).
-	Cycles uint64
-	Result sim.Result
-	Rows   int
-	// Digest is RowsDigest of the result set: both executors must
-	// produce byte-identical rows, and the unified API exposes this as
-	// the run's logical-output fingerprint.
-	Digest uint64
-}
-
-// Throughput returns queries per million simulated cycles.
-func (r VecDSSResult) Throughput() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return 1e6 / float64(r.Cycles)
-}
-
 // RunVecDSS executes one serial planned query to completion on a
 // fresh chip described by cell, on the vectorized executor or the
-// row-at-a-time reference path. An optional join mode pins the hash-join
-// strategy of joining plans (Q13); omitted, the auto policy decides.
-func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode ...engine.JoinMode) (VecDSSResult, error) {
+// row-at-a-time reference path, and returns the side labeled "vectorized"
+// or "row": the query's completion cycle, result rows and their RowsDigest
+// (both executors must produce byte-identical rows). An optional join mode
+// pins the hash-join strategy of joining plans (Q13); omitted, the auto
+// policy decides.
+func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode ...engine.JoinMode) (Side, error) {
+	return r.vecDSS(cell, q, vectorized, seed, false, mode...)
+}
+
+// vecLabel names a vec-dss side.
+func vecLabel(vectorized bool) string {
+	if vectorized {
+		return "vectorized"
+	}
+	return "row"
+}
+
+// vecDSS is RunVecDSS, with a root-span trace when traced.
+func (r *Runner) vecDSS(cell Cell, q int, vectorized bool, seed int64, traced bool, mode ...engine.JoinMode) (Side, error) {
 	if !workload.HasPlan(q) {
-		return VecDSSResult{}, fmt.Errorf("core: vectorized DSS query %d (have %s)", q, plannedList(""))
+		return Side{}, fmt.Errorf("core: vectorized DSS query %d (have %s)", q, plannedList(""))
 	}
 	h, err := r.TPCH()
 	if err != nil {
-		return VecDSSResult{}, err
+		return Side{}, err
 	}
-	chip := r.newChip(cell)
-
-	rec, s := trace.Pipe()
-	chip.AddThread(s)
-	ctx := r.workCtx(h.DB, rec, 72, dssWorkBytes)
+	th := newThreads(1, false)
+	ctx := r.workCtx(h.DB, th.recs[0], 72, dssWorkBytes)
 	ctx.Join = r.Join
 	if len(mode) > 0 {
 		ctx.JoinMode = mode[0]
 	}
-
 	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
+	query := h.RunQueryRow
+	if vectorized {
+		query = h.RunQuery
+	}
 	var rows int
 	var digest uint64
 	var runErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer rec.Close()
-		run := h.RunQueryRow
-		if vectorized {
-			run = h.RunQuery
-		}
-		v, err := run(ctx, q, p)
-		rows, digest, runErr = len(v), RowsDigest(v), err
-	}()
-
-	warm := cell.WarmRefs
-	if warm <= 0 {
-		warm = 5000
+	side, err := r.simulate(run{
+		label: vecLabel(vectorized), cell: cell, threads: th, warm: 5000, done: 1,
+		work: []*engine.Ctx{ctx}, traced: traced,
+		produce: func(obs.Scope) {
+			v, err := query(ctx, q, p)
+			rows, digest, runErr = len(v), RowsDigest(v), err
+		},
+	})
+	if err != nil {
+		return Side{}, err
 	}
-	chip.Warm(warm)
-	res := chip.Run(1 << 34)
-	s.Stop()
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-	}
-	wg.Wait()
-	// Released here and not by defer: a side that panics never gets this
-	// far, and what it held — the query goroutine may still be writing to
-	// the workspace — goes to the collector instead of to the next run.
-	r.releaseWork(ctx)
-	r.releaseChip(chip)
 	if runErr != nil {
-		return VecDSSResult{}, fmt.Errorf("core: vec DSS q%d: %w", q, runErr)
+		return Side{}, fmt.Errorf("core: vec DSS q%d: %w", q, runErr)
 	}
-
-	cycles := res.ThreadDone[0]
-	if cycles == 0 {
-		cycles = res.Cycles
-	}
-	return VecDSSResult{
-		Camp: cell.Camp, Query: q, Vectorized: vectorized,
-		Cycles: cycles, Result: res, Rows: rows, Digest: digest,
-	}, nil
+	side.Rows, side.Digest = rows, digest
+	return side, nil
 }

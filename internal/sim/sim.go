@@ -268,11 +268,16 @@ func (r Result) CPIComponent(k StallKind) float64 {
 	return float64(r.Breakdown.Cycles[k]) / float64(r.Instructions)
 }
 
-// ResponseTime returns the completion cycle of thread 0, the unsaturated
-// response-time metric (0 when it did not finish).
-func (r Result) ResponseTime() uint64 {
-	if len(r.ThreadDone) == 0 {
-		return 0
+// Completion returns the cycle by which the first n threads were done, the
+// response time of whatever they ran together: the latest completion cycle
+// among them, or Cycles when none of them finished in the window.
+func (r Result) Completion(n int) uint64 {
+	var last uint64
+	for _, d := range r.ThreadDone[:min(n, len(r.ThreadDone))] {
+		last = max(last, d)
 	}
-	return r.ThreadDone[0]
+	if last == 0 {
+		return r.Cycles
+	}
+	return last
 }

@@ -63,8 +63,25 @@ func TestThreadCompletionRecorded(t *testing.T) {
 	if res.ThreadDone[0] == 0 {
 		t.Fatal("thread completion not recorded")
 	}
-	if res.ResponseTime() != res.ThreadDone[0] {
-		t.Fatal("ResponseTime disagrees with ThreadDone[0]")
+	if res.Completion(1) != res.ThreadDone[0] {
+		t.Fatal("Completion(1) disagrees with ThreadDone[0]")
+	}
+	for _, tc := range []struct {
+		done []uint64
+		n    int
+		want uint64
+	}{
+		{[]uint64{5, 9, 7}, 3, 9},
+		{[]uint64{5, 9, 7}, 1, 5},
+		{[]uint64{0, 9, 0}, 3, 9}, // unfinished threads do not count
+		{[]uint64{0, 9}, 1, 100},  // none of the first n finished
+		{[]uint64{5, 9}, 8, 9},    // n beyond the thread count
+		{nil, 1, 100},
+	} {
+		r := Result{Cycles: 100, ThreadDone: tc.done}
+		if got := r.Completion(tc.n); got != tc.want {
+			t.Errorf("Completion(%d) of %v = %d, want %d", tc.n, tc.done, got, tc.want)
+		}
 	}
 }
 

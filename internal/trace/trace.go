@@ -234,6 +234,7 @@ type Recorder struct {
 	chunk   int
 	buf     []Ref
 	stopped bool
+	closed  bool
 	// An Inline recorder hands its chunks to yield, which suspends the
 	// producer until the consumer wants the next one; yield is set while
 	// the producer function runs.
@@ -539,11 +540,14 @@ func (r *Recorder) Unpace() {
 
 // Close flushes buffered records and ends the stream. The producer must not
 // record after Close. An Inline pipe closes its recorder itself when the
-// producer function returns.
+// producer function returns. Closing a closed recorder does nothing, so a
+// driver may close every recorder of a run once its producers are done,
+// whether or not they closed their own.
 func (r *Recorder) Close() {
-	if r == nil {
+	if r == nil || r.closed {
 		return
 	}
+	r.closed = true
 	if !r.stopped {
 		r.flush()
 	}

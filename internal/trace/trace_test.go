@@ -59,6 +59,7 @@ func TestPipeRoundTrip(t *testing.T) {
 		r.Load(0x1040, true)
 		r.Store(0x2000)
 		r.Close()
+		r.Close() // a second Close does nothing
 	}()
 	var got []Ref
 	for {
