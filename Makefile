@@ -10,10 +10,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# The second line runs the side-placement and exact-repeat tests on one
-# processor and on two, so the sequential path stays exercised on a
-# multi-processor host; the third the paced-request tests (morsel claims at
-# simulated time) the same way, as the CI race job does under -race; the
+# The second line runs the side-placement, exact-repeat and panic-
+# containment tests (a panic in every kind of fan-out) on one processor and
+# on two, so the sequential path stays exercised on a multi-processor host;
+# the third the paced-request tests (morsel claims at simulated time) the
+# same way; the CI race job runs both under -race; the
 # fourth that job's zero-copy, native-aggregate and lowering equivalence
 # suites with the alias-debug assertions armed; the fifth fuzzes the
 # native aggregate against the interpreted one, and the sixth every
@@ -23,7 +24,7 @@ build:
 # bench's host.memcpy_gbps).
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork' ./internal/core
+	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork|Panic|GivingUp' ./internal/par ./internal/engine ./internal/oltp ./internal/staged ./internal/core
 	$(GO) test -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
 	ENGINE_ALIAS_DEBUG=1 $(GO) test -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzHashAggNative -fuzztime 15s ./internal/engine

@@ -467,11 +467,13 @@ type Result struct {
 // way, and an error is the first in side order.
 //
 // staged-oltp digests are checked byte-identical against the monolithic
-// reference. A panic in a side, or in the producer goroutine its
-// simulation starts, comes back as a *PanicError; one in a goroutine that
-// producer spawns itself (a shared-dss client, a morsel worker) still ends
-// the process. ctx cancels between sides (a simulated run in flight is not
-// interrupted).
+// reference. A panic in a side, in the producer goroutine its simulation
+// starts, or in anything that producer fans out (morsel workers, shared-dss
+// clients, partition schedulers, staged consumers: every joined goroutine
+// runs through par.Do) comes back as a *par.PanicError labelled with the
+// side, and the process and the Runner's other requests go on. The share
+// registry's own goroutines, which outlive a query, are the exception.
+// ctx cancels between sides (a simulated run in flight is not interrupted).
 func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {

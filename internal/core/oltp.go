@@ -137,23 +137,22 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side
 	var sched oltp.Stats
 	var perPart []oltp.Stats
 	var fenced int
-	var runErr error
 	side, err := r.simulate(run{
 		label: stagedLabel(cohorted, parts), cell: cell, threads: th,
 		// Warm is per thread: the budget is split across partition workers
 		// so every partition count warms the same total number of references
 		// and the scaling comparison stays apples-to-apples.
 		warm: 20000, warmSplit: parts, done: parts, work: ctxs, traced: o.Trace,
-		produce: func(sc obs.Scope) {
+		produce: func(sc obs.Scope) (err error) {
 			switch {
 			case !cohorted:
-				sched, runErr = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
+				sched, err = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
 			case parts == 1:
 				s := oltp.NewScheduler(w.DB.Codes, oltp.Config{
 					Cohort: o.Cohort, Generation: w.Mgr.LM.Generation,
 					Obs: sc, Metrics: r.Sched,
 				})
-				sched, runErr = s.Run(ctxs[0], progs)
+				sched, err = s.Run(ctxs[0], progs)
 			default:
 				plan := w.PartitionPlan(ins, parts)
 				fenced = len(plan.Fences())
@@ -161,24 +160,20 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side
 					Cohort: oltp.SplitWindow(o.Cohort, parts), Generation: w.Mgr.LM.Generation,
 					Obs: sc, Metrics: r.Sched,
 				}
-				perPart, runErr = oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, cfg)
+				perPart, err = oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, cfg)
 				for _, st := range perPart {
 					sched.Add(st)
 				}
 			}
+			return err
 		},
 	})
 	if err != nil {
-		// Not joined: the fork goes to the collector with the workspaces.
-		return Side{}, err
+		// The fork goes to the collector with the workspaces.
+		return Side{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, err)
 	}
-	if runErr == nil {
-		side.Digest, err = w.StateDigest()
-	}
+	side.Digest, err = w.StateDigest()
 	r.arenas.put(w.DB.Release())
-	if runErr != nil {
-		return Side{}, fmt.Errorf("core: staged OLTP (cohorted=%v parts=%d): %w", cohorted, parts, runErr)
-	}
 	if err != nil {
 		return Side{}, err
 	}

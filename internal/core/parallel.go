@@ -71,25 +71,21 @@ func (r *Runner) parallelDSS(cell Cell, q, workers int, seed int64, traced bool,
 	}
 	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
 	var rows int
-	var runErr error
 	side, err := r.simulate(run{
 		label: parallelLabel(workers), cell: cell, threads: th, warm: 50000, done: workers,
 		work: ctxs, traced: traced,
-		produce: func(obs.Scope) {
+		produce: func(obs.Scope) (err error) {
 			if q == ParallelJoinQuery {
-				rows, runErr = h.RunJoinParallel(ctxs, q, p)
-				return
+				rows, err = h.RunJoinParallel(ctxs, q, p)
+				return err
 			}
-			var res [][]engine.Value
-			res, runErr = h.RunQueryParallelNative(ctxs, q, p, workload.NativeOpts{})
+			res, err := h.RunQueryParallelNative(ctxs, q, p, workload.NativeOpts{})
 			rows = len(res)
+			return err
 		},
 	})
 	if err != nil {
-		return Side{}, err
-	}
-	if runErr != nil {
-		return Side{}, fmt.Errorf("core: parallel q%d x%d: %w", q, workers, runErr)
+		return Side{}, fmt.Errorf("core: parallel q%d x%d: %w", q, workers, err)
 	}
 	side.Rows, side.Digest, side.Workers = rows, countDigest(rows), workers
 	return side, nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -338,23 +339,19 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 
 	th := newThreads(c.Clients, false)
 	work := make([]int, c.Clients)
-	errs := make([]error, c.Clients)
 	var window uint64 // unsaturated runs go to completion
 	if c.Saturated {
 		window = c.WindowCycles
 	}
 	side, err := r.simulate(run{
 		label: c.String(), cell: c, threads: th, window: window, done: 1,
-		produce: func(obs.Scope) {
-			var wg sync.WaitGroup
-			for i, rec := range th.recs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					work[i], errs[i] = client(rec, i)
-				}()
-			}
-			wg.Wait()
+		produce: func(obs.Scope) error {
+			return par.Do(c.Clients, func(i int) (err error) {
+				if work[i], err = client(th.recs[i], i); err != nil {
+					return fmt.Errorf("core: client %d: %w", i, err)
+				}
+				return nil
+			}, nil)
 		},
 	})
 	if err != nil {
@@ -363,10 +360,7 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 
 	res := side.Result
 	out := CellResult{Cell: c, Result: res, Throughput: res.IPC()}
-	for i, n := range work {
-		if err := errs[i]; err != nil {
-			return out, fmt.Errorf("core: client %d: %w", i, err)
-		}
+	for _, n := range work {
 		out.Work += n
 	}
 	if !c.Saturated {

@@ -14,10 +14,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/share"
 	"repro/internal/workload"
 )
@@ -103,42 +103,40 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 
 	rows := make([]int, clients)
 	digests := make([]uint64, clients)
-	errs := make([]error, clients)
 	side, err := r.simulate(run{
 		label: sharedLabel(shared), cell: cell, threads: th, warm: 50000, done: clients,
 		work: work, traced: traced,
-		produce: func(sc obs.Scope) {
-			var cwg sync.WaitGroup
-			for i := 0; i < clients; i++ {
-				cwg.Add(1)
-				go func(i int) {
-					defer cwg.Done()
-					rec := th.recs[i]
-					defer rec.Close()
-					sc := sc.OnThread(i)
-					qsp := sc.Begin(rec, fmt.Sprintf("client-%d-q%d", i, queryOf(i)), "query")
-					p := workload.RandomParams(rand.New(rand.NewSource(seed + int64(i))))
-					var res [][]engine.Value
-					var err error
-					if shared {
-						// One attach-to-detach on the circular scan is exactly
-						// one full rotation: the consumer joins wherever the
-						// producer is and leaves when it comes back around.
-						rsp := sc.Under(qsp).Begin(rec, "rotation", "rotation")
-						res, err = h.RunQueryShared(work[i], queryOf(i), p, env)
-						rsp.End(rec)
-					} else {
-						p.Phase = float64(i%16) / 80
-						res, err = h.RunQuery(work[i], queryOf(i), p)
-					}
-					qsp.End(rec)
-					rows[i], digests[i], errs[i] = len(res), RowsDigest(res), err
-				}(i)
-			}
-			cwg.Wait()
+		produce: func(sc obs.Scope) error {
+			err := par.Do(clients, func(i int) error {
+				rec := th.recs[i]
+				defer rec.Close()
+				sc := sc.OnThread(i)
+				qsp := sc.Begin(rec, fmt.Sprintf("client-%d-q%d", i, queryOf(i)), "query")
+				p := workload.RandomParams(rand.New(rand.NewSource(seed + int64(i))))
+				var res [][]engine.Value
+				var err error
+				if shared {
+					// One attach-to-detach on the circular scan is exactly
+					// one full rotation: the consumer joins wherever the
+					// producer is and leaves when it comes back around.
+					rsp := sc.Under(qsp).Begin(rec, "rotation", "rotation")
+					res, err = h.RunQueryShared(work[i], queryOf(i), p, env)
+					rsp.End(rec)
+				} else {
+					p.Phase = float64(i%16) / 80
+					res, err = h.RunQuery(work[i], queryOf(i), p)
+				}
+				qsp.End(rec)
+				rows[i], digests[i] = len(res), RowsDigest(res)
+				if err != nil {
+					return fmt.Errorf("core: shared DSS client %d: %w", i, err)
+				}
+				return nil
+			}, nil)
 			if env != nil {
 				env.Reg.WaitIdle()
 			}
+			return err
 		},
 	})
 	if err != nil {
@@ -147,9 +145,6 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 	dh := fnv.New64a()
 	var dbuf [8]byte
 	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			return Side{}, fmt.Errorf("core: shared DSS client %d: %w", i, errs[i])
-		}
 		side.Rows += rows[i]
 		binary.LittleEndian.PutUint64(dbuf[:], digests[i])
 		dh.Write(dbuf[:])

@@ -1,14 +1,15 @@
 // Placement of a request's sides on the host: which of the simulations a
-// request consists of run beside one another, and what becomes of one that
-// panics. Runner.Run's doc comment states the rule callers may rely on.
+// request consists of run beside one another, and how a side that panics is
+// named. Runner.Run's doc comment states the rule callers may rely on.
 
 package core
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"runtime"
-	"runtime/debug"
+
+	"repro/internal/par"
 )
 
 // side is one simulation of a request.
@@ -23,33 +24,13 @@ type side struct {
 	run       func() (Side, error)
 }
 
-// PanicError is a panic in one side of a request: one on the goroutine
-// that simulated it (the simulator, result assembly) or in a producer
-// running as its coroutine (trace.Inline), which surfaces in the
-// simulator's receive, recovered by runSide; or one in a side's producer
-// goroutine, recovered by simulate. The request fails; the process and the
-// Runner's other requests go on. What the side held — arenas, its
-// hierarchy — is left to the collector, not recycled.
-type PanicError struct {
-	Side  string
-	Value any
-	// Stack is the panicking goroutine's stack, for whoever reports the
-	// error to log once.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("core: %s side panicked: %v", e.Side, e.Value)
-}
-
-// runSide runs s, turning a panic into a *PanicError.
-func runSide(s side) (out Side, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Side: s.label, Value: p, Stack: debug.Stack()}
-		}
-	}()
-	return s.run()
+// labelPanic names the panic err holds, if it holds one, after label: the
+// side or run it failed. A name given nearer to the panic stands.
+func labelPanic(err error, label string) {
+	var pe *par.PanicError
+	if errors.As(err, &pe) && pe.Label == "" {
+		pe.Label = label
+	}
 }
 
 // overlapSides reports whether a request of mode may run two sides at once:
@@ -69,12 +50,12 @@ func (r *Runner) overlapSides(mode Mode) bool {
 	return r.tpch != nil
 }
 
-// runSides runs the sides of one request of mode, each through runSide, and
-// returns what they measured in side order, or the first error in side
-// order. Two consecutive sides that are not host-paced run together when
-// overlapSides allows, the later one on a goroutine that has ended when
-// runSides returns; every other side runs alone on the caller's. ctx is
-// checked before each start.
+// runSides runs the sides of one request of mode and returns what they
+// measured in side order, or the first error in side order; a side's panic
+// comes back as a *par.PanicError labelled with the side. Two consecutive
+// sides that are not host-paced run together through par.Do when
+// overlapSides allows; every other side runs alone on the caller's
+// goroutine. ctx is checked before each start.
 func (r *Runner) runSides(ctx context.Context, mode Mode, sides ...side) ([]Side, error) {
 	overlap := r.overlapSides(mode)
 	out := make([]Side, len(sides))
@@ -82,32 +63,20 @@ func (r *Runner) runSides(ctx context.Context, mode Mode, sides ...side) ([]Side
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !overlap || i+1 == len(sides) || sides[i].hostPaced || sides[i+1].hostPaced {
+		n := 1
+		if overlap && i+1 < len(sides) && !sides[i].hostPaced && !sides[i+1].hostPaced {
+			n = 2
+			r.Sides.Overlapped.Add(2)
+		} else {
 			r.Sides.Sequential.Inc()
-			var err error
-			if out[i], err = runSide(sides[i]); err != nil {
-				return nil, err
-			}
-			i++
-			continue
 		}
-		r.Sides.Overlapped.Add(2)
-		var twinErr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			out[i+1], twinErr = runSide(sides[i+1])
-		}()
-		var err error
-		out[i], err = runSide(sides[i])
-		<-done
-		if err != nil {
+		if err := par.Do(n, func(k int) (err error) {
+			out[i+k], err = sides[i+k].run()
+			return err
+		}, func(k int, err error) { labelPanic(err, sides[i+k].label) }); err != nil {
 			return nil, err
 		}
-		if twinErr != nil {
-			return nil, twinErr
-		}
-		i += 2
+		i += n
 	}
 	return out, nil
 }

@@ -17,7 +17,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // residentRunner is a TestScale Runner with both databases loaded, so that
@@ -189,7 +191,7 @@ func TestSidesOverlapOnlySelfPaced(t *testing.T) {
 
 // TestSidePanicFailsTheRequest: a panic on a side's goroutine — its own, or
 // that of a trace.Inline producer, which surfaces in the simulator's
-// receive — comes back from runSides as a *PanicError naming the side,
+// receive — comes back from runSides as a *par.PanicError naming the side,
 // whether the side ran alone or beside its twin, and the twin still ran.
 func TestSidePanicFailsTheRequest(t *testing.T) {
 	r := residentRunner(t)
@@ -200,7 +202,7 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 	inline := side{label: "cohort-1", run: func() (Side, error) {
 		return r.simulate(run{
 			label: "cohort-1", cell: DefaultModeCell(ModeStagedOLTP, sim.FatCamp), threads: newThreads(1, true), done: 1,
-			produce: func(obs.Scope) { panic("boom in the producer") },
+			produce: func(obs.Scope) error { panic("boom in the producer") },
 		})
 	}}
 
@@ -212,18 +214,18 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 				sides func(ran *bool) []side
 				want  string
 			}{
-				{"panic in the first side", func(ran *bool) []side { return []side{direct, ok(ran)} }, "core: row side panicked: boom"},
-				{"panic in the second side", func(ran *bool) []side { return []side{ok(ran), direct} }, "core: row side panicked: boom"},
+				{"panic in the first side", func(ran *bool) []side { return []side{direct, ok(ran)} }, "panic in row: boom"},
+				{"panic in the second side", func(ran *bool) []side { return []side{ok(ran), direct} }, "panic in row: boom"},
 			} {
 				ran := false
 				_, err := r.runSides(context.Background(), ModeVecDSS, tc.sides(&ran)...)
-				var pe *PanicError
+				var pe *par.PanicError
 				if !errors.As(err, &pe) || err.Error() != tc.want {
 					t.Errorf("%s, %d processor(s): got %v, want %q", tc.name, procs, err, tc.want)
 					continue
 				}
-				if pe.Side != "row" || !strings.Contains(string(pe.Stack), "TestSidePanicFailsTheRequest") {
-					t.Errorf("%s: side %q, stack\n%s", tc.name, pe.Side, pe.Stack)
+				if pe.Label != "row" || !strings.Contains(string(pe.Stack), "TestSidePanicFailsTheRequest") {
+					t.Errorf("%s: side %q, stack\n%s", tc.name, pe.Label, pe.Stack)
 				}
 				// In turn, a failed first side ends the request; together,
 				// the twin has run by the time the request fails.
@@ -234,9 +236,9 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 		}()
 	}
 
-	_, err := runSide(inline)
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Side != "cohort-1" || !strings.Contains(err.Error(), "boom in the producer") {
+	_, err := inline.run()
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || pe.Label != "cohort-1" || !strings.Contains(err.Error(), "boom in the producer") {
 		t.Errorf("panic in an inline producer: got %v", err)
 	}
 
@@ -259,16 +261,16 @@ func TestSidePanicFailsTheRequest(t *testing.T) {
 }
 
 // TestRunSurvivesPanickingSide: a request whose side panics for real (a
-// TPC-C arena too small to load into) fails with a *PanicError, and the
+// TPC-C arena too small to load into) fails with a *par.PanicError, and the
 // Runner goes on serving the modes that do not need what failed.
 func TestRunSurvivesPanickingSide(t *testing.T) {
 	scale := TestScale()
 	scale.TPCC.ArenaBytes = 1 << 20
 	r := NewRunner(scale)
 	_, err := r.Run(context.Background(), Request{Mode: ModeStagedOLTP})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Side != "monolithic" {
-		t.Fatalf("staged-oltp on a 1 MB arena: got %v, want a *PanicError of the monolithic side", err)
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || pe.Label != "monolithic" {
+		t.Fatalf("staged-oltp on a 1 MB arena: got %v, want a *par.PanicError of the monolithic side", err)
 	}
 	res, err := r.Run(context.Background(), Request{Mode: ModeVecDSS, Query: 6})
 	if err != nil {
@@ -277,53 +279,85 @@ func TestRunSurvivesPanickingSide(t *testing.T) {
 	checkVecGolden(t, "after a panicked request", 6, true, res.Main.Cycles, res.Main.Digest, res.Main.Result)
 }
 
-// TestSidePanicInProducer: a panic in a side's producer goroutine, which
-// would end the process if nothing recovered it, comes back from simulate
-// as a *PanicError once the chip has run its streams down, and what the
-// run held stays out of the free lists.
+// TestSidePanicInProducer: a panic in a side's producer goroutine, or in a
+// worker that producer fans out through par.Do, which would end the process
+// if nothing recovered it, comes back from simulate as a *par.PanicError
+// once the chip has run its streams down; what the run held stays out of
+// the free lists, and the same Runner then serves golden Q6 with no
+// goroutine of the failed runs left behind.
 func TestSidePanicInProducer(t *testing.T) {
 	r := NewRunner(TestScale())
-	simulate := func(panics bool) (Side, error) {
+	// fill records more than a pipe holds on rec, so its producer waits for
+	// the simulator before it goes on.
+	fill := func(rec *trace.Recorder) {
+		for i := 0; i < 1<<15; i++ {
+			rec.Load(mem.HeapBase+mem.Addr(i*mem.LineSize), false)
+		}
+	}
+	simulate := func(produce func(th threads) error) (Side, error) {
 		th := newThreads(2, false)
 		work := []*engine.Ctx{r.workCtx(nil, th.recs[0], 0, oltpWorkBytes), r.workCtx(nil, th.recs[1], 1, oltpWorkBytes)}
 		return r.simulate(run{
 			label: "row", cell: DefaultModeCell(ModeVecDSS, sim.FatCamp), threads: th, done: 2, work: work,
-			produce: func(obs.Scope) {
-				// More than a pipe holds, so the producer waits for the
-				// simulator before it fails; thread 1 never hears from it.
-				for i := 0; i < 1<<15; i++ {
-					th.recs[0].Load(mem.HeapBase+mem.Addr(i*mem.LineSize), false)
-				}
-				if panics {
-					panic("boom in the producer")
-				}
-			},
+			produce: func(obs.Scope) error { return produce(th) },
 		})
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := simulate(true)
-		done <- err
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(time.Minute):
-		t.Fatal("simulate hung after its producer panicked")
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Side != "row" || pe.Value != "boom in the producer" ||
-		!strings.Contains(string(pe.Stack), "TestSidePanicInProducer") {
-		t.Fatalf("got %v, want the producer's panic as a *PanicError of the row side", err)
-	}
-	if w, h := len(r.arenas.free[oltpWorkBytes]), len(r.hiers.free); w != 0 || h != 0 {
-		t.Errorf("%d workspaces and %d hierarchies parked after the producer panicked, want none", w, h)
+	goroutines := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name, value string
+		produce     func(th threads) error
+	}{
+		// Thread 1 never hears from the producer.
+		{"the producer", "boom in the producer", func(th threads) error {
+			fill(th.recs[0])
+			panic("boom in the producer")
+		}},
+		// Worker 1 panics once its pipe has filled; worker 0 runs to its end.
+		{"a fanned-out worker", "boom in a worker", func(th threads) error {
+			return par.Do(2, func(i int) error {
+				fill(th.recs[i])
+				if i == 1 {
+					panic("boom in a worker")
+				}
+				return nil
+			}, nil)
+		}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := simulate(tc.produce)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("simulate hung after a panic in %s", tc.name)
+		}
+		var pe *par.PanicError
+		if !errors.As(err, &pe) || pe.Label != "row" || pe.Value != tc.value ||
+			!strings.Contains(string(pe.Stack), "TestSidePanicInProducer") {
+			t.Fatalf("panic in %s: got %v, want it as a *par.PanicError of the row side", tc.name, err)
+		}
+		if w, h := len(r.arenas.free[oltpWorkBytes]), len(r.hiers.free); w != 0 || h != 0 {
+			t.Errorf("%d workspaces and %d hierarchies parked after a panic in %s, want none", w, h, tc.name)
+		}
 	}
 	// The same run without the panic parks both workspaces and the hierarchy.
-	if _, err := simulate(false); err != nil {
+	if _, err := simulate(func(th threads) error { fill(th.recs[0]); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if w, h := len(r.arenas.free[oltpWorkBytes]), len(r.hiers.free); w != 2 || h != 1 {
 		t.Errorf("%d workspaces and %d hierarchies parked after a clean run, want 2 and 1", w, h)
+	}
+	res, err := r.Run(context.Background(), Request{Mode: ModeVecDSS, Query: 6})
+	if err != nil {
+		t.Fatalf("vec-dss after the panicked runs: %v", err)
+	}
+	checkVecGolden(t, "after the panicked runs", 6, true, res.Main.Cycles, res.Main.Digest, res.Main.Result)
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panicked runs and a request, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }

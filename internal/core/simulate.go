@@ -5,11 +5,9 @@
 package core
 
 import (
-	"runtime/debug"
-	"sync"
-
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -48,10 +46,10 @@ type run struct {
 	// round-robin.
 	at []int
 	// produce records every thread's trace, opening its spans under sc
-	// (disabled unless traced). An inline thread runs it as its coroutine;
-	// otherwise it runs on a goroutine of its own, and every recorder is
-	// closed when it returns.
-	produce func(sc obs.Scope)
+	// (disabled unless traced), and returns what failed. An inline thread
+	// runs it as its coroutine; otherwise it runs on a goroutine of its own,
+	// and every recorder is closed when it returns.
+	produce func(sc obs.Scope) error
 	// warm is the warming budget per thread when the cell sets none; with
 	// warmSplit > 1 it is divided among that many threads, so that the
 	// total is the same at every partition count.
@@ -68,14 +66,17 @@ type run struct {
 
 // simulate runs s on a chip from the hierarchy pool and returns a Side
 // carrying its label, completion cycle, sim.Result and, when traced, its
-// span run, whose root span covers [0, Cycles]. After the simulation every
-// stream is stopped before any is drained (a producer released from one
-// stream may wait at a barrier for a peer still blocked on another); the
-// producer is joined, and only then are the chip's hierarchy and s.work
-// parked. A panic in a goroutine producer comes back as a *PanicError with
-// nothing parked: what the producer spawned may still be writing to the
-// workspaces, so they go to the collector. A panic in an inline producer
-// surfaces in the simulator's receive and unwinds through simulate.
+// span run, whose root span covers [0, Cycles]. The chip runs on the
+// caller's goroutine and a goroutine producer beside it, both through
+// par.Do. After the simulation every stream is stopped before any is
+// drained (a producer released from one stream may wait at a barrier for a
+// peer still blocked on another); the producer is joined, and only then are
+// the chip's hierarchy and s.work parked. A run that fails (the producer's
+// error, or a panic in the producer, in what it fans out through par, or on
+// the chip's side, where an inline producer's panic surfaces) returns the
+// error, a panic as a *par.PanicError labelled with the run, and parks
+// nothing: what it held goes to the collector. A panic on the chip's side
+// stops the streams first, so that the producer ends.
 func (r *Runner) simulate(s run) (Side, error) {
 	cfg := s.cell.SimConfig().WithDefaults()
 	chip := sim.NewChipOn(cfg, r.hiers.take(cfg.Hier.WithDefaults()))
@@ -98,51 +99,56 @@ func (r *Runner) simulate(s run) (Side, error) {
 		tracer.StampStart(root, 0)
 	}
 	sc := obs.Scope{T: tracer, Parent: root.ID()}
+	stop := func() {
+		for _, st := range s.streams {
+			st.Stop()
+		}
+	}
 
-	var producer sync.WaitGroup
-	var panicked *PanicError
+	var res sim.Result
+	var inlineErr error
+	calls := 2 // the chip, then the producer
 	if s.inline {
-		// Joined when the drain below has run it to its end.
-		s.streams[0].SetProducer(func() { s.produce(sc) })
-	} else {
-		producer.Add(1)
-		go func() {
-			defer producer.Done()
+		// Run by the drain below to its end.
+		s.streams[0].SetProducer(func() { inlineErr = s.produce(sc) })
+		calls = 1
+	}
+	err := par.Do(calls, func(i int) error {
+		if i == 1 {
 			defer func() {
-				if p := recover(); p != nil {
-					panicked = &PanicError{Side: s.label, Value: p, Stack: debug.Stack()}
-				}
 				for _, rec := range s.recs {
 					rec.Close()
 				}
 			}()
-			s.produce(sc)
-		}()
-	}
-
-	warm := s.cell.WarmRefs
-	if warm <= 0 {
-		warm = s.warm
-	}
-	chip.Warm(warm / max(s.warmSplit, 1))
-	window := s.window
-	if window == 0 {
-		window = 1 << 34
-	}
-	res := chip.Run(window)
-	for _, st := range s.streams {
-		st.Stop()
-	}
-	for _, st := range s.streams {
-		for {
-			if _, ok := st.Next(); !ok {
-				break
+			return s.produce(sc)
+		}
+		warm := s.cell.WarmRefs
+		if warm <= 0 {
+			warm = s.warm
+		}
+		chip.Warm(warm / max(s.warmSplit, 1))
+		window := s.window
+		if window == 0 {
+			window = 1 << 34
+		}
+		res = chip.Run(window)
+		stop()
+		for _, st := range s.streams {
+			for {
+				if _, ok := st.Next(); !ok {
+					break
+				}
 			}
 		}
-	}
-	producer.Wait()
-	if panicked != nil {
-		return Side{}, panicked
+		return inlineErr
+	}, func(i int, _ error) {
+		if i == 0 {
+			stop()
+		}
+	})
+	if err != nil {
+		labelPanic(err, s.label)
+		return Side{}, err
 	}
 	r.releaseWork(s.work...)
 	r.hiers.put(chip.Hierarchy())

@@ -137,18 +137,15 @@ func (r *Runner) StagedExperiment(rows int) ([]StagedResult, error) {
 		sink := db.NewCtxOn(nil, r.arenas.take(engine.WorkSlotBase(stagedSlot+stagedMaxWorkers, stagedWork), stagedSinkWork))
 		work[m.workers] = sink
 		var n int
-		var runErr error
 		side, err := r.simulate(run{
 			label: m.mode, cell: cell, threads: th, at: m.at, done: m.workers, work: work,
-			produce: func(obs.Scope) {
-				n, runErr = m.run(work[:m.workers], sink)
+			produce: func(obs.Scope) (err error) {
+				n, err = m.run(work[:m.workers], sink)
+				return err
 			},
 		})
 		if err != nil {
-			return nil, err
-		}
-		if runErr != nil {
-			return nil, fmt.Errorf("core: staged mode %s: %w", m.mode, runErr)
+			return nil, fmt.Errorf("core: staged mode %s: %w", m.mode, err)
 		}
 		res := side.Result
 		st := res.Cache

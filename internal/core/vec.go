@@ -58,20 +58,17 @@ func (r *Runner) vecDSS(cell Cell, q int, vectorized bool, seed int64, traced bo
 	}
 	var rows int
 	var digest uint64
-	var runErr error
 	side, err := r.simulate(run{
 		label: vecLabel(vectorized), cell: cell, threads: th, warm: 5000, done: 1,
 		work: []*engine.Ctx{ctx}, traced: traced,
-		produce: func(obs.Scope) {
+		produce: func(obs.Scope) error {
 			v, err := query(ctx, q, p)
-			rows, digest, runErr = len(v), RowsDigest(v), err
+			rows, digest = len(v), RowsDigest(v)
+			return err
 		},
 	})
 	if err != nil {
-		return Side{}, err
-	}
-	if runErr != nil {
-		return Side{}, fmt.Errorf("core: vec DSS q%d: %w", q, runErr)
+		return Side{}, fmt.Errorf("core: vec DSS q%d: %w", q, err)
 	}
 	side.Rows, side.Digest = rows, digest
 	return side, nil

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -67,12 +68,13 @@ type Exchange struct {
 	Build func(w int) Op
 	Ctxs  []*Ctx
 
-	children  []Op
-	rows      chan []byte
-	done      chan struct{}
-	errc      chan error
-	collected bool
+	children []Op
+	rows     chan []byte
+	done     chan struct{}
+	// err is the workers' first error, set before rows is closed; drained
+	// is set when Next has seen rows closed.
 	err       error
+	drained   bool
 	closeOnce sync.Once
 }
 
@@ -84,91 +86,73 @@ func (e *Exchange) child(w int) Op {
 // Schema implements Op.
 func (e *Exchange) Schema() Schema { return e.child(0).Schema() }
 
-// Open implements Op: it starts the worker goroutines. Rows become
-// available to Next as workers produce them.
+// Open implements Op: it starts the workers. Rows become available to Next
+// as workers produce them.
 func (e *Exchange) Open(ctx *Ctx) error {
 	if len(e.Ctxs) == 0 {
 		return fmt.Errorf("engine: exchange with no worker contexts")
 	}
 	e.rows = make(chan []byte, 4*len(e.Ctxs))
 	e.done = make(chan struct{})
-	e.errc = make(chan error, len(e.Ctxs))
-	e.collected = false
-	e.err = nil
+	e.err, e.drained = nil, false
 	e.closeOnce = sync.Once{}
 	// Materialize every subtree before spawning: child() memoizes without
 	// a lock, so it must not be first called from the workers.
 	for w := range e.Ctxs {
 		e.child(w)
 	}
-	var wg sync.WaitGroup
-	for w := range e.Ctxs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := Run(e.Ctxs[w], e.child(w), func(row []byte) error {
-				out := make([]byte, len(row))
-				copy(out, row)
-				select {
-				case e.rows <- out:
-					return nil
-				case <-e.done:
-					return errExchangeClosed
-				}
-			})
-			if err != nil {
-				unpace(e.Ctxs)
-			}
-			if errors.Is(err, errExchangeClosed) {
-				err = nil
-			}
-			e.errc <- err
-		}(w)
-	}
+	// One goroutine runs the workers and ends the stream once every one has
+	// returned, leaving their first error for Next.
 	go func() {
-		wg.Wait()
+		e.err = par.Do(len(e.Ctxs), e.work, func(int, error) { unpace(e.Ctxs) })
 		close(e.rows)
 	}()
 	return nil
 }
 
-// collect gathers worker errors once all workers have finished.
-func (e *Exchange) collect() {
-	if e.collected {
-		return
-	}
-	e.collected = true
-	for range e.Ctxs {
-		if err := <-e.errc; err != nil && e.err == nil {
-			e.err = err
+// work runs worker w's subtree into the row stream. A worker stopped by
+// Close has failed nothing: Close has unpaced the group already.
+func (e *Exchange) work(w int) error {
+	err := Run(e.Ctxs[w], e.child(w), func(row []byte) error {
+		out := make([]byte, len(row))
+		copy(out, row)
+		select {
+		case e.rows <- out:
+			return nil
+		case <-e.done:
+			return errExchangeClosed
 		}
+	})
+	if errors.Is(err, errExchangeClosed) {
+		return nil
 	}
+	return err
 }
 
 // Next implements Op.
 func (e *Exchange) Next(ctx *Ctx) ([]byte, bool, error) {
 	row, ok := <-e.rows
 	if !ok {
-		e.collect()
+		e.drained = true
 		return nil, false, e.err
 	}
 	return row, true, nil
 }
 
 // Close implements Op: it aborts in-flight workers and drains the stream
-// so they all exit. Workers still at it may be waiting for a paced claim,
-// which closing done does not reach, so an early Close unpaces them.
+// until they have all returned. Workers still at it may be waiting for a
+// paced claim, which closing done does not reach, so an early Close
+// unpaces them.
 func (e *Exchange) Close(ctx *Ctx) {
 	if e.done == nil {
 		return
 	}
-	if !e.collected {
+	if !e.drained {
 		unpace(e.Ctxs)
 	}
 	e.closeOnce.Do(func() { close(e.done) })
 	for range e.rows {
 	}
-	e.collect()
 }
 
 // ParallelAgg computes the same result as a HashAgg over a partitioned
@@ -228,32 +212,18 @@ func (a *ParallelAgg) Open(ctx *Ctx) error {
 	}
 
 	partials := make([]*HashAgg, len(a.Ctxs))
-	errs := make([]error, len(a.Ctxs))
-	var wg sync.WaitGroup
-	for w := range a.Ctxs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if errs[w] != nil {
-					unpace(a.Ctxs)
-				}
-			}()
-			va := &HashAggVec{
-				Child:     a.child(w),
-				GroupCols: a.GroupCols,
-				Aggs:      a.Aggs,
-				Expected:  a.Expected,
-			}
-			errs[w] = va.Open(a.Ctxs[w])
-			partials[w] = va.agg()
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	if err := par.Do(len(a.Ctxs), func(w int) error {
+		va := &HashAggVec{
+			Child:     a.child(w),
+			GroupCols: a.GroupCols,
+			Aggs:      a.Aggs,
+			Expected:  a.Expected,
 		}
+		err := va.Open(a.Ctxs[w])
+		partials[w] = va.agg()
+		return err
+	}, func(int, error) { unpace(a.Ctxs) }); err != nil {
+		return err
 	}
 
 	// Gather barrier: merge worker partials into the master table. The
@@ -370,50 +340,35 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	// block-at-a-time, charging the loop once per block instead of once
 	// per row.
 	scatter := make([][][]prow, nw)
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if errs[w] != nil {
-					unpace(j.Ctxs)
-				}
-			}()
-			wctx := j.Ctxs[w]
-			scatter[w] = make([][]prow, nw)
-			scatterRow := func(row []byte) {
-				p := j.partition(uint64(RowInt(row, bOff)))
-				at := wctx.Work.Alloc(len(row), 8)
-				b := wctx.Work.Bytes(at, len(row))
-				copy(b, row)
-				wctx.Rec.StoreRange(at, len(row))
-				scatter[w][p] = append(scatter[w][p], prow{b: b, at: at})
-			}
-			errs[w] = RunVec(wctx, j.buildChild(w), func(blk *Block) error {
-				wctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecBuildCost)
-				blk.TraceRows(wctx.Rec)
-				// Honor a selection vector (native borrowed scans deliver
-				// Sel-annotated blocks): scatter live rows only.
-				if blk.Sel != nil {
-					for _, i := range blk.Sel {
-						scatterRow(blk.RowAt(int(i)))
-					}
-					return nil
-				}
-				for i := 0; i < blk.N(); i++ {
-					scatterRow(blk.RowAt(i))
+	if err := par.Do(nw, func(w int) error {
+		wctx := j.Ctxs[w]
+		scatter[w] = make([][]prow, nw)
+		scatterRow := func(row []byte) {
+			p := j.partition(uint64(RowInt(row, bOff)))
+			at := wctx.Work.Alloc(len(row), 8)
+			b := wctx.Work.Bytes(at, len(row))
+			copy(b, row)
+			wctx.Rec.StoreRange(at, len(row))
+			scatter[w][p] = append(scatter[w][p], prow{b: b, at: at})
+		}
+		return RunVec(wctx, j.buildChild(w), func(blk *Block) error {
+			wctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecBuildCost)
+			blk.TraceRows(wctx.Rec)
+			// Honor a selection vector (native borrowed scans deliver
+			// Sel-annotated blocks): scatter live rows only.
+			if blk.Sel != nil {
+				for _, i := range blk.Sel {
+					scatterRow(blk.RowAt(int(i)))
 				}
 				return nil
-			})
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+			}
+			for i := 0; i < blk.N(); i++ {
+				scatterRow(blk.RowAt(i))
+			}
+			return nil
+		})
+	}, func(int, error) { unpace(j.Ctxs) }); err != nil {
+		return err
 	}
 
 	// Phase 2 — build: worker p assembles partition p's hash table from
@@ -421,47 +376,45 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	// radix-splits its partition into cache-sized sub-tables (the rows are
 	// already staged, so the split costs only routing, not another copy).
 	j.parts = make([]*PartedTable, nw)
-	for p := 0; p < nw; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			wctx := j.Ctxs[p]
-			n := 0
-			for w := 0; w < nw; w++ {
-				n += len(scatter[w][p])
-			}
-			mode := resolveJoinMode(j.Mode, wctx, n+1, htEntryHeader+bWidth)
-			sub := 1
-			if mode == JoinPartitioned {
-				sub = joinParts(n+1, htEntryHeader+bWidth)
-			}
-			mask := uint64(sub - 1)
-			counts := make([]int, sub)
-			if sub > 1 {
-				for w := 0; w < nw; w++ {
-					for _, r := range scatter[w][p] {
-						counts[int(mix(uint64(RowInt(r.b, bOff)))>>radixShift&mask)]++
-					}
-				}
-			} else {
-				counts[0] = n
-			}
-			pt := &PartedTable{tables: make([]*HashTable, sub), mask: mask}
-			for s := 0; s < sub; s++ {
-				pt.tables[s] = NewHashTable(wctx, counts[s]+1, bWidth)
-			}
+	if err := par.Do(nw, func(p int) error {
+		wctx := j.Ctxs[p]
+		n := 0
+		for w := 0; w < nw; w++ {
+			n += len(scatter[w][p])
+		}
+		mode := resolveJoinMode(j.Mode, wctx, n+1, htEntryHeader+bWidth)
+		sub := 1
+		if mode == JoinPartitioned {
+			sub = joinParts(n+1, htEntryHeader+bWidth)
+		}
+		mask := uint64(sub - 1)
+		counts := make([]int, sub)
+		if sub > 1 {
 			for w := 0; w < nw; w++ {
 				for _, r := range scatter[w][p] {
-					key := uint64(RowInt(r.b, bOff))
-					wctx.Rec.Exec(j.code, 45)
-					wctx.Rec.LoadRange(r.at, len(r.b))
-					pt.Table(key).Insert(wctx.Rec, key, r.b)
+					counts[int(mix(uint64(RowInt(r.b, bOff)))>>radixShift&mask)]++
 				}
 			}
-			j.parts[p] = pt
-		}(p)
+		} else {
+			counts[0] = n
+		}
+		pt := &PartedTable{tables: make([]*HashTable, sub), mask: mask}
+		for s := 0; s < sub; s++ {
+			pt.tables[s] = NewHashTable(wctx, counts[s]+1, bWidth)
+		}
+		for w := 0; w < nw; w++ {
+			for _, r := range scatter[w][p] {
+				key := uint64(RowInt(r.b, bOff))
+				wctx.Rec.Exec(j.code, 45)
+				wctx.Rec.LoadRange(r.at, len(r.b))
+				pt.Table(key).Insert(wctx.Rec, key, r.b)
+			}
+		}
+		j.parts[p] = pt
+		return nil
+	}, func(int, error) { unpace(j.Ctxs) }); err != nil {
+		return err
 	}
-	wg.Wait()
 	j.observeBuild(ctx)
 
 	// Phase 3 — probe, gathered through an exchange.

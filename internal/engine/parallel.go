@@ -169,42 +169,3 @@ func (p *MorselPool) Next(w int) (Morsel, bool) {
 // which workers ask no longer decides anything (trace.Recorder.AtPace's
 // moot channel).
 func (p *MorselPool) Claimed() <-chan struct{} { return p.claimed }
-
-// ParallelScan scans t with one worker goroutine per ctx, covering the
-// heap exactly once via a shared morsel pool; each worker drives a
-// vectorized morsel scan and hands fn its blocks row by row. fn is
-// invoked concurrently from the workers (w identifies the caller); it
-// must be safe for that. morselPages <= 0 uses DefaultMorselPages.
-func ParallelScan(ctxs []*Ctx, t *Table, preds []Pred, cols []int, morselPages int, fn func(w int, row []byte) error) error {
-	if len(ctxs) == 0 {
-		return fmt.Errorf("engine: parallel scan with no worker contexts")
-	}
-	pool := NewMorselPool(len(ctxs), t.Heap.NumPages(), morselPages)
-	errs := make([]error, len(ctxs))
-	var wg sync.WaitGroup
-	for w := range ctxs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ms := &MorselScanVec{Table: t, Preds: preds, Cols: cols, Pool: pool, Worker: w}
-			errs[w] = RunVec(ctxs[w], ms, func(blk *Block) error {
-				for i := 0; i < blk.N(); i++ {
-					if err := fn(w, blk.RowAt(i)); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if errs[w] != nil {
-				unpace(ctxs)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -236,17 +237,32 @@ func TestMorselScanClaimsAtConsumerPace(t *testing.T) {
 	}
 }
 
+// quitter says how worker 1's subtree gives up after its first block.
+type quitter int
+
+const (
+	staysOn quitter = iota
+	returnsError
+	panics
+)
+
+func (q quitter) String() string { return [...]string{"stays on", "fails", "panics"}[q] }
+
 // failingVec hands on its child's blocks until it has passed after of them,
-// then fails.
+// then fails or panics.
 type failingVec struct {
 	VecOp
 	after int
+	how   quitter
 }
 
 var errWorkerGaveUp = errors.New("worker gave up")
 
 func (f *failingVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	if f.after == 0 {
+		if f.how == panics {
+			panic("worker panicked")
+		}
 		return nil, false, errWorkerGaveUp
 	}
 	f.after--
@@ -255,142 +271,101 @@ func (f *failingVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 
 // TestWorkerGivingUpReleasesPacedPeers: four traced workers run a parallel
 // plan on a simulated chip, and one of them stops before the pool is
-// exhausted — its subtree fails, its consumer fails, or the exchange above
-// is closed early. Its thread runs dry and the simulator waits for it, so
-// peers waiting for a paced claim must be released (unpace) or nobody moves
-// again: the plan returns what the quitter returned, and the simulation
-// ends.
+// exhausted — its subtree fails or panics, or the exchange above is closed
+// early. Its thread runs dry and the simulator waits for it, so peers
+// waiting for a paced claim must be released (unpace) or nobody moves
+// again: the plan returns what the quitter returned (a panic as a
+// *par.PanicError), and the simulation ends.
 func TestWorkerGivingUpReleasesPacedPeers(t *testing.T) {
 	db, tb := buildParTable(t, 20000)
 	const workers = 4
-	// scan is worker w's morsel scan of tb; worker 1's fails after one block.
-	scan := func(pool *MorselPool, failing bool) func(w int) VecOp {
+	// scan is worker w's morsel scan of tb; worker 1's quits after one block.
+	scan := func(pool *MorselPool, how quitter) func(w int) VecOp {
 		return func(w int) VecOp {
 			ms := &MorselScanVec{Table: tb, Pool: pool, Worker: w}
-			if failing && w == 1 {
-				return &failingVec{VecOp: ms, after: 1}
+			if how != staysOn && w == 1 {
+				return &failingVec{VecOp: ms, after: 1, how: how}
 			}
 			return ms
 		}
 	}
 	newPool := func() *MorselPool { return NewMorselPool(workers, tb.Heap.NumPages(), 2) }
-	for _, tc := range []struct {
-		name    string
-		wantErr bool
-		query   func(ctxs []*Ctx) error
+	plans := []struct {
+		name  string
+		quits []quitter
+		query func(ctxs []*Ctx, how quitter) error
 	}{
-		{"agg subtree fails", true, func(ctxs []*Ctx) error {
+		{"agg subtree", []quitter{returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
 			return Run(ctxs[0], &ParallelAgg{
-				Ctxs: ctxs, BuildVec: scan(newPool(), true),
+				Ctxs: ctxs, BuildVec: scan(newPool(), how),
 				GroupCols: []int{1}, Aggs: []AggSpec{{Func: Count, Name: "n"}}, Expected: 16,
 			}, nil)
 		}},
-		{"join build subtree fails", true, func(ctxs []*Ctx) error {
+		{"join build subtree", []quitter{returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
 			return Run(ctxs[0], &ParallelHashJoin{
-				Ctxs: ctxs, BuildSrcVec: scan(newPool(), true), ProbeSrcVec: scan(newPool(), false),
+				Ctxs: ctxs, BuildSrcVec: scan(newPool(), how), ProbeSrcVec: scan(newPool(), staysOn),
 			}, nil)
 		}},
-		{"join probe subtree fails", true, func(ctxs []*Ctx) error {
+		{"join probe subtree", []quitter{returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
 			return Run(ctxs[0], &ParallelHashJoin{
-				Ctxs: ctxs, BuildSrcVec: scan(newPool(), false), ProbeSrcVec: scan(newPool(), true),
+				Ctxs: ctxs, BuildSrcVec: scan(newPool(), staysOn), ProbeSrcVec: scan(newPool(), how),
 			}, nil)
 		}},
-		{"scan consumer fails", true, func(ctxs []*Ctx) error {
-			return ParallelScan(ctxs, tb, nil, nil, 2, func(w int, row []byte) error {
-				if w == 1 {
-					return errWorkerGaveUp
-				}
-				return nil
-			})
-		}},
-		{"exchange closed early", false, func(ctxs []*Ctx) error {
+		// Closed after its first row when every worker stays on; read to
+		// the end, where the quitter's error comes out, when one does not.
+		{"exchange", []quitter{staysOn, returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
 			pool := newPool()
-			ex := &Exchange{Ctxs: ctxs, Build: func(w int) Op { return &RowAdapter{Vec: scan(pool, false)(w)} }}
+			ex := &Exchange{Ctxs: ctxs, Build: func(w int) Op { return &RowAdapter{Vec: scan(pool, how)(w)} }}
 			if err := ex.Open(ctxs[0]); err != nil {
 				return err
 			}
-			_, _, err := ex.Next(ctxs[0])
-			ex.Close(ctxs[0])
-			return err
-		}},
-	} {
-		chip := sim.NewChip(sim.Config{Camp: sim.FatCamp, Cores: workers,
-			Hier: cache.Config{L2Size: 1 << 20, L2Lat: 10, SharedL2: true}})
-		recs := make([]*trace.Recorder, workers)
-		ctxs := make([]*Ctx, workers)
-		for w := range ctxs {
-			rec, s := trace.Pipe()
-			recs[w] = rec
-			chip.AddThread(s)
-			ctxs[w] = db.NewCtx(rec, 40+w, 16<<20)
-		}
-		errc := make(chan error, 1)
-		go func() {
-			err := tc.query(ctxs)
-			for _, rec := range recs {
-				rec.Close()
+			defer ex.Close(ctxs[0])
+			for {
+				_, ok, err := ex.Next(ctxs[0])
+				if err != nil || !ok || how == staysOn {
+					return err
+				}
 			}
-			errc <- err
-		}()
-		simulated := make(chan struct{})
-		go func() {
-			chip.Run(1 << 34)
-			close(simulated)
-		}()
-		select {
-		case <-simulated:
-		case <-time.After(time.Minute):
-			t.Fatalf("%s: the simulation has not ended: workers wait for grants the simulator cannot give", tc.name)
-		}
-		if err := <-errc; tc.wantErr != errors.Is(err, errWorkerGaveUp) || !tc.wantErr && err != nil {
-			t.Errorf("%s: plan returned %v", tc.name, err)
-		}
+		}},
 	}
-}
-
-// scanIDs drains a (possibly parallel) scan of tb and returns the sorted
-// ids that passed.
-func parallelScanIDs(t *testing.T, db *DB, tb *Table, workers int, preds []Pred) []int64 {
-	t.Helper()
-	ctxs := workerCtxs(db, workers)
-	var mu sync.Mutex
-	var ids []int64
-	err := ParallelScan(ctxs, tb, preds, nil, 4, func(w int, row []byte) error {
-		mu.Lock()
-		ids = append(ids, RowInt(row, 0))
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func TestParallelScanMatchesSerial(t *testing.T) {
-	db, tb := buildParTable(t, 20000)
-	preds := []Pred{PredInt(0, LT, 15000)}
-
-	var want []int64
-	sctx := db.NewCtx(nil, 0, 16<<20)
-	err := Run(sctx, &SeqScan{Table: tb, Preds: preds}, func(row []byte) error {
-		want = append(want, RowInt(row, 0))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := parallelScanIDs(t, db, tb, workers, preds)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d rows, serial %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: row %d = %d, serial %d", workers, i, got[i], want[i])
+	for _, plan := range plans {
+		for _, how := range plan.quits {
+			name := fmt.Sprintf("%s, worker 1 %v", plan.name, how)
+			chip := sim.NewChip(sim.Config{Camp: sim.FatCamp, Cores: workers,
+				Hier: cache.Config{L2Size: 1 << 20, L2Lat: 10, SharedL2: true}})
+			recs := make([]*trace.Recorder, workers)
+			ctxs := make([]*Ctx, workers)
+			for w := range ctxs {
+				rec, s := trace.Pipe()
+				recs[w] = rec
+				chip.AddThread(s)
+				ctxs[w] = db.NewCtx(rec, 40+w, 16<<20)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				err := plan.query(ctxs, how)
+				for _, rec := range recs {
+					rec.Close()
+				}
+				errc <- err
+			}()
+			simulated := make(chan struct{})
+			go func() {
+				chip.Run(1 << 34)
+				close(simulated)
+			}()
+			select {
+			case <-simulated:
+			case <-time.After(time.Minute):
+				t.Fatalf("%s: the simulation has not ended: workers wait for grants the simulator cannot give", name)
+			}
+			err := <-errc
+			var pe *par.PanicError
+			switch {
+			case how == staysOn && err != nil,
+				how == returnsError && !errors.Is(err, errWorkerGaveUp),
+				how == panics && (!errors.As(err, &pe) || pe.Value != "worker panicked"):
+				t.Errorf("%s: plan returned %v", name, err)
 			}
 		}
 	}
@@ -601,20 +576,5 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestParallelScanPropagatesWorkerError(t *testing.T) {
-	db, tb := buildParTable(t, 5000)
-	ctxs := workerCtxs(db, 4)
-	boom := fmt.Errorf("boom")
-	err := ParallelScan(ctxs, tb, nil, nil, 2, func(w int, row []byte) error {
-		if RowInt(row, 0) == 3000 {
-			return boom
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("worker error swallowed")
 	}
 }

@@ -1885,9 +1885,9 @@ func (j *HashJoinVec) insertBatch(rp *RadixPart, blk *Block) {
 
 // MorselScanVec is ScanVec's morsel-driven form: workers sharing one
 // MorselPool collectively cover the table exactly once, each decoding the
-// page ranges it claims block-at-a-time. It is what ParallelScan,
-// ParallelAgg, and ParallelHashJoin drive — morsel scheduling on top of
-// the same vectorized core as every other execution mode.
+// page ranges it claims block-at-a-time. It is what ParallelAgg and
+// ParallelHashJoin drive — morsel scheduling on top of the same vectorized
+// core as every other execution mode.
 type MorselScanVec struct {
 	Table  *Table
 	Preds  []Pred

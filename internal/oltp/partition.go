@@ -27,12 +27,11 @@
 package oltp
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/sched"
 	"repro/internal/txn"
 )
@@ -109,45 +108,41 @@ func RunPartitioned(ctxs []*engine.Ctx, codes *mem.CodeMap, progs []Program, pla
 
 	s := NewScheduler(codes, cfg)
 	stats := make([]Stats, plan.Parts)
-	errs := make([]error, plan.Parts)
-	var wg sync.WaitGroup
-	for p := 0; p < plan.Parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			core := s.coreConfig()
-			// Each partition is one worker thread: relocate the span scope
-			// so its txn/quantum spans land on simulated thread p.
-			core.Obs = cfg.Obs.OnThread(p)
-			core.Ready = func(it sched.Item) bool {
-				pi := it.(*partItem)
-				if pi.Kind() == int(StageCommit) {
-					return pi.clock.CommitReady(pi.gseq)
-				}
-				return pi.clock.StepReady(pi.gseq)
+	err := par.Do(plan.Parts, func(p int) error {
+		core := s.coreConfig()
+		// Each partition is one worker thread: relocate the span scope
+		// so its txn/quantum spans land on simulated thread p.
+		core.Obs = cfg.Obs.OnThread(p)
+		core.Ready = func(it sched.Item) bool {
+			pi := it.(*partItem)
+			if pi.Kind() == int(StageCommit) {
+				return pi.clock.CommitReady(pi.gseq)
 			}
-			var seen uint64
-			rec := ctxs[p].Rec
-			core.Wait = func() bool {
-				// Commit-clock waits are host-side only (no simulated
-				// cycles accrue), but the span still shows where the
-				// partition sat blocked on another's commit.
-				wsp := core.Obs.Begin(rec, "clock-wait", "wait")
-				g, ok := clock.WaitChange(seen)
-				wsp.End(rec)
-				seen = g
-				return ok
-			}
-			st, err := sched.New(core).Run(ctxs[p], byPart[p])
-			stats[p] = fromSched(st)
-			if err != nil {
-				errs[p] = fmt.Errorf("oltp: partition %d: %w", p, err)
-				// Wake the other partitions so one failure cannot leave
-				// them blocked on a commit that will never happen.
-				clock.Fail(errs[p])
-			}
-		}(p)
+			return pi.clock.StepReady(pi.gseq)
+		}
+		var seen uint64
+		rec := ctxs[p].Rec
+		core.Wait = func() bool {
+			// Commit-clock waits are host-side only (no simulated
+			// cycles accrue), but the span still shows where the
+			// partition sat blocked on another's commit.
+			wsp := core.Obs.Begin(rec, "clock-wait", "wait")
+			g, ok := clock.WaitChange(seen)
+			wsp.End(rec)
+			seen = g
+			return ok
+		}
+		st, err := sched.New(core).Run(ctxs[p], byPart[p])
+		stats[p] = fromSched(st)
+		return err
+	}, func(p int, err error) {
+		// Wake the other partitions so one failure cannot leave them
+		// blocked on a commit that will never happen.
+		clock.Fail(fmt.Errorf("oltp: partition %d: %w", p, err))
+	})
+	if err != nil {
+		// The first failure in time; the partitions it woke failed after it.
+		return stats, clock.Err()
 	}
-	wg.Wait()
-	return stats, errors.Join(errs...)
+	return stats, nil
 }

@@ -1,10 +1,14 @@
 package oltp_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/oltp"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -184,5 +188,55 @@ func TestPartitionedHandoffRace(t *testing.T) {
 		if got != want {
 			t.Fatalf("rep %d: digest %#x != %#x", i, got, want)
 		}
+	}
+}
+
+// panickingProgram panics in its first step.
+type panickingProgram struct{ oltp.Program }
+
+func (panickingProgram) Step(*engine.Ctx) (oltp.StepOutcome, error) { panic("step panicked") }
+
+// TestPartitionedPanicReleasesPeers: the first program homed at partition 1
+// panics in its first step. Partition 0 holds every later commit at the
+// commit clock until that program has committed, which it never will; the
+// panic must wake it (SeqClock.Fail) and come back as a *par.PanicError
+// once both partitions have returned.
+func TestPartitionedPanicReleasesPeers(t *testing.T) {
+	cfg := partCfg()
+	w, err := workload.BuildTPCC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := w.StagedInputs(8, 4, 7)
+	plan := w.PartitionPlan(ins, 2)
+	progs := w.StagedPrograms(ins, true)
+	victim := -1
+	for g, home := range plan.Home {
+		if home == 1 {
+			victim = g
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no program homed at partition 1")
+	}
+	progs[victim] = panickingProgram{progs[victim]}
+	ctxs := []*engine.Ctx{w.DB.NewCtx(nil, 0, 4<<20), w.DB.NewCtx(nil, 1, 4<<20)}
+	done := make(chan error, 1)
+	go func() {
+		_, err := oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, oltp.Config{Cohort: 8, Generation: w.Mgr.LM.Generation})
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("RunPartitioned has not returned: partition 0 waits for a commit that will never happen")
+	}
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || pe.Value != "step panicked" || !strings.Contains(string(pe.Stack), "panickingProgram.Step") {
+		t.Fatalf("got %v, want the step's panic as a *par.PanicError", err)
+	}
+	if !strings.Contains(err.Error(), "oltp: partition 1: ") {
+		t.Errorf("error %q does not name the partition", err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/server/api"
 )
 
@@ -311,10 +312,10 @@ func (s *Server) execute(ctx context.Context, jobID string, creq core.Request) (
 		// A side that panicked has failed its request like any other error
 		// (the job ends "error", the slot is released); its stack is logged
 		// here, once.
-		var pe *core.PanicError
+		var pe *par.PanicError
 		if errors.As(err, &pe) {
 			s.Metrics.Panics.Inc()
-			s.log.Error("side panicked", "id", jobID, "side", pe.Side, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+			s.log.Error("side panicked", "id", jobID, "side", pe.Label, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		}
 		s.jobs.finish(jobID, nil, nil, err)
 		return nil, err

@@ -454,7 +454,7 @@ func TestPanickingSideFailsTheJob(t *testing.T) {
 	t.Cleanup(hs.Close)
 
 	resp, body := post(t, hs.URL+"/v1/txn", api.TxnRequest{Clients: 4, Txns: 2}, "")
-	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "side panicked") {
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panic in monolithic") {
 		t.Fatalf("synchronous batch on a 1 MB arena: status %d: %s", resp.StatusCode, body)
 	}
 
@@ -476,7 +476,7 @@ func TestPanickingSideFailsTheJob(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if job.Status != "error" || !strings.Contains(job.Error, "monolithic side panicked") {
+	if job.Status != "error" || !strings.Contains(job.Error, "panic in monolithic") {
 		t.Errorf("job ended %q with error %q, want \"error\" naming the panicked side", job.Status, job.Error)
 	}
 	if err := s.Drain(context.Background()); err != nil {

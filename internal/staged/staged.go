@@ -28,12 +28,12 @@
 package staged
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -255,8 +255,8 @@ func (pl *Pipeline) newRun(sinkMu *sync.Mutex) *pipeRun {
 	} else {
 		r.absorb = func(ctx *engine.Ctx, row []byte) {
 			sinkMu.Lock()
+			defer sinkMu.Unlock()
 			pl.Sink.Absorb(ctx, row)
-			sinkMu.Unlock()
 		}
 	}
 	return r
@@ -434,18 +434,26 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 	// traced by whichever consumer absorbed the packet.
 	var sinkMu sync.Mutex
 
-	// Only the source can fail: stage transforms and sinks have no error
-	// path, so consumers never report errors.
-	var srcErr error
-	var wg sync.WaitGroup
+	// stop is closed when a consumer fails: the source, which may be
+	// waiting for a packet only that consumer would have freed, stops
+	// filling, and the other consumers drain what it dealt.
+	stop := make(chan struct{})
+	var stopOnce sync.Once
+	take := func() (*Packet, bool) {
+		select {
+		case pkt := <-free:
+			pkt.Reset()
+			return pkt, true
+		case <-stop:
+			return nil, false
+		}
+	}
 
 	// Source worker: fill packets, deal them round-robin (stealing
 	// rebalances whenever consumers run at different speeds). A vectorized
 	// source bulk-copies whole blocks into ring packets — one traced
 	// memcpy per packet instead of a row-at-a-time refill loop.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	source := func() error {
 		defer pool.Close()
 		ctx := ctxs[0]
 		next := 0
@@ -456,8 +464,7 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 
 		if pl.VecSource != nil {
 			if err := pl.VecSource.Open(ctx); err != nil {
-				srcErr = err
-				return
+				return err
 			}
 			defer pl.VecSource.Close(ctx)
 			// Coalesce source blocks into ring packets: a selective
@@ -469,7 +476,6 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 			for {
 				blk, ok, err := pl.VecSource.NextBlock(ctx)
 				if err != nil || !ok {
-					srcErr = err
 					if pkt != nil {
 						if pkt.N() > 0 && err == nil {
 							push(pkt)
@@ -477,13 +483,14 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 							free <- pkt
 						}
 					}
-					return
+					return err
 				}
 				from := 0
 				for from < blk.N() {
 					if pkt == nil {
-						pkt = <-free
-						pkt.Reset()
+						if pkt, ok = take(); !ok {
+							return nil
+						}
 					}
 					from += pkt.CopyFrom(ctx.Rec, blk, from)
 					if pkt.N() == pkt.Cap() {
@@ -495,19 +502,19 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 		}
 
 		if err := pl.Source.Open(ctx); err != nil {
-			srcErr = err
-			return
+			return err
 		}
 		defer pl.Source.Close(ctx)
 		for {
-			pkt := <-free
-			pkt.Reset()
+			pkt, ok := take()
+			if !ok {
+				return nil
+			}
 			for pkt.N() < pkt.Cap() {
 				row, ok, err := pl.Source.Next(ctx)
 				if err != nil {
-					srcErr = err
 					free <- pkt
-					return
+					return err
 				}
 				if !ok {
 					break
@@ -516,42 +523,43 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 			}
 			if pkt.N() == 0 {
 				free <- pkt
-				return
+				return nil
 			}
 			push(pkt)
 		}
-	}()
+	}
 
 	// Consumer workers: each claims packets from the pool and drives them
 	// through its own sched cohort (private transforms and edge packets),
 	// absorbing into the shared sink under the lock. The feeder blocks in
 	// pool.Take, so a consumer sleeps exactly when it has nothing claimed.
-	consErr := make([]error, consumers)
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			ctx := ctxs[c+1]
-			run := pl.newRun(&sinkMu)
-			core := sched.New(pl.cohortConfig())
-			_, consErr[c] = core.RunFeed(ctx, func() (sched.Item, error) {
-				pkt, ok := pool.Take(c)
-				if !ok {
-					return nil, nil
-				}
-				return &pipeItem{
-					run: run, cur: pkt, orig: pkt, stage: 0,
-					free: func(p *Packet) { free <- p },
-				}, nil
-			})
-		}(c)
+	consume := func(c int) error {
+		ctx := ctxs[c+1]
+		run := pl.newRun(&sinkMu)
+		core := sched.New(pl.cohortConfig())
+		_, err := core.RunFeed(ctx, func() (sched.Item, error) {
+			pkt, ok := pool.Take(c)
+			if !ok {
+				return nil, nil
+			}
+			return &pipeItem{
+				run: run, cur: pkt, orig: pkt, stage: 0,
+				free: func(p *Packet) { free <- p },
+			}, nil
+		})
+		return err
 	}
 
-	wg.Wait()
-	if srcErr != nil {
-		return 0, srcErr
-	}
-	if err := errors.Join(consErr...); err != nil {
+	if err := par.Do(want, func(w int) error {
+		if w == 0 {
+			return source()
+		}
+		return consume(w - 1)
+	}, func(w int, _ error) {
+		if w > 0 {
+			stopOnce.Do(func() { close(stop) })
+		}
+	}); err != nil {
 		return 0, err
 	}
 	return pl.Sink.Rows(), nil

@@ -1,11 +1,15 @@
 package staged
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
+	"repro/internal/par"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -94,6 +98,39 @@ func TestParallelMatchesAffinity(t *testing.T) {
 		t.Fatalf("parallel absorbed %d rows, want 8000", n)
 	}
 	checkGroups(t, pl.Sink.(*AggSink).Groups())
+}
+
+// TestParallelConsumerPanic: every consumer's transform panics on its
+// first row, so the packets they hold never come back to the free ring and
+// the source, with far more packets to fill than the ring has, would wait
+// for one for ever. The panic stops the source and comes back as a
+// *par.PanicError once every worker has returned.
+func TestParallelConsumerPanic(t *testing.T) {
+	db, tb := buildTable(t)
+	pl := pipelineFor(db, tb, db.NewCtx(nil, 4, 8<<20))
+	pl.BatchRows = 64
+	pl.Stages = append(pl.Stages, Stage{Name: "boom", Out: tb.Schema, Fn: func() Transform {
+		return func(*engine.Ctx, []byte, func([]byte)) { panic("transform panicked") }
+	}})
+	ctxs := make([]*engine.Ctx, len(pl.Stages)+2)
+	for i := range ctxs {
+		ctxs[i] = db.NewCtx(nil, i, 8<<20)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := pl.RunParallel(ctxs)
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("RunParallel has not returned: the source waits for a packet no consumer will free")
+	}
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || pe.Value != "transform panicked" || !strings.Contains(string(pe.Stack), "TestParallelConsumerPanic") {
+		t.Fatalf("got %v, want the transform's panic as a *par.PanicError", err)
+	}
 }
 
 func TestParallelContextCountValidated(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/par"
 	"repro/internal/share"
 )
 
@@ -119,35 +119,26 @@ func (h *TPCH) RunConcurrentDSS(clients, rounds int, env *ShareEnv, seed int64) 
 		return ConcurrentDSSResult{}, fmt.Errorf("workload: concurrent DSS with %d clients x %d rounds", clients, rounds)
 	}
 	mix := Planned()
-	errs := make([]error, clients)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx := h.DB.NewCtx(nil, i, 16<<20)
-			prng := rand.New(rand.NewSource(seed + int64(i)))
-			for r := 0; r < rounds; r++ {
-				q := mix[(i+r)%len(mix)]
-				p := RandomParams(prng)
-				ctx.Work.Reset()
-				if env == nil {
-					p.Phase = float64(i%16) / 80 // the unshared clients' staggered convention
-				}
-				if _, err := h.RunQueryShared(ctx, q, p, env); err != nil {
-					errs[i] = err
-					return
-				}
+	err := par.Do(clients, func(i int) error {
+		ctx := h.DB.NewCtx(nil, i, 16<<20)
+		prng := rand.New(rand.NewSource(seed + int64(i)))
+		for r := 0; r < rounds; r++ {
+			q := mix[(i+r)%len(mix)]
+			p := RandomParams(prng)
+			ctx.Work.Reset()
+			if env == nil {
+				p.Phase = float64(i%16) / 80 // the unshared clients' staggered convention
 			}
-		}(i)
-	}
-	wg.Wait()
-	res := ConcurrentDSSResult{Clients: clients, Queries: clients * rounds, Elapsed: time.Since(start)}
-	for _, err := range errs {
-		if err != nil {
-			return res, err
+			if _, err := h.RunQueryShared(ctx, q, p, env); err != nil {
+				return err
+			}
 		}
+		return nil
+	}, nil)
+	res := ConcurrentDSSResult{Clients: clients, Queries: clients * rounds, Elapsed: time.Since(start)}
+	if err != nil {
+		return res, err
 	}
 	if env != nil {
 		env.Reg.WaitIdle()
