@@ -236,31 +236,40 @@ func canonRows(rows [][]engine.Value) [][]engine.Value {
 }
 
 // TestNativeGoldenParallel: the morsel-parallel native runs agree with
-// the serial native plan at every worker count — keys and integer
-// aggregates exactly, float sums up to addition order (sameRows), Q13 as
-// a canonicalized multiset.
+// the serial native plan at 1, 2, 4 and 8 workers, copying and borrowing
+// (ZeroCopy) pages, on NSM and PAX — keys and integer aggregates exactly,
+// float sums up to addition order (sameRows), Q13 as a canonicalized
+// multiset — and a borrowed run leaves no page lease behind.
 func TestNativeGoldenParallel(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	serial := h.DB.NewCtx(nil, 59, 48<<20)
-	for _, q := range []int{1, 6, 13} {
-		serial.Work.Reset()
-		want, err := h.RunQueryNative(serial, q, p, NativeOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q == 13 {
-			want = canonRows(want)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{})
+	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
+		h := vecTPCH(t, layout)
+		serial := h.DB.NewCtx(nil, 59, 48<<20)
+		for _, q := range []int{1, 6, 13} {
+			serial.Work.Reset()
+			want, err := h.RunQueryNative(serial, q, p, NativeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if q == 13 {
-				got = canonRows(got)
+				want = canonRows(want)
 			}
-			sameRows(t, "native-parallel", got, want)
+			for _, workers := range []int{1, 2, 4, 8} {
+				for _, borrow := range []bool{false, true} {
+					got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{ZeroCopy: borrow})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if q == 13 {
+						got = canonRows(got)
+					}
+					label := fmt.Sprintf("%v q%d x%d borrow=%v", layout, q, workers, borrow)
+					sameRows(t, label, got, want)
+					if n := h.DB.Pool.Leases(); borrow && n != 0 {
+						t.Fatalf("%s: %d page leases outstanding", label, n)
+					}
+				}
+			}
 		}
 	}
 }
