@@ -7,7 +7,8 @@
 //
 // Absolute numbers come from the reproduction's simulator and scaled-down
 // datasets; the shapes (who wins, by what factor, where crossovers fall)
-// are the reproduction targets. See EXPERIMENTS.md for paper-vs-measured.
+// are the reproduction targets. Each table's header names the paper's
+// table or figure it regenerates.
 package main
 
 import (

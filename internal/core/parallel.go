@@ -15,8 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// ParallelJoinQuery selects the Q13 join core (partitioned parallel hash
-// join) in RunParallelDSS, alongside the real analogs 1 and 6.
+// ParallelJoinQuery selects the Q13 join core (the shared partition-wise
+// build and every worker's probe of it) in RunParallelDSS, alongside the
+// real analogs 1 and 6.
 const ParallelJoinQuery = 13
 
 // RunParallelDSS executes one query with the morsel-driven executor on a
@@ -29,7 +30,7 @@ const ParallelJoinQuery = 13
 // geometry for each — a parallel-dss request's sweep does — or the cycle
 // ratio mixes in hardware scaling. An optional join mode pins the
 // hash-join strategy of joining plans (Q13); omitted, the auto policy
-// decides per worker partition. The side, labeled "parallel-N", reports
+// decides from the build's size estimate, as for a serial join. The side, labeled "parallel-N", reports
 // the slowest worker's completion cycle (the query's parallel response
 // time), result rows (join output rows for the join) and a digest of the
 // row count only: multi-worker float aggregates agree with serial runs up

@@ -79,3 +79,29 @@ func TestRunParallelDSSRejectsBadArgs(t *testing.T) {
 		t.Fatal("query without a parallel variant accepted")
 	}
 }
+
+// TestRunRepeatsParallelJoinModes: the traced parallel Q13 join in every
+// join mode — the prefetch mode's batched walk over the shared partition
+// table included — returns the serial join's 9815 rows at 1 and 4
+// workers, and a second run repeats every point's cycle count.
+func TestRunRepeatsParallelJoinModes(t *testing.T) {
+	for _, mode := range []string{"auto", "chained", "partitioned", "prefetch"} {
+		req := Request{Mode: ModeParallelDSS, Query: ParallelJoinQuery, Workers: 4, JoinMode: mode}
+		first, err := sharedRunner.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := sharedRunner.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range first.Sweep {
+			if s.Rows != 9815 || s.Digest != 0xaff77f624ca23930 {
+				t.Errorf("%s x%d: %d rows, digest %#x; want 9815, 0xaff77f624ca23930", mode, s.Workers, s.Rows, s.Digest)
+			}
+			if s.Cycles != again.Sweep[i].Cycles {
+				t.Errorf("%s x%d: cycles %d, then %d", mode, s.Workers, s.Cycles, again.Sweep[i].Cycles)
+			}
+		}
+	}
+}

@@ -115,7 +115,9 @@ var vecGoldens = []struct {
 
 // parGoldens is the simulator's complete output for both points of a
 // parallel-dss request (WorkerCounts {1, 4}) for Q1, Q6 and the Q13 join
-// core at TestScale, seed 7, default cell, recorded at commit 48abeb9.
+// core at TestScale, seed 7, default cell: Q1 and Q6 recorded at commit
+// 48abeb9, Q13 when the join became one shared partition-wise build
+// probed by every worker's HashJoinVec (its rows and digest unchanged).
 // Parallel digests fingerprint the row count.
 var parGoldens = []struct {
 	query, workers int
@@ -147,18 +149,18 @@ var parGoldens = []struct {
 		Cache: cache.Stats{L1DHits: 0xb6, L1DMisses: 0x736, L1IHits: 0x41e,
 			L2Hits: 0x32, L2Misses: 0x704, L1Transfers: 0x1, MemAccesses: 0x704, Upgrades: 0x1, PortQueueCycles: 0x3c},
 		ThreadDone: []uint64{0x2f200, 0x0, 0x0, 0x0}}},
-	{13, 1, 1118906, 0xaff77f624ca23930, 9815, sim.Result{
-		Cycles: 0x1112bb, Instructions: 0x118d71,
-		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x8d4ee, 0x0, 0x323, 0x21fb2, 0x47a4c, 0x0, 0x1a0aa, 0x333833}},
-		Cache: cache.Stats{L1DHits: 0xa173, L1DMisses: 0xa4de, L1IHits: 0x1173f, L1IMisses: 0xb, StreamBufHits: 0x9,
-			L2Hits: 0x748f, L2Misses: 0x3051, MemAccesses: 0x3051, Upgrades: 0x163b, PortQueueCycles: 0x43ef},
-		ThreadDone: []uint64{0x1112ba}}},
-	{13, 4, 185396, 0xaff77f624ca23930, 9815, sim.Result{
-		Cycles: 0x2d435, Instructions: 0x5058e,
-		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x2884c, 0x14, 0x0, 0x127dc, 0x13870, 0x0, 0x7540, 0x5f2e8}},
-		Cache: cache.Stats{L1DHits: 0x31a6, L1DMisses: 0x3ef4, L1IHits: 0x4f53, L1IMisses: 0x3, StreamBufHits: 0x2,
-			L2Hits: 0x3c0f, L2Misses: 0x2e6, L1Transfers: 0x4f6, MemAccesses: 0x2e6, Upgrades: 0x2e5, PortQueueCycles: 0x79d},
-		ThreadDone: []uint64{0x289ba, 0x2d434, 0x0, 0x0}}},
+	{13, 1, 1038659, 0xaff77f624ca23930, 9815, sim.Result{
+		Cycles: 0xfd944, Instructions: 0xc86d0,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x65417, 0x0, 0x320, 0x35d6d, 0x504b0, 0x0, 0x11fee, 0x2f8bce}},
+		Cache: cache.Stats{L1DHits: 0xc627, L1DMisses: 0x80f4, L1IHits: 0xe864, L1IMisses: 0x5, StreamBufHits: 0x3,
+			L2Hits: 0x6ad8, L2Misses: 0x161e, MemAccesses: 0x161e, Upgrades: 0x132e, PortQueueCycles: 0x6f539},
+		ThreadDone: []uint64{0xfd943}}},
+	{13, 4, 94543, 0xaff77f624ca23930, 9815, sim.Result{
+		Cycles: 0x17150, Instructions: 0x25c36,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x13053, 0x26, 0x0, 0xa4ea, 0x31f, 0x0, 0x3536, 0x3b788}},
+		Cache: cache.Stats{L1DHits: 0x302b, L1DMisses: 0x16f0, L1IHits: 0x2db1, L1IMisses: 0x3, StreamBufHits: 0x1,
+			L2Hits: 0x14dc, L2Misses: 0x216, L1Transfers: 0x21d, MemAccesses: 0x216, Upgrades: 0x36b, PortQueueCycles: 0x19942},
+		ThreadDone: []uint64{0x1714f, 0x9c6a, 0x0, 0x0}}},
 }
 
 // TestGoldenParallelDSSSimResults pins parGoldens: both points of each

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // JoinType selects inner or left-outer semantics.
@@ -17,57 +16,6 @@ const (
 	LeftOuter
 )
 
-// probeCore is the streaming-probe state machine shared by HashJoin and
-// ParallelHashJoin's probe workers: emit the pending matches of the
-// current probe row, else advance the probe side, collect its matches
-// through lookup, zero-filling the build columns on LeftOuter misses.
-type probeCore struct {
-	buf     []byte   // assembled output row (probe ++ build)
-	lbuf    []byte   // snapshot of the current probe row
-	pending [][]byte // matches of the current probe row awaiting emission
-}
-
-func (p *probeCore) init(outW, probeW int) {
-	p.buf = make([]byte, outW)
-	p.lbuf = make([]byte, probeW)
-	p.pending = nil
-}
-
-// next pulls the next joined row. keyOff locates the probe key in the
-// probe schema; lookup hands every matching build row to collect.
-func (p *probeCore) next(ctx *Ctx, probe Op, keyOff int, jt JoinType, code mem.CodeSeg, lookup func(rec *trace.Recorder, key uint64, collect func(payload []byte))) ([]byte, bool, error) {
-	lw := len(p.lbuf)
-	for {
-		if len(p.pending) > 0 {
-			r := p.pending[0]
-			p.pending = p.pending[1:]
-			copy(p.buf, p.lbuf)
-			copy(p.buf[lw:], r)
-			return p.buf, true, nil
-		}
-		row, ok, err := probe.Next(ctx)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		ctx.Rec.Exec(code, 75)
-		key := uint64(RowInt(row, keyOff))
-		copy(p.lbuf, row)
-		p.pending = p.pending[:0]
-		lookup(ctx.Rec, key, func(payload []byte) {
-			m := make([]byte, len(payload))
-			copy(m, payload)
-			p.pending = append(p.pending, m)
-		})
-		if len(p.pending) == 0 && jt == LeftOuter {
-			copy(p.buf, p.lbuf)
-			for i := lw; i < len(p.buf); i++ {
-				p.buf[i] = 0
-			}
-			return p.buf, true, nil
-		}
-	}
-}
-
 // HashJoin joins Left (probe side, streamed) against Right (build side,
 // materialized into a workspace hash table) on integer key equality.
 // Output rows are Left ++ Right columns.
@@ -81,7 +29,11 @@ type HashJoin struct {
 	lOffs  []int
 	rWidth int
 	code   mem.CodeSeg
-	pc     probeCore
+	// Probe state: the assembled output row (Left ++ Right), a snapshot
+	// of the current probe row, and its matches awaiting emission.
+	buf     []byte
+	lbuf    []byte
+	pending [][]byte
 }
 
 // Schema implements Op.
@@ -98,7 +50,9 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 	j.code = ctx.DB.Codes.Register("op:hashjoin", 5120)
 	j.lOffs = j.Left.Schema().Offsets()
 	j.rWidth = j.Right.Schema().RowWidth()
-	j.pc.init(j.out.RowWidth(), j.Left.Schema().RowWidth())
+	j.buf = make([]byte, j.out.RowWidth())
+	j.lbuf = make([]byte, j.Left.Schema().RowWidth())
+	j.pending = nil
 
 	if err := j.Right.Open(ctx); err != nil {
 		return err
@@ -130,15 +84,41 @@ func (j *HashJoin) Close(ctx *Ctx) {
 	j.ht = nil
 }
 
-// Next implements Op.
+// Next implements Op: it emits the pending matches of the current probe
+// row, else advances the probe side and collects its matches, zero-
+// filling the build columns on LeftOuter misses.
 func (j *HashJoin) Next(ctx *Ctx) ([]byte, bool, error) {
-	return j.pc.next(ctx, j.Left, j.lOffs[j.LeftCol], j.Type, j.code,
-		func(rec *trace.Recorder, key uint64, collect func([]byte)) {
-			j.ht.Iter(rec, key, func(payload []byte, _ mem.Addr) bool {
-				collect(payload)
-				return true
-			})
+	lw := len(j.lbuf)
+	for {
+		if len(j.pending) > 0 {
+			r := j.pending[0]
+			j.pending = j.pending[1:]
+			copy(j.buf, j.lbuf)
+			copy(j.buf[lw:], r)
+			return j.buf, true, nil
+		}
+		row, ok, err := j.Left.Next(ctx)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		ctx.Rec.Exec(j.code, 75)
+		key := uint64(RowInt(row, j.lOffs[j.LeftCol]))
+		copy(j.lbuf, row)
+		j.pending = j.pending[:0]
+		j.ht.Iter(ctx.Rec, key, func(payload []byte, _ mem.Addr) bool {
+			m := make([]byte, len(payload))
+			copy(m, payload)
+			j.pending = append(j.pending, m)
+			return true
 		})
+		if len(j.pending) == 0 && j.Type == LeftOuter {
+			copy(j.buf, j.lbuf)
+			for i := lw; i < len(j.buf); i++ {
+				j.buf[i] = 0
+			}
+			return j.buf, true, nil
+		}
+	}
 }
 
 // NLJoin is a nested-loop join for small inputs or non-equality

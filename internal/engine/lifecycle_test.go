@@ -141,9 +141,6 @@ func TestLifecycleRowOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 			"nljoin": func() Op {
 				return &NLJoin{Left: child(), Right: &Limit{Child: &SeqScan{Table: tb, Cols: []int{0, 1}}, N: 3}}
 			},
-			"rowadapter-vecadapter": func() Op {
-				return &RowAdapter{Vec: &VecAdapter{Child: child(), BlockRows: 16}}
-			},
 		}
 	}
 
@@ -243,56 +240,6 @@ func TestLifecycleSourceOpsReopen(t *testing.T) {
 	}
 }
 
-// TestLifecycleExchangeErrorAndClose: a worker subtree failing mid-stream
-// must surface its error through Next, and closing the exchange twice —
-// with workers still draining — must not panic or deadlock.
-func TestLifecycleExchangeErrorAndClose(t *testing.T) {
-	db := testDB(t)
-	s := lifecycleSchema()
-	ctxs := []*Ctx{db.NewCtx(nil, 1, 4<<20), db.NewCtx(nil, 2, 4<<20)}
-
-	// Error path: every worker fails after a few rows.
-	ex := &Exchange{
-		Ctxs:  ctxs,
-		Build: func(w int) Op { return &failOp{Schema_: s, After: 5} },
-	}
-	ctx := testCtx(t, db)
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	for {
-		var ok bool
-		_, ok, err = ex.Next(ctx)
-		if err != nil || !ok {
-			break
-		}
-	}
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("exchange swallowed the worker error: %v", err)
-	}
-	ex.Close(ctx)
-	ex.Close(ctx)
-
-	// Abandon path: close with rows still queued.
-	ex2 := &Exchange{
-		Ctxs:  ctxs,
-		Build: func(w int) Op { return &failOp{Schema_: s, After: 100000} },
-	}
-	if err := ex2.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := ex2.Next(ctx); err != nil || !ok {
-		t.Fatalf("no first row: %v", err)
-	}
-	ex2.Close(ctx)
-	ex2.Close(ctx)
-
-	// Close before Open.
-	ex3 := &Exchange{Ctxs: ctxs, Build: func(w int) Op { return &failOp{Schema_: s} }}
-	ex3.Close(ctx)
-}
-
 // TestLifecycleParallelOpsCloseSafety: the parallel operators tolerate
 // Close before Open, worker errors, and double Close.
 func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
@@ -314,18 +261,42 @@ func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
 	agg.Close(ctx)
 	agg.Close(ctx)
 
-	join := &ParallelHashJoin{
-		Ctxs:        ctxs,
-		BuildSrcVec: func(w int) VecOp { return &failVec{Schema_: s, After: 4} },
-		ProbeSrcVec: func(w int) VecOp { return &failVec{Schema_: s, After: 4, FailOpen: false} },
-		BuildCol:    0, ProbeCol: 0,
+	// A parallel join under the aggregate, its build or its probes
+	// failing: the error comes out of Open whichever phase it hit.
+	tb := mkTable(t, db, storage.NSM, 200)
+	for _, side := range []string{"build", "probe"} {
+		pool := NewMorselPool(len(ctxs), tb.Heap.NumPages(), 1)
+		join := &ParallelHashJoin{Ctxs: ctxs, Joins: make([]*HashJoinVec, len(ctxs))}
+		for w := range join.Joins {
+			var build VecOp = &MorselScanVec{Table: tb, Cols: []int{0, 1}, Pool: pool, Worker: w}
+			if side == "build" {
+				build = &failVec{Schema_: s, After: 4}
+			}
+			join.Joins[w] = &HashJoinVec{Probe: &failVec{Schema_: s, After: 4}, Build: build}
+		}
+		agg := &ParallelAgg{
+			Ctxs: ctxs, Join: join,
+			BuildVec:  func(w int) VecOp { return join.Joins[w] },
+			GroupCols: []int{0},
+			Aggs:      []AggSpec{{Func: Count, Name: "n"}},
+		}
+		agg.Close(ctx) // close before open
+		if err := agg.Open(ctx); !errors.Is(err, errBoom) {
+			t.Fatalf("parallel join swallowed a %s error: %v", side, err)
+		}
+		agg.Close(ctx)
+		agg.Close(ctx)
 	}
-	join.Close(ctx) // close before open
-	if err := join.Open(ctx); !errors.Is(err, errBoom) {
-		t.Fatalf("parallel join swallowed build error: %v", err)
+
+	// A worker's probe opened before the join is built fails cleanly.
+	join := &ParallelHashJoin{Ctxs: ctxs[:1], Joins: []*HashJoinVec{
+		{Probe: &failVec{Schema_: s, After: 4}, Build: &failVec{Schema_: s, After: 4}},
+	}}
+	join.Joins[0].shared = join
+	if err := join.Joins[0].Open(ctx); err == nil {
+		t.Fatal("a probe opened before its parallel build")
 	}
-	join.Close(ctx)
-	join.Close(ctx)
+	join.Joins[0].Close(ctx)
 }
 
 // TestLifecycleMorselScanCloseMidMorsel: abandoning a morsel scan

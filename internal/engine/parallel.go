@@ -4,7 +4,10 @@
 // worker runs with its own Ctx — its own trace recorder and workspace
 // arena — so a parallel query occupies several simulated cores, which is
 // exactly the restructuring the paper argues database engines need to
-// exploit chip multiprocessors.
+// exploit chip multiprocessors. Every worker runs its whole pipeline on
+// blocks: ParallelAgg aggregates each worker's input privately and merges
+// the partial tables at one gather barrier, and ParallelHashJoin builds
+// one shared hash table partition-wise for the workers' probes to read.
 
 package engine
 
@@ -12,6 +15,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // WorkPool is a work-stealing scheduler of items across a fixed set of
@@ -169,3 +175,232 @@ func (p *MorselPool) Next(w int) (Morsel, bool) {
 // which workers ask no longer decides anything (trace.Recorder.AtPace's
 // moot channel).
 func (p *MorselPool) Claimed() <-chan struct{} { return p.claimed }
+
+// Unpace ends the pacing of the workers' morsel claims (MorselScanVec,
+// trace.Recorder.Unpace). A worker that gives up before its pool is
+// exhausted calls it on its way out: its simulated thread runs dry while
+// its peers are awaited, the simulator waits for that thread's next
+// record, and peers waiting for a grant would wait forever. Released, they
+// take the remaining morsels in host order and the fan-out returns the
+// error. Untraced contexts have nothing to release.
+func Unpace(ctxs []*Ctx) {
+	for _, c := range ctxs {
+		c.Rec.Unpace()
+	}
+}
+
+// ParallelAgg computes the same result as a HashAgg over a partitioned
+// input, with one worker per Ctx. Each worker drains its own subtree
+// (typically a MapVec over a MorselScanVec, all sharing one MorselPool,
+// or over its probe of a ParallelHashJoin) into a private hash table of
+// partial accumulators; at the gather barrier the partials merge into the
+// final table — counts and sums add, Avg merges its (sum, count) halves,
+// Min/Max keep the extremum — so the merged result is exactly what the
+// serial operator computes. Group keys and integer aggregates are
+// bit-identical for every worker count; float aggregates vary only by
+// addition order.
+type ParallelAgg struct {
+	// BuildVec returns worker w's vectorized subtree; workers absorb it
+	// block-at-a-time through the same machinery as HashAggVec.
+	BuildVec func(w int) VecOp
+	Ctxs     []*Ctx
+	// Join, when set, is the join the subtrees probe: Open builds it on
+	// the workers before they start.
+	Join *ParallelHashJoin
+
+	GroupCols []int
+	Aggs      []AggSpec
+	Expected  int
+
+	master   *HashAggVec
+	children []VecOp
+}
+
+// child builds (once) and returns worker w's subtree. Memoization is not
+// goroutine-safe: Open materializes every child before the fan-out.
+func (a *ParallelAgg) child(w int) VecOp {
+	if a.children == nil {
+		a.children = make([]VecOp, len(a.Ctxs))
+	}
+	if a.children[w] == nil {
+		a.children[w] = a.BuildVec(w)
+	}
+	return a.children[w]
+}
+
+// gather returns the master aggregate that the merged partials fill; it
+// hands out the merged groups as rows (its HashAgg) or as blocks.
+func (a *ParallelAgg) gather() *HashAggVec {
+	if a.master == nil {
+		a.master = &HashAggVec{
+			Child:     a.child(0),
+			GroupCols: a.GroupCols,
+			Aggs:      a.Aggs,
+			Expected:  a.Expected,
+		}
+	}
+	return a.master
+}
+
+// Schema implements Op and VecOp.
+func (a *ParallelAgg) Schema() Schema { return a.gather().Schema() }
+
+// Open implements Op and VecOp: it builds the join, if any, runs the
+// workers to completion, then merges their partial tables into the master
+// under the gather context.
+func (a *ParallelAgg) Open(ctx *Ctx) error {
+	if len(a.Ctxs) == 0 {
+		return fmt.Errorf("engine: parallel agg with no worker contexts")
+	}
+	if a.Join != nil {
+		if err := a.Join.Open(ctx); err != nil {
+			return err
+		}
+	}
+	m := a.gather().agg()
+	cs := m.prepare(ctx)
+	for w := range a.Ctxs {
+		a.child(w)
+	}
+
+	partials := make([]*HashAgg, len(a.Ctxs))
+	if err := par.Do(len(a.Ctxs), func(w int) error {
+		va := &HashAggVec{
+			Child:     a.child(w),
+			GroupCols: a.GroupCols,
+			Aggs:      a.Aggs,
+			Expected:  a.Expected,
+		}
+		err := va.Open(a.Ctxs[w])
+		partials[w] = va.agg()
+		return err
+	}, func(int, error) { Unpace(a.Ctxs) }); err != nil {
+		return err
+	}
+
+	// Gather barrier: merge worker partials into the master table. The
+	// scan of each partial is charged to the gather worker — it reads the
+	// producers' workspaces, which is the cross-core traffic a shared L2
+	// absorbs. A native merge takes the first partial as the master's
+	// table and folds the others into it, walking its chains inline
+	// (groupSlot); a partial entry's key is its group hash.
+	if ctx.Rec == nil {
+		m.ht, partials = partials[0].ht, partials[1:]
+	}
+	buf, _ := m.ht.arena.Raw()
+	for _, wa := range partials {
+		wa.ht.Scan(ctx.Rec, func(h uint64, p []byte) bool {
+			if ctx.Rec == nil {
+				acc := m.groupSlot(h, p[:m.groupW]) + m.groupW
+				mergeAccums(cs, a.Aggs, buf[acc:acc+m.slotW], p[m.groupW:])
+				return true
+			}
+			payload, at := m.findOrInsertGroupH(ctx.Rec, h, p[:m.groupW])
+			mergeAccums(cs, a.Aggs, payload[m.groupW:], p[m.groupW:])
+			ctx.Rec.StoreRange(at+mem.Addr(m.groupW), m.slotW)
+			return true
+		})
+	}
+	return nil
+}
+
+// Next implements Op.
+func (a *ParallelAgg) Next(ctx *Ctx) ([]byte, bool, error) { return a.gather().agg().Next(ctx) }
+
+// NextBlock implements VecOp.
+func (a *ParallelAgg) NextBlock(ctx *Ctx) (*Block, bool, error) { return a.gather().NextBlock(ctx) }
+
+// Close implements Op and VecOp.
+func (a *ParallelAgg) Close(ctx *Ctx) {
+	if a.master != nil {
+		a.master.Close(ctx)
+	}
+}
+
+// ParallelHashJoin is the morsel-driven hash join: the workers build one
+// shared PartedTable partition-wise, and each then probes it with an
+// ordinary HashJoinVec, its entry of Joins. Joins[w].Build is worker w's
+// share of the build input and Joins[w].Probe its share of the probe
+// input (typically MorselScanVecs, the workers of each side sharing one
+// MorselPool); the entries agree on everything else, and Joins[0]'s
+// Expected, BuildRows and Mode size the build. Open runs the build; the
+// probes read the table only once it returns, so they take no lock.
+type ParallelHashJoin struct {
+	Joins []*HashJoinVec
+	Ctxs  []*Ctx
+
+	mode JoinMode
+	pt   *PartedTable
+}
+
+// Open runs the build, gathered on ctx, in two fan-outs.
+//
+// Stage: worker w drains its build input into a run (newRadixRun) in its
+// own workspace, block at a time, partitioned by RadixPart's function
+// into as many partitions as the join's mode and size call for, and at
+// least one per worker.
+//
+// Link: the partition tables are laid out in ctx's workspace, with room
+// for every entry staged elsewhere, and worker w links partitions w,
+// w+n, w+2n, … from every worker's run (linkRuns). Each partition is
+// written by its owner alone, and the whole table lies in one arena.
+func (j *ParallelHashJoin) Open(ctx *Ctx) error {
+	nw := len(j.Ctxs)
+	if nw == 0 || len(j.Joins) != nw {
+		return fmt.Errorf("engine: parallel join of %d probes on %d worker contexts", len(j.Joins), nw)
+	}
+	j.pt = nil
+	first := j.Joins[0]
+	bWidth := first.Build.Schema().RowWidth()
+	expected, buildRows := first.sizes()
+	j.mode = resolveJoinMode(first.Mode, ctx, buildRows, htEntryHeader+bWidth)
+	parts := 1
+	if j.mode == JoinPartitioned {
+		parts = joinParts(buildRows, htEntryHeader+bWidth)
+	}
+	for parts < nw {
+		parts *= 2
+	}
+	// The join's code segments are registered here, so their simulated
+	// layout does not depend on which worker the host runs first.
+	runs := make([]*RadixPart, nw)
+	for w, hj := range j.Joins {
+		hj.shared = j
+		hj.prepare(ctx)
+		runs[w] = newRadixRun(j.Ctxs[w], parts, bWidth)
+	}
+	if err := par.Do(nw, func(w int) error {
+		wctx, hj := j.Ctxs[w], j.Joins[w]
+		if err := hj.Build.Open(wctx); err != nil {
+			return err
+		}
+		defer hj.Build.Close(wctx)
+		return hj.drain(wctx, runs[w])
+	}, func(int, error) { Unpace(j.Ctxs) }); err != nil {
+		return err
+	}
+
+	pt := &PartedTable{tables: make([]*HashTable, parts), mask: uint64(parts - 1)}
+	dst := make([]mem.Addr, parts)
+	for p := range pt.tables {
+		pt.tables[p] = NewHashTable(ctx, expected/parts+1, bWidth)
+		moved := 0
+		for _, r := range runs {
+			if r.ctx.Work != ctx.Work {
+				moved += r.count(p)
+			}
+		}
+		dst[p] = ctx.Work.Alloc(moved*runs[0].estride, 8)
+	}
+	if err := par.Do(nw, func(w int) error {
+		for p := w; p < parts; p += nw {
+			linkRuns(j.Ctxs[w].Rec, pt.tables[p], p, runs, dst[p])
+		}
+		return nil
+	}, func(int, error) { Unpace(j.Ctxs) }); err != nil {
+		return err
+	}
+	j.pt = pt
+	observeJoinBuild(ctx, j.mode, nil, pt)
+	return nil
+}

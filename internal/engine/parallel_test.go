@@ -269,13 +269,24 @@ func (f *failingVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	return f.VecOp.NextBlock(ctx)
 }
 
+// joinAgg counts the rows of the parallel join of probe ⋈ build on column
+// 0 by the probe's column 1: the workers build the join, then aggregate
+// their probes.
+func joinAgg(ctxs []*Ctx, probe, build func(w int) VecOp) *ParallelAgg {
+	j := parallelJoin(ctxs, probe, build, Inner, JoinAuto)
+	return &ParallelAgg{
+		Ctxs: ctxs, Join: j, BuildVec: func(w int) VecOp { return j.Joins[w] },
+		GroupCols: []int{1}, Aggs: []AggSpec{{Func: Count, Name: "n"}}, Expected: 16,
+	}
+}
+
 // TestWorkerGivingUpReleasesPacedPeers: four traced workers run a parallel
 // plan on a simulated chip, and one of them stops before the pool is
-// exhausted — its subtree fails or panics, or the exchange above is closed
-// early. Its thread runs dry and the simulator waits for it, so peers
-// waiting for a paced claim must be released (unpace) or nobody moves
-// again: the plan returns what the quitter returned (a panic as a
-// *par.PanicError), and the simulation ends.
+// exhausted — its aggregated subtree, its share of a join's build or its
+// probe fails or panics. Its thread runs dry and the simulator waits for
+// it, so peers waiting for a paced claim must be released (Unpace) or
+// nobody moves again: the plan returns what the quitter returned (a panic
+// as a *par.PanicError), and the simulation ends.
 func TestWorkerGivingUpReleasesPacedPeers(t *testing.T) {
 	db, tb := buildParTable(t, 20000)
 	const workers = 4
@@ -302,30 +313,10 @@ func TestWorkerGivingUpReleasesPacedPeers(t *testing.T) {
 			}, nil)
 		}},
 		{"join build subtree", []quitter{returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
-			return Run(ctxs[0], &ParallelHashJoin{
-				Ctxs: ctxs, BuildSrcVec: scan(newPool(), how), ProbeSrcVec: scan(newPool(), staysOn),
-			}, nil)
+			return Run(ctxs[0], joinAgg(ctxs, scan(newPool(), staysOn), scan(newPool(), how)), nil)
 		}},
 		{"join probe subtree", []quitter{returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
-			return Run(ctxs[0], &ParallelHashJoin{
-				Ctxs: ctxs, BuildSrcVec: scan(newPool(), staysOn), ProbeSrcVec: scan(newPool(), how),
-			}, nil)
-		}},
-		// Closed after its first row when every worker stays on; read to
-		// the end, where the quitter's error comes out, when one does not.
-		{"exchange", []quitter{staysOn, returnsError, panics}, func(ctxs []*Ctx, how quitter) error {
-			pool := newPool()
-			ex := &Exchange{Ctxs: ctxs, Build: func(w int) Op { return &RowAdapter{Vec: scan(pool, how)(w)} }}
-			if err := ex.Open(ctxs[0]); err != nil {
-				return err
-			}
-			defer ex.Close(ctxs[0])
-			for {
-				_, ok, err := ex.Next(ctxs[0])
-				if err != nil || !ok || how == staysOn {
-					return err
-				}
-			}
+			return Run(ctxs[0], joinAgg(ctxs, scan(newPool(), how), scan(newPool(), staysOn)), nil)
 		}},
 	}
 	for _, plan := range plans {
@@ -362,8 +353,7 @@ func TestWorkerGivingUpReleasesPacedPeers(t *testing.T) {
 			err := <-errc
 			var pe *par.PanicError
 			switch {
-			case how == staysOn && err != nil,
-				how == returnsError && !errors.Is(err, errWorkerGaveUp),
+			case how == returnsError && !errors.Is(err, errWorkerGaveUp),
 				how == panics && (!errors.As(err, &pe) || pe.Value != "worker panicked"):
 				t.Errorf("%s: plan returned %v", name, err)
 			}
@@ -444,49 +434,6 @@ func TestParallelAggMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestExchangeMergesAllWorkerRows(t *testing.T) {
-	db, tb := buildParTable(t, 10000)
-	for _, workers := range []int{1, 3} {
-		ctxs := workerCtxs(db, workers)
-		pool := NewMorselPool(workers, tb.Heap.NumPages(), 8)
-		ex := &Exchange{
-			Ctxs: ctxs,
-			Build: func(w int) Op {
-				return &RowAdapter{Vec: &MorselScanVec{Table: tb, Pool: pool, Worker: w}}
-			},
-		}
-		ctx := db.NewCtx(nil, 30, 16<<20)
-		n := 0
-		if err := Run(ctx, ex, func([]byte) error { n++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if n != 10000 {
-			t.Fatalf("workers=%d: exchange delivered %d rows, want 10000", workers, n)
-		}
-	}
-}
-
-func TestExchangeEarlyCloseReleasesWorkers(t *testing.T) {
-	db, tb := buildParTable(t, 10000)
-	ctxs := workerCtxs(db, 4)
-	pool := NewMorselPool(4, tb.Heap.NumPages(), 4)
-	ex := &Exchange{
-		Ctxs: ctxs,
-		Build: func(w int) Op {
-			return &RowAdapter{Vec: &MorselScanVec{Table: tb, Pool: pool, Worker: w}}
-		},
-	}
-	ctx := db.NewCtx(nil, 30, 16<<20)
-	lim := &Limit{Child: ex, N: 5}
-	rows, err := Collect(ctx, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("limit over exchange returned %d rows", len(rows))
-	}
-}
-
 // joinCounts builds two tables with a known match structure and joins
 // them, returning per-key output counts.
 func joinCounts(t *testing.T, jt JoinType, workers int) map[int64]int {
@@ -538,26 +485,16 @@ func joinCounts(t *testing.T, jt JoinType, workers int) map[int64]int {
 	ctxs := workerCtxs(db, workers)
 	probePool := NewMorselPool(workers, left.Heap.NumPages(), 4)
 	buildPool := NewMorselPool(workers, right.Heap.NumPages(), 4)
-	j := &ParallelHashJoin{
-		Ctxs: ctxs,
-		ProbeSrcVec: func(w int) VecOp {
-			return &MorselScanVec{Table: left, Pool: probePool, Worker: w}
-		},
-		BuildSrcVec: func(w int) VecOp {
-			return &MorselScanVec{Table: right, Pool: buildPool, Worker: w}
-		},
-		ProbeCol: 0, BuildCol: 0,
-		Type: jt,
-	}
-	ctx := db.NewCtx(nil, 30, 16<<20)
-	var mu sync.Mutex
-	if err := Run(ctx, j, func(row []byte) error {
-		mu.Lock()
-		counts[RowInt(row, 0)]++
-		mu.Unlock()
-		return nil
-	}); err != nil {
+	j := parallelJoin(ctxs,
+		func(w int) VecOp { return &MorselScanVec{Table: left, Pool: probePool, Worker: w} },
+		func(w int) VecOp { return &MorselScanVec{Table: right, Pool: buildPool, Worker: w} },
+		jt, JoinAuto)
+	rows, err := probeRows(db.NewCtx(nil, 30, 16<<20), j)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, row := range rows {
+		counts[RowInt(row, 0)]++
 	}
 	return counts
 }

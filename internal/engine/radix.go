@@ -126,24 +126,27 @@ const radixChunkRows = 1024
 // from the start (their bucket arrays are sized from the distinct-key
 // hint, known up front), so there is no second build pass and no second
 // copy. Build just wraps the tables into a PartedTable.
+//
+// A run (newRadixRun) has no tables: it only stages, and linkRuns links
+// the runs of several workers into one shared table afterwards — the
+// parallel build (ParallelHashJoin).
 type RadixPart struct {
 	ctx     *Ctx
 	rowW    int
-	entryW  int
 	estride int
 	parts   int
 	mask    uint64
 	code    mem.CodeSeg
 
-	tables []*HashTable
+	tables []*HashTable // nil for a run
 	// Per-partition staging tails: the current slab's base address,
 	// bytes, and fill.
 	tailAddr []mem.Addr
 	tailBuf  [][]byte
 	tailN    []int
 	// slabAddrs lists each partition's slabs in allocation order — the
-	// traced path's deferred link pass walks them in Build. The native
-	// path links inline and leaves this empty.
+	// deferred link pass walks them. The fused native path links inline
+	// and leaves this empty.
 	slabAddrs [][]mem.Addr
 	traced    bool
 	n         int
@@ -156,31 +159,35 @@ type RadixPart struct {
 // chains group by key no matter how many duplicate entries pile onto
 // them; rows is the expected entry count, the fallback when distinct is 0.
 func NewRadixPart(ctx *Ctx, parts, rowW, distinct, rows int) *RadixPart {
-	if parts <= 0 || parts&(parts-1) != 0 {
-		panic(fmt.Sprintf("engine: radix partition count %d is not a positive power of two", parts))
-	}
 	if distinct <= 0 {
 		distinct = rows
 	}
-	entryW := htEntryHeader + rowW
-	r := &RadixPart{
+	r := newRadixRun(ctx, parts, rowW)
+	r.tables = make([]*HashTable, parts)
+	for p := 0; p < parts; p++ {
+		r.tables[p] = NewHashTable(ctx, distinct/parts+1, rowW)
+	}
+	return r
+}
+
+// newRadixRun creates a staging-only pass over ctx's workspace: rows are
+// written as unlinked entry records for linkRuns.
+func newRadixRun(ctx *Ctx, parts, rowW int) *RadixPart {
+	if parts <= 0 || parts&(parts-1) != 0 {
+		panic(fmt.Sprintf("engine: radix partition count %d is not a positive power of two", parts))
+	}
+	return &RadixPart{
 		ctx:       ctx,
 		rowW:      rowW,
-		entryW:    entryW,
-		estride:   (entryW + 7) &^ 7,
+		estride:   (htEntryHeader + rowW + 7) &^ 7,
 		parts:     parts,
 		mask:      uint64(parts - 1),
 		code:      ctx.DB.Codes.Register("engine:radix", 1536),
-		tables:    make([]*HashTable, parts),
 		tailAddr:  make([]mem.Addr, parts),
 		tailBuf:   make([][]byte, parts),
 		tailN:     make([]int, parts),
 		slabAddrs: make([][]mem.Addr, parts),
 	}
-	for p := 0; p < parts; p++ {
-		r.tables[p] = NewHashTable(ctx, distinct/parts+1, rowW)
-	}
-	return r
 }
 
 // Parts returns the fan-out.
@@ -188,6 +195,14 @@ func (r *RadixPart) Parts() int { return r.parts }
 
 // Len returns the number of staged rows.
 func (r *RadixPart) Len() int { return r.n }
+
+// count returns the number of rows staged in partition p.
+func (r *RadixPart) count(p int) int {
+	if s := len(r.slabAddrs[p]); s > 0 {
+		return (s-1)*radixChunkRows + r.tailN[p]
+	}
+	return 0
+}
 
 func (r *RadixPart) partOf(key uint64) int {
 	return int(mix(key) >> radixShift & r.mask)
@@ -211,8 +226,8 @@ func (r *RadixPart) slot(p int) (mem.Addr, []byte) {
 // Add routes one build row (traced path): hash, then write the entry
 // record at its partition's slab tail — a sequential store with no
 // dependent load, the cache-friendly half of the radix-cluster bargain.
-// Linking is deferred to Build's per-partition pass, where each
-// partition's bucket array is small enough to stay L1-resident.
+// Linking is deferred to the link pass, where each partition's bucket
+// array is small enough to stay L1-resident.
 func (r *RadixPart) Add(key uint64, row []byte) {
 	p := r.partOf(key)
 	dst, buf := r.slot(p)
@@ -229,8 +244,29 @@ func (r *RadixPart) Add(key uint64, row []byte) {
 // path. One fused loop per row: a single hash yields both the partition
 // (top bits) and the bucket (low bits), the entry record is written at
 // the partition's slab tail, and the chain is linked through the arena's
-// raw buffer — no per-row calls, no second pass, no second copy.
+// raw buffer — no per-row calls, no second pass, no second copy. A run
+// only stages the rows.
 func (r *RadixPart) AddBlockNative(keys []uint64, buf []byte, stride int, rows []int32, n int) {
+	if r.tables == nil {
+		for k := 0; k < n; k++ {
+			i := k
+			if rows != nil {
+				i = int(rows[k])
+			}
+			p := int(mix(keys[k]) >> radixShift & r.mask)
+			if r.tailN[p] == radixChunkRows || r.tailBuf[p] == nil {
+				r.slot(p) // a fresh slab, this row its first
+			} else {
+				r.tailN[p]++
+			}
+			off := (r.tailN[p] - 1) * r.estride
+			eb := r.tailBuf[p][off : off+r.estride]
+			binary.LittleEndian.PutUint64(eb[8:16], keys[k])
+			copy(eb[htEntryHeader:], buf[i*stride:i*stride+r.rowW])
+		}
+		r.n += n
+		return
+	}
 	wbuf, base := r.ctx.Work.Raw()
 	for k := 0; k < n; k++ {
 		i := k
@@ -263,44 +299,81 @@ func (r *RadixPart) AddBlockNative(keys []uint64, buf []byte, stride int, rows [
 
 // Build finishes the pass and wraps the partition tables into a
 // PartedTable. On the native path the fused AddBlockNative already
-// linked every entry and this is a plain wrap. On the traced path this
-// runs the deferred link pass: partition by partition, walk the staged
-// slabs in arrival order and head-insert each entry — the slab read is
-// sequential, and the partition's bucket array (a few KB) stays
-// L1-resident for the whole burst, so the read-modify-write of the
-// bucket head that dominates a chained build's D-stalls hits the L1
-// here. Head-insertion in arrival order makes every chain identical to
-// a chained Insert build over the same input order, so probe match
-// order — and result digests — cannot differ.
+// linked every entry and this is a plain wrap; on the traced path it
+// runs the deferred link pass (linkRuns) partition by partition.
 func (r *RadixPart) Build() *PartedTable {
 	if r.traced {
-		rec := r.ctx.Rec
-		for p := 0; p < r.parts; p++ {
-			t := r.tables[p]
-			for si, addr := range r.slabAddrs[p] {
-				n := radixChunkRows
-				if si == len(r.slabAddrs[p])-1 {
-					n = r.tailN[p]
-				}
-				buf := r.ctx.Work.Bytes(addr, n*r.estride)
-				for i := 0; i < n; i++ {
-					off := i * r.estride
-					ea := addr + mem.Addr(off)
-					eb := buf[off : off+r.estride]
-					// Re-read the staged key: a sequential, independent
-					// load (consecutive entries share lines).
-					rec.Exec(r.code, 33)
-					rec.Load(ea+8, false)
-					t.LinkEntry(rec, binary.LittleEndian.Uint64(eb[8:16]), ea, eb)
-				}
-			}
+		for p, t := range r.tables {
+			linkRuns(r.ctx.Rec, t, p, []*RadixPart{r}, 0)
 		}
 	}
 	return &PartedTable{tables: r.tables, mask: r.mask}
 }
 
+// linkRuns is the link pass of a radix build: it walks partition p's
+// staged entries of every run, run by run and, within a run, slab by slab
+// in arrival order, and head-inserts each into t, charging rec. The slab
+// read is sequential, and a partition's bucket array (a few KB) stays
+// L1-resident for the whole burst, so the read-modify-write of the bucket
+// head that dominates a chained build's D-stalls hits the L1 here.
+// Head-insertion in arrival order makes every chain identical to a
+// chained Insert build over the same input order, so probe match order —
+// and result digests — cannot differ.
+//
+// An entry staged in t's arena is linked where it lies. A table resolves
+// its chains in its own arena only, so an entry staged in another
+// worker's workspace is first moved to dst, room reserved in t's arena
+// for every such entry of partition p.
+func linkRuns(rec *trace.Recorder, t *HashTable, p int, runs []*RadixPart, dst mem.Addr) {
+	tbuf, tbase := t.arena.Raw()
+	for _, r := range runs {
+		moved := r.ctx.Work != t.arena
+		for si, addr := range r.slabAddrs[p] {
+			n := radixChunkRows
+			if si == len(r.slabAddrs[p])-1 {
+				n = r.tailN[p]
+			}
+			buf := r.ctx.Work.Bytes(addr, n*r.estride)
+			for i := 0; i < n; i++ {
+				off := i * r.estride
+				ea := addr + mem.Addr(off)
+				eb := buf[off : off+r.estride]
+				if rec != nil {
+					// Re-read the staged key: a sequential, independent
+					// load (consecutive entries share lines).
+					rec.Exec(r.code, 33)
+					rec.Load(ea+8, false)
+				}
+				if moved {
+					mb := tbuf[dst-tbase : dst-tbase+mem.Addr(r.estride)]
+					copy(mb, eb)
+					if rec != nil {
+						rec.LoadRange(ea+htEntryHeader, r.rowW)
+						rec.StoreRange(dst+8, 8+r.rowW)
+					}
+					ea, eb = dst, mb
+					dst += mem.Addr(r.estride)
+				}
+				key := binary.LittleEndian.Uint64(eb[8:16])
+				if rec != nil {
+					t.LinkEntry(rec, key, ea, eb)
+					continue
+				}
+				bo := t.bucketAddr(key) - tbase
+				binary.LittleEndian.PutUint64(eb[0:8], binary.LittleEndian.Uint64(tbuf[bo:]))
+				binary.LittleEndian.PutUint64(tbuf[bo:], uint64(ea))
+			}
+		}
+		if rec == nil {
+			t.n += r.count(p)
+		}
+	}
+}
+
 // PartedTable routes each key to its radix partition's HashTable; with
-// one partition it degenerates to that table.
+// one partition it degenerates to that table. Every partition lives in
+// one arena, so one table's batch walk serves probes across all of them
+// (HashJoinVec.walkTable).
 type PartedTable struct {
 	tables []*HashTable
 	mask   uint64

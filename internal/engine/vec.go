@@ -8,10 +8,10 @@
 // which is the L1/L2-resident, stall-free execution the paper argues CMP
 // database servers need.
 //
-// The legacy Volcano Op API stays alive through RowAdapter (VecOp → Op)
-// and VecAdapter (Op → VecOp), so row-at-a-time operators remain usable
-// as both a compatibility surface and the reference implementation the
-// vectorized paths are tested against.
+// The legacy Volcano Op API stays alive through RowAdapter (VecOp → Op),
+// so row-at-a-time consumers — sorts, tests — read vectorized trees, and
+// the row operators remain the reference implementation the vectorized
+// paths are tested against.
 
 package engine
 
@@ -430,55 +430,6 @@ func (a *RowAdapter) Next(ctx *Ctx) ([]byte, bool, error) {
 	row := a.blk.RowAt(a.blk.LiveAt(a.idx))
 	a.idx++
 	return row, true, nil
-}
-
-// VecAdapter presents a legacy Op as a VecOp by batching its rows into a
-// block; it lets row-only sources (index scans, sorts) feed vectorized
-// consumers.
-type VecAdapter struct {
-	Child Op
-	// BlockRows caps rows per block (0 = the L1-sized default).
-	BlockRows int
-
-	blk  *Block
-	code mem.CodeSeg
-}
-
-// Schema implements VecOp.
-func (a *VecAdapter) Schema() Schema { return a.Child.Schema() }
-
-// Open implements VecOp.
-func (a *VecAdapter) Open(ctx *Ctx) error {
-	rowW := a.Child.Schema().RowWidth()
-	if a.blk == nil {
-		a.blk = NewBlock(ctx.Work, defaultBlockRows(rowW, a.BlockRows), rowW)
-	}
-	a.code = ctx.DB.Codes.Register("op:vecadapter", 512)
-	return a.Child.Open(ctx)
-}
-
-// Close implements VecOp.
-func (a *VecAdapter) Close(ctx *Ctx) { a.Child.Close(ctx) }
-
-// NextBlock implements VecOp.
-func (a *VecAdapter) NextBlock(ctx *Ctx) (*Block, bool, error) {
-	a.blk.Reset()
-	for a.blk.N() < a.blk.Cap() {
-		row, ok, err := a.Child.Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		a.blk.Push(row)
-	}
-	if a.blk.N() == 0 {
-		return nil, false, nil
-	}
-	ctx.Rec.Exec(a.code, vecBlockCost+2*a.blk.N())
-	a.blk.TraceAppended(ctx.Rec, 0)
-	return a.blk, true, nil
 }
 
 // ScanVec is the vectorized table scan: pages are decoded a block at a
@@ -1290,15 +1241,13 @@ type HashAggVec struct {
 	// a native one. Both compute bit-identical tables.
 	Interpret bool
 
-	inner   *HashAgg
-	blk     *Block
-	gk      GroupKernel
-	nat     *aggNative // columnar absorb state (native path)
-	keys    []byte     // batch scratch: live rows' group keys, groupW each
-	hashes  []uint64   // batch scratch: live rows' group-key hashes
-	results [][]byte
-	resIdx  int
-	code    mem.CodeSeg
+	inner  *HashAgg
+	blk    *Block
+	gk     GroupKernel
+	nat    *aggNative // columnar absorb state (native path)
+	keys   []byte     // batch scratch: live rows' group keys, groupW each
+	hashes []uint64   // batch scratch: live rows' group-key hashes
+	code   mem.CodeSeg
 }
 
 // agg returns the inner row aggregate whose machinery this operator
@@ -1332,7 +1281,6 @@ func (a *HashAggVec) Open(ctx *Ctx) error {
 		a.gk = CompileGroupKernel(cs, in.offs, a.GroupCols)
 	}
 	a.code = ctx.DB.Codes.Register("op:hashaggvec", 2048)
-	a.results, a.resIdx = nil, 0
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -1418,38 +1366,29 @@ func (a *HashAggVec) Close(ctx *Ctx) {
 	if a.inner != nil {
 		a.inner.Close(ctx)
 	}
-	a.results, a.blk = nil, nil
+	a.blk = nil
 }
 
 // NextBlock implements VecOp: it emits the group rows in table-scan
 // order, packed into blocks.
 func (a *HashAggVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
-	if a.results == nil {
-		in := a.agg()
-		for {
-			row, ok, err := in.Next(ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			a.results = append(a.results, row)
-		}
-		if a.results == nil {
-			a.results = [][]byte{}
-		}
-	}
-	if a.resIdx >= len(a.results) {
-		return nil, false, nil
-	}
 	rowW := a.Schema().RowWidth()
 	if a.blk == nil {
 		a.blk = NewBlock(ctx.Work, defaultBlockRows(rowW, 0), rowW)
 	}
 	a.blk.Reset()
-	for a.resIdx < len(a.results) && a.blk.Push(a.results[a.resIdx]) {
-		a.resIdx++
+	for a.blk.N() < a.blk.Cap() {
+		row, ok, err := a.agg().Next(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		a.blk.Push(row)
+	}
+	if a.blk.N() == 0 {
+		return nil, false, nil
 	}
 	a.blk.TraceAppended(ctx.Rec, 0)
 	return a.blk, true, nil
@@ -1508,9 +1447,7 @@ type HashJoinVec struct {
 	probeTabs    []*HashTable // partitioned mode: each key's partition table
 	keyOff       int
 	probeW       int
-	buildKernel  KeyKernel
 	probeKernel  KeyKernel
-	buildKeys    []uint64 // batch scratch: one build block's keys
 	// Prefetch-mode batch scratch: matches in (key index, chain order),
 	// produced by the multi-lane walk and drained by the per-key emission
 	// loop. Traced runs stage a whole block; native runs walk one
@@ -1524,6 +1461,9 @@ type HashJoinVec struct {
 	batchBase int // ordinal offset of the staged group (0 for whole-block traced walks)
 	stage     func(k int, row []byte)
 	code      mem.CodeSeg
+	// shared is the parallel join whose table this join probes in place
+	// of building its own (ParallelHashJoin.Open sets it).
+	shared *ParallelHashJoin
 }
 
 // Schema implements VecOp.
@@ -1534,34 +1474,24 @@ func (j *HashJoinVec) Schema() Schema {
 	return j.out
 }
 
-// Open implements VecOp: it drains the build side into the hash table.
+// Open implements VecOp: it drains the build side into the hash table —
+// or, as a worker of a ParallelHashJoin, takes the table the workers
+// built.
 func (j *HashJoinVec) Open(ctx *Ctx) error {
-	j.Schema()
-	j.code = ctx.DB.Codes.Register("op:hashjoinvec", 4096)
-	j.keyOff = j.Probe.Schema().Offsets()[j.ProbeCol]
-	j.probeW = j.Probe.Schema().RowWidth()
-	j.probeBlk, j.probeIdx, j.curRow, j.pending, j.pendPos = nil, 0, nil, nil, 0
-	j.probeRows = j.probeRows[:0]
-
-	bOff := j.Build.Schema().Offsets()[j.BuildCol]
-	bWidth := j.Build.Schema().RowWidth()
-	j.buildKernel, j.probeKernel = nil, nil
-	if !j.Interpret {
-		j.buildKernel = CompileKeyKernel(j.Build.Schema()[j.BuildCol].Type, bOff)
-		j.probeKernel = CompileKeyKernel(j.Probe.Schema()[j.ProbeCol].Type, j.keyOff)
+	j.prepare(ctx)
+	if s := j.shared; s != nil {
+		if s.pt == nil {
+			return fmt.Errorf("engine: parallel join probed before its build")
+		}
+		j.mode, j.ht, j.pt = s.mode, nil, s.pt
+		return j.Probe.Open(ctx)
 	}
 	if err := j.Build.Open(ctx); err != nil {
 		return err
 	}
 	defer j.Build.Close(ctx)
-	expected := j.Expected
-	if expected == 0 {
-		expected = 4096
-	}
-	buildRows := j.BuildRows
-	if buildRows == 0 {
-		buildRows = expected
-	}
+	bWidth := j.Build.Schema().RowWidth()
+	expected, buildRows := j.sizes()
 	j.mode = resolveJoinMode(j.Mode, ctx, buildRows, htEntryHeader+bWidth)
 	j.ht, j.pt = nil, nil
 	var rp *RadixPart
@@ -1570,27 +1500,87 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 	} else {
 		j.ht = NewHashTable(ctx, expected, bWidth)
 	}
+	if err := j.drain(ctx, rp); err != nil {
+		return err
+	}
+	if rp != nil {
+		j.pt = rp.Build()
+	}
+	observeJoinBuild(ctx, j.mode, j.ht, j.pt)
+	return j.Probe.Open(ctx)
+}
+
+// prepare readies the probe side's state for a run on ctx.
+func (j *HashJoinVec) prepare(ctx *Ctx) {
+	j.Schema()
+	j.code = ctx.DB.Codes.Register("op:hashjoinvec", 4096)
+	j.keyOff = j.Probe.Schema().Offsets()[j.ProbeCol]
+	j.probeW = j.Probe.Schema().RowWidth()
+	j.probeBlk, j.probeIdx, j.curRow, j.pending, j.pendPos = nil, 0, nil, nil, 0
+	j.probeRows = j.probeRows[:0]
+	j.probeKernel = nil
+	if !j.Interpret {
+		j.probeKernel = CompileKeyKernel(j.Probe.Schema()[j.ProbeCol].Type, j.keyOff)
+	}
 	if j.stage == nil {
 		j.stage = func(k int, row []byte) {
 			j.batchOrd = append(j.batchOrd, int32(j.batchBase+k))
 			j.batchRow = append(j.batchRow, row)
 		}
 	}
+}
+
+// sizes returns the build's distinct-key and entry-count estimates
+// (Expected and BuildRows with their defaults).
+func (j *HashJoinVec) sizes() (expected, buildRows int) {
+	expected = j.Expected
+	if expected == 0 {
+		expected = 4096
+	}
+	buildRows = j.BuildRows
+	if buildRows == 0 {
+		buildRows = expected
+	}
+	return expected, buildRows
+}
+
+// drain reads the opened build side into rp, or into j.ht when rp is nil.
+// Natively, with a compiled key kernel, each block goes in whole: the
+// kernel extracts every live key, then the table's (or radix pass's)
+// batch insert pushes the entries in row order — chain order matches the
+// per-row path exactly.
+func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
+	bs := j.Build.Schema()
+	bOff := bs.Offsets()[j.BuildCol]
+	var kernel KeyKernel
+	if !j.Interpret {
+		kernel = CompileKeyKernel(bs[j.BuildCol].Type, bOff)
+	}
+	var keys []uint64
 	for {
 		blk, ok, err := j.Build.NextBlock(ctx)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			break
+			return nil
 		}
 		ctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecBuildCost)
 		blk.TraceRows(ctx.Rec)
-		if ctx.Rec == nil && j.buildKernel != nil {
-			// Native whole-block build: compiled key extraction feeding
-			// the table's (or radix pass's) batch insert. Chain order
-			// matches the per-row path exactly.
-			j.insertBatch(rp, blk)
+		if ctx.Rec == nil && kernel != nil {
+			n := blk.Live()
+			if n == 0 {
+				continue
+			}
+			if cap(keys) < n {
+				keys = make([]uint64, n)
+			}
+			kernel(blk.buf, blk.rowW, blk.Sel, n, keys[:n])
+			if rp != nil {
+				rp.AddBlockNative(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
+			} else {
+				j.ht.InsertBatch(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
+			}
 			continue
 		}
 		insert := func(row []byte) {
@@ -1612,31 +1602,27 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 			}
 		}
 	}
-	if rp != nil {
-		j.pt = rp.Build()
-	}
-	j.observeBuild(ctx)
-	return j.Probe.Open(ctx)
 }
 
-// observeBuild feeds the finished build into the context's join metrics:
-// build/partition counters by mode, and — only when a chain-length
-// histogram is attached, since the walk is pure observability — the
-// bucket-chain length distribution.
-func (j *HashJoinVec) observeBuild(ctx *Ctx) {
-	m := j.mode.String()
+// observeJoinBuild feeds a finished build — the chained table ht or the
+// partitioned pt — into the context's join metrics: build/partition
+// counters by mode, and — only when a chain-length histogram is attached,
+// since the walk is pure observability — the bucket-chain length
+// distribution.
+func observeJoinBuild(ctx *Ctx, mode JoinMode, ht *HashTable, pt *PartedTable) {
+	m := mode.String()
 	ctx.Join.Builds.With(m).Inc()
 	parts := uint64(1)
-	if j.pt != nil {
-		parts = uint64(j.pt.Parts())
+	if pt != nil {
+		parts = uint64(pt.Parts())
 	}
 	ctx.Join.Partitions.With(m).Add(parts)
 	if h := ctx.Join.ChainLen; h != nil {
 		observe := func(n int) { h.Observe(float64(n)) }
-		if j.pt != nil {
-			j.pt.ChainLengths(observe)
+		if pt != nil {
+			pt.ChainLengths(observe)
 		} else {
-			j.ht.ChainLengths(observe)
+			ht.ChainLengths(observe)
 		}
 	}
 }
@@ -1698,7 +1684,7 @@ func (j *HashJoinVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 					// staging arrays lane-sized and cache-hot through the
 					// drain.
 					j.batchBase = 0
-					j.ht.ProbeBatchTraced(ctx.Rec, j.probeBuckets, j.probeKeys, &j.lanes, j.stage)
+					j.walkTable().ProbeBatchTraced(ctx.Rec, j.probeBuckets, j.probeKeys, &j.lanes, j.stage)
 				}
 			}
 			continue
@@ -1829,9 +1815,9 @@ func (j *HashJoinVec) nextProbeGroup() {
 }
 
 // walkTable returns a table whose batch walk serves this join's probes:
-// the chained table, or (partitioned) any partition table — the walk
-// uses only the shared arena and the entry width, identical across
-// partitions.
+// the chained table, or any partition table of a PartedTable — the walk
+// uses only the arena every partition shares and the entry width,
+// identical across partitions.
 func (j *HashJoinVec) walkTable() *HashTable {
 	if j.pt != nil {
 		return j.pt.tables[0]
@@ -1863,31 +1849,12 @@ func (j *HashJoinVec) batched(ctx *Ctx) bool {
 	return j.mode == JoinPartitioned && ctx.Rec == nil && j.probeKernel != nil
 }
 
-// insertBatch drains one native build block into the hash table (or, in
-// partitioned mode, the radix pass): the compiled key kernel extracts
-// every live key, then the batch insert pushes the entries in row order.
-func (j *HashJoinVec) insertBatch(rp *RadixPart, blk *Block) {
-	n := blk.Live()
-	if n == 0 {
-		return
-	}
-	if cap(j.buildKeys) < n {
-		j.buildKeys = make([]uint64, n)
-	}
-	keys := j.buildKeys[:n]
-	j.buildKernel(blk.buf, blk.rowW, blk.Sel, n, keys)
-	if rp != nil {
-		rp.AddBlockNative(keys, blk.buf, blk.rowW, blk.Sel, n)
-		return
-	}
-	j.ht.InsertBatch(keys, blk.buf, blk.rowW, blk.Sel, n)
-}
-
 // MorselScanVec is ScanVec's morsel-driven form: workers sharing one
 // MorselPool collectively cover the table exactly once, each decoding the
-// page ranges it claims block-at-a-time. It is what ParallelAgg and
-// ParallelHashJoin drive — morsel scheduling on top of the same vectorized
-// core as every other execution mode.
+// page ranges it claims block-at-a-time. It feeds the workers of
+// ParallelAgg and of ParallelHashJoin's build and probes — morsel
+// scheduling on top of the same vectorized core as every other execution
+// mode.
 type MorselScanVec struct {
 	Table  *Table
 	Preds  []Pred

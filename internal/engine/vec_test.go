@@ -187,15 +187,6 @@ func TestMorselScanVecCoversTableOnce(t *testing.T) {
 	}
 }
 
-func TestVecAdapterRoundTrip(t *testing.T) {
-	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 3000)
-	ctx := testCtx(t, db)
-	want := collectBytes(t, ctx, &SeqScan{Table: tb})
-	got := collectBytes(t, ctx, &RowAdapter{Vec: &VecAdapter{Child: &SeqScan{Table: tb}, BlockRows: 64}})
-	sameBytes(t, "vecadapter", got, want)
-}
-
 func TestBlockRefcountRecycles(t *testing.T) {
 	db := testDB(t)
 	ctx := testCtx(t, db)

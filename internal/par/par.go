@@ -1,7 +1,7 @@
 // Package par is the one way work fans out to goroutines that are joined:
-// morsel workers, exchange producers, partition schedulers, staged
-// consumers, concurrent clients, and a simulation's producer beside its
-// chip. Do joins every call, turns a panic into an error, lets a failing
+// morsel workers, a parallel join's build phases, partition schedulers,
+// staged consumers, concurrent clients, and a simulation's producer beside
+// its chip. Do joins every call, turns a panic into an error, lets a failing
 // call release the peers that would otherwise wait for it, and reports the
 // first error in index order: one failure policy instead of one per site.
 //

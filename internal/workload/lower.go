@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/par"
 	"repro/internal/share"
 )
 
@@ -49,9 +50,10 @@ const (
 	// sharedSource is vectorized with every origin scan attached to the
 	// share registry's circular scan of its table.
 	sharedSource
-	// morselSource runs the scans on morsel-driven workers: a join-free
-	// plan aggregates on the workers (ParallelAgg), a joining plan joins
-	// on them (ParallelHashJoin) and runs the rest over the gathered rows.
+	// morselSource runs the scans on morsel-driven workers, each mapping
+	// and partially aggregating its morsels — or its probe of the join
+	// the workers build first (ParallelHashJoin) — for ParallelAgg to
+	// gather.
 	morselSource
 )
 
@@ -139,16 +141,30 @@ func (pl plan) rowStages(in engine.Op, aggs []agg) engine.Op {
 }
 
 // vecStages lowers the map, the aggregation stages and the sort over the
-// vector input in: a sort goes on row operators above a RowAdapter, a
-// plan without one ends on vectors.
+// vector input in.
 func (pl plan) vecStages(in engine.VecOp, o NativeOpts) lowered {
 	m := pl.mapper
 	in = &engine.MapVec{Child: in, Out: m.out, Fn: m.bind(in.Schema()), Cost: m.cost}
-	for _, a := range pl.aggs {
+	return pl.aggStages(in, pl.aggs, o)
+}
+
+// aggStages lowers the given aggregation stages and the sort over the
+// vector input in. An input that hands out rows as well (ParallelAgg) is
+// read as rows, by the sort or by the caller; otherwise the sort goes on
+// a RowAdapter, and a plan without one ends on vectors.
+func (pl plan) aggStages(in engine.VecOp, aggs []agg, o NativeOpts) lowered {
+	for _, a := range aggs {
 		in = &engine.HashAggVec{Child: in, GroupCols: a.group, Aggs: a.aggs, Expected: a.expected, Interpret: o.Interpret}
 	}
+	rows, ok := in.(engine.Op)
 	if s := pl.sort; s != nil {
-		return lowered{op: &engine.Sort{Child: &engine.RowAdapter{Vec: in}, Col: s.col, Desc: s.desc}}
+		if !ok {
+			rows = &engine.RowAdapter{Vec: in}
+		}
+		return lowered{op: &engine.Sort{Child: rows, Col: s.col, Desc: s.desc}}
+	}
+	if ok {
+		return lowered{op: rows}
 	}
 	return lowered{vec: in}
 }
@@ -191,41 +207,59 @@ func (h *TPCH) lowerVec(pl plan, e exec) lowered {
 	return l
 }
 
-// morsels returns, for each of pl's scans, the factory of worker w's
-// morsel scan (the workers of a scan share one pool), and pl's join over
-// them on the workers of e — nil for a plan without a join.
-func (pl plan) morsels(e exec) (scans []func(w int) engine.VecOp, join *engine.ParallelHashJoin) {
-	for _, s := range pl.scans {
-		pool := engine.NewMorselPool(len(e.ctxs), s.table.Heap.NumPages(), 0)
-		scans = append(scans, func(w int) engine.VecOp {
+// morsels returns worker w's input to pl's map on the workers of e —
+// its morsel scan of the lone scan, or its probe of pl's join (the
+// workers of a scan share one pool) — and that join, nil for a plan
+// without one. The join's build is narrowed to the columns the plan
+// reads, as on the native path. A join's tables are the small ones
+// (customer has a fortieth of lineitem's pages) and a probe page carries
+// its matches' work too, so its scans take morsels small enough that
+// every worker gets eight.
+func (pl plan) morsels(e exec) (input func(w int) engine.VecOp, join *engine.ParallelHashJoin) {
+	scans := make([]func(w int) engine.VecOp, len(pl.scans))
+	j := pl.join
+	for i, s := range pl.scans {
+		pages, morsel := s.table.Heap.NumPages(), 0
+		if j != nil {
+			morsel = max(1, min(engine.DefaultMorselPages, pages/(8*len(e.ctxs))))
+		}
+		pool := engine.NewMorselPool(len(e.ctxs), pages, morsel)
+		scans[i] = func(w int) engine.VecOp {
 			return &engine.MorselScanVec{
 				Table: s.table, Preds: s.preds, Cols: s.cols, Pool: pool, Worker: w,
 				Interpret: e.opts.Interpret, Borrow: e.opts.ZeroCopy,
 			}
-		})
-	}
-	if j := pl.join; j != nil {
-		join = &engine.ParallelHashJoin{
-			Ctxs: e.ctxs, ProbeSrcVec: scans[0], BuildSrcVec: scans[1],
-			ProbeCol: j.probeCol, BuildCol: j.buildCol, Type: j.typ, Mode: e.opts.JoinMode,
 		}
 	}
-	return scans, join
+	if j == nil {
+		return scans[0], nil
+	}
+	join = &engine.ParallelHashJoin{Ctxs: e.ctxs, Joins: make([]*engine.HashJoinVec, len(e.ctxs))}
+	for w := range join.Joins {
+		join.Joins[w] = &engine.HashJoinVec{
+			Probe: scans[0](w), Build: &engine.ProjectVec{Child: scans[1](w), Cols: j.keep},
+			ProbeCol: j.probeCol, BuildCol: slices.Index(j.keep, j.buildCol), Type: j.typ,
+			Expected: j.keys, BuildRows: pl.scans[1].rows, Interpret: e.opts.Interpret, Mode: e.opts.JoinMode,
+		}
+	}
+	return func(w int) engine.VecOp { return join.Joins[w] }, join
 }
 
-// lowerMorsel lowers pl onto morsel-driven workers.
+// lowerMorsel lowers pl onto morsel-driven workers: ParallelAgg over each
+// worker's map of its input, then the rest of the stages over the
+// gathered groups.
 func (h *TPCH) lowerMorsel(pl plan, e exec) lowered {
-	scans, join := pl.morsels(e)
-	if join != nil {
-		return pl.vecStages(&engine.VecAdapter{Child: join}, e.opts)
-	}
+	input, join := pl.morsels(e)
 	m, a := pl.mapper, pl.aggs[0]
 	mapped := func(w int) engine.VecOp {
-		sc := scans[0](w)
-		return &engine.MapVec{Child: sc, Out: m.out, Fn: m.bind(sc.Schema()), Cost: m.cost}
+		in := input(w)
+		return &engine.MapVec{Child: in, Out: m.out, Fn: m.bind(in.Schema()), Cost: m.cost}
 	}
-	par := &engine.ParallelAgg{Ctxs: e.ctxs, BuildVec: mapped, GroupCols: a.group, Aggs: a.aggs, Expected: a.expected}
-	return lowered{op: pl.rowStages(par, pl.aggs[1:])}
+	gather := &engine.ParallelAgg{
+		Ctxs: e.ctxs, Join: join, BuildVec: mapped,
+		GroupCols: a.group, Aggs: a.aggs, Expected: a.expected,
+	}
+	return pl.aggStages(gather, pl.aggs[1:], e.opts)
 }
 
 // RunQuery executes query q on the vectorized executor and returns its
@@ -252,8 +286,8 @@ func (h *TPCH) RunQueryNative(ctx *engine.Ctx, q int, p QueryParams, o NativeOpt
 
 // RunQueryParallelNative executes query q on the morsel-driven workers
 // ctxs (ctxs[0] gathers) in flavor o. Group keys and counts match the
-// serial plan exactly; float sums agree up to addition order, and a
-// joining plan's rows within equal sort keys arrive in worker order.
+// serial plan exactly, and float sums agree up to addition order; rows
+// with equal sort keys may come in another order than the serial plan's.
 func (h *TPCH) RunQueryParallelNative(ctxs []*engine.Ctx, q int, p QueryParams, o NativeOpts) ([][]engine.Value, error) {
 	if len(ctxs) == 0 {
 		return nil, fmt.Errorf("workload: query %d on no worker contexts", q)
@@ -263,14 +297,27 @@ func (h *TPCH) RunQueryParallelNative(ctxs []*engine.Ctx, q int, p QueryParams, 
 
 // RunJoinParallel runs the join of query q's plan alone — for Q13,
 // customer left outer join its non-special orders — on the morsel workers
-// ctxs and returns the joined row count.
+// ctxs and returns the joined row count: the workers build the join
+// (ctxs[0] gathers), then each counts the rows of its probe.
 func (h *TPCH) RunJoinParallel(ctxs []*engine.Ctx, q int, p QueryParams) (int, error) {
 	pl, err := h.plan(q, p)
 	if err != nil || pl.join == nil || len(ctxs) == 0 {
 		return 0, fmt.Errorf("workload: no join of query %d on %d worker contexts", q, len(ctxs))
 	}
-	_, join := pl.morsels(exec{src: morselSource, ctxs: ctxs})
+	probe, join := pl.morsels(exec{src: morselSource, ctxs: ctxs})
+	if err := join.Open(ctxs[0]); err != nil {
+		return 0, err
+	}
+	rows := make([]int, len(ctxs))
+	err = par.Do(len(ctxs), func(w int) error {
+		return engine.RunVec(ctxs[w], probe(w), func(blk *engine.Block) error {
+			rows[w] += blk.Live()
+			return nil
+		})
+	}, func(int, error) { engine.Unpace(ctxs) })
 	n := 0
-	err = engine.Run(ctxs[0], join, func([]byte) error { n++; return nil })
+	for _, r := range rows {
+		n += r
+	}
 	return n, err
 }
