@@ -134,7 +134,6 @@ type RadixPart struct {
 	ctx     *Ctx
 	rowW    int
 	estride int
-	parts   int
 	mask    uint64
 	code    mem.CodeSeg
 
@@ -149,7 +148,6 @@ type RadixPart struct {
 	// and leaves this empty.
 	slabAddrs [][]mem.Addr
 	traced    bool
-	n         int
 }
 
 // NewRadixPart creates a pass with an explicit partition count (a power
@@ -180,7 +178,6 @@ func newRadixRun(ctx *Ctx, parts, rowW int) *RadixPart {
 		ctx:       ctx,
 		rowW:      rowW,
 		estride:   (htEntryHeader + rowW + 7) &^ 7,
-		parts:     parts,
 		mask:      uint64(parts - 1),
 		code:      ctx.DB.Codes.Register("engine:radix", 1536),
 		tailAddr:  make([]mem.Addr, parts),
@@ -189,12 +186,6 @@ func newRadixRun(ctx *Ctx, parts, rowW int) *RadixPart {
 		slabAddrs: make([][]mem.Addr, parts),
 	}
 }
-
-// Parts returns the fan-out.
-func (r *RadixPart) Parts() int { return r.parts }
-
-// Len returns the number of staged rows.
-func (r *RadixPart) Len() int { return r.n }
 
 // count returns the number of rows staged in partition p.
 func (r *RadixPart) count(p int) int {
@@ -233,7 +224,6 @@ func (r *RadixPart) Add(key uint64, row []byte) {
 	dst, buf := r.slot(p)
 	binary.LittleEndian.PutUint64(buf[8:16], key)
 	copy(buf[htEntryHeader:], row)
-	r.n++
 	r.traced = true
 	r.ctx.Rec.Exec(r.code, 12)
 	r.ctx.Rec.StoreRange(dst+8, 8+r.rowW)
@@ -264,7 +254,6 @@ func (r *RadixPart) AddBlockNative(keys []uint64, buf []byte, stride int, rows [
 			binary.LittleEndian.PutUint64(eb[8:16], keys[k])
 			copy(eb[htEntryHeader:], buf[i*stride:i*stride+r.rowW])
 		}
-		r.n += n
 		return
 	}
 	wbuf, base := r.ctx.Work.Raw()
@@ -294,7 +283,6 @@ func (r *RadixPart) AddBlockNative(keys []uint64, buf []byte, stride int, rows [
 		binary.LittleEndian.PutUint64(wbuf[bo:bo+8], uint64(ea))
 		t.n++
 	}
-	r.n += n
 }
 
 // Build finishes the pass and wraps the partition tables into a
@@ -379,31 +367,12 @@ type PartedTable struct {
 	mask   uint64
 }
 
-// Table returns the partition table owning key.
-func (pt *PartedTable) Table(key uint64) *HashTable {
-	return pt.tables[int(mix(key)>>radixShift&pt.mask)]
-}
-
 // Parts returns the partition count.
 func (pt *PartedTable) Parts() int { return len(pt.tables) }
-
-// Len returns the total entry count across partitions.
-func (pt *PartedTable) Len() int {
-	n := 0
-	for _, t := range pt.tables {
-		n += t.Len()
-	}
-	return n
-}
 
 // ChainLengths visits every partition's chains (see HashTable.ChainLengths).
 func (pt *PartedTable) ChainLengths(observe func(n int)) {
 	for _, t := range pt.tables {
 		t.ChainLengths(observe)
 	}
-}
-
-// Iter walks all entries matching key in key's partition.
-func (pt *PartedTable) Iter(rec *trace.Recorder, key uint64, fn func(payload []byte, at mem.Addr) bool) {
-	pt.Table(key).Iter(rec, key, fn)
 }

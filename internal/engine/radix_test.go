@@ -98,8 +98,16 @@ func TestRadixPartMatchesChained(t *testing.T) {
 		rp.Add(keyOf(i), row[:])
 	}
 	pt, ptNat := rp.Build(), nat.Build()
-	if pt.Len() != rows || ptNat.Len() != rows || chained.Len() != rows {
-		t.Fatalf("entry counts: chained=%d traced=%d native=%d", chained.Len(), pt.Len(), ptNat.Len())
+	// part is key's partition table, routed as a partitioned probe does.
+	part := func(pt *PartedTable, key uint64) *HashTable { return pt.tables[int(mix(key)>>radixShift&pt.mask)] }
+	entries := func(pt *PartedTable) (n int) {
+		for _, t := range pt.tables {
+			n += t.Len()
+		}
+		return n
+	}
+	if entries(pt) != rows || entries(ptNat) != rows || chained.Len() != rows {
+		t.Fatalf("entry counts: chained=%d traced=%d native=%d", chained.Len(), entries(pt), entries(ptNat))
 	}
 	collect := func(iter func(key uint64, fn func(payload []byte, at mem.Addr) bool), key uint64) []uint64 {
 		var out []uint64
@@ -112,8 +120,8 @@ func TestRadixPartMatchesChained(t *testing.T) {
 	for k := 0; k < distinct; k++ {
 		key := keyOf(k)
 		want := collect(func(key uint64, fn func([]byte, mem.Addr) bool) { chained.Iter(nil, key, fn) }, key)
-		got := collect(func(key uint64, fn func([]byte, mem.Addr) bool) { pt.Iter(nil, key, fn) }, key)
-		gotNat := collect(func(key uint64, fn func([]byte, mem.Addr) bool) { ptNat.Iter(nil, key, fn) }, key)
+		got := collect(func(key uint64, fn func([]byte, mem.Addr) bool) { part(pt, key).Iter(nil, key, fn) }, key)
+		gotNat := collect(func(key uint64, fn func([]byte, mem.Addr) bool) { part(ptNat, key).Iter(nil, key, fn) }, key)
 		if len(want) != rows/distinct {
 			t.Fatalf("key %d: chained found %d of %d", k, len(want), rows/distinct)
 		}
@@ -123,9 +131,9 @@ func TestRadixPartMatchesChained(t *testing.T) {
 			}
 		}
 	}
-	// Partition routing is consistent between the pass and the table.
+	// Partition routing is consistent between the pass and the probe.
 	for k := 0; k < distinct; k++ {
-		if got, want := pt.Table(keyOf(k)), pt.tables[rp.partOf(keyOf(k))]; got != want {
+		if got, want := part(pt, keyOf(k)), pt.tables[rp.partOf(keyOf(k))]; got != want {
 			t.Fatalf("key %d routed to a different partition at probe time", k)
 		}
 	}

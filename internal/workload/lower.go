@@ -100,7 +100,7 @@ func (h *TPCH) lower(pl plan, e exec) lowered {
 	case rowSource:
 		m, in := pl.mapper, h.rowInput(pl)
 		mapped := &engine.Map{Child: in, Out: m.out, Fn: m.bind(in.Schema()), Cost: m.cost}
-		return lowered{op: pl.rowStages(mapped, pl.aggs)}
+		return lowered{op: pl.rowStages(mapped)}
 	case morselSource:
 		return h.lowerMorsel(pl, e)
 	}
@@ -128,10 +128,10 @@ func (h *TPCH) rowInput(pl plan) engine.Op {
 	return scans[0]
 }
 
-// rowStages lowers the given aggregation stages and the sort over in onto
-// row operators.
-func (pl plan) rowStages(in engine.Op, aggs []agg) engine.Op {
-	for _, a := range aggs {
+// rowStages lowers the aggregation stages and the sort over in onto row
+// operators.
+func (pl plan) rowStages(in engine.Op) engine.Op {
+	for _, a := range pl.aggs {
 		in = &engine.HashAgg{Child: in, GroupCols: a.group, Aggs: a.aggs, Expected: a.expected}
 	}
 	if s := pl.sort; s != nil {
