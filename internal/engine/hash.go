@@ -111,28 +111,6 @@ func (h *HashTable) Insert(rec *trace.Recorder, key uint64, payload []byte) ([]b
 	return eb[htEntryHeader:], ea + htEntryHeader
 }
 
-// BucketOf returns the simulated address of key's bucket head without
-// touching the table: batch probe loops hash a whole block of keys up
-// front (pure host arithmetic, no memory traffic) and walk the chains in
-// a second pass through IterAt.
-func (h *HashTable) BucketOf(key uint64) mem.Addr { return h.bucketAddr(key) }
-
-// BucketsOf appends every key's bucket-head address to out — BucketOf
-// over a whole block of precomputed keys in one monomorphic loop. The
-// output is reserved up front so steady-state probe loops reusing one
-// scratch slice never regrow it mid-block.
-func (h *HashTable) BucketsOf(keys []uint64, out []mem.Addr) []mem.Addr {
-	if need := len(out) + len(keys); cap(out) < need {
-		grown := make([]mem.Addr, len(out), need)
-		copy(grown, out)
-		out = grown
-	}
-	for _, k := range keys {
-		out = append(out, h.bucketAddr(k))
-	}
-	return out
-}
-
 // InsertBatch adds one entry per listed row of a row-major buffer — the
 // native whole-block build primitive behind the compiled join kernels.
 // keys[k] is the k-th listed row's key; rows lists physical row indexes
@@ -199,13 +177,7 @@ func (h *HashTable) LinkEntry(rec *trace.Recorder, key uint64, ea mem.Addr, eb [
 // its simulated address; fn returns false to stop. The chain walk loads
 // are dependent: each entry's address comes from the previous entry.
 func (h *HashTable) Iter(rec *trace.Recorder, key uint64, fn func(payload []byte, at mem.Addr) bool) {
-	h.IterAt(rec, h.bucketAddr(key), key, fn)
-}
-
-// IterAt is Iter with the bucket address precomputed via BucketOf; the
-// traced work — instruction charge and dependent chain loads — is
-// exactly Iter's.
-func (h *HashTable) IterAt(rec *trace.Recorder, ba mem.Addr, key uint64, fn func(payload []byte, at mem.Addr) bool) {
+	ba := h.bucketAddr(key)
 	rec.Exec(h.code, 35)
 	rec.Load(ba, true)
 	cur := binary.LittleEndian.Uint64(h.arena.Bytes(ba, 8))
@@ -225,24 +197,6 @@ func (h *HashTable) IterAt(rec *trace.Recorder, ba mem.Addr, key uint64, fn func
 	}
 }
 
-// matchesNative appends every chain entry whose key equals key to out —
-// IterAt minus the tracing and the per-entry callback, for native
-// (nil-Recorder) probe loops. Match order is chain order, so emission
-// order is identical to IterAt's.
-func (h *HashTable) matchesNative(ba mem.Addr, key uint64, out [][]byte) [][]byte {
-	buf, base := h.arena.Raw()
-	cur := binary.LittleEndian.Uint64(buf[ba-base:])
-	for cur != 0 {
-		eo := mem.Addr(cur) - base
-		eb := buf[eo : eo+mem.Addr(h.entryW)]
-		if binary.LittleEndian.Uint64(eb[8:16]) == key {
-			out = append(out, eb[htEntryHeader:])
-		}
-		cur = binary.LittleEndian.Uint64(eb[0:8])
-	}
-	return out
-}
-
 // probeLanes is how many chain walks the batched native probe keeps in
 // flight: enough independent loads per round that an out-of-order host
 // core overlaps their cache misses (AMAC-style memory-level parallelism),
@@ -256,12 +210,14 @@ type laneMatches struct {
 	rows [probeLanes][][]byte
 }
 
-// ProbeBatchNative walks the chains of up to probeLanes keys lock-step —
-// each round issues one independent entry load per live lane, so the
-// host's out-of-order window overlaps what a one-key-at-a-time walk
-// serializes — and calls emit with every match in (key index, chain
-// order), byte-identical to per-key matchesNative. bas[k] must be keys[k]'s
-// bucket-head address; lm is reusable scratch.
+// ProbeBatchNative is the native chain walk: it walks the chains of
+// probeLanes keys at a time lock-step — each round issues one independent
+// entry load per live lane, so the host's out-of-order window overlaps
+// what a one-key-at-a-time walk serializes — and calls emit with every
+// match in (key index, chain order), the order of per-key Iter walks.
+// bas[k] must be keys[k]'s bucket-head address; lm is reusable scratch.
+// It stays a loop of its own rather than ProbeBatchTraced over a nil
+// recorder: the per-record nil checks cost the native probe 3-6 %.
 func (h *HashTable) ProbeBatchNative(bas []mem.Addr, keys []uint64, lm *laneMatches, emit func(k int, row []byte)) {
 	buf, base := h.arena.Raw()
 	var cur [probeLanes]mem.Addr
@@ -302,34 +258,40 @@ func (h *HashTable) ProbeBatchNative(bas []mem.Addr, keys []uint64, lm *laneMatc
 	}
 }
 
-// ProbeBatchTraced is ProbeBatchNative's traced twin: the same lock-step
-// multi-lane chain walk, with every lane's next line software-prefetched
-// one round ahead (AMAC-style), so the dependent loads that serialize a
+// ProbeBatchTraced is the traced chain walk, ProbeBatchNative's twin: it
+// walks the chains of lanes keys at a time (1 ≤ lanes ≤ probeLanes)
+// lock-step and calls emit with every match in (key index, chain order).
+// With prefetch, each lane's next line is software-prefetched one round
+// ahead (AMAC-style), so the dependent loads that serialize a
 // one-key-at-a-time walk arrive warmed — the other lanes' work is the
-// prefetch distance. Instruction charges match IterAt (one probe charge
-// per key, one load per chain entry, payload loads on match), and match
-// order is byte-identical to per-key IterAt walks.
-func (h *HashTable) ProbeBatchTraced(rec *trace.Recorder, bas []mem.Addr, keys []uint64, lm *laneMatches, emit func(k int, row []byte)) {
+// prefetch distance — and the bucket heads, whose addresses come from the
+// block's up-front key pass rather than from any in-flight load, are
+// prefetched as a group and load independently. Without it, one lane is
+// Iter's walk record for record, its head load dependent on the key just
+// read. Either way a key costs Iter's instruction charge, one load per
+// chain entry and the payload's loads on a match.
+func (h *HashTable) ProbeBatchTraced(rec *trace.Recorder, bas []mem.Addr, keys []uint64, lanes int, prefetch bool, lm *laneMatches, emit func(k int, row []byte)) {
 	var cur [probeLanes]mem.Addr
-	for g := 0; g < len(keys); g += probeLanes {
+	for g := 0; g < len(keys); g += lanes {
 		n := len(keys) - g
-		if n > probeLanes {
-			n = probeLanes
+		if n > lanes {
+			n = lanes
 		}
-		// Bucket heads: prefetched as a group, then loaded. The head
-		// addresses come from the block's up-front key pass, not from any
-		// in-flight load, so the loads are independent and overlap.
 		for l := 0; l < n; l++ {
 			lm.rows[l] = lm.rows[l][:0]
-			rec.Prefetch(bas[g+l])
+			if prefetch {
+				rec.Prefetch(bas[g+l])
+			}
 		}
 		live := 0
 		for l := 0; l < n; l++ {
 			rec.Exec(h.code, 35)
-			rec.Load(bas[g+l], false)
+			rec.Load(bas[g+l], !prefetch)
 			cur[l] = mem.Addr(binary.LittleEndian.Uint64(h.arena.Bytes(bas[g+l], 8)))
 			if cur[l] != 0 {
-				rec.Prefetch(cur[l])
+				if prefetch {
+					rec.Prefetch(cur[l])
+				}
 				live++
 			}
 		}
@@ -348,10 +310,10 @@ func (h *HashTable) ProbeBatchTraced(rec *trace.Recorder, bas []mem.Addr, keys [
 					lm.rows[l] = append(lm.rows[l], eb[htEntryHeader:])
 				}
 				cur[l] = mem.Addr(binary.LittleEndian.Uint64(eb[0:8]))
-				if cur[l] != 0 {
-					rec.Prefetch(cur[l])
-				} else {
+				if cur[l] == 0 {
 					live--
+				} else if prefetch {
+					rec.Prefetch(cur[l])
 				}
 			}
 		}

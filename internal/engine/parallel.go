@@ -401,6 +401,6 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 		return err
 	}
 	j.pt = pt
-	observeJoinBuild(ctx, j.mode, nil, pt)
+	observeJoinBuild(ctx, j.mode, pt)
 	return nil
 }

@@ -7,8 +7,8 @@
 // HashTable per partition, and routes each probe key to its partition —
 // short chains, tables that fit the L1D/L2 budget, no cross-partition
 // dependent misses. The prefetch mode instead keeps one table but
-// pipelines the probe (trace.Prefetch on the traced path, the AMAC-style
-// batched walk on the native path) so chain loads overlap.
+// pipelines the traced probe (trace.Prefetch) so chain loads overlap.
+// Natively every mode probes with the same AMAC-style multi-lane walk.
 package engine
 
 import (
@@ -32,9 +32,9 @@ const (
 	// JoinPartitioned radix-partitions the build side into cache-sized
 	// tables and routes probe keys to their partition.
 	JoinPartitioned
-	// JoinPrefetch keeps one chained table but pipelines the probe:
-	// group-prefetched bucket heads on the traced path, batched
-	// multi-lane chain walks on the native path.
+	// JoinPrefetch keeps one chained table but pipelines the traced
+	// probe: group-prefetched bucket heads and chain entries. Natively
+	// it is JoinChained (every mode walks the same multi-lane probe).
 	JoinPrefetch
 )
 
@@ -358,10 +358,13 @@ func linkRuns(rec *trace.Recorder, t *HashTable, p int, runs []*RadixPart, dst m
 	}
 }
 
-// PartedTable routes each key to its radix partition's HashTable; with
-// one partition it degenerates to that table. Every partition lives in
-// one arena, so one table's batch walk serves probes across all of them
-// (HashJoinVec.walkTable).
+// PartedTable is HashJoinVec's one table type: 2^k radix partitions'
+// HashTables, each key routed to its partition by the top bits of its
+// hash. A chained or prefetch build is one partition (mask 0), so every
+// probe resolves its bucket head the same way (HashJoinVec.routePartitions).
+// Every partition lives in one arena with one entry width and code
+// segment, so the first table's chain walks serve probes across all of
+// them.
 type PartedTable struct {
 	tables []*HashTable
 	mask   uint64

@@ -330,16 +330,13 @@ func (b *Block) Release() {
 	}
 }
 
-// defaultBlockRows sizes operator blocks: hint wins when positive,
-// otherwise enough rows to fill half a 64 KB L1D, and never less than one
-// full heap page of rows (page-at-a-time scan fills must always fit).
-func defaultBlockRows(rowW, hint int) int {
-	b := hint
-	if b <= 0 {
-		b = (32 << 10) / rowW
-		if b < 8 {
-			b = 8
-		}
+// defaultBlockRows sizes operator blocks: enough rows to fill half a
+// 64 KB L1D, and never less than one full heap page of rows
+// (page-at-a-time scan fills must always fit).
+func defaultBlockRows(rowW int) int {
+	b := (32 << 10) / rowW
+	if b < 8 {
+		b = 8
 	}
 	if pr := storage.PageSize / rowW; b < pr {
 		b = pr
@@ -447,9 +444,6 @@ type ScanVec struct {
 	StartPage int
 	// Range restricts the scan to a page range (morsel execution).
 	Range *PageRange
-	// BlockRows caps rows per emitted block (0 = the L1-sized default,
-	// never below one page of rows).
-	BlockRows int
 	// Interpret forces the per-row interpreted Pred.Eval path instead of
 	// the compiled predicate closures (the golden equivalence suite's
 	// reference; results and charged instruction counts are identical).
@@ -800,7 +794,7 @@ func allCols(n int) []int {
 // never allocate one, so a fresh ScanVec per morsel costs no arena.
 func (s *ScanVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	if s.blk == nil {
-		capRows := defaultBlockRows(s.out.RowWidth(), s.BlockRows)
+		capRows := defaultBlockRows(s.out.RowWidth())
 		if capRows < s.pageCap {
 			capRows = s.pageCap
 		}
@@ -1374,7 +1368,7 @@ func (a *HashAggVec) Close(ctx *Ctx) {
 func (a *HashAggVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	rowW := a.Schema().RowWidth()
 	if a.blk == nil {
-		a.blk = NewBlock(ctx.Work, defaultBlockRows(rowW, 0), rowW)
+		a.blk = NewBlock(ctx.Work, defaultBlockRows(rowW), rowW)
 	}
 	a.blk.Reset()
 	for a.blk.N() < a.blk.Cap() {
@@ -1414,9 +1408,9 @@ type HashJoinVec struct {
 	// the entry volume the partitions must spread under JoinPartBudget.
 	BuildRows int
 	// Interpret disables the compiled key kernels and the whole-block
-	// build insert, keeping the per-row PR 8 loops (the golden
-	// reference; the kernels produce identical key bits and chain
-	// order).
+	// build insert, keeping the per-row key reads and inserts (the golden
+	// reference; the kernels produce identical key bits and chain order).
+	// The probe walks the same chains either way.
 	Interpret bool
 	// Mode pins the join strategy; JoinAuto (the zero value) defers to
 	// the context's mode and then to the build-size estimate (see
@@ -1426,39 +1420,29 @@ type HashJoinVec struct {
 
 	out      Schema
 	mode     JoinMode     // resolved at Open
-	ht       *HashTable   // chained/prefetch build
-	pt       *PartedTable // partitioned build
+	pt       *PartedTable // the build; one partition unless partitioned
 	blk      *Block
 	probeBlk *Block
-	probeIdx int      // next live ordinal within the probe scratch arrays
-	curRow   []byte   // probe row whose matches are being emitted
-	pending  [][]byte // matches of curRow (stable ht payloads)
-	pendPos  int      // next pending match to emit — an index, so the
-	// drain never re-slices pending's head away and its capacity
-	// survives from key to key (re-slicing eroded cap one row per emit,
-	// reallocating the scratch tens of thousands of times per query)
-	// Batch-probe scratch, filled once per probe block: the live rows'
-	// physical indexes, their join keys, and the keys' bucket addresses
-	// (hashed up front, pure host arithmetic; the traced chain walks then
-	// run in row order via IterAt, identical to per-row Iter).
+	probeIdx int    // next live ordinal within the probe scratch arrays
+	curRow   []byte // probe row whose matches are being emitted
+	// Probe scratch, filled once per probe block: the live rows' physical
+	// indexes, their join keys, and the keys' bucket-head addresses
+	// (hashed and routed up front, pure host arithmetic that touches no
+	// simulated memory).
 	probeRows    []int32
 	probeKeys    []uint64
 	probeBuckets []mem.Addr
-	probeTabs    []*HashTable // partitioned mode: each key's partition table
 	keyOff       int
 	probeW       int
 	probeKernel  KeyKernel
-	// Prefetch-mode batch scratch: matches in (key index, chain order),
-	// produced by the multi-lane walk and drained by the per-key emission
-	// loop. Traced runs stage a whole block; native runs walk one
-	// probeLanes group on demand (nextProbeGroup), so the arrays stay a
-	// few lanes deep.
+	// Staged matches in (key ordinal, chain order): one group walk
+	// (nextProbeGroup) fills them, NextBlock drains them key by key.
 	lanes     laneMatches
 	batchOrd  []int32
 	batchRow  [][]byte
 	batchPos  int
-	batchNext int // native prefetch: first ordinal the group walk has not covered
-	batchBase int // ordinal offset of the staged group (0 for whole-block traced walks)
+	batchNext int // first ordinal no group walk has covered
+	batchBase int // ordinal offset of the staged group
 	stage     func(k int, row []byte)
 	code      mem.CodeSeg
 	// shared is the parallel join whose table this join probes in place
@@ -1483,7 +1467,7 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 		if s.pt == nil {
 			return fmt.Errorf("engine: parallel join probed before its build")
 		}
-		j.mode, j.ht, j.pt = s.mode, nil, s.pt
+		j.mode, j.pt = s.mode, s.pt
 		return j.Probe.Open(ctx)
 	}
 	if err := j.Build.Open(ctx); err != nil {
@@ -1493,12 +1477,12 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 	bWidth := j.Build.Schema().RowWidth()
 	expected, buildRows := j.sizes()
 	j.mode = resolveJoinMode(j.Mode, ctx, buildRows, htEntryHeader+bWidth)
-	j.ht, j.pt = nil, nil
+	j.pt = nil
 	var rp *RadixPart
 	if j.mode == JoinPartitioned {
 		rp = NewRadixPart(ctx, joinParts(buildRows, htEntryHeader+bWidth), bWidth, expected, buildRows)
 	} else {
-		j.ht = NewHashTable(ctx, expected, bWidth)
+		j.pt = &PartedTable{tables: []*HashTable{NewHashTable(ctx, expected, bWidth)}}
 	}
 	if err := j.drain(ctx, rp); err != nil {
 		return err
@@ -1506,7 +1490,7 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 	if rp != nil {
 		j.pt = rp.Build()
 	}
-	observeJoinBuild(ctx, j.mode, j.ht, j.pt)
+	observeJoinBuild(ctx, j.mode, j.pt)
 	return j.Probe.Open(ctx)
 }
 
@@ -1516,7 +1500,7 @@ func (j *HashJoinVec) prepare(ctx *Ctx) {
 	j.code = ctx.DB.Codes.Register("op:hashjoinvec", 4096)
 	j.keyOff = j.Probe.Schema().Offsets()[j.ProbeCol]
 	j.probeW = j.Probe.Schema().RowWidth()
-	j.probeBlk, j.probeIdx, j.curRow, j.pending, j.pendPos = nil, 0, nil, nil, 0
+	j.probeBlk, j.probeIdx, j.curRow = nil, 0, nil
 	j.probeRows = j.probeRows[:0]
 	j.probeKernel = nil
 	if !j.Interpret {
@@ -1544,7 +1528,8 @@ func (j *HashJoinVec) sizes() (expected, buildRows int) {
 	return expected, buildRows
 }
 
-// drain reads the opened build side into rp, or into j.ht when rp is nil.
+// drain reads the opened build side into rp, or into j.pt's one table
+// when rp is nil.
 // Natively, with a compiled key kernel, each block goes in whole: the
 // kernel extracts every live key, then the table's (or radix pass's)
 // batch insert pushes the entries in row order — chain order matches the
@@ -1555,6 +1540,10 @@ func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
 	var kernel KeyKernel
 	if !j.Interpret {
 		kernel = CompileKeyKernel(bs[j.BuildCol].Type, bOff)
+	}
+	var ht *HashTable
+	if rp == nil {
+		ht = j.pt.tables[0]
 	}
 	var keys []uint64
 	for {
@@ -1579,7 +1568,7 @@ func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
 			if rp != nil {
 				rp.AddBlockNative(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
 			} else {
-				j.ht.InsertBatch(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
+				ht.InsertBatch(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
 			}
 			continue
 		}
@@ -1588,7 +1577,7 @@ func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
 			if rp != nil {
 				rp.Add(key, row)
 			} else {
-				j.ht.Insert(ctx.Rec, key, row)
+				ht.Insert(ctx.Rec, key, row)
 			}
 		}
 		if blk.Sel != nil {
@@ -1604,34 +1593,24 @@ func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
 	}
 }
 
-// observeJoinBuild feeds a finished build — the chained table ht or the
-// partitioned pt — into the context's join metrics: build/partition
-// counters by mode, and — only when a chain-length histogram is attached,
-// since the walk is pure observability — the bucket-chain length
-// distribution.
-func observeJoinBuild(ctx *Ctx, mode JoinMode, ht *HashTable, pt *PartedTable) {
+// observeJoinBuild feeds a finished build into the context's join
+// metrics: build/partition counters by mode, and — only when a
+// chain-length histogram is attached, since the walk is pure
+// observability — the bucket-chain length distribution.
+func observeJoinBuild(ctx *Ctx, mode JoinMode, pt *PartedTable) {
 	m := mode.String()
 	ctx.Join.Builds.With(m).Inc()
-	parts := uint64(1)
-	if pt != nil {
-		parts = uint64(pt.Parts())
-	}
-	ctx.Join.Partitions.With(m).Add(parts)
+	ctx.Join.Partitions.With(m).Add(uint64(pt.Parts()))
 	if h := ctx.Join.ChainLen; h != nil {
-		observe := func(n int) { h.Observe(float64(n)) }
-		if pt != nil {
-			pt.ChainLengths(observe)
-		} else {
-			ht.ChainLengths(observe)
-		}
+		pt.ChainLengths(func(n int) { h.Observe(float64(n)) })
 	}
 }
 
 // Close implements VecOp.
 func (j *HashJoinVec) Close(ctx *Ctx) {
 	j.Probe.Close(ctx)
-	j.ht, j.pt = nil, nil
-	j.probeBlk, j.curRow, j.pending, j.pendPos = nil, nil, nil, 0
+	j.pt = nil
+	j.probeBlk, j.curRow = nil, nil
 }
 
 // emit appends curRow ++ build to the output block.
@@ -1651,13 +1630,15 @@ func (j *HashJoinVec) emit(build []byte) {
 func (j *HashJoinVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	if j.blk == nil {
 		rowW := j.out.RowWidth()
-		j.blk = NewBlock(ctx.Work, defaultBlockRows(rowW, 0), rowW)
+		j.blk = NewBlock(ctx.Work, defaultBlockRows(rowW), rowW)
 	}
 	j.blk.Reset()
 	for j.blk.N() < j.blk.Cap() {
-		if j.pendPos < len(j.pending) {
-			j.emit(j.pending[j.pendPos])
-			j.pendPos++
+		// A staged match below probeIdx is the current key's: every
+		// earlier key's were drained before the next key was taken.
+		if j.batchPos < len(j.batchOrd) && int(j.batchOrd[j.batchPos]) < j.probeIdx {
+			j.emit(j.batchRow[j.batchPos])
+			j.batchPos++
 			continue
 		}
 		if j.probeBlk == nil || j.probeIdx >= len(j.probeRows) {
@@ -1669,53 +1650,19 @@ func (j *HashJoinVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 				j.blk.TraceAppended(ctx.Rec, 0)
 				return j.blk, j.blk.N() > 0, nil
 			}
-			j.probeBlk, j.probeIdx = blk, 0
+			j.probeBlk, j.probeIdx, j.batchNext = blk, 0, 0
 			ctx.Rec.Exec(j.code, vecBlockCost+blk.N()*vecProbeCost)
 			blk.TraceRows(ctx.Rec)
 			j.hashProbeBlock(blk)
-			if j.batched(ctx) {
-				j.batchOrd, j.batchRow = j.batchOrd[:0], j.batchRow[:0]
-				j.batchPos, j.batchNext = 0, 0
-				if ctx.Rec != nil {
-					// The traced walk covers the whole block up front,
-					// prefetch-pipelining the chain loads (AMAC). Native
-					// runs instead walk one lane group on demand as the
-					// drain loop reaches it (nextProbeGroup), keeping the
-					// staging arrays lane-sized and cache-hot through the
-					// drain.
-					j.batchBase = 0
-					j.walkTable().ProbeBatchTraced(ctx.Rec, j.probeBuckets, j.probeKeys, &j.lanes, j.stage)
-				}
-			}
 			continue
 		}
 		k := j.probeIdx
 		j.probeIdx++
 		j.curRow = j.probeBlk.RowAt(int(j.probeRows[k]))
-		j.pending, j.pendPos = j.pending[:0], 0
-		switch {
-		case j.batched(ctx):
-			if ctx.Rec == nil && k >= j.batchNext {
-				j.nextProbeGroup()
-			}
-			// Matches were staged by the batched walk, already in (key,
-			// chain) order; take this key's consecutive run.
-			for j.batchPos < len(j.batchOrd) && int(j.batchOrd[j.batchPos]) == k {
-				j.pending = append(j.pending, j.batchRow[j.batchPos])
-				j.batchPos++
-			}
-		case ctx.Rec == nil && j.probeKernel != nil:
-			// Native: walk the chain inline — no per-entry callback, no
-			// trace bookkeeping. Chain order (and so emission order) is
-			// exactly IterAt's.
-			j.pending = j.table(k).matchesNative(j.probeBuckets[k], j.probeKeys[k], j.pending)
-		default:
-			j.table(k).IterAt(ctx.Rec, j.probeBuckets[k], j.probeKeys[k], func(payload []byte, _ mem.Addr) bool {
-				j.pending = append(j.pending, payload)
-				return true
-			})
+		if k >= j.batchNext {
+			j.nextProbeGroup(ctx.Rec)
 		}
-		if len(j.pending) == 0 && j.Type == LeftOuter {
+		if j.Type == LeftOuter && (j.batchPos == len(j.batchOrd) || int(j.batchOrd[j.batchPos]) != k) {
 			j.emit(nil)
 		}
 	}
@@ -1724,11 +1671,9 @@ func (j *HashJoinVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 }
 
 // hashProbeBlock is the batch key pass over one probe block: every live
-// row's join key is extracted, hashed, and resolved to its bucket
-// address in one tight loop before any chain is walked. The hashing is
-// pure host arithmetic (no table memory is touched), so the traced
-// accesses — the chain walks IterAt performs in row order — are
-// identical to hashing inside the per-row loop.
+// row's join key is extracted (by the compiled kernel, or by RowInt under
+// Interpret) and routed to its bucket head in one tight loop before any
+// chain is walked.
 func (j *HashJoinVec) hashProbeBlock(blk *Block) {
 	j.probeRows = j.probeRows[:0]
 	if blk.Sel != nil {
@@ -1738,47 +1683,26 @@ func (j *HashJoinVec) hashProbeBlock(blk *Block) {
 			j.probeRows = append(j.probeRows, int32(i))
 		}
 	}
+	n := len(j.probeRows)
+	if cap(j.probeKeys) < n {
+		j.probeKeys = make([]uint64, n)
+	}
+	j.probeKeys = j.probeKeys[:n]
 	if j.probeKernel != nil {
-		n := len(j.probeRows)
-		if cap(j.probeKeys) < n {
-			j.probeKeys = make([]uint64, n)
-		}
-		j.probeKeys = j.probeKeys[:n]
 		j.probeKernel(blk.buf, blk.rowW, j.probeRows, n, j.probeKeys)
-		if j.pt != nil {
-			j.routePartitions()
-			return
+	} else {
+		for k, i := range j.probeRows {
+			j.probeKeys[k] = uint64(RowInt(blk.RowAt(int(i)), j.keyOff))
 		}
-		j.probeBuckets = j.ht.BucketsOf(j.probeKeys, j.probeBuckets[:0])
-		return
 	}
-	j.probeKeys = j.probeKeys[:0]
-	j.probeBuckets = j.probeBuckets[:0]
-	if j.pt != nil {
-		for _, i := range j.probeRows {
-			key := uint64(RowInt(blk.RowAt(int(i)), j.keyOff))
-			j.probeKeys = append(j.probeKeys, key)
-		}
-		j.routePartitions()
-		return
-	}
-	for _, i := range j.probeRows {
-		key := uint64(RowInt(blk.RowAt(int(i)), j.keyOff))
-		j.probeKeys = append(j.probeKeys, key)
-		j.probeBuckets = append(j.probeBuckets, j.ht.BucketOf(key))
-	}
+	j.routePartitions()
 }
 
-// routePartitions resolves every probe key of the block to its partition
-// (index and table) and that table's bucket head — host arithmetic plus
-// table metadata, no simulated memory traffic, same as hashing ahead of
-// IterAt.
+// routePartitions resolves every probe key of the block to its
+// partition's bucket head: host arithmetic plus table metadata, no
+// simulated memory traffic.
 func (j *HashJoinVec) routePartitions() {
 	n := len(j.probeKeys)
-	if cap(j.probeTabs) < n {
-		j.probeTabs = make([]*HashTable, n)
-	}
-	j.probeTabs = j.probeTabs[:n]
 	if cap(j.probeBuckets) < n {
 		j.probeBuckets = make([]mem.Addr, n)
 	}
@@ -1787,66 +1711,44 @@ func (j *HashJoinVec) routePartitions() {
 		// One hash yields both the partition (top bits) and the bucket
 		// (low bits) — identical to partOf + bucketAddr on the same key.
 		h := mix(key)
-		p := int(h >> radixShift & j.pt.mask)
-		tab := j.pt.tables[p]
-		j.probeTabs[k] = tab
+		tab := j.pt.tables[h>>radixShift&j.pt.mask]
 		j.probeBuckets[k] = tab.buckets + mem.Addr(h&(tab.nbuckets-1))*8
 	}
 }
 
-// nextProbeGroup walks the next probeLanes keys' chains through the
-// multi-lane batch walk, staging their matches. The native batched drain
-// calls it as it reaches each group, so staging stays lane-sized (and
-// cache-hot into the emission loop) instead of materializing a whole
-// block's matches. The walk reads only the precomputed bucket heads and
-// the shared arena, so one table serves it in every mode — partitioned
-// probes cross partition tables lane by lane without extra dispatch.
-func (j *HashJoinVec) nextProbeGroup() {
+// nextProbeGroup walks the chains of the next group of probe keys,
+// staging their matches for NextBlock, which calls it as it reaches the
+// group's first key. The group is the one choice a join mode makes on
+// the probe side:
+//   - natively, probeLanes keys in lock-step, in every mode, so staging
+//     stays lane-sized and cache-hot into the emission loop;
+//   - traced prefetch, the rest of the block (all of it: the walk runs at
+//     the block's first key), prefetch-pipelined;
+//   - traced chained or partitioned, one key with a dependent head load —
+//     the per-key walk whose cache behaviour those traces are for.
+//
+// The walks read only the precomputed bucket heads and the arena every
+// partition shares, so the first partition table serves them all.
+func (j *HashJoinVec) nextProbeGroup(rec *trace.Recorder) {
 	g := j.batchNext
 	n := len(j.probeKeys) - g
-	if n > probeLanes {
-		n = probeLanes
+	lanes := probeLanes
+	switch {
+	case rec == nil:
+		if n > probeLanes {
+			n = probeLanes
+		}
+	case j.mode != JoinPrefetch:
+		n, lanes = 1, 1
 	}
-	j.batchOrd, j.batchRow = j.batchOrd[:0], j.batchRow[:0]
-	j.batchPos = 0
-	j.batchBase = g
-	j.walkTable().ProbeBatchNative(j.probeBuckets[g:g+n], j.probeKeys[g:g+n], &j.lanes, j.stage)
+	j.batchOrd, j.batchRow, j.batchPos, j.batchBase = j.batchOrd[:0], j.batchRow[:0], 0, g
+	t, bas, keys := j.pt.tables[0], j.probeBuckets[g:g+n], j.probeKeys[g:g+n]
+	if rec == nil {
+		t.ProbeBatchNative(bas, keys, &j.lanes, j.stage)
+	} else {
+		t.ProbeBatchTraced(rec, bas, keys, lanes, j.mode == JoinPrefetch, &j.lanes, j.stage)
+	}
 	j.batchNext = g + n
-}
-
-// walkTable returns a table whose batch walk serves this join's probes:
-// the chained table, or any partition table of a PartedTable — the walk
-// uses only the arena every partition shares and the entry width,
-// identical across partitions.
-func (j *HashJoinVec) walkTable() *HashTable {
-	if j.pt != nil {
-		return j.pt.tables[0]
-	}
-	return j.ht
-}
-
-// table returns the hash table serving probe ordinal k: the single
-// chained table, or the key's radix partition.
-func (j *HashJoinVec) table(k int) *HashTable {
-	if j.pt != nil {
-		return j.probeTabs[k]
-	}
-	return j.ht
-}
-
-// batched reports whether this execution probes through the multi-lane
-// batch walk. Prefetch mode: always when traced (the prefetch pipeline
-// is the point), natively with a compiled key kernel (the interpreted
-// reference keeps its per-row walks). Partitioned mode: natively with a
-// compiled kernel — the same group-on-demand walk, over the partition
-// tables' precomputed bucket heads; traced partitioned runs keep their
-// per-key dependent walks, whose cache behaviour on cache-sized tables
-// is what the partitioned trace is for.
-func (j *HashJoinVec) batched(ctx *Ctx) bool {
-	if j.mode == JoinPrefetch {
-		return ctx.Rec != nil || j.probeKernel != nil
-	}
-	return j.mode == JoinPartitioned && ctx.Rec == nil && j.probeKernel != nil
 }
 
 // MorselScanVec is ScanVec's morsel-driven form: workers sharing one
