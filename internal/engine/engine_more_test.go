@@ -49,30 +49,6 @@ func TestSeqScanCircularOriginRotates(t *testing.T) {
 	}
 }
 
-func TestIndexScanWithResidualPredicate(t *testing.T) {
-	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 1000)
-	idx, _ := db.CreateIndex(tb, "t2_id", func(row []byte) int64 { return RowInt(row, 0) })
-	rebuildIndex(t, db, tb, idx)
-	ctx := testCtx(t, db)
-	rows, err := Collect(ctx, &IndexScan{
-		Table: tb, Idx: idx, Lo: 0, Hi: 499,
-		Preds: []Pred{PredInt(1, EQ, 3)}, // grp == 3
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for i := 0; i < 500; i++ {
-		if i%7 == 3 {
-			want++
-		}
-	}
-	if len(rows) != want {
-		t.Fatalf("got %d rows, want %d", len(rows), want)
-	}
-}
-
 func TestMapDerivedColumns(t *testing.T) {
 	db := testDB(t)
 	tb := mkTable(t, db, storage.NSM, 100)

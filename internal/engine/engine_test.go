@@ -162,59 +162,6 @@ func TestSeqScanPredicateAndProjection(t *testing.T) {
 	}
 }
 
-func TestIndexScan(t *testing.T) {
-	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 3000)
-	idcol := tb.Schema.Offsets()[0]
-	idx, err := db.CreateIndex(tb, "t_id", func(row []byte) int64 { return RowInt(row, idcol) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index created after load: backfill.
-	ctx := testCtx(t, db)
-	if err := Run(ctx, &SeqScan{Table: tb}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild index by scanning pages directly.
-	rebuildIndex(t, db, tb, idx)
-	rows, err := Collect(ctx, &IndexScan{Table: tb, Idx: idx, Lo: 100, Hi: 109})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("index range returned %d rows", len(rows))
-	}
-	for i, r := range rows {
-		if r[0].I != int64(100+i) {
-			t.Fatalf("row %d = %v", i, r)
-		}
-	}
-}
-
-// rebuildIndex inserts every existing row into idx (test helper for
-// indexes created after data load).
-func rebuildIndex(t *testing.T, db *DB, tb *Table, idx *Index) {
-	t.Helper()
-	for p := 0; p < tb.Heap.NumPages(); p++ {
-		ref, err := db.Pool.Get(nil, tb.Heap.PageAt(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := storage.AsSlotted(ref.Data, ref.Addr)
-		for s := 0; s < sp.NumSlots(); s++ {
-			row := sp.Tuple(nil, s)
-			if row == nil {
-				continue
-			}
-			rid := storage.RID{Page: ref.ID, Slot: uint32(s)}
-			if err := idx.Tree.Insert(nil, idx.KeyOf(row), rid.Pack()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Release()
-	}
-}
-
 func TestInsertMaintainsIndex(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Int("k"), Int("v")}
@@ -447,27 +394,6 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	}
 	if matched != 1 {
 		t.Fatalf("matched %d rows", matched)
-	}
-}
-
-func TestNLJoin(t *testing.T) {
-	db := testDB(t)
-	a, _ := db.CreateTable("na", Schema{Int("x")}, storage.NSM)
-	b, _ := db.CreateTable("nb", Schema{Int("y")}, storage.NSM)
-	for i := 0; i < 6; i++ {
-		a.Insert(nil, []Value{IV(int64(i))})
-		b.Insert(nil, []Value{IV(int64(i))})
-	}
-	ctx := testCtx(t, db)
-	rows, err := Collect(ctx, &NLJoin{
-		Left: &SeqScan{Table: a}, Right: &SeqScan{Table: b},
-		On: func(l, r []byte) bool { return RowInt(l, 0) < RowInt(r, 0) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 15 { // pairs with x < y among 6x6
-		t.Fatalf("NL join output %d, want 15", len(rows))
 	}
 }
 

@@ -120,87 +120,3 @@ func (j *HashJoin) Next(ctx *Ctx) ([]byte, bool, error) {
 		}
 	}
 }
-
-// NLJoin is a nested-loop join for small inputs or non-equality
-// conditions; On receives (leftRow, rightRow).
-type NLJoin struct {
-	Left, Right Op
-	On          func(l, r []byte) bool
-
-	out     Schema
-	buf     []byte
-	right   [][]byte
-	lrow    []byte
-	haveRow bool
-	ri      int
-	code    mem.CodeSeg
-}
-
-// Schema implements Op.
-func (j *NLJoin) Schema() Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
-}
-
-// Open implements Op: the right side is materialized once.
-func (j *NLJoin) Open(ctx *Ctx) error {
-	j.Schema()
-	j.code = ctx.DB.Codes.Register("op:nljoin", 2048)
-	j.buf = make([]byte, j.out.RowWidth())
-	if err := j.Right.Open(ctx); err != nil {
-		return err
-	}
-	defer j.Right.Close(ctx)
-	j.right = j.right[:0]
-	for {
-		row, ok, err := j.Right.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		// Materialize into the workspace so re-scans have addresses.
-		a := ctx.Work.Alloc(len(row), 8)
-		b := ctx.Work.Bytes(a, len(row))
-		copy(b, row)
-		ctx.Rec.StoreRange(a, len(row))
-		j.right = append(j.right, b)
-	}
-	j.lrow = make([]byte, j.Left.Schema().RowWidth())
-	j.haveRow = false
-	j.ri = 0
-	return j.Left.Open(ctx)
-}
-
-// Close implements Op.
-func (j *NLJoin) Close(ctx *Ctx) { j.Left.Close(ctx) }
-
-// Next implements Op.
-func (j *NLJoin) Next(ctx *Ctx) ([]byte, bool, error) {
-	lw := j.Left.Schema().RowWidth()
-	for {
-		if !j.haveRow {
-			row, ok, err := j.Left.Next(ctx)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			copy(j.lrow, row)
-			j.haveRow = true
-			j.ri = 0
-		}
-		for j.ri < len(j.right) {
-			r := j.right[j.ri]
-			j.ri++
-			ctx.Rec.Exec(j.code, 40)
-			if j.On == nil || j.On(j.lrow, r) {
-				copy(j.buf, j.lrow)
-				copy(j.buf[lw:], r)
-				return j.buf, true, nil
-			}
-		}
-		j.haveRow = false
-	}
-}

@@ -138,9 +138,6 @@ func TestLifecycleRowOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 			"hashjoin-build": func() Op {
 				return &HashJoin{Left: &SeqScan{Table: tb, Cols: []int{0, 1}}, Right: child(), LeftCol: 0, RightCol: 0}
 			},
-			"nljoin": func() Op {
-				return &NLJoin{Left: child(), Right: &Limit{Child: &SeqScan{Table: tb, Cols: []int{0, 1}}, N: 3}}
-			},
 		}
 	}
 

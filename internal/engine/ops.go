@@ -257,67 +257,6 @@ func (s *SeqScan) evalPAXPred(p Pred, field []byte, col Column) bool {
 	return q.Eval(tmp, []int{0}, field)
 }
 
-// IndexScan returns rows whose index key lies in [Lo, Hi], fetching each
-// from the heap (NSM tables).
-type IndexScan struct {
-	Table  *Table
-	Idx    *Index
-	Lo, Hi int64
-	Preds  []Pred
-
-	cur  *storage.Cursor
-	buf  []byte
-	code mem.CodeSeg
-}
-
-// Schema implements Op.
-func (s *IndexScan) Schema() Schema { return s.Table.Schema }
-
-// Open implements Op.
-func (s *IndexScan) Open(ctx *Ctx) error {
-	cur, err := s.Idx.Tree.Seek(ctx.Rec, s.Lo)
-	if err != nil {
-		return err
-	}
-	s.cur = cur
-	s.code = ctx.DB.Codes.Register("op:indexscan", 2048)
-	s.buf = make([]byte, s.Table.Schema.RowWidth())
-	return nil
-}
-
-// Close implements Op.
-func (s *IndexScan) Close(ctx *Ctx) { s.cur = nil }
-
-// Next implements Op.
-func (s *IndexScan) Next(ctx *Ctx) ([]byte, bool, error) {
-	for {
-		k, v, ok, err := s.cur.Next(ctx.Rec)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok || k > s.Hi {
-			return nil, false, nil
-		}
-		ctx.Rec.Exec(s.code, 80+evalCost*len(s.Preds))
-		row, err := s.Table.Fetch(ctx.Rec, storage.UnpackRID(v))
-		if err != nil {
-			return nil, false, err
-		}
-		pass := true
-		for _, p := range s.Preds {
-			if !p.Eval(s.Table.Schema, s.Table.Offs, row) {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			continue
-		}
-		copy(s.buf, row)
-		return s.buf, true, nil
-	}
-}
-
 // Filter drops child rows failing the conjunction.
 type Filter struct {
 	Child Op

@@ -98,14 +98,6 @@ func (p *WorkPool[T]) Take(w int) (T, bool) {
 	}
 }
 
-// TryTake is Take's non-blocking form: it reports false when no work is
-// currently available, whether or not the pool is closed.
-func (p *WorkPool[T]) TryTake(w int) (T, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tryTake(w)
-}
-
 // Close marks the pool complete: queued items still drain, then Take
 // reports false to every worker.
 func (p *WorkPool[T]) Close() {

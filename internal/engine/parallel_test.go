@@ -78,12 +78,12 @@ func TestWorkPoolStealsFromLoadedVictim(t *testing.T) {
 	p.Push(0, 1)
 	p.Push(0, 2)
 	// Worker 1 has nothing of its own: it must steal worker 0's OLDEST item.
-	v, ok := p.TryTake(1)
+	v, ok := p.Take(1)
 	if !ok || v != 1 {
 		t.Fatalf("steal got (%d, %v), want oldest item 1", v, ok)
 	}
 	// Worker 0 pops its own NEWEST item.
-	v, ok = p.TryTake(0)
+	v, ok = p.Take(0)
 	if !ok || v != 2 {
 		t.Fatalf("own pop got (%d, %v), want newest item 2", v, ok)
 	}
