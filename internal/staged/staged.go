@@ -197,29 +197,16 @@ func (s *AggSink) Groups() map[uint64]float64 {
 	return out
 }
 
-// Pipeline is a linear staged plan: source → stages → sink. The source is
-// either a legacy row operator (Source) or a vectorized operator
-// (VecSource, preferred): vectorized sources hand whole blocks to the
-// pipeline — in affinity mode the source's block feeds the stage chain
-// directly, and in pool mode it bulk-copies into ring packets — instead
-// of being drained row by row. VecSource wins when both are set.
+// Pipeline is a linear staged plan: source → stages → sink. The source
+// is a row operator, drained into packets.
 type Pipeline struct {
-	DB        *engine.DB
-	Source    engine.Op
-	VecSource engine.VecOp
-	Stages    []Stage
-	Sink      Sink
+	DB     *engine.DB
+	Source engine.Op
+	Stages []Stage
+	Sink   Sink
 
 	// BatchRows sizes packets; the default fits half a 64 KB L1D.
 	BatchRows int
-}
-
-// srcSchema returns the source's output schema.
-func (pl *Pipeline) srcSchema() engine.Schema {
-	if pl.VecSource != nil {
-		return pl.VecSource.Schema()
-	}
-	return pl.Source.Schema()
 }
 
 func (pl *Pipeline) batch(rowW int) int {
@@ -345,22 +332,14 @@ func (pl *Pipeline) cohortConfig() sched.Config {
 }
 
 // openHead opens the pipeline's source and returns a head-packet feeder
-// plus its close function. A vectorized source hands its own blocks to
-// the feeder directly — the head packet fill disappears entirely; a row
-// source is drained into a reusable head packet.
+// plus its close function: the source is drained into a reusable head
+// packet.
 func (pl *Pipeline) openHead(ctx *engine.Ctx) (func() (*Packet, bool, error), func(), error) {
-	srcSchema := pl.srcSchema()
-	if pl.VecSource != nil {
-		if err := pl.VecSource.Open(ctx); err != nil {
-			return nil, nil, err
-		}
-		return func() (*Packet, bool, error) { return pl.VecSource.NextBlock(ctx) },
-			func() { pl.VecSource.Close(ctx) }, nil
-	}
 	if err := pl.Source.Open(ctx); err != nil {
 		return nil, nil, err
 	}
-	head := NewPacket(ctx.Work, pl.batch(srcSchema.RowWidth()), srcSchema.RowWidth())
+	rowW := pl.Source.Schema().RowWidth()
+	head := NewPacket(ctx.Work, pl.batch(rowW), rowW)
 	return func() (*Packet, bool, error) {
 		head.Reset()
 		for head.N() < head.Cap() {
@@ -417,8 +396,7 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 		return 0, fmt.Errorf("staged: %d contexts for %d workers", len(ctxs), want)
 	}
 	consumers := want - 1
-	srcSchema := pl.srcSchema()
-	rowW := srcSchema.RowWidth()
+	rowW := pl.Source.Schema().RowWidth()
 
 	// Packets live in the source worker's workspace and recycle through
 	// the free list (bounding both memory and trace footprint). Two per
@@ -450,9 +428,7 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 	}
 
 	// Source worker: fill packets, deal them round-robin (stealing
-	// rebalances whenever consumers run at different speeds). A vectorized
-	// source bulk-copies whole blocks into ring packets — one traced
-	// memcpy per packet instead of a row-at-a-time refill loop.
+	// rebalances whenever consumers run at different speeds).
 	source := func() error {
 		defer pool.Close()
 		ctx := ctxs[0]
@@ -460,45 +436,6 @@ func (pl *Pipeline) RunParallel(ctxs []*engine.Ctx) (int, error) {
 		push := func(pkt *Packet) {
 			pool.Push(next, pkt)
 			next = (next + 1) % consumers
-		}
-
-		if pl.VecSource != nil {
-			if err := pl.VecSource.Open(ctx); err != nil {
-				return err
-			}
-			defer pl.VecSource.Close(ctx)
-			// Coalesce source blocks into ring packets: a selective
-			// source emits small survivor blocks, and pushing each as
-			// its own packet would pay per-packet scheduling for a
-			// handful of rows. Fill the current packet to capacity
-			// across blocks, pushing only full (or final) packets.
-			var pkt *Packet
-			for {
-				blk, ok, err := pl.VecSource.NextBlock(ctx)
-				if err != nil || !ok {
-					if pkt != nil {
-						if pkt.N() > 0 && err == nil {
-							push(pkt)
-						} else {
-							free <- pkt
-						}
-					}
-					return err
-				}
-				from := 0
-				for from < blk.N() {
-					if pkt == nil {
-						if pkt, ok = take(); !ok {
-							return nil
-						}
-					}
-					from += pkt.CopyFrom(ctx.Rec, blk, from)
-					if pkt.N() == pkt.Cap() {
-						push(pkt)
-						pkt = nil
-					}
-				}
-			}
 		}
 
 		if err := pl.Source.Open(ctx); err != nil {

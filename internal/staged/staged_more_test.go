@@ -111,46 +111,6 @@ func TestParallelEmptySource(t *testing.T) {
 	}
 }
 
-// TestVecSourceBothExecutors: a pipeline fed by the vectorized scan
-// (blocks straight into the stage chain in affinity mode, bulk-copied
-// into ring packets in pool mode) agrees with the row-sourced run.
-func TestVecSourceBothExecutors(t *testing.T) {
-	db, tb := buildTable(t)
-	preds := []engine.Pred{engine.PredInt(0, engine.LT, 8000)}
-	mk := func(ctx *engine.Ctx) *Pipeline {
-		return &Pipeline{
-			DB:        db,
-			VecSource: &engine.ScanVec{Table: tb},
-			Stages:    []Stage{FilterStage(db, tb.Schema, preds)},
-			Sink:      NewAggSink(ctx, db, tb.Schema, 1, 2),
-		}
-	}
-
-	actx := db.NewCtx(nil, 21, 8<<20)
-	pl := mk(actx)
-	n, err := pl.RunAffinity(actx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 8000 {
-		t.Fatalf("vec affinity absorbed %d rows, want 8000", n)
-	}
-	checkGroups(t, pl.Sink.(*AggSink).Groups())
-
-	pl2 := mk(db.NewCtx(nil, 25, 8<<20))
-	ctxs := []*engine.Ctx{
-		db.NewCtx(nil, 22, 8<<20), db.NewCtx(nil, 23, 8<<20), db.NewCtx(nil, 24, 8<<20),
-	}
-	n2, err := pl2.RunParallel(ctxs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 8000 {
-		t.Fatalf("vec parallel absorbed %d rows, want 8000", n2)
-	}
-	checkGroups(t, pl2.Sink.(*AggSink).Groups())
-}
-
 // TestExpandingTransformGrowsPacket: a stage emitting more rows than its
 // packet holds must grow the packet, not silently drop rows (Transform's
 // contract is zero or more emissions per input).
@@ -168,10 +128,10 @@ func TestExpandingTransformGrowsPacket(t *testing.T) {
 		},
 	}
 	pl := &Pipeline{
-		DB:        db,
-		VecSource: &engine.ScanVec{Table: tb},
-		Stages:    []Stage{duplicate},
-		Sink:      NewCountSink(db),
+		DB:     db,
+		Source: &engine.SeqScan{Table: tb},
+		Stages: []Stage{duplicate},
+		Sink:   NewCountSink(db),
 	}
 	n, err := pl.RunAffinity(ctx)
 	if err != nil {
