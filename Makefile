@@ -33,8 +33,12 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzLowerings -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload
 
+# The second line mirrors CI's simulator step under race: event skipping
+# against the cycle-by-cycle loop, the cache hierarchy against its
+# reference, workspace reuse, trace-chunk recycling and exact repeats.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=1 -run 'EventSkip|ArenaReuse|RunRepeats|Oracle|Recycle' ./internal/sim ./internal/mem ./internal/core ./internal/cache ./internal/trace
 
 # Every Go benchmark in the tree, one iteration each: the TPC-H and
 # TPC-C loads and native Q13 by worker count. The paper's measured

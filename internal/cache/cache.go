@@ -109,6 +109,16 @@ func (c *Cache) set(line mem.Addr) []mem.Addr {
 // differ in the state bits alone, and by a state that is not Invalid.
 func holds(w, line mem.Addr) bool { return (w^line)-1 < stateMask }
 
+// mru returns the state of line when it is the most recently used line of
+// its set — the repeated reference, which Touch resolves without moving
+// anything — and Invalid otherwise, whether or not the line is resident.
+func (c *Cache) mru(line mem.Addr) State {
+	if w := c.ways[int(line>>c.setShift&c.setMask)*c.assoc]; holds(w, line) {
+		return State(w & stateMask)
+	}
+	return Invalid
+}
+
 // find returns the position of line in set s, or -1.
 func find(s []mem.Addr, line mem.Addr) int {
 	for i, w := range s {

@@ -156,7 +156,12 @@ type Hierarchy struct {
 	sb    []*streamBuffer
 	ports []uint64 // next-free cycle per L2 port (shared-L2 contention)
 	pf    []map[mem.Addr]pfFill
-	Stats Stats
+	pfN   []int // entries of pf per core, read without touching the map
+	// filled[core] is set once core's L1I or L1D has held a line. Under a
+	// shared L2 the loops over peer L1s skip the cores still unset: a
+	// lookup in an empty cache finds nothing and changes nothing.
+	filled []bool
+	Stats  Stats
 }
 
 // NewHierarchy builds a hierarchy from cfg (zero fields take defaults).
@@ -175,6 +180,8 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		h.sb = append(h.sb, newStreamBuffer(cfg.StreamBufDepth))
 		h.pf = append(h.pf, make(map[mem.Addr]pfFill))
 	}
+	h.pfN = make([]int, cfg.Cores)
+	h.filled = make([]bool, cfg.Cores)
 	if cfg.SharedL2 {
 		h.l2 = []*Cache{New(cfg.L2Size, cfg.L2Assoc)}
 	} else {
@@ -203,6 +210,8 @@ func (h *Hierarchy) Reset() {
 		h.sb[i].lines = h.sb[i].lines[:0]
 		clear(h.pf[i])
 	}
+	clear(h.pfN)
+	clear(h.filled)
 	clear(h.ports)
 	h.Stats = Stats{}
 }
@@ -242,6 +251,9 @@ func (h *Hierarchy) insertL2(core int, line mem.Addr, st State) {
 	}
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
+			if !h.filled[i] {
+				continue
+			}
 			if h.l1d[i].Invalidate(v.Line) != Invalid {
 				h.Stats.BackInvalidations++
 			}
@@ -263,19 +275,70 @@ func (h *Hierarchy) insertL2(core int, line mem.Addr, st State) {
 // back to the L2 (state only; timing of write-backs is hidden by write
 // buffers, as in most timing models of this class).
 func (h *Hierarchy) insertL1D(core int, line mem.Addr, st State) {
+	h.filled[core] = true
 	v, evicted := h.l1d[core].Insert(line, st)
 	if evicted && v.State == Modified {
 		h.l2of(core).SetState(v.Line, Modified)
 	}
 }
 
+// insertL1I fills an instruction line into core's L1I; its victim, never
+// dirty, is dropped.
+func (h *Hierarchy) insertL1I(core int, line mem.Addr) {
+	h.filled[core] = true
+	h.l1i[core].Insert(line, Shared)
+}
+
+// The Hit methods resolve the common case of Read, Write and Fetch — the
+// line is the most recently used one of its set in core's L1, which Touch
+// finds without moving anything — in a call the compiler inlines. Each
+// counts the hit exactly as its full method does and reports true; for
+// every other access it changes nothing and reports false, and the caller
+// makes the full call, which begins with the same check. A caller that
+// gets true owes nothing: the access completes at now plus the L1 latency
+// (plus one cycle for a fetch), and no other state moves.
+
+// HitRead is Read's L1 hit on the most recently used way, when core has
+// no prefetch in flight (a demand load may be catching one).
+func (h *Hierarchy) HitRead(core int, a mem.Addr) bool {
+	if h.pfN[core] != 0 || h.l1d[core].mru(a.Line()) == Invalid {
+		return false
+	}
+	h.Stats.L1DHits++
+	return true
+}
+
+// HitWrite is Write's L1 hit on a most recently used way that is already
+// Modified.
+func (h *Hierarchy) HitWrite(core int, a mem.Addr) bool {
+	if h.l1d[core].mru(a.Line()) != Modified {
+		return false
+	}
+	h.Stats.L1DHits++
+	return true
+}
+
+// HitFetch is Fetch's L1I hit on the most recently used way.
+func (h *Hierarchy) HitFetch(core int, a mem.Addr) bool {
+	if h.l1i[core].mru(a.Line()) == Invalid {
+		return false
+	}
+	h.Stats.L1IHits++
+	return true
+}
+
 // Read performs a data load by core at address a, returning the servicing
 // level and completion time.
 func (h *Hierarchy) Read(core int, a mem.Addr, now uint64) Result {
+	if h.HitRead(core, a) {
+		return Result{LvlL1, now + uint64(h.cfg.L1Lat)}
+	}
 	line := a.Line()
-	if m := h.pf[core]; len(m) != 0 {
+	if h.pfN[core] != 0 {
+		m := h.pf[core]
 		if f, ok := m[line]; ok {
 			delete(m, line)
+			h.pfN[core]--
 			if f.doneAt > now {
 				// The demand load caught its prefetch in flight: it pays
 				// only the remaining latency, still attributed to the
@@ -304,7 +367,7 @@ func (h *Hierarchy) readCMP(core int, line mem.Addr, now uint64) Result {
 	// shared L2 receives the up-to-date state. Clean Exclusive peers
 	// downgrade to Shared.
 	for i := range h.l1d {
-		if i == core {
+		if i == core || !h.filled[i] {
 			continue
 		}
 		switch h.l1d[i].Probe(line) {
@@ -386,11 +449,12 @@ func (h *Hierarchy) Prefetch(core int, a mem.Addr, now uint64) {
 		f = h.prefetchSMP(core, line, now)
 	}
 	h.pf[core][line] = f
+	h.pfN[core]++
 }
 
 func (h *Hierarchy) prefetchCMP(core int, line mem.Addr, now uint64) pfFill {
 	for i := range h.l1d {
-		if i == core {
+		if i == core || !h.filled[i] {
 			continue
 		}
 		switch h.l1d[i].Probe(line) {
@@ -443,6 +507,9 @@ func (h *Hierarchy) prefetchSMP(core int, line mem.Addr, now uint64) pfFill {
 // write buffers, so the caller typically does not stall on the returned
 // latency, but state transitions and port pressure are modelled.
 func (h *Hierarchy) Write(core int, a mem.Addr, now uint64) Result {
+	if h.HitWrite(core, a) {
+		return Result{LvlL1, now + uint64(h.cfg.L1Lat)}
+	}
 	line := a.Line()
 	switch h.l1d[core].Touch(line) {
 	case Modified:
@@ -481,7 +548,7 @@ func (h *Hierarchy) Write(core int, a mem.Addr, now uint64) Result {
 func (h *Hierarchy) invalidatePeers(core int, line mem.Addr) uint64 {
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
-			if i != core {
+			if i != core && h.filled[i] {
 				h.l1d[i].Invalidate(line)
 			}
 		}
@@ -503,6 +570,9 @@ func (h *Hierarchy) invalidatePeers(core int, line mem.Addr) uint64 {
 
 // Fetch performs an instruction fetch by core at address a.
 func (h *Hierarchy) Fetch(core int, a mem.Addr, now uint64) Result {
+	if h.HitFetch(core, a) {
+		return Result{LvlL1, now + 1}
+	}
 	line := a.Line()
 	if h.l1i[core].Touch(line) != Invalid {
 		h.Stats.L1IHits++
@@ -513,7 +583,7 @@ func (h *Hierarchy) Fetch(core int, a mem.Addr, now uint64) Result {
 		// The buffer already holds (or has in flight) the line; promote it
 		// and keep prefetching down the stream.
 		h.Stats.StreamBufHits++
-		h.l1i[core].Insert(line, Shared)
+		h.insertL1I(core, line)
 		h.prefetchStream(core, line)
 		return Result{LvlL1, now + uint64(h.cfg.L1Lat)}
 	}
@@ -532,7 +602,7 @@ func (h *Hierarchy) Fetch(core int, a mem.Addr, now uint64) Result {
 		h.insertL2(core, line, Shared)
 		r = Result{LvlMem, now + delay + uint64(h.cfg.MemLat)}
 	}
-	h.l1i[core].Insert(line, Shared)
+	h.insertL1I(core, line)
 	if h.cfg.StreamBuf {
 		h.prefetchStream(core, line)
 	}
@@ -562,7 +632,7 @@ func (h *Hierarchy) WarmRead(core int, a mem.Addr) {
 	}
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
-			if i != core && h.l1d[i].Probe(line) == Modified {
+			if i != core && h.filled[i] && h.l1d[i].Probe(line) == Modified {
 				h.l1d[i].SetState(line, Shared)
 				h.l2[0].SetState(line, Modified)
 				h.insertL1D(core, line, Shared)
@@ -593,7 +663,7 @@ func (h *Hierarchy) WarmWrite(core int, a mem.Addr) {
 func (h *Hierarchy) invalidatePeersQuiet(core int, line mem.Addr) {
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
-			if i != core {
+			if i != core && h.filled[i] {
 				h.l1d[i].Invalidate(line)
 			}
 		}
@@ -615,14 +685,13 @@ func (h *Hierarchy) WarmFetch(core int, a mem.Addr) {
 	if h.l2of(core).Touch(line) == Invalid {
 		h.insertL2(core, line, Shared)
 	}
-	h.l1i[core].Insert(line, Shared)
+	h.insertL1I(core, line)
 }
 
 // streamBuffer is a small FIFO of prefetched instruction-line addresses
 // (Jouppi-style), consulted on L1I misses.
 type streamBuffer struct {
 	lines []mem.Addr
-	next  int
 }
 
 func newStreamBuffer(depth int) *streamBuffer {

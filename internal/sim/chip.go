@@ -83,8 +83,7 @@ func NewChipOn(cfg Config, hier *cache.Hierarchy) *Chip {
 	for i := 0; i < cfg.Cores; i++ {
 		switch cfg.Camp {
 		case FatCamp:
-			c := &fcCore{id: i, cfg: &ch.cfg, chip: ch, ctx: &hwctx{}, firstDone: never}
-			ch.cores = append(ch.cores, coastingCore{core: c})
+			ch.cores = append(ch.cores, coastingCore{core: newFCCore(i, ch)})
 		case LeanCamp:
 			c := &lcCore{id: i, cfg: &ch.cfg, chip: ch}
 			for k := 0; k < cfg.CtxPerCore; k++ {
@@ -288,13 +287,25 @@ func (ch *Chip) Run(maxCycles uint64) Result {
 				continue
 			}
 			credit(p, now)
-			issued, kind := p.core.step(now)
+			// A fat-camp core is called directly, not through coreModel.
+			var issued int
+			var kind StallKind
+			fc, isFC := p.core.(*fcCore)
+			if isFC {
+				issued, kind = fc.step(now)
+			} else {
+				issued, kind = p.core.step(now)
+			}
 			if issued > 0 {
 				instructions += uint64(issued)
 				kind = KindComp
 			}
 			bd.Add(kind)
-			p.until, p.kind, p.issue = p.core.coast(now+1, end)
+			if isFC {
+				p.until, p.kind, p.issue = fc.coast(now+1, end)
+			} else {
+				p.until, p.kind, p.issue = p.core.coast(now+1, end)
+			}
 			p.since = now + 1
 			stepped = true
 		}

@@ -355,6 +355,20 @@ func TestEventSkipEdgeCases(t *testing.T) {
 	}
 }
 
+// TestEventSkipReciprocal: the multiply drainCycles divides by is exact
+// for every issue rate a chip is likely to be given and every count it
+// divides, an Exec record's at most.
+func TestEventSkipReciprocal(t *testing.T) {
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 16, 100, 1000, 1<<19 - 1} {
+		m := newReciprocal(d)
+		for n := uint64(0); n <= trace.MaxExecCount; n++ {
+			if got := m.of(n); got != n/uint64(d) {
+				t.Fatalf("%d / %d: reciprocal gives %d", n, d, got)
+			}
+		}
+	}
+}
+
 // TestEventSkipRandomTraces is the property: for any chip shape, thread
 // count, trace contents and window sequence drawn from a seed, Chip.Run
 // and the cycle-by-cycle loop agree on every window and every mark stamp.
@@ -367,6 +381,7 @@ func TestEventSkipRandomTraces(t *testing.T) {
 		c.cfg.CtxPerCore = 1 + rng.Intn(4)
 		c.cfg.MLP = 1 + rng.Intn(8)
 		c.cfg.Window = 8 << rng.Intn(6)
+		c.cfg.FCIssue = 1 + rng.Intn(4)
 		threads := 1 + rng.Intn(2*c.cfg.withDefaults().Contexts())
 		for i := 0; i < threads; i++ {
 			mix := traceMixes[rng.Intn(len(traceMixes))]

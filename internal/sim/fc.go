@@ -20,7 +20,16 @@ type fcCore struct {
 	id   int
 	cfg  *Config
 	chip *Chip
+	hier *cache.Hierarchy
 	ctx  *hwctx
+
+	// The configuration step and coast read on every call, copied out of
+	// cfg: the issue rate, the miss-queue and reorder-window limits, and
+	// perIssue, which divides by the issue rate (perIssue.of).
+	issue    int
+	mlp      int
+	window   uint64
+	perIssue reciprocal
 
 	outstanding   []fcMiss  // in-flight data misses, append order
 	firstDone     uint64    // earliest doneAt in outstanding; never when empty
@@ -36,6 +45,26 @@ type fcMiss struct {
 	cause    StallKind
 }
 
+func newFCCore(id int, ch *Chip) *fcCore {
+	return &fcCore{
+		id: id, cfg: &ch.cfg, chip: ch, hier: ch.hier, ctx: &hwctx{}, firstDone: never,
+		issue: ch.cfg.FCIssue, mlp: ch.cfg.MLP, window: uint64(ch.cfg.Window),
+		perIssue: newReciprocal(ch.cfg.FCIssue),
+	}
+}
+
+// reciprocal divides by a fixed d ≥ 1 with a multiply and a shift: it is
+// ⌈2³²/d⌉, and n·⌈2³²/d⌉ >> 32 = ⌊n/d⌋ whenever n·d < 2³² (the rounding
+// error n·(⌈2³²/d⌉ − 2³²/d)/2³² then stays below 1/d). drainCycles divides
+// at most an Exec record's instruction count, so any issue rate below 2¹⁹
+// is exact.
+type reciprocal uint64
+
+func newReciprocal(d int) reciprocal { return reciprocal((1<<32 + uint64(d) - 1) / uint64(d)) }
+
+// of returns ⌊n/d⌋ for n ≤ trace.MaxExecCount.
+func (m reciprocal) of(n uint64) uint64 { return n * uint64(m) >> 32 }
+
 func (c *fcCore) contexts() []*hwctx { return []*hwctx{c.ctx} }
 
 func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
@@ -50,11 +79,11 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 	}
 	if n := c.drainCycles(now, end); n > 0 {
 		t := ctx.threads[ctx.cur]
-		k := int(n) * c.cfg.FCIssue
+		k := int(n) * c.issue
 		t.execLeft -= k
 		t.untilBranch -= k
 		c.instrIdx += uint64(k)
-		return now + n, KindComp, c.cfg.FCIssue
+		return now + n, KindComp, c.issue
 	}
 	return now, KindComp, 0
 }
@@ -82,21 +111,24 @@ func (c *fcCore) drainCycles(now, end uint64) uint64 {
 	if t.execLeft <= 0 || t.untilBranch <= 0 {
 		return 0
 	}
-	w := uint64(c.cfg.FCIssue)
-	// The last FCIssue instructions before a mispredict is due are left
-	// to step, which charges it.
-	n = min(n, uint64(t.execLeft)/w, uint64(t.untilBranch-1)/w)
+	// Each limit is a count of instructions, and the cycles they allow
+	// are that count over the issue rate: ⌊min/w⌋ is the least of the
+	// per-limit quotients, so one division serves them all. The last
+	// FCIssue instructions before a mispredict is due are left to step,
+	// which charges it.
+	insns := min(uint64(t.execLeft), uint64(t.untilBranch-1))
 	// The miss queue is not full: step checked before it fetched the
 	// record, and no load has issued since. The reorder window can fill.
 	if len(c.outstanding) > 0 {
 		span := c.instrIdx - c.oldest().instrIdx
-		if span >= uint64(c.cfg.Window) {
+		if span >= c.window {
 			return 0
 		}
-		// Issue stops in the cycle that starts with the window full.
-		n = min(n, (uint64(c.cfg.Window)-span+w-1)/w)
+		// Issue stops in the cycle that starts with the window full:
+		// ⌈(window−span)/w⌉ cycles.
+		insns = min(insns, c.window-span+uint64(c.issue)-1)
 	}
-	return n
+	return min(n, c.perIssue.of(insns))
 }
 
 // retire drops completed misses. Most cycles complete none, which
@@ -158,22 +190,22 @@ func (c *fcCore) step(now uint64) (int, StallKind) {
 	t := ctx.runningThread()
 	issued := 0
 issue:
-	for issued < c.cfg.FCIssue {
+	for issued < c.issue {
 		// Structural limits: a full miss queue or reorder window stalls
 		// issue until the bounding miss retires.
-		if len(c.outstanding) >= c.cfg.MLP {
+		if len(c.outstanding) >= c.mlp {
 			e := c.earliest()
 			ctx.block(e.doneAt, e.cause)
 			break issue
 		}
 		if len(c.outstanding) > 0 {
-			if old := c.oldest(); c.instrIdx-old.instrIdx >= uint64(c.cfg.Window) {
+			if old := c.oldest(); c.instrIdx-old.instrIdx >= c.window {
 				ctx.block(old.doneAt, old.cause)
 				break issue
 			}
 		}
 		if t.execLeft > 0 {
-			k := c.cfg.FCIssue - issued
+			k := c.issue - issued
 			if t.execLeft < k {
 				k = t.execLeft
 			}
@@ -191,10 +223,12 @@ issue:
 		}
 		switch r.Kind() {
 		case trace.Exec:
-			res := c.chip.hier.Fetch(c.id, r.Addr(), now)
 			t.execLine = r.Addr()
 			t.execLeft = r.Count()
-			if res.Level != cache.LvlL1 {
+			if c.hier.HitFetch(c.id, r.Addr()) {
+				break
+			}
+			if res := c.hier.Fetch(c.id, r.Addr(), now); res.Level != cache.LvlL1 {
 				// Frontend starvation: OoO machinery does not hide
 				// instruction misses.
 				ctx.block(res.DoneAt, stallFor(res.Level, true))
@@ -208,21 +242,24 @@ issue:
 				ctx.block(c.prevLoadDone, c.prevLoadCause)
 				break issue
 			}
-			res := c.chip.hier.Read(c.id, r.Addr(), now)
 			issued++
 			c.instrIdx++
-			if res.Level != cache.LvlL1 {
+			// L1 hits forward within the window: no dependence stall.
+			c.prevLoadDone = 0
+			if c.hier.HitRead(c.id, r.Addr()) {
+				break
+			}
+			if res := c.hier.Read(c.id, r.Addr(), now); res.Level != cache.LvlL1 {
 				cause := stallFor(res.Level, false)
 				c.outstanding = append(c.outstanding, fcMiss{res.DoneAt, c.instrIdx, cause})
 				c.firstDone = min(c.firstDone, res.DoneAt)
 				c.prevLoadDone = res.DoneAt
 				c.prevLoadCause = cause
-			} else {
-				// L1 hits forward within the window: no dependence stall.
-				c.prevLoadDone = 0
 			}
 		case trace.Store:
-			c.chip.hier.Write(c.id, r.Addr(), now)
+			if !c.hier.HitWrite(c.id, r.Addr()) {
+				c.hier.Write(c.id, r.Addr(), now)
+			}
 			issued++
 			c.instrIdx++
 		case trace.Mark:
@@ -233,7 +270,7 @@ issue:
 			// no reorder-window entry, and no miss-queue slot (prefetch
 			// engines have their own request buffers); issue never stalls
 			// on it.
-			c.chip.hier.Prefetch(c.id, r.Addr(), now)
+			c.hier.Prefetch(c.id, r.Addr(), now)
 		}
 	}
 	if issued == 0 {

@@ -99,17 +99,21 @@ issue:
 		}
 		switch r.Kind() {
 		case trace.Exec:
-			res := c.chip.hier.Fetch(c.id, r.Addr(), now)
 			t.execLine = r.Addr()
 			t.execLeft = r.Count()
-			if res.Level != cache.LvlL1 {
+			if c.chip.hier.HitFetch(c.id, r.Addr()) {
+				break
+			}
+			if res := c.chip.hier.Fetch(c.id, r.Addr(), now); res.Level != cache.LvlL1 {
 				ctx.block(res.DoneAt, stallFor(res.Level, true))
 				break issue
 			}
 		case trace.Load:
-			res := c.chip.hier.Read(c.id, r.Addr(), now)
 			issued++
-			if res.Level != cache.LvlL1 {
+			if c.chip.hier.HitRead(c.id, r.Addr()) {
+				break
+			}
+			if res := c.chip.hier.Read(c.id, r.Addr(), now); res.Level != cache.LvlL1 {
 				// In-order blocking miss: the context becomes
 				// non-runnable until the fill, per the paper's LC model.
 				ctx.block(res.DoneAt, stallFor(res.Level, false))
@@ -117,7 +121,9 @@ issue:
 			}
 		case trace.Store:
 			// Stores retire through the write buffer without blocking.
-			c.chip.hier.Write(c.id, r.Addr(), now)
+			if !c.chip.hier.HitWrite(c.id, r.Addr()) {
+				c.chip.hier.Write(c.id, r.Addr(), now)
+			}
 			issued++
 		case trace.Mark:
 			// Span markers are free: no issue slot, no instruction.

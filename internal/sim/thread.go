@@ -46,17 +46,20 @@ func newThread(id int, s *trace.Stream, ch *Chip, branchEvery int) *Thread {
 // consumed every record before it, in Warm as in Run, and the simulator
 // stands still while the producer's function runs. Threads so take their
 // turns in the order the simulation reaches their tokens: cycle by cycle in
-// Run, cores in order within a cycle, and in Warm's thread order.
+// Run, cores in order within a cycle, and in Warm's thread order. A chunk
+// the thread has moved past goes back to its producer (trace.Stream.Recycle).
 func (t *Thread) next() (trace.Ref, bool) {
 	if t.hasPending {
 		t.hasPending = false
 		return t.pending, true
 	}
 	for t.pos == len(t.cur) {
+		t.stream.Recycle(t.cur)
+		t.cur, t.pos = nil, 0
 		if len(t.chunks) > 0 {
 			t.cur = t.chunks[0]
+			t.chunks[0] = nil
 			t.chunks = t.chunks[1:]
-			t.pos = 0
 			if len(t.cur) == 0 {
 				t.stream.Grant()
 			}

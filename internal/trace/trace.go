@@ -179,6 +179,10 @@ func (r Ref) String() string {
 // at a time; it amortizes channel synchronization.
 const chunkSize = 4096
 
+// pipeDepth is how many chunks a Pipe's producer may have sent ahead of
+// its consumer.
+const pipeDepth = 4
+
 // instrPerLine is how many 4-byte instructions fit in one 64-byte code line.
 const instrPerLine = mem.LineSize / 4
 
@@ -187,7 +191,7 @@ const instrPerLine = mem.LineSize / 4
 // (from the consumer side) makes further recording a no-op and unblocks the
 // producer; closing the recorder (producer side) ends the stream.
 func Pipe() (*Recorder, *Stream) {
-	return PipeSized(chunkSize, 4)
+	return PipeSized(chunkSize, pipeDepth)
 }
 
 // PipeSized creates a pipe whose producer can run at most about
@@ -202,11 +206,20 @@ func PipeSized(chunk, depth int) (*Recorder, *Stream) {
 	}
 	ch := make(chan []Ref, depth)
 	stop := make(chan struct{})
+	free := newFreeList(depth)
 	pace := &paceQueue{unpaced: make(chan struct{})}
-	r := &Recorder{ch: ch, stop: stop, pace: pace, chunk: chunk, buf: make([]Ref, 0, chunk)}
-	s := &Stream{ch: ch, stop: stop, pace: pace}
+	r := &Recorder{ch: ch, stop: stop, free: free, pace: pace, chunk: chunk, buf: make([]Ref, 0, chunk)}
+	s := &Stream{ch: ch, stop: stop, free: free, pace: pace}
 	return r, s
 }
+
+// newFreeList makes the channel through which a pipe's consumer hands the
+// chunks it has finished back to the producer (Stream.Recycle). Besides
+// the depth chunks a pipe holds, the producer fills one, may be blocked
+// sending another, and the consumer reads one; a free list of depth+2
+// holds every chunk that can be idle at once, so a producer that keeps
+// pace with its consumer allocates none after the first few.
+func newFreeList(depth int) chan []Ref { return make(chan []Ref, depth+2) }
 
 // Inline creates a pipe without a producer thread: the function given to
 // the stream's SetProducer runs as a coroutine of the consumer, resumed
@@ -220,8 +233,9 @@ func PipeSized(chunk, depth int) (*Recorder, *Stream) {
 // wait forever, because nothing else runs while it does.
 func Inline() (*Recorder, *Stream) {
 	stop := make(chan struct{})
-	r := &Recorder{inline: true, stop: stop, chunk: chunkSize, buf: make([]Ref, 0, chunkSize)}
-	return r, &Stream{rec: r, stop: stop}
+	free := newFreeList(pipeDepth)
+	r := &Recorder{inline: true, stop: stop, free: free, chunk: chunkSize, buf: make([]Ref, 0, chunkSize)}
+	return r, &Stream{rec: r, stop: stop, free: free}
 }
 
 // Recorder is the producer half of a trace pipe. It is used by exactly one
@@ -230,6 +244,7 @@ func Inline() (*Recorder, *Stream) {
 type Recorder struct {
 	ch      chan []Ref
 	stop    chan struct{}
+	free    chan []Ref // chunks the consumer has finished, for flush to refill
 	pace    *paceQueue
 	chunk   int
 	buf     []Ref
@@ -280,7 +295,12 @@ func (r *Recorder) flush() {
 		return
 	}
 	chunk := r.buf
-	r.buf = make([]Ref, 0, r.chunk)
+	select {
+	case c := <-r.free:
+		r.buf = c[:0]
+	default:
+		r.buf = make([]Ref, 0, r.chunk)
+	}
 	if r.inline {
 		if r.yield == nil {
 			panic("trace: inline recorder used outside its producer function")
@@ -562,6 +582,7 @@ func (r *Recorder) Close() {
 type Stream struct {
 	ch   chan []Ref
 	stop chan struct{}
+	free chan []Ref
 	pace *paceQueue
 	// An Inline stream pulls its chunks out of the producer coroutine:
 	// next resumes it until it has filled one, cancel ends it.
@@ -649,6 +670,20 @@ func (s *Stream) RecvChunk(wait time.Duration) (chunk []Ref, ok, ended bool) {
 		case <-t.C:
 			return nil, false, false
 		}
+	}
+}
+
+// Recycle hands a chunk the consumer has finished with back to the
+// producer, which refills it instead of allocating the next one. The
+// caller must not touch the chunk afterwards. It never blocks: a chunk the
+// free list has no room for, or a pace token, is left to the collector.
+func (s *Stream) Recycle(chunk []Ref) {
+	if cap(chunk) == 0 {
+		return
+	}
+	select {
+	case s.free <- chunk:
+	default:
 	}
 }
 

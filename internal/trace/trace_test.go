@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -346,4 +347,115 @@ func TestInlineMisuse(t *testing.T) {
 	})
 	_, p := Pipe()
 	mustPanic("SetProducer on a channel pipe", func() { p.SetProducer(func() {}) })
+}
+
+// endless gives the pipe r, s a producer that records loads of
+// consecutive lines until its stream is stopped — on a goroutine of its own
+// for a channel pipe, as the stream's coroutine for an inline one — and
+// returns a channel closed when the producer has returned.
+func endless(r *Recorder, s *Stream) <-chan struct{} {
+	done := make(chan struct{})
+	produce := func() {
+		for i := 0; !r.Stopped(); i++ {
+			r.Load(mem.Addr(i*mem.LineSize), false)
+		}
+		r.Close()
+		close(done)
+	}
+	if r.inline {
+		s.SetProducer(produce)
+	} else {
+		go produce()
+	}
+	return done
+}
+
+// pipeKinds builds a channel pipe and an inline one, by name.
+var pipeKinds = []struct {
+	name string
+	make func() (*Recorder, *Stream)
+}{{"pipe", Pipe}, {"inline", Inline}}
+
+// TestRecycleSteadyStateAllocs: once as many chunks circulate as can be
+// in flight at once, a consumer that hands every chunk back makes its
+// producer allocate none.
+func TestRecycleSteadyStateAllocs(t *testing.T) {
+	for _, k := range pipeKinds {
+		r, s := k.make()
+		done := endless(r, s)
+		take := func() {
+			c, ok, _ := s.RecvChunk(-1)
+			if !ok || len(c) != chunkSize {
+				t.Fatalf("%s: chunk of %d records, ok %v", k.name, len(c), ok)
+			}
+			s.Recycle(c)
+		}
+		for i := 0; i < 4*(pipeDepth+2); i++ {
+			take()
+		}
+		if a := testing.AllocsPerRun(500, take); a > 0.02 {
+			t.Errorf("%s: %.3f allocations per chunk in the steady state, want 0", k.name, a)
+		}
+		s.Stop()
+		<-done
+	}
+}
+
+// TestRecycleWhileProducerRefills runs the consumer's hand-back against a
+// producer refilling the chunks it gets back (under -race, a chunk written
+// before the consumer has finished with it is a reported race): every
+// record arrives once and in order, across a thousand chunks per pipe.
+func TestRecycleWhileProducerRefills(t *testing.T) {
+	kinds := append(pipeKinds, struct {
+		name string
+		make func() (*Recorder, *Stream)
+	}{"small pipe", func() (*Recorder, *Stream) { return PipeSized(64, 2) }})
+	for _, k := range kinds {
+		r, s := k.make()
+		done := endless(r, s)
+		want := 0
+		for chunks := 0; chunks < 1000; chunks++ {
+			c, ok, _ := s.RecvChunk(-1)
+			if !ok {
+				t.Fatalf("%s: stream ended after %d records", k.name, want)
+			}
+			for _, ref := range c {
+				if ref != MakeLoad(mem.Addr(want*mem.LineSize), false) {
+					t.Fatalf("%s: record %d is %v", k.name, want, ref)
+				}
+				want++
+			}
+			s.Recycle(c)
+		}
+		s.Stop()
+		<-done
+	}
+}
+
+// TestRecycleAfterStop: handing chunks back to a stopped pipe, more than
+// its free list holds, returns at once, keeps at most the free list's
+// bound, and the producer has ended.
+func TestRecycleAfterStop(t *testing.T) {
+	for _, k := range pipeKinds {
+		r, s := k.make()
+		done := endless(r, s)
+		c, ok, _ := s.RecvChunk(-1)
+		if !ok {
+			t.Fatalf("%s: no first chunk", k.name)
+		}
+		s.Stop()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: producer still running a minute after Stop", k.name)
+		}
+		for i := 0; i < 10*cap(s.free); i++ {
+			s.Recycle(make([]Ref, 0, chunkSize))
+		}
+		s.Recycle(c)
+		s.Recycle(nil)
+		if len(s.free) != pipeDepth+2 {
+			t.Errorf("%s: free list holds %d chunks, want its bound %d", k.name, len(s.free), pipeDepth+2)
+		}
+	}
 }
