@@ -143,9 +143,13 @@ func toFront(s []mem.Addr, i int, w mem.Addr) {
 
 // Probe returns the state of line without updating LRU.
 func (c *Cache) Probe(line mem.Addr) State {
-	s := c.set(line)
-	if i := find(s, line); i >= 0 {
-		return State(s[i] & stateMask)
+	for _, w := range c.set(line) {
+		if holds(w, line) {
+			return State(w & stateMask)
+		}
+		if w == 0 {
+			break
+		}
 	}
 	return Invalid
 }
