@@ -647,8 +647,8 @@ func recordTrace(t *testing.T, produce func(rec *trace.Recorder) error) []trace.
 }
 
 // TestHierarchyMatchesOracleOnRecordedTraces replays what the engine
-// records for test-scale Q6 and Q13 and for one batch of TPC-C
-// transactions, each thread on a core of its own and interleaved record by
+// records for test-scale Q6 and Q13 and for one cohort-scheduled batch of
+// staged TPC-C transactions, each thread on a core of its own and interleaved record by
 // record, through a shared and a private L2: the first records of every
 // thread warm, the rest are timed. Prefetch and mark records are dropped,
 // as the reference has no prefetches.
@@ -666,7 +666,8 @@ func TestHierarchyMatchesOracleOnRecordedTraces(t *testing.T) {
 		recordTrace(t, func(rec *trace.Recorder) error { return h.RunOnce(rec, 1, 13, 1, false) }),
 		recordTrace(t, func(rec *trace.Recorder) error {
 			ctx := w.DB.NewCtx(rec, 2, 4<<20)
-			_, err := oltp.RunMonolithic(ctx, w.StagedPrograms(w.StagedInputs(16, 8, 7), false))
+			sched := oltp.NewScheduler(w.DB.Codes, oltp.Config{Cohort: 16, Generation: w.Mgr.LM.Generation})
+			_, err := sched.Run(ctx, w.StagedPrograms(w.StagedInputs(16, 8, 7), true))
 			return err
 		}),
 	}
