@@ -72,6 +72,12 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 	if len(ctx.threads) == 0 {
 		return never, KindIdle, 0
 	}
+	// The common case after a step that issued loads and stores: an
+	// awake context with no Exec record to drain is due now, whatever
+	// quietUntil and drainCycles would go on to look at.
+	if now >= ctx.blockedUntil && ctx.threads[ctx.cur].execLeft <= 0 {
+		return now, KindComp, 0
+	}
 	// A blocked context skips retire and issue, so until it wakes the
 	// in-flight misses and the dependence state are not looked at.
 	if q := ctx.quietUntil(now); q > now {

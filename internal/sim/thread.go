@@ -118,11 +118,15 @@ func (c *hwctx) runningThread() *Thread {
 }
 
 // removeFinished drops completed threads from the run queue, recording
-// their completion time with the chip.
+// their completion time with the chip. Only reap says there may be any;
+// that check, inlined, is all a step pays when there are none.
 func (c *hwctx) removeFinished(now uint64, ch *Chip) {
-	if !c.reap {
-		return
+	if c.reap {
+		c.reapFinished(now, ch)
 	}
+}
+
+func (c *hwctx) reapFinished(now uint64, ch *Chip) {
 	c.reap = false
 	for i := 0; i < len(c.threads); {
 		t := c.threads[i]
