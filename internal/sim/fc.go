@@ -154,16 +154,10 @@ func (c *fcCore) retire(now uint64) {
 	c.outstanding = live
 }
 
-// oldest returns the in-flight miss with the smallest instruction index.
-func (c *fcCore) oldest() fcMiss {
-	old := c.outstanding[0]
-	for _, m := range c.outstanding[1:] {
-		if m.instrIdx < old.instrIdx {
-			old = m
-		}
-	}
-	return old
-}
+// oldest returns the in-flight miss with the smallest instruction index:
+// the first, since misses are appended as they issue and retire keeps
+// their order.
+func (c *fcCore) oldest() fcMiss { return c.outstanding[0] }
 
 // earliest returns the in-flight miss that completes first.
 func (c *fcCore) earliest() fcMiss {
