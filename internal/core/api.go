@@ -544,7 +544,7 @@ func (r *Runner) requestSides(req Request) []side {
 	case ModeSharedDSS:
 		for _, shared := range []bool{false, true} {
 			sides = append(sides, side{label: sharedLabel(shared), run: func() (Side, error) {
-				return r.RunSharedDSSTraced(cell, q, req.Clients, shared, seed, req.Trace)
+				return r.RunSharedDSSTraced(cell, q, req.Clients, shared, seed, req.Trace, mode)
 			}})
 		}
 	case ModeParallelDSS:

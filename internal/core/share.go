@@ -53,8 +53,10 @@ func sharedLabel(shared bool) string {
 // spans: a root run span, one query span per client (on the client's
 // simulated thread), and — on the shared side — a "rotation" span nested
 // inside each query covering the client's attach-to-detach window on the
-// circular scan (one full rotation).
-func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed int64, traced bool) (Side, error) {
+// circular scan (one full rotation). An optional join mode pins the
+// hash-join strategy of joining plans (Q13); omitted, the auto policy
+// decides.
+func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed int64, traced bool, mode ...engine.JoinMode) (Side, error) {
 	if clients <= 0 {
 		return Side{}, fmt.Errorf("core: shared DSS with %d clients", clients)
 	}
@@ -82,6 +84,10 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 	work := make([]*engine.Ctx, len(th.recs))
 	for i, rec := range th.recs {
 		work[i] = r.workCtx(h.DB, rec, 64+i, dssWorkBytes)
+		work[i].Join = r.Join
+		if len(mode) > 0 {
+			work[i].JoinMode = mode[0]
+		}
 	}
 	var env *workload.ShareEnv
 	if shared {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -62,5 +64,29 @@ func TestSharedDSSMix(t *testing.T) {
 	}
 	if res.Rows == 0 || res.Scans.Rotations == 0 {
 		t.Fatalf("mix run: %+v", res)
+	}
+}
+
+// TestSharedDSSHonoursJoinMode: a shared-dss request runs its joins in the
+// request's join mode, as the other DSS modes do. The unshared side of a
+// Q13 request simulates different cycles under chained and under prefetch,
+// and the Runner's join metrics count each mode's builds.
+func TestSharedDSSHonoursJoinMode(t *testing.T) {
+	r := NewRunner(TestScale())
+	r.Join = obs.NewJoinMetrics(obs.NewRegistry())
+	cycles := map[string]uint64{}
+	for _, mode := range []string{"chained", "prefetch"} {
+		res, err := r.Run(context.Background(), Request{Mode: ModeSharedDSS, Query: 13, Clients: 3, JoinMode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[mode] = res.Baseline.Cycles
+		if n := r.Join.Builds.With(mode).Value(); n == 0 {
+			t.Errorf("%s: no join build counted", mode)
+		}
+	}
+	t.Logf("q13 x3 unshared: chained %d cycles, prefetch %d", cycles["chained"], cycles["prefetch"])
+	if cycles["chained"] == cycles["prefetch"] {
+		t.Errorf("unshared side: %d cycles under chained and under prefetch; the join mode did not reach it", cycles["chained"])
 	}
 }
