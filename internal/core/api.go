@@ -66,21 +66,39 @@ func (e *ValidationError) Error() string {
 // Upper bounds on the counts a request may ask for. Each unit costs a
 // simulated chip thread, a trace pipe and a workspace (64 MB per DSS client
 // or worker, 8 MB per partition) or, for clients x txns, one pre-drawn
-// transaction, so an unbounded count from the wire exhausts memory instead
-// of failing the request. They are several times what any driver, test or
-// benchmark request in the repository uses, and constants on purpose.
+// transaction, and each entry of a swept list (worker_counts, part_counts,
+// native_workers; at most maxSweep) a whole side or native point, so an
+// unbounded count from the wire exhausts memory instead of failing the
+// request. They are several times what any driver, test or benchmark
+// request in the repository uses, and constants on purpose.
 const (
 	maxClients = 128
 	maxWorkers = 64
 	maxParts   = 64
 	maxTxns    = 1024
 	maxCohort  = 1024
+	maxSweep   = 16
 )
 
 // checkCount returns a *ValidationError naming field unless 1 <= n <= limit.
 func checkCount(field, what string, n, limit int) error {
 	if n < 1 || n > limit {
 		return &ValidationError{Field: field, Reason: fmt.Sprintf("%d %s (need 1..%d)", n, what, limit)}
+	}
+	return nil
+}
+
+// checkSweep returns a *ValidationError naming list unless it has at most
+// maxSweep entries, and otherwise checkCount's verdict on the first entry
+// outside 1..limit.
+func checkSweep(list string, ns []int, field, what string, limit int) error {
+	if len(ns) > maxSweep {
+		return &ValidationError{Field: list, Reason: fmt.Sprintf("%d entries (need at most %d)", len(ns), maxSweep)}
+	}
+	for _, n := range ns {
+		if err := checkCount(field, what, n, limit); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -128,13 +146,13 @@ type Request struct {
 	JoinMode string
 	// Seed drives every deterministic input stream. Default 7.
 	Seed int64
-	// Cell overrides the chip geometry; nil picks DefaultModeCell on the
-	// fat camp.
+	// Cell overrides the chip geometry and its warm-up (WarmRefs per
+	// thread, 0 for none); nil picks DefaultModeCell on the fat camp.
 	Cell *Cell
 	// Trace collects dual-clock spans (Result.Traces) for every side. Off
-	// by default: span markers in the trace stream shift chunk boundaries,
-	// so traced and untraced runs are separate experiments — never compare
-	// cycles across the two.
+	// by default. Span markers ride the trace stream but cost no cycle and
+	// no warm-up budget, so a self-paced side (see Run) simulates the same
+	// cycles traced or untraced.
 	Trace bool
 }
 
@@ -222,10 +240,8 @@ func (q Request) Validate() error {
 	if err := checkCount("workers", "workers", q.Workers, maxWorkers); err != nil {
 		return err
 	}
-	for _, n := range q.WorkerCounts {
-		if err := checkCount("workers", "workers in the sweep", n, maxWorkers); err != nil {
-			return err
-		}
+	if err := checkSweep("worker_counts", q.WorkerCounts, "workers", "workers in the sweep", maxWorkers); err != nil {
+		return err
 	}
 	if len(q.NativeWorkers) > 0 {
 		if q.Mode == ModeStagedOLTP {
@@ -234,10 +250,8 @@ func (q Request) Validate() error {
 		if !workload.HasPlan(q.Query) {
 			return &ValidationError{Field: "native_workers", Reason: fmt.Sprintf("native execution needs a single query %s (query %d)", plannedList("or"), q.Query)}
 		}
-		for _, n := range q.NativeWorkers {
-			if err := checkCount("native_workers", "native workers", n, maxWorkers); err != nil {
-				return err
-			}
+		if err := checkSweep("native_workers", q.NativeWorkers, "native_workers", "native workers", maxWorkers); err != nil {
+			return err
 		}
 	}
 	if q.NativeZeroCopy && len(q.NativeWorkers) == 0 {
@@ -252,17 +266,28 @@ func (q Request) Validate() error {
 		}
 	}
 	if q.Mode == ModeStagedOLTP {
-		o := q.stagedOpts(q.Parts)
-		if err := o.Validate(); err != nil {
-			return err
-		}
-		for _, p := range q.PartCounts {
-			if err := q.stagedOpts(p).Validate(); err != nil {
-				return err
-			}
-		}
+		return q.validateStaged()
 	}
 	return nil
+}
+
+// validateStaged rejects a staged-oltp request whose batch would exhaust
+// memory (see the max* constants), or whose partitioning or remote draw
+// would panic deep in the partitioner.
+func (q Request) validateStaged() error {
+	if err := checkCount("txns", "transactions per client", q.Txns, maxTxns); err != nil {
+		return err
+	}
+	if err := checkCount("cohort", "transactions in the cohort window", q.Cohort, maxCohort); err != nil {
+		return err
+	}
+	if err := checkCount("parts", "partitions", q.Parts, maxParts); err != nil {
+		return err
+	}
+	if q.RemotePct < 0 || q.RemotePct > 100 {
+		return &ValidationError{Field: "remote", Reason: fmt.Sprintf("remote%% %d outside [0,100]", q.RemotePct)}
+	}
+	return checkSweep("part_counts", q.PartCounts, "parts", "partitions", maxParts)
 }
 
 // plannedList formats workload.Planned for messages, "1, 6, 13"; a
@@ -285,15 +310,6 @@ func plannedList(conj string) string {
 func (q Request) joinMode() engine.JoinMode {
 	m, _ := engine.ParseJoinMode(q.JoinMode)
 	return m
-}
-
-// stagedOpts maps the request onto the staged-OLTP option block at one
-// partition count.
-func (q Request) stagedOpts(parts int) StagedOLTPOpts {
-	return StagedOLTPOpts{
-		Clients: q.Clients, PerClient: q.Txns, Cohort: q.Cohort,
-		Seed: q.Seed, Parts: parts, RemotePct: q.RemotePct, Trace: q.Trace,
-	}.WithDefaults()
 }
 
 // Side is one traced execution inside a Result: the measured subject,
@@ -530,43 +546,30 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 }
 
 // requestSides returns the simulations of req's mode in side order: the
-// reference first, the subject (or the sweep's last point) last.
+// reference first, the subject (or the sweep's last point) last. Each is a
+// function of req and the one value its sides differ in.
 func (r *Runner) requestSides(req Request) []side {
-	cell, q, seed, mode := *req.Cell, req.Query, req.Seed, req.joinMode()
 	var sides []side
+	add := func(label string, hostPaced bool, run func() (Side, error)) {
+		sides = append(sides, side{label: label, hostPaced: hostPaced, run: run})
+	}
 	switch req.Mode {
 	case ModeVecDSS:
 		for _, vectorized := range []bool{false, true} {
-			sides = append(sides, side{label: vecLabel(vectorized), run: func() (Side, error) {
-				return r.vecDSS(cell, q, vectorized, seed, req.Trace, mode)
-			}})
+			add(vecLabel(vectorized), false, func() (Side, error) { return r.vecDSS(req, vectorized) })
 		}
 	case ModeSharedDSS:
 		for _, shared := range []bool{false, true} {
-			sides = append(sides, side{label: sharedLabel(shared), run: func() (Side, error) {
-				return r.RunSharedDSSTraced(cell, q, req.Clients, shared, seed, req.Trace, mode)
-			}})
+			add(sharedLabel(shared), false, func() (Side, error) { return r.sharedDSS(req, shared) })
 		}
 	case ModeParallelDSS:
-		// One pinned geometry for every count, so the ratio measures
-		// executor scaling, not hardware scaling.
 		for _, n := range req.WorkerCounts {
-			cell.Cores = max(cell.Cores, n)
-		}
-		for _, n := range req.WorkerCounts {
-			sides = append(sides, side{label: parallelLabel(n), run: func() (Side, error) {
-				return r.parallelDSS(cell, q, n, seed, req.Trace, mode)
-			}})
+			add(parallelLabel(n), false, func() (Side, error) { return r.parallelDSS(req, n) })
 		}
 	case ModeStagedOLTP:
-		staged := func(cohorted bool, parts int) side {
-			return side{label: stagedLabel(cohorted, parts), hostPaced: parts > 1, run: func() (Side, error) {
-				return r.RunStagedOLTP(cell, cohorted, req.stagedOpts(parts))
-			}}
-		}
-		sides = append(sides, staged(false, 1))
+		add(stagedLabel(false, 1), false, func() (Side, error) { return r.stagedOLTP(req, false, 1) })
 		for _, p := range req.PartCounts {
-			sides = append(sides, staged(true, p))
+			add(stagedLabel(true, p), p > 1, func() (Side, error) { return r.stagedOLTP(req, true, p) })
 		}
 	}
 	return sides

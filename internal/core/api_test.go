@@ -46,6 +46,15 @@ func cellWith(edit func(*Cell)) *Cell {
 	return &c
 }
 
+// ones is a sweep of n ones.
+func ones(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}
+
 func TestRequestValidation(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -71,6 +80,9 @@ func TestRequestValidation(t *testing.T) {
 		{"cohort too wide", Request{Mode: ModeStagedOLTP, Cohort: maxCohort + 1}, "cohort"},
 		{"remote over 100", Request{Mode: ModeStagedOLTP, RemotePct: 101}, "remote"},
 		{"remote negative", Request{Mode: ModeStagedOLTP, RemotePct: -5}, "remote"},
+		{"worker sweep too long", Request{Mode: ModeParallelDSS, WorkerCounts: ones(maxSweep + 1)}, "worker_counts"},
+		{"part sweep too long", Request{Mode: ModeStagedOLTP, PartCounts: ones(maxSweep + 1)}, "part_counts"},
+		{"native sweep too long", Request{Mode: ModeVecDSS, NativeWorkers: ones(maxSweep + 1)}, "native_workers"},
 		{"negative L2", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.L2Size = -1 << 20 })}, "cell"},
 		{"L2 below one set", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.L2Size = 256 })}, "cell"},
 		{"negative cores", Request{Mode: ModeVecDSS, Cell: cellWith(func(c *Cell) { c.Cores = -2 })}, "cell"},
@@ -99,10 +111,7 @@ func TestRequestValidation(t *testing.T) {
 	if err := atLimit.WithDefaults().Validate(); err != nil {
 		t.Errorf("request at the limits rejected: %v", err)
 	}
-	sweep := defaultPartitionSweep()
-	widest := Request{Mode: ModeStagedOLTP, Clients: sweep.opts.Clients, Txns: sweep.opts.PerClient,
-		Cohort: sweep.opts.Cohort, PartCounts: sweep.parts}
-	if err := widest.WithDefaults().Validate(); err != nil {
+	if err := defaultPartitionSweep().req.WithDefaults().Validate(); err != nil {
 		t.Errorf("defaultPartitionSweep rejected: %v", err)
 	}
 	// Zero cell fields are defaults, and the smallest buildable L2 builds.
@@ -117,31 +126,42 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestStagedOptsValidate checks the option-block validation the request
-// path shares with direct RunStagedOLTP callers.
+// TestStagedOptsValidate checks the staged-oltp checks of Request.Validate:
+// WithDefaults leaves a negative count for Validate to name, the partition
+// count and every PartCounts entry are checked, and each refusal carries
+// the field and reason a server's 400 body carries.
 func TestStagedOptsValidate(t *testing.T) {
-	if err := (StagedOLTPOpts{}).WithDefaults().Validate(); err != nil {
+	if err := (Request{Mode: ModeStagedOLTP}).WithDefaults().Validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
 	}
-	// WithDefaults must leave negatives alone for Validate to see.
-	o := StagedOLTPOpts{Parts: -3}.WithDefaults()
-	if o.Parts != -3 {
-		t.Fatalf("WithDefaults rewrote Parts=-3 to %d", o.Parts)
+	if q := (Request{Mode: ModeStagedOLTP, Parts: -3}).WithDefaults(); q.Parts != -3 {
+		t.Fatalf("WithDefaults rewrote Parts=-3 to %d", q.Parts)
 	}
-	var ve *ValidationError
-	if err := o.Validate(); !errors.As(err, &ve) || ve.Field != "parts" {
-		t.Fatalf("Parts=-3: got %v", err)
+	for _, tc := range []struct {
+		req           Request
+		field, reason string
+	}{
+		{Request{Clients: 1000}, "clients", "1000 clients (need 1..128)"},
+		{Request{Txns: maxTxns + 1}, "txns", "1025 transactions per client (need 1..1024)"},
+		{Request{Cohort: -1}, "cohort", "-1 transactions in the cohort window (need 1..1024)"},
+		{Request{Parts: -3}, "parts", "-3 partitions (need 1..64)"},
+		{Request{PartCounts: []int{2, 0}}, "parts", "0 partitions (need 1..64)"},
+		{Request{RemotePct: 200}, "remote", "remote% 200 outside [0,100]"},
+	} {
+		tc.req.Mode = ModeStagedOLTP
+		err := tc.req.WithDefaults().Validate()
+		var ve *ValidationError
+		if !errors.As(err, &ve) || ve.Field != tc.field || ve.Reason != tc.reason {
+			t.Errorf("%+v: got %v, want field %q reason %q", tc.req, err, tc.field, tc.reason)
+		}
 	}
-	if err := (StagedOLTPOpts{RemotePct: 200}).WithDefaults().Validate(); !errors.As(err, &ve) || ve.Field != "remote" {
-		t.Fatal("RemotePct=200 accepted")
-	}
-	if _, err := sharedRunner.RunStagedOLTP(DefaultModeCell(ModeStagedOLTP, sim.FatCamp), true, StagedOLTPOpts{Cohort: -1}); err == nil {
-		t.Fatal("RunStagedOLTP accepted Cohort=-1")
+	if _, err := sharedRunner.Run(context.Background(), Request{Mode: ModeStagedOLTP, Cohort: -1}); err == nil {
+		t.Fatal("Run accepted Cohort=-1")
 	}
 }
 
 // TestRunVecGolden checks that the unified entry point reproduces the
-// legacy vec-dss execution byte-for-byte: same result rows, same typed
+// vec-dss execution byte-for-byte: same result rows, same typed
 // row digests — and, the serial simulation being deterministic, same
 // cycles — as direct RunVecDSS calls on the same cell.
 func TestRunVecGolden(t *testing.T) {
@@ -180,9 +200,9 @@ func TestRunVecGolden(t *testing.T) {
 }
 
 // TestRunStagedGolden checks that the unified entry point reproduces
-// the legacy staged-oltp execution byte-for-byte: the monolithic and
-// cohort digests match a direct RunStagedOLTP pair on the same cell and
-// inputs, and the committed-transaction counts agree.
+// the staged-oltp sides byte-for-byte: the monolithic and cohort digests
+// match the sides run directly on the same request, and the
+// committed-transaction counts agree.
 func TestRunStagedGolden(t *testing.T) {
 	cell := DefaultModeCell(ModeStagedOLTP, sim.FatCamp)
 	cell.StreamBuf = false
@@ -191,20 +211,19 @@ func TestRunStagedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := StagedOLTPOpts{Clients: 6, PerClient: 4}
-	mono, err := sharedRunner.RunStagedOLTP(cell, false, opts)
+	mono, err := sharedRunner.stagedOLTP(req.WithDefaults(), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coh, err := sharedRunner.RunStagedOLTP(cell, true, opts)
+	coh, err := sharedRunner.stagedOLTP(req.WithDefaults(), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Baseline.Digest != mono.Digest {
-		t.Errorf("baseline digest %#x vs legacy monolithic %#x", res.Baseline.Digest, mono.Digest)
+		t.Errorf("baseline digest %#x vs direct monolithic %#x", res.Baseline.Digest, mono.Digest)
 	}
 	if res.Main.Digest != coh.Digest {
-		t.Errorf("main digest %#x vs legacy cohort %#x", res.Main.Digest, coh.Digest)
+		t.Errorf("main digest %#x vs direct cohort %#x", res.Main.Digest, coh.Digest)
 	}
 	if res.Main.Digest != res.Baseline.Digest {
 		t.Error("Run returned without enforcing digest identity")
@@ -215,37 +234,37 @@ func TestRunStagedGolden(t *testing.T) {
 	}
 	// The simulated measurement itself is deterministic for the staged
 	// pair (one traced worker, deterministic inputs): the unified path
-	// must report the same cycles and misses the legacy path measured.
+	// must report the same cycles and misses the sides measure alone.
 	if res.Baseline.Cycles != mono.Cycles {
-		t.Errorf("baseline cycles %d vs legacy %d", res.Baseline.Cycles, mono.Cycles)
+		t.Errorf("baseline cycles %d vs direct %d", res.Baseline.Cycles, mono.Cycles)
 	}
 	if res.Main.Cycles != coh.Cycles {
-		t.Errorf("main cycles %d vs legacy %d", res.Main.Cycles, coh.Cycles)
+		t.Errorf("main cycles %d vs direct %d", res.Main.Cycles, coh.Cycles)
 	}
 	if res.Main.Sched != coh.Sched {
-		t.Errorf("scheduler stats %+v vs legacy %+v", res.Main.Sched, coh.Sched)
+		t.Errorf("scheduler stats %+v vs direct %+v", res.Main.Sched, coh.Sched)
 	}
 }
 
 // TestRunSharedGolden checks that the unified entry point reproduces
-// the legacy shared-dss execution: the unshared baseline's combined
-// per-client digest matches a direct RunSharedDSSTraced call (unshared runs
+// the shared-dss sides: the unshared baseline's combined per-client
+// digest matches the side run directly on the same request (unshared runs
 // are deterministic: fixed phases, fixed seeds), and both sides of the
 // pair return the same row counts. The shared side's digest is not
 // compared across modes — consumers attach to the circular scan
 // mid-rotation, so float aggregates accumulate in a different order.
 func TestRunSharedGolden(t *testing.T) {
-	cell := DefaultModeCell(ModeSharedDSS, sim.FatCamp)
-	res, err := sharedRunner.Run(context.Background(), Request{Mode: ModeSharedDSS, Query: 6, Clients: 3, Cell: &cell})
+	req := Request{Mode: ModeSharedDSS, Query: 6, Clients: 3}
+	res, err := sharedRunner.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	un, err := sharedRunner.RunSharedDSSTraced(cell, 6, 3, false, 7, false)
+	un, err := sharedRunner.sharedDSS(req.WithDefaults(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Baseline.Digest != un.Digest || res.Baseline.Rows != un.Rows {
-		t.Errorf("baseline digest %#x (%d rows) vs legacy unshared %#x (%d rows)",
+		t.Errorf("baseline digest %#x (%d rows) vs direct unshared %#x (%d rows)",
 			res.Baseline.Digest, res.Baseline.Rows, un.Digest, un.Rows)
 	}
 	if res.Baseline.Rows != res.Main.Rows {

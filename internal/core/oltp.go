@@ -7,8 +7,8 @@
 // L1I misses and instruction stalls while producing byte-identical
 // database state.
 //
-// With Parts > 1 the cohort side runs multi-worker: transactions are
-// partitioned by home warehouse across Parts cohort schedulers, one per
+// At parts > 1 the cohort side runs multi-worker: transactions are
+// partitioned by home warehouse across parts cohort schedulers, one per
 // simulated core (own Ctx, own trace stream), with commits drained in
 // global admission order and cross-partition transactions fenced through
 // txn.SeqClock — so the digest stays byte-identical to the monolithic
@@ -24,75 +24,9 @@ import (
 	"repro/internal/oltp"
 )
 
-// StagedOLTPOpts shapes one paired staged-OLTP measurement.
-type StagedOLTPOpts struct {
-	Clients   int   // logical client streams (default 8)
-	PerClient int   // transactions per client (default 8)
-	Cohort    int   // in-flight transactions on the cohort side (default 16)
-	Seed      int64 // input stream seed (default 7)
-	// Parts partitions the cohort side by home warehouse across this many
-	// scheduler workers, one per simulated core (default 1). The in-flight
-	// window is split evenly across partitions.
-	Parts int
-	// RemotePct is the percent chance that a NewOrder line or Payment
-	// customer is drawn from a non-home warehouse (default 0): remote
-	// transactions cross partitions and exercise the global fence.
-	RemotePct int
-	// Trace collects dual-clock spans (run → txn → quantum/step) into
-	// the side's Trace. Span markers shift trace-chunk boundaries, so traced
-	// cycles are not comparable to untraced cycles.
-	Trace bool
-}
-
-// WithDefaults resolves every zero-valued field to its default — THE one
-// place sane cohort/txns/parts values come from; callers must not
-// re-derive them. Negative values are left for Validate to reject.
-func (o StagedOLTPOpts) WithDefaults() StagedOLTPOpts {
-	if o.Clients == 0 {
-		o.Clients = 8
-	}
-	if o.PerClient == 0 {
-		o.PerClient = 8
-	}
-	if o.Cohort == 0 {
-		o.Cohort = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	if o.Parts == 0 {
-		o.Parts = 1
-	}
-	return o
-}
-
-// Validate rejects unrunnable options with a *ValidationError instead of
-// letting a bad partition or remote draw panic deep in partitioning, or a
-// huge count from the wire exhaust memory (see the max* constants). It
-// assumes WithDefaults has resolved zero values; RunStagedOLTP applies
-// both.
-func (o StagedOLTPOpts) Validate() error {
-	if err := checkCount("clients", "client streams", o.Clients, maxClients); err != nil {
-		return err
-	}
-	if err := checkCount("txns", "transactions per client", o.PerClient, maxTxns); err != nil {
-		return err
-	}
-	if err := checkCount("cohort", "transactions in the cohort window", o.Cohort, maxCohort); err != nil {
-		return err
-	}
-	if err := checkCount("parts", "partitions", o.Parts, maxParts); err != nil {
-		return err
-	}
-	if o.RemotePct < 0 || o.RemotePct > 100 {
-		return &ValidationError{Field: "remote", Reason: fmt.Sprintf("remote%% %d outside [0,100]", o.RemotePct)}
-	}
-	return nil
-}
-
-// RunStagedOLTP executes the deterministic transaction stream described
-// by o on a fresh chip built from cell — cohort-scheduled when cohorted
-// is set, monolithically otherwise — and returns the side labeled
+// stagedOLTP executes the deterministic transaction batch of req on a
+// fresh chip — cohort-scheduled across parts partitions when cohorted is
+// set, monolithically otherwise — and returns the side labeled
 // stagedLabel: the slowest worker thread's completion cycle, transactions
 // committed, scheduler counters (summed over partitions, and per partition
 // when there are several), the cross-partition transactions run in
@@ -105,25 +39,21 @@ func (o StagedOLTPOpts) Validate() error {
 // the image itself is never written. The monolithic reference and a
 // single-partition cohort run use one traced worker, which runs as a
 // coroutine of the simulator: such a side occupies one host thread from
-// fork to digest. A partitioned cohort run (o.Parts > 1) uses one worker
-// thread per partition. With o.Trace set the side carries the span run,
-// whose root span covers [0, Cycles], so span totals reconcile exactly.
-func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side, error) {
-	o = o.WithDefaults()
-	if err := o.Validate(); err != nil {
-		return Side{}, err
+// fork to digest. A partitioned cohort run uses one worker thread per
+// partition, its in-flight window split evenly across them. A traced side
+// carries the span run (run → txn → quantum/step), whose root span covers
+// [0, Cycles], so span totals reconcile exactly.
+func (r *Runner) stagedOLTP(req Request, cohorted bool, parts int) (Side, error) {
+	if !cohorted {
+		parts = 1
 	}
 	w, err := r.forkTPCC()
 	if err != nil {
 		return Side{}, err
 	}
-	ins := w.StagedInputsMix(o.Clients, o.PerClient, o.Seed, o.RemotePct)
+	ins := w.StagedInputsMix(req.Clients, req.Txns, req.Seed, req.RemotePct)
 	progs := w.StagedPrograms(ins, cohorted)
 
-	parts := 1
-	if cohorted {
-		parts = o.Parts
-	}
 	// One traced worker feeds the simulator as its coroutine (trace.Inline):
 	// the side then occupies a single host thread, and its duration does not
 	// depend on the host scheduling a producer thread beside the simulator.
@@ -138,18 +68,18 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side
 	var perPart []oltp.Stats
 	var fenced int
 	side, err := r.simulate(run{
-		label: stagedLabel(cohorted, parts), cell: cell, threads: th,
+		label: stagedLabel(cohorted, parts), cell: *req.Cell, threads: th,
 		// Warm is per thread: the budget is split across partition workers
 		// so every partition count warms the same total number of references
 		// and the scaling comparison stays apples-to-apples.
-		warm: 20000, warmSplit: parts, done: parts, work: ctxs, traced: o.Trace,
+		warmSplit: parts, done: parts, work: ctxs, traced: req.Trace,
 		produce: func(sc obs.Scope) (err error) {
 			switch {
 			case !cohorted:
 				sched, err = oltp.RunMonolithicTraced(ctxs[0], progs, sc)
 			case parts == 1:
 				s := oltp.NewScheduler(w.DB.Codes, oltp.Config{
-					Cohort: o.Cohort, Generation: w.Mgr.LM.Generation,
+					Cohort: req.Cohort, Generation: w.Mgr.LM.Generation,
 					Obs: sc, Metrics: r.Sched,
 				})
 				sched, err = s.Run(ctxs[0], progs)
@@ -157,7 +87,7 @@ func (r *Runner) RunStagedOLTP(cell Cell, cohorted bool, o StagedOLTPOpts) (Side
 				plan := w.PartitionPlan(ins, parts)
 				fenced = len(plan.Fences())
 				cfg := oltp.Config{
-					Cohort: oltp.SplitWindow(o.Cohort, parts), Generation: w.Mgr.LM.Generation,
+					Cohort: oltp.SplitWindow(req.Cohort, parts), Generation: w.Mgr.LM.Generation,
 					Obs: sc, Metrics: r.Sched,
 				}
 				perPart, err = oltp.RunPartitioned(ctxs, w.DB.Codes, progs, plan, cfg)

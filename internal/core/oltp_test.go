@@ -11,9 +11,7 @@ import (
 // the 4-warehouse mix at parts {1, 2, 4} on a 4-core FC chip.
 type partitionSweep struct {
 	scale Scale
-	cell  Cell
-	opts  StagedOLTPOpts
-	parts []int
+	req   Request
 }
 
 func defaultPartitionSweep() partitionSweep {
@@ -23,20 +21,20 @@ func defaultPartitionSweep() partitionSweep {
 	cell.WarmRefs = 10000
 	return partitionSweep{
 		scale: scale,
-		cell:  cell,
-		opts:  StagedOLTPOpts{Clients: 8, PerClient: 6, Cohort: 16, Seed: 7},
-		parts: []int{1, 2, 4},
+		req: Request{
+			Mode: ModeStagedOLTP, Clients: 8, Txns: 6, Cohort: 16, Seed: 7,
+			PartCounts: []int{1, 2, 4}, Cell: &cell,
+		},
 	}
 }
 
-// stagedRequest is the staged-oltp request for opts at partition counts
-// parts on cell.
-func stagedRequest(cell Cell, opts StagedOLTPOpts, parts ...int) Request {
-	return Request{
-		Mode: ModeStagedOLTP, Clients: opts.Clients, Txns: opts.PerClient,
-		Cohort: opts.Cohort, Seed: opts.Seed, RemotePct: opts.RemotePct,
-		Parts: opts.Parts, PartCounts: parts, Cell: &cell,
-	}
+// withoutStreamBuf returns req on a copy of its cell with the instruction
+// stream buffers off.
+func withoutStreamBuf(req Request) Request {
+	cell := *req.Cell
+	cell.StreamBuf = false
+	req.Cell = &cell
+	return req
 }
 
 // TestStagedOLTPPaired runs the paired monolithic-vs-cohort experiment at
@@ -48,14 +46,14 @@ func TestStagedOLTPPaired(t *testing.T) {
 	cell := DefaultCell(sim.FatCamp, OLTP, false)
 	cell.WarmRefs = 10000
 	cell.StreamBuf = false
-	opts := StagedOLTPOpts{Clients: 8, PerClient: 4, Cohort: 16, Seed: 7}
-	res, err := r.Run(context.Background(), stagedRequest(cell, opts))
+	req := Request{Mode: ModeStagedOLTP, Clients: 8, Txns: 4, Cohort: 16, Seed: 7, Cell: &cell}
+	res, err := r.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mono, coh := res.Baseline, res.Main
-	if mono.Txns != opts.Clients*opts.PerClient || coh.Txns != mono.Txns {
-		t.Fatalf("committed %d monolithic / %d cohort, want %d", mono.Txns, coh.Txns, opts.Clients*opts.PerClient)
+	if mono.Txns != req.Clients*req.Txns || coh.Txns != mono.Txns {
+		t.Fatalf("committed %d monolithic / %d cohort, want %d", mono.Txns, coh.Txns, req.Clients*req.Txns)
 	}
 	t.Logf("monolithic: %d cycles, %d L1I misses, %.1f%% istall, %.2f txn/Mcycle",
 		mono.Cycles, mono.Result.Cache.L1IMisses, mono.IStallFrac()*100, mono.PerMcycle(mono.Txns))
@@ -78,15 +76,13 @@ func TestStagedOLTPPaired(t *testing.T) {
 func TestStagedOLTPPartitionedScaling(t *testing.T) {
 	sweep := defaultPartitionSweep()
 	r := NewRunner(sweep.scale)
-	cell := sweep.cell
-	cell.StreamBuf = false
-	opts := sweep.opts
-	parts := sweep.parts
-	res, err := r.Run(context.Background(), stagedRequest(cell, opts, parts...))
+	req := withoutStreamBuf(sweep.req)
+	parts := req.PartCounts
+	res, err := r.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := opts.Clients * opts.PerClient
+	want := req.Clients * req.Txns
 	if res.Baseline.Txns != want {
 		t.Fatalf("monolithic committed %d, want %d", res.Baseline.Txns, want)
 	}
@@ -114,10 +110,9 @@ func TestStagedOLTPPartitionedScaling(t *testing.T) {
 func TestStagedOLTPRemoteMixTraced(t *testing.T) {
 	sweep := defaultPartitionSweep()
 	r := NewRunner(sweep.scale)
-	cell := sweep.cell
-	cell.StreamBuf = false
-	opts := StagedOLTPOpts{Clients: 8, PerClient: 3, Cohort: 16, Seed: 7, RemotePct: 50}
-	res, err := r.Run(context.Background(), stagedRequest(cell, opts, 2))
+	req := withoutStreamBuf(sweep.req)
+	req.Txns, req.RemotePct, req.PartCounts = 3, 50, []int{2}
+	res, err := r.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

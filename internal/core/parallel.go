@@ -10,32 +10,31 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
 // ParallelJoinQuery selects the Q13 join core (the shared partition-wise
-// build and every worker's probe of it) in RunParallelDSS, alongside the
-// real analogs 1 and 6.
+// build and every worker's probe of it) in a parallel-dss request,
+// alongside the real analogs 1 and 6.
 const ParallelJoinQuery = 13
 
-// RunParallelDSS executes one query with the morsel-driven executor on a
-// fresh chip described by cell (camp, cores, L2 geometry, warming):
-// workers worker goroutines, each with its own trace stream on its own
-// hardware context. q is a planned query; ParallelJoinQuery runs its join
-// alone. cell.Cores is grown to workers when smaller, so every worker has
-// a core of its own (FC has one context per core; LC cores carry several
-// contexts each); callers comparing worker counts must pass the same cell
-// geometry for each — a parallel-dss request's sweep does — or the cycle
-// ratio mixes in hardware scaling. An optional join mode pins the
-// hash-join strategy of joining plans (Q13); omitted, the auto policy
-// decides from the build's size estimate, as for a serial join. The side, labeled "parallel-N", reports
-// the slowest worker's completion cycle (the query's parallel response
-// time), result rows (join output rows for the join) and a digest of the
-// row count only: multi-worker float aggregates agree with serial runs up
-// to addition order, and the addition order follows morsel claiming, so
-// value bits differ between worker counts.
+// parallelLabel names a parallel-dss sweep point.
+func parallelLabel(workers int) string { return fmt.Sprintf("parallel-%d", workers) }
+
+// parallelDSS runs the query of req with the morsel-driven executor on a
+// fresh chip: workers worker goroutines, each with its own trace stream on
+// its own hardware context. ParallelJoinQuery runs its join alone. The
+// cell's cores grow to the largest worker count of req's sweep, so every
+// worker has a core of its own (FC has one context per core; LC cores carry
+// several contexts each) and every point of the sweep runs on one geometry:
+// the cycle ratio measures executor scaling, not hardware scaling. The
+// side, labeled parallelLabel, reports the slowest worker's completion
+// cycle (the query's parallel response time), result rows (join output
+// rows for the join) and a digest of the row count only: multi-worker float
+// aggregates agree with serial runs up to addition order, and the addition
+// order follows morsel claiming, so value bits differ between worker
+// counts.
 //
 // The measurement repeats exactly, on any host and beside any load: the
 // workers run ahead of the simulator as far as their pipes let them, but
@@ -44,49 +43,35 @@ const ParallelJoinQuery = 13
 // fall inside the warm-up prefix are made in sim.Chip.Warm's order, thread
 // 0's whole prefix first, so at a scale where a scan is shorter than the
 // prefix the first worker takes most of it.
-func (r *Runner) RunParallelDSS(cell Cell, q, workers int, seed int64, mode ...engine.JoinMode) (Side, error) {
-	return r.parallelDSS(cell, q, workers, seed, false, mode...)
-}
-
-// parallelLabel names a parallel-dss sweep point.
-func parallelLabel(workers int) string { return fmt.Sprintf("parallel-%d", workers) }
-
-// parallelDSS is RunParallelDSS, with a root-span trace when traced.
-func (r *Runner) parallelDSS(cell Cell, q, workers int, seed int64, traced bool, mode ...engine.JoinMode) (Side, error) {
-	if workers <= 0 {
-		return Side{}, fmt.Errorf("core: parallel DSS with %d workers", workers)
-	}
+func (r *Runner) parallelDSS(req Request, workers int) (Side, error) {
 	h, err := r.TPCH()
 	if err != nil {
 		return Side{}, err
 	}
+	cell := *req.Cell
 	cell.Cores = max(cell.Cores, workers)
-	th := newThreads(workers, false)
-	ctxs := make([]*engine.Ctx, workers)
-	for w, rec := range th.recs {
-		ctxs[w] = r.workCtx(h.DB, rec, 64+w, dssWorkBytes)
-		ctxs[w].Join = r.Join
-		if len(mode) > 0 {
-			ctxs[w].JoinMode = mode[0]
-		}
+	for _, n := range req.WorkerCounts {
+		cell.Cores = max(cell.Cores, n)
 	}
-	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
+	th := newThreads(workers, false)
+	ctxs := r.dssCtxs(req, h.DB, th, 64)
+	p := workload.RandomParams(rand.New(rand.NewSource(req.Seed)))
 	var rows int
 	side, err := r.simulate(run{
-		label: parallelLabel(workers), cell: cell, threads: th, warm: 50000, done: workers,
-		work: ctxs, traced: traced,
+		label: parallelLabel(workers), cell: cell, threads: th, done: workers,
+		work: ctxs, traced: req.Trace,
 		produce: func(obs.Scope) (err error) {
-			if q == ParallelJoinQuery {
-				rows, err = h.RunJoinParallel(ctxs, q, p)
+			if req.Query == ParallelJoinQuery {
+				rows, err = h.RunJoinParallel(ctxs, req.Query, p)
 				return err
 			}
-			res, err := h.RunQueryParallelNative(ctxs, q, p, workload.NativeOpts{})
+			res, err := h.RunQueryParallelNative(ctxs, req.Query, p, workload.NativeOpts{})
 			rows = len(res)
 			return err
 		},
 	})
 	if err != nil {
-		return Side{}, fmt.Errorf("core: parallel q%d x%d: %w", q, workers, err)
+		return Side{}, fmt.Errorf("core: parallel q%d x%d: %w", req.Query, workers, err)
 	}
 	side.Rows, side.Digest, side.Workers = rows, countDigest(rows), workers
 	return side, nil

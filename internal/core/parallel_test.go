@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -19,8 +20,14 @@ func parCell() Cell {
 	return c
 }
 
+// parRequest is the resolved parallel-dss request for query q on parCell.
+func parRequest(q int) Request {
+	cell := parCell()
+	return Request{Mode: ModeParallelDSS, Query: q, Cell: &cell}.WithDefaults()
+}
+
 func TestRunParallelDSSCompletes(t *testing.T) {
-	res, err := sharedRunner.RunParallelDSS(parCell(), 6, 2, 7)
+	res, err := sharedRunner.parallelDSS(parRequest(6), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +62,11 @@ func TestParallelSpeedupScalesWithWorkers(t *testing.T) {
 }
 
 func TestParallelJoinMode(t *testing.T) {
-	one, err := sharedRunner.RunParallelDSS(parCell(), ParallelJoinQuery, 1, 7)
+	one, err := sharedRunner.parallelDSS(parRequest(ParallelJoinQuery), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := sharedRunner.RunParallelDSS(parCell(), ParallelJoinQuery, 4, 7)
+	four, err := sharedRunner.parallelDSS(parRequest(ParallelJoinQuery), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +79,18 @@ func TestParallelJoinMode(t *testing.T) {
 }
 
 func TestRunParallelDSSRejectsBadArgs(t *testing.T) {
-	if _, err := sharedRunner.RunParallelDSS(parCell(), 6, 0, 7); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-	if _, err := sharedRunner.RunParallelDSS(parCell(), 16, 2, 7); err == nil {
-		t.Fatal("query without a parallel variant accepted")
+	cell := parCell()
+	for _, tc := range []struct {
+		req   Request
+		field string
+	}{
+		{Request{Mode: ModeParallelDSS, Query: 6, WorkerCounts: []int{0}, Cell: &cell}, "workers"},
+		{Request{Mode: ModeParallelDSS, Query: 16, Workers: 2, Cell: &cell}, "query"},
+	} {
+		var ve *ValidationError
+		if _, err := sharedRunner.Run(context.Background(), tc.req); !errors.As(err, &ve) || ve.Field != tc.field {
+			t.Errorf("%+v: got %v, want a *ValidationError naming %q", tc.req, err, tc.field)
+		}
 	}
 }
 

@@ -205,6 +205,18 @@ func (r *Runner) workCtx(db *engine.DB, rec *trace.Recorder, worker, workBytes i
 	return db.NewCtxOn(rec, r.arenas.take(engine.WorkSlotBase(worker, workBytes), workBytes))
 }
 
+// dssCtxs returns the engine contexts of a DSS side of req over db, one
+// per thread of th: thread i's in worker slot slot+i (see workCtx), each
+// with the Runner's join metrics and req's join mode.
+func (r *Runner) dssCtxs(req Request, db *engine.DB, th threads, slot int) []*engine.Ctx {
+	ctxs := make([]*engine.Ctx, len(th.recs))
+	for i, rec := range th.recs {
+		ctxs[i] = r.workCtx(db, rec, slot+i, dssWorkBytes)
+		ctxs[i].Join, ctxs[i].JoinMode = r.Join, req.joinMode()
+	}
+	return ctxs
+}
+
 // releaseWork returns the contexts' workspaces to the free lists. They
 // are parked dirty and cleared when next taken, so a Runner that never
 // runs again zeroes nothing.

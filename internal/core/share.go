@@ -34,41 +34,33 @@ func sharedLabel(shared bool) string {
 	return "unshared"
 }
 
-// RunSharedDSSTraced runs clients concurrent DSS clients to completion on
-// a fresh chip described by cell, each firing one query — a planned query
-// q, or 0 for their mix — with private predicate parameters. With shared
-// set, scans ride circular shared scans (producer workers on their own
-// chip threads) and aggregates the result-reuse cache; unshared, every
-// client runs the private serial plan at the staggered phases multi-client
-// DSS clients use today. The chip geometry is identical in both modes, so
-// the cycle ratio isolates the work-sharing effect. The side, labeled
-// "shared" or "unshared", reports the slowest client's completion cycle
-// (all K queries are done by then), result rows summed over clients, the
-// scan and result-cache counters, and a digest combining each client's
-// RowsDigest in client order. That digest is reproducible for unshared
-// runs (fixed phases, fixed seeds) but NOT comparable across the
-// shared/unshared pair: a consumer attaches to the circular scan wherever
-// the producer happens to be, so float aggregates accumulate in a rotated
-// order and differ in low bits. With traced set it collects dual-clock
-// spans: a root run span, one query span per client (on the client's
+// sharedDSS runs the request's clients to completion on a fresh chip, each
+// firing one query — the request's planned query, or for query 0 their
+// mix — with private predicate parameters. With shared set, scans ride
+// circular shared scans (producer workers on their own chip threads) and
+// aggregates the result-reuse cache; unshared, every client runs the
+// private serial plan at the staggered phases multi-client DSS clients use
+// today. The chip geometry is identical in both modes, so the cycle ratio
+// isolates the work-sharing effect. The side, labeled sharedLabel, reports
+// the slowest client's completion cycle (all the queries are done by then),
+// result rows summed over clients, the scan and result-cache counters, and
+// a digest combining each client's RowsDigest in client order. That digest
+// is reproducible for unshared runs (fixed phases, fixed seeds) but NOT
+// comparable across the shared/unshared pair: a consumer attaches to the
+// circular scan wherever the producer happens to be, so float aggregates
+// accumulate in a rotated order and differ in low bits. A traced side
+// carries a root run span, one query span per client (on the client's
 // simulated thread), and — on the shared side — a "rotation" span nested
 // inside each query covering the client's attach-to-detach window on the
-// circular scan (one full rotation). An optional join mode pins the
-// hash-join strategy of joining plans (Q13); omitted, the auto policy
-// decides.
-func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed int64, traced bool, mode ...engine.JoinMode) (Side, error) {
-	if clients <= 0 {
-		return Side{}, fmt.Errorf("core: shared DSS with %d clients", clients)
-	}
-	if q != 0 && !workload.HasPlan(q) {
-		return Side{}, fmt.Errorf("core: shared DSS query %d (have %s, or 0 for the mix)", q, plannedList(""))
-	}
+// circular scan (one full rotation).
+func (r *Runner) sharedDSS(req Request, shared bool) (Side, error) {
 	h, err := r.TPCH()
 	if err != nil {
 		return Side{}, err
 	}
-	queries := []int{q}
-	if q == 0 {
+	clients := req.Clients
+	queries := []int{req.Query}
+	if req.Query == 0 {
 		queries = workload.Planned()
 	}
 	queryOf := func(i int) int { return queries[i%len(queries)] }
@@ -81,14 +73,7 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 	// producer workers after, so ThreadDone[0:clients] are the query
 	// completion times.
 	th := newThreads(clients+len(tables)*sharedProducerWorkers, false)
-	work := make([]*engine.Ctx, len(th.recs))
-	for i, rec := range th.recs {
-		work[i] = r.workCtx(h.DB, rec, 64+i, dssWorkBytes)
-		work[i].Join = r.Join
-		if len(mode) > 0 {
-			work[i].JoinMode = mode[0]
-		}
-	}
+	work := r.dssCtxs(req, h.DB, th, 64)
 	var env *workload.ShareEnv
 	if shared {
 		prodCtxs := make(map[string][]*engine.Ctx)
@@ -110,15 +95,15 @@ func (r *Runner) RunSharedDSSTraced(cell Cell, q, clients int, shared bool, seed
 	rows := make([]int, clients)
 	digests := make([]uint64, clients)
 	side, err := r.simulate(run{
-		label: sharedLabel(shared), cell: cell, threads: th, warm: 50000, done: clients,
-		work: work, traced: traced,
+		label: sharedLabel(shared), cell: *req.Cell, threads: th, done: clients,
+		work: work, traced: req.Trace,
 		produce: func(sc obs.Scope) error {
 			err := par.Do(clients, func(i int) error {
 				rec := th.recs[i]
 				defer rec.Close()
 				sc := sc.OnThread(i)
 				qsp := sc.Begin(rec, fmt.Sprintf("client-%d-q%d", i, queryOf(i)), "query")
-				p := workload.RandomParams(rand.New(rand.NewSource(seed + int64(i))))
+				p := workload.RandomParams(rand.New(rand.NewSource(req.Seed + int64(i))))
 				var res [][]engine.Value
 				var err error
 				if shared {

@@ -16,12 +16,13 @@ func TestSharedDSSModes(t *testing.T) {
 	cell := DefaultCell(sim.FatCamp, DSS, true)
 	cell.WarmRefs = 20000
 	const clients = 4
+	req := Request{Mode: ModeSharedDSS, Query: 6, Clients: clients, Cell: &cell}.WithDefaults()
 
-	un, err := r.RunSharedDSSTraced(cell, 6, clients, false, 7, false)
+	un, err := r.sharedDSS(req, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := r.RunSharedDSSTraced(cell, 6, clients, true, 7, false)
+	sh, err := r.sharedDSS(req, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestSharedDSSMix(t *testing.T) {
 	r := NewRunner(TestScale())
 	cell := DefaultCell(sim.FatCamp, DSS, true)
 	cell.WarmRefs = 20000
-	res, err := r.RunSharedDSSTraced(cell, 0, 3, true, 11, false)
+	res, err := r.sharedDSS(Request{Mode: ModeSharedDSS, Query: 0, Clients: 3, Seed: 11, Cell: &cell}.WithDefaults(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,10 @@ type run struct {
 	// runs it as its coroutine; otherwise it runs on a goroutine of its own,
 	// and every recorder is closed when it returns.
 	produce func(sc obs.Scope) error
-	// warm is the warming budget per thread when the cell sets none; with
-	// warmSplit > 1 it is divided among that many threads, so that the
-	// total is the same at every partition count.
-	warm, warmSplit int
+	// warmSplit > 1 divides the cell's per-thread warming budget among
+	// that many threads, so that the total is the same at every partition
+	// count.
+	warmSplit int
 	// window bounds the measurement; 0 runs every thread to completion.
 	window uint64
 	// done is how many threads, from thread 0, the run's completion cycle
@@ -122,11 +122,7 @@ func (r *Runner) simulate(s run) (Side, error) {
 			}()
 			return s.produce(sc)
 		}
-		warm := s.cell.WarmRefs
-		if warm <= 0 {
-			warm = s.warm
-		}
-		chip.Warm(warm / max(s.warmSplit, 1))
+		chip.Warm(s.cell.WarmRefs / max(s.warmSplit, 1))
 		window := s.window
 		if window == 0 {
 			window = 1 << 34

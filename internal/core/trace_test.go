@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -93,9 +94,9 @@ func TestStagedOLTPTraceReconciles(t *testing.T) {
 	}
 }
 
-// TestUntracedRequestCollectsNoSpans pins the opt-in contract: span
-// markers shift trace-chunk boundaries, so an untraced request must not
-// pay for (or report) any tracing.
+// TestUntracedRequestCollectsNoSpans pins the opt-in contract: collecting
+// spans costs host time, so an untraced request must not pay for (or
+// report) any tracing.
 func TestUntracedRequestCollectsNoSpans(t *testing.T) {
 	r := NewRunner(TestScale())
 	cell := DefaultCell(sim.FatCamp, OLTP, false)
@@ -108,5 +109,50 @@ func TestUntracedRequestCollectsNoSpans(t *testing.T) {
 	}
 	if len(res.Traces) != 0 {
 		t.Fatalf("untraced request returned %d trace runs", len(res.Traces))
+	}
+}
+
+// TestTracedCyclesEqualUntraced: span markers cost no cycle and no warm-up
+// budget, so a self-paced side simulates the same sim.Result traced and
+// untraced — both vec-dss sides of Q1 and Q13, parallel-dss Q1 at 1 and 4
+// workers, both staged-oltp sides at one partition and the unshared side of
+// shared-dss Q6. Cohort sides at parts > 1 are host-paced and the shared
+// side does not repeat at all (see Run), so neither is compared.
+func TestTracedCyclesEqualUntraced(t *testing.T) {
+	sides := func(res Result) []Side {
+		if len(res.Sweep) == 0 {
+			return []Side{res.Baseline, res.Main}
+		}
+		return append([]Side{res.Baseline}, res.Sweep...)
+	}
+	for _, req := range []Request{
+		{Mode: ModeVecDSS, Query: 1},
+		{Mode: ModeVecDSS, Query: 13},
+		{Mode: ModeParallelDSS, Query: 1, Workers: 4},
+		{Mode: ModeStagedOLTP, Clients: 4, Txns: 4},
+		{Mode: ModeSharedDSS, Query: 6, Clients: 3},
+	} {
+		plain, err := sharedRunner.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Trace = true
+		traced, err := sharedRunner.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traced.Traces) == 0 {
+			t.Errorf("%s q%d: traced request collected no spans", req.Mode, req.Query)
+		}
+		for i, p := range sides(plain) {
+			tr := sides(traced)[i]
+			if p.Label == "shared" {
+				continue
+			}
+			if p.Cycles != tr.Cycles || !reflect.DeepEqual(p.Result, tr.Result) {
+				t.Errorf("%s q%d %s: untraced %d cycles, traced %d\n%+v\n%+v",
+					req.Mode, req.Query, p.Label, p.Cycles, tr.Cycles, p.Result, tr.Result)
+			}
+		}
 	}
 }

@@ -17,15 +17,20 @@ import (
 	"repro/internal/workload"
 )
 
-// RunVecDSS executes one serial planned query to completion on a
-// fresh chip described by cell, on the vectorized executor or the
-// row-at-a-time reference path, and returns the side labeled "vectorized"
-// or "row": the query's completion cycle, result rows and their RowsDigest
-// (both executors must produce byte-identical rows). An optional join mode
-// pins the hash-join strategy of joining plans (Q13); omitted, the auto
-// policy decides.
+// RunVecDSS runs one side of the vec-dss request for query q at seed on
+// cell, with the hash-join strategy pinned to mode when one is given: the
+// entry point for callers that time one side alone. Everything else goes
+// through Run.
 func (r *Runner) RunVecDSS(cell Cell, q int, vectorized bool, seed int64, mode ...engine.JoinMode) (Side, error) {
-	return r.vecDSS(cell, q, vectorized, seed, false, mode...)
+	req := Request{Mode: ModeVecDSS, Query: q, Seed: seed, Cell: &cell}
+	if len(mode) > 0 {
+		req.JoinMode = mode[0].String()
+	}
+	req = req.WithDefaults()
+	if err := req.Validate(); err != nil {
+		return Side{}, err
+	}
+	return r.vecDSS(req, vectorized)
 }
 
 // vecLabel names a vec-dss side.
@@ -36,22 +41,18 @@ func vecLabel(vectorized bool) string {
 	return "row"
 }
 
-// vecDSS is RunVecDSS, with a root-span trace when traced.
-func (r *Runner) vecDSS(cell Cell, q int, vectorized bool, seed int64, traced bool, mode ...engine.JoinMode) (Side, error) {
-	if !workload.HasPlan(q) {
-		return Side{}, fmt.Errorf("core: vectorized DSS query %d (have %s)", q, plannedList(""))
-	}
+// vecDSS runs the serial query of req to completion on a fresh chip, on
+// the vectorized executor or the row-at-a-time reference path, and returns
+// the side labeled vecLabel: the query's completion cycle, result rows and
+// their RowsDigest (both executors must produce byte-identical rows).
+func (r *Runner) vecDSS(req Request, vectorized bool) (Side, error) {
 	h, err := r.TPCH()
 	if err != nil {
 		return Side{}, err
 	}
 	th := newThreads(1, false)
-	ctx := r.workCtx(h.DB, th.recs[0], 72, dssWorkBytes)
-	ctx.Join = r.Join
-	if len(mode) > 0 {
-		ctx.JoinMode = mode[0]
-	}
-	p := workload.RandomParams(rand.New(rand.NewSource(seed)))
+	ctx := r.dssCtxs(req, h.DB, th, 72)[0]
+	p := workload.RandomParams(rand.New(rand.NewSource(req.Seed)))
 	query := h.RunQueryRow
 	if vectorized {
 		query = h.RunQuery
@@ -59,16 +60,16 @@ func (r *Runner) vecDSS(cell Cell, q int, vectorized bool, seed int64, traced bo
 	var rows int
 	var digest uint64
 	side, err := r.simulate(run{
-		label: vecLabel(vectorized), cell: cell, threads: th, warm: 5000, done: 1,
-		work: []*engine.Ctx{ctx}, traced: traced,
+		label: vecLabel(vectorized), cell: *req.Cell, threads: th, done: 1,
+		work: []*engine.Ctx{ctx}, traced: req.Trace,
 		produce: func(obs.Scope) error {
-			v, err := query(ctx, q, p)
+			v, err := query(ctx, req.Query, p)
 			rows, digest = len(v), RowsDigest(v)
 			return err
 		},
 	})
 	if err != nil {
-		return Side{}, fmt.Errorf("core: vec DSS q%d: %w", q, err)
+		return Side{}, fmt.Errorf("core: vec DSS q%d: %w", req.Query, err)
 	}
 	side.Rows, side.Digest = rows, digest
 	return side, nil

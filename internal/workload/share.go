@@ -113,7 +113,7 @@ func (r ConcurrentDSSResult) Throughput() float64 {
 // parameters. With env non-nil, scans ride the shared registry and
 // aggregates the result cache; with env nil every client runs the
 // private serial plans — the unshared baseline. It runs natively (no
-// simulation); simulated comparisons live in core.RunSharedDSSTraced.
+// simulation); simulated comparisons are core's shared-dss mode.
 func (h *TPCH) RunConcurrentDSS(clients, rounds int, env *ShareEnv, seed int64) (ConcurrentDSSResult, error) {
 	if clients <= 0 || rounds <= 0 {
 		return ConcurrentDSSResult{}, fmt.Errorf("workload: concurrent DSS with %d clients x %d rounds", clients, rounds)
