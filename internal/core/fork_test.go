@@ -30,8 +30,8 @@ type stagedGolden struct {
 	result sim.Result
 }
 
-// stagedGoldens were recorded at commit fab1165, where every staged-OLTP side
-// called workload.BuildTPCC for every side. A change to how a side gets
+// stagedGoldens were recorded at commit fab1165, where every staged-OLTP
+// side called workload.BuildTPCC for its database. A change to how a side gets
 // its database must reproduce them to the last counter; a change to the
 // model, the scheduler or the transactions must say so and re-record.
 var stagedGoldens = []stagedGolden{

@@ -210,11 +210,25 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, body)
 }
 
+// maxBodyBytes caps a request body. A request is a few hundred bytes, and
+// the longest one Validate admits a few kilobytes; a body past the cap is
+// refused before it is read to the end.
+const maxBodyBytes = 64 << 10
+
+// decodeBody reads r's JSON body into v, refusing a body past maxBodyBytes
+// or one that is not the JSON of v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
 // handleQuery serves POST /v1/query: one DSS measurement.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	creq, err := req.ToCore()
@@ -228,8 +242,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleTxn serves POST /v1/txn: one staged-OLTP transaction batch.
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	var req api.TxnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	creq, err := req.ToCore()

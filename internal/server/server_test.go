@@ -298,6 +298,40 @@ func TestValidationOverWire(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestsRefused: a sweep past the length bound and a body
+// past the size cap each get a 400 with a JSON error body and admit
+// nothing, and the server goes on to serve the next request.
+func TestOversizedRequestsRefused(t *testing.T) {
+	s, hs := newTestServer(t)
+	counts := make([]int, 10000)
+	for i := range counts {
+		counts[i] = 1
+	}
+	for _, tc := range []struct {
+		name   string
+		body   any
+		field  string
+		reason string
+	}{
+		{"10 000 worker counts", api.QueryRequest{Mode: "parallel-dss", WorkerCounts: counts}, "worker_counts", "10000 entries"},
+		{"oversized body", api.QueryRequest{JoinMode: strings.Repeat("x", maxBodyBytes)}, "", "request body too large"},
+	} {
+		resp, body := post(t, hs.URL+"/v1/query", tc.body, "")
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); resp.StatusCode != http.StatusBadRequest || err != nil ||
+			eb.Field != tc.field || !strings.Contains(eb.Error, tc.reason) {
+			t.Errorf("%s: status %d, body %.200s; want 400 naming field %q, reason %q", tc.name, resp.StatusCode, body, tc.field, tc.reason)
+		}
+	}
+	if got := s.Metrics.Requests.Value(); got != 0 {
+		t.Errorf("refused requests consumed %d admissions", got)
+	}
+	resp, body := post(t, hs.URL+"/v1/query", api.QueryRequest{Mode: "vec-dss", Query: 6}, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next request: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestAdmissionCaps checks the per-tenant cap: a tenant at capacity
 // gets 429 while another tenant is still admitted.
 func TestAdmissionCaps(t *testing.T) {
