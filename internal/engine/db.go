@@ -141,17 +141,6 @@ func (db *DB) MustTable(name string) *Table {
 	return t
 }
 
-// TableNames lists tables (for the shell).
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
 // CreateIndex adds a secondary index computing its int64 key with keyOf.
 func (db *DB) CreateIndex(t *Table, name string, keyOf func(row []byte) int64) (*Index, error) {
 	t.mu.Lock()

@@ -32,8 +32,6 @@ const (
 	// WorkBase is where per-thread workspaces (hash tables, sort buffers)
 	// are laid out; each thread gets a disjoint slice of this region.
 	WorkBase Addr = 0x0080_0000_0000
-	// StackBase is where per-thread stack segments are laid out.
-	StackBase Addr = 0x00F0_0000_0000
 )
 
 // Arena is a bump allocator over a contiguous range of the simulated

@@ -102,9 +102,6 @@ type Config struct {
 	// Overhead, when set, charges the scheduler's own dispatch cost for
 	// one non-empty cohort of n members.
 	Overhead func(rec *trace.Recorder, n int)
-	// MaxQuanta overrides the runaway-schedule guard (0 = derived from
-	// the number of admitted items).
-	MaxQuanta int
 
 	// Obs, when enabled, opens dual-clock spans (internal/obs) for the
 	// scheduler's work: one async span per admitted item (ended on
@@ -237,11 +234,7 @@ func (c *Cohort) RunFeed(ctx *engine.Ctx, next func() (Item, error)) (Stats, err
 		// within a handful of quanta, so a quantum budget far above any
 		// legitimate schedule turns a livelock bug into a diagnosable
 		// error instead of a spinning worker.
-		maxQuanta := cfg.MaxQuanta
-		if maxQuanta == 0 {
-			maxQuanta = 200*admitted + 10000
-		}
-		if st.Quanta > maxQuanta {
+		if st.Quanta > 200*admitted+10000 {
 			desc := ""
 			for _, m := range active {
 				desc += fmt.Sprintf(" seq%d@kind%d(id %d)", m.seq, m.item.Kind(), m.item.ID())

@@ -208,15 +208,6 @@ func (p Slotted) TupleSpan(stride int) (off, n int, ok bool) {
 	return PageSize - n*stride, n, true
 }
 
-// TupleAddr returns the simulated address of slot's body (for callers that
-// trace field-level access themselves).
-func (p Slotted) TupleAddr(slot int) (mem.Addr, int) {
-	so := p.slotOff(slot)
-	off := int(binary.LittleEndian.Uint16(p.data[so:]))
-	ln := int(binary.LittleEndian.Uint16(p.data[so+2:]))
-	return p.addr + mem.Addr(off), ln
-}
-
 // Update overwrites slot in place; the new tuple must not be longer than
 // the old one (fixed-width schemas always satisfy this).
 func (p Slotted) Update(rec *trace.Recorder, slot int, tuple []byte) {
@@ -370,15 +361,4 @@ func (p PAX) LoadColumn(rec *trace.Recorder, c, lo, hi int) {
 	}
 	w := p.widths[c]
 	rec.LoadRange(p.addr+mem.Addr(p.offs[c]+lo*w), (hi-lo)*w)
-}
-
-// WriteField overwrites column c of tuple slot.
-func (p PAX) WriteField(rec *trace.Recorder, slot, c int, f []byte) {
-	w := p.widths[c]
-	if len(f) != w {
-		panic(fmt.Sprintf("storage: column %d field %d bytes, want %d", c, len(f), w))
-	}
-	off := p.offs[c] + slot*w
-	copy(p.data[off:off+w], f)
-	rec.StoreRange(p.addr+mem.Addr(off), w)
 }

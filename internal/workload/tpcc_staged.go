@@ -97,18 +97,13 @@ func otherWH(rng *rand.Rand, warehouses, home int) int {
 	return o
 }
 
-// GenInput draws one transaction from the standard TPC-C mix
+// GenInputMix draws one transaction from the standard TPC-C mix
 // (45/43/4/4/4) with the same rng consumption order as the monolithic
-// client loop.
-func (w *TPCC) GenInput(rng *rand.Rand) TxnInput {
-	return w.GenInputMix(rng, 0)
-}
-
-// GenInputMix is GenInput with a remote-warehouse knob: each NewOrder
-// line's supply warehouse and each Payment's customer warehouse is drawn
-// from the non-home warehouses with probability remotePct/100. With
-// remotePct 0 (or a single warehouse) the rng consumption order is
-// byte-for-byte the historical one.
+// client loop, plus a remote-warehouse knob: each NewOrder line's supply
+// warehouse and each Payment's customer warehouse is drawn from the
+// non-home warehouses with probability remotePct/100. With remotePct 0 (or
+// a single warehouse) the rng consumption order is byte-for-byte the
+// historical one.
 func (w *TPCC) GenInputMix(rng *rand.Rand, remotePct int) TxnInput {
 	remote := func() bool {
 		return remotePct > 0 && w.Cfg.Warehouses > 1 && rng.Intn(100) < remotePct
