@@ -26,7 +26,7 @@ import (
 
 // stagedOLTP executes the deterministic transaction batch of req on a
 // fresh chip — cohort-scheduled across parts partitions when cohorted is
-// set, monolithically otherwise — and returns the side labeled
+// set, monolithically (parts 1) otherwise — and returns the side labeled
 // stagedLabel: the slowest worker thread's completion cycle, transactions
 // committed, scheduler counters (summed over partitions, and per partition
 // when there are several), the cross-partition transactions run in
@@ -44,9 +44,6 @@ import (
 // carries the span run (run → txn → quantum/step), whose root span covers
 // [0, Cycles], so span totals reconcile exactly.
 func (r *Runner) stagedOLTP(req Request, cohorted bool, parts int) (Side, error) {
-	if !cohorted {
-		parts = 1
-	}
 	w, err := r.forkTPCC()
 	if err != nil {
 		return Side{}, err
