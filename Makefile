@@ -18,8 +18,9 @@ build:
 # fourth that job's zero-copy, native-aggregate and lowering equivalence
 # suites with the alias-debug assertions armed; the fifth fuzzes the
 # native aggregate against the interpreted one, the sixth wire request
-# bodies through validation against the request bounds, the seventh the
-# parallel join against the serial one, and the eighth every lowering of
+# bodies through validation against the request bounds, the seventh
+# arbitrary page bytes through the slotted-page readers, the eighth the
+# parallel join against the serial one, and the ninth every lowering of
 # every plan against the row reference, each for 15 s on top of its
 # committed corpus; the last loads TPC-H at both scales and TPC-C three times each
 # and prints the MB/s of pages written (hold it against bench's
@@ -31,6 +32,7 @@ test:
 	ENGINE_ALIAS_DEBUG=1 $(GO) test -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzHashAggNative -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzRequestJSON -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSlottedPage -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzParallelJoin -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzLowerings -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload

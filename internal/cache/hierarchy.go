@@ -161,7 +161,10 @@ type Hierarchy struct {
 	// shared L2 the loops over peer L1s skip the cores still unset: a
 	// lookup in an empty cache finds nothing and changes nothing.
 	filled []bool
-	Stats  Stats
+	// onL1IInval, when set, hears of every line an L2 eviction
+	// back-invalidates from an L1I (OnL1IBackInvalidate).
+	onL1IInval func(core int, line mem.Addr, by int)
+	Stats      Stats
 }
 
 // NewHierarchy builds a hierarchy from cfg (zero fields take defaults).
@@ -213,7 +216,17 @@ func (h *Hierarchy) Reset() {
 	clear(h.pfN)
 	clear(h.filled)
 	clear(h.ports)
+	h.onL1IInval = nil
 	h.Stats = Stats{}
+}
+
+// OnL1IBackInvalidate installs f (nil removes it), which is called each
+// time an L2 eviction back-invalidates line from core's L1I; by is the
+// core whose access made the eviction. The simulator fetches L1I-resident
+// lines ahead of time, and this is the one way another core can take such
+// a line away before its fetch.
+func (h *Hierarchy) OnL1IBackInvalidate(f func(core int, line mem.Addr, by int)) {
+	h.onL1IInval = f
 }
 
 func (h *Hierarchy) l2of(core int) *Cache {
@@ -251,22 +264,25 @@ func (h *Hierarchy) insertL2(core int, line mem.Addr, st State) {
 	}
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
-			if !h.filled[i] {
-				continue
-			}
-			if h.l1d[i].Invalidate(v.Line) != Invalid {
-				h.Stats.BackInvalidations++
-			}
-			if h.l1i[i].Invalidate(v.Line) != Invalid {
-				h.Stats.BackInvalidations++
+			if h.filled[i] {
+				h.backInvalidate(i, v.Line, core)
 			}
 		}
 	} else {
-		if h.l1d[core].Invalidate(v.Line) != Invalid {
-			h.Stats.BackInvalidations++
-		}
-		if h.l1i[core].Invalidate(v.Line) != Invalid {
-			h.Stats.BackInvalidations++
+		h.backInvalidate(core, v.Line, core)
+	}
+}
+
+// backInvalidate removes line, evicted from the L2 by core by's access,
+// from core's L1s.
+func (h *Hierarchy) backInvalidate(core int, line mem.Addr, by int) {
+	if h.l1d[core].Invalidate(line) != Invalid {
+		h.Stats.BackInvalidations++
+	}
+	if h.l1i[core].Invalidate(line) != Invalid {
+		h.Stats.BackInvalidations++
+		if h.onL1IInval != nil {
+			h.onL1IInval(core, line, by)
 		}
 	}
 }
@@ -320,11 +336,18 @@ func (h *Hierarchy) HitWrite(core int, a mem.Addr) bool {
 
 // HitFetch is Fetch's L1I hit on the most recently used way.
 func (h *Hierarchy) HitFetch(core int, a mem.Addr) bool {
-	if h.l1i[core].mru(a.Line()) == Invalid {
+	if !h.FetchIsMRU(core, a) {
 		return false
 	}
 	h.Stats.L1IHits++
 	return true
+}
+
+// FetchIsMRU reports whether HitFetch(core, a) would hit, counting nothing.
+// A caller that goes on to fetch the line without calling HitFetch adds
+// the hit to Stats.L1IHits itself.
+func (h *Hierarchy) FetchIsMRU(core int, a mem.Addr) bool {
+	return h.l1i[core].mru(a.Line()) != Invalid
 }
 
 // Read performs a data load by core at address a, returning the servicing

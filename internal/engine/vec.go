@@ -635,7 +635,7 @@ func (s *ScanVec) scanPage(ctx *Ctx, idx int, blk *Block) error {
 			nrows = k
 		} else if s.cp != nil {
 			// Fast path: one fused compiled-conjunction call per tuple.
-			sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
+			err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
 				nrows++
 				pass, k := s.cp.EvalCount(tuple)
 				evals += k
@@ -644,7 +644,7 @@ func (s *ScanVec) scanPage(ctx *Ctx, idx int, blk *Block) error {
 				}
 			})
 		} else {
-			sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
+			err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
 				nrows++
 				for _, p := range s.Preds {
 					evals++
@@ -654,6 +654,9 @@ func (s *ScanVec) scanPage(ctx *Ctx, idx int, blk *Block) error {
 				}
 				projectInto(blk, tuple, s.Table.Schema, s.Table.Offs, s.Cols)
 			})
+		}
+		if err != nil {
+			return err
 		}
 	} else {
 		nrows, evals = s.scanPAXPage(ctx, ref, blk)

@@ -179,6 +179,10 @@ type skipCase struct {
 	// rewarm, when set, warms again by that many records after every
 	// window but the last.
 	rewarm int
+	// bigChunks feeds the threads through trace.Pipe's default chunks
+	// instead of 64-record ones, which cap what a drain fetches ahead at
+	// 63 records.
+	bigChunks bool
 }
 
 func (c skipCase) String() string {
@@ -187,10 +191,10 @@ func (c skipCase) String() string {
 }
 
 // measure plays the case on a fresh chip through run and returns every
-// window's Result plus the mark stamps in delivery order. Small chunks
-// keep the pump busy; the last window must run the traces to completion
-// so the feeding goroutines exit.
-func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Result, []markEvent) {
+// window's Result, the mark stamps in delivery order and how many drains
+// a back-invalidation cut. Small chunks keep the pump busy; the last
+// window must run the traces to completion so the feeding goroutines exit.
+func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Result, []markEvent, uint64) {
 	t.Helper()
 	ch := NewChip(c.cfg)
 	var marks []markEvent
@@ -199,6 +203,9 @@ func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Resul
 	})
 	for _, ops := range c.traces {
 		rec, s := trace.PipeSized(64, 2)
+		if c.bigChunks {
+			rec, s = trace.Pipe()
+		}
 		go func(ops []traceOp) {
 			for _, o := range ops {
 				o.play(rec)
@@ -220,14 +227,15 @@ func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Resul
 	if ch.live != 0 {
 		t.Fatalf("%v: %d threads unfinished after the last window", c, ch.live)
 	}
-	return results, marks
+	return results, marks, ch.cuts
 }
 
-// check requires Chip.Run to reproduce the cycle-by-cycle loop exactly.
-func (c skipCase) check(t *testing.T) bool {
+// check requires Chip.Run to reproduce the cycle-by-cycle loop exactly,
+// and returns how many of its drains a back-invalidation cut.
+func (c skipCase) check(t *testing.T) (uint64, bool) {
 	t.Helper()
-	want, wantMarks := c.measure(t, runByCycle)
-	got, gotMarks := c.measure(t, (*Chip).Run)
+	want, wantMarks, _ := c.measure(t, runByCycle)
+	got, gotMarks, cuts := c.measure(t, (*Chip).Run)
 	ok := true
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
@@ -239,7 +247,7 @@ func (c skipCase) check(t *testing.T) bool {
 		t.Errorf("%v: mark stamps differ (%d vs %d deliveries)", c, len(gotMarks), len(wantMarks))
 		ok = false
 	}
-	return ok
+	return cuts, ok
 }
 
 func skipConfig(camp Camp, cores int, shared bool) Config {
@@ -355,13 +363,103 @@ func TestEventSkipEdgeCases(t *testing.T) {
 	}
 }
 
-// TestEventSkipReciprocal: the multiply drainCycles divides by is exact
-// for every issue rate a chip is likely to be given and every count it
-// divides, an Exec record's at most.
+// TestEventSkipBackInvalidationCutsDrain forces the one event that can
+// falsify a fetch a drain made ahead of time. Two cores loop over an
+// eight-line code segment that stays in their L1Is, with mispredicts rare
+// enough that one drain runs through many records; the third streams
+// loads through the same few L2 sets, so its misses evict the code lines
+// from the inclusive L2 and back-invalidate them from the L1Is in the
+// middle of drains. The streamer takes each place in core order, so an
+// invalidation falls in the cycle of a fetch made ahead both before and
+// after the fetching core steps; at an issue rate above the records' 16
+// instructions one cycle fetches two records. The drains have to be cut,
+// and the result has to be the cycle-by-cycle loop's.
+func TestEventSkipBackInvalidationCutsDrain(t *testing.T) {
+	stream := make([]traceOp, 1500)
+	for i := range stream {
+		stream[i] = traceOp{kind: trace.Load, addr: mem.HeapBase + mem.Addr(i*mem.LineSize)}
+	}
+	for _, issue := range []int{2, 24} {
+		// As many passes as the stream lasts: some 150 000 cycles.
+		code := make([]traceOp, 1200*issue)
+		for i := range code {
+			code[i] = traceOp{kind: trace.Exec, addr: mem.CodeBase, size: 8 * mem.LineSize, n: 8 * 16}
+		}
+		cfg := Config{
+			Camp: FatCamp, Cores: 3, FCIssue: issue, BranchEvery: 2000,
+			Hier: cache.Config{L1ISize: 2 << 10, L1DSize: 2 << 10, L2Size: 4 << 10, L2Lat: 10, SharedL2: true},
+		}
+		for streamer := range 3 {
+			traces := [][]traceOp{code, code, code}
+			traces[streamer] = stream
+			for _, c := range []skipCase{
+				{cfg: cfg, traces: traces, windows: []uint64{toCompletion}},
+				{cfg: cfg, traces: traces, windows: []uint64{137, 1, 2500, 311, 10007, toCompletion}},
+				{cfg: cfg, traces: traces, windows: []uint64{toCompletion}, bigChunks: true},
+			} {
+				name := fmt.Sprintf("issue=%d/streamer=%d/windows=%d/bigChunks=%v", issue, streamer, len(c.windows), c.bigChunks)
+				t.Run(name, func(t *testing.T) {
+					if cuts, ok := c.check(t); ok && cuts == 0 {
+						t.Errorf("%v: no drain was cut", c)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEventSkipDrainFetchesAhead pins what one drain takes at issue rate
+// 2: the records that follow the current one are fetched ahead exactly
+// when their fetch cycle is one the drain coasts past, and a record that
+// starts at or after the last instruction drained is left for step.
+func TestEventSkipDrainFetchesAhead(t *testing.T) {
+	hot, cold := mem.CodeBase, mem.CodeBase+mem.LineSize
+	cases := []struct {
+		name        string
+		execLeft    int
+		untilBranch int
+		next        []trace.Ref
+		cycles      uint64
+		fetched     int // records fetched ahead
+		execAfter   int
+	}{
+		{"one-instruction record starts at the stop", 2, 1000,
+			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 1, 0, 0},
+		{"one-instruction record inside the last cycle", 3, 1000,
+			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 2, 1, 0},
+		{"two of three short records", 2, 1000,
+			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 2, 2, 0},
+		{"full records", 3, 1000,
+			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16), trace.MakeLoad(mem.HeapBase, false)}, 17, 2, 1},
+		{"a mispredict due", 3, 10,
+			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16)}, 4, 1, 11},
+		{"a line not most recently used", 5, 1000,
+			[]trace.Ref{trace.MakeExec(cold, 16)}, 2, 0, 1},
+		{"a mark", 5, 1000,
+			[]trace.Ref{trace.MakeMark(1, true), trace.MakeExec(hot, 16)}, 2, 0, 1},
+	}
+	for _, tc := range cases {
+		ch := NewChip(skipConfig(FatCamp, 1, true))
+		ch.hier.WarmFetch(0, hot)
+		c := ch.cores[0].core.(*fcCore)
+		th := &Thread{ctx: c.ctx, chip: ch, cur: tc.next, execLeft: tc.execLeft, untilBranch: tc.untilBranch}
+		c.ctx.threads = []*Thread{th}
+		hits := ch.hier.Stats.L1IHits
+		n := c.drain(0, never)
+		if n != tc.cycles || th.pos != tc.fetched || th.execLeft != tc.execAfter || ch.hier.Stats.L1IHits-hits != uint64(tc.fetched) {
+			t.Errorf("%s: %d cycles, %d records fetched (%d hits), %d instructions left; want %d, %d, %d",
+				tc.name, n, th.pos, ch.hier.Stats.L1IHits-hits, th.execLeft, tc.cycles, tc.fetched, tc.execAfter)
+		}
+	}
+}
+
+// TestEventSkipReciprocal: the multiply drain divides by is exact for
+// every issue rate a chip is likely to be given and every count it
+// divides, maxDrain instructions at most.
 func TestEventSkipReciprocal(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 16, 100, 1000, 1<<19 - 1} {
 		m := newReciprocal(d)
-		for n := uint64(0); n <= trace.MaxExecCount; n++ {
+		for n := uint64(0); n <= maxDrain; n++ {
 			if got := m.of(n); got != n/uint64(d) {
 				t.Fatalf("%d / %d: reciprocal gives %d", n, d, got)
 			}
@@ -397,7 +495,8 @@ func TestEventSkipRandomTraces(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			c.rewarm = rng.Intn(300)
 		}
-		return c.check(t)
+		_, ok := c.check(t)
+		return ok
 	}
 	count := 60
 	if testing.Short() {

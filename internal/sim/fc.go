@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -36,6 +37,8 @@ type fcCore struct {
 	prevLoadDone  uint64    // completion time of the latest missing load
 	prevLoadCause StallKind // stall class of that load's service level
 	instrIdx      uint64    // instructions issued, for the window bound
+
+	ahead fetchAhead // the records the last drain fetched ahead
 }
 
 // fcMiss is an in-flight data miss.
@@ -54,16 +57,19 @@ func newFCCore(id int, ch *Chip) *fcCore {
 }
 
 // reciprocal divides by a fixed d ≥ 1 with a multiply and a shift: it is
-// ⌈2³²/d⌉, and n·⌈2³²/d⌉ >> 32 = ⌊n/d⌋ whenever n·d < 2³² (the rounding
-// error n·(⌈2³²/d⌉ − 2³²/d)/2³² then stays below 1/d). drainCycles divides
-// at most an Exec record's instruction count, so any issue rate below 2¹⁹
-// is exact.
+// ⌈2⁴⁰/d⌉, and n·⌈2⁴⁰/d⌉ >> 40 = ⌊n/d⌋ whenever n·d < 2⁴⁰ (the rounding
+// error n·(⌈2⁴⁰/d⌉ − 2⁴⁰/d)/2⁴⁰ then stays below 1/d); the product fits in
+// 64 bits for any n < 2²⁴. drain divides at most maxDrain instructions,
+// so any issue rate below 2¹⁹ is exact.
 type reciprocal uint64
 
-func newReciprocal(d int) reciprocal { return reciprocal((1<<32 + uint64(d) - 1) / uint64(d)) }
+func newReciprocal(d int) reciprocal { return reciprocal((1<<40 + uint64(d) - 1) / uint64(d)) }
 
-// of returns ⌊n/d⌋ for n ≤ trace.MaxExecCount.
-func (m reciprocal) of(n uint64) uint64 { return n * uint64(m) >> 32 }
+// of returns ⌊n/d⌋ for n ≤ maxDrain.
+func (m reciprocal) of(n uint64) uint64 { return n * uint64(m) >> 40 }
+
+// maxDrain bounds the instructions one coast drains.
+const maxDrain = 1<<21 - 1
 
 func (c *fcCore) contexts() []*hwctx { return []*hwctx{c.ctx} }
 
@@ -74,7 +80,7 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 	}
 	// The common case after a step that issued loads and stores: an
 	// awake context with no Exec record to drain is due now, whatever
-	// quietUntil and drainCycles would go on to look at.
+	// quietUntil and drain would go on to look at.
 	if now >= ctx.blockedUntil && ctx.threads[ctx.cur].execLeft <= 0 {
 		return now, KindComp, 0
 	}
@@ -83,35 +89,36 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 	if q := ctx.quietUntil(now); q > now {
 		return q, ctx.blockCause, 0
 	}
-	if n := c.drainCycles(now, end); n > 0 {
-		t := ctx.threads[ctx.cur]
-		k := int(n) * c.issue
-		t.execLeft -= k
-		t.untilBranch -= k
-		c.instrIdx += uint64(k)
+	if n := c.drain(now, end); n > 0 {
 		return now + n, KindComp, c.issue
 	}
 	return now, KindComp, 0
 }
 
-// drainCycles counts the cycles from now, short of end, in which step
-// would do nothing but issue FCIssue more instructions of the running
-// thread's current Exec record: no finished thread to remove or quantum
-// to expire, no structural limit reached, no mispredict charged, and the
-// record not exhausted. Misses that complete meanwhile only loosen the
-// limits, so judging them by the queue as it stands errs on the short
-// side, and the retire step skips is made up by the next one.
-func (c *fcCore) drainCycles(now, end uint64) uint64 {
+// drain counts the cycles from now, short of end, in which step would do
+// nothing but issue FCIssue more instructions of the running thread's Exec
+// records, and moves the thread and the core past them. The records are
+// one instruction stream: the current one's rest, then each following
+// record of the chunk that is an Exec record whose line is the most
+// recently used of its L1I set. Step fetches such a record ⌊instructions
+// before it / FCIssue⌋ cycles on with HitFetch, which moves nothing, so
+// drain fetches it ahead (see fetchAhead). In those cycles there is no
+// finished thread to remove or quantum to expire, no structural limit
+// reached, no mispredict charged and no other record met. Misses that
+// complete meanwhile only loosen the limits, so judging them by the queue
+// as it stands errs on the short side, and the retire step skips is made
+// up by the next one.
+func (c *fcCore) drain(now, end uint64) uint64 {
 	ctx := c.ctx
 	if ctx.reap || now < ctx.blockedUntil {
 		return 0
 	}
-	n := end - now
+	cycles := end - now
 	if len(ctx.threads) >= 2 {
 		if ctx.nextSwitch <= now {
 			return 0
 		}
-		n = min(n, ctx.nextSwitch-now)
+		cycles = min(cycles, ctx.nextSwitch-now)
 	}
 	t := ctx.threads[ctx.cur]
 	if t.execLeft <= 0 || t.untilBranch <= 0 {
@@ -122,19 +129,109 @@ func (c *fcCore) drainCycles(now, end uint64) uint64 {
 	// per-limit quotients, so one division serves them all. The last
 	// FCIssue instructions before a mispredict is due are left to step,
 	// which charges it.
-	insns := min(uint64(t.execLeft), uint64(t.untilBranch-1))
+	w := uint64(c.issue)
+	limit := min(uint64(t.untilBranch-1), maxDrain)
+	if cycles < limit {
+		limit = min(limit, cycles*w)
+	}
 	// The miss queue is not full: step checked before it fetched the
-	// record, and no load has issued since. The reorder window can fill.
-	if len(c.outstanding) > 0 {
-		span := c.instrIdx - c.oldest().instrIdx
+	// current record, and no load has issued since. The reorder window
+	// can fill; step checks it at the start of every cycle and before
+	// every fetch.
+	span, windowed := uint64(0), len(c.outstanding) > 0
+	if windowed {
+		span = c.instrIdx - c.oldest().instrIdx
 		if span >= c.window {
 			return 0
 		}
 		// Issue stops in the cycle that starts with the window full:
 		// ⌈(window−span)/w⌉ cycles.
-		insns = min(insns, c.window-span+uint64(c.issue)-1)
+		limit = min(limit, c.window-span+w-1)
 	}
-	return min(n, c.perIssue.of(insns))
+	// avail counts the instructions up to the end of cur[pos-1]: the next
+	// record would start avail instructions on.
+	avail, pos := uint64(t.execLeft), t.pos
+	// No record is pushed back: step pushes back only a load, and only
+	// when no Exec record is left.
+	for avail < limit && pos < len(t.cur) {
+		r := t.cur[pos]
+		if r.Kind() != trace.Exec || windowed && span+avail >= c.window || !c.hier.FetchIsMRU(c.id, r.Addr()) {
+			break
+		}
+		avail += uint64(r.Count())
+		pos++
+	}
+	n := c.perIssue.of(min(avail, limit))
+	if n == 0 {
+		return 0
+	}
+	issued := n * w
+	// A record that starts at or after the last drained instruction is
+	// fetched in the cycle the drain stops short of: step's.
+	for pos > t.pos && avail-uint64(t.cur[pos-1].Count()) >= issued {
+		pos--
+		avail -= uint64(t.cur[pos].Count())
+	}
+	if fetched := uint64(pos - t.pos); fetched > 0 {
+		c.ahead = fetchAhead{from: now, until: now + n, pos: t.pos, first: uint64(t.execLeft)}
+		c.hier.Stats.L1IHits += fetched
+		t.consumed += fetched
+		t.pos = pos
+	}
+	t.execLeft = int(avail - issued)
+	t.untilBranch -= int(issued)
+	c.instrIdx += issued
+	return n
+}
+
+// fetchAhead is what the last drain fetched ahead of time: the running
+// thread's records cur[pos:] up to its current pos, the first of them
+// starting first instructions after cycle from's first, each fetched in
+// cycle from + ⌊instructions before it / FCIssue⌋. until is where the
+// drain ends. A fetch before until may yet be falsified (see unfetch).
+type fetchAhead struct {
+	from, until uint64
+	pos         int
+	first       uint64
+}
+
+// unfetch hears that an L2 eviction made by core by in cycle now took line
+// out of the core's L1I. Step would fetch a record of that line the last
+// drain fetched ahead, if its cycle comes later — or is now itself, with
+// by stepped first — and miss. unfetch then cuts the drain back to that
+// cycle, undoing what the cycles after it had moved, and returns it.
+func (c *fcCore) unfetch(line mem.Addr, now uint64, by int) (uint64, bool) {
+	a := &c.ahead
+	if a.until <= now {
+		return 0, false
+	}
+	t := c.ctx.threads[c.ctx.cur]
+	w := uint64(c.issue)
+	start := a.first
+	for i := a.pos; i < t.pos; i++ {
+		r := t.cur[i]
+		f := a.from + c.perIssue.of(start)
+		if r.Addr().Line() != line || f < now || f == now && c.id <= by {
+			start += uint64(r.Count())
+			continue
+		}
+		// Back to the start of cycle f. Records fetched ahead in cycle f
+		// before this one stay fetched: none is of line, so step would
+		// fetch them as the drain did, and execLeft counts their
+		// instructions with the rest of the record before them — fewer
+		// than FCIssue, all issued in cycle f.
+		issued := (f - a.from) * w
+		undone, back := uint64(t.pos-i), (a.until-a.from)*w-issued
+		c.hier.Stats.L1IHits -= undone
+		t.consumed -= undone
+		t.pos = i
+		t.execLeft = int(start - issued)
+		t.untilBranch += int(back)
+		c.instrIdx -= back
+		a.until = f
+		return f, true
+	}
+	return 0, false
 }
 
 // retire drops completed misses. Most cycles complete none, which
@@ -223,7 +320,6 @@ issue:
 		}
 		switch r.Kind() {
 		case trace.Exec:
-			t.execLine = r.Addr()
 			t.execLeft = r.Count()
 			if c.hier.HitFetch(c.id, r.Addr()) {
 				break

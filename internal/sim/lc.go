@@ -99,7 +99,6 @@ issue:
 		}
 		switch r.Kind() {
 		case trace.Exec:
-			t.execLine = r.Addr()
 			t.execLeft = r.Count()
 			if c.chip.hier.HitFetch(c.id, r.Addr()) {
 				break

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/mem"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Thread is one software thread: a trace stream plus consumption state.
 // The OS-like scheduler multiplexes threads onto hardware contexts.
@@ -25,8 +22,7 @@ type Thread struct {
 	pending    trace.Ref
 	hasPending bool
 
-	// Current Exec record being drained.
-	execLine mem.Addr
+	// Instructions left of the current Exec record.
 	execLeft int
 
 	// Branch model: instructions until the next charged mispredict.

@@ -61,6 +61,28 @@ func (p Slotted) freeOff() int {
 
 func (p Slotted) slotOff(slot int) int { return slottedHeader + slot*4 }
 
+// slots returns the slot count, or an error when the directory it claims
+// does not fit the page: the bytes are not a slotted page.
+func (p Slotted) slots() (int, error) {
+	n := p.NumSlots()
+	if p.slotOff(n) > PageSize {
+		return 0, fmt.Errorf("storage: page at %#x claims %d slots, more than fit", uint64(p.addr), n)
+	}
+	return n, nil
+}
+
+// entry decodes slot s's directory entry: the tuple's offset and length.
+func (p Slotted) entry(s int) (off, ln int) {
+	so := p.slotOff(s)
+	return int(binary.LittleEndian.Uint16(p.data[so:])), int(binary.LittleEndian.Uint16(p.data[so+2:]))
+}
+
+// pastPage is the error of slot s, whose entry names a tuple that
+// reaches past the page.
+func (p Slotted) pastPage(s, off, ln int) error {
+	return fmt.Errorf("storage: page at %#x slot %d spans [%d, %d), past the page", uint64(p.addr), s, off, off+ln)
+}
+
 // FreeSpace returns the bytes available for one more tuple (including its
 // slot entry).
 func (p Slotted) FreeSpace() int {
@@ -97,10 +119,8 @@ func (p Slotted) Tuple(rec *trace.Recorder, slot int) []byte {
 	if slot < 0 || slot >= p.NumSlots() {
 		panic(fmt.Sprintf("storage: slot %d out of range (%d slots)", slot, p.NumSlots()))
 	}
-	so := p.slotOff(slot)
-	off := int(binary.LittleEndian.Uint16(p.data[so:]))
-	ln := int(binary.LittleEndian.Uint16(p.data[so+2:]))
-	rec.Load(p.addr+mem.Addr(so), false)
+	off, ln := p.entry(slot)
+	rec.Load(p.addr+mem.Addr(p.slotOff(slot)), false)
 	if ln == 0 {
 		return nil
 	}
@@ -115,12 +135,14 @@ func (p Slotted) Tuple(rec *trace.Recorder, slot int) []byte {
 // directory, and one dependent ranged load of the occupied tuple area,
 // instead of two trace records per tuple. It is the row-extraction
 // primitive of the vectorized scan — the per-tuple work left is the
-// caller's tight loop over host memory.
-func (p Slotted) ScanTuples(rec *trace.Recorder, visit func(slot int, tuple []byte)) {
+// caller's tight loop over host memory. A directory that does not fit
+// the page, or an entry that reaches past it, ends the scan with an
+// error.
+func (p Slotted) ScanTuples(rec *trace.Recorder, visit func(slot int, tuple []byte)) error {
 	rec.Load(p.addr, false)
-	n := p.NumSlots()
-	if n == 0 {
-		return
+	n, err := p.slots()
+	if err != nil || n == 0 {
+		return err
 	}
 	rec.LoadRange(p.addr+mem.Addr(slottedHeader), n*4)
 	// The tuple area [freeOff, PageSize) address comes from the header
@@ -129,14 +151,16 @@ func (p Slotted) ScanTuples(rec *trace.Recorder, visit func(slot int, tuple []by
 		rec.LoadRangeDep(p.addr+mem.Addr(p.freeOff()), body)
 	}
 	for s := 0; s < n; s++ {
-		so := p.slotOff(s)
-		off := int(binary.LittleEndian.Uint16(p.data[so:]))
-		ln := int(binary.LittleEndian.Uint16(p.data[so+2:]))
+		off, ln := p.entry(s)
+		if off+ln > PageSize {
+			return p.pastPage(s, off, ln)
+		}
 		if ln == 0 {
 			continue
 		}
 		visit(s, p.data[off:off+ln])
 	}
+	return nil
 }
 
 // CopyTuples copies every live tuple's bytes into dst at stride-spaced
@@ -145,14 +169,20 @@ func (p Slotted) ScanTuples(rec *trace.Recorder, visit func(slot int, tuple []by
 // caller traces (or skips tracing) the page read itself, and the
 // per-tuple work collapses to one slot-directory decode and one copy —
 // no callback dispatch. The destination must hold every live tuple and
-// every tuple must fit its stride slot; violations return a counted
-// error instead of silently truncating the tail.
+// every tuple must fit its stride slot, and the directory must fit the
+// page; violations return an error instead of silently truncating the
+// tail or reading past the page.
 func (p Slotted) CopyTuples(dst []byte, stride int) (int, error) {
-	n := p.NumSlots()
+	n, err := p.slots()
+	if err != nil {
+		return 0, err
+	}
 	live := 0
 	for s := 0; s < n; s++ {
-		so := p.slotOff(s)
-		ln := int(binary.LittleEndian.Uint16(p.data[so+2:]))
+		off, ln := p.entry(s)
+		if off+ln > PageSize {
+			return 0, p.pastPage(s, off, ln)
+		}
 		if ln == 0 {
 			continue
 		}
@@ -167,9 +197,7 @@ func (p Slotted) CopyTuples(dst []byte, stride int) (int, error) {
 	}
 	k := 0
 	for s := 0; s < n; s++ {
-		so := p.slotOff(s)
-		off := int(binary.LittleEndian.Uint16(p.data[so:]))
-		ln := int(binary.LittleEndian.Uint16(p.data[so+2:]))
+		off, ln := p.entry(s)
 		if ln == 0 {
 			continue
 		}
@@ -191,6 +219,11 @@ func (p Slotted) CopyTuples(dst []byte, stride int) (int, error) {
 func (p Slotted) TupleSpan(stride int) (off, n int, ok bool) {
 	n = p.NumSlots()
 	if n == 0 || stride <= 0 || stride > PageSize {
+		return 0, 0, false
+	}
+	// Appends never let the tuples reach into the directory; bytes that
+	// claim they do are no page to alias.
+	if p.slotOff(n)+n*stride > PageSize {
 		return 0, 0, false
 	}
 	// A slot entry is offset u16 | length u16, so the pure-append layout
