@@ -20,9 +20,10 @@ build:
 # native aggregate against the interpreted one, the sixth wire request
 # bodies through validation against the request bounds, the seventh
 # arbitrary page bytes through the slotted-page readers, the eighth the
-# parallel join against the serial one, and the ninth every lowering of
-# every plan against the row reference, each for 15 s on top of its
-# committed corpus; the last loads TPC-H at both scales and TPC-C three times each
+# parallel join against the serial one, the ninth every lowering of
+# every plan against the row reference, and the tenth the compiled
+# predicate forms against the interpreted ones, each for 15 s on top of
+# its committed corpus; the last loads TPC-H at both scales and TPC-C three times each
 # and prints the MB/s of pages written (hold it against bench's
 # host.memcpy_gbps).
 test:
@@ -35,6 +36,7 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzSlottedPage -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzParallelJoin -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzLowerings -fuzztime 15s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzCompilePreds -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload
 
 # The second line mirrors CI's simulator step under race: event skipping

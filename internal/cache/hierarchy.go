@@ -161,10 +161,36 @@ type Hierarchy struct {
 	// shared L2 the loops over peer L1s skip the cores still unset: a
 	// lookup in an empty cache finds nothing and changes nothing.
 	filled []bool
-	// onL1IInval, when set, hears of every line an L2 eviction
-	// back-invalidates from an L1I (OnL1IBackInvalidate).
-	onL1IInval func(core int, line mem.Addr, by int)
-	Stats      Stats
+	// onLoss, when set, hears of every line a core's L1 loses to
+	// coherence or inclusion (OnL1Loss).
+	onLoss func(core int, line mem.Addr, loss Loss, by int)
+	Stats  Stats
+}
+
+// Loss is what a core's L1 lost of a line.
+type Loss uint8
+
+// The losses OnL1Loss reports.
+const (
+	// LostL1I: the line left the core's L1I.
+	LostL1I Loss = iota
+	// LostL1D: the line left the core's L1D.
+	LostL1D
+	// LostModified: the line stays in the core's L1D but is no longer
+	// Modified, so a store to it is no longer a hit that owes nothing.
+	LostModified
+)
+
+func (l Loss) String() string {
+	switch l {
+	case LostL1I:
+		return "lost-l1i"
+	case LostL1D:
+		return "lost-l1d"
+	case LostModified:
+		return "lost-modified"
+	}
+	return fmt.Sprintf("Loss(%d)", uint8(l))
 }
 
 // NewHierarchy builds a hierarchy from cfg (zero fields take defaults).
@@ -216,17 +242,48 @@ func (h *Hierarchy) Reset() {
 	clear(h.pfN)
 	clear(h.filled)
 	clear(h.ports)
-	h.onL1IInval = nil
+	h.onLoss = nil
 	h.Stats = Stats{}
 }
 
-// OnL1IBackInvalidate installs f (nil removes it), which is called each
-// time an L2 eviction back-invalidates line from core's L1I; by is the
-// core whose access made the eviction. The simulator fetches L1I-resident
-// lines ahead of time, and this is the one way another core can take such
-// a line away before its fetch.
-func (h *Hierarchy) OnL1IBackInvalidate(f func(core int, line mem.Addr, by int)) {
-	h.onL1IInval = f
+// OnL1Loss installs f (nil removes it), which is called each time core's
+// L1I or L1D loses line, or its L1D copy of line leaves Modified, because
+// of an access by core by: a peer's store invalidating the copy, a peer's
+// read of a Modified copy downgrading it to Shared, or an L2 eviction
+// back-invalidating it (then by may be core itself). A line a core's own
+// L1 fill replaces is not reported. The simulator takes L1 hits on most
+// recently used lines ahead of time, and these are the only ways a hit so
+// taken can stop being one before its cycle comes.
+func (h *Hierarchy) OnL1Loss(f func(core int, line mem.Addr, loss Loss, by int)) {
+	h.onLoss = f
+}
+
+// lost reports a loss to the OnL1Loss hook.
+func (h *Hierarchy) lost(core int, line mem.Addr, loss Loss, by int) {
+	if h.onLoss != nil {
+		h.onLoss(core, line, loss, by)
+	}
+}
+
+// shareL1D makes core's L1D copy of line, if any, Shared on behalf of
+// core by's read, reporting a Modified copy's downgrade.
+func (h *Hierarchy) shareL1D(core int, line mem.Addr, by int) {
+	was := h.l1d[core].Probe(line)
+	if was == Invalid {
+		return
+	}
+	h.l1d[core].SetState(line, Shared)
+	if was == Modified {
+		h.lost(core, line, LostModified, by)
+	}
+}
+
+// invalidateL1D removes core's L1D copy of line on behalf of core by's
+// store, reporting the loss.
+func (h *Hierarchy) invalidateL1D(core int, line mem.Addr, by int) {
+	if h.l1d[core].Invalidate(line) != Invalid {
+		h.lost(core, line, LostL1D, by)
+	}
 }
 
 func (h *Hierarchy) l2of(core int) *Cache {
@@ -278,12 +335,11 @@ func (h *Hierarchy) insertL2(core int, line mem.Addr, st State) {
 func (h *Hierarchy) backInvalidate(core int, line mem.Addr, by int) {
 	if h.l1d[core].Invalidate(line) != Invalid {
 		h.Stats.BackInvalidations++
+		h.lost(core, line, LostL1D, by)
 	}
 	if h.l1i[core].Invalidate(line) != Invalid {
 		h.Stats.BackInvalidations++
-		if h.onL1IInval != nil {
-			h.onL1IInval(core, line, by)
-		}
+		h.lost(core, line, LostL1I, by)
 	}
 }
 
@@ -317,7 +373,7 @@ func (h *Hierarchy) insertL1I(core int, line mem.Addr) {
 // HitRead is Read's L1 hit on the most recently used way, when core has
 // no prefetch in flight (a demand load may be catching one).
 func (h *Hierarchy) HitRead(core int, a mem.Addr) bool {
-	if h.pfN[core] != 0 || h.l1d[core].mru(a.Line()) == Invalid {
+	if !h.ReadIsMRU(core, a) {
 		return false
 	}
 	h.Stats.L1DHits++
@@ -327,7 +383,7 @@ func (h *Hierarchy) HitRead(core int, a mem.Addr) bool {
 // HitWrite is Write's L1 hit on a most recently used way that is already
 // Modified.
 func (h *Hierarchy) HitWrite(core int, a mem.Addr) bool {
-	if h.l1d[core].mru(a.Line()) != Modified {
+	if !h.WriteIsMRU(core, a) {
 		return false
 	}
 	h.Stats.L1DHits++
@@ -343,11 +399,22 @@ func (h *Hierarchy) HitFetch(core int, a mem.Addr) bool {
 	return true
 }
 
-// FetchIsMRU reports whether HitFetch(core, a) would hit, counting nothing.
-// A caller that goes on to fetch the line without calling HitFetch adds
-// the hit to Stats.L1IHits itself.
+// FetchIsMRU, ReadIsMRU and WriteIsMRU report whether HitFetch, HitRead
+// and HitWrite(core, a) would hit, counting nothing. A caller that goes on
+// to make the access without calling the Hit method adds the hit to
+// Stats.L1IHits or Stats.L1DHits itself.
 func (h *Hierarchy) FetchIsMRU(core int, a mem.Addr) bool {
 	return h.l1i[core].mru(a.Line()) != Invalid
+}
+
+// ReadIsMRU: see FetchIsMRU.
+func (h *Hierarchy) ReadIsMRU(core int, a mem.Addr) bool {
+	return h.pfN[core] == 0 && h.l1d[core].mru(a.Line()) != Invalid
+}
+
+// WriteIsMRU: see FetchIsMRU.
+func (h *Hierarchy) WriteIsMRU(core int, a mem.Addr) bool {
+	return h.l1d[core].mru(a.Line()) == Modified
 }
 
 // Read performs a data load by core at address a, returning the servicing
@@ -396,6 +463,7 @@ func (h *Hierarchy) readCMP(core int, line mem.Addr, now uint64) Result {
 		switch h.l1d[i].Probe(line) {
 		case Modified:
 			h.l1d[i].SetState(line, Shared)
+			h.lost(i, line, LostModified, core)
 			h.l2[0].SetState(line, Modified)
 			h.insertL1D(core, line, Shared)
 			h.Stats.L1Transfers++
@@ -434,14 +502,14 @@ func (h *Hierarchy) readSMP(core int, line mem.Addr, now uint64) Result {
 		switch h.l2[i].Probe(line) {
 		case Modified:
 			h.l2[i].SetState(line, Shared)
-			h.l1d[i].SetState(line, Shared)
+			h.shareL1D(i, line, core)
 			h.insertL2(core, line, Shared)
 			h.insertL1D(core, line, Shared)
 			h.Stats.CohTransfers++
 			return Result{LvlCoh, now + uint64(h.cfg.CohLat)}
 		case Exclusive:
 			h.l2[i].SetState(line, Shared)
-			h.l1d[i].SetState(line, Shared)
+			h.shareL1D(i, line, core)
 		}
 	}
 	h.Stats.MemAccesses++
@@ -483,6 +551,7 @@ func (h *Hierarchy) prefetchCMP(core int, line mem.Addr, now uint64) pfFill {
 		switch h.l1d[i].Probe(line) {
 		case Modified:
 			h.l1d[i].SetState(line, Shared)
+			h.lost(i, line, LostModified, core)
 			h.l2[0].SetState(line, Modified)
 			h.insertL1D(core, line, Shared)
 			return pfFill{now + uint64(h.cfg.L1XferLat), LvlL2}
@@ -512,13 +581,13 @@ func (h *Hierarchy) prefetchSMP(core int, line mem.Addr, now uint64) pfFill {
 		switch h.l2[i].Probe(line) {
 		case Modified:
 			h.l2[i].SetState(line, Shared)
-			h.l1d[i].SetState(line, Shared)
+			h.shareL1D(i, line, core)
 			h.insertL2(core, line, Shared)
 			h.insertL1D(core, line, Shared)
 			return pfFill{now + uint64(h.cfg.CohLat), LvlCoh}
 		case Exclusive:
 			h.l2[i].SetState(line, Shared)
-			h.l1d[i].SetState(line, Shared)
+			h.shareL1D(i, line, core)
 		}
 	}
 	h.insertL2(core, line, Exclusive)
@@ -572,7 +641,7 @@ func (h *Hierarchy) invalidatePeers(core int, line mem.Addr) uint64 {
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
 			if i != core && h.filled[i] {
-				h.l1d[i].Invalidate(line)
+				h.invalidateL1D(i, line, core)
 			}
 		}
 		return uint64(h.cfg.L1Lat)
@@ -583,7 +652,7 @@ func (h *Hierarchy) invalidatePeers(core int, line mem.Addr) uint64 {
 			continue
 		}
 		if h.l2[i].Invalidate(line) != Invalid {
-			h.l1d[i].Invalidate(line)
+			h.invalidateL1D(i, line, core)
 			// Off-chip invalidation round trip.
 			lat = uint64(h.cfg.CohLat) / 2
 		}
@@ -657,6 +726,7 @@ func (h *Hierarchy) WarmRead(core int, a mem.Addr) {
 		for i := range h.l1d {
 			if i != core && h.filled[i] && h.l1d[i].Probe(line) == Modified {
 				h.l1d[i].SetState(line, Shared)
+				h.lost(i, line, LostModified, core)
 				h.l2[0].SetState(line, Modified)
 				h.insertL1D(core, line, Shared)
 				return
@@ -687,14 +757,14 @@ func (h *Hierarchy) invalidatePeersQuiet(core int, line mem.Addr) {
 	if h.cfg.SharedL2 {
 		for i := range h.l1d {
 			if i != core && h.filled[i] {
-				h.l1d[i].Invalidate(line)
+				h.invalidateL1D(i, line, core)
 			}
 		}
 		return
 	}
 	for i := range h.l2 {
 		if i != core && h.l2[i].Invalidate(line) != Invalid {
-			h.l1d[i].Invalidate(line)
+			h.invalidateL1D(i, line, core)
 		}
 	}
 }

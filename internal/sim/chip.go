@@ -20,12 +20,12 @@ type coreModel interface {
 	// lose each to kind and leave the core exactly as it found it (issue
 	// 0: every context parked on a known wake-up, or — until never, kind
 	// KindIdle — no software thread bound at all); or step would do
-	// nothing but issue the next issue instructions of the Exec records
+	// nothing but issue the next issue instructions of the records
 	// being drained (kind KindComp). A draining core is moved past those
 	// cycles on the spot, so its until never exceeds end, the last cycle
 	// the caller will account for; a parked core's may. until == now
-	// means the core has to be stepped at now. Only a back-invalidation
-	// can make a draining core due sooner (Chip.l1iInvalidated).
+	// means the core has to be stepped at now. Only another core's access
+	// can make a draining core due sooner (Chip.l1Lost).
 	coast(now, end uint64) (until uint64, kind StallKind, issue int)
 	// contexts exposes the core's hardware contexts for thread placement.
 	contexts() []*hwctx
@@ -65,7 +65,7 @@ type Chip struct {
 	onMark func(thread int, id uint64, begin bool, cycle uint64)
 
 	now  uint64
-	cuts uint64 // drains cut short by a back-invalidation (fcCore.unfetch)
+	cuts [3]uint64 // drains cut short, by the cache.Loss that cut them (fcCore.unfetch)
 }
 
 // NewChip builds a chip from cfg; zero config fields take defaults.
@@ -83,7 +83,7 @@ func NewChipOn(cfg Config, hier *cache.Hierarchy) *Chip {
 		panic(fmt.Sprintf("sim: hierarchy built for %+v on a chip configured %+v", hier.Config(), want))
 	}
 	ch := &Chip{cfg: cfg, hier: hier}
-	hier.OnL1IBackInvalidate(ch.l1iInvalidated)
+	hier.OnL1Loss(ch.l1Lost)
 	for i := 0; i < cfg.Cores; i++ {
 		switch cfg.Camp {
 		case FatCamp:
@@ -179,17 +179,18 @@ func (ch *Chip) pump(t *Thread) bool {
 	}
 }
 
-// l1iInvalidated is the hierarchy's report that an L2 eviction made by
-// core by, in the current cycle, took line out of core's L1I. A fat-camp
-// core may have fetched the line ahead in a drain that has not reached
-// the fetch's cycle yet: then the drain ends at that cycle. The cut comes
-// while core by steps, so Run looks at every core again in the next cycle.
-func (ch *Chip) l1iInvalidated(core int, line mem.Addr, by int) {
+// l1Lost is the hierarchy's report that core by's access, in the current
+// cycle, took line out of core's L1 or its L1D copy out of Modified. A
+// fat-camp core may have taken a hit on the line ahead in a drain that has
+// not reached the hit's cycle yet: then the drain ends at that cycle. The
+// cut comes while core by steps, so Run looks at every core again in the
+// next cycle.
+func (ch *Chip) l1Lost(core int, line mem.Addr, loss cache.Loss, by int) {
 	p := &ch.cores[core]
 	if c, ok := p.core.(*fcCore); ok {
-		if until, cut := c.unfetch(line, ch.now, by); cut {
+		if until, cut := c.unfetch(line, loss, ch.now, by); cut {
 			p.until = until
-			ch.cuts++
+			ch.cuts[loss]++
 		}
 	}
 }
@@ -260,9 +261,9 @@ func (ch *Chip) Warm(refs int) {
 //
 // Run advances by events, not by cycles. A core that reports it can coast
 // — its contexts all parked on known wake-ups, or its thread draining
-// Exec records at the full issue rate — is not stepped until that ends,
-// and when no core has anything new to do the clock jumps to the earliest
-// such moment, clamped to the window end. The cycles passed over are
+// records that hit in its L1s at the full issue rate — is not stepped
+// until that ends, and when no core has anything new to do the clock
+// jumps to the earliest such moment, clamped to the window end. The cycles passed over are
 // credited in bulk to the kind the core was spending them on (which
 // context wakes first, and hence the kind, cannot change while nothing is
 // stepped), so the Result is bit-for-bit what stepping every core every

@@ -82,6 +82,10 @@ type traceMix struct {
 	name                                     string
 	exec, depLoad, load, store, prefetch, mk int
 	maxExec                                  int // longest Exec run, instructions
+	// hot, when set, sends seven in eight independent loads and stores to
+	// one of that many lines every thread shares, and keeps the code to
+	// the two segments that fit the L1I.
+	hot int
 }
 
 var traceMixes = []traceMix{
@@ -89,7 +93,14 @@ var traceMixes = []traceMix{
 	{name: "chase", exec: 4, depLoad: 10, load: 1, store: 1, prefetch: 0, mk: 1, maxExec: 12},
 	{name: "stream", exec: 4, depLoad: 0, load: 10, store: 3, prefetch: 4, mk: 1, maxExec: 16},
 	{name: "mixed", exec: 5, depLoad: 4, load: 4, store: 3, prefetch: 2, mk: 2, maxExec: 90},
+	// An aggregate's inner loop: short code runs between loads and stores
+	// of a few accumulator lines, which every thread updates.
+	{name: "accumulate", exec: 3, depLoad: 1, load: 6, store: 5, prefetch: 0, mk: 1, maxExec: 10, hot: 4},
 }
+
+// hotBase is where a mix's hot lines start, above synthTrace's other
+// data regions.
+const hotBase = mem.HeapBase + 32<<20
 
 // synthTrace draws n records from mix. Data addresses fall in a hot 8 KB
 // region (L1 hits), a 256 KB region (L2 hits) or a 16 MB region (memory),
@@ -109,6 +120,14 @@ func synthTrace(rng *rand.Rand, mix traceMix, n int) []traceOp {
 		}
 		return mem.HeapBase + mem.Addr(rng.Intn(span))
 	}
+	// hotAddr is a word of one of the shared hot lines, or when the mix
+	// has none or one in eight times, dataAddr's.
+	hotAddr := func() mem.Addr {
+		if mix.hot == 0 || rng.Intn(8) == 0 {
+			return dataAddr()
+		}
+		return hotBase + mem.Addr(rng.Intn(mix.hot)*mem.LineSize+rng.Intn(8)*8)
+	}
 	segs := []mem.CodeSeg{
 		{Base: mem.CodeBase, Size: 64},
 		{Base: mem.CodeBase + 1<<12, Size: 2 << 10},
@@ -123,18 +142,21 @@ func synthTrace(rng *rand.Rand, mix traceMix, n int) []traceOp {
 		switch {
 		case k < mix.exec:
 			seg := segs[rng.Intn(len(segs))]
+			if mix.hot > 0 {
+				seg = segs[rng.Intn(2)]
+			}
 			ops = append(ops, traceOp{kind: trace.Exec, addr: seg.Base, size: seg.Size, n: 1 + rng.Intn(mix.maxExec)})
 		case k < mix.exec+mix.depLoad:
 			ops = append(ops, traceOp{kind: trace.Load, addr: dataAddr(), dep: true})
 		case k < mix.exec+mix.depLoad+mix.load:
 			// Half the independent loads walk a sequential stream.
-			a := dataAddr()
-			if rng.Intn(2) == 0 {
+			a := hotAddr()
+			if mix.hot == 0 && rng.Intn(2) == 0 {
 				a, stream = stream, stream+mem.LineSize
 			}
 			ops = append(ops, traceOp{kind: trace.Load, addr: a})
 		case k < mix.exec+mix.depLoad+mix.load+mix.store:
-			ops = append(ops, traceOp{kind: trace.Store, addr: dataAddr()})
+			ops = append(ops, traceOp{kind: trace.Store, addr: hotAddr()})
 		case k < mix.exec+mix.depLoad+mix.load+mix.store+mix.prefetch:
 			ops = append(ops, traceOp{kind: trace.Prefetch, addr: stream + mem.Addr(rng.Intn(8))*mem.LineSize})
 		default:
@@ -192,9 +214,9 @@ func (c skipCase) String() string {
 
 // measure plays the case on a fresh chip through run and returns every
 // window's Result, the mark stamps in delivery order and how many drains
-// a back-invalidation cut. Small chunks keep the pump busy; the last
+// each kind of cache.Loss cut. Small chunks keep the pump busy; the last
 // window must run the traces to completion so the feeding goroutines exit.
-func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Result, []markEvent, uint64) {
+func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Result, []markEvent, [3]uint64) {
 	t.Helper()
 	ch := NewChip(c.cfg)
 	var marks []markEvent
@@ -231,8 +253,8 @@ func (c skipCase) measure(t *testing.T, run func(*Chip, uint64) Result) ([]Resul
 }
 
 // check requires Chip.Run to reproduce the cycle-by-cycle loop exactly,
-// and returns how many of its drains a back-invalidation cut.
-func (c skipCase) check(t *testing.T) (uint64, bool) {
+// and returns how many of its drains each kind of cache.Loss cut.
+func (c skipCase) check(t *testing.T) ([3]uint64, bool) {
 	t.Helper()
 	want, wantMarks, _ := c.measure(t, runByCycle)
 	got, gotMarks, cuts := c.measure(t, (*Chip).Run)
@@ -399,7 +421,7 @@ func TestEventSkipBackInvalidationCutsDrain(t *testing.T) {
 			} {
 				name := fmt.Sprintf("issue=%d/streamer=%d/windows=%d/bigChunks=%v", issue, streamer, len(c.windows), c.bigChunks)
 				t.Run(name, func(t *testing.T) {
-					if cuts, ok := c.check(t); ok && cuts == 0 {
+					if cuts, ok := c.check(t); ok && cuts[cache.LostL1I] == 0 {
 						t.Errorf("%v: no drain was cut", c)
 					}
 				})
@@ -408,47 +430,236 @@ func TestEventSkipBackInvalidationCutsDrain(t *testing.T) {
 	}
 }
 
+// TestEventSkipDataDrainCut forces the events that can falsify a load or
+// a store a drain took ahead. Two cores loop over two lines of their own,
+// loading and storing one, which stays Modified, and only loading the
+// other; both stay most recently used in their L1Ds, and mispredicts are
+// rare enough that one drain runs through many records. The third core,
+// between code runs of varying length, stores to those lines (the
+// writer), which takes them out of the drainers' L1Ds, or loads them (the
+// reader), which downgrades the stored one to Shared. The
+// disruptor takes each core position, so its access falls in the cycle of
+// a record taken ahead both before and after the draining core steps; at
+// issue rate 4 one cycle takes several records. The drains have to be cut
+// by the loss each disruptor causes, and the result has to be the
+// cycle-by-cycle loop's, under a shared L2 and under private ones.
+func TestEventSkipDataDrainCut(t *testing.T) {
+	lines := func(d int) (mem.Addr, mem.Addr) {
+		x := mem.HeapBase + mem.Addr(d)<<12
+		return x, x + mem.LineSize
+	}
+	drainer := func(d int) []traceOp {
+		x, y := lines(d)
+		var ops []traceOp
+		for range 3000 {
+			ops = append(ops,
+				traceOp{kind: trace.Exec, addr: mem.CodeBase, size: mem.LineSize, n: 3},
+				traceOp{kind: trace.Load, addr: x},
+				traceOp{kind: trace.Store, addr: x + 8},
+				traceOp{kind: trace.Load, addr: y},
+				traceOp{kind: trace.Load, addr: y + 8},
+				traceOp{kind: trace.Load, addr: x + 16, dep: true},
+			)
+		}
+		return ops
+	}
+	disruptor := func(kind trace.Kind, targets []mem.Addr) []traceOp {
+		var ops []traceOp
+		for i := range 800 {
+			ops = append(ops,
+				traceOp{kind: trace.Exec, addr: mem.CodeBase + 1<<12, size: 4 * mem.LineSize, n: 1 + i*37%61},
+				traceOp{kind: kind, addr: targets[i%len(targets)] + mem.Addr(i%8*8)})
+		}
+		return ops
+	}
+	for _, tc := range []struct {
+		name string
+		kind trace.Kind
+		loss cache.Loss
+	}{{"writer", trace.Store, cache.LostL1D}, {"reader", trace.Load, cache.LostModified}} {
+		for _, issue := range []int{1, 4} {
+			for _, shared := range []bool{true, false} {
+				cfg := Config{
+					Camp: FatCamp, Cores: 3, FCIssue: issue, BranchEvery: 3000,
+					Hier: cache.Config{L2Size: 1 << 20, L2Lat: 10, SharedL2: shared},
+				}
+				for pos := range 3 {
+					traces := make([][]traceOp, 3)
+					var targets []mem.Addr
+					for d := range 3 {
+						if d != pos {
+							traces[d] = drainer(d)
+							x, y := lines(d)
+							targets = append(targets, x, y)
+						}
+					}
+					traces[pos] = disruptor(tc.kind, targets)
+					for _, c := range []skipCase{
+						{cfg: cfg, traces: traces, windows: []uint64{toCompletion}},
+						{cfg: cfg, traces: traces, windows: []uint64{137, 1, 2500, 311, 10007, toCompletion}, bigChunks: true},
+					} {
+						name := fmt.Sprintf("%s/issue=%d/sharedL2=%v/disruptor=%d/windows=%d", tc.name, issue, shared, pos, len(c.windows))
+						t.Run(name, func(t *testing.T) {
+							cuts, ok := c.check(t)
+							if ok && cuts[tc.loss] == 0 {
+								t.Errorf("%v: no drain was cut by %v (cuts %v)", c, tc.loss, cuts)
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEventSkipDrainFetchesAhead pins what one drain takes at issue rate
-// 2: the records that follow the current one are fetched ahead exactly
-// when their fetch cycle is one the drain coasts past, and a record that
-// starts at or after the last instruction drained is left for step.
+// 2: the records that follow the current one are taken ahead exactly
+// when their cycle is one the drain coasts past, and a record that starts
+// at or after the last instruction drained is left for step. A load
+// joins on a most recently used L1D line, a store only on one that is
+// also Modified, a dependent load only once the load it waits for is
+// done or a load before it in the drain has hit; a load taken clears the
+// dependence. The current record may be spent: a drain can start at a
+// record boundary.
 func TestEventSkipDrainFetchesAhead(t *testing.T) {
 	hot, cold := mem.CodeBase, mem.CodeBase+mem.LineSize
+	mod, shr := mem.HeapBase+1<<20, mem.HeapBase+1<<20+mem.LineSize // Modified and Shared L1D lines
+	miss := trace.MakeLoad(mem.HeapBase, false)
 	cases := []struct {
 		name        string
 		execLeft    int
 		untilBranch int
+		prevLoad    uint64 // prevLoadDone before the drain
 		next        []trace.Ref
 		cycles      uint64
-		fetched     int // records fetched ahead
+		fetched     int // records taken ahead
 		execAfter   int
+		loadAfter   uint64 // prevLoadDone after it
 	}{
-		{"one-instruction record starts at the stop", 2, 1000,
-			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 1, 0, 0},
-		{"one-instruction record inside the last cycle", 3, 1000,
-			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 2, 1, 0},
-		{"two of three short records", 2, 1000,
-			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), trace.MakeLoad(mem.HeapBase, false)}, 2, 2, 0},
-		{"full records", 3, 1000,
-			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16), trace.MakeLoad(mem.HeapBase, false)}, 17, 2, 1},
-		{"a mispredict due", 3, 10,
-			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16)}, 4, 1, 11},
-		{"a line not most recently used", 5, 1000,
-			[]trace.Ref{trace.MakeExec(cold, 16)}, 2, 0, 1},
-		{"a mark", 5, 1000,
-			[]trace.Ref{trace.MakeMark(1, true), trace.MakeExec(hot, 16)}, 2, 0, 1},
+		{"one-instruction record starts at the stop", 2, 1000, 0,
+			[]trace.Ref{trace.MakeExec(hot, 1), miss}, 1, 0, 0, 0},
+		{"one-instruction record inside the last cycle", 3, 1000, 0,
+			[]trace.Ref{trace.MakeExec(hot, 1), miss}, 2, 1, 0, 0},
+		{"two of three short records", 2, 1000, 0,
+			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), trace.MakeExec(hot, 1), miss}, 2, 2, 0, 0},
+		{"full records", 3, 1000, 0,
+			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16), miss}, 17, 2, 1, 0},
+		{"a mispredict due", 3, 10, 0,
+			[]trace.Ref{trace.MakeExec(hot, 16), trace.MakeExec(hot, 16)}, 4, 1, 11, 0},
+		{"a line not most recently used", 5, 1000, 0,
+			[]trace.Ref{trace.MakeExec(cold, 16)}, 2, 0, 1, 0},
+		{"a mark", 5, 1000, 0,
+			[]trace.Ref{trace.MakeMark(1, true), trace.MakeExec(hot, 16)}, 2, 0, 1, 0},
+		{"loads and stores between code", 1, 1000, 0,
+			[]trace.Ref{trace.MakeLoad(mod, false), trace.MakeStore(mod + 8), trace.MakeExec(hot, 1), trace.MakeLoad(shr, false), miss}, 2, 3, 0, 0},
+		{"from a record boundary", 0, 1000, 0,
+			[]trace.Ref{trace.MakeStore(mod), trace.MakeLoad(shr, false), trace.MakeExec(hot, 16), miss}, 9, 3, 0, 0},
+		{"loads do not count towards a mispredict", 0, 3, 0,
+			[]trace.Ref{trace.MakeLoad(mod, false), trace.MakeLoad(shr, false), trace.MakeExec(hot, 16)}, 2, 3, 14, 0},
+		{"a store to a line not Modified", 5, 1000, 0,
+			[]trace.Ref{trace.MakeStore(shr)}, 2, 0, 1, 0},
+		{"a dependent load behind a missing load", 3, 1000, 10,
+			[]trace.Ref{trace.MakeLoad(mod, true), trace.MakeExec(hot, 16)}, 1, 0, 1, 10},
+		{"a dependent load whose load is done", 3, 1000, 1,
+			[]trace.Ref{trace.MakeLoad(mod, true), trace.MakeExec(hot, 16)}, 10, 2, 0, 0},
+		{"a dependent load after a hit", 1, 1000, 10,
+			[]trace.Ref{trace.MakeLoad(shr, false), trace.MakeLoad(mod, true), trace.MakeExec(hot, 16)}, 9, 3, 1, 0},
+		{"a load left for step keeps the dependence", 3, 1000, 10,
+			[]trace.Ref{trace.MakeExec(hot, 1), trace.MakeLoad(shr, false), miss}, 2, 1, 0, 10},
 	}
 	for _, tc := range cases {
 		ch := NewChip(skipConfig(FatCamp, 1, true))
 		ch.hier.WarmFetch(0, hot)
+		ch.hier.WarmWrite(0, mod)
+		ch.hier.WarmRead(0, shr)
 		c := ch.cores[0].core.(*fcCore)
+		c.prevLoadDone = tc.prevLoad
 		th := &Thread{ctx: c.ctx, chip: ch, cur: tc.next, execLeft: tc.execLeft, untilBranch: tc.untilBranch}
 		c.ctx.threads = []*Thread{th}
-		hits := ch.hier.Stats.L1IHits
+		before := ch.hier.Stats
 		n := c.drain(0, never)
-		if n != tc.cycles || th.pos != tc.fetched || th.execLeft != tc.execAfter || ch.hier.Stats.L1IHits-hits != uint64(tc.fetched) {
-			t.Errorf("%s: %d cycles, %d records fetched (%d hits), %d instructions left; want %d, %d, %d",
-				tc.name, n, th.pos, ch.hier.Stats.L1IHits-hits, th.execLeft, tc.cycles, tc.fetched, tc.execAfter)
+		hits := ch.hier.Stats.L1IHits + ch.hier.Stats.L1DHits - before.L1IHits - before.L1DHits
+		if n != tc.cycles || th.pos != tc.fetched || th.execLeft != tc.execAfter || hits != uint64(tc.fetched) || c.prevLoadDone != tc.loadAfter {
+			t.Errorf("%s: %d cycles, %d records taken (%d hits), %d instructions left, prevLoadDone %d; want %d, %d, %d, %d",
+				tc.name, n, th.pos, hits, th.execLeft, c.prevLoadDone, tc.cycles, tc.fetched, tc.execAfter, tc.loadAfter)
+		}
+	}
+}
+
+// TestEventSkipCutEqualsStepping pins what a cut restores: after a drain
+// on one core and another core's store to (both losses) or load of (a
+// downgrade) a line the drain took a store of, the thread and the core
+// are where stepping the same cycles, with that access made first, leaves
+// them: position, instructions left, branch counter, records consumed,
+// instruction index, the load dependence and the hit counts.
+func TestEventSkipCutEqualsStepping(t *testing.T) {
+	hot := mem.CodeBase
+	shr, x := mem.HeapBase+1<<20, mem.HeapBase+2<<20+5*mem.LineSize // different L1D sets
+	// The first cut falls on the store of x, after a load in the first
+	// list and before any in the second.
+	lists := [][]trace.Ref{{
+		trace.MakeExec(hot, 3), trace.MakeLoad(shr, false), trace.MakeStore(x), trace.MakeExec(hot, 5),
+		trace.MakeLoad(x, true), trace.MakeLoad(shr, true), trace.MakeStore(x + 8), trace.MakeExec(hot, 16),
+		trace.MakeLoad(x, false), trace.MakeExec(hot, 16),
+	}, {
+		trace.MakeExec(hot, 3), trace.MakeStore(x), trace.MakeLoad(shr, false), trace.MakeExec(hot, 5),
+		trace.MakeLoad(x, true), trace.MakeExec(hot, 16), trace.MakeLoad(shr, true), trace.MakeExec(hot, 16),
+	}}
+	type state struct {
+		pos, execLeft, untilBranch  int
+		consumed, instrIdx, loadDue uint64
+		l1iHits, l1dHits            uint64
+	}
+	for li, recs := range lists {
+		for _, issue := range []int{1, 2, 3} {
+			for _, peer := range []trace.Kind{trace.Store, trace.Load} {
+				for _, prev := range []uint64{0, 40} {
+					// build returns core 0 of a two-core chip with the records
+					// ahead of its thread, two instructions left of the current
+					// one, and core 1's access to x.
+					build := func() (*Chip, *fcCore, *Thread, func()) {
+						cfg := skipConfig(FatCamp, 2, true)
+						cfg.FCIssue = issue
+						ch := NewChip(cfg)
+						ch.hier.WarmFetch(0, hot)
+						ch.hier.WarmRead(0, shr)
+						ch.hier.WarmWrite(0, x)
+						c := ch.cores[0].core.(*fcCore)
+						c.prevLoadDone = prev
+						th := &Thread{ctx: c.ctx, chip: ch, cur: recs, execLeft: 2, untilBranch: 1000}
+						c.ctx.threads = []*Thread{th}
+						access := func() { ch.hier.Write(1, x, 0) }
+						if peer == trace.Load {
+							access = func() { ch.hier.Read(1, x, 0) }
+						}
+						return ch, c, th, access
+					}
+					snap := func(ch *Chip, c *fcCore, th *Thread) state {
+						return state{th.pos, th.execLeft, th.untilBranch, th.consumed, c.instrIdx, c.prevLoadDone,
+							ch.hier.Stats.L1IHits, ch.hier.Stats.L1DHits}
+					}
+					name := fmt.Sprintf("list=%d/issue=%d/peer=%v/prevLoadDone=%d", li, issue, peer, prev)
+
+					ch, c, th, access := build()
+					if n := c.drain(0, never); n == 0 {
+						t.Fatalf("%s: nothing drained", name)
+					}
+					access()
+					if ch.cuts == [3]uint64{} {
+						t.Fatalf("%s: the drain was not cut", name)
+					}
+					f, got := ch.cores[0].until, snap(ch, c, th)
+
+					ch, c, th, access = build()
+					access()
+					for now := uint64(0); now < f; now++ {
+						c.step(now)
+					}
+					if want := snap(ch, c, th); got != want {
+						t.Errorf("%s: cut back to cycle %d leaves %+v; stepping leaves %+v", name, f, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -498,7 +709,7 @@ func TestEventSkipRandomTraces(t *testing.T) {
 		_, ok := c.check(t)
 		return ok
 	}
-	count := 60
+	count := 200
 	if testing.Short() {
 		count = 15
 	}

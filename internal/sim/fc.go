@@ -78,16 +78,33 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 	if len(ctx.threads) == 0 {
 		return never, KindIdle, 0
 	}
-	// The common case after a step that issued loads and stores: an
-	// awake context with no Exec record to drain is due now, whatever
-	// quietUntil and drain would go on to look at.
-	if now >= ctx.blockedUntil && ctx.threads[ctx.cur].execLeft <= 0 {
-		return now, KindComp, 0
-	}
 	// A blocked context skips retire and issue, so until it wakes the
 	// in-flight misses and the dependence state are not looked at.
-	if q := ctx.quietUntil(now); q > now {
-		return q, ctx.blockCause, 0
+	if now < ctx.blockedUntil {
+		if q := ctx.quietUntil(now); q > now {
+			return q, ctx.blockCause, 0
+		}
+		return now, KindComp, 0
+	}
+	// The common case after a step that ended on a record boundary: the
+	// next record would not hit (drain's check of each record, inlined),
+	// so there is nothing to drain.
+	if t := ctx.threads[ctx.cur]; t.execLeft <= 0 {
+		if t.hasPending || t.pos == len(t.cur) {
+			return now, KindComp, 0
+		}
+		hit := false
+		switch r := t.cur[t.pos]; r.Kind() {
+		case trace.Exec:
+			hit = c.hier.FetchIsMRU(c.id, r.Addr())
+		case trace.Load:
+			hit = c.hier.ReadIsMRU(c.id, r.Addr())
+		case trace.Store:
+			hit = c.hier.WriteIsMRU(c.id, r.Addr())
+		}
+		if !hit {
+			return now, KindComp, 0
+		}
 	}
 	if n := c.drain(now, end); n > 0 {
 		return now + n, KindComp, c.issue
@@ -96,21 +113,26 @@ func (c *fcCore) coast(now, end uint64) (uint64, StallKind, int) {
 }
 
 // drain counts the cycles from now, short of end, in which step would do
-// nothing but issue FCIssue more instructions of the running thread's Exec
-// records, and moves the thread and the core past them. The records are
-// one instruction stream: the current one's rest, then each following
-// record of the chunk that is an Exec record whose line is the most
-// recently used of its L1I set. Step fetches such a record ⌊instructions
-// before it / FCIssue⌋ cycles on with HitFetch, which moves nothing, so
-// drain fetches it ahead (see fetchAhead). In those cycles there is no
-// finished thread to remove or quantum to expire, no structural limit
-// reached, no mispredict charged and no other record met. Misses that
-// complete meanwhile only loosen the limits, so judging them by the queue
-// as it stands errs on the short side, and the retire step skips is made
-// up by the next one.
+// nothing but issue FCIssue more instructions of the running thread's
+// records that hit in its L1s, and moves the thread and the core past
+// them. The records are one instruction stream: the current Exec record's
+// rest, then each following record of the chunk that is an Exec record
+// whose line is the most recently used of its L1I set, a load whose line
+// is the most recently used of its L1D set while no software prefetch is
+// in flight, or a store whose line is that and Modified — each one
+// instruction for a load or a store. Step takes such a record
+// ⌊instructions before it / FCIssue⌋ cycles on with HitFetch, HitRead or
+// HitWrite, none of which moves anything, so drain takes it ahead (see
+// fetchAhead). In those cycles there is no finished thread to remove or
+// quantum to expire, no structural limit reached, no mispredict charged,
+// no dependent load waiting and no other record met. Misses that complete
+// meanwhile only loosen the limits, so judging them by the queue as it
+// stands errs on the short side, and the retire step skips is made up by
+// the next one.
 func (c *fcCore) drain(now, end uint64) uint64 {
 	ctx := c.ctx
-	if ctx.reap || now < ctx.blockedUntil {
+	// coast calls it for an awake context only.
+	if ctx.reap {
 		return 0
 	}
 	cycles := end - now
@@ -121,117 +143,207 @@ func (c *fcCore) drain(now, end uint64) uint64 {
 		cycles = min(cycles, ctx.nextSwitch-now)
 	}
 	t := ctx.threads[ctx.cur]
-	if t.execLeft <= 0 || t.untilBranch <= 0 {
+	// A pushed-back record is a dependent load step could not issue; a
+	// full miss queue blocks issue.
+	if t.hasPending || t.untilBranch <= 0 || len(c.outstanding) >= c.mlp {
 		return 0
 	}
 	// Each limit is a count of instructions, and the cycles they allow
 	// are that count over the issue rate: ⌊min/w⌋ is the least of the
-	// per-limit quotients, so one division serves them all. The last
-	// FCIssue instructions before a mispredict is due are left to step,
-	// which charges it.
+	// per-limit quotients, so one division serves them all.
 	w := uint64(c.issue)
-	limit := min(uint64(t.untilBranch-1), maxDrain)
+	limit := uint64(maxDrain)
 	if cycles < limit {
 		limit = min(limit, cycles*w)
 	}
-	// The miss queue is not full: step checked before it fetched the
-	// current record, and no load has issued since. The reorder window
-	// can fill; step checks it at the start of every cycle and before
-	// every fetch.
-	span, windowed := uint64(0), len(c.outstanding) > 0
-	if windowed {
-		span = c.instrIdx - c.oldest().instrIdx
+	// The reorder window can fill; step checks it at the start of every
+	// cycle and before every record: no record starts room instructions
+	// on or later.
+	room := uint64(maxDrain)
+	if len(c.outstanding) > 0 {
+		span := c.instrIdx - c.oldest().instrIdx
 		if span >= c.window {
 			return 0
 		}
+		room = c.window - span
 		// Issue stops in the cycle that starts with the window full:
 		// ⌈(window−span)/w⌉ cycles.
-		limit = min(limit, c.window-span+w-1)
+		limit = min(limit, room+w-1)
 	}
+	// Only Exec instructions count towards a mispredict: the one that
+	// brings the count to it, left to step, which charges it, starts
+	// budget instructions on plus one for each load and store before it.
+	budget := uint64(t.untilBranch - 1)
 	// avail counts the instructions up to the end of cur[pos-1]: the next
-	// record would start avail instructions on.
-	avail, pos := uint64(t.execLeft), t.pos
-	// No record is pushed back: step pushes back only a load, and only
-	// when no Exec record is left.
-	for avail < limit && pos < len(t.cur) {
+	// record would start avail instructions on; data of them are loads
+	// and stores.
+	avail, data := uint64(max(t.execLeft, 0)), 0
+	pos, loaded := t.pos, -1
+	prevLoadDone := c.prevLoadDone
+walk:
+	for avail < limit && avail < room && avail < budget+uint64(data) && pos < len(t.cur) {
 		r := t.cur[pos]
-		if r.Kind() != trace.Exec || windowed && span+avail >= c.window || !c.hier.FetchIsMRU(c.id, r.Addr()) {
-			break
+		switch r.Kind() {
+		case trace.Exec:
+			if !c.hier.FetchIsMRU(c.id, r.Addr()) {
+				break walk
+			}
+			avail += uint64(r.Count())
+		case trace.Load:
+			// A dependent load waits for the latest missing load, unless
+			// a load taken before it has hit.
+			if !c.hier.ReadIsMRU(c.id, r.Addr()) || r.Dep() && prevLoadDone > now+c.perIssue.of(avail) {
+				break walk
+			}
+			if loaded < 0 {
+				loaded = pos
+			}
+			prevLoadDone = 0
+			avail++
+			data++
+		case trace.Store:
+			if !c.hier.WriteIsMRU(c.id, r.Addr()) {
+				break walk
+			}
+			avail++
+			data++
+		default:
+			break walk
 		}
-		avail += uint64(r.Count())
 		pos++
 	}
-	n := c.perIssue.of(min(avail, limit))
+	n := c.perIssue.of(min(avail, limit, budget+uint64(data)))
 	if n == 0 {
 		return 0
 	}
 	issued := n * w
 	// A record that starts at or after the last drained instruction is
-	// fetched in the cycle the drain stops short of: step's.
-	for pos > t.pos && avail-uint64(t.cur[pos-1].Count()) >= issued {
+	// taken in the cycle the drain stops short of: step's.
+	for pos > t.pos {
+		k := instrs(t.cur[pos-1])
+		if avail-k < issued {
+			break
+		}
 		pos--
-		avail -= uint64(t.cur[pos].Count())
+		avail -= k
+		if t.cur[pos].Kind() != trace.Exec {
+			data--
+		}
 	}
-	if fetched := uint64(pos - t.pos); fetched > 0 {
-		c.ahead = fetchAhead{from: now, until: now + n, pos: t.pos, first: uint64(t.execLeft)}
-		c.hier.Stats.L1IHits += fetched
-		t.consumed += fetched
+	if taken := pos - t.pos; taken > 0 {
+		// Field by field: a composite literal is built on the stack and
+		// copied, and the copy stalls on the stores just made.
+		a := &c.ahead
+		a.from, a.until, a.pos, a.first, a.prevLoadDone = now, now+n, t.pos, uint64(max(t.execLeft, 0)), c.prevLoadDone
+		c.hier.Stats.L1IHits += uint64(taken - data)
+		c.hier.Stats.L1DHits += uint64(data)
+		t.consumed += uint64(taken)
 		t.pos = pos
+		if loaded >= 0 && loaded < pos {
+			c.prevLoadDone = 0
+		}
 	}
+	// Every load and store taken lies wholly inside the issued
+	// instructions; the rest of them are Exec instructions.
 	t.execLeft = int(avail - issued)
-	t.untilBranch -= int(issued)
+	t.untilBranch -= int(issued) - data
 	c.instrIdx += issued
 	return n
 }
 
-// fetchAhead is what the last drain fetched ahead of time: the running
-// thread's records cur[pos:] up to its current pos, the first of them
-// starting first instructions after cycle from's first, each fetched in
-// cycle from + ⌊instructions before it / FCIssue⌋. until is where the
-// drain ends. A fetch before until may yet be falsified (see unfetch).
-type fetchAhead struct {
-	from, until uint64
-	pos         int
-	first       uint64
+// instrs is how many instructions record r issues: an Exec record its
+// count, a load or a store one.
+func instrs(r trace.Ref) uint64 {
+	if r.Kind() == trace.Exec {
+		return uint64(r.Count())
+	}
+	return 1
 }
 
-// unfetch hears that an L2 eviction made by core by in cycle now took line
-// out of the core's L1I. Step would fetch a record of that line the last
-// drain fetched ahead, if its cycle comes later — or is now itself, with
-// by stepped first — and miss. unfetch then cuts the drain back to that
-// cycle, undoing what the cycles after it had moved, and returns it.
-func (c *fcCore) unfetch(line mem.Addr, now uint64, by int) (uint64, bool) {
+// fetchAhead is what the last drain took ahead of time: the running
+// thread's records cur[pos:] up to its current pos, the first of them
+// starting first instructions after cycle from's first, each taken in
+// cycle from + ⌊instructions before it / FCIssue⌋. until is where the
+// drain ends, prevLoadDone the core's before it. A record taken for a
+// cycle before until may yet be falsified (see unfetch).
+type fetchAhead struct {
+	from, until  uint64
+	pos          int
+	first        uint64
+	prevLoadDone uint64
+}
+
+// unfetch hears that core by's access in cycle now took line out of the
+// core's L1I or L1D, or its L1D copy out of Modified (loss). Step would
+// take a record of that line the last drain took ahead — an Exec record
+// for an L1I loss, a load or a store for an L1D loss, a store for a
+// downgrade — if its cycle comes later, or is now itself with by stepped
+// first, and would not hit. unfetch then cuts the drain back to the start
+// of that cycle, undoing what the drain had moved from there on, and
+// returns the cycle.
+func (c *fcCore) unfetch(line mem.Addr, loss cache.Loss, now uint64, by int) (uint64, bool) {
 	a := &c.ahead
 	if a.until <= now {
 		return 0, false
 	}
 	t := c.ctx.threads[c.ctx.cur]
-	w := uint64(c.issue)
-	start := a.first
-	for i := a.pos; i < t.pos; i++ {
-		r := t.cur[i]
-		f := a.from + c.perIssue.of(start)
-		if r.Addr().Line() != line || f < now || f == now && c.id <= by {
-			start += uint64(r.Count())
-			continue
+	start, f := a.first, uint64(0)
+	for i := a.pos; ; i++ {
+		if i == t.pos {
+			return 0, false
 		}
-		// Back to the start of cycle f. Records fetched ahead in cycle f
-		// before this one stay fetched: none is of line, so step would
-		// fetch them as the drain did, and execLeft counts their
-		// instructions with the rest of the record before them — fewer
-		// than FCIssue, all issued in cycle f.
-		issued := (f - a.from) * w
-		undone, back := uint64(t.pos-i), (a.until-a.from)*w-issued
-		c.hier.Stats.L1IHits -= undone
-		t.consumed -= undone
-		t.pos = i
-		t.execLeft = int(start - issued)
-		t.untilBranch += int(back)
-		c.instrIdx -= back
-		a.until = f
-		return f, true
+		r := t.cur[i]
+		if r.Addr().Line() == line && falsifies(loss, r.Kind()) {
+			if f = a.from + c.perIssue.of(start); f > now || f == now && c.id > by {
+				break
+			}
+		}
+		start += instrs(r)
 	}
-	return 0, false
+	// Back to the start of cycle f: the records that start before its
+	// first instruction stay taken, as step would have taken them by then;
+	// the rest are undone, and step takes them again.
+	w := uint64(c.issue)
+	issued, drained := (f-a.from)*w, (a.until-a.from)*w
+	start, j, loaded := a.first, a.pos, false
+	for ; j < t.pos && start < issued; j++ {
+		r := t.cur[j]
+		loaded = loaded || r.Kind() == trace.Load
+		start += instrs(r)
+	}
+	var fetches, data uint64
+	for _, r := range t.cur[j:t.pos] {
+		if r.Kind() == trace.Exec {
+			fetches++
+		} else {
+			data++
+		}
+	}
+	c.hier.Stats.L1IHits -= fetches
+	c.hier.Stats.L1DHits -= data
+	t.consumed -= fetches + data
+	t.pos = j
+	t.execLeft = int(max(start, issued) - issued)
+	t.untilBranch += int(drained - issued - data)
+	c.instrIdx -= drained - issued
+	if !loaded {
+		c.prevLoadDone = a.prevLoadDone
+	}
+	a.until = f
+	return f, true
+}
+
+// falsifies reports whether loss turns a hit of a record of kind k on the
+// line into something else: an L1I loss a fetch, an L1D loss a load or a
+// store, a downgrade from Modified a store.
+func falsifies(loss cache.Loss, k trace.Kind) bool {
+	switch loss {
+	case cache.LostL1I:
+		return k == trace.Exec
+	case cache.LostL1D:
+		return k == trace.Load || k == trace.Store
+	}
+	return k == trace.Store
 }
 
 // retire drops completed misses. Most cycles complete none, which

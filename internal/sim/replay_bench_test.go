@@ -11,20 +11,23 @@ import (
 
 // BenchmarkChipReplay measures the simulator on its own: a fixed trace
 // per thread replayed through the default four-core fat-camp chip with the
-// paper's 26 MB shared L2, on one thread and on four. Two of synthTrace's
-// mixes: "stream" is DSS-shaped — independent loads half of which walk a
-// sequential stream, prefetches ahead of them, stores and short compute
-// runs — and "compute" is code-heavy, long Exec runs between the odd load
-// and store, the runs a drain fetches ahead through. One thread runs as the
-// simulator's coroutine (trace.Inline) and four through pipes, as
-// core.Runner feeds a side. records/s counts the trace records the chip
+// paper's 26 MB shared L2, on one thread and on four. Three of
+// synthTrace's mixes: "stream" is DSS-shaped — independent loads half of
+// which walk a sequential stream, prefetches ahead of them, stores and
+// short compute runs; "compute" is code-heavy, long Exec runs between the
+// odd load and store, the runs a drain fetches ahead through; and
+// "accumulate" is an aggregate's inner loop, loads and stores of four
+// accumulator lines every thread shares between short code runs, which a
+// drain takes ahead and other threads' stores and loads cut. One thread
+// runs as the simulator's coroutine (trace.Inline) and four through pipes,
+// as core.Runner feeds a side. records/s counts the trace records the chip
 // executed per second; allocs/op shows what producing and consuming the
 // trace allocates.
 func BenchmarkChipReplay(b *testing.B) {
 	const records = 200_000
 	cfg := Config{Camp: FatCamp, Hier: cache.Config{L2Size: 26 << 20, L2Lat: 14, SharedL2: true, StreamBuf: true}}
 	hier := cache.NewHierarchy(cfg.WithDefaults().Hier)
-	for _, mix := range []traceMix{traceMixes[2], traceMixes[0]} {
+	for _, mix := range []traceMix{traceMixes[2], traceMixes[0], traceMixes[4]} {
 		for _, threads := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(int64(threads)))
 			traces := make([][]traceOp, threads)
