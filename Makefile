@@ -21,9 +21,10 @@ build:
 # bodies through validation against the request bounds, the seventh
 # arbitrary page bytes through the slotted-page readers, the eighth the
 # parallel join against the serial one, the ninth every lowering of
-# every plan against the row reference, and the tenth the compiled
-# predicate forms against the interpreted ones, each for 15 s on top of
-# its committed corpus; the last loads TPC-H at both scales and TPC-C three times each
+# every plan against the row reference, the tenth the compiled predicate
+# forms against the interpreted ones, and the eleventh malformed
+# buffer-pool images through Restore, each for 15 s on top of its
+# committed corpus; the last loads TPC-H at both scales and TPC-C three times each
 # and prints the MB/s of pages written (hold it against bench's
 # host.memcpy_gbps).
 test:
@@ -37,14 +38,19 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzParallelJoin -fuzztime 15s ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzLowerings -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCompilePreds -fuzztime 15s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzPoolImage -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload
 
 # The second line mirrors CI's simulator step under race: event skipping
 # against the cycle-by-cycle loop, the cache hierarchy against its
-# reference, workspace reuse, trace-chunk recycling and exact repeats.
+# reference, workspace reuse, trace-chunk recycling and exact repeats. The
+# third mirrors its native-exactness step: native rows on worker contexts
+# and through the order-preserving exchange against the serial plan's, and
+# nothing left behind, on one, two and four processors.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'EventSkip|ArenaReuse|RunRepeats|Oracle|Recycle' ./internal/sim ./internal/mem ./internal/core ./internal/cache ./internal/trace
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'GoldenParallel|MatchesSerial|Lowerings|OrderedExchange|OrderedMorsels|LeaveNothing|LeavesNothing' ./internal/engine ./internal/workload
 
 # Every Go benchmark in the tree, one iteration each: the TPC-H and
 # TPC-C loads and native Q13 by worker count. The paper's measured

@@ -4,11 +4,10 @@
 // the first measurement whose headline is host rows/sec: compiled
 // predicates, selection vectors, batch hash tables, and morsel-driven
 // parallelism across real cores. Each sweep point is the best of many
-// short runs after a warmup, shaving scheduler noise; float sums across
-// worker counts agree only up to
-// addition order (the merge is exact for keys, counts, and integer
-// sums), which is why parallel digests fingerprint the row count, not
-// the float bits.
+// short runs after a warmup, shaving scheduler noise. Every point returns
+// the interpreted reference's rows byte for byte — the workers of a
+// multi-worker point feed their morsels to the serial plan's aggregate in
+// page order — so every point's digest is the reference's.
 
 package core
 
@@ -53,9 +52,8 @@ type NativeRun struct {
 	// the number the zero-copy path races against memory bandwidth.
 	BytesScanned int
 	GBPerSec     float64
-	// ResultRows counts result rows; Digest fingerprints them (RowsDigest
-	// for serial points, a row-count digest for multi-worker points whose
-	// float addition order varies with morsel claiming).
+	// ResultRows counts result rows; Digest is their RowsDigest, the
+	// interpreted reference's at every point.
 	ResultRows int
 	Digest     uint64
 }
@@ -73,7 +71,8 @@ const nativeWorkBytes = 64 << 20
 // probing can be compared on identical inputs; non-joining queries
 // collapse the list to one point. Worker counts beyond the host's
 // cores still run (goroutines share cores); their scaling numbers just
-// reflect the hardware they got.
+// reflect the hardware they got. A 1-worker point is the serial plan; a
+// point whose digest is not the interpreted reference's fails the sweep.
 func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bool, modes ...engine.JoinMode) ([]NativeRun, error) {
 	if !workload.HasPlan(q) {
 		return nil, fmt.Errorf("core: native DSS query %d (have %s)", q, plannedList(""))
@@ -133,29 +132,13 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 			Query: q, Workers: workers, Interpreted: interpreted, Borrowed: borrowed,
 			JoinMode: engine.JoinAuto.String(),
 			Rows:     scanned, Nanos: best, MedianNanos: median, IQRNanos: iqr,
-			BytesScanned: scannedBytes, ResultRows: len(rows),
+			BytesScanned: scannedBytes, ResultRows: len(rows), Digest: RowsDigest(rows),
 		}
 		if best > 0 {
 			n.RowsPerSec = float64(scanned) / (float64(best) / 1e9)
 			n.GBPerSec = float64(scannedBytes) / float64(best)
 		}
-		if workers == 1 {
-			n.Digest = RowsDigest(rows)
-		} else {
-			n.Digest = countDigest(len(rows))
-		}
 		return n
-	}
-	runPoint := func(w int, o workload.NativeOpts) func() ([][]engine.Value, error) {
-		if w == 1 {
-			return func() ([][]engine.Value, error) {
-				return h.RunQueryNative(ctxs[0], q, p, o)
-			}
-		}
-		wctxs := ctxs[:w]
-		return func() ([][]engine.Value, error) {
-			return h.RunQueryParallelNative(wctxs, q, p, o)
-		}
 	}
 
 	if len(modes) == 0 || q != 13 {
@@ -178,12 +161,18 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	for _, w := range workerCounts {
 		for _, borrow := range flavors {
 			for _, m := range modes {
-				run := runPoint(w, workload.NativeOpts{ZeroCopy: borrow, JoinMode: m})
-				rows, best, median, iqr, err := measure(run)
+				o := workload.NativeOpts{ZeroCopy: borrow, JoinMode: m}
+				rows, best, median, iqr, err := measure(func() ([][]engine.Value, error) {
+					return h.RunQueryParallelNative(ctxs[:w], q, p, o)
+				})
 				if err != nil {
 					return nil, fmt.Errorf("core: native q%d workers=%d zero_copy=%v join=%s: %w", q, w, borrow, m, err)
 				}
 				pt := point(w, false, borrow, rows, best, median, iqr)
+				if pt.Digest != out[0].Digest {
+					return nil, fmt.Errorf("core: native q%d workers=%d zero_copy=%v join=%s: digest %#x, interpreted %#x",
+						q, w, borrow, m, pt.Digest, out[0].Digest)
+				}
 				pt.JoinMode = m.String()
 				out = append(out, pt)
 			}

@@ -13,8 +13,8 @@ import (
 
 // TestRunNativeDSSSweepShape: the sweep leads with the interpreted
 // 1-worker reference, carries one compiled point per requested count,
-// and every serial digest is byte-identical (interpreted, compiled, and
-// 1-worker parallel all execute the same row order).
+// and every point's digest is the reference's RowsDigest: the 2-worker
+// point's ordered exchange feeds the serial aggregate the serial rows.
 func TestRunNativeDSSSweepShape(t *testing.T) {
 	for _, q := range []int{1, 6, 13} {
 		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, false)
@@ -49,22 +49,18 @@ func TestRunNativeDSSSweepShape(t *testing.T) {
 		if runs[1].Workers != 1 || runs[2].Workers != 2 {
 			t.Fatalf("q%d: worker counts %d,%d, want 1,2", q, runs[1].Workers, runs[2].Workers)
 		}
-		if runs[1].Digest != ref.Digest {
-			t.Fatalf("q%d: compiled serial digest %#x != interpreted %#x (fast path changed the result)",
-				q, runs[1].Digest, ref.Digest)
-		}
-		if runs[2].Digest != countDigest(runs[2].ResultRows) {
-			t.Fatalf("q%d: parallel digest is not the row-count digest", q)
-		}
-		if runs[2].ResultRows != ref.ResultRows {
-			t.Fatalf("q%d: parallel result rows %d != serial %d", q, runs[2].ResultRows, ref.ResultRows)
+		for _, r := range runs[1:] {
+			if r.Digest != ref.Digest || r.ResultRows != ref.ResultRows {
+				t.Fatalf("q%d x%d: digest %#x over %d rows, interpreted %#x over %d",
+					q, r.Workers, r.Digest, r.ResultRows, ref.Digest, ref.ResultRows)
+			}
 		}
 	}
 }
 
 // TestRunNativeDSSZeroCopySweep: with zeroCopy set every worker count is
-// measured twice — copying then borrowed — the borrowed serial digest is
-// byte-identical to the interpreted reference, and the sweep ends with
+// measured twice — copying then borrowed — every digest is the
+// interpreted reference's, and the sweep ends with
 // zero outstanding page leases (borrowed blocks release their pins).
 func TestRunNativeDSSZeroCopySweep(t *testing.T) {
 	h, err := sharedRunner.TPCH()
@@ -91,10 +87,10 @@ func TestRunNativeDSSZeroCopySweep(t *testing.T) {
 					q, i+1, r.Workers, r.Borrowed, w.workers, w.borrowed)
 			}
 		}
-		for _, r := range runs[1:3] {
+		for _, r := range runs[1:] {
 			if r.Digest != ref.Digest {
-				t.Fatalf("q%d: serial digest %#x (borrowed=%v) != interpreted %#x",
-					q, r.Digest, r.Borrowed, ref.Digest)
+				t.Fatalf("q%d x%d: digest %#x (borrowed=%v) != interpreted %#x",
+					q, r.Workers, r.Digest, r.Borrowed, ref.Digest)
 			}
 		}
 		if n := h.DB.Pool.Leases(); n != 0 {

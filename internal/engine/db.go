@@ -317,6 +317,9 @@ type Ctx struct {
 	Join obs.JoinMetrics
 
 	leases atomic.Int64
+	// owner is the context whose workspace a worker context was carved
+	// from (Workers); the worker's page leases count against it.
+	owner *Ctx
 }
 
 // Leases returns how many page leases taken through this context are
@@ -337,8 +340,23 @@ func (c *Ctx) lease(pid storage.PageID) (ctxLease, error) {
 	if err != nil {
 		return ctxLease{}, err
 	}
+	if c.owner != nil {
+		c = c.owner
+	}
 	c.leases.Add(1)
 	return ctxLease{l, c}, nil
+}
+
+// Workers carves n nil-recorder worker contexts from c's workspace, each
+// over workBytes of it, for an OrderedExchange that c consumes. They lease
+// pages on c's account (c.Leases counts theirs) and are valid until c's
+// workspace is reset.
+func (c *Ctx) Workers(n, workBytes int) []*Ctx {
+	ws := make([]*Ctx, n)
+	for w := range ws {
+		ws[w] = &Ctx{DB: c.DB, Work: c.Work.Carve(workBytes), JoinMode: c.JoinMode, owner: c}
+	}
+	return ws
 }
 
 // Release ends the lease. It is called once per lease: by aliasPage when

@@ -289,7 +289,7 @@ func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
 	join := &ParallelHashJoin{Ctxs: ctxs[:1], Joins: []*HashJoinVec{
 		{Probe: &failVec{Schema_: s, After: 4}, Build: &failVec{Schema_: s, After: 4}},
 	}}
-	join.Joins[0].shared = join
+	join.Joins[0].shared = &join.joinTable
 	if err := join.Joins[0].Open(ctx); err == nil {
 		t.Fatal("a probe opened before its parallel build")
 	}

@@ -190,7 +190,8 @@ func Unpace(ctxs []*Ctx) {
 // Min/Max keep the extremum — so the merged result is exactly what the
 // serial operator computes. Group keys and integer aggregates are
 // bit-identical for every worker count; float aggregates vary only by
-// addition order.
+// addition order. It is the traced morsel path (parallel-dss); native
+// plans run on OrderedExchange, which keeps the serial plan's bits.
 type ParallelAgg struct {
 	// BuildVec returns worker w's vectorized subtree; workers absorb it
 	// block-at-a-time through the same machinery as HashAggVec.
@@ -273,20 +274,9 @@ func (a *ParallelAgg) Open(ctx *Ctx) error {
 	// Gather barrier: merge worker partials into the master table. The
 	// scan of each partial is charged to the gather worker — it reads the
 	// producers' workspaces, which is the cross-core traffic a shared L2
-	// absorbs. A native merge takes the first partial as the master's
-	// table and folds the others into it, walking its chains inline
-	// (groupSlot); a partial entry's key is its group hash.
-	if ctx.Rec == nil {
-		m.ht, partials = partials[0].ht, partials[1:]
-	}
-	buf, _ := m.ht.arena.Raw()
+	// absorbs. A partial entry's key is its group hash.
 	for _, wa := range partials {
 		wa.ht.Scan(ctx.Rec, func(h uint64, p []byte) bool {
-			if ctx.Rec == nil {
-				acc := m.groupSlot(h, p[:m.groupW]) + m.groupW
-				mergeAccums(cs, a.Aggs, buf[acc:acc+m.slotW], p[m.groupW:])
-				return true
-			}
 			payload, at := m.findOrInsertGroupH(ctx.Rec, h, p[:m.groupW])
 			mergeAccums(cs, a.Aggs, payload[m.groupW:], p[m.groupW:])
 			ctx.Rec.StoreRange(at+mem.Addr(m.groupW), m.slotW)
@@ -321,8 +311,7 @@ type ParallelHashJoin struct {
 	Joins []*HashJoinVec
 	Ctxs  []*Ctx
 
-	mode JoinMode
-	pt   *PartedTable
+	joinTable
 }
 
 // Open runs the build, gathered on ctx, in two fan-outs.
@@ -357,7 +346,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	// layout does not depend on which worker the host runs first.
 	runs := make([]*RadixPart, nw)
 	for w, hj := range j.Joins {
-		hj.shared = j
+		hj.shared = &j.joinTable
 		hj.prepare(ctx)
 		runs[w] = newRadixRun(j.Ctxs[w], parts, bWidth)
 	}

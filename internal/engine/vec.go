@@ -1448,9 +1448,16 @@ type HashJoinVec struct {
 	batchBase int // ordinal offset of the staged group
 	stage     func(k int, row []byte)
 	code      mem.CodeSeg
-	// shared is the parallel join whose table this join probes in place
-	// of building its own (ParallelHashJoin.Open sets it).
-	shared *ParallelHashJoin
+	// shared is the build this join probes in place of building its own
+	// (ParallelHashJoin.Open and JoinBuild.Probe set it).
+	shared *joinTable
+}
+
+// joinTable is a finished build that several probes read: a
+// ParallelHashJoin's or a JoinBuild's.
+type joinTable struct {
+	mode JoinMode
+	pt   *PartedTable
 }
 
 // Schema implements VecOp.
@@ -1462,17 +1469,23 @@ func (j *HashJoinVec) Schema() Schema {
 }
 
 // Open implements VecOp: it drains the build side into the hash table —
-// or, as a worker of a ParallelHashJoin, takes the table the workers
-// built.
+// or, as a probe of a ParallelHashJoin or a JoinBuild, takes the table
+// built there.
 func (j *HashJoinVec) Open(ctx *Ctx) error {
 	j.prepare(ctx)
 	if s := j.shared; s != nil {
 		if s.pt == nil {
-			return fmt.Errorf("engine: parallel join probed before its build")
+			return fmt.Errorf("engine: shared join probed before its build")
 		}
 		j.mode, j.pt = s.mode, s.pt
-		return j.Probe.Open(ctx)
+	} else if err := j.build(ctx); err != nil {
+		return err
 	}
+	return j.Probe.Open(ctx)
+}
+
+// build drains the build side into the join's table.
+func (j *HashJoinVec) build(ctx *Ctx) error {
 	if err := j.Build.Open(ctx); err != nil {
 		return err
 	}
@@ -1494,7 +1507,7 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 		j.pt = rp.Build()
 	}
 	observeJoinBuild(ctx, j.mode, j.pt)
-	return j.Probe.Open(ctx)
+	return nil
 }
 
 // prepare readies the probe side's state for a run on ctx.

@@ -79,6 +79,15 @@ func (a *Arena) Alloc(n, align int) Addr {
 	return a.base + Addr(off)
 }
 
+// Carve reserves n bytes, cache-line aligned, and returns an arena over
+// them: a workspace of its own for a goroutine that allocates while the
+// parent's owner allocates too. It lives until the parent is reset.
+func (a *Arena) Carve(n int) *Arena {
+	at := a.Alloc(n, LineSize)
+	off := uint64(at - a.base)
+	return &Arena{base: at, buf: a.buf[off : off+uint64(n) : off+uint64(n)]}
+}
+
 // Reset discards all allocations, retaining the backing store. Workspaces
 // are reset between queries.
 func (a *Arena) Reset() { a.off = 0 }

@@ -133,10 +133,9 @@ type Side struct {
 
 // NativeRun is one native fast-path measurement on the wire: query
 // Query at Workers host workers, wall-clock timed (best of 50; median
-// and interquartile range record the spread). Serial digests are
-// byte-comparable across interpreted, compiled, and borrowed points;
-// multi-worker digests fingerprint the row count only (parallel float
-// sums agree up to addition order).
+// and interquartile range record the spread). Every point's digest is
+// the interpreted reference's: interpreted, compiled, borrowed and
+// multi-worker points return the same rows byte for byte.
 type NativeRun struct {
 	Query       int     `json:"query"`
 	Workers     int     `json:"workers"`

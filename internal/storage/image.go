@@ -82,13 +82,17 @@ func (bp *BufferPool) Snapshot() (*PoolImage, error) {
 // that has just had the source's schema created in it, on an arena whose
 // untouched frames are zero. Frames the image does not cover are left as
 // they are, which is how a restored pool's arena comes to equal the
-// source's byte for byte.
+// source's byte for byte. An image that no pool could have left behind
+// is refused with an error, before anything changes.
 func (bp *BufferPool) Restore(img *PoolImage) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if bp.frames != img.frames || bp.arena.Size() != img.arenaSize {
 		return fmt.Errorf("storage: restore of a %d-frame pool in a %d-byte arena into %d frames in %d bytes",
 			img.frames, img.arenaSize, bp.frames, bp.arena.Size())
+	}
+	if err := img.check(); err != nil {
+		return err
 	}
 	n := len(img.pages)
 	if bp.used > n || bp.arena.Used() > img.arenaUsed {
@@ -121,6 +125,32 @@ func (bp *BufferPool) Restore(img *PoolImage) error {
 	bp.nextPage = img.nextPage
 	bp.tableAddr, bp.tableCap = img.tableAddr, img.tableCap
 	bp.Hits, bp.Misses, bp.Evictions = img.hits, img.misses, img.evictions
+	return nil
+}
+
+// check reports the first way the image contradicts a pool of its
+// geometry: more pages than frames, page bytes or clock bits that do not
+// match the page list, a clock hand off the frames, an arena used beyond
+// its size, or a page listed twice or not yet allocated.
+func (img *PoolImage) check() error {
+	n := len(img.pages)
+	switch {
+	case n > img.frames:
+		return fmt.Errorf("storage: image holds %d pages in %d frames", n, img.frames)
+	case len(img.data) != n*PageSize || len(img.clockRef) != n:
+		return fmt.Errorf("storage: image of %d pages carries %d bytes and %d clock bits", n, len(img.data), len(img.clockRef))
+	case img.hand < 0 || img.hand >= img.frames:
+		return fmt.Errorf("storage: image clock hand %d outside %d frames", img.hand, img.frames)
+	case img.arenaUsed < 0 || img.arenaUsed > img.arenaSize:
+		return fmt.Errorf("storage: image uses %d bytes of a %d-byte arena", img.arenaUsed, img.arenaSize)
+	}
+	seen := make(map[PageID]bool, n)
+	for _, pid := range img.pages {
+		if pid == InvalidPage || pid > img.nextPage || seen[pid] {
+			return fmt.Errorf("storage: image lists page %d (allocated up to %d) twice or out of range", pid, img.nextPage)
+		}
+		seen[pid] = true
+	}
 	return nil
 }
 

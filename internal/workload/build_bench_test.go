@@ -56,9 +56,10 @@ func BenchmarkBuildTPCC(b *testing.B) {
 	})
 }
 
-// BenchmarkNativeQ13Workers runs native Q13 at full scale on the serial
-// plan (1) and on the partitioned parallel join at two workers (2), so the
-// ratio of the two is one command away.
+// BenchmarkNativeQ13Workers runs native Q13 at full scale on one worker
+// context, which is the serial plan (1), and on two, the plan's order-
+// preserving exchanges on two workers (2), so the ratio of the two is one
+// command away.
 func BenchmarkNativeQ13Workers(b *testing.B) {
 	h, err := BuildTPCH(benchTPCHFull)
 	if err != nil {
@@ -73,13 +74,7 @@ func BenchmarkNativeQ13Workers(b *testing.B) {
 				for _, c := range ctxs {
 					c.Work.Reset()
 				}
-				var err error
-				if workers == 1 {
-					_, err = h.RunQueryNative(ctxs[0], 13, p, o)
-				} else {
-					_, err = h.RunQueryParallelNative(ctxs, 13, p, o)
-				}
-				if err != nil {
+				if _, err := h.RunQueryParallelNative(ctxs, 13, p, o); err != nil {
 					b.Fatal(err)
 				}
 			}

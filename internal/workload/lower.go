@@ -1,7 +1,8 @@
 // One lowering for every executor: lower builds the operator tree of a
 // plan (plan.go) on the row-at-a-time reference operators, the vectorized
-// executor over private scans, the native fast path, the shared-scan
-// registry or the morsel-driven workers. Every traced record, simulated
+// executor over private scans, the native fast path (serial, or on the
+// workers of order-preserving exchanges), the shared-scan registry or the
+// traced morsel-driven workers. Every traced record, simulated
 // cycle and result digest depends on these trees operator for operator
 // and field for field; the goldens in internal/core (vecGoldens,
 // parGoldens, the shared mix) and TestGoldenSerialDigests pin them.
@@ -10,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/engine"
@@ -53,15 +55,20 @@ const (
 	// morselSource runs the scans on morsel-driven workers, each mapping
 	// and partially aggregating its morsels — or its probe of the join
 	// the workers build first (ParallelHashJoin) — for ParallelAgg to
-	// gather.
+	// gather: the traced parallel plan.
 	morselSource
+	// orderedSource is the native plan with its scans on the workers of
+	// order-preserving exchanges: the first aggregate, and a join's build,
+	// read the workers' blocks in morsel order, so the rows are the native
+	// plan's.
+	orderedSource
 )
 
 // exec is what a plan is lowered onto.
 type exec struct {
 	src  source
-	opts NativeOpts      // native and morsel flavor
-	ctxs []*engine.Ctx   // morsel workers; the first gathers
+	opts NativeOpts      // native, morsel and ordered flavor
+	ctxs []*engine.Ctx   // morsel workers, the first gathering; or ordered workers
 	reg  *share.Registry // shared
 }
 
@@ -103,6 +110,8 @@ func (h *TPCH) lower(pl plan, e exec) lowered {
 		return lowered{op: pl.rowStages(mapped)}
 	case morselSource:
 		return h.lowerMorsel(pl, e)
+	case orderedSource:
+		return h.lowerOrdered(pl, e)
 	}
 	return h.lowerVec(pl, e)
 }
@@ -180,9 +189,9 @@ func (h *TPCH) lowerVec(pl plan, e exec) lowered {
 		case e.src == sharedSource && s.origin:
 			readers = append(readers, e.reg.Attach(s.table))
 			scans[i] = &engine.SharedScan{Table: s.table, Preds: s.preds, Cols: s.cols, Source: readers[len(readers)-1]}
-		case e.src == nativeSource && len(s.preds) > 0:
+		case e.src == nativeSource:
 			sv.Preds = nil
-			scans[i] = &engine.FilterVec{Child: sv, Preds: s.preds, Compact: o.Compact, Interpret: o.Interpret}
+			scans[i] = o.filter(s, sv)
 		default:
 			scans[i] = sv
 		}
@@ -207,27 +216,41 @@ func (h *TPCH) lowerVec(pl plan, e exec) lowered {
 	return l
 }
 
+// filter is in with scan s's predicates in a FilterVec over it, as the
+// native plan reads a scan: in itself for a scan without predicates.
+func (o NativeOpts) filter(s scan, in engine.VecOp) engine.VecOp {
+	if len(s.preds) == 0 {
+		return in
+	}
+	return &engine.FilterVec{Child: in, Preds: s.preds, Compact: o.Compact, Interpret: o.Interpret}
+}
+
+// joinMorsel sizes the morsels of a join's scans: its tables are the
+// small ones (customer has a fortieth of lineitem's pages) and a probe
+// page carries its matches' work too, so they are small enough that every
+// one of workers workers gets eight.
+func (s scan) joinMorsel(workers int) int {
+	return max(1, min(engine.DefaultMorselPages, s.table.Heap.NumPages()/(8*workers)))
+}
+
 // morsels returns worker w's input to pl's map on the workers of e —
 // its morsel scan of the lone scan, or its probe of pl's join (the
 // workers of a scan share one pool) — and that join, nil for a plan
 // without one. The join's build is narrowed to the columns the plan
-// reads, as on the native path. A join's tables are the small ones
-// (customer has a fortieth of lineitem's pages) and a probe page carries
-// its matches' work too, so its scans take morsels small enough that
-// every worker gets eight.
+// reads, as on the native path, and a join's scans take joinMorsel's
+// morsels.
 func (pl plan) morsels(e exec) (input func(w int) engine.VecOp, join *engine.ParallelHashJoin) {
 	scans := make([]func(w int) engine.VecOp, len(pl.scans))
 	j := pl.join
 	for i, s := range pl.scans {
-		pages, morsel := s.table.Heap.NumPages(), 0
+		morsel := 0
 		if j != nil {
-			morsel = max(1, min(engine.DefaultMorselPages, pages/(8*len(e.ctxs))))
+			morsel = s.joinMorsel(len(e.ctxs))
 		}
-		pool := engine.NewMorselPool(len(e.ctxs), pages, morsel)
+		pool := engine.NewMorselPool(len(e.ctxs), s.table.Heap.NumPages(), morsel)
 		scans[i] = func(w int) engine.VecOp {
 			return &engine.MorselScanVec{
-				Table: s.table, Preds: s.preds, Cols: s.cols, Pool: pool, Worker: w,
-				Interpret: e.opts.Interpret, Borrow: e.opts.ZeroCopy,
+				Table: s.table, Preds: s.preds, Cols: s.cols, Pool: pool, Worker: w, Interpret: e.opts.Interpret,
 			}
 		}
 	}
@@ -262,6 +285,45 @@ func (h *TPCH) lowerMorsel(pl plan, e exec) lowered {
 	return pl.aggStages(gather, pl.aggs[1:], e.opts)
 }
 
+// lowerOrdered lowers pl onto order-preserving exchanges (OrderedExchange)
+// on the workers of e: they run each scan's morsels through its filter —
+// then, for a join's build, its projection, for its probe the join and the
+// map, for a lone scan the map — and the build insert (JoinBuild) and the
+// first aggregate read their blocks in morsel order. Every stage above
+// the exchanges is the native plan's, fed the native plan's rows in its
+// order.
+func (h *TPCH) lowerOrdered(pl plan, e exec) lowered {
+	o := e.opts
+	exchange := func(s scan, morsel int, pipe func(in engine.VecOp) engine.VecOp) *engine.OrderedExchange {
+		return &engine.OrderedExchange{
+			Ctxs: e.ctxs, Table: s.table, Cols: s.cols, StartPage: h.start(pl, s), MorselPages: morsel,
+			Borrow: o.ZeroCopy, Pipe: func(in engine.VecOp) engine.VecOp { return pipe(o.filter(s, in)) },
+		}
+	}
+	m := pl.mapper
+	mapped := func(in engine.VecOp) engine.VecOp {
+		return &engine.MapVec{Child: in, Out: m.out, Fn: m.bind(in.Schema()), Cost: m.cost}
+	}
+	j := pl.join
+	if j == nil {
+		return pl.aggStages(exchange(pl.scans[0], 0, mapped), pl.aggs, o)
+	}
+	probe, build := pl.scans[0], pl.scans[1]
+	jb := &engine.JoinBuild{
+		Build: exchange(build, build.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
+			return &engine.ProjectVec{Child: in, Cols: j.keep}
+		}),
+		BuildCol: slices.Index(j.keep, j.buildCol), Expected: j.keys, BuildRows: build.rows, Mode: o.JoinMode,
+	}
+	probes := exchange(probe, probe.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
+		return mapped(jb.Probe(&engine.HashJoinVec{
+			Probe: in, Build: jb.Build, ProbeCol: j.probeCol, BuildCol: jb.BuildCol, Type: j.typ,
+		}))
+	})
+	probes.Join = jb
+	return pl.aggStages(probes, pl.aggs, o)
+}
+
 // RunQuery executes query q on the vectorized executor and returns its
 // result rows.
 func (h *TPCH) RunQuery(ctx *engine.Ctx, q int, p QueryParams) ([][]engine.Value, error) {
@@ -276,23 +338,71 @@ func (h *TPCH) RunQueryRow(ctx *engine.Ctx, q int, p QueryParams) ([][]engine.Va
 }
 
 // RunQueryNative executes query q on the native fast path in flavor o.
-// With a nil-recorder Ctx this is the repo's host-throughput subject;
-// NativeOpts{Interpret: true, Compact: true} is the interpreted,
-// copy-compacting reference. Either way the rows are byte-identical to
-// RunQuery's at the same parameters.
+// With a nil-recorder Ctx this is the repo's host-throughput subject, run
+// on runtime.GOMAXPROCS(0) workers of order-preserving exchanges whose
+// workspaces are carved from ctx's (orderedWorkers); on one processor,
+// with a recording Ctx or with Interpret it is the serial plan, which
+// starts no goroutine. NativeOpts{Interpret: true, Compact: true} is the
+// interpreted, copy-compacting reference. Every way, the rows are
+// byte-identical to RunQuery's at the same parameters.
 func (h *TPCH) RunQueryNative(ctx *engine.Ctx, q int, p QueryParams, o NativeOpts) ([][]engine.Value, error) {
-	return h.run(ctx, q, p, exec{src: nativeSource, opts: o})
+	return h.run(ctx, q, p, nativeExec(ctx, o))
 }
 
-// RunQueryParallelNative executes query q on the morsel-driven workers
-// ctxs (ctxs[0] gathers) in flavor o. Group keys and counts match the
-// serial plan exactly, and float sums agree up to addition order; rows
-// with equal sort keys may come in another order than the serial plan's.
+// nativeExec is what RunQueryNative lowers onto.
+func nativeExec(ctx *engine.Ctx, o NativeOpts) exec {
+	if n := runtime.GOMAXPROCS(0); n > 1 && ctx.Rec == nil && !o.Interpret {
+		if ws := orderedWorkers(ctx, n, 2); ws != nil {
+			return exec{src: orderedSource, opts: o, ctxs: ws}
+		}
+	}
+	return exec{src: nativeSource, opts: o}
+}
+
+// orderedWorkers carves at least least and up to most worker contexts
+// from a quarter of ctx's free workspace, at most orderedWorkBytes and at
+// least minWorkBytes each, or returns nil when fewer than least fit.
+func orderedWorkers(ctx *engine.Ctx, most, least int) []*engine.Ctx {
+	free := (ctx.Work.Size() - ctx.Work.Used()) / 4
+	n := min(most, free/minWorkBytes)
+	if n < least {
+		return nil
+	}
+	return ctx.Workers(n, min(orderedWorkBytes, free/n))
+}
+
+// An ordered worker's workspace holds its pipe's blocks (a few of 32 KB)
+// and the output of exchangeDepth morsels; output beyond it goes to the
+// Go heap.
+const (
+	minWorkBytes     = 512 << 10
+	orderedWorkBytes = 4 << 20
+)
+
+// RunQueryParallelNative executes query q on the worker contexts ctxs in
+// flavor o. Untraced, that is the native plan on len(ctxs) workers of
+// order-preserving exchanges consumed on ctxs[0] (worker 0's workspace is
+// carved from it), and its rows are the serial native plan's byte for
+// byte; one context, Interpret, or a ctxs[0] with no room to carve runs
+// the serial plan itself. Traced, it is the morsel-driven plan of parallel-dss:
+// ParallelAgg gathers on ctxs[0], group keys and counts match the serial
+// plan exactly, float sums agree up to addition order, and rows with
+// equal sort keys may come in another order.
 func (h *TPCH) RunQueryParallelNative(ctxs []*engine.Ctx, q int, p QueryParams, o NativeOpts) ([][]engine.Value, error) {
 	if len(ctxs) == 0 {
 		return nil, fmt.Errorf("workload: query %d on no worker contexts", q)
 	}
-	return h.run(ctxs[0], q, p, exec{src: morselSource, opts: o, ctxs: ctxs})
+	for _, c := range ctxs {
+		if c.Rec != nil {
+			return h.run(ctxs[0], q, p, exec{src: morselSource, opts: o, ctxs: ctxs})
+		}
+	}
+	if len(ctxs) > 1 && !o.Interpret {
+		if w0 := orderedWorkers(ctxs[0], 1, 1); w0 != nil {
+			return h.run(ctxs[0], q, p, exec{src: orderedSource, opts: o, ctxs: append(w0, ctxs[1:]...)})
+		}
+	}
+	return h.run(ctxs[0], q, p, exec{src: nativeSource, opts: o})
 }
 
 // RunJoinParallel runs the join of query q's plan alone — for Q13,

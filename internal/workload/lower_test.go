@@ -6,8 +6,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -54,29 +52,11 @@ func fuzzTPCH(t *testing.T, layout storage.Layout) fuzzDB {
 	return fuzzDBs[layout]
 }
 
-// canonKeys orders result rows by their non-float columns, so a morsel
-// run, whose groups reach the gather in worker order, compares with the
-// serial rows as a multiset.
-func canonKeys(rows [][]engine.Value) [][]engine.Value {
-	key := func(r []engine.Value) string {
-		var b strings.Builder
-		for _, v := range r {
-			if v.Kind != engine.TFloat {
-				fmt.Fprintf(&b, "%d|%s|", v.I, v.S)
-			}
-		}
-		return b.String()
-	}
-	out := append([][]engine.Value(nil), rows...)
-	sort.SliceStable(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	return out
-}
-
 // checkLowerings runs query q at p on every lowering and checks each
-// against the row reference: the vectorized tree, every native flavor
-// and the shared tree (replayed from its rotation's start page) byte for
-// byte; the morsel tree on workers contexts up to float addition order;
-// and no context left holding a page lease.
+// against the row reference byte for byte: the vectorized tree, every
+// native flavor, the shared tree (replayed from its rotation's start
+// page) and the native plan on workers contexts (order-preserving
+// exchanges from two on); and no context left holding a page lease.
 func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, mode engine.JoinMode, borrow bool) {
 	t.Helper()
 	h, ctx := db.h, db.ctxs[0]
@@ -127,11 +107,7 @@ func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := canonKeys
-	if q == 13 {
-		canon = canonRows
-	}
-	sameRows(t, fmt.Sprintf("q%d morsel x%d %+v", q, workers, o), canon(got), canon(want))
+	exactRows(t, fmt.Sprintf("q%d native x%d %+v", q, workers, o), got, want)
 
 	for i, c := range db.ctxs {
 		if n := c.Leases(); n != 0 {

@@ -2,10 +2,9 @@
 // predicates, selection vectors, and batch hash tables must never change
 // a result — only how fast it arrives. Serial native plans (compiled and
 // interpreted, annotating and compacting) are byte-identical to the
-// standard vectorized plans on both page layouts; morsel-parallel native
-// runs agree across worker counts {1, 2, 4, 8} up to float addition
-// order, with Q13's within-tie row order canonicalized (parallel join
-// arrival order is not deterministic).
+// standard vectorized plans on both page layouts, and so are native runs
+// on worker contexts at counts {1, 2, 4, 8}: their order-preserving
+// exchanges feed the serial plan's aggregate the serial rows in order.
 
 package workload
 
@@ -14,8 +13,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/storage"
@@ -220,26 +221,11 @@ func TestGoldenSerialDigests(t *testing.T) {
 	}
 }
 
-// canonRows sorts a result set by its integer columns (Q13's output is
-// all-int) so multiset comparisons survive within-tie reordering.
-func canonRows(rows [][]engine.Value) [][]engine.Value {
-	out := append([][]engine.Value(nil), rows...)
-	sort.Slice(out, func(i, j int) bool {
-		for c := range out[i] {
-			if out[i][c].I != out[j][c].I {
-				return out[i][c].I < out[j][c].I
-			}
-		}
-		return false
-	})
-	return out
-}
-
-// TestNativeGoldenParallel: the morsel-parallel native runs agree with
-// the serial native plan at 1, 2, 4 and 8 workers, copying and borrowing
-// (ZeroCopy) pages, on NSM and PAX — keys and integer aggregates exactly,
-// float sums up to addition order (sameRows), Q13 as a canonicalized
-// multiset — and a borrowed run leaves no page lease behind.
+// TestNativeGoldenParallel: the native plan on 1, 2, 4 and 8 workers,
+// copying and borrowing (ZeroCopy) pages, on NSM and PAX, returns the
+// interpreted serial reference's rows byte for byte — equal RowsDigests —
+// and RunQueryNative, on as many workers as the test has processors
+// (-cpu), does too; no run leaves a page lease behind.
 func TestNativeGoldenParallel(t *testing.T) {
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
@@ -247,28 +233,79 @@ func TestNativeGoldenParallel(t *testing.T) {
 		serial := h.DB.NewCtx(nil, 59, 48<<20)
 		for _, q := range []int{1, 6, 13} {
 			serial.Work.Reset()
-			want, err := h.RunQueryNative(serial, q, p, NativeOpts{})
+			want, err := h.RunQueryNative(serial, q, p, NativeOpts{Interpret: true, Compact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q == 13 {
-				want = canonRows(want)
+			check := func(label string, got [][]engine.Value) {
+				t.Helper()
+				exactRows(t, label, got, want)
+				if g, w := rowsDigest(got), rowsDigest(want); g != w {
+					t.Fatalf("%s: digest %#x, interpreted %#x", label, g, w)
+				}
+				if n := h.DB.Pool.Leases(); n != 0 {
+					t.Fatalf("%s: %d page leases outstanding", label, n)
+				}
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, borrow := range []bool{false, true} {
+			for _, borrow := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4, 8} {
 					got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{ZeroCopy: borrow})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if q == 13 {
-						got = canonRows(got)
-					}
-					label := fmt.Sprintf("%v q%d x%d borrow=%v", layout, q, workers, borrow)
-					sameRows(t, label, got, want)
-					if n := h.DB.Pool.Leases(); borrow && n != 0 {
-						t.Fatalf("%s: %d page leases outstanding", label, n)
-					}
+					check(fmt.Sprintf("%v q%d x%d borrow=%v", layout, q, workers, borrow), got)
 				}
+				serial.Work.Reset()
+				got, err := h.RunQueryNative(serial, q, p, NativeOpts{ZeroCopy: borrow})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%v q%d native borrow=%v", layout, q, borrow), got)
+			}
+		}
+	}
+}
+
+// TestNativeWorkersLeaveNothing: RunQueryNative runs on as many workers
+// as the test has processors (-cpu) and on one runs the serial plan,
+// which starts no goroutine; every run returns the interpreted rows and
+// leaves no page lease and no goroutine behind.
+func TestNativeWorkersLeaveNothing(t *testing.T) {
+	h := vecTPCH(t, storage.NSM)
+	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
+	ctx := h.DB.NewCtx(nil, 57, 48<<20)
+	procs := runtime.GOMAXPROCS(0)
+	e := nativeExec(ctx, NativeOpts{})
+	if procs == 1 && (e.src != nativeSource || ctx.Work.Used() != 0) {
+		t.Fatalf("one processor: source %d, %d workspace bytes carved; want the serial plan", e.src, ctx.Work.Used())
+	}
+	if procs > 1 && (e.src != orderedSource || len(e.ctxs) != procs) {
+		t.Fatalf("%d processors: source %d on %d workers", procs, e.src, len(e.ctxs))
+	}
+	base := runtime.NumGoroutine()
+	for _, q := range []int{1, 6, 13} {
+		ctx.Work.Reset()
+		want, err := h.RunQueryNative(ctx, q, p, NativeOpts{Interpret: true, Compact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, borrow := range []bool{false, true} {
+			ctx.Work.Reset()
+			got, err := h.RunQueryNative(ctx, q, p, NativeOpts{ZeroCopy: borrow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("q%d borrow=%v procs=%d", q, borrow, procs)
+			exactRows(t, label, got, want)
+			if n := ctx.Leases(); n != 0 {
+				t.Fatalf("%s: %d page leases outstanding", label, n)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%s: %d goroutines, %d before", label, n, base)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -34,40 +33,6 @@ func parCtxs(h *TPCH, n int) []*engine.Ctx {
 	return ctxs
 }
 
-// sameRows compares decoded result rows: exact for ints and chars, to a
-// relative tolerance for floats (parallel sums reassociate additions).
-func sameRows(t *testing.T, label string, got, want [][]engine.Value) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s row %d: %d cols, want %d", label, i, len(got[i]), len(want[i]))
-		}
-		for c := range want[i] {
-			w, g := want[i][c], got[i][c]
-			if g.Kind != w.Kind {
-				t.Fatalf("%s row %d col %d: kind %v, want %v", label, i, c, g.Kind, w.Kind)
-			}
-			switch w.Kind {
-			case engine.TInt:
-				if g.I != w.I {
-					t.Fatalf("%s row %d col %d: %d, want %d", label, i, c, g.I, w.I)
-				}
-			case engine.TFloat:
-				if math.Abs(g.F-w.F) > 1e-6*(1+math.Abs(w.F)) {
-					t.Fatalf("%s row %d col %d: %v, want %v", label, i, c, g.F, w.F)
-				}
-			default:
-				if g.S != w.S {
-					t.Fatalf("%s row %d col %d: %q, want %q", label, i, c, g.S, w.S)
-				}
-			}
-		}
-	}
-}
-
 func TestQ1ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	h := parTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
@@ -83,7 +48,7 @@ func TestQ1ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, "Q1 workers="+string(rune('0'+workers)), got, want)
+		exactRows(t, "Q1 workers="+string(rune('0'+workers)), got, want)
 	}
 }
 
@@ -99,7 +64,7 @@ func TestQ6ParallelMatchesSerialAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, "Q6", got, want)
+		exactRows(t, "Q6", got, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Golden equivalence tests for the vectorized executor: the vectorized
-// Q1/Q6/Q13 plans must agree with the row-at-a-time seed operators —
-// byte-identically wherever execution order is deterministic (serial
-// plans, both layouts, pinned shared rotations), and up to float
-// addition order where it is not (morsel-parallel partials merge in
-// whatever order workers claimed pages).
+// Q1/Q6/Q13 plans must agree with the row-at-a-time seed operators byte
+// for byte — serial plans, both layouts, pinned shared rotations, and
+// native plans on worker contexts, whose exchanges keep the serial
+// order.
 
 package workload
 
@@ -112,12 +111,10 @@ func TestVectorizedGoldenStartPage(t *testing.T) {
 	}
 }
 
-// TestVectorizedGoldenParallel: the morsel-parallel vectorized plans
-// agree with the row-at-a-time serial reference across worker counts
-// {1, 2, 4, 8}. Group keys and integer aggregates are byte-identical for
-// every count; float sums vary only by addition order (workers absorb
-// whichever morsels they claim), so they are compared with a relative
-// tolerance — sameRows documents that contract.
+// TestVectorizedGoldenParallel: the native plans on worker contexts are
+// byte-identical to the row-at-a-time serial reference across worker
+// counts {1, 2, 4, 8}: the order-preserving exchange hands the aggregate
+// the serial rows in the serial order, so even float sums match.
 func TestVectorizedGoldenParallel(t *testing.T) {
 	h := vecTPCH(t, storage.NSM)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
@@ -137,7 +134,7 @@ func TestVectorizedGoldenParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, "parallel", got, want)
+			exactRows(t, "parallel", got, want)
 		}
 	}
 	// Q13's traced parallel form is the join core: row counts must match

@@ -51,9 +51,9 @@ func TestZeroCopyGoldenSerial(t *testing.T) {
 	}
 }
 
-// TestZeroCopyGoldenParallel: morsel-parallel zero-copy runs agree with
-// the serial zero-copy plan at every worker count (Q13 as a multiset —
-// parallel join arrival order is not deterministic), leaking no leases.
+// TestZeroCopyGoldenParallel: zero-copy runs on worker contexts return
+// the serial zero-copy plan's rows byte for byte at every worker count,
+// leaking no leases.
 func TestZeroCopyGoldenParallel(t *testing.T) {
 	h := vecTPCH(t, storage.NSM)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
@@ -64,18 +64,12 @@ func TestZeroCopyGoldenParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q == 13 {
-			want = canonRows(want)
-		}
 		for _, workers := range []int{1, 2, 4} {
 			got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{ZeroCopy: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q == 13 {
-				got = canonRows(got)
-			}
-			sameRows(t, "zero-copy-parallel", got, want)
+			exactRows(t, "zero-copy-parallel", got, want)
 			leaseCheck(t, h, "zero-copy-parallel")
 		}
 	}
