@@ -3,8 +3,9 @@
 // the four query analogs, and prints results — demonstrating that the
 // engine underneath the characterization is a real, correct engine.
 //
-// -workers N runs the planned analogs (Q1, Q6, Q13) on the morsel-driven
-// parallel executor; -share routes queries through the cross-query
+// -workers N runs the planned analogs (Q1, Q6, Q13) natively on N worker
+// contexts (order-preserving morsel exchanges: the serial plan's rows);
+// -share routes queries through the cross-query
 // work-sharing subsystem (circular shared scans + result reuse) and, with
 // -clients K, compares shared against unshared multi-client throughput.
 package main
