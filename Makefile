@@ -1,5 +1,5 @@
-# Mirrors the CI jobs (.github/workflows/ci.yml) so tier-1 is one
-# command locally: `make` runs build + lint + test.
+# The CI jobs (.github/workflows/ci.yml) run the test tiers below, so
+# tier-1 is one command locally: `make` runs build + lint + test.
 
 GO ?= go
 
@@ -10,23 +10,24 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# The second line runs the side-placement, exact-repeat, parallel-join and
-# panic-containment tests (a panic in every kind of fan-out) on one
-# processor and on two, so the sequential path stays exercised on a
-# multi-processor host; the third the paced-request tests (morsel claims at
-# simulated time) the same way; the CI race job runs both under -race; the
-# fourth that job's zero-copy, native-aggregate and lowering equivalence
-# suites with the alias-debug assertions armed; the fifth fuzzes the
-# native aggregate against the interpreted one, the sixth wire request
-# bodies through validation against the request bounds, the seventh
-# arbitrary page bytes through the slotted-page readers, the eighth the
-# parallel join against the serial one, the ninth every lowering of
-# every plan against the row reference, the tenth the compiled predicate
-# forms against the interpreted ones, and the eleventh malformed
-# buffer-pool images through Restore, each for 15 s on top of its
-# committed corpus; the last loads TPC-H at both scales and TPC-C three times each
-# and prints the MB/s of pages written (hold it against bench's
-# host.memcpy_gbps).
+# The test tiers. CI's test job runs `make test`, its race job `make
+# race`: this file is their one definition.
+#
+# test: the whole suite; then, on one processor and on two (so the
+# sequential path stays exercised on a multi-processor host), the
+# side-placement, exact-repeat, parallel-join and panic-containment tests
+# (a panic in every kind of fan-out) and the paced-request tests (morsel
+# claims at simulated time); the zero-copy, native-aggregate and lowering
+# equivalence suites with the alias-debug assertions armed; seven fuzz
+# smokes, 15 s each on top of the committed corpus — the native aggregate
+# against the interpreted one, wire request bodies through validation
+# against the request bounds, arbitrary page bytes through the
+# slotted-page readers, the parallel join against the serial one, every
+# lowering of every plan against the row reference, the compiled
+# predicate forms against the interpreted ones, and malformed buffer-pool
+# images through Restore; last, TPC-H at both scales and TPC-C loaded
+# three times each, with the MB/s of pages written (hold it against
+# bench's host.memcpy_gbps).
 test:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork|Panic|GivingUp|ParallelJoin|ParallelHashJoin|ParallelOps' ./internal/par ./internal/engine ./internal/oltp ./internal/staged ./internal/core
@@ -41,16 +42,26 @@ test:
 	$(GO) test -run '^$$' -fuzz FuzzPoolImage -fuzztime 15s ./internal/storage
 	$(GO) test -run '^$$' -bench 'BuildTPC' -benchtime 3x ./internal/workload
 
-# The second line mirrors CI's simulator step under race: event skipping
-# against the cycle-by-cycle loop, the cache hierarchy against its
-# reference, workspace reuse, trace-chunk recycling and exact repeats. The
-# third mirrors its native-exactness step: native rows on worker contexts
-# and through the order-preserving exchange against the serial plan's, and
-# nothing left behind, on one, two and four processors.
+# race: the short suite under the race detector; then, under race, the
+# alias-debug equivalence suites above; native rows on worker contexts
+# and through the order-preserving exchange against the serial plan's,
+# with nothing left behind, on one, two and four processors (one runs the
+# serial plan); event skipping against the cycle-by-cycle loop, the cache
+# hierarchy against its reference, workspace reuse, trace-chunk recycling
+# and exact repeats; a TPC-C fork against a fresh build, the coroutine
+# trace pipe, the staged-OLTP goldens and concurrent callers on one image;
+# the loader against row-at-a-time inserts, the appenders and the
+# free-frame cursor; and the side-placement and paced-request lines of
+# `test`, on one processor and on two.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -count=1 -run 'EventSkip|ArenaReuse|RunRepeats|Oracle|Recycle' ./internal/sim ./internal/mem ./internal/core ./internal/cache ./internal/trace
+	ENGINE_ALIAS_DEBUG=1 $(GO) test -race -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'GoldenParallel|MatchesSerial|Lowerings|OrderedExchange|OrderedMorsels|LeaveNothing|LeavesNothing' ./internal/engine ./internal/workload
+	$(GO) test -race -count=1 -run 'EventSkip|ArenaReuse|RunRepeats|Oracle|Recycle' ./internal/sim ./internal/mem ./internal/core ./internal/cache ./internal/trace
+	$(GO) test -race -count=1 -run 'ForkEqualsFreshBuild|PoolImage|BTreeCursorSurvivesWrites|Inline|GoldenStagedOLTP|ForkConcurrentCallers' ./internal/trace ./internal/storage ./internal/workload ./internal/core
+	$(GO) test -race -count=1 -run 'LoaderEqualsRowInserts|Appender|FreeFrameCursor' ./internal/storage ./internal/engine
+	$(GO) test -race -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork|Panic|GivingUp|ParallelJoin|ParallelHashJoin|ParallelOps' ./internal/par ./internal/engine ./internal/oltp ./internal/staged ./internal/core
+	$(GO) test -race -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
 
 # Every Go benchmark in the tree, one iteration each: the TPC-H and
 # TPC-C loads and native Q13 by worker count. The paper's measured

@@ -49,7 +49,7 @@ func dispatch(opts *cli.Options) error {
 		return err
 	}
 	if len(counts) > 0 {
-		return runNative(opts.Lineitems, counts, opts.ZeroCopy, opts.JoinMode)
+		return runNative(opts.Lineitems, counts, opts.JoinMode)
 	}
 	if opts.Steps {
 		return runSteps(opts.Txns, opts.Cohort, opts.Parts, opts.Remote)
@@ -59,11 +59,9 @@ func dispatch(opts *cli.Options) error {
 
 // runNative sweeps the trace-free fast path over Q1/Q6/Q13: the
 // interpreted 1-worker reference first, then compiled predicates +
-// selection vectors at each requested worker count — each count twice
-// (copying, then borrowed page-aliasing blocks) when zeroCopy is set.
-// On Q13 an empty joinMode measures the three hash-join strategies
-// (chained, partitioned, prefetch) side by side; a named mode pins it.
-func runNative(lineitems int, counts []int, zeroCopy bool, joinMode string) error {
+// selection vectors over borrowed pages at each requested worker count.
+// joinMode pins Q13's hash-join strategy; empty means auto.
+func runNative(lineitems int, counts []int, joinMode string) error {
 	jm, err := engine.ParseJoinMode(joinMode)
 	if err != nil {
 		return err
@@ -80,71 +78,31 @@ func runNative(lineitems int, counts []int, zeroCopy bool, joinMode string) erro
 	fmt.Printf("loaded %d lineitem rows in %s\n", lineitems, time.Since(start).Truncate(time.Millisecond))
 
 	for _, q := range workload.Planned() {
-		var modes []engine.JoinMode
-		if q == 13 {
-			if joinMode == "" {
-				modes = []engine.JoinMode{engine.JoinChained, engine.JoinPartitioned, engine.JoinPrefetch}
-			} else {
-				modes = []engine.JoinMode{jm}
-			}
-		}
-		runs, err := r.RunNativeDSS(q, counts, 7, zeroCopy, modes...)
+		runs, err := r.RunNativeDSS(q, counts, 7, jm)
 		if err != nil {
 			return err
 		}
 		fmt.Println()
-		var ref core.NativeRun
-		// Baselines for the ratio columns: the 1-worker copying point per
-		// join mode, and the chained point per (workers, flavor) pair.
-		w1 := map[string]core.NativeRun{}
-		chained := map[[2]int]int64{}
+		// Baselines for the ratio columns: the interpreted reference and
+		// the 1-worker compiled point.
+		var ref, w1 core.NativeRun
 		for _, n := range runs {
-			if n.JoinMode == engine.JoinChained.String() && !n.Interpreted {
-				b := 0
-				if n.Borrowed {
-					b = 1
-				}
-				chained[[2]int{n.Workers, b}] = n.Nanos
-			}
-		}
-		for _, n := range runs {
-			switch {
-			case n.Interpreted:
-				ref = n
-			case n.Workers == 1 && !n.Borrowed:
-				w1[n.JoinMode] = n
-			}
 			label := "compiled   "
 			switch {
 			case n.Interpreted:
-				label = "interpreted"
-			case n.Borrowed:
-				label = "zero-copy  "
-			}
-			if len(modes) > 1 && !n.Interpreted {
-				label += fmt.Sprintf(" %-11s", n.JoinMode)
+				ref, label = n, "interpreted"
+			case n.Workers == 1:
+				w1 = n
 			}
 			line := fmt.Sprintf("Q%-2d %s x%d: %6.1fM rows/s %5.1f GB/s (%d result rows, best of 50, median %s iqr %s)",
 				q, label, n.Workers, n.RowsPerSec/1e6, n.GBPerSec, n.ResultRows,
 				time.Duration(n.MedianNanos).Truncate(time.Microsecond),
 				time.Duration(n.IQRNanos).Truncate(time.Microsecond))
-			if !n.Interpreted && ref.Nanos > 0 && n.Workers == 1 && !n.Borrowed {
+			if !n.Interpreted && n.Workers == 1 && ref.Nanos > 0 {
 				line += fmt.Sprintf("  %.2fx vs interpreted", float64(ref.Nanos)/float64(n.Nanos))
 			}
-			if n.Borrowed && n.Workers == 1 && w1[n.JoinMode].Nanos > 0 {
-				line += fmt.Sprintf("  %.2fx vs copy", float64(w1[n.JoinMode].Nanos)/float64(n.Nanos))
-			}
-			if n.Workers > 1 && w1[n.JoinMode].Nanos > 0 {
-				line += fmt.Sprintf("  %.2fx vs x1", float64(w1[n.JoinMode].Nanos)/float64(n.Nanos))
-			}
-			if len(modes) > 1 && n.JoinMode != engine.JoinChained.String() && !n.Interpreted {
-				b := 0
-				if n.Borrowed {
-					b = 1
-				}
-				if base := chained[[2]int{n.Workers, b}]; base > 0 {
-					line += fmt.Sprintf("  %.2fx vs chained", float64(base)/float64(n.Nanos))
-				}
+			if n.Workers > 1 && w1.Nanos > 0 {
+				line += fmt.Sprintf("  %.2fx vs x1", float64(w1.Nanos)/float64(n.Nanos))
 			}
 			fmt.Println(line)
 		}

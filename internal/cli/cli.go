@@ -60,10 +60,6 @@ type Options struct {
 	// native fast path (e.g. "1,2,4").
 	NativeWorkers string
 
-	// ZeroCopy additionally measures each native worker count with
-	// borrowed page-aliasing scan blocks (copy vs borrow side by side).
-	ZeroCopy bool
-
 	// JoinMode pins the hash-join strategy of joining plans (Q13):
 	// chained, partitioned, prefetch, or auto (the build-size policy).
 	JoinMode string
@@ -116,8 +112,7 @@ func (o *Options) RegisterNative(fs *flag.FlagSet) {
 	fs.IntVar(&o.Parts, "parts", 1, "with -steps: partition the cohort scheduler by home warehouse across N native workers")
 	fs.IntVar(&o.Remote, "remote", 0, "with -steps: percent chance of remote-warehouse NewOrder lines / Payment customers (cross-partition transactions are fenced)")
 	fs.StringVar(&o.NativeWorkers, "native-workers", "", "comma-separated worker counts (e.g. 1,2,4): sweep the native fast path on Q1/Q6/Q13 — compiled predicates + selection vectors vs the interpreted reference, morsel-parallel at each count")
-	fs.BoolVar(&o.ZeroCopy, "zero-copy", false, "with -native-workers: also measure each count with borrowed page-aliasing scan blocks (zero-copy), recording the copy-vs-borrow pair side by side")
-	fs.StringVar(&o.JoinMode, "join-mode", "", "hash-join strategy for joining plans (Q13): chained, partitioned, prefetch, or auto (build-size policy); with -native-workers on Q13, an empty value measures all three side by side")
+	fs.StringVar(&o.JoinMode, "join-mode", "", "hash-join strategy for joining plans (Q13): chained, partitioned, prefetch, or auto (build-size policy)")
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 }
 

@@ -135,10 +135,6 @@ type Request struct {
 	// on the host (trace-free, wall-clock timed) at each listed worker
 	// count, populating Result.Native. DSS modes with a single query only.
 	NativeWorkers []int
-	// NativeZeroCopy additionally measures each native worker count with
-	// borrowed page-aliasing scan blocks, recording the copy-vs-borrow
-	// pair side by side. Requires NativeWorkers.
-	NativeZeroCopy bool
 	// JoinMode pins the hash-join strategy of joining plans (Q13):
 	// "chained", "partitioned", "prefetch", or ""/"auto" for the
 	// build-size policy. Applies to both the traced runs and the native
@@ -253,9 +249,6 @@ func (q Request) Validate() error {
 		if err := checkSweep("native_workers", q.NativeWorkers, "native_workers", "native workers", maxWorkers); err != nil {
 			return err
 		}
-	}
-	if q.NativeZeroCopy && len(q.NativeWorkers) == 0 {
-		return &ValidationError{Field: "native_zero_copy", Reason: "zero-copy native measurement needs native_workers"}
 	}
 	if _, err := engine.ParseJoinMode(q.JoinMode); err != nil {
 		return &ValidationError{Field: "join_mode", Reason: err.Error()}
@@ -431,10 +424,9 @@ type Result struct {
 	Traces []obs.Run
 	// Native holds the host-execution sweep when Request.NativeWorkers is
 	// set: the interpreted 1-worker reference first, then one compiled
-	// point per requested worker count (wall-clock, best of 50) — a
-	// copying and a borrowing point per count under NativeZeroCopy. These
-	// are distinct measurements, not repeats; the traced sides above are
-	// each simulated once.
+	// point per requested worker count (wall-clock, best of 50), its
+	// scans borrowing pages in place. These are distinct measurements,
+	// not repeats; the traced sides above are each simulated once.
 	Native []NativeRun
 	// NativeRows / NativeRowsPerSec headline the best compiled native
 	// point: base-table rows scanned and host throughput.
@@ -531,7 +523,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		native, err := r.RunNativeDSS(req.Query, req.NativeWorkers, req.Seed, req.NativeZeroCopy, req.joinMode())
+		native, err := r.RunNativeDSS(req.Query, req.NativeWorkers, req.Seed, req.joinMode())
 		if err != nil {
 			return Result{}, err
 		}

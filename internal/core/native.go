@@ -30,26 +30,19 @@ type NativeRun struct {
 	// predicates, hash kernels, and selection vectors disabled, so the
 	// compiled-path speedup is self-contained in the sweep.
 	Interpreted bool
-	// Borrowed marks a zero-copy point: scans alias buffer-pool pages
-	// (borrowed blocks) instead of memmoving tuples into the arena.
-	Borrowed bool
-	// JoinMode is the hash-join strategy this point requested ("auto",
-	// "chained", "partitioned", "prefetch"); only Q13 joins, so other
-	// queries always record "auto".
-	JoinMode string
 	// Rows is base-table rows scanned per run; Nanos the best wall time.
 	Rows  int
 	Nanos int64
 	// MedianNanos and IQRNanos summarize the 50 timed runs (median and
 	// interquartile range), so the sweep records spread, not just the
-	// floor the speedup gates compare.
+	// floor.
 	MedianNanos int64
 	IQRNanos    int64
 	// RowsPerSec is Rows divided by the best wall time.
 	RowsPerSec float64
 	// BytesScanned is base-table bytes read per run (rows × row width);
 	// GBPerSec is the effective scan bandwidth at the best wall time —
-	// the number the zero-copy path races against memory bandwidth.
+	// the number the borrowed scans race against memory bandwidth.
 	BytesScanned int
 	GBPerSec     float64
 	// ResultRows counts result rows; Digest is their RowsDigest, the
@@ -62,18 +55,14 @@ type NativeRun struct {
 const nativeWorkBytes = 64 << 20
 
 // RunNativeDSS measures query q natively at each worker count, preceded
-// by the interpreted single-worker reference. With zeroCopy set, each
-// worker count is measured twice — once on the copying fast path, once
-// with borrowed page-aliasing blocks — so the sweep records the
-// copy-vs-borrow pair side by side. Optional join modes multiply the
-// points of a joining query (Q13): each listed mode is measured at every
-// (workers, flavor) combination, so chained, partitioned, and prefetch
-// probing can be compared on identical inputs; non-joining queries
-// collapse the list to one point. Worker counts beyond the host's
-// cores still run (goroutines share cores); their scaling numbers just
-// reflect the hardware they got. A 1-worker point is the serial plan; a
-// point whose digest is not the interpreted reference's fails the sweep.
-func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bool, modes ...engine.JoinMode) ([]NativeRun, error) {
+// by the interpreted single-worker reference. Every compiled point runs
+// the flavor the served native traffic runs: scans borrow buffer-pool
+// pages in place (NativeOpts.ZeroCopy), and a joining plan (Q13) probes
+// with join mode jm. Worker counts beyond the host's cores still run
+// (goroutines share cores); their scaling numbers just reflect the
+// hardware they got. A 1-worker point is the serial plan; a point whose
+// digest is not the interpreted reference's fails the sweep.
+func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, jm engine.JoinMode) ([]NativeRun, error) {
 	if !workload.HasPlan(q) {
 		return nil, fmt.Errorf("core: native DSS query %d (have %s)", q, plannedList(""))
 	}
@@ -106,8 +95,8 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	// queries run in a millisecond or two, where any single timing is one
 	// descheduling or GC assist away from garbage, and the floor keeps
 	// dropping for dozens of runs as caches and branch predictors settle.
-	// The minimum is the stable statistic the gates compare; the median
-	// and interquartile range record the spread.
+	// The minimum is the floor a point reaches once everything has
+	// settled; the median and interquartile range record the spread.
 	measure := func(run func() ([][]engine.Value, error)) (rows [][]engine.Value, best, median, iqr int64, err error) {
 		var times []int64
 		for i := 0; i < 53; i++ {
@@ -127,11 +116,10 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 		sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
 		return rows, times[0], times[25], times[37] - times[12], nil
 	}
-	point := func(workers int, interpreted, borrowed bool, rows [][]engine.Value, best, median, iqr int64) NativeRun {
+	point := func(workers int, interpreted bool, rows [][]engine.Value, best, median, iqr int64) NativeRun {
 		n := NativeRun{
-			Query: q, Workers: workers, Interpreted: interpreted, Borrowed: borrowed,
-			JoinMode: engine.JoinAuto.String(),
-			Rows:     scanned, Nanos: best, MedianNanos: median, IQRNanos: iqr,
+			Query: q, Workers: workers, Interpreted: interpreted,
+			Rows: scanned, Nanos: best, MedianNanos: median, IQRNanos: iqr,
 			BytesScanned: scannedBytes, ResultRows: len(rows), Digest: RowsDigest(rows),
 		}
 		if best > 0 {
@@ -141,10 +129,6 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 		return n
 	}
 
-	if len(modes) == 0 || q != 13 {
-		modes = []engine.JoinMode{engine.JoinAuto}
-	}
-
 	var out []NativeRun
 	rows, best, median, iqr, err := measure(func() ([][]engine.Value, error) {
 		return h.RunQueryNative(ctxs[0], q, p, workload.NativeOpts{Interpret: true, Compact: true})
@@ -152,31 +136,22 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, zeroCopy bo
 	if err != nil {
 		return nil, fmt.Errorf("core: native q%d interpreted: %w", q, err)
 	}
-	out = append(out, point(1, true, false, rows, best, median, iqr))
+	out = append(out, point(1, true, rows, best, median, iqr))
 
-	flavors := []bool{false}
-	if zeroCopy {
-		flavors = append(flavors, true)
-	}
+	o := workload.NativeOpts{ZeroCopy: true, JoinMode: jm}
 	for _, w := range workerCounts {
-		for _, borrow := range flavors {
-			for _, m := range modes {
-				o := workload.NativeOpts{ZeroCopy: borrow, JoinMode: m}
-				rows, best, median, iqr, err := measure(func() ([][]engine.Value, error) {
-					return h.RunQueryParallelNative(ctxs[:w], q, p, o)
-				})
-				if err != nil {
-					return nil, fmt.Errorf("core: native q%d workers=%d zero_copy=%v join=%s: %w", q, w, borrow, m, err)
-				}
-				pt := point(w, false, borrow, rows, best, median, iqr)
-				if pt.Digest != out[0].Digest {
-					return nil, fmt.Errorf("core: native q%d workers=%d zero_copy=%v join=%s: digest %#x, interpreted %#x",
-						q, w, borrow, m, pt.Digest, out[0].Digest)
-				}
-				pt.JoinMode = m.String()
-				out = append(out, pt)
-			}
+		rows, best, median, iqr, err := measure(func() ([][]engine.Value, error) {
+			return h.RunQueryParallelNative(ctxs[:w], q, p, o)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: native q%d workers=%d: %w", q, w, err)
 		}
+		pt := point(w, false, rows, best, median, iqr)
+		if pt.Digest != out[0].Digest {
+			return nil, fmt.Errorf("core: native q%d workers=%d: digest %#x, interpreted %#x",
+				q, w, pt.Digest, out[0].Digest)
+		}
+		out = append(out, pt)
 	}
 	// Borrowed blocks pin buffer-pool pages for their lifetime; a sweep
 	// that ends with outstanding leases has leaked a pin somewhere in an

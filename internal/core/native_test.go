@@ -1,7 +1,8 @@
 // Tests for the native host-execution sweep: point structure, digest and
 // lease contracts, and request validation. Its wall-clock ratios
-// (compiled vs interpreted, borrow vs copy, join modes, worker scaling)
-// are measured by bench's ladder, not asserted here.
+// (compiled vs interpreted, worker scaling) and the flavors the sweep
+// does not run (copying scans, the join modes side by side) are measured
+// by bench's ladder, not asserted here.
 
 package core
 
@@ -9,15 +10,23 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // TestRunNativeDSSSweepShape: the sweep leads with the interpreted
 // 1-worker reference, carries one compiled point per requested count,
-// and every point's digest is the reference's RowsDigest: the 2-worker
-// point's ordered exchange feeds the serial aggregate the serial rows.
+// every point's digest is the reference's RowsDigest (the 2-worker
+// point's ordered exchange feeds the serial aggregate the serial rows),
+// and it ends with zero outstanding page leases: the compiled points
+// borrow pages, and their blocks release every pin.
 func TestRunNativeDSSSweepShape(t *testing.T) {
+	h, err := sharedRunner.TPCH()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []int{1, 6, 13} {
-		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, false)
+		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, engine.JoinAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +51,6 @@ func TestRunNativeDSSSweepShape(t *testing.T) {
 			if i > 0 && r.Interpreted {
 				t.Fatalf("q%d point %d: unexpected interpreted point", q, i)
 			}
-			if r.Borrowed {
-				t.Fatalf("q%d point %d: borrowed point in a copy-only sweep", q, i)
-			}
 		}
 		if runs[1].Workers != 1 || runs[2].Workers != 2 {
 			t.Fatalf("q%d: worker counts %d,%d, want 1,2", q, runs[1].Workers, runs[2].Workers)
@@ -55,51 +61,13 @@ func TestRunNativeDSSSweepShape(t *testing.T) {
 					q, r.Workers, r.Digest, r.ResultRows, ref.Digest, ref.ResultRows)
 			}
 		}
-	}
-}
-
-// TestRunNativeDSSZeroCopySweep: with zeroCopy set every worker count is
-// measured twice — copying then borrowed — every digest is the
-// interpreted reference's, and the sweep ends with
-// zero outstanding page leases (borrowed blocks release their pins).
-func TestRunNativeDSSZeroCopySweep(t *testing.T) {
-	h, err := sharedRunner.TPCH()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []int{1, 6, 13} {
-		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(runs) != 5 {
-			t.Fatalf("q%d: %d points, want 5 (interpreted + copy/borrow at 2 counts)", q, len(runs))
-		}
-		ref := runs[0]
-		want := []struct {
-			workers  int
-			borrowed bool
-		}{{1, false}, {1, true}, {2, false}, {2, true}}
-		for i, w := range want {
-			r := runs[i+1]
-			if r.Workers != w.workers || r.Borrowed != w.borrowed || r.Interpreted {
-				t.Fatalf("q%d point %d: got workers=%d borrowed=%v, want workers=%d borrowed=%v",
-					q, i+1, r.Workers, r.Borrowed, w.workers, w.borrowed)
-			}
-		}
-		for _, r := range runs[1:] {
-			if r.Digest != ref.Digest {
-				t.Fatalf("q%d x%d: digest %#x (borrowed=%v) != interpreted %#x",
-					q, r.Workers, r.Digest, r.Borrowed, ref.Digest)
-			}
-		}
 		if n := h.DB.Pool.Leases(); n != 0 {
 			t.Fatalf("q%d: %d page leases outstanding after the sweep", q, n)
 		}
 	}
 }
 
-// TestRunNativeDSSConcurrentSweeps: two zero-copy sweeps share one Runner
+// TestRunNativeDSSConcurrentSweeps: two borrowing sweeps share one Runner
 // — and so one buffer pool — and both succeed. Each sweep accounts for
 // the leases of its own contexts; a pool-wide count taken while the other
 // sweep has a page borrowed would call that a leak.
@@ -109,9 +77,9 @@ func TestRunNativeDSSConcurrentSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := func(q int) error {
-		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, true)
-		if err == nil && runs[2].Digest != runs[0].Digest {
-			err = fmt.Errorf("q%d: borrowed serial digest %#x != interpreted %#x", q, runs[2].Digest, runs[0].Digest)
+		runs, err := sharedRunner.RunNativeDSS(q, []int{1, 2}, 7, engine.JoinAuto)
+		if err == nil && runs[1].Digest != runs[0].Digest {
+			err = fmt.Errorf("q%d: borrowed serial digest %#x != interpreted %#x", q, runs[1].Digest, runs[0].Digest)
 		}
 		return err
 	}
@@ -149,8 +117,7 @@ func TestRunNativeDSSConcurrentSweeps(t *testing.T) {
 }
 
 // TestRequestNativeWorkersValidation: native sweeps are DSS-only, need a
-// concrete query, and reject non-positive counts; zero-copy needs a
-// native sweep to ride on.
+// concrete query, and reject non-positive counts.
 func TestRequestNativeWorkersValidation(t *testing.T) {
 	bad := []Request{
 		{Mode: ModeStagedOLTP, NativeWorkers: []int{1}},
@@ -171,12 +138,7 @@ func TestRequestNativeWorkersValidation(t *testing.T) {
 			t.Fatalf("case %d: error %v does not name native_workers", i, err)
 		}
 	}
-	zc := Request{Mode: ModeVecDSS, Query: 6, NativeZeroCopy: true}.WithDefaults()
-	err := zc.Validate()
-	if verr, ok := err.(*ValidationError); !ok || verr.Field != "native_zero_copy" {
-		t.Fatalf("zero-copy without native_workers: error %v does not name native_zero_copy", err)
-	}
-	good := Request{Mode: ModeVecDSS, Query: 6, NativeWorkers: []int{1, 4}, NativeZeroCopy: true}.WithDefaults()
+	good := Request{Mode: ModeVecDSS, Query: 6, NativeWorkers: []int{1, 4}}.WithDefaults()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid native request rejected: %v", err)
 	}

@@ -417,12 +417,18 @@ func (a *HashAgg) finish(cs Schema, acc, out []byte) {
 	}
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset = uint64(1469598103934665603)
+	fnvPrime  = uint64(1099511628211)
+)
+
 // hashBytes is FNV-1a over b.
 func hashBytes(b []byte) uint64 {
-	h := uint64(1469598103934665603)
+	h := fnvOffset
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }

@@ -33,9 +33,6 @@ type QueryRequest struct {
 	// worker counts; host wall-clock numbers ride back on the result's
 	// native section.
 	NativeWorkers []int `json:"native_workers,omitempty"`
-	// ZeroCopy additionally measures each native worker count with
-	// borrowed page-aliasing scan blocks (copy vs borrow side by side).
-	ZeroCopy bool `json:"zero_copy,omitempty"`
 	// JoinMode pins the hash-join strategy of joining plans (Q13):
 	// "chained", "partitioned", "prefetch", or ""/"auto" for the
 	// build-size policy.
@@ -66,10 +63,8 @@ func (q QueryRequest) ToCore() (core.Request, error) {
 	return core.Request{
 		Mode: mode, Query: q.Query, Clients: q.Clients,
 		Workers: q.Workers, WorkerCounts: q.WorkerCounts,
-		NativeWorkers: q.NativeWorkers, NativeZeroCopy: q.ZeroCopy,
-		JoinMode: q.JoinMode,
-		Seed:     q.Seed,
-		Trace:    q.Trace,
+		NativeWorkers: q.NativeWorkers, JoinMode: q.JoinMode,
+		Seed: q.Seed, Trace: q.Trace,
 	}, nil
 }
 
@@ -134,14 +129,12 @@ type Side struct {
 // NativeRun is one native fast-path measurement on the wire: query
 // Query at Workers host workers, wall-clock timed (best of 50; median
 // and interquartile range record the spread). Every point's digest is
-// the interpreted reference's: interpreted, compiled, borrowed and
+// the interpreted reference's: the interpreted, compiled and
 // multi-worker points return the same rows byte for byte.
 type NativeRun struct {
 	Query       int     `json:"query"`
 	Workers     int     `json:"workers"`
 	Interpreted bool    `json:"interpreted,omitempty"`
-	Borrowed    bool    `json:"borrowed,omitempty"`
-	JoinMode    string  `json:"join_mode,omitempty"`
 	Rows        int     `json:"rows_scanned"`
 	Nanos       int64   `json:"nanos"`
 	MedianNanos int64   `json:"median_nanos"`
@@ -219,9 +212,8 @@ func FromCore(res core.Result) Result {
 	for _, n := range res.Native {
 		out.Native = append(out.Native, NativeRun{
 			Query: n.Query, Workers: n.Workers,
-			Interpreted: n.Interpreted, Borrowed: n.Borrowed,
-			JoinMode: n.JoinMode,
-			Rows:     n.Rows, Nanos: n.Nanos,
+			Interpreted: n.Interpreted,
+			Rows:        n.Rows, Nanos: n.Nanos,
 			MedianNanos: n.MedianNanos, IQRNanos: n.IQRNanos,
 			RowsPerSec: n.RowsPerSec,
 			Bytes:      n.BytesScanned, GBPerSec: n.GBPerSec,

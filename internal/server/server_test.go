@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,41 @@ func TestQueryNativeOnTheWire(t *testing.T) {
 	var eb api.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Field != "native_workers" {
 		t.Errorf("error %s does not name native_workers (%v)", body, err)
+	}
+}
+
+// TestQueryIgnoresRetiredZeroCopy: a /v1/query body that still carries
+// "zero_copy": true, as a client written against the copy-or-borrow
+// sweep sends it, is served exactly like the same body without it — body
+// decoding is not strict, and every native point borrows either way.
+// Wall-clock fields are zeroed before the comparison; everything else,
+// native digests and point shape included, must match.
+func TestQueryIgnoresRetiredZeroCopy(t *testing.T) {
+	_, hs := newTestServer(t)
+	serve := func(body string) api.Result {
+		t.Helper()
+		resp, out := post(t, hs.URL+"/v1/query", json.RawMessage(body), "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, out)
+		}
+		var wire api.Result
+		if err := json.Unmarshal(out, &wire); err != nil {
+			t.Fatalf("bad result JSON: %v\n%s", err, out)
+		}
+		for i := range wire.Native {
+			n := &wire.Native[i]
+			n.Nanos, n.MedianNanos, n.IQRNanos, n.RowsPerSec, n.GBPerSec = 0, 0, 0, 0, 0
+		}
+		wire.NativeRowsPerSec = 0
+		return wire
+	}
+	plain := serve(`{"mode":"vec-dss","query":6,"native_workers":[1,2]}`)
+	old := serve(`{"mode":"vec-dss","query":6,"native_workers":[1,2],"zero_copy":true}`)
+	if len(plain.Native) != 3 {
+		t.Fatalf("%d native points, want 3 (interpreted + 2 worker counts)", len(plain.Native))
+	}
+	if !reflect.DeepEqual(plain, old) {
+		t.Fatalf("zero_copy changed the served result:\nwithout %+v\nwith    %+v", plain, old)
 	}
 }
 

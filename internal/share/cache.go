@@ -27,7 +27,9 @@ type ResultKey struct {
 	// order, zero-padded. Kept lossless — not hashed — so a write to any
 	// read table structurally cannot collide back onto a stale entry.
 	Versions [maxKeyTables]uint64
-	// Plan is the plan fingerprint (engine.PlanFingerprint).
+	// Plan fingerprints the plan's logical result apart from the tables'
+	// contents: for the DSS plans, a hash of the query number and its
+	// scans' predicates.
 	Plan uint64
 }
 

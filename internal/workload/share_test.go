@@ -211,9 +211,11 @@ func TestRunConcurrentDSS(t *testing.T) {
 	}
 }
 
-// TestPlanFingerprintDiscriminates pins the fingerprint's contract: same
-// query and parameters agree (origin-independently); different parameters
-// or shapes differ.
+// TestPlanFingerprintDiscriminates pins the result key's contract: same
+// query and parameters agree (origin-independently); different predicate
+// constants or queries differ; and a query whose predicates do not read
+// the parameters (Q13) gets one key at every parameter set — the
+// cross-client reuse shared-dss relies on.
 func TestPlanFingerprintDiscriminates(t *testing.T) {
 	h := shareTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
@@ -246,5 +248,16 @@ func TestPlanFingerprintDiscriminates(t *testing.T) {
 	}
 	if k6.Plan == k1.Plan {
 		t.Fatal("Q1 and Q6 plans produced equal fingerprints")
+	}
+	k13, err := h.resultKey(13, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k13b, err := h.resultKey(13, QueryParams{Date: 1500, Discount: 0.07, Quantity: 24, StartPage: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k13 != k13b {
+		t.Fatalf("Q13 at two parameter sets got two keys: %+v vs %+v", k13, k13b)
 	}
 }

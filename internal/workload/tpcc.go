@@ -683,36 +683,6 @@ func (w *TPCC) StockLevel(ctx *engine.Ctx, rng *rand.Rand) error {
 	return nil
 }
 
-// mustIdx returns a primary index, creating it on first use for tables
-// whose index is built during load.
-func (w *TPCC) mustIdx(t *engine.Table, name string) *engine.Index {
-	if idx, err := t.Index(name); err == nil {
-		return idx
-	}
-	idx, err := w.DB.CreateIndex(t, name, func(row []byte) int64 { return engine.RowInt(row, 0) })
-	if err != nil {
-		panic(err)
-	}
-	// Backfill existing rows.
-	for p := 0; p < t.Heap.NumPages(); p++ {
-		ref, err := w.DB.Pool.Get(nil, t.Heap.PageAt(p))
-		if err != nil {
-			panic(err)
-		}
-		sp := storage.AsSlotted(ref.Data, ref.Addr)
-		for s := 0; s < sp.NumSlots(); s++ {
-			if row := sp.Tuple(nil, s); row != nil {
-				rid := storage.RID{Page: ref.ID, Slot: uint32(s)}
-				if err := idx.Tree.Insert(nil, idx.KeyOf(row), rid.Pack()); err != nil {
-					panic(err)
-				}
-			}
-		}
-		ref.Release()
-	}
-	return idx
-}
-
 // nonUniform is a TPC-C NURand-style skewed pick in [0, n): three
 // quarters of accesses concentrate on a hot eighth of the keyspace (the
 // paper's workloads have a small primary working set captured by 8-16 MB
