@@ -51,8 +51,11 @@ test:
 # and exact repeats; a TPC-C fork against a fresh build, the coroutine
 # trace pipe, the staged-OLTP goldens and concurrent callers on one image;
 # the loader against row-at-a-time inserts, the appenders and the
-# free-frame cursor; and the side-placement and paced-request lines of
-# `test`, on one processor and on two.
+# free-frame cursor; the side-placement and paced-request lines of `test`,
+# on one processor and on two; and, three times over, the TPC-C driver
+# that runs the transaction programs on client threads (TPCC.Run): eight
+# concurrent clients waiting for one another's locks, Run against the
+# monolithic reference, and a traced client.
 race:
 	$(GO) test -race -short ./...
 	ENGINE_ALIAS_DEBUG=1 $(GO) test -race -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
@@ -62,6 +65,7 @@ race:
 	$(GO) test -race -count=1 -run 'LoaderEqualsRowInserts|Appender|FreeFrameCursor' ./internal/storage ./internal/engine
 	$(GO) test -race -count=1 -cpu 1,2 -run 'SidesOverlap|Golden|RunRepeats|Fork|Panic|GivingUp|ParallelJoin|ParallelHashJoin|ParallelOps' ./internal/par ./internal/engine ./internal/oltp ./internal/staged ./internal/core
 	$(GO) test -race -count=1 -cpu 1,2 -run 'AtPace|Pace|Morsel' ./internal/trace ./internal/engine ./internal/sim
+	$(GO) test -race -count=3 -run 'ConcurrentClients|RunMatchesMonolithic|TPCCClientTraced' ./internal/workload
 
 # Every Go benchmark in the tree, one iteration each: the TPC-H and
 # TPC-C loads and native Q13 by worker count. The paper's measured
@@ -78,12 +82,15 @@ bench:
 bench-smoke: bench
 	$(GO) run ./bench -window 2s
 
-# Mirrors CI's figures step: the paper's Figure 3 validation, Figure 5's
-# breakdown and the staged-execution experiment at test scale, every cell
-# through the one simulation lifecycle (core.Runner.simulate). Figure 2 is
-# left out: its 128-client point does not fit in memory at test scale.
+# Mirrors CI's figures step: the paper's Figure 3 validation, Figure 4's
+# LC/FC ratios (its unsaturated OLTP pair runs one transaction sequence on
+# two forks of the loaded database), Figure 5's breakdown and the
+# staged-execution experiment at test scale, every cell through the one
+# simulation lifecycle (core.Runner.simulate). Figure 2 is left out: its
+# 128-client point does not fit in memory at test scale.
 figures-smoke:
 	$(GO) run ./cmd/figures -exp fig3 -scale test
+	$(GO) run ./cmd/figures -exp fig4 -scale test
 	$(GO) run ./cmd/figures -exp fig5 -scale test
 	$(GO) run ./cmd/figures -exp staged -scale test
 

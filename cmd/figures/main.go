@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -56,7 +57,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("  [%s in %s]\n\n", name, time.Since(start).Truncate(time.Millisecond))
+		fmt.Printf("  [%s in %s, peak RSS %d MB]\n\n", name, time.Since(start).Truncate(time.Millisecond), peakRSSMB())
 	}
 
 	if *exp == "all" {
@@ -66,6 +67,16 @@ func main() {
 		return
 	}
 	run(*exp)
+}
+
+// peakRSSMB is the process's peak resident set so far, in MB (0 where
+// getrusage fails).
+func peakRSSMB() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return int64(ru.Maxrss) >> 10 // Maxrss is in KB on Linux
 }
 
 func header(title string) {

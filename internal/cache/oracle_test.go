@@ -662,8 +662,8 @@ func TestHierarchyMatchesOracleOnRecordedTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := [][]trace.Ref{
-		recordTrace(t, func(rec *trace.Recorder) error { return h.RunOnce(rec, 0, 6, 1, false) }),
-		recordTrace(t, func(rec *trace.Recorder) error { return h.RunOnce(rec, 1, 13, 1, false) }),
+		recordTrace(t, func(rec *trace.Recorder) error { return h.RunOnce(h.DB.NewCtx(rec, 0, 96<<20), 6, 1, false) }),
+		recordTrace(t, func(rec *trace.Recorder) error { return h.RunOnce(h.DB.NewCtx(rec, 1, 96<<20), 13, 1, false) }),
 		recordTrace(t, func(rec *trace.Recorder) error {
 			ctx := w.DB.NewCtx(rec, 2, 4<<20)
 			sched := oltp.NewScheduler(w.DB.Codes, oltp.Config{Cohort: 16, Generation: w.Mgr.LM.Generation})

@@ -106,12 +106,15 @@ func fig3Cell() Cell {
 }
 
 // cellGoldens is the simulator's complete output for the characterization
-// cells whose traces do not depend on the host: Figure 3's, and shortCell's
-// DSS cells, at TestScale, recorded at commit 9539db3. Work is pinned for
-// the unsaturated cells only: a saturated cell counts the queries its
-// clients finished before the window closed, and how far a client has run
-// ahead of the simulator by then is up to the host. Saturated OLTP cells
-// are not pinned at all: their clients share one database and its locks.
+// cells whose traces do not depend on the host: Figure 3's, shortCell's
+// DSS cells and its unsaturated OLTP cells, at TestScale (the DSS and
+// Figure 3 entries recorded at commit 9539db3). Work is pinned for the
+// unsaturated cells only: a saturated cell counts the queries its clients
+// finished before the window closed, and how far a client has run ahead
+// of the simulator by then is up to the host. An unsaturated OLTP cell has
+// one client on its own fork of the loaded database, so it repeats
+// exactly; saturated OLTP cells are not pinned at all: their clients share
+// one fork and its locks, and who waits for whom is up to the host.
 var cellGoldens = []struct {
 	name     string
 	cell     Cell
@@ -137,6 +140,18 @@ var cellGoldens = []struct {
 		Cache: cache.Stats{L1DHits: 0x8d7, L1DMisses: 0x3056, L1IHits: 0x1f24, L1IMisses: 0x1,
 			L2Hits: 0x2b8, L2Misses: 0x2d9f, MemAccesses: 0x2d9f, Upgrades: 0x2, PortQueueCycles: 0x76b},
 		ThreadDone: []uint64{0x48602e}}},
+	{"unsaturated OLTP FC", shortCell(sim.FatCamp, OLTP, false), 48, 28466.62920646813, sim.Result{
+		Cycles: 0x8e7d, Instructions: 0x7d22,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x3eb9, 0x171, 0x0, 0x396, 0x3e98, 0x0, 0xc24, 0x1ab78}},
+		Cache: cache.Stats{L1DHits: 0x29a, L1DMisses: 0xa4, L1IHits: 0x7cd, L1IMisses: 0x66, StreamBufHits: 0x52,
+			L2Hits: 0x64, L2Misses: 0x54, MemAccesses: 0x54, Upgrades: 0xa, PortQueueCycles: 0x3},
+		ThreadDone: []uint64{0x8e7c}}},
+	{"unsaturated OLTP LC", shortCell(sim.LeanCamp, OLTP, false), 48, 29917.431479053506, sim.Result{
+		Cycles: 0x95c0, Instructions: 0x7d22,
+		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x3ec3, 0x176, 0x0, 0x4fe, 0x4dee, 0x0, 0x29a, 0x1c141}},
+		Cache: cache.Stats{L1DHits: 0x29a, L1DMisses: 0xa4, L1IHits: 0x7cd, L1IMisses: 0x66, StreamBufHits: 0x52,
+			L2Hits: 0x64, L2Misses: 0x54, MemAccesses: 0x54, Upgrades: 0xa, PortQueueCycles: 0x1},
+		ThreadDone: []uint64{0x95bf}}},
 	{"saturated DSS FC", shortCell(sim.FatCamp, DSS, true), -1, 0, sim.Result{
 		Cycles: 0x1d4c0, Instructions: 0xa66b9,
 		Breakdown: sim.Breakdown{Cycles: [8]uint64{0x53aaa, 0x0, 0x0, 0xc6e0, 0x6765, 0x0, 0xea11, 0x0}},

@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oltp"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // stagedGolden is one side of the staged-oltp request {clients 8, txns 8,
@@ -188,10 +189,11 @@ func TestGoldenStagedOLTPSimResults(t *testing.T) {
 
 // TestForkConcurrentCallers: three staged-oltp callers and one RunCell
 // OLTP caller share one Runner. Every staged digest, cycle count and
-// simulator counter equals the lone caller's golden; RunCell's shared,
-// mutable database is a different object from the image, which afterwards
-// still forks into the database a fresh build returns. Run under -race
-// this is also the synchronization test of the image and the free lists.
+// simulator counter equals the lone caller's golden; the image, which
+// every one of them forked, afterwards still forks into the database a
+// fresh build returns, and RunCell parks its fork's arena. Run under
+// -race this is also the synchronization test of the image and the free
+// lists.
 func TestForkConcurrentCallers(t *testing.T) {
 	r := NewRunner(TestScale())
 	cell := DefaultCell(sim.FatCamp, OLTP, false)
@@ -221,13 +223,13 @@ func TestForkConcurrentCallers(t *testing.T) {
 			if res, err := r.RunCell(cell); err != nil {
 				t.Errorf("RunCell: %v", err)
 			} else if res.Work == 0 {
-				t.Error("RunCell committed no transaction: it would not have written to the shared database")
+				t.Error("RunCell committed no transaction: it would not have written to its fork")
 			}
 		}
 	}()
 	wg.Wait()
 
-	fresh, err := NewRunner(r.ScaleCfg).TPCC() // a build nothing has run against
+	fresh, err := workload.BuildTPCC(r.ScaleCfg.TPCC) // a build nothing has run against
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +244,17 @@ func TestForkConcurrentCallers(t *testing.T) {
 	if got, err := fork.StateDigest(); err != nil || got != want {
 		t.Errorf("the image forks into digest %#x (%v) after serving, a fresh build has %#x", got, err, want)
 	}
-	shared, err := r.TPCC()
-	if err != nil {
+	// RunCell's one fork is parked beside the staged callers' forks.
+	parked := len(r.arenas.free[r.master.ArenaBytes()])
+	if most := 3*sidesAtOnce(r, ModeStagedOLTP) + 1; parked == 0 || parked > most {
+		t.Errorf("%d database arenas parked after four concurrent callers, want 1..%d", parked, most)
+	}
+	// A lone RunCell takes a parked arena for its fork (or allocates one
+	// when none is parked) and parks it again.
+	if _, err := r.RunCell(cell); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := shared.StateDigest(); err != nil || got == want {
-		t.Errorf("RunCell's database has the loaded digest %#x (%v): its writes went elsewhere", got, err)
-	}
-	if n, most := len(r.arenas.free[r.master.ArenaBytes()]), 3*sidesAtOnce(r, ModeStagedOLTP); n == 0 || n > most {
-		t.Errorf("%d database arenas parked after three concurrent callers, want 1..%d", n, most)
+	if n := len(r.arenas.free[r.master.ArenaBytes()]); n != max(parked, 1) {
+		t.Errorf("%d database arenas parked after a RunCell, %d before: it did not park its fork", n, parked)
 	}
 }

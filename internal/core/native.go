@@ -83,12 +83,14 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, jm engine.J
 			maxW = w
 		}
 	}
-	// One nil-recorder Ctx per native worker, reused (arena reset) across
-	// every point of the sweep. Worker slots 90+ keep the simulated
-	// workspace addresses clear of the traced experiments' slots.
+	// One nil-recorder Ctx per native worker, in join mode jm, reused
+	// (arena reset) across every point of the sweep. Worker slots 90+ keep
+	// the simulated workspace addresses clear of the traced experiments'
+	// slots.
 	ctxs := make([]*engine.Ctx, maxW)
 	for w := range ctxs {
 		ctxs[w] = h.DB.NewCtx(nil, 90+w, nativeWorkBytes)
+		ctxs[w].JoinMode = jm
 	}
 	// Each point is three untimed warmups (page in the scan range, size
 	// the hash tables, let the core ramp) then 50 timed runs — test-scale
@@ -138,7 +140,7 @@ func (r *Runner) RunNativeDSS(q int, workerCounts []int, seed int64, jm engine.J
 	}
 	out = append(out, point(1, true, rows, best, median, iqr))
 
-	o := workload.NativeOpts{ZeroCopy: true, JoinMode: jm}
+	o := workload.NativeOpts{ZeroCopy: true}
 	for _, w := range workerCounts {
 		rows, best, median, iqr, err := measure(func() ([][]engine.Value, error) {
 			return h.RunQueryParallelNative(ctxs[:w], q, p, o)

@@ -59,14 +59,14 @@ type Runner struct {
 	Join obs.JoinMetrics
 
 	// Forks, when set, counts and times the private TPC-C databases forked
-	// from the resident image, one per staged-OLTP side. The zero value
-	// discards the observations.
+	// from the resident image, one per staged-OLTP side and OLTP cell. The
+	// zero value discards the observations.
 	Forks obs.ForkMetrics
 
 	// Loads, when set, times the lazy database loads below — the TPC-H
-	// build, the TPC-C build, the build and snapshot of the TPC-C master
-	// image — which the first request that needs a database pays for. The
-	// zero value discards the observations.
+	// build, the build and snapshot of the TPC-C master image — which the
+	// first request that needs a database pays for. The zero value
+	// discards the observations.
 	Loads obs.LoadMetrics
 
 	// Sides, when set, counts every side of every request by whether it ran
@@ -75,18 +75,17 @@ type Runner struct {
 	Sides obs.SideMetrics
 
 	mu sync.Mutex
-	// tpcc and tpch are the shared databases RunCell's clients and the DSS
-	// modes run against; tpcc is mutated by every OLTP cell.
-	tpcc *workload.TPCC
+	// tpch is the DSS database RunCell's clients and the DSS modes share;
+	// they only read it.
 	tpch *workload.TPCH
-	// master is the resident TPC-C image every staged-OLTP side forks its
-	// private database from. It is built once, never written afterwards,
-	// and is a separate object from tpcc. It owns no arena: the one it was
-	// loaded in went to arenas when the image had been taken.
+	// master is the resident TPC-C image every OLTP cell and staged-OLTP
+	// side forks its private database from. It is built once and never
+	// written afterwards. It owns no arena: the one it was loaded in went
+	// to arenas when the image had been taken.
 	master *workload.TPCCImage
 
 	// arenas holds what finished runs handed back: DSS and OLTP workspaces
-	// and the database arenas of staged-OLTP forks. A run owns an arena
+	// and the database arenas of TPC-C forks. A run owns an arena
 	// from take until it puts it back, which it does only once nothing of
 	// the run — query goroutines, producers, the digest — can touch it.
 	arenas arenaPool
@@ -98,9 +97,12 @@ type Runner struct {
 
 const (
 	// dssWorkBytes is every traced DSS context's workspace size and
-	// oltpWorkBytes every staged-OLTP worker's.
-	dssWorkBytes  = 64 << 20
-	oltpWorkBytes = 8 << 20
+	// oltpWorkBytes every staged-OLTP worker's; a RunCell client's is
+	// cellDSSWorkBytes or cellOLTPWorkBytes.
+	dssWorkBytes      = 64 << 20
+	oltpWorkBytes     = 8 << 20
+	cellDSSWorkBytes  = 96 << 20
+	cellOLTPWorkBytes = 2 << 20
 	// maxFreeBytes bounds the arenas a Runner retains of each size. What is
 	// parked is what requests held at once, and a request holds the arenas
 	// of two sides at once when it overlaps them: the widest served request
@@ -231,25 +233,11 @@ func NewRunner(s Scale) *Runner { return &Runner{ScaleCfg: s} }
 
 // clientSeed is deterministic per (workload, client) so paired cells —
 // e.g. the FC and LC sides of Figure 4 — replay the same request
-// sequences, the paper's paired-measurement methodology.
+// sequences, the paper's paired-measurement methodology. Every OLTP cell
+// forks the loaded database, so a sequence replays on the same state
+// too: an unsaturated (one-client) cell repeats exactly.
 func clientSeed(wk WorkloadKind, client int) int64 {
 	return 7919 + int64(wk)*1009 + int64(client)*31
-}
-
-// TPCC returns the shared OLTP database, building it on first use.
-func (r *Runner) TPCC() (*workload.TPCC, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tpcc == nil {
-		start := time.Now()
-		w, err := workload.BuildTPCC(r.ScaleCfg.TPCC)
-		if err != nil {
-			return nil, err
-		}
-		r.Loads.Observe("tpcc", time.Since(start))
-		r.tpcc = w
-	}
-	return r.tpcc, nil
 }
 
 // tpccImage returns the resident TPC-C image, loading it on first use.
@@ -316,22 +304,32 @@ func (r *Runner) TPCH() (*workload.TPCH, error) {
 // warms the caches, measures, and tears the clients down. The
 // executor-comparison modes live behind Run (the unified request API);
 // RunCell is the figure/table machinery underneath the paper's
-// characterization experiments.
+// characterization experiments. An OLTP cell runs on a private fork of
+// the resident TPC-C image, as a staged-oltp side does, so every cell
+// starts from the loaded database; its clients drive the transaction
+// programs (workload.TPCC.Run). Each client's workspace comes from the
+// free lists at its worker slot, and goes back to them with the fork's
+// arena once the run is over.
 func (r *Runner) RunCell(c Cell) (CellResult, error) {
-	// client runs client i to its end, returning the work it completed.
-	var client func(rec *trace.Recorder, i int) (int, error)
+	// client runs client i on ctx to its end, returning the work it
+	// completed.
+	var client func(ctx *engine.Ctx, i int) (int, error)
+	var db *engine.DB
+	var workBytes int
+	var fork *workload.TPCC
 	switch c.Workload {
 	case OLTP:
-		w, err := r.TPCC()
+		w, err := r.forkTPCC()
 		if err != nil {
 			return CellResult{}, err
 		}
+		fork, db, workBytes = w, w.DB, cellOLTPWorkBytes
 		limit := 0
 		if !c.Saturated {
 			limit = c.UnsatTxns
 		}
-		client = func(rec *trace.Recorder, i int) (int, error) {
-			counts, err := w.Client(rec, i, clientSeed(OLTP, i), limit)
+		client = func(ctx *engine.Ctx, i int) (int, error) {
+			counts, err := w.Client(ctx, clientSeed(OLTP, i), limit)
 			return counts.Total(), err
 		}
 	case DSS:
@@ -339,27 +337,32 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		client = func(rec *trace.Recorder, i int) (int, error) {
+		db, workBytes = h.DB, cellDSSWorkBytes
+		client = func(ctx *engine.Ctx, i int) (int, error) {
 			if c.Saturated {
-				return h.Client(rec, i, clientSeed(DSS, i), 0, c.RowPlans)
+				return h.Client(ctx, i, clientSeed(DSS, i), 0, c.RowPlans)
 			}
-			return 1, h.RunOnce(rec, i, c.UnsatQuery, clientSeed(DSS, i), c.RowPlans)
+			return 1, h.RunOnce(ctx, c.UnsatQuery, clientSeed(DSS, i), c.RowPlans)
 		}
 	default:
 		return CellResult{}, fmt.Errorf("core: unknown workload %v", c.Workload)
 	}
 
 	th := newThreads(c.Clients, false)
+	ctxs := make([]*engine.Ctx, c.Clients)
+	for i, rec := range th.recs {
+		ctxs[i] = r.workCtx(db, rec, i, workBytes)
+	}
 	work := make([]int, c.Clients)
 	var window uint64 // unsaturated runs go to completion
 	if c.Saturated {
 		window = c.WindowCycles
 	}
 	side, err := r.simulate(run{
-		label: c.String(), cell: c, threads: th, window: window, done: 1,
+		label: c.String(), cell: c, threads: th, window: window, done: 1, work: ctxs,
 		produce: func(obs.Scope) error {
 			return par.Do(c.Clients, func(i int) (err error) {
-				if work[i], err = client(th.recs[i], i); err != nil {
+				if work[i], err = client(ctxs[i], i); err != nil {
 					return fmt.Errorf("core: client %d: %w", i, err)
 				}
 				return nil
@@ -367,7 +370,11 @@ func (r *Runner) RunCell(c Cell) (CellResult, error) {
 		},
 	})
 	if err != nil {
+		// The fork goes to the collector with the workspaces.
 		return CellResult{}, err
+	}
+	if fork != nil {
+		r.arenas.put(fork.DB.Release())
 	}
 
 	res := side.Result

@@ -268,6 +268,24 @@ func (lm *LockManager) Generation() uint64 {
 	return lm.gen
 }
 
+// WaitRelease blocks until the generation has moved past gen: a thread
+// whose continuation parked after reading gen sleeps until some
+// transaction commits or aborts, then retries its step. Like Acquire it
+// gives up after two minutes of host time, a safety net against a peer
+// that died holding locks.
+func (lm *LockManager) WaitRelease(gen uint64) error {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	deadline := time.Now().Add(120 * time.Second)
+	for lm.gen == gen {
+		if time.Now().After(deadline) {
+			return errTimeout
+		}
+		waitCond(lm.cond, deadline)
+	}
+	return nil
+}
+
 // ReleaseAll drops every lock txn holds (commit/abort).
 func (lm *LockManager) ReleaseAll(rec *trace.Recorder, txn uint64, keys []uint64) {
 	rec.Exec(lm.code, 20+5*len(keys))

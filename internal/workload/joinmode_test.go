@@ -14,6 +14,14 @@ import (
 
 var joinModes = []engine.JoinMode{engine.JoinChained, engine.JoinPartitioned, engine.JoinPrefetch}
 
+// inMode sets every context's join mode to m and returns them.
+func inMode(ctxs []*engine.Ctx, m engine.JoinMode) []*engine.Ctx {
+	for _, c := range ctxs {
+		c.JoinMode = m
+	}
+	return ctxs
+}
+
 // TestJoinModeGoldenSerial: serial native Q13 under NSM+PAX × copy/
 // borrowed × all three join modes. Chained is the reference; partitioned
 // and prefetch must reproduce it byte for byte (the drain emits in probe
@@ -26,7 +34,8 @@ func TestJoinModeGoldenSerial(t *testing.T) {
 		ctx := h.DB.NewCtx(nil, 57, 48<<20)
 		for _, borrow := range []bool{false, true} {
 			ctx.Work.Reset()
-			want, err := h.RunQueryNative(ctx, 13, p, NativeOpts{ZeroCopy: borrow, JoinMode: engine.JoinChained})
+			ctx.JoinMode = engine.JoinChained
+			want, err := h.RunQueryNative(ctx, 13, p, NativeOpts{ZeroCopy: borrow})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +44,8 @@ func TestJoinModeGoldenSerial(t *testing.T) {
 			}
 			for _, m := range joinModes[1:] {
 				ctx.Work.Reset()
-				got, err := h.RunQueryNative(ctx, 13, p, NativeOpts{ZeroCopy: borrow, JoinMode: m})
+				ctx.JoinMode = m
+				got, err := h.RunQueryNative(ctx, 13, p, NativeOpts{ZeroCopy: borrow})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,8 +69,8 @@ func TestJoinModeGoldenParallel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, borrow := range []bool{false, true} {
 			for _, m := range joinModes {
-				got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), 13, p,
-					NativeOpts{ZeroCopy: borrow, JoinMode: m})
+				got, err := h.RunQueryParallelNative(inMode(nativeWorkerCtxs(h, workers), m), 13, p,
+					NativeOpts{ZeroCopy: borrow})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +97,7 @@ func TestPartitionedBuildRaceHammer(t *testing.T) {
 			for _, c := range ctxs {
 				c.Work.Reset()
 			}
-			rows, err := h.RunQueryParallelNative(ctxs, 13, p, NativeOpts{JoinMode: m})
+			rows, err := h.RunQueryParallelNative(inMode(ctxs, m), 13, p, NativeOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,9 +31,6 @@ type NativeOpts struct {
 	// are pinned and exposed in place instead of memmoved into the
 	// block's arena. Ignored on traced and Interpret runs.
 	ZeroCopy bool
-	// JoinMode pins the hash-join strategy of joining plans (Q13); the
-	// zero value defers to the context and then the auto policy.
-	JoinMode engine.JoinMode
 }
 
 // source names the executor a plan is lowered onto.
@@ -201,7 +198,7 @@ func (h *TPCH) lowerVec(pl plan, e exec) lowered {
 	if j := pl.join; j != nil {
 		hj := &engine.HashJoinVec{
 			Probe: scans[0], Build: scans[1], ProbeCol: j.probeCol, BuildCol: j.buildCol, Type: j.typ,
-			Expected: pl.scans[1].rows, Interpret: o.Interpret, Mode: o.JoinMode,
+			Expected: pl.scans[1].rows, Interpret: o.Interpret,
 		}
 		if narrow {
 			// Distinct keys size the bucket array, the build rows the radix
@@ -262,7 +259,7 @@ func (pl plan) morsels(e exec) (input func(w int) engine.VecOp, join *engine.Par
 		join.Joins[w] = &engine.HashJoinVec{
 			Probe: scans[0](w), Build: &engine.ProjectVec{Child: scans[1](w), Cols: j.keep},
 			ProbeCol: j.probeCol, BuildCol: slices.Index(j.keep, j.buildCol), Type: j.typ,
-			Expected: j.keys, BuildRows: pl.scans[1].rows, Interpret: e.opts.Interpret, Mode: e.opts.JoinMode,
+			Expected: j.keys, BuildRows: pl.scans[1].rows, Interpret: e.opts.Interpret,
 		}
 	}
 	return func(w int) engine.VecOp { return join.Joins[w] }, join
@@ -313,7 +310,7 @@ func (h *TPCH) lowerOrdered(pl plan, e exec) lowered {
 		Build: exchange(build, build.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
 			return &engine.ProjectVec{Child: in, Cols: j.keep}
 		}),
-		BuildCol: slices.Index(j.keep, j.buildCol), Expected: j.keys, BuildRows: build.rows, Mode: o.JoinMode,
+		BuildCol: slices.Index(j.keep, j.buildCol), Expected: j.keys, BuildRows: build.rows,
 	}
 	probes := exchange(probe, probe.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
 		return mapped(jb.Probe(&engine.HashJoinVec{

@@ -56,10 +56,14 @@ func fuzzTPCH(t *testing.T, layout storage.Layout) fuzzDB {
 // against the row reference byte for byte: the vectorized tree, every
 // native flavor, the shared tree (replayed from its rotation's start
 // page) and the native plan on workers contexts (order-preserving
-// exchanges from two on); and no context left holding a page lease.
+// exchanges from two on), every context in join mode mode; and no context
+// left holding a page lease.
 func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, mode engine.JoinMode, borrow bool) {
 	t.Helper()
 	h, ctx := db.h, db.ctxs[0]
+	for _, c := range db.ctxs {
+		c.JoinMode = mode
+	}
 	row := func(p QueryParams) [][]engine.Value {
 		ctx.Work.Reset()
 		rows, err := h.RunQueryRow(ctx, q, p)
@@ -80,7 +84,7 @@ func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, 
 	for _, interpret := range []bool{false, true} {
 		for _, compact := range []bool{false, true} {
 			for _, zeroCopy := range []bool{false, true} {
-				o := NativeOpts{Interpret: interpret, Compact: compact, ZeroCopy: zeroCopy, JoinMode: mode}
+				o := NativeOpts{Interpret: interpret, Compact: compact, ZeroCopy: zeroCopy}
 				ctx.Work.Reset()
 				got, err := h.RunQueryNative(ctx, q, p, o)
 				if err != nil {
@@ -102,7 +106,7 @@ func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, 
 	for _, c := range db.ctxs[:workers] {
 		c.Work.Reset()
 	}
-	o := NativeOpts{ZeroCopy: borrow, JoinMode: mode}
+	o := NativeOpts{ZeroCopy: borrow}
 	got, err = h.RunQueryParallelNative(db.ctxs[:workers], q, p, o)
 	if err != nil {
 		t.Fatal(err)

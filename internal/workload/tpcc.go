@@ -12,8 +12,14 @@
 // HasPlan are the query set all of them accept. Q16 has no plan: it is a
 // hand-written row plan, run by the row and vectorized executors alike.
 //
-// Client drivers run real transactions/queries in a loop, emitting one
-// trace stream per client for the CMP simulator.
+// The five TPC-C transactions are likewise written once, as continuation
+// programs over pre-drawn inputs (tpcc_staged.go): the cohort scheduler
+// interleaves them, its monolithic reference runs them one by one, and
+// Run drives one to commit on a client thread that sleeps at lock waits.
+//
+// Client drivers run real transactions/queries in a loop on a context the
+// caller provides, emitting one trace stream per client for the CMP
+// simulator.
 package workload
 
 import (
@@ -23,7 +29,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/storage"
-	"repro/internal/trace"
 	"repro/internal/txn"
 )
 
@@ -55,7 +60,8 @@ func (c TPCCConfig) withDefaults() TPCCConfig {
 	return c
 }
 
-// TPCC is a loaded OLTP database plus transaction implementations.
+// TPCC is a loaded OLTP database plus the code layout its transaction
+// programs charge.
 type TPCC struct {
 	Cfg TPCCConfig
 	DB  *engine.DB
@@ -324,365 +330,6 @@ func updateTraced(ctx *engine.Ctx, tx *txn.Txn, t *engine.Table, rid storage.RID
 	return t.Update(ctx.Rec, rid, newRow)
 }
 
-// NewOrder runs one TPC-C New-Order transaction.
-func (w *TPCC) NewOrder(ctx *engine.Ctx, rng *rand.Rand) error {
-	ctx.Rec.Exec(w.codeFrontend, 2600)
-	ctx.Rec.Exec(w.codeNewOrder, 3200)
-	wh := rng.Intn(w.Cfg.Warehouses)
-	d := rng.Intn(10)
-	c := nonUniform(rng, w.Cfg.CustPerDis)
-	tx := w.Mgr.Begin(ctx.Rec)
-
-	// District: read and bump next_o_id under X lock.
-	dk := w.dKey(wh, d)
-	if err := tx.Lock(ctx.Rec, lockKey(lkDistrict, uint64(dk)), txn.Exclusive); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	dRow, dRID, err := fetchByKey(ctx, w.district, w.idxDistrict, dk)
-	if err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	oID := engine.RowInt(dRow, 8)
-	newD := append([]byte(nil), dRow...)
-	engine.PutRowInt(newD, 8, oID+1)
-	if err := updateTraced(ctx, tx, w.district, dRID, dRow, newD); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-
-	olCnt := 5 + rng.Intn(11)
-	var total float64
-	for l := 0; l < olCnt; l++ {
-		ctx.Rec.ExecAt(w.codeNewOrder, 4096, 350)
-		iid := nonUniform(rng, w.Cfg.Items)
-		iRow, _, err := fetchByKey(ctx, w.item, w.idxItem, int64(iid))
-		if err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		price := engine.RowFloat(iRow, 8)
-
-		sk := w.sKey(wh, iid)
-		if err := tx.Lock(ctx.Rec, lockKey(lkStock, uint64(sk)), txn.Exclusive); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		sRow, sRID, err := fetchByKey(ctx, w.stock, w.idxStock, sk)
-		if err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		qty := int64(1 + rng.Intn(10))
-		sQty := engine.RowInt(sRow, 8)
-		if sQty >= qty+10 {
-			sQty -= qty
-		} else {
-			sQty += 91 - qty
-		}
-		newS := append([]byte(nil), sRow...)
-		engine.PutRowInt(newS, 8, sQty)
-		engine.PutRowFloat(newS, 16, engine.RowFloat(sRow, 16)+float64(qty))
-		engine.PutRowInt(newS, 24, engine.RowInt(sRow, 24)+1)
-		if err := updateTraced(ctx, tx, w.stock, sRID, sRow, newS); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-
-		amount := float64(qty) * price
-		total += amount
-		if _, err := w.orderline.Insert(ctx.Rec, []engine.Value{
-			engine.IV(w.olKey(wh, d, int(oID), l)), engine.IV(int64(iid)),
-			engine.IV(qty), engine.FV(amount), engine.SV("dist-info-pad"),
-		}); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-	}
-
-	if _, err := w.orders.Insert(ctx.Rec, []engine.Value{
-		engine.IV(w.oKey(wh, d, int(oID))), engine.IV(w.cKey(wh, d, c)),
-		engine.IV(0), engine.IV(0), engine.IV(int64(olCnt)),
-	}); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	if _, err := w.neworder.Insert(ctx.Rec, []engine.Value{
-		engine.IV(w.oKey(wh, d, int(oID))),
-	}); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	_ = total
-	tx.Commit(ctx.Rec)
-	return nil
-}
-
-// Payment runs one TPC-C Payment transaction.
-func (w *TPCC) Payment(ctx *engine.Ctx, rng *rand.Rand) error {
-	ctx.Rec.Exec(w.codeFrontend, 2200)
-	ctx.Rec.Exec(w.codePayment, 2600)
-	wh := rng.Intn(w.Cfg.Warehouses)
-	d := rng.Intn(10)
-	c := nonUniform(rng, w.Cfg.CustPerDis)
-	amount := 1 + 4999*rng.Float64()
-	tx := w.Mgr.Begin(ctx.Rec)
-
-	// Warehouse YTD: the hottest write-shared line in TPC-C.
-	if err := tx.Lock(ctx.Rec, lockKey(lkWarehouse, uint64(wh)), txn.Exclusive); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	wRow, wRID, err := fetchByKey(ctx, w.warehouse, w.idxWarehouse, int64(wh))
-	if err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	newW := append([]byte(nil), wRow...)
-	engine.PutRowFloat(newW, 18, engine.RowFloat(wRow, 18)+amount)
-	if err := updateTraced(ctx, tx, w.warehouse, wRID, wRow, newW); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-
-	dk := w.dKey(wh, d)
-	if err := tx.Lock(ctx.Rec, lockKey(lkDistrict, uint64(dk)), txn.Exclusive); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	dRow, dRID, err := fetchByKey(ctx, w.district, w.idxDistrict, dk)
-	if err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	newD := append([]byte(nil), dRow...)
-	engine.PutRowFloat(newD, 16, engine.RowFloat(dRow, 16)+amount)
-	if err := updateTraced(ctx, tx, w.district, dRID, dRow, newD); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-
-	ck := w.cKey(wh, d, c)
-	if err := tx.Lock(ctx.Rec, lockKey(lkCustomer, uint64(ck)), txn.Exclusive); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	cRow, cRID, err := fetchByKey(ctx, w.customer, w.idxCustomer, ck)
-	if err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	newC := append([]byte(nil), cRow...)
-	engine.PutRowFloat(newC, 8, engine.RowFloat(cRow, 8)-amount)
-	engine.PutRowFloat(newC, 16, engine.RowFloat(cRow, 16)+amount)
-	engine.PutRowInt(newC, 24, engine.RowInt(cRow, 24)+1)
-	if err := updateTraced(ctx, tx, w.customer, cRID, cRow, newC); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-
-	if _, err := w.history.Insert(ctx.Rec, []engine.Value{
-		engine.IV(ck), engine.FV(amount), engine.IV(0),
-	}); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	tx.Commit(ctx.Rec)
-	return nil
-}
-
-// OrderStatus runs one TPC-C Order-Status transaction (read-only).
-func (w *TPCC) OrderStatus(ctx *engine.Ctx, rng *rand.Rand) error {
-	ctx.Rec.Exec(w.codeFrontend, 1800)
-	ctx.Rec.Exec(w.codeOrderStatus, 1600)
-	wh := rng.Intn(w.Cfg.Warehouses)
-	d := rng.Intn(10)
-	c := nonUniform(rng, w.Cfg.CustPerDis)
-	tx := w.Mgr.Begin(ctx.Rec)
-	ck := w.cKey(wh, d, c)
-	if err := tx.Lock(ctx.Rec, lockKey(lkCustomer, uint64(ck)), txn.Shared); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	if _, _, err := fetchByKey(ctx, w.customer, w.idxCustomer, ck); err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	// Find the customer's most recent order by scanning back from the
-	// district's latest order id.
-	found := 0
-	cur, err := w.idxOrders.Tree.Seek(ctx.Rec, w.oKey(wh, d, 0))
-	if err == nil {
-		for found < 1 {
-			k, v, ok, err := cur.Next(ctx.Rec)
-			if err != nil || !ok || k >= w.oKey(wh, d+1, 0) {
-				break
-			}
-			row, err := w.orders.Fetch(ctx.Rec, storage.UnpackRID(v))
-			if err != nil {
-				break
-			}
-			if engine.RowInt(row, 8) == ck {
-				found++
-				// Read its order lines.
-				oID := k & 0xFFFFFFFF
-				lo, hi := w.olKey(wh, d, int(oID), 0), w.olKey(wh, d, int(oID), 15)
-				olCur, err := w.idxOrderLine.Tree.Seek(ctx.Rec, lo)
-				if err != nil {
-					break
-				}
-				for {
-					olk, olv, ok, err := olCur.Next(ctx.Rec)
-					if err != nil || !ok || olk > hi {
-						break
-					}
-					if _, err := w.orderline.Fetch(ctx.Rec, storage.UnpackRID(olv)); err != nil {
-						break
-					}
-				}
-			}
-		}
-	}
-	tx.Commit(ctx.Rec)
-	return nil
-}
-
-// Delivery runs one TPC-C Delivery transaction (batch over districts).
-func (w *TPCC) Delivery(ctx *engine.Ctx, rng *rand.Rand) error {
-	ctx.Rec.Exec(w.codeFrontend, 1800)
-	ctx.Rec.Exec(w.codeDelivery, 2000)
-	wh := rng.Intn(w.Cfg.Warehouses)
-	tx := w.Mgr.Begin(ctx.Rec)
-	for d := 0; d < 10; d++ {
-		ctx.Rec.ExecAt(w.codeDelivery, 2048, 300)
-		// Oldest undelivered order of the district.
-		lo, hi := w.oKey(wh, d, 0), w.oKey(wh, d+1, 0)-1
-		cur, err := w.idxNewOrder.Tree.Seek(ctx.Rec, lo)
-		if err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		k, _, ok, err := cur.Next(ctx.Rec)
-		if err != nil || !ok || k > hi {
-			continue // no pending orders in this district
-		}
-		if err := tx.Lock(ctx.Rec, lockKey(lkOrder, uint64(k)), txn.Exclusive); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		// Remove from new-order; mark carrier on the order; sum lines;
-		// credit the customer.
-		noV, ok2, err := w.idxNewOrder.Tree.Get(ctx.Rec, k)
-		if err != nil || !ok2 {
-			continue
-		}
-		if _, err := w.idxNewOrder.Tree.Delete(ctx.Rec, k, noV); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		oV, ok3, err := w.idxOrders.Tree.Get(ctx.Rec, k)
-		if err != nil || !ok3 {
-			continue
-		}
-		oRID := storage.UnpackRID(oV)
-		oRow, err := w.orders.Fetch(ctx.Rec, oRID)
-		if err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		newO := append([]byte(nil), oRow...)
-		engine.PutRowInt(newO, 24, int64(1+rng.Intn(10)))
-		if err := updateTraced(ctx, tx, w.orders, oRID, oRow, newO); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		oID := int(k & 0xFFFFFFFF)
-		var total float64
-		olCur, err := w.idxOrderLine.Tree.Seek(ctx.Rec, w.olKey(wh, d, oID, 0))
-		if err == nil {
-			for {
-				olk, olv, ok, err := olCur.Next(ctx.Rec)
-				if err != nil || !ok || olk > w.olKey(wh, d, oID, 15) {
-					break
-				}
-				row, err := w.orderline.Fetch(ctx.Rec, storage.UnpackRID(olv))
-				if err != nil {
-					break
-				}
-				total += engine.RowFloat(row, 24)
-			}
-		}
-		ck := engine.RowInt(oRow, 8)
-		if err := tx.Lock(ctx.Rec, lockKey(lkCustomer, uint64(ck)), txn.Exclusive); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		cRow, cRID, err := fetchByKey(ctx, w.customer, w.idxCustomer, ck)
-		if err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-		newC := append([]byte(nil), cRow...)
-		engine.PutRowFloat(newC, 8, engine.RowFloat(cRow, 8)+total)
-		if err := updateTraced(ctx, tx, w.customer, cRID, cRow, newC); err != nil {
-			tx.Abort(ctx.Rec)
-			return err
-		}
-	}
-	tx.Commit(ctx.Rec)
-	return nil
-}
-
-// StockLevel runs one TPC-C Stock-Level transaction (read-only join).
-func (w *TPCC) StockLevel(ctx *engine.Ctx, rng *rand.Rand) error {
-	ctx.Rec.Exec(w.codeFrontend, 1800)
-	ctx.Rec.Exec(w.codeStockLevel, 1600)
-	wh := rng.Intn(w.Cfg.Warehouses)
-	d := rng.Intn(10)
-	threshold := int64(10 + rng.Intn(11))
-	tx := w.Mgr.Begin(ctx.Rec)
-	dRow, _, err := fetchByKey(ctx, w.district, w.idxDistrict, w.dKey(wh, d))
-	if err != nil {
-		tx.Abort(ctx.Rec)
-		return err
-	}
-	nextO := engine.RowInt(dRow, 8)
-	lowO := nextO - 20
-	if lowO < 1 {
-		lowO = 1
-	}
-	seen := map[int64]bool{}
-	low := 0
-	cur, err := w.idxOrderLine.Tree.Seek(ctx.Rec, w.olKey(wh, d, int(lowO), 0))
-	if err == nil {
-		for {
-			k, v, ok, err := cur.Next(ctx.Rec)
-			if err != nil || !ok || k >= w.olKey(wh, d, int(nextO), 0) {
-				break
-			}
-			row, err := w.orderline.Fetch(ctx.Rec, storage.UnpackRID(v))
-			if err != nil {
-				break
-			}
-			iid := engine.RowInt(row, 8)
-			if seen[iid] {
-				continue
-			}
-			seen[iid] = true
-			sRow, _, err := fetchByKey(ctx, w.stock, w.idxStock, w.sKey(wh, int(iid)))
-			if err != nil {
-				continue
-			}
-			if engine.RowInt(sRow, 8) < threshold {
-				low++
-			}
-		}
-	}
-	tx.Commit(ctx.Rec)
-	return nil
-}
-
 // nonUniform is a TPC-C NURand-style skewed pick in [0, n): three
 // quarters of accesses concentrate on a hot eighth of the keyspace (the
 // paper's workloads have a small primary working set captured by 8-16 MB
@@ -705,56 +352,75 @@ func (m MixCounts) Total() int {
 	return m.NewOrder + m.Payment + m.OrderStatus + m.Delivery + m.StockLevel
 }
 
-// RunOne executes one transaction drawn from the standard TPC-C mix
-// (45/43/4/4/4), retrying on deadlock. It updates counts.
-func (w *TPCC) RunOne(ctx *engine.Ctx, rng *rand.Rand, counts *MixCounts) error {
-	roll := rng.Intn(100)
-	for {
-		var err error
-		switch {
-		case roll < 45:
-			err = w.NewOrder(ctx, rng)
-		case roll < 88:
-			err = w.Payment(ctx, rng)
-		case roll < 92:
-			err = w.OrderStatus(ctx, rng)
-		case roll < 96:
-			err = w.Delivery(ctx, rng)
-		default:
-			err = w.StockLevel(ctx, rng)
-		}
-		if err == txn.ErrDeadlock {
-			counts.Deadlocks++
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		switch {
-		case roll < 45:
-			counts.NewOrder++
-		case roll < 88:
-			counts.Payment++
-		case roll < 92:
-			counts.OrderStatus++
-		case roll < 96:
-			counts.Delivery++
-		default:
-			counts.StockLevel++
-		}
-		return nil
+// tally counts one committed transaction of kind k.
+func (m *MixCounts) tally(k TxnKind) {
+	switch k {
+	case TxNewOrder:
+		m.NewOrder++
+	case TxPayment:
+		m.Payment++
+	case TxOrderStatus:
+		m.OrderStatus++
+	case TxDelivery:
+		m.Delivery++
+	default:
+		m.StockLevel++
 	}
 }
 
-// Client runs transactions until the recorder is stopped (saturated
-// drivers) or limit transactions complete (limit 0 = unlimited). It
-// closes the recorder on exit.
-func (w *TPCC) Client(rec *trace.Recorder, worker int, seed int64, limit int) (MixCounts, error) {
-	defer rec.Close()
-	ctx := w.DB.NewCtx(rec, worker, 2<<20)
+// Run drives in's transaction program, under its kind's monolithic code
+// profile, to commit on the calling thread: the program the staged
+// executor and its monolithic reference run, with the scheduler's parking
+// replaced by sleeping. Before each step it reads the lock generation; a
+// step that parks on a lock waits until the generation has moved (some
+// transaction released its locks) and retries, and a deadlock victim
+// restarts from its first step, counted in deadlocks. Any other error
+// aborts the attempt, releasing its locks, and is returned.
+func (w *TPCC) Run(ctx *engine.Ctx, in TxnInput) (deadlocks int, err error) {
+	p := w.NewStagedTxn(in, w.MonoChargerFor(in.Kind))
+	for {
+		gen := w.Mgr.LM.Generation()
+		out, err := p.Step(ctx)
+		switch {
+		case err == txn.ErrDeadlock:
+			p.Restart(ctx.Rec)
+			deadlocks++
+		case err != nil:
+			p.Restart(ctx.Rec)
+			return deadlocks, err
+		case out.Done:
+			return deadlocks, nil
+		case out.Parked:
+			if err := w.Mgr.LM.WaitRelease(gen); err != nil {
+				p.Restart(ctx.Rec)
+				return deadlocks, err
+			}
+		}
+	}
+}
+
+// RunOne runs one transaction drawn from the standard TPC-C mix
+// (45/43/4/4/4, GenInputMix without remote warehouses) to commit and
+// tallies it, and its deadlock restarts, in counts.
+func (w *TPCC) RunOne(ctx *engine.Ctx, rng *rand.Rand, counts *MixCounts) error {
+	in := w.GenInputMix(rng, 0)
+	deadlocks, err := w.Run(ctx, in)
+	counts.Deadlocks += deadlocks
+	if err != nil {
+		return err
+	}
+	counts.tally(in.Kind)
+	return nil
+}
+
+// Client runs transactions on ctx until its recorder is stopped
+// (saturated drivers) or limit transactions complete (limit 0 =
+// unlimited). It closes the recorder on exit.
+func (w *TPCC) Client(ctx *engine.Ctx, seed int64, limit int) (MixCounts, error) {
+	defer ctx.Rec.Close()
 	rng := rand.New(rand.NewSource(seed))
 	var counts MixCounts
-	for !rec.Stopped() {
+	for !ctx.Rec.Stopped() {
 		if err := w.RunOne(ctx, rng, &counts); err != nil {
 			return counts, err
 		}

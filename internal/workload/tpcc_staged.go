@@ -98,8 +98,8 @@ func otherWH(rng *rand.Rand, warehouses, home int) int {
 }
 
 // GenInputMix draws one transaction from the standard TPC-C mix
-// (45/43/4/4/4) with the same rng consumption order as the monolithic
-// client loop, plus a remote-warehouse knob: each NewOrder line's supply
+// (45/43/4/4/4) — RunOne's draw, at remotePct 0 — plus a remote-warehouse
+// knob: each NewOrder line's supply
 // warehouse and each Payment's customer warehouse is drawn from the
 // non-home warehouses with probability remotePct/100. With remotePct 0 (or
 // a single warehouse) the rng consumption order is byte-for-byte the

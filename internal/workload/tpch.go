@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 // TPCHConfig scales the DSS database. Row counts follow TPC-H's ratios
@@ -294,12 +293,13 @@ func (h *TPCH) scanOrigin(t *engine.Table, p QueryParams) int {
 // planned ones, then Q16, which runs on the row operators only.
 var Queries = append(Planned(), 16)
 
-// Client runs queries from the paper's mix until the recorder stops (or
-// limit queries complete; 0 = unlimited), closing the recorder on exit.
-// The workspace is reset between queries. rowPlans runs them on the
-// row-at-a-time reference operators (validation cells whose analytic
-// models assume per-tuple blocking access patterns, and
-// vectorized-vs-row comparisons) instead of the vectorized executor.
+// Client runs queries from the paper's mix on ctx, as worker worker of
+// the run, until its recorder stops (or limit queries complete; 0 =
+// unlimited), closing the recorder on exit. The workspace is reset
+// between queries. rowPlans runs them on the row-at-a-time reference
+// operators (validation cells whose analytic models assume per-tuple
+// blocking access patterns, and vectorized-vs-row comparisons) instead
+// of the vectorized executor.
 //
 // All clients draw the query ORDER from a shared sequence while predicate
 // parameters stay private per client. Concurrent scans of the same tables
@@ -307,14 +307,13 @@ var Queries = append(Planned(), 16)
 // long-running multi-client DSS systems (trailing scans travel in the
 // leader's L2 wake); from a random initial phase the convoy forms over
 // tens of millions of cycles, far beyond a sampled measurement window.
-func (h *TPCH) Client(rec *trace.Recorder, worker int, seed int64, limit int, rowPlans bool) (int, error) {
-	defer rec.Close()
+func (h *TPCH) Client(ctx *engine.Ctx, worker int, seed int64, limit int, rowPlans bool) (int, error) {
+	defer ctx.Rec.Close()
 	run := h.executor(rowPlans)
-	ctx := h.DB.NewCtx(rec, worker, 96<<20)
 	qrng := rand.New(rand.NewSource(4242)) // shared query order
 	prng := rand.New(rand.NewSource(seed)) // private predicate parameters
 	ran := 0
-	for ; !rec.Stopped() && (limit <= 0 || ran < limit); ran++ {
+	for ; !ctx.Rec.Stopped() && (limit <= 0 || ran < limit); ran++ {
 		q := Queries[qrng.Intn(len(Queries))]
 		ctx.Work.Reset()
 		p := RandomParams(prng)
@@ -330,13 +329,12 @@ func (h *TPCH) Client(rec *trace.Recorder, worker int, seed int64, limit int, ro
 	return ran, nil
 }
 
-// RunOnce executes a single query for unsaturated (response-time)
-// experiments, closing the recorder when the query completes. rowPlans
+// RunOnce executes a single query on ctx for unsaturated (response-time)
+// experiments, closing its recorder when the query completes. rowPlans
 // selects the row-at-a-time reference operators instead of the
 // vectorized default.
-func (h *TPCH) RunOnce(rec *trace.Recorder, worker int, q int, seed int64, rowPlans bool) error {
-	defer rec.Close()
-	ctx := h.DB.NewCtx(rec, worker, 96<<20)
+func (h *TPCH) RunOnce(ctx *engine.Ctx, q int, seed int64, rowPlans bool) error {
+	defer ctx.Rec.Close()
 	_, err := h.executor(rowPlans)(ctx, q, RandomParams(rand.New(rand.NewSource(seed))))
 	return err
 }

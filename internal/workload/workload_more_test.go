@@ -15,7 +15,7 @@ func TestTraceDeterminismPerSeed(t *testing.T) {
 	collect := func() []trace.Ref {
 		w := smallTPCC(t)
 		rec, s := trace.Pipe()
-		go w.Client(rec, 0, 777, 5)
+		go w.Client(w.DB.NewCtx(rec, 0, 2<<20), 777, 5)
 		var refs []trace.Ref
 		for len(refs) < 20000 {
 			r, ok := s.Next()
@@ -49,11 +49,7 @@ func TestNewOrderStockConsistency(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 40; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxNewOrder, 40)
 	var orderCnt int64
 	rows, err := engine.Collect(ctx, &engine.SeqScan{Table: w.stock})
 	if err != nil {
@@ -71,11 +67,7 @@ func TestOrderLineAmountsPositive(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(22))
-	for i := 0; i < 20; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxNewOrder, 20)
 	rows, err := engine.Collect(ctx, &engine.SeqScan{Table: w.orderline})
 	if err != nil {
 		t.Fatal(err)
@@ -97,17 +89,9 @@ func TestDeliveryCreditsCustomers(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 30; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxNewOrder, 30)
 	balBefore := totalBalance(t, ctx, w)
-	for i := 0; i < 3; i++ {
-		if err := w.Delivery(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxDelivery, 3)
 	balAfter := totalBalance(t, ctx, w)
 	if balAfter <= balBefore {
 		t.Fatalf("deliveries did not credit customers: %v -> %v", balBefore, balAfter)
@@ -255,11 +239,7 @@ func TestPaymentMoneyFloatSane(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 50; i++ {
-		if err := w.Payment(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxPayment, 50)
 	rows, _ := engine.Collect(ctx, &engine.SeqScan{Table: w.history})
 	for _, r := range rows {
 		if math.IsNaN(r[1].F) || r[1].F < 1 || r[1].F > 5000 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/oltp"
 	"repro/internal/trace"
 )
 
@@ -28,6 +29,22 @@ func smallTPCH(t *testing.T) *TPCH {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// runKind runs n transactions of kind k through TPCC.Run, each on the
+// next input of that kind GenInputMix draws from rng.
+func runKind(t *testing.T, w *TPCC, ctx *engine.Ctx, rng *rand.Rand, k TxnKind, n int) {
+	t.Helper()
+	for n > 0 {
+		in := w.GenInputMix(rng, 0)
+		if in.Kind != k {
+			continue
+		}
+		if _, err := w.Run(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+		n--
+	}
 }
 
 func TestTPCCLoadCounts(t *testing.T) {
@@ -54,11 +71,7 @@ func TestNewOrderAdvancesDistrictAndWritesLines(t *testing.T) {
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(5))
 	before := w.orderline.Heap.Rows()
-	for i := 0; i < 20; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxNewOrder, 20)
 	if w.orders.Heap.Rows() != 20 {
 		t.Fatalf("orders = %d", w.orders.Heap.Rows())
 	}
@@ -88,11 +101,7 @@ func TestPaymentConservesMoney(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 30; i++ {
-		if err := w.Payment(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxPayment, 30)
 	// Sum of warehouse ytd must equal sum of history amounts.
 	var whYTD, histSum float64
 	rows, err := engine.Collect(ctx, &engine.SeqScan{Table: w.warehouse})
@@ -121,16 +130,8 @@ func TestDeliveryClearsNewOrders(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 25; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if err := w.Delivery(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runKind(t, w, ctx, rng, TxNewOrder, 25)
+	runKind(t, w, ctx, rng, TxDelivery, 5)
 	// Delivery removes new-order entries (up to 10 per run, one per
 	// district with pending orders).
 	remaining := 0
@@ -157,18 +158,43 @@ func TestReadOnlyTransactionsRun(t *testing.T) {
 	w := smallTPCC(t)
 	ctx := w.DB.NewCtx(nil, 0, 2<<20)
 	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 10; i++ {
-		if err := w.NewOrder(ctx, rng); err != nil {
-			t.Fatal(err)
+	runKind(t, w, ctx, rng, TxNewOrder, 10)
+	for i := 0; i < 5; i++ {
+		runKind(t, w, ctx, rng, TxOrderStatus, 1)
+		runKind(t, w, ctx, rng, TxStockLevel, 1)
+	}
+}
+
+// TestRunMatchesMonolithicReference: the same inputs run through
+// TPCC.Run one after another leave the state the staged executor's
+// monolithic reference leaves, so the characterization's clients and the
+// STEPS comparison run the same transactions.
+func TestRunMatchesMonolithicReference(t *testing.T) {
+	ref, w := smallTPCC(t), smallTPCC(t)
+	loaded, err := w.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := w.StagedInputs(4, 40, 11)
+	if _, err := oltp.RunMonolithic(ref.DB.NewCtx(nil, 0, 2<<20), ref.StagedPrograms(ins, false)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := w.DB.NewCtx(nil, 0, 2<<20)
+	for i, in := range ins {
+		if deadlocks, err := w.Run(ctx, in); err != nil || deadlocks != 0 {
+			t.Fatalf("txn %d (%s): %d deadlocks, %v", i, in.Kind, deadlocks, err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		if err := w.OrderStatus(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.StockLevel(ctx, rng); err != nil {
-			t.Fatal(err)
-		}
+	got, err := w.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || got == loaded {
+		t.Fatalf("Run leaves digest %#x, the monolithic reference %#x (loaded %#x)", got, want, loaded)
 	}
 }
 
@@ -243,7 +269,7 @@ func TestTPCCClientTraced(t *testing.T) {
 	rec, s := trace.Pipe()
 	done := make(chan MixCounts, 1)
 	go func() {
-		counts, err := w.Client(rec, 0, 42, 10)
+		counts, err := w.Client(w.DB.NewCtx(rec, 0, 2<<20), 42, 10)
 		if err != nil {
 			t.Error(err)
 		}
@@ -411,7 +437,7 @@ func TestDSSClientTraced(t *testing.T) {
 	rec, s := trace.Pipe()
 	done := make(chan int, 1)
 	go func() {
-		n, err := h.Client(rec, 0, 11, 3, false)
+		n, err := h.Client(h.DB.NewCtx(rec, 0, 96<<20), 0, 11, 3, false)
 		if err != nil {
 			t.Error(err)
 		}
