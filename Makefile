@@ -44,9 +44,11 @@ test:
 
 # race: the short suite under the race detector; then, under race, the
 # alias-debug equivalence suites above; native rows on worker contexts
-# and through the order-preserving exchange against the serial plan's,
-# with nothing left behind, on one, two and four processors (one runs the
-# serial plan); event skipping against the cycle-by-cycle loop, the cache
+# and through the order-preserving exchange against the serial plan's —
+# the aggregate folding the morsels its workers prepare, a join build
+# staged and linked on them chain for chain — with nothing left behind
+# after a worker fails in either half, and a borrowed page's lease
+# counted, on one, two and four processors (one runs the serial plan); event skipping against the cycle-by-cycle loop, the cache
 # hierarchy against its reference, workspace reuse, trace-chunk recycling
 # and exact repeats; a TPC-C fork against a fresh build, the coroutine
 # trace pipe, the staged-OLTP goldens and concurrent callers on one image;
@@ -59,7 +61,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 	ENGINE_ALIAS_DEBUG=1 $(GO) test -race -count=1 -run 'ZeroCopy|Borrow|AliasDebug|NativeGolden|JoinMode|PartitionedBuild|HashAggNativeEqualsInterpreted|Lowering' ./internal/engine/ ./internal/workload/ ./internal/core/
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'GoldenParallel|MatchesSerial|Lowerings|OrderedExchange|OrderedMorsels|LeaveNothing|LeavesNothing' ./internal/engine ./internal/workload
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'GoldenParallel|MatchesSerial|ChainsMatchSerial|Lowerings|OrderedExchange|OrderedMorsels|LeaveNothing|LeavesNothing|AllocatesNothing' ./internal/engine ./internal/workload
 	$(GO) test -race -count=1 -run 'EventSkip|ArenaReuse|RunRepeats|Oracle|Recycle' ./internal/sim ./internal/mem ./internal/core ./internal/cache ./internal/trace
 	$(GO) test -race -count=1 -run 'ForkEqualsFreshBuild|PoolImage|BTreeCursorSurvivesWrites|Inline|GoldenStagedOLTP|ForkConcurrentCallers' ./internal/trace ./internal/storage ./internal/workload ./internal/core
 	$(GO) test -race -count=1 -run 'LoaderEqualsRowInserts|Appender|FreeFrameCursor' ./internal/storage ./internal/engine
@@ -68,7 +70,7 @@ race:
 	$(GO) test -race -count=3 -run 'ConcurrentClients|RunMatchesMonolithic|TPCCClientTraced' ./internal/workload
 
 # Every Go benchmark in the tree, one iteration each: the TPC-H and
-# TPC-C loads and native Q13 by worker count. The paper's measured
+# TPC-C loads and native Q1 and Q13 by worker count. The paper's measured
 # quantities and every gain claim live in the repository benchmark,
 # bench/ (see bench/README.md); the exact simulated claims are tier-1
 # test assertions.

@@ -295,8 +295,12 @@ func checkAggCase(t *testing.T, c *aggCase) {
 	t.Helper()
 	db := NewDB(Config{ArenaBytes: 2 << 20})
 	var newSource func() VecOp
+	var tb *Table
+	var blks []*Block
+	pred := func() []Pred { return nil }
 	if c.table {
-		tb, err := db.CreateTable("t", c.schema, storage.NSM)
+		var err error
+		tb, err = db.CreateTable("t", c.schema, storage.NSM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,18 +312,16 @@ func checkAggCase(t *testing.T, c *aggCase) {
 		// A borrowed scan (RevDense spans) under a selection-vector
 		// filter on a value column.
 		cut := c.rng.Int63n(2000) - 1000
+		pred = func() []Pred { return []Pred{PredInt(c.schema.Col("i0"), LE, cut)} }
 		newSource = func() VecOp {
-			return &FilterVec{
-				Child: &ScanVec{Table: tb, Borrow: true},
-				Preds: []Pred{PredInt(c.schema.Col("i0"), LE, cut)},
-			}
+			return &FilterVec{Child: &ScanVec{Table: tb, Borrow: true}, Preds: pred()}
 		}
 	} else {
 		// Room for the worst case, one live row per block: its block of
 		// four rows and an empty-selection block of one, a cache line of
 		// alignment each.
 		size := len(c.rows) * (5*c.schema.RowWidth() + 2*mem.LineSize)
-		blks := c.blocks(mem.NewArena(WorkSlotBase(2, size), size))
+		blks = c.blocks(mem.NewArena(WorkSlotBase(2, size), size))
 		newSource = func() VecOp { return &blockVec{schema: c.schema, blks: blks} }
 	}
 
@@ -355,6 +357,27 @@ func checkAggCase(t *testing.T, c *aggCase) {
 		a := &HashAggVec{Child: newSource(), GroupCols: c.groupCols, Aggs: c.aggs, Expected: c.expected}
 		return a.agg(), &RowAdapter{Vec: a}
 	})
+	// The prepare/fold split across morsels: a table's rows through an
+	// OrderedExchange of one-page morsels on one to four workers; the
+	// blocks prepared in stretches of any length — none, one block of one
+	// row, many — and each stretch folded in turn.
+	splitEntries, splitRows := run(3, func(ctx *Ctx) (*HashAgg, Op) {
+		if c.table {
+			// Workers of their own: carved from ctx, they would leave its
+			// group table a smaller bucket array, and another scan order.
+			ws := make([]*Ctx, 1+c.rng.Intn(4))
+			for w := range ws {
+				ws[w] = db.NewCtx(nil, 4+w, 1<<20)
+			}
+			x := &OrderedExchange{
+				Ctxs: ws, Table: tb, MorselPages: 1, Borrow: true,
+				Pipe: func(in VecOp) VecOp { return &FilterVec{Child: in, Preds: pred()} },
+			}
+			x.Agg = &HashAggVec{Child: x, GroupCols: c.groupCols, Aggs: c.aggs, Expected: c.expected}
+			return x.Agg.agg(), &RowAdapter{Vec: x.Agg}
+		}
+		return foldStretches(c, blks)
+	})
 	if n := db.Pool.Leases(); n != 0 {
 		t.Fatalf("%d page leases out of the pool", n)
 	}
@@ -371,6 +394,46 @@ func checkAggCase(t *testing.T, c *aggCase) {
 	// Equal row bytes in equal order: core.RowsDigest, a function of the
 	// decoded rows in order, cannot tell the two apart.
 	sameBytes(t, "output rows", gotRows, wantRows)
+	if len(splitEntries) != len(wantEntries) {
+		t.Fatalf("split: %d groups, interpreted %d", len(splitEntries), len(wantEntries))
+	}
+	for i, w := range wantEntries {
+		if g := splitEntries[i]; g.hash != w.hash || !bytes.Equal(g.payload, w.payload) {
+			t.Fatalf("split: table entry %d:\n got %#x %x\nwant %#x %x", i, g.hash, g.payload, w.hash, w.payload)
+		}
+	}
+	sameBytes(t, "split output rows", splitRows, wantRows)
+}
+
+// foldStretches is an Op whose Open folds blks into a group table in
+// stretches cut at random, the way an exchange's consumer folds the
+// morsels its workers prepare.
+func foldStretches(c *aggCase, blks []*Block) (*HashAgg, Op) {
+	in := &HashAgg{Child: &RowAdapter{Vec: &blockVec{schema: c.schema}}, GroupCols: c.groupCols, Aggs: c.aggs, Expected: c.expected}
+	return in, &stretchOp{HashAgg: in, c: c, blks: blks}
+}
+
+type stretchOp struct {
+	*HashAgg
+	c    *aggCase
+	blks []*Block
+}
+
+func (s *stretchOp) Open(ctx *Ctx) error {
+	n := newAggNative(s.HashAgg, s.prepare(ctx))
+	p := new(aggPrep)
+	for blks := s.blks; ; {
+		k := min(s.c.rng.Intn(4), len(blks)) // 0: an empty stretch
+		p.reset()
+		for _, blk := range blks[:k] {
+			n.prepare(p, blk)
+		}
+		p.finish()
+		n.fold(p)
+		if blks = blks[k:]; len(blks) == 0 {
+			return nil
+		}
+	}
 }
 
 // TestHashAggNativeEqualsInterpreted is the property: any generated case

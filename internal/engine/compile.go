@@ -14,6 +14,7 @@ package engine
 import (
 	"bytes"
 	"math"
+	"slices"
 )
 
 // RowPred is a compiled single predicate over an encoded row.
@@ -313,23 +314,34 @@ func intSelKernel(p Pred, off int, fn RowPred) selKernel {
 	default:
 		return rowPredKernel(fn)
 	}
+	// lo <= v <= hi is one unsigned compare of v-lo against hi-lo, and each
+	// row's index is written before the compare decides whether it stays:
+	// no branch on the data.
+	if lo > hi {
+		return neverKernel
+	}
+	span := uint64(hi - lo)
 	return selKernel{
 		dense: func(buf []byte, stride, n int, out []int32) []int32 {
+			j := len(out)
+			out = slices.Grow(out, n)[:j+n]
 			for i, p := 0, off; i < n; i, p = i+1, p+stride {
-				if v := RowInt(buf, p); v >= lo && v <= hi {
-					out = append(out, int32(i))
+				out[j] = int32(i)
+				if uint64(RowInt(buf, p)-lo) <= span {
+					j++
 				}
 			}
-			return out
+			return out[:j]
 		},
 		refine: func(buf []byte, stride int, sel []int32) []int32 {
-			kept := sel[:0]
+			j := 0
 			for _, i := range sel {
-				if v := RowInt(buf, int(i)*stride+off); v >= lo && v <= hi {
-					kept = append(kept, i)
+				sel[j] = i
+				if uint64(RowInt(buf, int(i)*stride+off)-lo) <= span {
+					j++
 				}
 			}
-			return kept
+			return sel[:j]
 		},
 	}
 }

@@ -329,22 +329,14 @@ type Ctx struct {
 // not disturbed by other contexts' runs on the same database.
 func (c *Ctx) Leases() int { return int(c.leases.Load()) }
 
-// ctxLease is a page lease counted against the context that took it.
-type ctxLease struct {
-	*storage.PageLease
-	ctx *Ctx
-}
-
-func (c *Ctx) lease(pid storage.PageID) (ctxLease, error) {
-	l, err := c.DB.Pool.Lease(c.Rec, pid)
-	if err != nil {
-		return ctxLease{}, err
-	}
+// lease leases page pid, counted against the context that took it (or
+// the one it was carved from).
+func (c *Ctx) lease(pid storage.PageID) (*storage.PageLease, error) {
+	tally := &c.leases
 	if c.owner != nil {
-		c = c.owner
+		tally = &c.owner.leases
 	}
-	c.leases.Add(1)
-	return ctxLease{l, c}, nil
+	return c.DB.Pool.LeaseCounted(c.Rec, pid, tally)
 }
 
 // Workers carves n nil-recorder worker contexts from c's workspace, each
@@ -357,13 +349,6 @@ func (c *Ctx) Workers(n, workBytes int) []*Ctx {
 		ws[w] = &Ctx{DB: c.DB, Work: c.Work.Carve(workBytes), JoinMode: c.JoinMode, owner: c}
 	}
 	return ws
-}
-
-// Release ends the lease. It is called once per lease: by aliasPage when
-// it rejects the page, otherwise by the block that borrowed it.
-func (l ctxLease) Release() {
-	l.PageLease.Release()
-	l.ctx.leases.Add(-1)
 }
 
 // NewCtx builds an execution context with a private workspace of workBytes

@@ -111,48 +111,13 @@ func (h *HashTable) Insert(rec *trace.Recorder, key uint64, payload []byte) ([]b
 	return eb[htEntryHeader:], ea + htEntryHeader
 }
 
-// InsertBatch adds one entry per listed row of a row-major buffer — the
-// native whole-block build primitive behind the compiled join kernels.
-// keys[k] is the k-th listed row's key; rows lists physical row indexes
-// (nil means the dense prefix [0, n)). Entries come from one arena slab
-// and are pushed onto their chains in row order, so chain order — and
-// therefore probe match order and emission order — is identical to
-// calling Insert per row; only the per-entry allocation and trace
-// bookkeeping are batched away. Untraced: callers are native-only (nil
-// Recorder) paths.
-func (h *HashTable) InsertBatch(keys []uint64, buf []byte, stride int, rows []int32, n int) {
-	if n == 0 {
-		return
-	}
-	estride := (h.entryW + 7) &^ 7
-	slab := h.arena.Alloc(n*estride, 8)
-	sb := h.arena.Bytes(slab, n*estride)
-	for k := 0; k < n; k++ {
-		i := k
-		if rows != nil {
-			i = int(rows[k])
-		}
-		row := buf[i*stride : i*stride+h.payloadW]
-		key := keys[k]
-		ea := slab + mem.Addr(k*estride)
-		eb := sb[k*estride : k*estride+h.entryW]
-		ba := h.bucketAddr(key)
-		bm := h.arena.Bytes(ba, 8)
-		binary.LittleEndian.PutUint64(eb[0:8], binary.LittleEndian.Uint64(bm))
-		binary.LittleEndian.PutUint64(eb[8:16], key)
-		copy(eb[htEntryHeader:], row)
-		binary.LittleEndian.PutUint64(bm, uint64(ea))
-	}
-	h.n += n
-}
-
 // LinkEntry adopts one entry-shaped record — the [next u64][key u64]
 // [payload] layout RadixPart stages, at simulated address ea backed by
 // eb — as this table's entry: it is pushed onto its bucket's chain by
 // writing only its next word and the bucket head, so the radix build
 // links rows where they were staged instead of copying them again.
 // Head-insertion in arrival order makes chain order identical to
-// Insert/InsertBatch over the same input order. Traced, it charges the
+// Insert over the same input order. Traced, it charges the
 // dependent bucket-head load and the two header stores; the record
 // itself was stored (and charged) at staging time.
 func (h *HashTable) LinkEntry(rec *trace.Recorder, key uint64, ea mem.Addr, eb []byte) {

@@ -1,14 +1,18 @@
 // Order-preserving morsel exchange: a native plan's scan → filter → map
 // (for a join also the probe, and the build side's scan → project) runs
-// on worker goroutines, morsel by morsel, and the operator above the
-// exchange — the plan's first pipeline breaker: a join's build insert,
-// then the first aggregate — reads their blocks strictly in morsel order.
-// The morsels cut the serial scan's page order (from its StartPage round
-// to the page before it) into ranges, so that operator sees the serial
-// plan's rows in the serial plan's order: every float addition, group
-// insertion and chain link, and so every result row, is the serial
-// plan's, at any worker count. The partial-aggregate merge of ParallelAgg,
-// the traced morsel path, reassociates float sums instead.
+// on worker goroutines, morsel by morsel, and each pipeline breaker is
+// split in two around it. The workers do the per-row work: they prepare
+// each morsel for the aggregate above them (aggShape.prepare) or stage a
+// join's build rows into radix runs (JoinBuild). What morsel order forces
+// on one goroutine stays there: the consumer folds the prepared morsels
+// in morsel order (aggNative.fold), and each partition of a build is
+// linked by one worker, its segments merged in morsel order. The morsels
+// cut the serial scan's page order (from its StartPage round to the page
+// before it) into ranges, so every float addition, group insertion and
+// chain link, and so every result row, is the serial plan's, at any
+// worker count; the serial plan runs the same halves back to back. The
+// partial-aggregate merge of ParallelAgg, the traced morsel path,
+// reassociates float sums instead.
 
 package engine
 
@@ -16,8 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/mem"
 	"repro/internal/par"
 )
 
@@ -28,15 +32,17 @@ const exchangeDepth = 4
 // errExchangeClosed stops the workers of an exchange closed mid-stream.
 var errExchangeClosed = errors.New("engine: exchange closed")
 
-// OrderedExchange is a VecOp that runs Pipe on one goroutine per worker
-// context over the morsels of one table scan and hands out the pipes'
-// blocks in morsel order. Open starts the workers and Close joins them;
-// the consumer is whoever calls NextBlock, on the context passed to Open,
-// whose workspace must not be one of the workers'. Untraced contexts only.
+// OrderedExchange runs Pipe on one goroutine per worker context over the
+// morsels of one table scan, for the worker half of the pipeline breaker
+// above it. Under a native aggregate, Agg, each worker ends each morsel
+// with Agg's prepare step and the exchange hands Agg the prepared morsels
+// in morsel order to fold: Agg opens it on its own context, whose
+// workspace must not be one of the workers', Open starts the workers and
+// Close joins them. Under a JoinBuild, the workers stage their morsels'
+// build rows (stage). Untraced contexts only.
 type OrderedExchange struct {
 	// Ctxs are the workers' contexts: nil recorders, workspaces of their
-	// own. Worker w allocates its pipe's blocks and its share of the
-	// output blocks in Ctxs[w].Work.
+	// own. Worker w allocates its pipe's blocks in Ctxs[w].Work.
 	Ctxs []*Ctx
 	// Table, Cols, StartPage and Borrow are the scan's, as on ScanVec:
 	// pages StartPage, StartPage+1, …, round to StartPage-1.
@@ -50,53 +56,34 @@ type OrderedExchange struct {
 	// morsel at hand. It is called once per worker, before any starts.
 	Pipe func(scan VecOp) VecOp
 	// Join, when set, is the join the pipes probe: Open builds it on the
-	// consumer's context before the workers start.
+	// workers before they start.
 	Join *JoinBuild
+	// Agg is the aggregate over the exchange.
+	Agg *HashAggVec
 
+	shape   *aggShape // Agg's, once it opens the exchange
 	pipes   []VecOp
 	scans   []*morselScan
 	morsels []PageRange
 	slots   [][exchangeDepth]exchSlot // per worker
 
-	// mu guards claimed, out, stopped and the slots' busy bits; next, cur
-	// and curBlock are the consumer's own.
-	mu       sync.Mutex
-	wake     sync.Cond
-	claimed  int         // morsels handed to workers
-	out      []*exchSlot // by morsel: its output, once complete
-	stopped  error       // why the workers stop early, if they do
-	done     chan struct{}
-	fanErr   error // par.Do's, read after done
-	next     int   // the morsel the consumer reads
-	cur      *exchSlot
-	curBlock int
+	// mu guards claimed, out, stopped and the slots' busy bits; next and
+	// cur are the consumer's own.
+	mu      sync.Mutex
+	wake    sync.Cond
+	claimed int         // morsels handed to workers
+	out     []*exchSlot // by morsel: its output, once complete
+	stopped error       // why the workers stop early, if they do
+	done    chan struct{}
+	fanErr  error // par.Do's, read after done
+	next    int   // the morsel the consumer reads
+	cur     *exchSlot
 }
 
-// exchSlot holds one morsel's output: blocks filled in order.
+// exchSlot holds one morsel prepared for the aggregate.
 type exchSlot struct {
-	blks []*Block
-	n    int  // blocks in use
-	busy bool // claimed for a morsel the consumer has not finished
-}
-
-// add copies blk's live rows to the end of the slot, allocating blocks
-// from work as it fills; a workspace out of room yields to the Go heap.
-func (s *exchSlot) add(work *mem.Arena, blk *Block) {
-	for from, live := 0, blk.Live(); from < live; {
-		if s.n == 0 || s.blks[s.n-1].N() == s.blks[s.n-1].Cap() {
-			if s.n == len(s.blks) {
-				rowW := blk.RowWidth()
-				rows := defaultBlockRows(rowW)
-				if work.Size()-work.Used() < rows*rowW+mem.LineSize {
-					work = mem.NewArena(0, rows*rowW)
-				}
-				s.blks = append(s.blks, NewBlock(work, rows, rowW))
-			}
-			s.blks[s.n].Reset()
-			s.n++
-		}
-		from += s.blks[s.n-1].CopyFrom(nil, blk, from)
-	}
+	prep *aggPrep // from prepPool while the exchange is open
+	busy bool     // claimed for a morsel the consumer has not finished
 }
 
 // morselScan is a worker's scan: the morsel the exchange set, then the end
@@ -178,14 +165,21 @@ func (x *OrderedExchange) Open(ctx *Ctx) error {
 	if len(x.Ctxs) == 0 {
 		return fmt.Errorf("engine: ordered exchange with no worker contexts")
 	}
+	if x.shape == nil {
+		return fmt.Errorf("engine: ordered exchange opened without its aggregate")
+	}
 	if x.Join != nil {
 		if err := x.Join.Open(ctx); err != nil {
 			return err
 		}
 	}
-	x.pipe(0)
-	x.morsels = orderedMorsels(x.Table.Heap.NumPages(), x.StartPage, x.MorselPages)
+	x.cut()
 	x.slots = make([][exchangeDepth]exchSlot, len(x.Ctxs))
+	for w := range x.slots {
+		for i := range x.slots[w] {
+			x.slots[w][i].prep = prepPool.Get().(*aggPrep)
+		}
+	}
 	x.out = make([]*exchSlot, len(x.morsels))
 	x.claimed, x.next, x.cur, x.stopped, x.fanErr = 0, 0, nil, nil, nil
 	x.wake.L = &x.mu
@@ -195,6 +189,12 @@ func (x *OrderedExchange) Open(ctx *Ctx) error {
 		x.fanErr = par.Do(len(x.Ctxs), x.work, func(_ int, err error) { x.stop(err) })
 	}()
 	return nil
+}
+
+// cut builds the workers' pipes and cuts the morsels.
+func (x *OrderedExchange) cut() {
+	x.pipe(0)
+	x.morsels = orderedMorsels(x.Table.Heap.NumPages(), x.StartPage, x.MorselPages)
 }
 
 // stop ends the workers' claims (the first reason wins) and wakes
@@ -222,7 +222,7 @@ func (x *OrderedExchange) work(w int) error {
 			return nil
 		}
 		x.scans[w].next = &x.morsels[k]
-		slot.n = 0
+		slot.prep.reset()
 		for {
 			blk, ok, err := pipe.NextBlock(ctx)
 			if err != nil {
@@ -231,8 +231,9 @@ func (x *OrderedExchange) work(w int) error {
 			if !ok {
 				break
 			}
-			slot.add(ctx.Work, blk)
+			x.shape.prepare(slot.prep, blk)
 		}
+		slot.prep.finish()
 		x.mu.Lock()
 		x.out[k] = slot
 		x.mu.Unlock()
@@ -259,37 +260,47 @@ func (x *OrderedExchange) claim(w int) (int, *exchSlot) {
 	return 0, nil
 }
 
-// NextBlock implements VecOp: the blocks of morsel 0, then of morsel 1,
-// and so on. The block is valid until the next call.
-func (x *OrderedExchange) NextBlock(ctx *Ctx) (*Block, bool, error) {
-	for {
-		if s := x.cur; s != nil {
-			if x.curBlock < s.n {
-				x.curBlock++
-				return s.blks[x.curBlock-1], true, nil
-			}
-			x.mu.Lock()
-			s.busy = false
-			x.mu.Unlock()
-			x.wake.Broadcast()
-			x.cur = nil
-			x.next++
-		}
-		if x.next == len(x.morsels) {
-			<-x.done
-			return nil, false, x.fanErr
-		}
-		x.mu.Lock()
-		for x.out[x.next] == nil && x.stopped == nil {
-			x.wake.Wait()
-		}
-		x.cur, x.curBlock = x.out[x.next], 0
-		err := x.stopped
-		x.mu.Unlock()
-		if x.cur == nil {
-			return nil, false, err
-		}
+// NextBlock implements VecOp: the exchange is read through its
+// aggregate, never block by block.
+func (x *OrderedExchange) NextBlock(*Ctx) (*Block, bool, error) {
+	return nil, false, fmt.Errorf("engine: an ordered exchange is read through its aggregate")
+}
+
+// nextPrepared returns the next morsel prepared for Agg, nil after the
+// last (with the workers' error, if any). It is valid until the next
+// call.
+func (x *OrderedExchange) nextPrepared() (*aggPrep, error) {
+	s, err := x.advance()
+	if s == nil {
+		return nil, err
 	}
+	return s.prep, nil
+}
+
+// advance frees the slot of the morsel the consumer has folded, if any,
+// and waits for the next morsel's: nil when there is none, with the
+// workers' error or the reason they stopped.
+func (x *OrderedExchange) advance() (*exchSlot, error) {
+	if s := x.cur; s != nil {
+		x.mu.Lock()
+		s.busy = false
+		x.mu.Unlock()
+		x.wake.Broadcast()
+		x.cur = nil
+		x.next++
+	}
+	if x.next == len(x.morsels) {
+		<-x.done
+		return nil, x.fanErr
+	}
+	x.mu.Lock()
+	for x.out[x.next] == nil && x.stopped == nil {
+		x.wake.Wait()
+	}
+	x.cur = x.out[x.next]
+	err := x.stopped
+	x.mu.Unlock()
+	return x.cur, err
 }
 
 // Close implements VecOp: it stops the workers, if they still run, and
@@ -300,18 +311,68 @@ func (x *OrderedExchange) Close(*Ctx) {
 	}
 	x.stop(errExchangeClosed)
 	<-x.done
+	for w := range x.slots {
+		for i := range x.slots[w] {
+			prepPool.Put(x.slots[w][i].prep)
+		}
+	}
 	x.done, x.cur, x.slots = nil, nil, nil
 }
 
+// stage runs the workers' pipes over every morsel cut, worker 0 on the
+// calling goroutine, and hands each block to sink with its worker; end
+// follows a worker's last block of morsel k. A worker claims
+// the morsels in page order, but the workers' blocks reach sink in no
+// order between them. The first failure stops the claims.
+func (x *OrderedExchange) stage(sink func(w int, blk *Block), end func(w, k int)) error {
+	var claimed atomic.Int64
+	var stopped atomic.Bool
+	return par.Do(len(x.Ctxs), func(w int) error {
+		ctx, pipe := x.Ctxs[w], x.pipes[w]
+		if err := pipe.Open(ctx); err != nil {
+			return err
+		}
+		defer pipe.Close(ctx)
+		for !stopped.Load() {
+			k := int(claimed.Add(1) - 1)
+			if k >= len(x.morsels) {
+				return nil
+			}
+			x.scans[w].next = &x.morsels[k]
+			for {
+				blk, ok, err := pipe.NextBlock(ctx)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
+				sink(w, blk)
+			}
+			end(w, k)
+		}
+		return nil
+	}, func(int, error) { stopped.Store(true) })
+}
+
 // JoinBuild is a hash join's build on its own, for the probes of an
-// OrderedExchange's pipes: Open drains Build into one table on the
-// calling context, in the order Build hands out its rows — over an
-// OrderedExchange, the serial build's rows in the serial order, and so
-// the serial build's chains — and every HashJoinVec passed to Probe reads
-// that table instead of building its own.
+// OrderedExchange's pipes, in the native build's two halves on the build
+// exchange's workers. Stage: each worker stages the build rows of the
+// morsels it claims — their Cols, the projection fused into the copy —
+// into a radix run of its own (AddBlockNative), the runs sharing the
+// calling context's workspace, and marks where each morsel's rows end in
+// every partition. Link: worker w links partitions
+// w, w+n, w+2n, … (linkRuns), each from the morsels' segments in morsel
+// order — the serial build's rows in the serial order, and so the serial
+// build's chains, in the serial build's tables. Every HashJoinVec passed
+// to Probe reads that table instead of building its own.
 type JoinBuild struct {
-	Build     VecOp
+	// Build hands out the build rows; BuildCol is their key column and
+	// Cols the columns an entry keeps (nil: all), so a probe's build rows
+	// have the schema Build.Schema().Project(Cols).
+	Build     *OrderedExchange
 	BuildCol  int
+	Cols      []int
 	Expected  int // as on HashJoinVec
 	BuildRows int
 	Mode      JoinMode
@@ -321,16 +382,96 @@ type JoinBuild struct {
 
 // Open implements the build.
 func (b *JoinBuild) Open(ctx *Ctx) error {
-	j := &HashJoinVec{
-		Build: b.Build, BuildCol: b.BuildCol, Expected: b.Expected, BuildRows: b.BuildRows,
-		Mode: b.Mode, code: ctx.DB.Codes.Register("op:hashjoinvec", 4096),
-	}
 	b.joinTable = joinTable{}
-	if err := j.build(ctx); err != nil {
+	x := b.Build
+	bs := x.Schema()
+	kernel := CompileKeyKernel(bs[b.BuildCol].Type, bs.Offsets()[b.BuildCol])
+	if kernel == nil {
+		return fmt.Errorf("engine: ordered join build on a %v key", bs[b.BuildCol].Type)
+	}
+	var cols []keySpan
+	bWidth := bs.RowWidth()
+	if b.Cols != nil {
+		cols, bWidth = colSpans(bs, b.Cols), bs.Project(b.Cols).RowWidth()
+	}
+	expected, buildRows := joinSizes(b.Expected, b.BuildRows)
+	mode := resolveJoinMode(b.Mode, ctx, buildRows, htEntryHeader+bWidth)
+	pt := &PartedTable{tables: buildTables(ctx, mode, expected, buildRows, bWidth)}
+	parts, nw := pt.Parts(), len(x.Ctxs)
+	pt.mask = uint64(parts - 1)
+
+	var mu sync.Mutex
+	chunk := stageChunk(buildRows, parts*nw)
+	runs := make([]*RadixPart, nw)
+	keys := make([][]uint64, nw)
+	for w := range runs {
+		runs[w] = newRadixRun(x.Ctxs[w], parts, bWidth)
+		runs[w].arena, runs[w].mu, runs[w].chunk, runs[w].cols = ctx.Work, &mu, chunk, cols
+	}
+	x.cut()
+	owner := make([]int, len(x.morsels))
+	ends := make([][]int32, len(x.morsels)) // per morsel: its worker's counts after it
+	if err := x.stage(func(w int, blk *Block) {
+		n := blk.Live()
+		if n == 0 {
+			return
+		}
+		if cap(keys[w]) < n {
+			keys[w] = make([]uint64, n)
+		}
+		kernel(blk.buf, blk.rowW, blk.Sel, n, keys[w][:n])
+		runs[w].AddBlockNative(keys[w][:n], blk.buf, blk.rowW, blk.Sel, n)
+	}, func(w, k int) {
+		owner[k], ends[k] = w, runs[w].counts()
+	}); err != nil {
 		return err
 	}
-	b.joinTable = joinTable{mode: j.mode, pt: j.pt}
+
+	segs := make([][]runSeg, parts)
+	prev := make([][]int32, nw)
+	for k, hi := range ends {
+		w := owner[k]
+		for p := range segs {
+			lo := int32(0)
+			if prev[w] != nil {
+				lo = prev[w][p]
+			}
+			if hi[p] > lo {
+				segs[p] = append(segs[p], runSeg{runs[w], int(lo), int(hi[p])})
+			}
+		}
+		prev[w] = hi
+	}
+	if err := par.Do(nw, func(w int) error {
+		if linkHook != nil {
+			linkHook(w)
+		}
+		for p := w; p < parts; p += nw {
+			linkRuns(nil, pt.tables[p], p, segs[p], 0)
+		}
+		return nil
+	}, nil); err != nil {
+		return err
+	}
+	b.joinTable = joinTable{mode: mode, pt: pt}
+	observeJoinBuild(ctx, mode, pt)
 	return nil
+}
+
+// linkHook, when set, runs as each worker starts its links: the tests'
+// way to fail one.
+var linkHook func(w int)
+
+// stageChunk sizes the staging slabs of a build of rows rows spread over
+// slabs partitions of runs: about one slab each, from 64 to
+// radixChunkRows entries, so a wide fan-out on many workers does not
+// reserve a full slab per partition per worker.
+func stageChunk(rows, slabs int) int {
+	c := 64
+	for c < radixChunkRows && c*slabs < rows {
+		c *= 2
+	}
+	return c
 }
 
 // Probe makes j a probe of the build: j's Open takes the table b.Open

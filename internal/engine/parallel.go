@@ -333,7 +333,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	j.pt = nil
 	first := j.Joins[0]
 	bWidth := first.Build.Schema().RowWidth()
-	expected, buildRows := first.sizes()
+	expected, buildRows := joinSizes(first.Expected, first.BuildRows)
 	j.mode = resolveJoinMode(first.Mode, ctx, buildRows, htEntryHeader+bWidth)
 	parts := 1
 	if j.mode == JoinPartitioned {
@@ -356,7 +356,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 			return err
 		}
 		defer hj.Build.Close(wctx)
-		return hj.drain(wctx, runs[w])
+		return hj.drain(wctx, runs[w], hj.buildKernel())
 	}, func(int, error) { Unpace(j.Ctxs) }); err != nil {
 		return err
 	}
@@ -367,7 +367,7 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 		pt.tables[p] = NewHashTable(ctx, expected/parts+1, bWidth)
 		moved := 0
 		for _, r := range runs {
-			if r.ctx.Work != ctx.Work {
+			if r.arena != ctx.Work {
 				moved += r.count(p)
 			}
 		}
@@ -375,7 +375,11 @@ func (j *ParallelHashJoin) Open(ctx *Ctx) error {
 	}
 	if err := par.Do(nw, func(w int) error {
 		for p := w; p < parts; p += nw {
-			linkRuns(j.Ctxs[w].Rec, pt.tables[p], p, runs, dst[p])
+			segs := make([]runSeg, nw)
+			for i, r := range runs {
+				segs[i] = runSeg{r, 0, r.count(p)}
+			}
+			linkRuns(j.Ctxs[w].Rec, pt.tables[p], p, segs, dst[p])
 		}
 		return nil
 	}, func(int, error) { Unpace(j.Ctxs) }); err != nil {

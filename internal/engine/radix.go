@@ -14,6 +14,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -121,15 +122,17 @@ const radixChunkRows = 1024
 // RadixPart is the radix-partitioning pass: build-side rows fan out into
 // 2^k cache-sized partitions by the top bits of the key hash. Each row is
 // written once, directly as a hash-table entry ([next][key][payload]) at
-// the tail of its partition's arena slab, and linked onto its partition
-// table's bucket chain in the same touch — the partition tables exist
-// from the start (their bucket arrays are sized from the distinct-key
-// hint, known up front), so there is no second build pass and no second
-// copy. Build just wraps the tables into a PartedTable.
+// the tail of its partition's slab — a sequential store with no dependent
+// load — and Build's link pass then walks each partition's entries in
+// arrival order and pushes each onto its partition table's bucket chain,
+// with that partition's bucket array (a few KB) resident in the L1. The
+// partition tables exist from the start (their bucket arrays are sized
+// from the distinct-key hint, known up front), and an entry is linked
+// where it was staged: there is no second copy.
 //
 // A run (newRadixRun) has no tables: it only stages, and linkRuns links
 // the runs of several workers into one shared table afterwards — the
-// parallel build (ParallelHashJoin).
+// parallel builds (ParallelHashJoin, JoinBuild).
 type RadixPart struct {
 	ctx     *Ctx
 	rowW    int
@@ -138,16 +141,23 @@ type RadixPart struct {
 	code    mem.CodeSeg
 
 	tables []*HashTable // nil for a run
+	// The slabs lie in arena (ctx's workspace unless the runs of a
+	// JoinBuild share another's, allocating under mu), chunk entries
+	// each.
+	arena *mem.Arena
+	mu    *sync.Mutex
+	chunk int
+	// cols are the spans of an input row an entry keeps, in order (nil:
+	// the whole row): a build's projection, fused into the staging copy.
+	cols []keySpan
 	// Per-partition staging tails: the current slab's base address,
 	// bytes, and fill.
 	tailAddr []mem.Addr
 	tailBuf  [][]byte
 	tailN    []int
 	// slabAddrs lists each partition's slabs in allocation order — the
-	// deferred link pass walks them. The fused native path links inline
-	// and leaves this empty.
+	// link pass walks them.
 	slabAddrs [][]mem.Addr
-	traced    bool
 }
 
 // NewRadixPart creates a pass with an explicit partition count (a power
@@ -161,11 +171,28 @@ func NewRadixPart(ctx *Ctx, parts, rowW, distinct, rows int) *RadixPart {
 		distinct = rows
 	}
 	r := newRadixRun(ctx, parts, rowW)
-	r.tables = make([]*HashTable, parts)
-	for p := 0; p < parts; p++ {
-		r.tables[p] = NewHashTable(ctx, distinct/parts+1, rowW)
-	}
+	r.tables = partTables(ctx, parts, distinct, rowW)
 	return r
+}
+
+// partTables lays out parts partition tables for distinct keys in all.
+func partTables(ctx *Ctx, parts, distinct, rowW int) []*HashTable {
+	ts := make([]*HashTable, parts)
+	for p := range ts {
+		ts[p] = NewHashTable(ctx, distinct/parts+1, rowW)
+	}
+	return ts
+}
+
+// buildTables lays out the tables of a native build in mode on ctx, as a
+// serial build sizes them: one table of expected keys for a chained or
+// prefetch build, joinParts partitions of their share of expected for a
+// partitioned one.
+func buildTables(ctx *Ctx, mode JoinMode, expected, buildRows, rowW int) []*HashTable {
+	if mode != JoinPartitioned {
+		return []*HashTable{NewHashTable(ctx, expected, rowW)}
+	}
+	return partTables(ctx, joinParts(buildRows, htEntryHeader+rowW), expected, rowW)
 }
 
 // newRadixRun creates a staging-only pass over ctx's workspace: rows are
@@ -180,6 +207,8 @@ func newRadixRun(ctx *Ctx, parts, rowW int) *RadixPart {
 		estride:   (htEntryHeader + rowW + 7) &^ 7,
 		mask:      uint64(parts - 1),
 		code:      ctx.DB.Codes.Register("engine:radix", 1536),
+		arena:     ctx.Work,
+		chunk:     radixChunkRows,
 		tailAddr:  make([]mem.Addr, parts),
 		tailBuf:   make([][]byte, parts),
 		tailN:     make([]int, parts),
@@ -190,7 +219,7 @@ func newRadixRun(ctx *Ctx, parts, rowW int) *RadixPart {
 // count returns the number of rows staged in partition p.
 func (r *RadixPart) count(p int) int {
 	if s := len(r.slabAddrs[p]); s > 0 {
-		return (s-1)*radixChunkRows + r.tailN[p]
+		return (s-1)*r.chunk + r.tailN[p]
 	}
 	return 0
 }
@@ -199,16 +228,28 @@ func (r *RadixPart) partOf(key uint64) int {
 	return int(mix(key) >> radixShift & r.mask)
 }
 
+// newSlab starts partition p's next slab.
+func (r *RadixPart) newSlab(p int) {
+	n := r.chunk * r.estride
+	if r.mu != nil {
+		r.mu.Lock()
+	}
+	r.tailAddr[p] = r.arena.Alloc(n, 8)
+	if r.mu != nil {
+		r.mu.Unlock()
+	}
+	r.tailBuf[p] = r.arena.Bytes(r.tailAddr[p], n)
+	r.slabAddrs[p] = append(r.slabAddrs[p], r.tailAddr[p])
+	r.tailN[p] = 0
+}
+
 // slot returns the staging destination for one more entry record of
 // partition p, starting a fresh slab when the current one fills.
 func (r *RadixPart) slot(p int) (mem.Addr, []byte) {
-	n := r.tailN[p]
-	if n == radixChunkRows || r.tailBuf[p] == nil {
-		r.tailAddr[p] = r.ctx.Work.Alloc(radixChunkRows*r.estride, 8)
-		r.tailBuf[p] = r.ctx.Work.Bytes(r.tailAddr[p], radixChunkRows*r.estride)
-		r.slabAddrs[p] = append(r.slabAddrs[p], r.tailAddr[p])
-		n = 0
+	if r.tailN[p] == r.chunk || r.tailBuf[p] == nil {
+		r.newSlab(p)
 	}
+	n := r.tailN[p]
 	r.tailN[p] = n + 1
 	off := n * r.estride
 	return r.tailAddr[p] + mem.Addr(off), r.tailBuf[p][off : off+r.estride]
@@ -224,84 +265,71 @@ func (r *RadixPart) Add(key uint64, row []byte) {
 	dst, buf := r.slot(p)
 	binary.LittleEndian.PutUint64(buf[8:16], key)
 	copy(buf[htEntryHeader:], row)
-	r.traced = true
 	r.ctx.Rec.Exec(r.code, 12)
 	r.ctx.Rec.StoreRange(dst+8, 8+r.rowW)
 }
 
-// AddBlockNative routes every listed row of a row-major block (nil rows
-// means the dense prefix [0, n)) without tracing — the native build
-// path. One fused loop per row: a single hash yields both the partition
-// (top bits) and the bucket (low bits), the entry record is written at
-// the partition's slab tail, and the chain is linked through the arena's
-// raw buffer — no per-row calls, no second pass, no second copy. A run
-// only stages the rows.
+// AddBlockNative stages every listed row of a row-major block (nil rows
+// means the dense prefix [0, n)) without tracing — the native build's
+// first half. keys[k] is the k-th listed row's key; one loop per row
+// hashes it to its partition and writes the entry record at the
+// partition's slab tail.
 func (r *RadixPart) AddBlockNative(keys []uint64, buf []byte, stride int, rows []int32, n int) {
-	if r.tables == nil {
-		for k := 0; k < n; k++ {
-			i := k
-			if rows != nil {
-				i = int(rows[k])
-			}
-			p := int(mix(keys[k]) >> radixShift & r.mask)
-			if r.tailN[p] == radixChunkRows || r.tailBuf[p] == nil {
-				r.slot(p) // a fresh slab, this row its first
-			} else {
-				r.tailN[p]++
-			}
-			off := (r.tailN[p] - 1) * r.estride
-			eb := r.tailBuf[p][off : off+r.estride]
-			binary.LittleEndian.PutUint64(eb[8:16], keys[k])
-			copy(eb[htEntryHeader:], buf[i*stride:i*stride+r.rowW])
-		}
-		return
-	}
-	wbuf, base := r.ctx.Work.Raw()
 	for k := 0; k < n; k++ {
 		i := k
 		if rows != nil {
 			i = int(rows[k])
 		}
-		key := keys[k]
-		h := mix(key)
-		p := int(h >> radixShift & r.mask)
-		tn := r.tailN[p]
-		if tn == radixChunkRows || r.tailBuf[p] == nil {
-			r.tailAddr[p] = r.ctx.Work.Alloc(radixChunkRows*r.estride, 8)
-			r.tailBuf[p] = r.ctx.Work.Bytes(r.tailAddr[p], radixChunkRows*r.estride)
-			tn = 0
+		p := int(mix(keys[k]) >> radixShift & r.mask)
+		if r.tailN[p] == r.chunk || r.tailBuf[p] == nil {
+			r.newSlab(p)
 		}
-		r.tailN[p] = tn + 1
-		off := tn * r.estride
-		ea := r.tailAddr[p] + mem.Addr(off)
+		off := r.tailN[p] * r.estride
+		r.tailN[p]++
 		eb := r.tailBuf[p][off : off+r.estride]
-		t := r.tables[p]
-		bo := t.buckets + mem.Addr(h&(t.nbuckets-1))*8 - base
-		binary.LittleEndian.PutUint64(eb[0:8], binary.LittleEndian.Uint64(wbuf[bo:bo+8]))
-		binary.LittleEndian.PutUint64(eb[8:16], key)
-		copy(eb[htEntryHeader:], buf[i*stride:i*stride+r.rowW])
-		binary.LittleEndian.PutUint64(wbuf[bo:bo+8], uint64(ea))
-		t.n++
+		binary.LittleEndian.PutUint64(eb[8:16], keys[k])
+		row := buf[i*stride:]
+		if r.cols == nil {
+			copy(eb[htEntryHeader:], row[:r.rowW])
+			continue
+		}
+		o := htEntryHeader
+		for _, c := range r.cols {
+			o += copy(eb[o:o+c.w], row[c.off:c.off+c.w])
+		}
 	}
 }
 
-// Build finishes the pass and wraps the partition tables into a
-// PartedTable. On the native path the fused AddBlockNative already
-// linked every entry and this is a plain wrap; on the traced path it
-// runs the deferred link pass (linkRuns) partition by partition.
+// counts returns how many rows each partition has staged.
+func (r *RadixPart) counts() []int32 {
+	c := make([]int32, len(r.tailN))
+	for p := range c {
+		c[p] = int32(r.count(p))
+	}
+	return c
+}
+
+// Build finishes the pass: it links every staged entry into its
+// partition's table, partition by partition (linkRuns), and wraps the
+// tables into a PartedTable.
 func (r *RadixPart) Build() *PartedTable {
-	if r.traced {
-		for p, t := range r.tables {
-			linkRuns(r.ctx.Rec, t, p, []*RadixPart{r}, 0)
-		}
+	for p, t := range r.tables {
+		linkRuns(r.ctx.Rec, t, p, []runSeg{{r, 0, r.count(p)}}, 0)
 	}
 	return &PartedTable{tables: r.tables, mask: r.mask}
 }
 
+// runSeg is entries lo to hi-1 of one partition of a run, in staging
+// order.
+type runSeg struct {
+	r      *RadixPart
+	lo, hi int
+}
+
 // linkRuns is the link pass of a radix build: it walks partition p's
-// staged entries of every run, run by run and, within a run, slab by slab
-// in arrival order, and head-inserts each into t, charging rec. The slab
-// read is sequential, and a partition's bucket array (a few KB) stays
+// staged entries segment by segment and, within a segment, in staging
+// order, and head-inserts each into t, charging rec. The slab read is
+// sequential, and a partition's bucket array (a few KB) stays
 // L1-resident for the whole burst, so the read-modify-write of the bucket
 // head that dominates a chained build's D-stalls hits the L1 here.
 // Head-insertion in arrival order makes every chain identical to a
@@ -310,20 +338,21 @@ func (r *RadixPart) Build() *PartedTable {
 //
 // An entry staged in t's arena is linked where it lies. A table resolves
 // its chains in its own arena only, so an entry staged in another
-// worker's workspace is first moved to dst, room reserved in t's arena
-// for every such entry of partition p.
-func linkRuns(rec *trace.Recorder, t *HashTable, p int, runs []*RadixPart, dst mem.Addr) {
+// arena is first moved to dst, room reserved in t's arena for every such
+// entry of partition p.
+func linkRuns(rec *trace.Recorder, t *HashTable, p int, segs []runSeg, dst mem.Addr) {
 	tbuf, tbase := t.arena.Raw()
-	for _, r := range runs {
-		moved := r.ctx.Work != t.arena
-		for si, addr := range r.slabAddrs[p] {
-			n := radixChunkRows
-			if si == len(r.slabAddrs[p])-1 {
-				n = r.tailN[p]
-			}
-			buf := r.ctx.Work.Bytes(addr, n*r.estride)
-			for i := 0; i < n; i++ {
-				off := i * r.estride
+	for _, s := range segs {
+		r := s.r
+		moved := r.arena != t.arena
+		for i := s.lo; i < s.hi; {
+			j := i % r.chunk
+			n := min(r.chunk-j, s.hi-i)
+			addr := r.slabAddrs[p][i/r.chunk] + mem.Addr(j*r.estride)
+			buf := r.arena.Bytes(addr, n*r.estride)
+			i += n
+			for e := 0; e < n; e++ {
+				off := e * r.estride
 				ea := addr + mem.Addr(off)
 				eb := buf[off : off+r.estride]
 				if rec != nil {
@@ -353,7 +382,7 @@ func linkRuns(rec *trace.Recorder, t *HashTable, p int, runs []*RadixPart, dst m
 			}
 		}
 		if rec == nil {
-			t.n += r.count(p)
+			t.n += s.hi - s.lo
 		}
 	}
 }

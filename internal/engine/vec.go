@@ -16,6 +16,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -79,14 +80,14 @@ type Block struct {
 
 	// Borrowed-mode state (the zero-copy fast path): a borrowed block
 	// aliases buffer-pool page memory instead of arena rows. own* save
-	// the arena storage for restoration when the borrow ends; onRelease
-	// (the page lease's release) fires exactly once — on Reset, or on
-	// the final ring Release.
-	borrowed  bool
-	onRelease func()
-	ownBuf    []byte
-	ownAddr   mem.Addr
-	ownCap    int
+	// the arena storage for restoration when the borrow ends; owner (the
+	// page lease) is released exactly once — on Reset, or on the final
+	// ring Release.
+	borrowed bool
+	owner    Releaser
+	ownBuf   []byte
+	ownAddr  mem.Addr
+	ownCap   int
 }
 
 // NewBlock allocates a block of capRows rows of rowW bytes from work.
@@ -111,20 +112,25 @@ func (b *Block) Reset() {
 	b.RevDense = false
 }
 
+// Releaser is what a borrowed block releases when its borrow ends: a
+// storage.PageLease.
+type Releaser interface{ Release() }
+
 // Borrow points the block at externally owned row memory — a pinned
 // buffer-pool page span (NSM) or minipage (PAX) — making it a zero-copy
-// view of n rows of the block's row width. onRelease (typically
-// PageLease.Release) runs exactly once when the borrow ends: at the
-// next Reset, or at the final ring Release. The block's arena storage
-// is saved and restored then, so a borrowed block drops back into copy
-// mode without reallocation.
-func (b *Block) Borrow(buf []byte, addr mem.Addr, n int, onRelease func()) {
+// view of n rows of the block's row width. owner (typically the page's
+// storage.PageLease; nil for none) is released exactly once when the
+// borrow ends: at the next Reset, or at the final ring Release. Holding
+// the lease itself, not a method value, keeps a borrow free of
+// allocations. The block's arena storage is saved and restored then, so
+// a borrowed block drops back into copy mode without reallocation.
+func (b *Block) Borrow(buf []byte, addr mem.Addr, n int, owner Releaser) {
 	b.endBorrow()
 	b.ownBuf, b.ownAddr, b.ownCap = b.buf, b.addr, b.cap
 	b.buf, b.addr = buf, addr
 	b.cap, b.n = n, n
 	b.borrowed = true
-	b.onRelease = onRelease
+	b.owner = owner
 }
 
 // Borrowed reports whether the block currently aliases borrowed page
@@ -143,10 +149,10 @@ func (b *Block) endBorrow() {
 	b.borrowed = false
 	b.buf, b.addr, b.cap = b.ownBuf, b.ownAddr, b.ownCap
 	b.ownBuf = nil
-	rel := b.onRelease
-	b.onRelease = nil
-	if rel != nil {
-		rel()
+	owner := b.owner
+	b.owner = nil
+	if owner != nil {
+		owner.Release()
 	}
 }
 
@@ -467,9 +473,10 @@ type ScanVec struct {
 	cp        *CompiledPreds
 	colFns    []ColPred // compiled per-column predicates (PAX column eval)
 	selbuf    []int
-	canBorrow bool    // scan shape supports the alias fast path
-	ver       uint64  // heap write-version snapshot at Open
-	revsel    []int32 // reversing selection scratch (NSM spans)
+	canBorrow bool             // scan shape supports the alias fast path
+	pax       storage.PAXShape // the table's minipage geometry (PAX aliasing)
+	ver       uint64           // heap write-version snapshot at Open
+	revsel    []int32          // reversing selection scratch (NSM spans)
 }
 
 // Schema implements VecOp.
@@ -495,7 +502,10 @@ func (s *ScanVec) Open(ctx *Ctx) error {
 		// page can never hold PageSize/rowW tuples).
 		s.pageCap = storage.PageSize / s.Table.Schema.RowWidth()
 	} else {
-		s.pageCap = storage.PAXCapacity(s.Table.Schema.Widths())
+		if s.pax.Cap() == 0 {
+			s.pax = storage.NewPAXShape(s.Table.Schema.Widths())
+		}
+		s.pageCap = s.pax.Cap()
 	}
 	if s.predCols == nil {
 		s.predCols = make([]Schema, len(s.Preds))
@@ -884,7 +894,7 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 			lease.Release()
 			return false, nil
 		}
-		blk.Borrow(ref.Data[off:off+n*blk.rowW], ref.Addr+mem.Addr(off), n, lease.Release)
+		blk.Borrow(ref.Data[off:off+n*blk.rowW], ref.Addr+mem.Addr(off), n, lease)
 		if s.cp != nil && s.cp.Len() > 0 {
 			// Evaluate the scan predicates densely over the span (the
 			// ascending monomorphic kernels) and reverse the survivors:
@@ -905,7 +915,7 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 		}
 		return true, nil
 	}
-	px := storage.AsPAX(ref.Data, ref.Addr, s.Table.Schema.Widths())
+	px := s.pax.Page(ref.Data, ref.Addr)
 	n := px.N()
 	c := s.Cols[0]
 	col := px.ColumnBytes(c)
@@ -915,7 +925,7 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 		lease.Release()
 		return false, nil
 	}
-	blk.Borrow(col, addr, n, lease.Release)
+	blk.Borrow(col, addr, n, lease)
 	return true, nil
 }
 
@@ -1241,7 +1251,9 @@ type HashAggVec struct {
 	inner  *HashAgg
 	blk    *Block
 	gk     GroupKernel
-	nat    *aggNative // columnar absorb state (native path)
+	nat    *aggNative // prepare and fold state (native path)
+	bucket uint64     // native emission: the next bucket of the group table
+	next   uint64     // and the next entry of the current chain, if any
 	keys   []byte     // batch scratch: live rows' group keys, groupW each
 	hashes []uint64   // batch scratch: live rows' group-key hashes
 	code   mem.CodeSeg
@@ -1269,7 +1281,7 @@ func (a *HashAggVec) Schema() Schema { return a.agg().Schema() }
 func (a *HashAggVec) Open(ctx *Ctx) error {
 	in := a.agg()
 	cs := in.prepare(ctx)
-	a.gk, a.nat = nil, nil
+	a.gk, a.nat, a.bucket, a.next = nil, nil, 0, 0
 	switch {
 	case a.Interpret:
 	case ctx.Rec == nil:
@@ -1278,6 +1290,9 @@ func (a *HashAggVec) Open(ctx *Ctx) error {
 		a.gk = CompileGroupKernel(cs, in.offs, a.GroupCols)
 	}
 	a.code = ctx.DB.Codes.Register("op:hashaggvec", 2048)
+	if x, ok := a.Child.(*OrderedExchange); ok && x.Agg == a && a.nat != nil {
+		return a.foldMorsels(ctx, x)
+	}
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -1296,8 +1311,25 @@ func (a *HashAggVec) Open(ctx *Ctx) error {
 	}
 }
 
+// foldMorsels drains an exchange whose workers prepare their morsels for
+// this aggregate, folding the morsels in order.
+func (a *HashAggVec) foldMorsels(ctx *Ctx, x *OrderedExchange) error {
+	x.shape = a.nat.aggShape
+	if err := x.Open(ctx); err != nil {
+		return err
+	}
+	defer x.Close(ctx)
+	for {
+		p, err := x.nextPrepared()
+		if p == nil {
+			return err
+		}
+		a.nat.fold(p)
+	}
+}
+
 // absorbBlock folds one block into the group table batch-at-a-time. On a
-// native run that is aggNative's slot vector and column loops. Otherwise
+// native run that is aggNative's prepare and fold. Otherwise
 // a first pass extracts every live row's group key and hashes it into
 // scratch arrays (pure host arithmetic — the table is untouched, so
 // nothing is traced), then a second pass probes/inserts in row order:
@@ -1360,6 +1392,9 @@ func (a *HashAggVec) absorbBlock(ctx *Ctx, in *HashAgg, cs Schema, blk *Block) {
 
 // Close implements VecOp.
 func (a *HashAggVec) Close(ctx *Ctx) {
+	if a.nat != nil {
+		a.nat.release()
+	}
 	if a.inner != nil {
 		a.inner.Close(ctx)
 	}
@@ -1374,7 +1409,10 @@ func (a *HashAggVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 		a.blk = NewBlock(ctx.Work, defaultBlockRows(rowW), rowW)
 	}
 	a.blk.Reset()
-	for a.blk.N() < a.blk.Cap() {
+	if a.nat != nil {
+		a.emitNative()
+	}
+	for a.nat == nil && a.blk.N() < a.blk.Cap() {
 		row, ok, err := a.agg().Next(ctx)
 		if err != nil {
 			return nil, false, err
@@ -1389,6 +1427,32 @@ func (a *HashAggVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 	}
 	a.blk.TraceAppended(ctx.Rec, 0)
 	return a.blk, true, nil
+}
+
+// emitNative fills a.blk from the group table where the native path left
+// it: HashAgg.Next's rows in Next's order — bucket by bucket, each chain
+// from its head — finished straight into the block, without Next's copy
+// of every row.
+func (a *HashAggVec) emitNative() {
+	in := a.inner
+	ht := in.ht
+	buf, base := ht.arena.Raw()
+	cs := in.Child.Schema()
+	for a.blk.N() < a.blk.Cap() {
+		for a.next == 0 {
+			if a.bucket == ht.nbuckets {
+				return
+			}
+			a.next = binary.LittleEndian.Uint64(buf[ht.buckets+mem.Addr(a.bucket*8)-base:])
+			a.bucket++
+		}
+		eo := mem.Addr(a.next) - base
+		p := buf[eo+htEntryHeader : eo+htEntryHeader+mem.Addr(ht.payloadW)]
+		out := a.blk.slot()
+		copy(out[:in.groupW], p[:in.groupW])
+		in.finish(cs, p[in.groupW:], out[in.groupW:])
+		a.next = binary.LittleEndian.Uint64(buf[eo:])
+	}
 }
 
 // HashJoinVec joins Probe ⋈ Build on integer key equality block-at-a-
@@ -1484,23 +1548,33 @@ func (j *HashJoinVec) Open(ctx *Ctx) error {
 	return j.Probe.Open(ctx)
 }
 
-// build drains the build side into the join's table.
+// build drains the build side into the join's table. Natively, with a
+// compiled key kernel, that is the two halves a JoinBuild runs on its
+// workers, back to back: every row staged into a radix run laid out over
+// the build's tables, then linked (RadixPart.Build).
 func (j *HashJoinVec) build(ctx *Ctx) error {
 	if err := j.Build.Open(ctx); err != nil {
 		return err
 	}
 	defer j.Build.Close(ctx)
-	bWidth := j.Build.Schema().RowWidth()
-	expected, buildRows := j.sizes()
+	bs := j.Build.Schema()
+	bWidth := bs.RowWidth()
+	expected, buildRows := joinSizes(j.Expected, j.BuildRows)
 	j.mode = resolveJoinMode(j.Mode, ctx, buildRows, htEntryHeader+bWidth)
 	j.pt = nil
+	kernel := j.buildKernel()
 	var rp *RadixPart
-	if j.mode == JoinPartitioned {
+	switch {
+	case ctx.Rec == nil && kernel != nil:
+		ts := buildTables(ctx, j.mode, expected, buildRows, bWidth)
+		rp = newRadixRun(ctx, len(ts), bWidth)
+		rp.tables = ts
+	case j.mode == JoinPartitioned:
 		rp = NewRadixPart(ctx, joinParts(buildRows, htEntryHeader+bWidth), bWidth, expected, buildRows)
-	} else {
+	default:
 		j.pt = &PartedTable{tables: []*HashTable{NewHashTable(ctx, expected, bWidth)}}
 	}
-	if err := j.drain(ctx, rp); err != nil {
+	if err := j.drain(ctx, rp, kernel); err != nil {
 		return err
 	}
 	if rp != nil {
@@ -1530,14 +1604,21 @@ func (j *HashJoinVec) prepare(ctx *Ctx) {
 	}
 }
 
-// sizes returns the build's distinct-key and entry-count estimates
-// (Expected and BuildRows with their defaults).
-func (j *HashJoinVec) sizes() (expected, buildRows int) {
-	expected = j.Expected
+// buildKernel is the build key's compiled kernel, nil when interpreted.
+func (j *HashJoinVec) buildKernel() KeyKernel {
+	if j.Interpret {
+		return nil
+	}
+	bs := j.Build.Schema()
+	return CompileKeyKernel(bs[j.BuildCol].Type, bs.Offsets()[j.BuildCol])
+}
+
+// joinSizes returns a build's distinct-key and entry-count estimates: a
+// join's Expected and BuildRows with their defaults.
+func joinSizes(expected, buildRows int) (int, int) {
 	if expected == 0 {
 		expected = 4096
 	}
-	buildRows = j.BuildRows
 	if buildRows == 0 {
 		buildRows = expected
 	}
@@ -1545,18 +1626,11 @@ func (j *HashJoinVec) sizes() (expected, buildRows int) {
 }
 
 // drain reads the opened build side into rp, or into j.pt's one table
-// when rp is nil.
-// Natively, with a compiled key kernel, each block goes in whole: the
-// kernel extracts every live key, then the table's (or radix pass's)
-// batch insert pushes the entries in row order — chain order matches the
-// per-row path exactly.
-func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
-	bs := j.Build.Schema()
-	bOff := bs.Offsets()[j.BuildCol]
-	var kernel KeyKernel
-	if !j.Interpret {
-		kernel = CompileKeyKernel(bs[j.BuildCol].Type, bOff)
-	}
+// when rp is nil. Natively, with the compiled key kernel, each block goes
+// in whole: the kernel extracts every live key, then the run stages the
+// entries in row order.
+func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart, kernel KeyKernel) error {
+	bOff := j.Build.Schema().Offsets()[j.BuildCol]
 	var ht *HashTable
 	if rp == nil {
 		ht = j.pt.tables[0]
@@ -1581,11 +1655,7 @@ func (j *HashJoinVec) drain(ctx *Ctx, rp *RadixPart) error {
 				keys = make([]uint64, n)
 			}
 			kernel(blk.buf, blk.rowW, blk.Sel, n, keys[:n])
-			if rp != nil {
-				rp.AddBlockNative(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
-			} else {
-				ht.InsertBatch(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
-			}
+			rp.AddBlockNative(keys[:n], blk.buf, blk.rowW, blk.Sel, n)
 			continue
 		}
 		insert := func(row []byte) {

@@ -15,6 +15,11 @@ import (
 	"repro/internal/storage"
 )
 
+// releaseFunc is a Releaser that calls itself.
+type releaseFunc func()
+
+func (f releaseFunc) Release() { f() }
+
 // TestBlockBorrowReleaseExactlyOnce: Reset ends a borrow and fires the
 // release callback once, repeated Resets stay no-ops, and the block's
 // own arena storage comes back intact for copy-mode reuse.
@@ -26,7 +31,7 @@ func TestBlockBorrowReleaseExactlyOnce(t *testing.T) {
 
 	released := 0
 	buf := make([]byte, 4*8)
-	blk.Borrow(buf, 0x9000, 4, func() { released++ })
+	blk.Borrow(buf, 0x9000, 4, releaseFunc(func() { released++ }))
 	if !blk.Borrowed() || blk.N() != 4 || blk.Cap() != 4 {
 		t.Fatalf("borrowed block: borrowed=%v n=%d cap=%d", blk.Borrowed(), blk.N(), blk.Cap())
 	}
@@ -55,7 +60,7 @@ func TestBlockBorrowRingRelease(t *testing.T) {
 
 	released := 0
 	buf := make([]byte, 4*8)
-	blk.Borrow(buf, 0x9000, 4, func() { released++ })
+	blk.Borrow(buf, 0x9000, 4, releaseFunc(func() { released++ }))
 	blk.Sel = []int32{3, 2, 1, 0}
 	blk.RevDense = true
 	blk.ResetRefs(2)
@@ -230,7 +235,7 @@ func TestBorrowedRingReleaseRaceHammer(t *testing.T) {
 		iters = 50
 	}
 	for iter := 0; iter < iters; iter++ {
-		blk.Borrow(buf, 0x9000, 16, func() { released.Add(1) })
+		blk.Borrow(buf, 0x9000, 16, releaseFunc(func() { released.Add(1) }))
 		blk.ResetRefs(4)
 		var wg sync.WaitGroup
 		for c := 0; c < 4; c++ {
@@ -313,6 +318,56 @@ func TestFilterVecRevDenseMatchesExplicitSel(t *testing.T) {
 		if results[0][i][0] != results[1][i][0] {
 			t.Fatalf("row %d: RevDense path %v != explicit-Sel path %v",
 				i, results[0][i][0], results[1][i][0])
+		}
+	}
+}
+
+// TestBorrowedPageAllocatesNothing: once a borrowed scan has run, scanning
+// its pages again — lease, alias, release, on NSM and PAX, through a
+// worker context carved from the scanning one — allocates nothing, and
+// every lease is still counted: none is out after the scan, on the
+// context or in the pool.
+func TestBorrowedPageAllocatesNothing(t *testing.T) {
+	db := testDB(t)
+	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
+		tb := mkTable(t, db, layout, 4000)
+		ctx := testCtx(t, db)
+		w := ctx.Workers(1, 1<<20)[0]
+		var cols []int // NSM borrows whole rows, PAX one minipage
+		if layout == storage.PAXLayout {
+			cols = []int{2}
+		}
+		scan := &ScanVec{Table: tb, Cols: cols, Borrow: true}
+		pages, peak := 0, 0
+		run := func() {
+			if err := scan.Open(w); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				blk, ok, err := scan.NextBlock(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if !blk.Borrowed() {
+					t.Fatalf("%v: page not borrowed", layout)
+				}
+				pages++
+				peak = max(peak, ctx.Leases())
+			}
+			scan.Close(w)
+		}
+		run()
+		if pages < 10 || peak != 1 {
+			t.Fatalf("%v: %d pages borrowed, at most %d leases out at once", layout, pages, peak)
+		}
+		if n := testing.AllocsPerRun(20, run); n != 0 && !raceEnabled {
+			t.Fatalf("%v: a scan of %d borrowed pages allocates %v times", layout, tb.Heap.NumPages(), n)
+		}
+		if n, m := ctx.Leases(), db.Pool.Leases(); n != 0 || m != 0 {
+			t.Fatalf("%v: %d leases out on the context, %d in the pool", layout, n, m)
 		}
 	}
 }

@@ -191,6 +191,8 @@ func (c *Cohort) RunFeed(ctx *engine.Ctx, next func() (Item, error)) (Stats, err
 	admitted := 0
 	fed := false // next returned nil: no more items, ever
 	active := make([]*slot, 0, cfg.Window)
+	cohort := make([]*slot, 0, cfg.Window) // one kind's members, reused every quantum
+	traced := cfg.Obs.Enabled()            // span names are formatted only for a tracer
 
 	itemName := cfg.ItemName
 	if itemName == nil {
@@ -242,7 +244,10 @@ func (c *Cohort) RunFeed(ctx *engine.Ctx, next func() (Item, error)) (Stats, err
 			return st, fmt.Errorf("sched: runaway schedule after %d quanta (%d done):%s", st.Quanta, st.Done, desc)
 		}
 		st.Quanta++
-		qsp := cfg.Obs.Begin(rec, fmt.Sprintf("quantum-%d", st.Quanta), "quantum")
+		var qsp *obs.Span
+		if traced {
+			qsp = cfg.Obs.Begin(rec, fmt.Sprintf("quantum-%d", st.Quanta), "quantum")
+		}
 		stepsBefore := st.Steps
 		progress := false
 		gated := 0
@@ -256,7 +261,8 @@ func (c *Cohort) RunFeed(ctx *engine.Ctx, next func() (Item, error)) (Stats, err
 			// wakeup. A member can still leave the kind mid-cohort
 			// (wounded by an older peer earlier in the same list), so its
 			// kind is re-checked below.
-			members := members(active, kind)
+			members := appendMembers(cohort[:0], active, kind)
+			cohort = members[:0]
 			if cfg.Ready != nil {
 				ready := members[:0]
 				for _, m := range members {
@@ -291,7 +297,10 @@ func (c *Cohort) RunFeed(ctx *engine.Ctx, next func() (Item, error)) (Stats, err
 				}
 			steps:
 				for {
-					ssp := cfg.Obs.Under(m.span).Begin(rec, kindName(kind), "step")
+					var ssp *obs.Span
+					if traced {
+						ssp = cfg.Obs.Under(m.span).Begin(rec, kindName(kind), "step")
+					}
 					out, err := m.item.Step(ctx)
 					ssp.End(rec)
 					st.Steps++
@@ -379,9 +388,9 @@ func wound(active []*slot, m *slot, blockers []uint64, rec *trace.Recorder, st *
 	return n
 }
 
-// members collects the active slots currently at kind, in admission order.
-func members(active []*slot, kind int) []*slot {
-	var out []*slot
+// appendMembers appends the active slots currently at kind to out, in
+// admission order.
+func appendMembers(out, active []*slot, kind int) []*slot {
 	for _, s := range active {
 		if s.item.Kind() == kind {
 			out = append(out, s)

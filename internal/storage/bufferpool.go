@@ -138,33 +138,47 @@ func (r *PageRef) Release() {
 // alias the frame's bytes. The lease keeps the frame unevictable (via the
 // underlying pin) until every holder has released it; Retain/Release
 // compose with the Block ring protocol so a borrowed block shared across
-// consumers releases the page exactly once, when the last ref drops.
+// consumers releases the page exactly once, when the last ref drops. An
+// ended lease is kept for the next Lease: a holder must not touch it
+// after its last Release.
 type PageLease struct {
-	ref  *PageRef
-	refs atomic.Int32
+	ref   PageRef
+	refs  atomic.Int32
+	count *atomic.Int64 // the taker's own tally of its leases, or nil
 }
 
 // Lease pins page pid and wraps the pin in a refcounted lease (count 1).
 func (bp *BufferPool) Lease(rec *trace.Recorder, pid PageID) (*PageLease, error) {
-	ref, err := bp.Get(rec, pid)
+	return bp.LeaseCounted(rec, pid, nil)
+}
+
+// LeaseCounted is Lease, the lease also counted in count (when not nil)
+// from now until it ends: an engine context's tally of its leases.
+func (bp *BufferPool) LeaseCounted(rec *trace.Recorder, pid PageID, count *atomic.Int64) (*PageLease, error) {
+	ref, err := bp.get(rec, pid)
 	if err != nil {
 		return nil, err
 	}
+	l := leasePool.Get().(*PageLease)
 	bp.leases.Add(1)
-	l := &PageLease{ref: ref}
+	if count != nil {
+		count.Add(1)
+	}
+	l.ref, l.count = ref, count
 	l.refs.Store(1)
 	return l, nil
 }
 
 // Page returns the leased page.
-func (l *PageLease) Page() *PageRef { return l.ref }
+func (l *PageLease) Page() *PageRef { return &l.ref }
 
 // Retain adds a holder.
 func (l *PageLease) Retain() { l.refs.Add(1) }
 
-// Release drops one holder; the final release unpins the page. Releasing
-// an already-dead lease panics — it means some block released its page
-// twice, exactly the lifetime bug the lease layer exists to catch.
+// Release drops one holder; the final release unpins the page and keeps
+// the lease for the next Lease. Releasing an already-dead lease panics — it
+// means some block released its page twice, exactly the lifetime bug the
+// lease layer exists to catch.
 func (l *PageLease) Release() {
 	n := l.refs.Add(-1)
 	if n < 0 {
@@ -172,9 +186,17 @@ func (l *PageLease) Release() {
 	}
 	if n == 0 {
 		l.ref.pool.leases.Add(-1)
+		if l.count != nil {
+			l.count.Add(-1)
+		}
 		l.ref.Release()
+		leasePool.Put(l)
 	}
 }
+
+// leasePool keeps ended leases for the next Lease: a borrowed page
+// allocates nothing.
+var leasePool = sync.Pool{New: func() any { return new(PageLease) }}
 
 // Leases returns the number of outstanding page leases — zero when every
 // borrowed block has been reset or recycled.

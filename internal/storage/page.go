@@ -296,9 +296,18 @@ func PAXCapacity(widths []int) int {
 
 // AsPAX interprets a page buffer with the given column widths.
 func AsPAX(data []byte, addr mem.Addr, widths []int) PAX {
-	if len(data) != PageSize {
-		panic(fmt.Sprintf("storage: page buffer %d bytes, want %d", len(data), PageSize))
-	}
+	return NewPAXShape(widths).Page(data, addr)
+}
+
+// PAXShape is the minipage geometry of one set of column widths, for a
+// reader that views many pages of one schema without recomputing it.
+type PAXShape struct {
+	widths, offs []int
+	cap          int
+}
+
+// NewPAXShape computes the geometry of widths.
+func NewPAXShape(widths []int) PAXShape {
 	cp := PAXCapacity(widths)
 	offs := make([]int, len(widths))
 	off := paxHeader
@@ -306,7 +315,18 @@ func AsPAX(data []byte, addr mem.Addr, widths []int) PAX {
 		offs[i] = off
 		off += cp * w
 	}
-	return PAX{data: data, addr: addr, widths: widths, offs: offs, cap: cp}
+	return PAXShape{widths: widths, offs: offs, cap: cp}
+}
+
+// Cap returns how many tuples a page holds (0 for the zero PAXShape).
+func (sh PAXShape) Cap() int { return sh.cap }
+
+// Page interprets a page buffer with the shape's geometry.
+func (sh PAXShape) Page(data []byte, addr mem.Addr) PAX {
+	if len(data) != PageSize {
+		panic(fmt.Sprintf("storage: page buffer %d bytes, want %d", len(data), PageSize))
+	}
+	return PAX{data: data, addr: addr, widths: sh.widths, offs: sh.offs, cap: sh.cap}
 }
 
 // Init formats the page empty.

@@ -56,25 +56,29 @@ func BenchmarkBuildTPCC(b *testing.B) {
 	})
 }
 
-// BenchmarkNativeQ13Workers runs native Q13 at full scale on one worker
-// context, which is the serial plan (1), and on two, the plan's order-
-// preserving exchanges on two workers (2), so the ratio of the two is one
-// command away.
-func BenchmarkNativeQ13Workers(b *testing.B) {
+// BenchmarkNativeQ1Workers and BenchmarkNativeQ13Workers run native Q1
+// and Q13 at full scale on one worker context, which is the serial plan
+// (1), and on two and four, the plan's order-preserving exchanges on that
+// many workers (2, 4), so the ratio of two points is one command away.
+func BenchmarkNativeQ1Workers(b *testing.B) { benchNativeWorkers(b, 1) }
+
+func BenchmarkNativeQ13Workers(b *testing.B) { benchNativeWorkers(b, 13) }
+
+func benchNativeWorkers(b *testing.B, q int) {
 	h, err := BuildTPCH(benchTPCHFull)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := RandomParams(rand.New(rand.NewSource(7)))
 	o := NativeOpts{ZeroCopy: true}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(strconv.Itoa(workers), func(b *testing.B) {
 			ctxs := nativeWorkerCtxs(h, workers)
 			for i := 0; i < b.N; i++ {
 				for _, c := range ctxs {
 					c.Work.Reset()
 				}
-				if _, err := h.RunQueryParallelNative(ctxs, 13, p, o); err != nil {
+				if _, err := h.RunQueryParallelNative(ctxs, q, p, o); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -283,12 +283,14 @@ func (h *TPCH) lowerMorsel(pl plan, e exec) lowered {
 }
 
 // lowerOrdered lowers pl onto order-preserving exchanges (OrderedExchange)
-// on the workers of e: they run each scan's morsels through its filter —
-// then, for a join's build, its projection, for its probe the join and the
-// map, for a lone scan the map — and the build insert (JoinBuild) and the
-// first aggregate read their blocks in morsel order. Every stage above
-// the exchanges is the native plan's, fed the native plan's rows in its
-// order.
+// on the workers of e and places each pipeline breaker's two halves:
+// the workers run each scan's morsels through its filter — then, for a
+// join's build, the staging of its rows' kept columns, for its probe
+// the join, the map and the first aggregate's prepare, for a lone scan
+// the map and that prepare — and link the build's partitions (JoinBuild);
+// the consumer folds the prepared morsels in morsel order. Every stage
+// above the first aggregate is the native plan's, fed the native plan's
+// groups in its order.
 func (h *TPCH) lowerOrdered(pl plan, e exec) lowered {
 	o := e.opts
 	exchange := func(s scan, morsel int, pipe func(in engine.VecOp) engine.VecOp) *engine.OrderedExchange {
@@ -303,22 +305,31 @@ func (h *TPCH) lowerOrdered(pl plan, e exec) lowered {
 	}
 	j := pl.join
 	if j == nil {
-		return pl.aggStages(exchange(pl.scans[0], 0, mapped), pl.aggs, o)
+		return pl.foldStages(exchange(pl.scans[0], 0, mapped), o)
 	}
 	probe, build := pl.scans[0], pl.scans[1]
 	jb := &engine.JoinBuild{
-		Build: exchange(build, build.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
-			return &engine.ProjectVec{Child: in, Cols: j.keep}
-		}),
-		BuildCol: slices.Index(j.keep, j.buildCol), Expected: j.keys, BuildRows: build.rows,
+		Build:    exchange(build, build.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp { return in }),
+		BuildCol: j.buildCol, Cols: j.keep, Expected: j.keys, BuildRows: build.rows,
 	}
+	// The probes' build rows are the kept columns; nothing opens this.
+	rows := &engine.ProjectVec{Child: jb.Build, Cols: j.keep}
 	probes := exchange(probe, probe.joinMorsel(len(e.ctxs)), func(in engine.VecOp) engine.VecOp {
 		return mapped(jb.Probe(&engine.HashJoinVec{
-			Probe: in, Build: jb.Build, ProbeCol: j.probeCol, BuildCol: jb.BuildCol, Type: j.typ,
+			Probe: in, Build: rows, ProbeCol: j.probeCol, BuildCol: slices.Index(j.keep, j.buildCol), Type: j.typ,
 		}))
 	})
 	probes.Join = jb
-	return pl.aggStages(probes, pl.aggs, o)
+	return pl.foldStages(probes, o)
+}
+
+// foldStages lowers the aggregation stages and the sort over the ordered
+// exchange x: the first aggregate folds the morsels x's workers prepare
+// for it, the rest are the native plan's.
+func (pl plan) foldStages(x *engine.OrderedExchange, o NativeOpts) lowered {
+	a := pl.aggs[0]
+	x.Agg = &engine.HashAggVec{Child: x, GroupCols: a.group, Aggs: a.aggs, Expected: a.expected}
+	return pl.aggStages(x.Agg, pl.aggs[1:], o)
 }
 
 // RunQuery executes query q on the vectorized executor and returns its
