@@ -45,11 +45,13 @@ test:
 # race: the short suite under the race detector; then, under race, the
 # alias-debug equivalence suites above; native rows on worker contexts
 # and through the order-preserving exchange against the serial plan's —
-# the aggregate folding the morsels its workers prepare, a join build
-# staged and linked on them chain for chain — with nothing left behind
-# after a worker fails in either half, and a borrowed page's lease
-# counted, on one, two and four processors (one runs the serial plan); event skipping against the cycle-by-cycle loop, the cache
-# hierarchy against its reference, workspace reuse, trace-chunk recycling
+# the aggregate folding the morsels its workers prepare, its group table
+# sized as the serial plan's on a workspace the workers were carved
+# from, a join build staged and linked on them chain for chain — with
+# nothing left behind after a worker fails in either half, and a
+# borrowed page's lease counted, on one, two and four processors (one
+# runs the serial plan); event skipping against the cycle-by-cycle
+# loop, the cache hierarchy against its reference, workspace reuse, trace-chunk recycling
 # and exact repeats; a TPC-C fork against a fresh build, the coroutine
 # trace pipe, the staged-OLTP goldens and concurrent callers on one image;
 # the loader against row-at-a-time inserts, the appenders and the

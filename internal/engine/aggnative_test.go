@@ -16,7 +16,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
-	"repro/internal/storage"
 )
 
 // aggKeyShapes are the group keys the cases draw from: total widths 0, 4,
@@ -300,7 +299,7 @@ func checkAggCase(t *testing.T, c *aggCase) {
 	pred := func() []Pred { return nil }
 	if c.table {
 		var err error
-		tb, err = db.CreateTable("t", c.schema, storage.NSM)
+		tb, err = db.CreateTable("t", c.schema)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,10 +20,6 @@ import (
 // RowPred is a compiled single predicate over an encoded row.
 type RowPred func(row []byte) bool
 
-// ColPred is a compiled predicate over one column's raw field bytes (a
-// PAX minipage entry, or any width-sized slice of the column's values).
-type ColPred func(field []byte) bool
-
 // selKernel is the block-at-a-time form of one compiled predicate: dense
 // seeds a selection vector from all rows [0, n) of a row-major buffer,
 // refine narrows an existing selection in place. One indirect call per
@@ -210,15 +206,6 @@ func compileBytesPred(p Pred, col Column, off int) RowPred {
 	default:
 		return func(row []byte) bool { return false }
 	}
-}
-
-// CompileColPred compiles one predicate against a bare column field (the
-// PAX minipage form: the value starts at byte 0 of a width-sized slice).
-func CompileColPred(p Pred, col Column) ColPred {
-	q := p
-	q.Col = 0
-	f := compileRowPred(q, col, 0)
-	return ColPred(f)
 }
 
 // compileSelKernel lowers one predicate into its block kernel. Integer

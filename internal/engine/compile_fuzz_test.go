@@ -70,8 +70,8 @@ func newCompiledPredsCase(shape uint64, k, khi int64, fk, fhi uint64, s string, 
 // agree with Pred.Eval on every row: Pass and EvalCount (with the
 // interpreter's short-circuit count), SelectDense over the rows in one
 // buffer, SelectRefine over a selection in descending order, and each
-// predicate's CompileColPred on its bare field and block kernel on its
-// own (a later predicate of the conjunction could hide a wrong one).
+// predicate's block kernel on its own (a later predicate of the
+// conjunction could hide a wrong one).
 func checkCompiledPreds(t *testing.T, c compiledPredsCase) {
 	t.Helper()
 	cp := CompilePreds(c.preds, c.schema, c.offs)
@@ -109,12 +109,6 @@ func checkCompiledPreds(t *testing.T, c compiledPredsCase) {
 		}
 		if gp, ge := cp.EvalCount(row); gp != pass || ge != evals {
 			t.Fatalf("preds %+v row %x: EvalCount (%v, %d), interpreted (%v, %d)", c.preds, row, gp, ge, pass, evals)
-		}
-		for _, p := range c.preds {
-			off := c.offs[p.Col]
-			if got, w := CompileColPred(p, c.schema[p.Col])(row[off:off+c.schema[p.Col].Width]), p.Eval(c.schema, c.offs, row); got != w {
-				t.Fatalf("pred %+v row %x: column form %v, interpreted %v", p, row, got, w)
-			}
 		}
 	}
 	if got := cp.SelectDense(buf, rw, len(c.rows), nil); !slices.Equal(got, want) {

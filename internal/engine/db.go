@@ -104,8 +104,8 @@ type Index struct {
 	KeyOf func(row []byte) int64
 }
 
-// CreateTable registers a new table with the given physical layout.
-func (db *DB) CreateTable(name string, schema Schema, layout storage.Layout) (*Table, error) {
+// CreateTable registers a new, empty table.
+func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.tables[name]; dup {
@@ -115,7 +115,7 @@ func (db *DB) CreateTable(name string, schema Schema, layout storage.Layout) (*T
 		Name:   name,
 		Schema: schema,
 		Offs:   schema.Offsets(),
-		Heap:   storage.NewHeapFile(db.Pool, layout, schema.Widths(), db.Codes, name),
+		Heap:   storage.NewHeapFile(db.Pool, schema.Widths(), db.Codes, name),
 	}
 	db.tables[name] = t
 	return t, nil
@@ -199,19 +199,7 @@ func (t *Table) Insert(rec *trace.Recorder, vals []Value) (storage.RID, error) {
 
 // InsertRow appends a pre-encoded row and maintains indexes.
 func (t *Table) InsertRow(rec *trace.Recorder, row []byte) (storage.RID, error) {
-	var rid storage.RID
-	var err error
-	if t.Heap.Layout() == storage.NSM {
-		rid, err = t.Heap.Insert(rec, row)
-	} else {
-		fields := make([][]byte, len(t.Schema))
-		off := 0
-		for i, c := range t.Schema {
-			fields[i] = row[off : off+c.Width]
-			off += c.Width
-		}
-		rid, err = t.Heap.InsertFields(rec, fields)
-	}
+	rid, err := t.Heap.Insert(rec, row)
 	if err != nil {
 		return rid, err
 	}
@@ -240,7 +228,6 @@ type Loader struct {
 	app     *storage.Appender
 	indexes []*Index
 	row     []byte
-	fields  [][]byte // the row's columns, for a PAX heap
 }
 
 // Loader opens the table for a load. The caller must Close it.
@@ -249,12 +236,6 @@ func (t *Table) Loader() *Loader {
 	t.mu.RLock()
 	l.indexes = t.indexes
 	t.mu.RUnlock()
-	if t.Heap.Layout() == storage.PAXLayout {
-		l.fields = make([][]byte, len(t.Schema))
-		for i, c := range t.Schema {
-			l.fields[i] = l.row[t.Offs[i] : t.Offs[i]+c.Width]
-		}
-	}
 	return l
 }
 
@@ -263,13 +244,7 @@ func (l *Loader) Insert(vals ...Value) (storage.RID, error) {
 	if err := l.t.Schema.EncodeRow(l.row, vals); err != nil {
 		return storage.RID{}, err
 	}
-	var rid storage.RID
-	var err error
-	if l.fields == nil {
-		rid, err = l.app.Append(l.row)
-	} else {
-		rid, err = l.app.AppendFields(l.fields)
-	}
+	rid, err := l.app.Append(l.row)
 	if err != nil {
 		return rid, err
 	}
@@ -291,7 +266,7 @@ func (l *Loader) Close() { l.app.Close() }
 // never be masked by a stale cached aggregate.
 func (t *Table) Version() uint64 { return t.Heap.Version() }
 
-// Fetch reads the encoded row at rid (NSM tables).
+// Fetch reads the encoded row at rid.
 func (t *Table) Fetch(rec *trace.Recorder, rid storage.RID) ([]byte, error) {
 	return t.Heap.FetchNSM(rec, rid)
 }

@@ -3,15 +3,11 @@ package engine
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/mem"
-	"repro/internal/storage"
-	"repro/internal/trace"
 )
 
 func TestSeqScanStartPageCoversAllRowsOnce(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 3000)
+	tb := mkTable(t, db, 3000)
 	ctx := testCtx(t, db)
 	for _, start := range []int{0, 1, tb.Heap.NumPages() / 2, tb.Heap.NumPages() - 1} {
 		seen := map[int64]bool{}
@@ -34,7 +30,7 @@ func TestSeqScanStartPageCoversAllRowsOnce(t *testing.T) {
 
 func TestSeqScanCircularOriginRotates(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 2000)
+	tb := mkTable(t, db, 2000)
 	ctx := testCtx(t, db)
 	first := func(start int) int64 {
 		var id int64 = -1
@@ -51,7 +47,7 @@ func TestSeqScanCircularOriginRotates(t *testing.T) {
 
 func TestMapDerivedColumns(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 100)
+	tb := mkTable(t, db, 100)
 	ctx := testCtx(t, db)
 	out := Schema{Int("id"), Float("double_val")}
 	rows, err := Collect(ctx, &Map{
@@ -75,7 +71,7 @@ func TestMapDerivedColumns(t *testing.T) {
 func TestSortStableOnEqualKeys(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Int("k"), Int("seq")}
-	tb, _ := db.CreateTable("stable", s, storage.NSM)
+	tb, _ := db.CreateTable("stable", s)
 	for i := 0; i < 500; i++ {
 		tb.Insert(nil, []Value{IV(int64(i % 3)), IV(int64(i))})
 	}
@@ -99,7 +95,7 @@ func TestSortStableOnEqualKeys(t *testing.T) {
 func TestSortCharColumn(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Char("name", 8)}
-	tb, _ := db.CreateTable("chars", s, storage.NSM)
+	tb, _ := db.CreateTable("chars", s)
 	for _, n := range []string{"delta", "alpha", "charlie", "bravo"} {
 		tb.Insert(nil, []Value{SV(n)})
 	}
@@ -118,8 +114,8 @@ func TestSortCharColumn(t *testing.T) {
 
 func TestHashJoinEmptyBuild(t *testing.T) {
 	db := testDB(t)
-	left, _ := db.CreateTable("el", Schema{Int("k")}, storage.NSM)
-	right, _ := db.CreateTable("er", Schema{Int("k2")}, storage.NSM)
+	left, _ := db.CreateTable("el", Schema{Int("k")})
+	right, _ := db.CreateTable("er", Schema{Int("k2")})
 	for i := 0; i < 10; i++ {
 		left.Insert(nil, []Value{IV(int64(i))})
 	}
@@ -149,8 +145,8 @@ func TestHashJoinEmptyBuild(t *testing.T) {
 
 func TestHashJoinDuplicateKeysBothSides(t *testing.T) {
 	db := testDB(t)
-	left, _ := db.CreateTable("dl", Schema{Int("k"), Int("lid")}, storage.NSM)
-	right, _ := db.CreateTable("dr", Schema{Int("k2"), Int("rid")}, storage.NSM)
+	left, _ := db.CreateTable("dl", Schema{Int("k"), Int("lid")})
+	right, _ := db.CreateTable("dr", Schema{Int("k2"), Int("rid")})
 	for i := 0; i < 3; i++ {
 		left.Insert(nil, []Value{IV(7), IV(int64(i))})
 		right.Insert(nil, []Value{IV(7), IV(int64(100 + i))})
@@ -170,7 +166,7 @@ func TestHashJoinDuplicateKeysBothSides(t *testing.T) {
 
 func TestHashAggEmptyInput(t *testing.T) {
 	db := testDB(t)
-	tb, _ := db.CreateTable("empty", Schema{Int("k"), Int("v")}, storage.NSM)
+	tb, _ := db.CreateTable("empty", Schema{Int("k"), Int("v")})
 	ctx := testCtx(t, db)
 	rows, err := Collect(ctx, &HashAgg{
 		Child: &SeqScan{Table: tb}, GroupCols: []int{0},
@@ -189,7 +185,7 @@ func TestHashAggGroupCollisionSafety(t *testing.T) {
 	// bytes must still separate them exactly.
 	db := testDB(t)
 	s := Schema{Char("g", 4), Int("v")}
-	tb, _ := db.CreateTable("coll", s, storage.NSM)
+	tb, _ := db.CreateTable("coll", s)
 	rng := rand.New(rand.NewSource(17))
 	truth := map[string]int64{}
 	for i := 0; i < 5000; i++ {
@@ -213,47 +209,6 @@ func TestHashAggGroupCollisionSafety(t *testing.T) {
 		if truth[r[0].S] != r[1].I {
 			t.Fatalf("group %q = %d, want %d", r[0].S, r[1].I, truth[r[0].S])
 		}
-	}
-}
-
-func TestPAXScanReadsOnlyPredicateColumnsForMisses(t *testing.T) {
-	// Under PAX, a very selective predicate means most tuples load only
-	// the predicate minipage: total distinct heap lines touched must be
-	// well below the NSM equivalent.
-	count := func(layout storage.Layout) int {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 4000)
-		rec, s := trace.Pipe()
-		lines := map[mem.Addr]bool{}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				r, ok := s.Next()
-				if !ok {
-					return
-				}
-				if r.Kind() == trace.Load && r.Addr() >= mem.HeapBase {
-					lines[r.Addr().Line()] = true
-				}
-			}
-		}()
-		ctx := db.NewCtx(rec, 0, 8<<20)
-		err := Run(ctx, &SeqScan{
-			Table: tb,
-			Preds: []Pred{PredInt(0, EQ, 123)}, // one row qualifies
-			Cols:  []int{0, 2},
-		}, nil)
-		rec.Close()
-		<-done
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(lines)
-	}
-	nsm, pax := count(storage.NSM), count(storage.PAXLayout)
-	if pax*2 > nsm {
-		t.Fatalf("PAX selective scan touched %d lines vs NSM %d; want <=half", pax, nsm)
 	}
 }
 

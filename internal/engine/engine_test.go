@@ -87,10 +87,10 @@ func TestSchemaHelpers(t *testing.T) {
 	}
 }
 
-func mkTable(t *testing.T, db *DB, layout storage.Layout, rows int) *Table {
+func mkTable(t *testing.T, db *DB, rows int) *Table {
 	t.Helper()
 	s := Schema{Int("id"), Int("grp"), Float("val"), Char("tag", 8)}
-	tb, err := db.CreateTable("t_"+layout.String(), s, layout)
+	tb, err := db.CreateTable("t", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,58 +106,54 @@ func mkTable(t *testing.T, db *DB, layout storage.Layout, rows int) *Table {
 }
 
 func TestSeqScanBothLayouts(t *testing.T) {
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 5000)
-		ctx := testCtx(t, db)
-		rows, err := Collect(ctx, &SeqScan{Table: tb})
-		if err != nil {
-			t.Fatalf("%v: %v", layout, err)
-		}
-		if len(rows) != 5000 {
-			t.Fatalf("%v: scanned %d rows", layout, len(rows))
-		}
-		// Spot-check contents.
-		sum := int64(0)
-		for _, r := range rows {
-			sum += r[0].I
-		}
-		if want := int64(5000) * 4999 / 2; sum != want {
-			t.Fatalf("%v: id sum %d, want %d", layout, sum, want)
-		}
+	db := testDB(t)
+	tb := mkTable(t, db, 5000)
+	ctx := testCtx(t, db)
+	rows, err := Collect(ctx, &SeqScan{Table: tb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5000 {
+		t.Fatalf("scanned %d rows", len(rows))
+	}
+	// Spot-check contents.
+	sum := int64(0)
+	for _, r := range rows {
+		sum += r[0].I
+	}
+	if want := int64(5000) * 4999 / 2; sum != want {
+		t.Fatalf("id sum %d, want %d", sum, want)
 	}
 }
 
 func TestSeqScanPredicateAndProjection(t *testing.T) {
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 2000)
-		ctx := testCtx(t, db)
-		scan := &SeqScan{
-			Table: tb,
-			Preds: []Pred{PredInt(tb.Schema.Col("grp"), EQ, 3)},
-			Cols:  []int{tb.Schema.Col("id"), tb.Schema.Col("val")},
+	db := testDB(t)
+	tb := mkTable(t, db, 2000)
+	ctx := testCtx(t, db)
+	scan := &SeqScan{
+		Table: tb,
+		Preds: []Pred{PredInt(tb.Schema.Col("grp"), EQ, 3)},
+		Cols:  []int{tb.Schema.Col("id"), tb.Schema.Col("val")},
+	}
+	rows, err := Collect(ctx, scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i := 0; i < 2000; i++ {
+		if i%7 == 3 {
+			want++
 		}
-		rows, err := Collect(ctx, scan)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if len(rows) != want {
+		t.Fatalf("got %d rows, want %d", len(rows), want)
+	}
+	for _, r := range rows {
+		if len(r) != 2 || r[0].I%7 != 3 {
+			t.Fatalf("bad row %v", r)
 		}
-		want := 0
-		for i := 0; i < 2000; i++ {
-			if i%7 == 3 {
-				want++
-			}
-		}
-		if len(rows) != want {
-			t.Fatalf("%v: got %d rows, want %d", layout, len(rows), want)
-		}
-		for _, r := range rows {
-			if len(r) != 2 || r[0].I%7 != 3 {
-				t.Fatalf("%v: bad row %v", layout, r)
-			}
-			if r[1].F != float64(r[0].I)/2 {
-				t.Fatalf("%v: projection misaligned: %v", layout, r)
-			}
+		if r[1].F != float64(r[0].I)/2 {
+			t.Fatalf("projection misaligned: %v", r)
 		}
 	}
 }
@@ -165,7 +161,7 @@ func TestSeqScanPredicateAndProjection(t *testing.T) {
 func TestInsertMaintainsIndex(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Int("k"), Int("v")}
-	tb, _ := db.CreateTable("x", s, storage.NSM)
+	tb, _ := db.CreateTable("x", s)
 	idx, _ := db.CreateIndex(tb, "x_k", func(row []byte) int64 { return RowInt(row, 0) })
 	for i := 0; i < 500; i++ {
 		if _, err := tb.Insert(nil, []Value{IV(int64(i)), IV(int64(i * 10))}); err != nil {
@@ -187,7 +183,7 @@ func TestInsertMaintainsIndex(t *testing.T) {
 
 func TestFilterAndLimit(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 1000)
+	tb := mkTable(t, db, 1000)
 	ctx := testCtx(t, db)
 	op := &Limit{
 		Child: &Filter{
@@ -212,7 +208,7 @@ func TestFilterAndLimit(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 50)
+	tb := mkTable(t, db, 50)
 	ctx := testCtx(t, db)
 	rows, err := Collect(ctx, &Project{Child: &SeqScan{Table: tb}, Cols: []int{3, 0}})
 	if err != nil {
@@ -334,8 +330,8 @@ func TestHashTableZeroedEntriesAfterArenaReset(t *testing.T) {
 
 func TestHashJoinInner(t *testing.T) {
 	db := testDB(t)
-	left, _ := db.CreateTable("l", Schema{Int("lk"), Int("lv")}, storage.NSM)
-	right, _ := db.CreateTable("r", Schema{Int("rk"), Char("rv", 6)}, storage.NSM)
+	left, _ := db.CreateTable("l", Schema{Int("lk"), Int("lv")})
+	right, _ := db.CreateTable("r", Schema{Int("rk"), Char("rv", 6)})
 	for i := 0; i < 300; i++ {
 		left.Insert(nil, []Value{IV(int64(i % 50)), IV(int64(i))})
 	}
@@ -364,8 +360,8 @@ func TestHashJoinInner(t *testing.T) {
 
 func TestHashJoinLeftOuter(t *testing.T) {
 	db := testDB(t)
-	left, _ := db.CreateTable("lo", Schema{Int("lk")}, storage.NSM)
-	right, _ := db.CreateTable("ro", Schema{Int("rk"), Int("rv")}, storage.NSM)
+	left, _ := db.CreateTable("lo", Schema{Int("lk")})
+	right, _ := db.CreateTable("ro", Schema{Int("rk"), Int("rv")})
 	for i := 0; i < 10; i++ {
 		left.Insert(nil, []Value{IV(int64(i))})
 	}
@@ -399,7 +395,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 
 func TestHashAgg(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 700) // grp = i%7
+	tb := mkTable(t, db, 700) // grp = i%7
 	ctx := testCtx(t, db)
 	agg := &HashAgg{
 		Child:     &SeqScan{Table: tb},
@@ -445,7 +441,7 @@ func TestHashAgg(t *testing.T) {
 func TestHashAggManyGroups(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Int("k"), Int("v")}
-	tb, _ := db.CreateTable("mg", s, storage.NSM)
+	tb, _ := db.CreateTable("mg", s)
 	rng := rand.New(rand.NewSource(3))
 	truth := map[int64]int64{}
 	for i := 0; i < 20000; i++ {
@@ -475,7 +471,7 @@ func TestHashAggManyGroups(t *testing.T) {
 func TestSortAscDesc(t *testing.T) {
 	db := testDB(t)
 	s := Schema{Int("k"), Float("f")}
-	tb, _ := db.CreateTable("st", s, storage.NSM)
+	tb, _ := db.CreateTable("st", s)
 	rng := rand.New(rand.NewSource(9))
 	var keys []int64
 	for i := 0; i < 3000; i++ {
@@ -508,10 +504,10 @@ func TestSortAscDesc(t *testing.T) {
 
 func TestCreateTableErrors(t *testing.T) {
 	db := testDB(t)
-	if _, err := db.CreateTable("a", Schema{Int("x")}, storage.NSM); err != nil {
+	if _, err := db.CreateTable("a", Schema{Int("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateTable("a", Schema{Int("x")}, storage.NSM); err == nil {
+	if _, err := db.CreateTable("a", Schema{Int("x")}); err == nil {
 		t.Error("duplicate table accepted")
 	}
 	if _, err := db.Table("nope"); err == nil {

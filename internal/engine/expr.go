@@ -42,8 +42,8 @@ func (o CmpOp) String() string {
 
 // Pred is one column-vs-constant comparison. A slice of Preds is a
 // conjunction. Structured predicates (rather than opaque closures) let
-// scans read only the referenced columns under PAX and let the planner
-// report selectivities.
+// CompilePreds specialize each comparison to its column's type and let
+// the planner report selectivities.
 type Pred struct {
 	Col int // column index in the input schema
 	Op  CmpOp

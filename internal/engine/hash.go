@@ -31,11 +31,16 @@ const htEntryHeader = 16
 // fixed-width payloads. The bucket array targets two buckets per expected
 // entry but is clamped to a quarter of the workspace still free, so a
 // huge (or wrong) cardinality hint degrades to longer chains instead of
-// overflowing the doubling loop or panicking inside Arena.Alloc.
+// overflowing the doubling loop or panicking inside Arena.Alloc. The
+// workspace carved for the context's own workers (Ctx.Workers) counts as
+// free: a plan on carved workers then sizes every table as the serial
+// plan on the same workspace does, and emits its groups in the same
+// order. Half of what is really free still bounds the array.
 func NewHashTable(ctx *Ctx, expected, payloadW int) *HashTable {
-	free := ctx.Work.Size() - ctx.Work.Used()
+	free := uint64(ctx.Work.Size() - ctx.Work.Used())
+	sizing := free + uint64(ctx.Work.Carved())
 	maxNB := uint64(16)
-	for maxNB*8*2 <= uint64(free)/4 && maxNB < 1<<30 {
+	for maxNB*8*2 <= sizing/4 && maxNB*8*2 <= free/2 && maxNB < 1<<30 {
 		maxNB *= 2
 	}
 	nb := uint64(16)

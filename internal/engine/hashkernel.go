@@ -4,9 +4,8 @@
 // HashAgg's group-key copy and FNV-1a hash into one pass for the traced
 // aggregate; aggNative, below them, is the native aggregate. Both
 // kernels are Sel-aware (rows lists the live physical indexes; nil means
-// dense [0, n)) and layout-agnostic: a borrowed NSM block is a row-major
-// buffer with the table's stride, a borrowed PAX minipage is the same
-// thing with stride == column width, so one kernel covers both.
+// dense [0, n)) and take any row-major buffer with its stride: an arena
+// block and a borrowed page span are read alike.
 //
 // The kernels are exact drop-ins for the per-row loops they replace:
 // identical key bits (a float column's 8 bytes read as int64 and

@@ -12,7 +12,7 @@ import (
 // named indexes on its first column.
 func imageSchema(t *testing.T, db *DB, table string, indexes ...string) *Table {
 	t.Helper()
-	tbl, err := db.CreateTable(table, Schema{Int("k"), Char("pad", 120)}, storage.NSM)
+	tbl, err := db.CreateTable(table, Schema{Int("k"), Char("pad", 120)})
 	if err != nil {
 		t.Fatal(err)
 	}

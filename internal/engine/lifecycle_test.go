@@ -10,8 +10,6 @@ package engine
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // errBoom is the mid-stream failure the fault-injection ops raise.
@@ -117,7 +115,7 @@ func lifecycleSchema() Schema { return Schema{Int("k"), Int("v")} }
 // TestLifecycleRowOpsSurviveErrorsAndDoubleClose covers the row stack.
 func TestLifecycleRowOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 200)
+	tb := mkTable(t, db, 200)
 	s := lifecycleSchema()
 
 	cases := func(child func() Op) map[string]func() Op {
@@ -160,7 +158,7 @@ func TestLifecycleRowOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 // stack through RowAdapter.
 func TestLifecycleVecOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 200)
+	tb := mkTable(t, db, 200)
 	s := lifecycleSchema()
 
 	cases := func(child func() VecOp) map[string]func() VecOp {
@@ -201,37 +199,35 @@ func TestLifecycleVecOpsSurviveErrorsAndDoubleClose(t *testing.T) {
 // (morsel drivers reopen per claimed range) and idempotent under double
 // close mid-stream.
 func TestLifecycleSourceOpsReopen(t *testing.T) {
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 500)
-		ctx := testCtx(t, db)
-		for name, op := range map[string]Op{
-			"seqscan": &SeqScan{Table: tb},
-			"scanvec": &RowAdapter{Vec: &ScanVec{Table: tb}},
-		} {
-			for pass := 0; pass < 2; pass++ {
-				if err := op.Open(ctx); err != nil {
+	db := testDB(t)
+	tb := mkTable(t, db, 500)
+	ctx := testCtx(t, db)
+	for name, op := range map[string]Op{
+		"seqscan": &SeqScan{Table: tb},
+		"scanvec": &RowAdapter{Vec: &ScanVec{Table: tb}},
+	} {
+		for pass := 0; pass < 2; pass++ {
+			if err := op.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for {
+				_, ok, err := op.Next(ctx)
+				if err != nil {
 					t.Fatal(err)
 				}
-				n := 0
-				for {
-					_, ok, err := op.Next(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					n++
-					if n == 10 {
-						break // abandon mid-stream
-					}
+				if !ok {
+					break
 				}
-				op.Close(ctx)
-				op.Close(ctx)
-				if n == 0 {
-					t.Fatalf("%s/%v pass %d: no rows", name, layout, pass)
+				n++
+				if n == 10 {
+					break // abandon mid-stream
 				}
+			}
+			op.Close(ctx)
+			op.Close(ctx)
+			if n == 0 {
+				t.Fatalf("%s pass %d: no rows", name, pass)
 			}
 		}
 	}
@@ -260,7 +256,7 @@ func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
 
 	// A parallel join under the aggregate, its build or its probes
 	// failing: the error comes out of Open whichever phase it hit.
-	tb := mkTable(t, db, storage.NSM, 200)
+	tb := mkTable(t, db, 200)
 	for _, side := range []string{"build", "probe"} {
 		pool := NewMorselPool(len(ctxs), tb.Heap.NumPages(), 1)
 		join := &ParallelHashJoin{Ctxs: ctxs, Joins: make([]*HashJoinVec, len(ctxs))}
@@ -300,7 +296,7 @@ func TestLifecycleParallelOpsCloseSafety(t *testing.T) {
 // mid-range releases cleanly and double Close is safe.
 func TestLifecycleMorselScanCloseMidMorsel(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 2000)
+	tb := mkTable(t, db, 2000)
 	pool := NewMorselPool(1, tb.Heap.NumPages(), 2)
 	ms := &MorselScanVec{Table: tb, Pool: pool, Worker: 0}
 	ctx := testCtx(t, db)

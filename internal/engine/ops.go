@@ -56,9 +56,7 @@ type PageRange struct {
 }
 
 // SeqScan scans a table, applying pushed-down predicates and projecting
-// cols (nil = all columns). Under PAX it reads predicate columns first and
-// the remaining projected columns only for qualifying tuples — the
-// cache-conscious behaviour the paper's Section 6.2 discusses.
+// cols (nil = all columns).
 type SeqScan struct {
 	Table *Table
 	Preds []Pred
@@ -143,11 +141,7 @@ func (s *SeqScan) nextPage(ctx *Ctx) (bool, error) {
 	s.page++
 	s.slot = 0
 	s.Table.Heap.RLatch()
-	if s.Table.Heap.Layout() == storage.NSM {
-		s.nslots = storage.AsSlotted(ref.Data, ref.Addr).NumSlots()
-	} else {
-		s.nslots = storage.AsPAX(ref.Data, ref.Addr, s.Table.Schema.Widths()).N()
-	}
+	s.nslots = storage.AsSlotted(ref.Data, ref.Addr).NumSlots()
 	s.Table.Heap.RUnlatch()
 	return true, nil
 }
@@ -171,28 +165,20 @@ func (s *SeqScan) Next(ctx *Ctx) ([]byte, bool, error) {
 		// well under the per-tuple tracing cost — and keeps the latch
 		// hold time too short to stall writers on hot OLTP tables.
 		s.Table.Heap.RLatch()
-		if s.Table.Heap.Layout() == storage.NSM {
-			row := storage.AsSlotted(s.ref.Data, s.ref.Addr).Tuple(ctx.Rec, slot)
-			pass := row != nil && s.evalNSM(row)
-			if pass {
-				s.projectNSM(row)
-			}
-			s.Table.Heap.RUnlatch()
-			if !pass {
-				continue
-			}
-			return s.buf, true, nil
+		row := storage.AsSlotted(s.ref.Data, s.ref.Addr).Tuple(ctx.Rec, slot)
+		pass := row != nil && s.eval(row)
+		if pass {
+			s.project(row)
 		}
-		row, ok := s.evalAndLoadPAX(ctx, slot)
 		s.Table.Heap.RUnlatch()
-		if !ok {
+		if !pass {
 			continue
 		}
-		return row, true, nil
+		return s.buf, true, nil
 	}
 }
 
-func (s *SeqScan) evalNSM(row []byte) bool {
+func (s *SeqScan) eval(row []byte) bool {
 	for _, p := range s.Preds {
 		if !p.Eval(s.Table.Schema, s.Table.Offs, row) {
 			return false
@@ -201,9 +187,9 @@ func (s *SeqScan) evalNSM(row []byte) bool {
 	return true
 }
 
-// projectNSM snapshots the projected columns of row into s.buf (callers
+// project snapshots the projected columns of row into s.buf (callers
 // hold the content latch; the copy is what outlives it).
-func (s *SeqScan) projectNSM(row []byte) {
+func (s *SeqScan) project(row []byte) {
 	if s.Cols == nil {
 		copy(s.buf, row)
 		return
@@ -214,47 +200,6 @@ func (s *SeqScan) projectNSM(row []byte) {
 		copy(s.buf[off:off+w], row[s.Table.Offs[c]:s.Table.Offs[c]+w])
 		off += w
 	}
-}
-
-// evalAndLoadPAX evaluates predicates reading only their minipages, then
-// materializes the projected columns of qualifying tuples.
-func (s *SeqScan) evalAndLoadPAX(ctx *Ctx, slot int) ([]byte, bool) {
-	px := storage.AsPAX(s.ref.Data, s.ref.Addr, s.Table.Schema.Widths())
-	// A scratch row assembled column-by-column; predicate columns first.
-	full := s.Table.Schema
-	loaded := make(map[int][]byte, 4)
-	for _, p := range s.Preds {
-		f := px.Field(ctx.Rec, slot, p.Col)
-		loaded[p.Col] = f
-		if !s.evalPAXPred(p, f, full[p.Col]) {
-			return nil, false
-		}
-	}
-	cols := s.Cols
-	if cols == nil {
-		cols = make([]int, len(full))
-		for i := range full {
-			cols[i] = i
-		}
-	}
-	off := 0
-	for _, c := range cols {
-		f, ok := loaded[c]
-		if !ok {
-			f = px.Field(ctx.Rec, slot, c)
-		}
-		copy(s.buf[off:off+len(f)], f)
-		off += len(f)
-	}
-	return s.buf, true
-}
-
-func (s *SeqScan) evalPAXPred(p Pred, field []byte, col Column) bool {
-	// Reuse Eval by treating the field as a single-column row.
-	tmp := Schema{col}
-	q := p
-	q.Col = 0
-	return q.Eval(tmp, []int{0}, field)
 }
 
 // Filter drops child rows failing the conjunction.

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/par"
-	"repro/internal/storage"
 )
 
 // TestOrderedMorsels: the morsels cover a scan's page order from its
@@ -81,39 +80,37 @@ func insertionOrder(ht *HashTable) [][]byte {
 // TestOrderedExchangeSerialOrder: an aggregate over the exchange, grouping
 // on a unique id, inserts its groups — so it receives its rows — in the
 // order the same pipe over a serial ScanVec from the same origin emits
-// them, at 1 to 8 workers, copying and borrowing pages, on NSM and PAX.
+// them, at 1 to 8 workers, copying and borrowing pages.
 func TestOrderedExchangeSerialOrder(t *testing.T) {
 	db := testDB(t)
 	aggs := []AggSpec{{Func: Sum, Col: 1}, {Func: Count}}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		tb := mkTable(t, db, layout, 5000)
-		ctx := testCtx(t, db)
-		// order runs a over its input and returns its groups in insertion
-		// order.
-		order := func(a *HashAggVec) [][]byte {
-			if err := a.Open(ctx); err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close(ctx)
-			return insertionOrder(a.agg().ht)
+	tb := mkTable(t, db, 5000)
+	ctx := testCtx(t, db)
+	// order runs a over its input and returns its groups in insertion
+	// order.
+	order := func(a *HashAggVec) [][]byte {
+		if err := a.Open(ctx); err != nil {
+			t.Fatal(err)
 		}
-		for _, borrow := range []bool{false, true} {
-			for _, start := range []int{0, 5} {
+		defer a.Close(ctx)
+		return insertionOrder(a.agg().ht)
+	}
+	for _, borrow := range []bool{false, true} {
+		for _, start := range []int{0, 5} {
+			ctx.Work.Reset()
+			src := orderedPipe(&ScanVec{Table: tb, StartPage: start, Borrow: borrow})
+			want := order(&HashAggVec{Child: src, GroupCols: []int{0}, Aggs: aggs})
+			for _, workers := range []int{1, 2, 3, 8} {
 				ctx.Work.Reset()
-				src := orderedPipe(&ScanVec{Table: tb, StartPage: start, Borrow: borrow})
-				want := order(&HashAggVec{Child: src, GroupCols: []int{0}, Aggs: aggs})
-				for _, workers := range []int{1, 2, 3, 8} {
-					ctx.Work.Reset()
-					x := &OrderedExchange{
-						Ctxs: ctx.Workers(workers, 96<<10), Table: tb, StartPage: start, MorselPages: 2,
-						Borrow: borrow, Pipe: orderedPipe,
-					}
-					x.Agg = &HashAggVec{Child: x, GroupCols: []int{0}, Aggs: aggs}
-					label := fmt.Sprintf("%v borrow=%v start=%d x%d", layout, borrow, start, workers)
-					sameBytes(t, label, order(x.Agg), want)
-					if n := ctx.Leases(); n != 0 {
-						t.Fatalf("%s: %d page leases outstanding", label, n)
-					}
+				x := &OrderedExchange{
+					Ctxs: ctx.Workers(workers, 96<<10), Table: tb, StartPage: start, MorselPages: 2,
+					Borrow: borrow, Pipe: orderedPipe,
+				}
+				x.Agg = &HashAggVec{Child: x, GroupCols: []int{0}, Aggs: aggs}
+				label := fmt.Sprintf("borrow=%v start=%d x%d", borrow, start, workers)
+				sameBytes(t, label, order(x.Agg), want)
+				if n := ctx.Leases(); n != 0 {
+					t.Fatalf("%s: %d page leases outstanding", label, n)
 				}
 			}
 		}
@@ -148,7 +145,7 @@ func (f *faultVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 // and every goroutine the exchange started has ended.
 func TestOrderedExchangeLeavesNothing(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 5000)
+	tb := mkTable(t, db, 5000)
 	ctx := testCtx(t, db)
 	base := runtime.NumGoroutine()
 	for _, c := range []struct {
@@ -203,10 +200,10 @@ func TestOrderedExchangeLeavesNothing(t *testing.T) {
 // every morsel, stretches with more than eight keys to a page, NaN, ±0
 // and ±Inf among the floats, and a drop column that empties whole pages
 // and leaves one row on others.
-func foldTable(t *testing.T, db *DB, layout storage.Layout) *Table {
+func foldTable(t *testing.T, db *DB) *Table {
 	t.Helper()
 	s := Schema{Int("key"), Int("drop"), Float("f"), Int("n"), Char("tag", 4)}
-	tb, err := db.CreateTable("fold_"+layout.String(), s, layout)
+	tb, err := db.CreateTable("fold", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,67 +248,117 @@ func foldPipe(in VecOp) VecOp {
 // TestOrderedAggMatchesSerial: an aggregate folding the morsels an
 // OrderedExchange's workers prepare leaves the group table the serial
 // native aggregate leaves — every entry, in chain order, bit for bit — and
-// emits its rows, at 1 to 8 workers, copying and borrowing pages, on NSM
-// and PAX, with narrow (one word) and wide group keys, from two scan
-// origins.
+// emits its rows, at 1 to 8 workers, copying and borrowing pages, with
+// narrow (one word) and wide group keys, from two scan origins.
 func TestOrderedAggMatchesSerial(t *testing.T) {
 	db := testDB(t)
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		tb := foldTable(t, db, layout)
-		ctx := testCtx(t, db)
-		for _, group := range [][]int{{0}, {0, 3}, {0, 4}} {
-			for _, start := range []int{0, 7} {
-				for _, borrow := range []bool{false, true} {
-					run := func(src VecOp, x *OrderedExchange) ([]tableEntry, [][]byte) {
-						a := &HashAggVec{Child: src, GroupCols: group, Aggs: foldAggs}
-						if x != nil {
-							x.Agg = a
-						}
-						op := &RowAdapter{Vec: a}
-						if err := op.Open(ctx); err != nil {
+	tb := foldTable(t, db)
+	ctx := testCtx(t, db)
+	for _, group := range [][]int{{0}, {0, 3}, {0, 4}} {
+		for _, start := range []int{0, 7} {
+			for _, borrow := range []bool{false, true} {
+				run := func(src VecOp, x *OrderedExchange) ([]tableEntry, [][]byte) {
+					a := &HashAggVec{Child: src, GroupCols: group, Aggs: foldAggs}
+					if x != nil {
+						x.Agg = a
+					}
+					op := &RowAdapter{Vec: a}
+					if err := op.Open(ctx); err != nil {
+						t.Fatal(err)
+					}
+					defer op.Close(ctx)
+					entries := scanTable(a.agg().ht)
+					var rows [][]byte
+					for {
+						row, ok, err := op.Next(ctx)
+						if err != nil {
 							t.Fatal(err)
 						}
-						defer op.Close(ctx)
-						entries := scanTable(a.agg().ht)
-						var rows [][]byte
-						for {
-							row, ok, err := op.Next(ctx)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !ok {
-								return entries, rows
-							}
-							rows = append(rows, append([]byte(nil), row...))
+						if !ok {
+							return entries, rows
 						}
-					}
-					ctx.Work.Reset()
-					want, wantRows := run(foldPipe(&ScanVec{Table: tb, StartPage: start, Borrow: borrow}), nil)
-					if len(want) < 40 {
-						t.Fatalf("%v: %d groups, want the table's 45 or more", layout, len(want))
-					}
-					for _, workers := range []int{1, 2, 4, 8} {
-						ctx.Work.Reset()
-						x := &OrderedExchange{
-							Ctxs: ctx.Workers(workers, 256<<10), Table: tb, StartPage: start, MorselPages: 1,
-							Borrow: borrow, Pipe: foldPipe,
-						}
-						got, gotRows := run(x, x)
-						label := fmt.Sprintf("%v group %v start %d borrow=%v x%d", layout, group, start, borrow, workers)
-						if len(got) != len(want) {
-							t.Fatalf("%s: %d groups, serial %d", label, len(got), len(want))
-						}
-						for i := range want {
-							if got[i].hash != want[i].hash || !bytes.Equal(got[i].payload, want[i].payload) {
-								t.Fatalf("%s: entry %d\n got %#x %x\nwant %#x %x", label, i, got[i].hash, got[i].payload, want[i].hash, want[i].payload)
-							}
-						}
-						sameBytes(t, label, gotRows, wantRows)
-						if n := ctx.Leases(); n != 0 {
-							t.Fatalf("%s: %d page leases outstanding", label, n)
-						}
+						rows = append(rows, append([]byte(nil), row...))
 					}
 				}
+				ctx.Work.Reset()
+				want, wantRows := run(foldPipe(&ScanVec{Table: tb, StartPage: start, Borrow: borrow}), nil)
+				if len(want) < 40 {
+					t.Fatalf("%d groups, want the table's 45 or more", len(want))
+				}
+				for _, workers := range []int{1, 2, 4, 8} {
+					ctx.Work.Reset()
+					x := &OrderedExchange{
+						Ctxs: ctx.Workers(workers, 256<<10), Table: tb, StartPage: start, MorselPages: 1,
+						Borrow: borrow, Pipe: foldPipe,
+					}
+					got, gotRows := run(x, x)
+					label := fmt.Sprintf("group %v start %d borrow=%v x%d", group, start, borrow, workers)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d groups, serial %d", label, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].hash != want[i].hash || !bytes.Equal(got[i].payload, want[i].payload) {
+							t.Fatalf("%s: entry %d\n got %#x %x\nwant %#x %x", label, i, got[i].hash, got[i].payload, want[i].hash, want[i].payload)
+						}
+					}
+					sameBytes(t, label, gotRows, wantRows)
+					if n := ctx.Leases(); n != 0 {
+						t.Fatalf("%s: %d page leases outstanding", label, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOrderedAggSizingMatchesSerial: on a consumer whose workspace is
+// small enough that the free space, not a generous Expected, sizes an
+// aggregate's bucket array, the aggregate over an exchange whose workers
+// are carved from that workspace (a quarter of it, as the native plan
+// carves them) gets the serial plan's buckets, so its groups come out
+// entry by entry as the serial plan's do.
+func TestOrderedAggSizingMatchesSerial(t *testing.T) {
+	db := testDB(t)
+	tb, err := db.CreateTable("wide", Schema{Char("key", 20), Int("n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups = 1500
+	for i := 0; i < 4*groups; i++ {
+		if _, err := tb.Insert(nil, []Value{SV(fmt.Sprintf("key-%05d", i*7%groups)), IV(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := db.NewCtx(nil, 0, 4<<20)
+	aggs := []AggSpec{{Func: Count}, {Func: Sum, Col: 1}}
+	run := func(src VecOp, x *OrderedExchange) []tableEntry {
+		a := &HashAggVec{Child: src, GroupCols: []int{0}, Aggs: aggs, Expected: 1 << 20}
+		if x != nil {
+			x.Agg = a
+		}
+		if err := a.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close(ctx)
+		return scanTable(a.agg().ht)
+	}
+	want := run(&ScanVec{Table: tb}, nil)
+	if len(want) != groups {
+		t.Fatalf("serial: %d groups, want %d", len(want), groups)
+	}
+	for _, workers := range []int{2, 4} {
+		ctx.Work.Reset()
+		x := &OrderedExchange{
+			Ctxs: ctx.Workers(workers, ctx.Work.Size()/4/workers), Table: tb, MorselPages: 2,
+			Pipe: func(scan VecOp) VecOp { return scan },
+		}
+		got := run(x, x)
+		if len(got) != len(want) {
+			t.Fatalf("x%d: %d groups, serial %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].hash != want[i].hash || !bytes.Equal(got[i].payload, want[i].payload) {
+				t.Fatalf("x%d: entry %d\n got %#x %x\nwant %#x %x", workers, i, got[i].hash, got[i].payload, want[i].hash, want[i].payload)
 			}
 		}
 	}
@@ -346,7 +393,7 @@ func chains(pt *PartedTable) [][]string {
 // consumer's and on ones of their own.
 func TestJoinBuildChainsMatchSerial(t *testing.T) {
 	db := testDB(t)
-	tb := foldTable(t, db, storage.NSM)
+	tb := foldTable(t, db)
 	ctx := testCtx(t, db)
 	oneKey := func(in VecOp) VecOp { return &FilterVec{Child: in, Preds: []Pred{PredInt(0, EQ, 0)}} }
 	for _, c := range []struct {
@@ -443,7 +490,7 @@ func (f *selFault) NextBlock(ctx *Ctx) (*Block, bool, error) {
 // and no goroutine behind.
 func TestOrderedSplitLeavesNothing(t *testing.T) {
 	db := testDB(t)
-	tb := foldTable(t, db, storage.NSM)
+	tb := foldTable(t, db)
 	ctx := testCtx(t, db)
 	base := runtime.NumGoroutine()
 	isPanic := func(err error) bool {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/par"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -23,7 +22,7 @@ func buildParTable(t *testing.T, rows int) (*DB, *Table) {
 	db := NewDB(Config{ArenaBytes: 64 << 20})
 	tb, err := db.CreateTable("fact", Schema{
 		Int("id"), Int("grp"), Float("amount"),
-	}, storage.NSM)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,11 +438,11 @@ func TestParallelAggMatchesSerialAcrossWorkerCounts(t *testing.T) {
 func joinCounts(t *testing.T, jt JoinType, workers int) map[int64]int {
 	t.Helper()
 	db := NewDB(Config{ArenaBytes: 64 << 20})
-	left, err := db.CreateTable("probe", Schema{Int("k"), Int("tag")}, storage.NSM)
+	left, err := db.CreateTable("probe", Schema{Int("k"), Int("tag")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := db.CreateTable("build", Schema{Int("k"), Float("v")}, storage.NSM)
+	right, err := db.CreateTable("build", Schema{Int("k"), Float("v")})
 	if err != nil {
 		t.Fatal(err)
 	}

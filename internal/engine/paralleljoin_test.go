@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/par"
-	"repro/internal/storage"
 )
 
 // parallelJoin is the morsel-driven join probe ⋈ build on column 0 of
@@ -155,7 +154,7 @@ func checkJoinCase(t *testing.T, c joinCase) {
 	t.Helper()
 	db := NewDB(Config{ArenaBytes: 8 << 20})
 	fill := func(name string, schema Schema, keys []int64) *Table {
-		tb, err := db.CreateTable(name, schema, storage.NSM)
+		tb, err := db.CreateTable(name, schema)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,9 @@ import (
 	"strings"
 )
 
-// Type is a column type. All types are fixed-width, which keeps PAX pages
-// and in-place updates simple (commercial engines reserve fixed widths for
-// CHAR columns the same way).
+// Type is a column type. All types are fixed-width, which keeps rows,
+// page spans and in-place updates simple (commercial engines reserve
+// fixed widths for CHAR columns the same way).
 type Type uint8
 
 // Column types.

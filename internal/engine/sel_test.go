@@ -10,8 +10,6 @@ package engine
 
 import (
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // chunkVec yields the given rows in fixed-size private blocks (home ==
@@ -193,7 +191,7 @@ func TestFilterVecNextBlockDetachesPreviousSel(t *testing.T) {
 // safe.
 func TestFilterVecCloseMidStreamDetachesSel(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 500)
+	tb := mkTable(t, db, 500)
 	ctx := testCtx(t, db)
 	f := &FilterVec{
 		Child: &ScanVec{Table: tb},

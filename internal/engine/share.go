@@ -23,7 +23,7 @@ import (
 //
 // A source is one-shot: NextBlock walks exactly one full rotation of the
 // table (from wherever the consumer attached, wrapping around) and then
-// reports ok=false. The returned block holds rows in the table's NSM row
+// reports ok=false. The returned block holds rows in the table's row
 // encoding with heap-page provenance in Pages; it is valid until the
 // following NextBlock or Close call.
 type BatchSource interface {

@@ -117,13 +117,13 @@ func (b *Block) Reset() {
 type Releaser interface{ Release() }
 
 // Borrow points the block at externally owned row memory — a pinned
-// buffer-pool page span (NSM) or minipage (PAX) — making it a zero-copy
-// view of n rows of the block's row width. owner (typically the page's
-// storage.PageLease; nil for none) is released exactly once when the
-// borrow ends: at the next Reset, or at the final ring Release. Holding
-// the lease itself, not a method value, keeps a borrow free of
-// allocations. The block's arena storage is saved and restored then, so
-// a borrowed block drops back into copy mode without reallocation.
+// buffer-pool page span — making it a zero-copy view of n rows of the
+// block's row width. owner (typically the page's storage.PageLease; nil
+// for none) is released exactly once when the borrow ends: at the next
+// Reset, or at the final ring Release. Holding the lease itself, not a
+// method value, keeps a borrow free of allocations. The block's arena
+// storage is saved and restored then, so a borrowed block drops back
+// into copy mode without reallocation.
 func (b *Block) Borrow(buf []byte, addr mem.Addr, n int, owner Releaser) {
 	b.endBorrow()
 	b.ownBuf, b.ownAddr, b.ownCap = b.buf, b.addr, b.cap
@@ -436,11 +436,9 @@ func (a *RowAdapter) Next(ctx *Ctx) ([]byte, bool, error) {
 }
 
 // ScanVec is the vectorized table scan: pages are decoded a block at a
-// time with batched trace events, predicates run in a tight loop over
-// host memory, and under PAX each predicate is evaluated column-at-a-time
-// over the minipage (a true column loop) with only qualifying tuples
-// gathered. It supports the same Range/StartPage contract as SeqScan, so
-// morsel drivers and circular shared scans reuse it unchanged.
+// time with batched trace events and predicates run in a tight loop over
+// host memory. It supports the same Range/StartPage contract as SeqScan,
+// so morsel drivers and circular shared scans reuse it unchanged.
 type ScanVec struct {
 	Table *Table
 	Preds []Pred
@@ -463,20 +461,14 @@ type ScanVec struct {
 	// ignore it.
 	Borrow bool
 
-	out       Schema
-	blk       *Block
-	page      int // pages consumed within the range
-	pageCap   int // max tuples one heap page can hold
-	code      mem.CodeSeg
-	predCols  []Schema // single-column schema per pred (PAX column eval)
-	preds0    []Pred   // preds rebased to column 0 (PAX column eval)
-	cp        *CompiledPreds
-	colFns    []ColPred // compiled per-column predicates (PAX column eval)
-	selbuf    []int
-	canBorrow bool             // scan shape supports the alias fast path
-	pax       storage.PAXShape // the table's minipage geometry (PAX aliasing)
-	ver       uint64           // heap write-version snapshot at Open
-	revsel    []int32          // reversing selection scratch (NSM spans)
+	out     Schema
+	blk     *Block
+	page    int // pages consumed within the range
+	pageCap int // max tuples one heap page can hold
+	code    mem.CodeSeg
+	cp      *CompiledPreds
+	ver     uint64  // heap write-version snapshot at Open
+	revsel  []int32 // reversing selection scratch (borrowed spans)
 }
 
 // Schema implements VecOp.
@@ -497,42 +489,13 @@ func (s *ScanVec) Schema() Schema {
 func (s *ScanVec) Open(ctx *Ctx) error {
 	s.Schema()
 	s.page = 0
-	if s.Table.Heap.Layout() == storage.NSM {
-		// Safe upper bound (each tuple also consumes a 4-byte slot, so a
-		// page can never hold PageSize/rowW tuples).
-		s.pageCap = storage.PageSize / s.Table.Schema.RowWidth()
-	} else {
-		if s.pax.Cap() == 0 {
-			s.pax = storage.NewPAXShape(s.Table.Schema.Widths())
-		}
-		s.pageCap = s.pax.Cap()
-	}
-	if s.predCols == nil {
-		s.predCols = make([]Schema, len(s.Preds))
-		s.preds0 = make([]Pred, len(s.Preds))
-		for i, p := range s.Preds {
-			s.predCols[i] = Schema{s.Table.Schema[p.Col]}
-			q := p
-			q.Col = 0
-			s.preds0[i] = q
-		}
-	}
+	// Safe upper bound (each tuple also consumes a 4-byte slot, so a page
+	// can never hold PageSize/rowW tuples).
+	s.pageCap = storage.PageSize / s.Table.Schema.RowWidth()
 	if !s.Interpret && s.cp == nil {
 		s.cp = CompilePreds(s.Preds, s.Table.Schema, s.Table.Offs)
-		s.colFns = make([]ColPred, len(s.Preds))
-		for i, p := range s.Preds {
-			s.colFns[i] = CompileColPred(p, s.Table.Schema[p.Col])
-		}
 	}
-	// Aliasing needs the emitted rows to be the page's physical bytes:
-	// full-row NSM projection (predicates refine a selection vector), or
-	// one bare PAX minipage. Anything else copies.
 	s.ver = s.Table.Heap.Version()
-	if s.Table.Heap.Layout() == storage.NSM {
-		s.canBorrow = s.Cols == nil
-	} else {
-		s.canBorrow = len(s.Preds) == 0 && len(s.Cols) == 1
-	}
 	s.code = ctx.DB.Codes.Register("op:scanvec", 2048)
 	return nil
 }
@@ -631,138 +594,47 @@ func (s *ScanVec) scanPage(ctx *Ctx, idx int, blk *Block) error {
 
 	before := blk.N()
 	nrows, evals := 0, 0
-	if h.Layout() == storage.NSM {
-		sp := storage.AsSlotted(ref.Data, ref.Addr)
-		if ctx.Rec == nil && len(s.Preds) == 0 && s.Cols == nil {
-			// Native full-row scan: bulk-copy the page's tuples straight
-			// into the block, skipping the per-tuple visit dispatch. Row
-			// order (slot order) is identical to the visiting path.
-			k, cerr := sp.CopyTuples(blk.buf[blk.n*blk.rowW:], blk.rowW)
-			if cerr != nil {
-				return cerr
-			}
-			blk.n += k
-			nrows = k
-		} else if s.cp != nil {
-			// Fast path: one fused compiled-conjunction call per tuple.
-			err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
-				nrows++
-				pass, k := s.cp.EvalCount(tuple)
-				evals += k
-				if pass {
-					projectInto(blk, tuple, s.Table.Schema, s.Table.Offs, s.Cols)
-				}
-			})
-		} else {
-			err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
-				nrows++
-				for _, p := range s.Preds {
-					evals++
-					if !p.Eval(s.Table.Schema, s.Table.Offs, tuple) {
-						return
-					}
-				}
+	sp := storage.AsSlotted(ref.Data, ref.Addr)
+	if ctx.Rec == nil && len(s.Preds) == 0 && s.Cols == nil {
+		// Native full-row scan: bulk-copy the page's tuples straight into
+		// the block, skipping the per-tuple visit dispatch. Row order
+		// (slot order) is identical to the visiting path.
+		k, cerr := sp.CopyTuples(blk.buf[blk.n*blk.rowW:], blk.rowW)
+		if cerr != nil {
+			return cerr
+		}
+		blk.n += k
+		nrows = k
+	} else if s.cp != nil {
+		// Fast path: one fused compiled-conjunction call per tuple.
+		err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
+			nrows++
+			pass, k := s.cp.EvalCount(tuple)
+			evals += k
+			if pass {
 				projectInto(blk, tuple, s.Table.Schema, s.Table.Offs, s.Cols)
-			})
-		}
-		if err != nil {
-			return err
-		}
+			}
+		})
 	} else {
-		nrows, evals = s.scanPAXPage(ctx, ref, blk)
+		err = sp.ScanTuples(ctx.Rec, func(_ int, tuple []byte) {
+			nrows++
+			for _, p := range s.Preds {
+				evals++
+				if !p.Eval(s.Table.Schema, s.Table.Offs, tuple) {
+					return
+				}
+			}
+			projectInto(blk, tuple, s.Table.Schema, s.Table.Offs, s.Cols)
+		})
+	}
+	if err != nil {
+		return err
 	}
 	nq := blk.N() - before
 	ctx.Rec.Exec(s.code, vecBlockCost+nrows*vecRowCost+evals*vecPredCost+nq*vecProjCost)
 	blk.TraceAppended(ctx.Rec, before)
 	return nil
 }
-
-// scanPAXPage evaluates predicates column-at-a-time over the minipages
-// (the first predicate streams its whole column; later predicates touch
-// only surviving candidates) and gathers projected columns of qualifying
-// tuples. It returns the page's tuple count and predicate evaluations.
-func (s *ScanVec) scanPAXPage(ctx *Ctx, ref *storage.PageRef, blk *Block) (nrows, evals int) {
-	px := storage.AsPAX(ref.Data, ref.Addr, s.Table.Schema.Widths())
-	n := px.N()
-	if n == 0 {
-		return 0, 0
-	}
-	sel := s.selbuf[:0]
-	for pi := range s.Preds {
-		col := s.Preds[pi].Col
-		w := s.Table.Schema[col].Width
-		mini := px.ColumnBytes(col)
-		// The column loop runs the compiled per-column closure when
-		// available, the interpreted rebased Pred otherwise; both see the
-		// identical field bytes in the identical order.
-		var pass func(field []byte) bool
-		if s.colFns != nil {
-			pass = s.colFns[pi]
-		} else {
-			pi := pi
-			pass = func(field []byte) bool {
-				return s.preds0[pi].Eval(s.predCols[pi], colOffs0, field)
-			}
-		}
-		if pi == 0 {
-			// First predicate: stream the whole minipage.
-			px.LoadColumn(ctx.Rec, col, 0, n)
-			for i := 0; i < n; i++ {
-				evals++
-				if pass(mini[i*w : (i+1)*w]) {
-					sel = append(sel, i)
-				}
-			}
-			continue
-		}
-		if len(sel) == 0 {
-			break
-		}
-		// Later predicates: only the survivors' span of the minipage.
-		px.LoadColumn(ctx.Rec, col, sel[0], sel[len(sel)-1]+1)
-		kept := sel[:0]
-		for _, i := range sel {
-			evals++
-			if pass(mini[i*w : (i+1)*w]) {
-				kept = append(kept, i)
-			}
-		}
-		sel = kept
-	}
-	if len(s.Preds) == 0 {
-		for i := 0; i < n; i++ {
-			sel = append(sel, i)
-		}
-	}
-	defer func() { s.selbuf = sel[:0] }()
-	if len(sel) == 0 {
-		return n, evals
-	}
-
-	cols := s.Cols
-	if cols == nil {
-		cols = allCols(len(s.Table.Schema))
-	}
-	// Gather: reserve the qualifying rows' slots, then fill them column
-	// by column — one ranged load per projected minipage over the
-	// qualifying span and one tight gather loop per column.
-	base := blk.N()
-	for range sel {
-		blk.slot()
-	}
-	lo, hi := sel[0], sel[len(sel)-1]+1
-	dst := blk.buf[base*blk.rowW:]
-	off := 0
-	for _, c := range cols {
-		px.LoadColumn(ctx.Rec, c, lo, hi)
-		px.GatherColumn(dst, blk.rowW, off, c, sel)
-		off += s.Table.Schema[c].Width
-	}
-	return n, evals
-}
-
-// colOffs0 is the offset table of a single-column schema.
-var colOffs0 = []int{0}
 
 // projectInto copies the projected columns of row (encoded per schema
 // with offsets offs) into blk's next slot; nil cols copies the full row.
@@ -790,15 +662,6 @@ func predsPass(preds []Pred, schema Schema, offs []int, row []byte) bool {
 		}
 	}
 	return true
-}
-
-// allCols returns [0, n).
-func allCols(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // NextBlock implements VecOp. The output block is allocated lazily on
@@ -833,16 +696,18 @@ func (s *ScanVec) NextBlock(ctx *Ctx) (*Block, bool, error) {
 
 // borrowing reports whether this scan emits borrowed zero-copy blocks
 // under ctx: native execution (nil Recorder), Borrow requested, the
-// compiled path, and a shape the alias fast path supports.
+// compiled path, and a full-row projection — aliasing needs the emitted
+// rows to be the page's physical bytes; predicates refine a selection
+// vector instead of dropping rows.
 func (s *ScanVec) borrowing(ctx *Ctx) bool {
-	return s.Borrow && !s.Interpret && ctx.Rec == nil && s.canBorrow
+	return s.Borrow && !s.Interpret && ctx.Rec == nil && s.Cols == nil
 }
 
 // nextBorrowed emits page-at-a-time borrowed blocks: each clean page is
 // aliased in place, the block pinning the page via a buffer-pool lease
 // released on the block's Reset or final ring Release; pages the alias
 // check rejects are decoded through the copy path, one page per block.
-// NSM spans hold tuples in reverse slot order, so borrowed NSM blocks
+// Page spans hold tuples in reverse slot order, so borrowed blocks
 // carry a reversing selection vector — live order equals slot order,
 // keeping results byte-identical with the copy path.
 func (s *ScanVec) nextBorrowed(ctx *Ctx) (*Block, bool, error) {
@@ -872,7 +737,7 @@ func (s *ScanVec) nextBorrowed(ctx *Ctx) (*Block, bool, error) {
 
 // aliasPage tries to alias page idx into blk zero-copy, reporting false
 // (no error) when the page must take the copy path instead: the heap
-// has been written since Open, the NSM page is fragmented or not purely
+// has been written since Open, the page is fragmented or not purely
 // fixed-width, or the page is empty. On success blk borrows the page
 // span and holds its lease.
 func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
@@ -886,46 +751,30 @@ func (s *ScanVec) aliasPage(ctx *Ctx, idx int, blk *Block) (bool, error) {
 	}
 	ref := lease.Page()
 	h.RLatch()
-	if h.Layout() == storage.NSM {
-		sp := storage.AsSlotted(ref.Data, ref.Addr)
-		off, n, ok := sp.TupleSpan(blk.rowW)
-		h.RUnlatch()
-		if !ok {
-			lease.Release()
-			return false, nil
-		}
-		blk.Borrow(ref.Data[off:off+n*blk.rowW], ref.Addr+mem.Addr(off), n, lease)
-		if s.cp != nil && s.cp.Len() > 0 {
-			// Evaluate the scan predicates densely over the span (the
-			// ascending monomorphic kernels) and reverse the survivors:
-			// reversed ascending physical order is exactly slot order. The
-			// scratch is allocated first, so a page without survivors gets
-			// an empty selection rather than a nil one, which means every
-			// row.
-			if s.revsel == nil {
-				s.revsel = make([]int32, 0, n)
-			}
-			sel := s.cp.SelectDense(blk.buf, blk.rowW, n, s.revsel[:0])
-			reverseSelInPlace(sel)
-			s.revsel = sel[:0:cap(sel)]
-			blk.Sel = sel
-		} else {
-			blk.Sel = s.reverseSel(n)
-			blk.RevDense = true
-		}
-		return true, nil
-	}
-	px := s.pax.Page(ref.Data, ref.Addr)
-	n := px.N()
-	c := s.Cols[0]
-	col := px.ColumnBytes(c)
-	addr := px.FieldAddr(0, c)
+	off, n, ok := storage.AsSlotted(ref.Data, ref.Addr).TupleSpan(blk.rowW)
 	h.RUnlatch()
-	if n == 0 {
+	if !ok {
 		lease.Release()
 		return false, nil
 	}
-	blk.Borrow(col, addr, n, lease)
+	blk.Borrow(ref.Data[off:off+n*blk.rowW], ref.Addr+mem.Addr(off), n, lease)
+	if s.cp != nil && s.cp.Len() > 0 {
+		// Evaluate the scan predicates densely over the span (the
+		// ascending monomorphic kernels) and reverse the survivors:
+		// reversed ascending physical order is exactly slot order. The
+		// scratch is allocated first, so a page without survivors gets an
+		// empty selection rather than a nil one, which means every row.
+		if s.revsel == nil {
+			s.revsel = make([]int32, 0, n)
+		}
+		sel := s.cp.SelectDense(blk.buf, blk.rowW, n, s.revsel[:0])
+		reverseSelInPlace(sel)
+		s.revsel = sel[:0:cap(sel)]
+		blk.Sel = sel
+	} else {
+		blk.Sel = s.reverseSel(n)
+		blk.RevDense = true
+	}
 	return true, nil
 }
 

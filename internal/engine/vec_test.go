@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // collectBytes drains op and returns every row's encoded bytes.
@@ -35,54 +33,46 @@ func sameBytes(t *testing.T, label string, got, want [][]byte) {
 	}
 }
 
-func layouts() []storage.Layout {
-	return []storage.Layout{storage.NSM, storage.PAXLayout}
-}
-
 func TestScanVecMatchesSeqScanBothLayouts(t *testing.T) {
-	for _, layout := range layouts() {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 5000)
-		ctx := testCtx(t, db)
-		preds := []Pred{PredInt(1, EQ, 3), PredFloat(2, LT, 2000)}
-		cases := []struct {
-			name  string
-			preds []Pred
-			cols  []int
-			start int
-		}{
-			{"full", nil, nil, 0},
-			{"preds", preds, nil, 0},
-			{"preds+cols", preds, []int{0, 2}, 0},
-			{"cols", nil, []int{3, 1}, 0},
-			{"startpage", preds, nil, 3},
-		}
-		for _, c := range cases {
-			want := collectBytes(t, ctx, &SeqScan{Table: tb, Preds: c.preds, Cols: c.cols, StartPage: c.start})
-			got := collectBytes(t, ctx, &RowAdapter{Vec: &ScanVec{Table: tb, Preds: c.preds, Cols: c.cols, StartPage: c.start}})
-			sameBytes(t, layout.String()+"/"+c.name, got, want)
-		}
+	db := testDB(t)
+	tb := mkTable(t, db, 5000)
+	ctx := testCtx(t, db)
+	preds := []Pred{PredInt(1, EQ, 3), PredFloat(2, LT, 2000)}
+	cases := []struct {
+		name  string
+		preds []Pred
+		cols  []int
+		start int
+	}{
+		{"full", nil, nil, 0},
+		{"preds", preds, nil, 0},
+		{"preds+cols", preds, []int{0, 2}, 0},
+		{"cols", nil, []int{3, 1}, 0},
+		{"startpage", preds, nil, 3},
+	}
+	for _, c := range cases {
+		want := collectBytes(t, ctx, &SeqScan{Table: tb, Preds: c.preds, Cols: c.cols, StartPage: c.start})
+		got := collectBytes(t, ctx, &RowAdapter{Vec: &ScanVec{Table: tb, Preds: c.preds, Cols: c.cols, StartPage: c.start}})
+		sameBytes(t, c.name, got, want)
 	}
 }
 
 func TestScanVecRangeMatchesSeqScanRange(t *testing.T) {
-	for _, layout := range layouts() {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 5000)
-		ctx := testCtx(t, db)
-		r := &PageRange{Lo: 2, Hi: 5}
-		want := collectBytes(t, ctx, &SeqScan{Table: tb, Range: r})
-		got := collectBytes(t, ctx, &RowAdapter{Vec: &ScanVec{Table: tb, Range: r}})
-		if len(want) == 0 {
-			t.Fatalf("%v: empty page range", layout)
-		}
-		sameBytes(t, layout.String()+"/range", got, want)
+	db := testDB(t)
+	tb := mkTable(t, db, 5000)
+	ctx := testCtx(t, db)
+	r := &PageRange{Lo: 2, Hi: 5}
+	want := collectBytes(t, ctx, &SeqScan{Table: tb, Range: r})
+	got := collectBytes(t, ctx, &RowAdapter{Vec: &ScanVec{Table: tb, Range: r}})
+	if len(want) == 0 {
+		t.Fatal("empty page range")
 	}
+	sameBytes(t, "range", got, want)
 }
 
 func TestFilterProjectMapVecMatchRowOps(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 4000)
+	tb := mkTable(t, db, 4000)
 	ctx := testCtx(t, db)
 	preds := []Pred{PredIntBetween(0, 100, 3000)}
 	mapOut := Schema{Int("id2"), Float("v2")}
@@ -103,32 +93,30 @@ func TestFilterProjectMapVecMatchRowOps(t *testing.T) {
 }
 
 func TestHashAggVecMatchesHashAgg(t *testing.T) {
-	for _, layout := range layouts() {
-		db := testDB(t)
-		tb := mkTable(t, db, layout, 6000)
-		ctx := testCtx(t, db)
-		aggs := []AggSpec{
-			{Func: Count, Name: "n"},
-			{Func: Sum, Col: 2, Name: "s"},
-			{Func: Avg, Col: 2, Name: "a"},
-			{Func: Min, Col: 0, Name: "lo"},
-			{Func: Max, Col: 0, Name: "hi"},
-		}
-		want := collectBytes(t, ctx, &HashAgg{
-			Child: &SeqScan{Table: tb}, GroupCols: []int{1}, Aggs: aggs, Expected: 8,
-		})
-		got := collectBytes(t, ctx, &RowAdapter{Vec: &HashAggVec{
-			Child: &ScanVec{Table: tb}, GroupCols: []int{1}, Aggs: aggs, Expected: 8,
-		}})
-		sameBytes(t, layout.String()+"/hashagg", got, want)
+	db := testDB(t)
+	tb := mkTable(t, db, 6000)
+	ctx := testCtx(t, db)
+	aggs := []AggSpec{
+		{Func: Count, Name: "n"},
+		{Func: Sum, Col: 2, Name: "s"},
+		{Func: Avg, Col: 2, Name: "a"},
+		{Func: Min, Col: 0, Name: "lo"},
+		{Func: Max, Col: 0, Name: "hi"},
 	}
+	want := collectBytes(t, ctx, &HashAgg{
+		Child: &SeqScan{Table: tb}, GroupCols: []int{1}, Aggs: aggs, Expected: 8,
+	})
+	got := collectBytes(t, ctx, &RowAdapter{Vec: &HashAggVec{
+		Child: &ScanVec{Table: tb}, GroupCols: []int{1}, Aggs: aggs, Expected: 8,
+	}})
+	sameBytes(t, "hashagg", got, want)
 }
 
 func TestHashJoinVecMatchesHashJoin(t *testing.T) {
 	for _, jt := range []JoinType{Inner, LeftOuter} {
 		db := testDB(t)
-		left := mkTable(t, db, storage.NSM, 3000)
-		right, err := db.CreateTable("r", Schema{Int("k"), Float("w")}, storage.NSM)
+		left := mkTable(t, db, 3000)
+		right, err := db.CreateTable("r", Schema{Int("k"), Float("w")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +144,7 @@ func TestHashJoinVecMatchesHashJoin(t *testing.T) {
 
 func TestMorselScanVecCoversTableOnce(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 5000)
+	tb := mkTable(t, db, 5000)
 	want := collectBytes(t, testCtx(t, db), &SeqScan{Table: tb})
 	for _, workers := range []int{1, 3} {
 		pool := NewMorselPool(workers, tb.Heap.NumPages(), 2)

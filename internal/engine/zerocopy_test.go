@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // releaseFunc is a Releaser that calls itself.
@@ -84,29 +82,26 @@ func TestBlockBorrowRingRelease(t *testing.T) {
 }
 
 // TestScanVecBorrowedEquivalence: on every shape the alias fast path
-// supports — full-row NSM (with and without predicates) and single-column
-// PAX — the borrowed scan returns exactly the copy path's rows, and no
-// page lease survives the scan.
+// supports — full rows, with and without predicates — the borrowed scan
+// returns exactly the copy path's rows, and no page lease survives the
+// scan.
 func TestScanVecBorrowedEquivalence(t *testing.T) {
 	cases := []struct {
-		name   string
-		layout storage.Layout
-		preds  []Pred
-		cols   []int
+		name  string
+		preds []Pred
 	}{
-		{"nsm-full", storage.NSM, nil, nil},
-		{"nsm-filtered", storage.NSM, []Pred{PredInt(1, EQ, 3)}, nil},
-		{"pax-column", storage.PAXLayout, nil, []int{2}},
+		{"full", nil},
+		{"filtered", []Pred{PredInt(1, EQ, 3)}},
 	}
 	for _, tc := range cases {
 		db := testDB(t)
-		tb := mkTable(t, db, tc.layout, 3000)
+		tb := mkTable(t, db, 3000)
 		ctx := testCtx(t, db)
-		want, err := CollectVec(ctx, &ScanVec{Table: tb, Preds: tc.preds, Cols: tc.cols})
+		want, err := CollectVec(ctx, &ScanVec{Table: tb, Preds: tc.preds})
 		if err != nil {
 			t.Fatalf("%s copy: %v", tc.name, err)
 		}
-		got, err := CollectVec(ctx, &ScanVec{Table: tb, Preds: tc.preds, Cols: tc.cols, Borrow: true})
+		got, err := CollectVec(ctx, &ScanVec{Table: tb, Preds: tc.preds, Borrow: true})
 		if err != nil {
 			t.Fatalf("%s borrow: %v", tc.name, err)
 		}
@@ -132,7 +127,7 @@ func TestScanVecBorrowedEquivalence(t *testing.T) {
 // one).
 func TestScanVecBorrowedLeadingEmptyPages(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 3000)
+	tb := mkTable(t, db, 3000)
 	ctx := testCtx(t, db)
 	for _, tc := range []struct {
 		min  int64
@@ -156,7 +151,7 @@ func TestScanVecBorrowedLeadingEmptyPages(t *testing.T) {
 // Close stays safe.
 func TestScanVecBorrowCloseMidStream(t *testing.T) {
 	db := testDB(t)
-	tb := mkTable(t, db, storage.NSM, 3000)
+	tb := mkTable(t, db, 3000)
 	ctx := testCtx(t, db)
 	sv := &ScanVec{Table: tb, Borrow: true}
 	if err := sv.Open(ctx); err != nil {
@@ -323,51 +318,45 @@ func TestFilterVecRevDenseMatchesExplicitSel(t *testing.T) {
 }
 
 // TestBorrowedPageAllocatesNothing: once a borrowed scan has run, scanning
-// its pages again — lease, alias, release, on NSM and PAX, through a
-// worker context carved from the scanning one — allocates nothing, and
+// its pages again — lease, alias, release, through a worker context
+// carved from the scanning one — allocates nothing, and
 // every lease is still counted: none is out after the scan, on the
 // context or in the pool.
 func TestBorrowedPageAllocatesNothing(t *testing.T) {
 	db := testDB(t)
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		tb := mkTable(t, db, layout, 4000)
-		ctx := testCtx(t, db)
-		w := ctx.Workers(1, 1<<20)[0]
-		var cols []int // NSM borrows whole rows, PAX one minipage
-		if layout == storage.PAXLayout {
-			cols = []int{2}
+	tb := mkTable(t, db, 4000)
+	ctx := testCtx(t, db)
+	w := ctx.Workers(1, 1<<20)[0]
+	scan := &ScanVec{Table: tb, Borrow: true}
+	pages, peak := 0, 0
+	run := func() {
+		if err := scan.Open(w); err != nil {
+			t.Fatal(err)
 		}
-		scan := &ScanVec{Table: tb, Cols: cols, Borrow: true}
-		pages, peak := 0, 0
-		run := func() {
-			if err := scan.Open(w); err != nil {
+		for {
+			blk, ok, err := scan.NextBlock(w)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				blk, ok, err := scan.NextBlock(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				if !blk.Borrowed() {
-					t.Fatalf("%v: page not borrowed", layout)
-				}
-				pages++
-				peak = max(peak, ctx.Leases())
+			if !ok {
+				break
 			}
-			scan.Close(w)
+			if !blk.Borrowed() {
+				t.Fatal("page not borrowed")
+			}
+			pages++
+			peak = max(peak, ctx.Leases())
 		}
-		run()
-		if pages < 10 || peak != 1 {
-			t.Fatalf("%v: %d pages borrowed, at most %d leases out at once", layout, pages, peak)
-		}
-		if n := testing.AllocsPerRun(20, run); n != 0 && !raceEnabled {
-			t.Fatalf("%v: a scan of %d borrowed pages allocates %v times", layout, tb.Heap.NumPages(), n)
-		}
-		if n, m := ctx.Leases(), db.Pool.Leases(); n != 0 || m != 0 {
-			t.Fatalf("%v: %d leases out on the context, %d in the pool", layout, n, m)
-		}
+		scan.Close(w)
+	}
+	run()
+	if pages < 10 || peak != 1 {
+		t.Fatalf("%d pages borrowed, at most %d leases out at once", pages, peak)
+	}
+	if n := testing.AllocsPerRun(20, run); n != 0 && !raceEnabled {
+		t.Fatalf("a scan of %d borrowed pages allocates %v times", tb.Heap.NumPages(), n)
+	}
+	if n, m := ctx.Leases(), db.Pool.Leases(); n != 0 || m != 0 {
+		t.Fatalf("%d leases out on the context, %d in the pool", n, m)
 	}
 }

@@ -38,10 +38,11 @@ const (
 // address space, backed by real host memory so the engine can store and
 // retrieve actual bytes at simulated addresses.
 type Arena struct {
-	base Addr
-	buf  []byte
-	off  uint64
-	high uint64 // largest off since creation or Recycle: no byte beyond it was handed out
+	base   Addr
+	buf    []byte
+	off    uint64
+	high   uint64 // largest off since creation or Recycle: no byte beyond it was handed out
+	carved uint64 // bytes of off that Carve reserved, alignment included
 }
 
 // NewArena creates an arena of size bytes based at base.
@@ -83,14 +84,20 @@ func (a *Arena) Alloc(n, align int) Addr {
 // them: a workspace of its own for a goroutine that allocates while the
 // parent's owner allocates too. It lives until the parent is reset.
 func (a *Arena) Carve(n int) *Arena {
+	from := a.off
 	at := a.Alloc(n, LineSize)
+	a.carved += a.off - from
 	off := uint64(at - a.base)
 	return &Arena{base: at, buf: a.buf[off : off+uint64(n) : off+uint64(n)]}
 }
 
+// Carved returns how many of the allocated bytes Carve reserved since the
+// arena was created, reset or recycled.
+func (a *Arena) Carved() int { return int(a.carved) }
+
 // Reset discards all allocations, retaining the backing store. Workspaces
 // are reset between queries.
-func (a *Arena) Reset() { a.off = 0 }
+func (a *Arena) Reset() { a.off, a.carved = 0, 0 }
 
 // Recycle makes the arena indistinguishable from NewArena(base, a.Size()):
 // nothing allocated, every byte zero. Only bytes below the allocation
@@ -100,7 +107,7 @@ func (a *Arena) Reset() { a.off = 0 }
 // reference: views from Bytes and Raw alias the backing store.
 func (a *Arena) Recycle(base Addr) {
 	clear(a.buf[:a.high])
-	a.base, a.off, a.high = base, 0, 0
+	a.base, a.off, a.high, a.carved = base, 0, 0, 0
 }
 
 // MarkClean discards all allocations on the owner's word that it has
@@ -109,7 +116,7 @@ func (a *Arena) Recycle(base Addr) {
 // is for owners that reserve far more than they write — a buffer pool
 // allocates every frame up front and knows which few it dirtied — where
 // clearing to the high-water mark would cost the whole arena.
-func (a *Arena) MarkClean() { a.off, a.high = 0, 0 }
+func (a *Arena) MarkClean() { a.off, a.high, a.carved = 0, 0, 0 }
 
 // Contains reports whether addr falls inside the arena.
 func (a *Arena) Contains(addr Addr) bool {

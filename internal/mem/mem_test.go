@@ -70,6 +70,27 @@ func TestArenaReset(t *testing.T) {
 	}
 }
 
+// TestArenaCarved: Carved counts what Carve reserved, its alignment
+// padding included, and no other allocation; Reset, Recycle and
+// MarkClean each start the count again.
+func TestArenaCarved(t *testing.T) {
+	a := NewArena(WorkBase, 1<<16)
+	a.Alloc(10, 8)
+	a.Carve(1000)
+	a.Alloc(100, 8)
+	a.Carve(64)
+	if want := (64 - 10) + 1000 + (1216 - 1164) + 64; a.Carved() != want {
+		t.Fatalf("Carved = %d, want %d", a.Carved(), want)
+	}
+	for _, clear := range []func(){a.Reset, func() { a.Recycle(WorkBase) }, a.MarkClean} {
+		a.Carve(128)
+		clear()
+		if a.Carved() != 0 {
+			t.Fatalf("Carved = %d after the arena was emptied", a.Carved())
+		}
+	}
+}
+
 func TestArenaContains(t *testing.T) {
 	a := NewArena(HeapBase, 128)
 	if !a.Contains(HeapBase) || !a.Contains(HeapBase+127) {

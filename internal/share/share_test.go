@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/storage"
 )
 
 // shareDB builds a small table of rows (id, val) spanning several pages.
 func shareDB(t *testing.T, rows int) (*engine.DB, *engine.Table) {
 	t.Helper()
 	db := engine.NewDB(engine.Config{ArenaBytes: 32 << 20})
-	tab, err := db.CreateTable("t", engine.Schema{engine.Int("id"), engine.Int("val")}, storage.NSM)
+	tab, err := db.CreateTable("t", engine.Schema{engine.Int("id"), engine.Int("val")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestSharedScanProducerQuiesces(t *testing.T) {
 // empty rotation instead of hanging.
 func TestSharedScanEmptyTable(t *testing.T) {
 	db := engine.NewDB(engine.Config{ArenaBytes: 16 << 20})
-	tab, err := db.CreateTable("empty", engine.Schema{engine.Int("id")}, storage.NSM)
+	tab, err := db.CreateTable("empty", engine.Schema{engine.Int("id")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mem"
 	"repro/internal/par"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -19,7 +18,7 @@ func buildTable(t *testing.T) (*engine.DB, *engine.Table) {
 	db := engine.NewDB(engine.Config{ArenaBytes: 32 << 20})
 	tb, err := db.CreateTable("fact", engine.Schema{
 		engine.Int("id"), engine.Int("grp"), engine.Float("amount"),
-	}, storage.NSM)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

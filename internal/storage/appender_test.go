@@ -109,11 +109,11 @@ func TestFreeFrameCursorMatchesScan(t *testing.T) {
 	}
 }
 
-// appenderFixture is one pool with an NSM and a PAX heap file of the same
+// appenderFixture is one pool with two heap files of the same
 // three-column schema.
 type appenderFixture struct {
-	pool     *BufferPool
-	nsm, pax *HeapFile
+	pool       *BufferPool
+	nsm, other *HeapFile
 }
 
 var appenderWidths = []int{8, 20, 4}
@@ -122,36 +122,36 @@ func newAppenderFixture(t *testing.T, frames int) appenderFixture {
 	codes := mem.NewCodeMap()
 	pool := testPool(t, frames)
 	return appenderFixture{pool,
-		NewHeapFile(pool, NSM, appenderWidths, codes, "n"),
-		NewHeapFile(pool, PAXLayout, appenderWidths, codes, "p")}
+		NewHeapFile(pool, appenderWidths, codes, "n"),
+		NewHeapFile(pool, appenderWidths, codes, "o")}
 }
 
-// tuple i of the fixture's schema, and the same bytes by column.
-func appenderTuple(i int) ([]byte, [][]byte) {
+// tuple i of the fixture's schema.
+func appenderTuple(i int) []byte {
 	tup := make([]byte, 32)
 	PutUint64(tup, uint64(i))
 	copy(tup[8:], strings.Repeat(string(rune('a'+i%26)), 20))
 	tup[28], tup[31] = byte(i), byte(i>>8)
-	return tup, [][]byte{tup[:8], tup[8:28], tup[28:]}
+	return tup
 }
 
 // TestAppenderEqualsInserts: rows appended through open appenders, two
 // files interleaved, leave the pool, the page lists and the RIDs that
-// Insert and InsertFields leave — from empty files and on top of rows
+// Insert leaves — from empty files and on top of rows
 // that were inserted one at a time — and no page pinned.
 func TestAppenderEqualsInserts(t *testing.T) {
 	const first, rows = 700, 3000
 	byRow, byApp := newAppenderFixture(t, 64), newAppenderFixture(t, 64)
 	var ridsRow, ridsApp []RID
 	insert := func(f appenderFixture, rids *[]RID, i int) {
-		tup, fields := appenderTuple(i)
+		tup := appenderTuple(i)
 		a, err := f.nsm.Insert(nil, tup)
 		if err != nil {
 			t.Fatal(err)
 		}
 		*rids = append(*rids, a)
 		if i%3 == 0 { // the files fill at different rates
-			b, err := f.pax.InsertFields(nil, fields)
+			b, err := f.other.Insert(nil, tup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,16 +164,16 @@ func TestAppenderEqualsInserts(t *testing.T) {
 	for i := 0; i < first; i++ {
 		insert(byApp, &ridsApp, i)
 	}
-	nsm, pax := byApp.nsm.Appender(), byApp.pax.Appender()
+	nsm, other := byApp.nsm.Appender(), byApp.other.Appender()
 	for i := first; i < rows; i++ {
-		tup, fields := appenderTuple(i)
+		tup := appenderTuple(i)
 		a, err := nsm.Append(tup)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ridsApp = append(ridsApp, a)
 		if i%3 == 0 {
-			b, err := pax.AppendFields(fields)
+			b, err := other.Append(tup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,17 +183,11 @@ func TestAppenderEqualsInserts(t *testing.T) {
 	if _, err := byApp.pool.Snapshot(); err == nil {
 		t.Error("snapshot with appenders open succeeded")
 	}
-	if _, err := nsm.AppendFields(nil); err == nil {
-		t.Error("AppendFields on an NSM file accepted")
-	}
-	if _, err := pax.Append(make([]byte, 32)); err == nil {
-		t.Error("Append on a PAX file accepted")
-	}
 	if _, err := nsm.Append(make([]byte, 31)); err == nil {
 		t.Error("a short tuple accepted")
 	}
 	nsm.Close()
-	pax.Close()
+	other.Close()
 	nsm.Close() // harmless
 
 	sameArena(t, "appended", byRow.pool, byApp.pool)
@@ -202,10 +196,10 @@ func TestAppenderEqualsInserts(t *testing.T) {
 			t.Fatalf("row %d: RID %v appended, %v inserted", i, ridsApp[i], ridsRow[i])
 		}
 	}
-	for _, hs := range [][2]*HeapFile{{byRow.nsm, byApp.nsm}, {byRow.pax, byApp.pax}} {
+	for i, hs := range [][2]*HeapFile{{byRow.nsm, byApp.nsm}, {byRow.other, byApp.other}} {
 		a, b := hs[0].Snapshot(), hs[1].Snapshot()
 		if a.rows != b.rows || !slices.Equal(a.pages, b.pages) {
-			t.Errorf("%v file: %d rows in pages %v appended, %d in %v inserted", hs[0].Layout(), b.rows, b.pages, a.rows, a.pages)
+			t.Errorf("file %d: %d rows in pages %v appended, %d in %v inserted", i, b.rows, b.pages, a.rows, a.pages)
 		}
 	}
 	if _, err := byApp.pool.Snapshot(); err != nil {
@@ -226,7 +220,7 @@ func TestAppenderOutOfFrames(t *testing.T) {
 	defer b.Release()
 	app := f.nsm.Appender()
 	defer app.Close()
-	tup, _ := appenderTuple(1)
+	tup := appenderTuple(1)
 	if _, err := app.Append(tup); err == nil || !strings.Contains(err.Error(), "frames pinned") {
 		t.Fatalf("append into a pool of pinned frames: %v", err)
 	}
@@ -234,7 +228,7 @@ func TestAppenderOutOfFrames(t *testing.T) {
 		t.Fatalf("a failed append left %d rows in %d pages", f.nsm.rows, len(f.nsm.pages))
 	}
 	a.Release()
-	per := PageRows(NSM, appenderWidths)
+	per := PageRows(appenderWidths)
 	for i := 0; i < 3*per; i++ {
 		if _, err := app.Append(tup); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -251,23 +245,17 @@ func TestAppenderOutOfFrames(t *testing.T) {
 // TestPageRows: a file filled by appends holds PageRows tuples per page.
 func TestPageRows(t *testing.T) {
 	f := newAppenderFixture(t, 16)
-	tup, fields := appenderTuple(7)
-	nsm, pax := f.nsm.Appender(), f.pax.Appender()
+	tup := appenderTuple(7)
+	app := f.nsm.Appender()
 	for i := 0; i < 1000; i++ {
-		if _, err := nsm.Append(tup); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pax.AppendFields(fields); err != nil {
+		if _, err := app.Append(tup); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nsm.Close()
-	pax.Close()
-	for _, h := range []*HeapFile{f.nsm, f.pax} {
-		per := PageRows(h.Layout(), appenderWidths)
-		if want := (1000 + per - 1) / per; h.NumPages() != want {
-			t.Errorf("%v: 1000 rows at %d a page took %d pages, want %d", h.Layout(), per, h.NumPages(), want)
-		}
+	app.Close()
+	per := PageRows(appenderWidths)
+	if want := (1000 + per - 1) / per; f.nsm.NumPages() != want {
+		t.Errorf("1000 rows at %d a page took %d pages, want %d", per, f.nsm.NumPages(), want)
 	}
 }
 

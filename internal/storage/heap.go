@@ -10,24 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Layout selects the physical page layout of a heap file.
-type Layout uint8
-
-// Page layouts.
-const (
-	// NSM is the conventional slotted layout (rows contiguous).
-	NSM Layout = iota
-	// PAXLayout groups columns in per-page minipages (Ailamaki et al.).
-	PAXLayout
-)
-
-func (l Layout) String() string {
-	if l == NSM {
-		return "NSM"
-	}
-	return "PAX"
-}
-
 // RID names a tuple: page and slot.
 type RID struct {
 	Page PageID
@@ -40,16 +22,15 @@ func (r RID) Pack() uint64 { return uint64(r.Page)<<32 | uint64(r.Slot) }
 // UnpackRID decodes a packed RID.
 func UnpackRID(v uint64) RID { return RID{Page: PageID(v >> 32), Slot: uint32(v)} }
 
-// HeapFile is an unordered collection of fixed-schema tuples across pages.
+// HeapFile is an unordered collection of fixed-schema tuples across
+// slotted pages, each tuple the concatenation of its fixed-width columns.
 type HeapFile struct {
-	mu     sync.RWMutex
-	pool   *BufferPool
-	layout Layout
-	widths []int
-	rowW   int
-	pages  []PageID
-	rows   int
-	code   mem.CodeSeg
+	mu    sync.RWMutex
+	pool  *BufferPool
+	rowW  int
+	pages []PageID
+	rows  int
+	code  mem.CodeSeg
 
 	// version counts writes to the file (inserts and in-place updates).
 	// Readers that memoize derived results — the cross-query result-reuse
@@ -62,7 +43,7 @@ type HeapFile struct {
 
 // NewHeapFile creates an empty heap file for tuples with the given column
 // widths (all columns fixed-width).
-func NewHeapFile(pool *BufferPool, layout Layout, widths []int, codes *mem.CodeMap, name string) *HeapFile {
+func NewHeapFile(pool *BufferPool, widths []int, codes *mem.CodeMap, name string) *HeapFile {
 	rowW := 0
 	for _, w := range widths {
 		rowW += w
@@ -71,33 +52,22 @@ func NewHeapFile(pool *BufferPool, layout Layout, widths []int, codes *mem.CodeM
 		panic(fmt.Sprintf("storage: bad row width %d for %s", rowW, name))
 	}
 	return &HeapFile{
-		pool:   pool,
-		layout: layout,
-		widths: append([]int(nil), widths...),
-		rowW:   rowW,
-		code:   codes.Register("heap:"+name, 1536),
+		pool: pool,
+		rowW: rowW,
+		code: codes.Register("heap:"+name, 1536),
 	}
 }
 
-// PageRows returns how many tuples of the given column widths fit one page
-// of the layout, which is how many a file filled by appends alone keeps on
-// every page but its last.
-func PageRows(layout Layout, widths []int) int {
-	if layout == PAXLayout {
-		return PAXCapacity(widths)
-	}
+// PageRows returns how many tuples of the given column widths fit one
+// page, which is how many a file filled by appends alone keeps on every
+// page but its last.
+func PageRows(widths []int) int {
 	rowW := 0
 	for _, w := range widths {
 		rowW += w
 	}
 	return (PageSize - slottedHeader) / (rowW + 4) // a tuple and its slot entry
 }
-
-// Layout returns the file's page layout.
-func (h *HeapFile) Layout() Layout { return h.layout }
-
-// Widths returns the column widths.
-func (h *HeapFile) Widths() []int { return h.widths }
 
 // RowWidth returns the total tuple width.
 func (h *HeapFile) RowWidth() int { return h.rowW }
@@ -137,12 +107,9 @@ func (h *HeapFile) RLatch() { h.mu.RLock() }
 // RUnlatch releases RLatch.
 func (h *HeapFile) RUnlatch() { h.mu.RUnlock() }
 
-// Insert appends one NSM tuple (the concatenated fixed-width row) and
+// Insert appends one tuple (the concatenated fixed-width row) and
 // returns its RID.
 func (h *HeapFile) Insert(rec *trace.Recorder, tuple []byte) (RID, error) {
-	if h.layout != NSM {
-		return RID{}, fmt.Errorf("storage: Insert on %v heap; use InsertFields", h.layout)
-	}
 	if len(tuple) != h.rowW {
 		return RID{}, fmt.Errorf("storage: tuple %d bytes, schema row is %d", len(tuple), h.rowW)
 	}
@@ -179,50 +146,11 @@ func (h *HeapFile) Insert(rec *trace.Recorder, tuple []byte) (RID, error) {
 	return RID{Page: ref.ID, Slot: uint32(slot)}, nil
 }
 
-// InsertFields appends one PAX tuple given per-column encodings.
-func (h *HeapFile) InsertFields(rec *trace.Recorder, fields [][]byte) (RID, error) {
-	if h.layout != PAXLayout {
-		return RID{}, fmt.Errorf("storage: InsertFields on %v heap; use Insert", h.layout)
-	}
-	rec.Exec(h.code, 50)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.pages) > 0 {
-		ref, err := h.pool.Get(rec, h.pages[len(h.pages)-1])
-		if err != nil {
-			return RID{}, err
-		}
-		if slot, ok := AsPAX(ref.Data, ref.Addr, h.widths).Append(rec, fields); ok {
-			ref.Release()
-			h.rows++
-			h.version.Add(1)
-			return RID{Page: ref.ID, Slot: uint32(slot)}, nil
-		}
-		ref.Release()
-	}
-	ref, err := h.pool.NewPage(rec)
-	if err != nil {
-		return RID{}, err
-	}
-	defer ref.Release()
-	p := AsPAX(ref.Data, ref.Addr, h.widths)
-	p.Init()
-	h.pages = append(h.pages, ref.ID)
-	slot, ok := p.Append(rec, fields)
-	if !ok {
-		return RID{}, fmt.Errorf("storage: tuple does not fit an empty PAX page")
-	}
-	h.rows++
-	h.version.Add(1)
-	return RID{Page: ref.ID, Slot: uint32(slot)}, nil
-}
-
-// Appender is a heap file's load path: what Insert and InsertFields do
-// with a nil recorder, for the cost of the copy. It holds the file's write
-// latch and bumps its version once for the whole load instead of once per
-// row, and keeps the tail page pinned from the append that opens it to
-// the one that finds it full instead of looking it up in the pool for
-// every row. Pages, slots and RIDs come out as row-at-a-time inserts of
+// Appender is a heap file's load path: what Insert does with a nil
+// recorder, for the cost of the copy. It holds the file's write latch and
+// bumps its version once for the whole load instead of once per row, and
+// keeps the tail page pinned from the append that opens it to the one
+// that finds it full instead of looking it up in the pool for every row. Pages, slots and RIDs come out as row-at-a-time inserts of
 // the same tuples would produce them, so what is loaded either way is the
 // same bytes at the same simulated addresses (as long as the pool evicts
 // nothing meanwhile: a pinned tail page cannot be the victim an unpinned
@@ -233,10 +161,9 @@ func (h *HeapFile) InsertFields(rec *trace.Recorder, fields [][]byte) (RID, erro
 // for the latch, on the loading goroutine for ever — and the pool refuses
 // to Snapshot.
 type Appender struct {
-	h   *HeapFile
-	ref PageRef // the tail page, pinned while ref.pool != nil
-	nsm Slotted // ref as the file's layout views it
-	pax PAX
+	h    *HeapFile
+	ref  PageRef // the tail page, pinned while ref.pool != nil
+	page Slotted // ref's slotted view
 }
 
 // Appender opens the file for a load. The caller must Close it.
@@ -247,54 +174,29 @@ func (h *HeapFile) Appender() *Appender {
 	return &Appender{h: h}
 }
 
-// Append adds one NSM tuple and returns its RID, as Insert does.
+// Append adds one tuple and returns its RID, as Insert does: in the tail
+// page, or in a new page when there is none or it is full.
 func (a *Appender) Append(tuple []byte) (RID, error) {
-	if a.h.layout != NSM {
-		return RID{}, fmt.Errorf("storage: Append on %v heap; use AppendFields", a.h.layout)
-	}
 	if len(tuple) != a.h.rowW {
 		return RID{}, fmt.Errorf("storage: tuple %d bytes, schema row is %d", len(tuple), a.h.rowW)
 	}
-	return a.add(tuple, nil)
-}
-
-// AppendFields adds one PAX tuple given per-column encodings, as
-// InsertFields does.
-func (a *Appender) AppendFields(fields [][]byte) (RID, error) {
-	if a.h.layout != PAXLayout {
-		return RID{}, fmt.Errorf("storage: AppendFields on %v heap; use Append", a.h.layout)
-	}
-	return a.add(nil, fields)
-}
-
-// add puts the tuple — tuple on an NSM file, fields on a PAX one — in the
-// tail page, or in a new page when there is none or it is full.
-func (a *Appender) add(tuple []byte, fields [][]byte) (RID, error) {
 	if err := a.pinTail(); err != nil {
 		return RID{}, err
 	}
 	slot, ok := 0, false
 	if a.ref.pool != nil {
-		slot, ok = a.put(tuple, fields)
+		slot, ok = a.page.Insert(nil, tuple)
 	}
 	if !ok {
 		if err := a.nextPage(); err != nil {
 			return RID{}, err
 		}
-		if slot, ok = a.put(tuple, fields); !ok {
-			return RID{}, fmt.Errorf("storage: tuple does not fit an empty %v page", a.h.layout)
+		if slot, ok = a.page.Insert(nil, tuple); !ok {
+			return RID{}, fmt.Errorf("storage: tuple does not fit an empty page")
 		}
 	}
 	a.h.rows++
 	return RID{Page: a.ref.ID, Slot: uint32(slot)}, nil
-}
-
-// put stores the tuple in the pinned page, or reports the page full.
-func (a *Appender) put(tuple []byte, fields [][]byte) (slot int, ok bool) {
-	if a.h.layout == NSM {
-		return a.nsm.Insert(nil, tuple)
-	}
-	return a.pax.Append(nil, fields)
 }
 
 // pinTail pins the last page of a file that had pages when the load
@@ -321,22 +223,14 @@ func (a *Appender) nextPage() error {
 		return err
 	}
 	a.hold(ref)
-	if a.h.layout == NSM {
-		a.nsm.Init()
-	} else {
-		a.pax.Init()
-	}
+	a.page.Init()
 	a.h.pages = append(a.h.pages, ref.ID)
 	return nil
 }
 
 func (a *Appender) hold(ref PageRef) {
 	a.ref = ref
-	if a.h.layout == NSM {
-		a.nsm = AsSlotted(ref.Data, ref.Addr)
-	} else {
-		a.pax = AsPAX(ref.Data, ref.Addr, a.h.widths)
-	}
+	a.page = AsSlotted(ref.Data, ref.Addr)
 }
 
 func (a *Appender) release() {
@@ -358,7 +252,7 @@ func (a *Appender) Close() {
 	a.h = nil
 }
 
-// FetchNSM reads the tuple at rid into a fresh slice (NSM heaps).
+// FetchNSM reads the tuple at rid into a fresh slice.
 func (h *HeapFile) FetchNSM(rec *trace.Recorder, rid RID) ([]byte, error) {
 	ref, err := h.pool.Get(rec, rid.Page)
 	if err != nil {
@@ -377,7 +271,7 @@ func (h *HeapFile) FetchNSM(rec *trace.Recorder, rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// UpdateNSM overwrites the tuple at rid (NSM heaps, same width).
+// UpdateNSM overwrites the tuple at rid (same width).
 func (h *HeapFile) UpdateNSM(rec *trace.Recorder, rid RID, tuple []byte) error {
 	ref, err := h.pool.Get(rec, rid.Page)
 	if err != nil {

@@ -26,7 +26,7 @@ func newImageFixture(t *testing.T, frames, maxPages int) imageFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return imageFixture{pool, NewHeapFile(pool, NSM, []int{8, 192}, codes, "t"), tree}
+	return imageFixture{pool, NewHeapFile(pool, []int{8, 192}, codes, "t"), tree}
 }
 
 // load inserts rows [from, to) and indexes them.

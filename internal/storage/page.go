@@ -1,12 +1,11 @@
 // Package storage implements the database engine's physical layer over the
-// simulated address space: slotted (NSM) and PAX page layouts, a buffer
-// pool with LRU eviction, heap files, and a B+tree index.
+// simulated address space: slotted (NSM) pages, a buffer pool with LRU
+// eviction, heap files, and a B+tree index.
 //
 // Every read or write of page bytes both performs the real operation on
 // host-backed memory and, when a trace recorder is supplied, emits the
 // corresponding simulated memory references. The trace therefore carries
-// the genuine locality of the layout in use — the paper's discussion of
-// cache-conscious layouts (PAX [3]) is reproducible, not asserted.
+// the genuine locality of the row layout, not an asserted one.
 package storage
 
 import (
@@ -261,157 +260,4 @@ func (p Slotted) Delete(rec *trace.Recorder, slot int) {
 	so := p.slotOff(slot)
 	binary.LittleEndian.PutUint16(p.data[so+2:], 0)
 	rec.Store(p.addr + mem.Addr(so))
-}
-
-// PAX is a view of a PAX page (Ailamaki et al. [3]): fixed-width columns
-// stored in per-column minipages so a scan of few columns touches few
-// cache lines.
-//
-// Layout:
-//
-//	[0:2] tuple count
-//	[2:4] capacity
-//	then one minipage per column, each capacity*width bytes.
-type PAX struct {
-	data   []byte
-	addr   mem.Addr
-	widths []int
-	offs   []int // minipage offsets
-	cap    int
-}
-
-const paxHeader = 4
-
-// PAXCapacity returns how many tuples of the given column widths fit.
-func PAXCapacity(widths []int) int {
-	row := 0
-	for _, w := range widths {
-		row += w
-	}
-	if row == 0 {
-		panic("storage: empty PAX schema")
-	}
-	return (PageSize - paxHeader) / row
-}
-
-// AsPAX interprets a page buffer with the given column widths.
-func AsPAX(data []byte, addr mem.Addr, widths []int) PAX {
-	return NewPAXShape(widths).Page(data, addr)
-}
-
-// PAXShape is the minipage geometry of one set of column widths, for a
-// reader that views many pages of one schema without recomputing it.
-type PAXShape struct {
-	widths, offs []int
-	cap          int
-}
-
-// NewPAXShape computes the geometry of widths.
-func NewPAXShape(widths []int) PAXShape {
-	cp := PAXCapacity(widths)
-	offs := make([]int, len(widths))
-	off := paxHeader
-	for i, w := range widths {
-		offs[i] = off
-		off += cp * w
-	}
-	return PAXShape{widths: widths, offs: offs, cap: cp}
-}
-
-// Cap returns how many tuples a page holds (0 for the zero PAXShape).
-func (sh PAXShape) Cap() int { return sh.cap }
-
-// Page interprets a page buffer with the shape's geometry.
-func (sh PAXShape) Page(data []byte, addr mem.Addr) PAX {
-	if len(data) != PageSize {
-		panic(fmt.Sprintf("storage: page buffer %d bytes, want %d", len(data), PageSize))
-	}
-	return PAX{data: data, addr: addr, widths: sh.widths, offs: sh.offs, cap: sh.cap}
-}
-
-// Init formats the page empty.
-func (p PAX) Init() {
-	binary.LittleEndian.PutUint16(p.data[0:2], 0)
-	binary.LittleEndian.PutUint16(p.data[2:4], uint16(p.cap))
-}
-
-// N returns the tuple count.
-func (p PAX) N() int { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
-
-// Cap returns the page capacity in tuples.
-func (p PAX) Cap() int { return p.cap }
-
-// Append adds a tuple given as per-column encoded fields; ok=false when
-// the page is full.
-func (p PAX) Append(rec *trace.Recorder, fields [][]byte) (slot int, ok bool) {
-	rec.Load(p.addr, false)
-	n := p.N()
-	if n >= p.cap {
-		return 0, false
-	}
-	if len(fields) != len(p.widths) {
-		panic(fmt.Sprintf("storage: %d fields for %d columns", len(fields), len(p.widths)))
-	}
-	for c, f := range fields {
-		w := p.widths[c]
-		if len(f) != w {
-			panic(fmt.Sprintf("storage: column %d field %d bytes, want %d", c, len(f), w))
-		}
-		off := p.offs[c] + n*w
-		copy(p.data[off:off+w], f)
-		rec.StoreRange(p.addr+mem.Addr(off), w)
-	}
-	binary.LittleEndian.PutUint16(p.data[0:2], uint16(n+1))
-	return n, true
-}
-
-// Field returns column c of tuple slot, recording only that minipage read
-// — the PAX locality advantage.
-func (p PAX) Field(rec *trace.Recorder, slot, c int) []byte {
-	if slot < 0 || slot >= p.N() {
-		panic(fmt.Sprintf("storage: PAX slot %d out of range (%d)", slot, p.N()))
-	}
-	w := p.widths[c]
-	off := p.offs[c] + slot*w
-	rec.LoadRange(p.addr+mem.Addr(off), w)
-	return p.data[off : off+w]
-}
-
-// FieldAddr returns the simulated address of column c of tuple slot.
-func (p PAX) FieldAddr(slot, c int) mem.Addr {
-	return p.addr + mem.Addr(p.offs[c]+slot*p.widths[c])
-}
-
-// ColumnBytes returns the untraced host view of column c's minipage for
-// the page's live tuples. Vectorized scans trace the read once with
-// LoadColumn and then run a tight column loop over the values — the
-// block-at-a-time evaluation PAX was designed for.
-func (p PAX) ColumnBytes(c int) []byte {
-	w := p.widths[c]
-	off := p.offs[c]
-	return p.data[off : off+p.N()*w]
-}
-
-// GatherColumn copies column c's values at the selected slots into a
-// row-major destination: the value of selected slot sel[k] lands at
-// dst[k*stride+off]. It is the untraced scatter-gather companion to
-// ColumnBytes — vectorized scans trace the minipage read once with
-// LoadColumn and then gather qualifying tuples through this one loop.
-func (p PAX) GatherColumn(dst []byte, stride, off, c int, sel []int) {
-	w := p.widths[c]
-	mini := p.data[p.offs[c]:]
-	for k, i := range sel {
-		d := k*stride + off
-		copy(dst[d:d+w], mini[i*w:(i+1)*w])
-	}
-}
-
-// LoadColumn traces the read of column c's fields for slots [lo, hi) as
-// one ranged load over the minipage.
-func (p PAX) LoadColumn(rec *trace.Recorder, c, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	w := p.widths[c]
-	rec.LoadRange(p.addr+mem.Addr(p.offs[c]+lo*w), (hi-lo)*w)
 }

@@ -88,101 +88,6 @@ func TestSlottedUpdateGrowPanics(t *testing.T) {
 	p.Update(nil, slot, []byte("abcd"))
 }
 
-func TestPAXRoundTrip(t *testing.T) {
-	widths := []int{8, 8, 16}
-	buf := make([]byte, PageSize)
-	p := AsPAX(buf, 0x20000, widths)
-	p.Init()
-	mk := func(i int) [][]byte {
-		a := make([]byte, 8)
-		binary.LittleEndian.PutUint64(a, uint64(i))
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, uint64(i*i))
-		c := bytes.Repeat([]byte{byte(i)}, 16)
-		return [][]byte{a, b, c}
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok := p.Append(nil, mk(i)); !ok {
-			t.Fatalf("append %d failed", i)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		if got := binary.LittleEndian.Uint64(p.Field(nil, i, 0)); got != uint64(i) {
-			t.Fatalf("col0[%d] = %d", i, got)
-		}
-		if got := binary.LittleEndian.Uint64(p.Field(nil, i, 1)); got != uint64(i*i) {
-			t.Fatalf("col1[%d] = %d", i, got)
-		}
-		if got := p.Field(nil, i, 2); got[0] != byte(i) || len(got) != 16 {
-			t.Fatalf("col2[%d] corrupt", i)
-		}
-	}
-}
-
-func TestPAXColumnLocality(t *testing.T) {
-	// Scanning one 8-byte column of k tuples must touch ~k*8/64 lines
-	// under PAX but ~k*rowWidth/64 lines under NSM.
-	widths := []int{8, 8, 8, 8, 8, 8, 8, 8} // 64-byte rows
-	count := func(scan func(rec *trace.Recorder)) int {
-		rec, s := trace.Pipe()
-		lines := map[mem.Addr]bool{}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				r, ok := s.Next()
-				if !ok {
-					return
-				}
-				if r.Kind() == trace.Load {
-					lines[r.Addr().Line()] = true
-				}
-			}
-		}()
-		scan(rec)
-		rec.Close()
-		<-done
-		return len(lines)
-	}
-
-	paxBuf := make([]byte, PageSize)
-	pax := AsPAX(paxBuf, 0x100000, widths)
-	pax.Init()
-	row := make([][]byte, 8)
-	for c := range row {
-		row[c] = make([]byte, 8)
-	}
-	n := pax.Cap()
-	for i := 0; i < n; i++ {
-		pax.Append(nil, row)
-	}
-	paxLines := count(func(rec *trace.Recorder) {
-		for i := 0; i < n; i++ {
-			pax.Field(rec, i, 3)
-		}
-	})
-
-	nsmBuf := make([]byte, PageSize)
-	nsm := AsSlotted(nsmBuf, 0x200000)
-	nsm.Init()
-	tup := make([]byte, 64)
-	m := 0
-	for {
-		if _, ok := nsm.Insert(nil, tup); !ok {
-			break
-		}
-		m++
-	}
-	nsmLines := count(func(rec *trace.Recorder) {
-		for i := 0; i < m; i++ {
-			nsm.Tuple(rec, i)
-		}
-	})
-	if paxLines*4 > nsmLines {
-		t.Fatalf("PAX column scan touched %d lines vs NSM %d; want >=4x reduction", paxLines, nsmLines)
-	}
-}
-
 func TestBufferPoolPinAndGet(t *testing.T) {
 	bp := testPool(t, 8)
 	ref, err := bp.NewPage(nil)
@@ -252,7 +157,7 @@ func TestBufferPoolGetUnknown(t *testing.T) {
 
 func TestHeapInsertScan(t *testing.T) {
 	bp := testPool(t, 64)
-	h := NewHeapFile(bp, NSM, []int{8, 8}, mem.NewCodeMap(), "t")
+	h := NewHeapFile(bp, []int{8, 8}, mem.NewCodeMap(), "t")
 	const rows = 3000
 	for i := 0; i < rows; i++ {
 		tup := make([]byte, 16)
@@ -289,7 +194,7 @@ func TestHeapInsertScan(t *testing.T) {
 
 func TestHeapFetchUpdate(t *testing.T) {
 	bp := testPool(t, 16)
-	h := NewHeapFile(bp, NSM, []int{8}, mem.NewCodeMap(), "u")
+	h := NewHeapFile(bp, []int{8}, mem.NewCodeMap(), "u")
 	tup := make([]byte, 8)
 	binary.LittleEndian.PutUint64(tup, 42)
 	rid, err := h.Insert(nil, tup)
@@ -306,18 +211,6 @@ func TestHeapFetchUpdate(t *testing.T) {
 	}
 	if binary.LittleEndian.Uint64(got) != 43 {
 		t.Fatalf("after update: %d", binary.LittleEndian.Uint64(got))
-	}
-}
-
-func TestHeapLayoutMismatch(t *testing.T) {
-	bp := testPool(t, 16)
-	h := NewHeapFile(bp, PAXLayout, []int{8}, mem.NewCodeMap(), "p")
-	if _, err := h.Insert(nil, make([]byte, 8)); err == nil {
-		t.Fatal("NSM insert into PAX heap accepted")
-	}
-	n := NewHeapFile(bp, NSM, []int{8}, mem.NewCodeMap(), "n")
-	if _, err := n.InsertFields(nil, [][]byte{make([]byte, 8)}); err == nil {
-		t.Fatal("PAX insert into NSM heap accepted")
 	}
 }
 

@@ -7,19 +7,19 @@ import (
 	"repro/internal/mem"
 )
 
-func testHeap(t *testing.T, layout Layout) *HeapFile {
+func testHeap(t *testing.T) *HeapFile {
 	t.Helper()
 	arena := mem.NewArena(mem.HeapBase, 8<<20)
 	codes := mem.NewCodeMap()
 	pool := NewBufferPool(arena, 512, 1024, codes)
-	return NewHeapFile(pool, layout, []int{8, 8}, codes, "vtest")
+	return NewHeapFile(pool, []int{8, 8}, codes, "vtest")
 }
 
 // TestHeapVersionBumpsOnWrites pins the invariant the result-reuse cache
 // depends on: every insert and in-place update advances Version, so a
 // cache key minted before a write can never match after it.
 func TestHeapVersionBumpsOnWrites(t *testing.T) {
-	h := testHeap(t, NSM)
+	h := testHeap(t)
 	if v := h.Version(); v != 0 {
 		t.Fatalf("fresh heap version = %d, want 0", v)
 	}
@@ -37,20 +37,12 @@ func TestHeapVersionBumpsOnWrites(t *testing.T) {
 	if v := h.Version(); v != 2 {
 		t.Fatalf("version after update = %d, want 2", v)
 	}
-
-	px := testHeap(t, PAXLayout)
-	if _, err := px.InsertFields(nil, [][]byte{make([]byte, 8), make([]byte, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	if v := px.Version(); v != 1 {
-		t.Fatalf("PAX version after insert = %d, want 1", v)
-	}
 }
 
 // TestHeapVersionAtomicUnderConcurrency checks the counter is exact under
 // concurrent writers (the txn workloads update heaps from many clients).
 func TestHeapVersionAtomicUnderConcurrency(t *testing.T) {
-	h := testHeap(t, NSM)
+	h := testHeap(t)
 	row := make([]byte, 16)
 	rid, err := h.Insert(nil, row)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/share"
-	"repro/internal/storage"
 )
 
 // fuzzDB is a tiny TPC-H and the nil-recorder contexts every lowering of
@@ -23,33 +22,29 @@ type fuzzDB struct {
 }
 
 var (
-	fuzzOnce sync.Once
-	fuzzDBs  map[storage.Layout]fuzzDB
-	fuzzErr  error
+	fuzzOnce  sync.Once
+	fuzzBuilt fuzzDB
+	fuzzErr   error
 )
 
-// fuzzTPCH builds (once) a 4 000-lineitem database per layout.
-func fuzzTPCH(t *testing.T, layout storage.Layout) fuzzDB {
+// fuzzTPCH builds (once) a 4 000-lineitem database.
+func fuzzTPCH(t *testing.T) fuzzDB {
 	t.Helper()
 	fuzzOnce.Do(func() {
-		fuzzDBs = make(map[storage.Layout]fuzzDB)
-		for _, l := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-			h, err := BuildTPCH(TPCHConfig{Lineitems: 4000, Layout: l, ArenaBytes: 16 << 20})
-			if err != nil {
-				fuzzErr = err
-				return
-			}
-			db := fuzzDB{h: h}
-			for w := 0; w < 8; w++ {
-				db.ctxs = append(db.ctxs, h.DB.NewCtx(nil, 80+w, 4<<20))
-			}
-			fuzzDBs[l] = db
+		h, err := BuildTPCH(TPCHConfig{Lineitems: 4000, ArenaBytes: 16 << 20})
+		if err != nil {
+			fuzzErr = err
+			return
+		}
+		fuzzBuilt.h = h
+		for w := 0; w < 8; w++ {
+			fuzzBuilt.ctxs = append(fuzzBuilt.ctxs, h.DB.NewCtx(nil, 80+w, 4<<20))
 		}
 	})
 	if fuzzErr != nil {
 		t.Fatal(fuzzErr)
 	}
-	return fuzzDBs[layout]
+	return fuzzBuilt
 }
 
 // checkLowerings runs query q at p on every lowering and checks each
@@ -121,19 +116,17 @@ func checkLowerings(t *testing.T, db fuzzDB, q int, p QueryParams, workers int, 
 }
 
 // FuzzLowerings drives checkLowerings from fuzzer-chosen inputs: the
-// query, the layout, Q1/Q6's date, discount and quantity, the pinned scan
-// origin, the morsel worker count (1–8), the join mode and the morsel
-// flavor.
+// query, Q1/Q6's date, discount and quantity, the pinned scan origin, the
+// morsel worker count (1–8), the join mode and the morsel flavor. The
+// second argument once chose a page layout; every page is slotted now, so
+// it is ignored, and it stays in the signature so that the committed
+// corpus entries keep loading.
 func FuzzLowerings(f *testing.F) {
 	f.Add(uint8(0), false, int16(2000), uint8(5), uint8(30), uint16(0), uint8(0), uint8(0))
 	f.Add(uint8(1), true, int16(1900), uint8(3), uint8(24), uint16(3), uint8(3), uint8(1))
 	f.Add(uint8(2), false, int16(0), uint8(0), uint8(0), uint16(9), uint8(7), uint8(2))
 	f.Add(uint8(2), true, int16(2400), uint8(7), uint8(50), uint16(1), uint8(1), uint8(7))
-	f.Fuzz(func(t *testing.T, query uint8, pax bool, date int16, disc, qty uint8, startPage uint16, workers, mode uint8) {
-		layout := storage.NSM
-		if pax {
-			layout = storage.PAXLayout
-		}
+	f.Fuzz(func(t *testing.T, query uint8, _ bool, date int16, disc, qty uint8, startPage uint16, workers, mode uint8) {
 		planned := Planned()
 		p := QueryParams{
 			Date:      int64(date),
@@ -141,7 +134,7 @@ func FuzzLowerings(f *testing.F) {
 			Quantity:  float64(qty % 64),
 			StartPage: int(startPage),
 		}
-		checkLowerings(t, fuzzTPCH(t, layout), planned[int(query)%len(planned)], p,
+		checkLowerings(t, fuzzTPCH(t), planned[int(query)%len(planned)], p,
 			1+int(workers)%8, engine.JoinMode(mode%4), mode&4 != 0)
 	})
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/storage"
 )
 
 // nativeWorkerCtxs builds n fresh nil-recorder contexts.
@@ -118,51 +117,49 @@ func TestNativeGoldenSerial(t *testing.T) {
 		{"compiled+compact", NativeOpts{Compact: true}},
 		{"interpreted+sel", NativeOpts{Interpret: true}},
 	}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		h := vecTPCH(t, layout)
-		ctx := h.DB.NewCtx(nil, 58, 48<<20)
-		for _, q := range []int{1, 6, 13} {
-			ctx.Work.Reset()
-			want, err := h.RunQuery(ctx, q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatalf("q%d/%v: empty reference result", q, layout)
-			}
-			for _, fl := range flavors {
-				ctx.Work.Reset()
-				got, err := h.RunQueryNative(ctx, q, p, fl.o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exactRows(t, layout.String()+"/q"+string(rune('0'+q))+"/"+fl.name, got, want)
-			}
-		}
-		// The wide-key plan, against the row-at-a-time operators, with
-		// borrowed scans too.
+	h := vecTPCH(t)
+	ctx := h.DB.NewCtx(nil, 58, 48<<20)
+	for _, q := range []int{1, 6, 13} {
 		ctx.Work.Reset()
-		want, err := wideKeyRow(h, ctx, p)
+		want, err := h.RunQuery(ctx, q, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want) < 100 {
-			t.Fatalf("wide/%v: %d groups in the reference, want hundreds", layout, len(want))
+		if len(want) == 0 {
+			t.Fatalf("q%d: empty reference result", q)
 		}
 		for _, fl := range flavors {
-			for _, zeroCopy := range []bool{false, true} {
-				ctx.Work.Reset()
-				fl.o.ZeroCopy = zeroCopy
-				got, err := wideKeyNative(h, ctx, p, fl.o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exactRows(t, fmt.Sprintf("%v/wide/%s/zerocopy=%v", layout, fl.name, zeroCopy), got, want)
+			ctx.Work.Reset()
+			got, err := h.RunQueryNative(ctx, q, p, fl.o)
+			if err != nil {
+				t.Fatal(err)
 			}
+			exactRows(t, "q"+string(rune('0'+q))+"/"+fl.name, got, want)
 		}
-		if n := h.DB.Pool.Leases(); n != 0 {
-			t.Fatalf("%v: %d page leases outstanding", layout, n)
+	}
+	// The wide-key plan, against the row-at-a-time operators, with
+	// borrowed scans too.
+	ctx.Work.Reset()
+	want, err := wideKeyRow(h, ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 100 {
+		t.Fatalf("wide: %d groups in the reference, want hundreds", len(want))
+	}
+	for _, fl := range flavors {
+		for _, zeroCopy := range []bool{false, true} {
+			ctx.Work.Reset()
+			fl.o.ZeroCopy = zeroCopy
+			got, err := wideKeyNative(h, ctx, p, fl.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exactRows(t, fmt.Sprintf("wide/%s/zerocopy=%v", fl.name, zeroCopy), got, want)
 		}
+	}
+	if n := h.DB.Pool.Leases(); n != 0 {
+		t.Fatalf("%d page leases outstanding", n)
 	}
 }
 
@@ -193,75 +190,71 @@ func rowsDigest(rows [][]engine.Value) uint64 {
 }
 
 // TestGoldenSerialDigests pins the result of serial Q1, Q6 and Q13 at the
-// native tests' parameters on both layouts, as digests recorded at commit
+// native tests' parameters, as digests recorded at commit
 // 48abeb9: TestNativeGoldenSerial and TestVectorizedGoldenSerial compare
 // executors with one another, and would still pass if every executor's
 // plan moved together.
 func TestGoldenSerialDigests(t *testing.T) {
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	golden := map[int]uint64{1: 0x83b576add71d1f53, 6: 0xc82bf4c88a9b151c, 13: 0x8431780bdda709f0}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		h := vecTPCH(t, layout)
-		ctx := h.DB.NewCtx(nil, 58, 48<<20)
-		for _, q := range []int{1, 6, 13} {
-			for _, ex := range []struct {
-				name string
-				run  func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error)
-			}{{"row", h.RunQueryRow}, {"vec", h.RunQuery}} {
-				ctx.Work.Reset()
-				rows, err := ex.run(ctx, q, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := rowsDigest(rows); d != golden[q] {
-					t.Errorf("%v q%d %s: digest %#x, golden %#x", layout, q, ex.name, d, golden[q])
-				}
+	h := vecTPCH(t)
+	ctx := h.DB.NewCtx(nil, 58, 48<<20)
+	for _, q := range []int{1, 6, 13} {
+		for _, ex := range []struct {
+			name string
+			run  func(*engine.Ctx, int, QueryParams) ([][]engine.Value, error)
+		}{{"row", h.RunQueryRow}, {"vec", h.RunQuery}} {
+			ctx.Work.Reset()
+			rows, err := ex.run(ctx, q, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := rowsDigest(rows); d != golden[q] {
+				t.Errorf("q%d %s: digest %#x, golden %#x", q, ex.name, d, golden[q])
 			}
 		}
 	}
 }
 
 // TestNativeGoldenParallel: the native plan on 1, 2, 4 and 8 workers,
-// copying and borrowing (ZeroCopy) pages, on NSM and PAX, returns the
+// copying and borrowing (ZeroCopy) pages, returns the
 // interpreted serial reference's rows byte for byte — equal RowsDigests —
 // and RunQueryNative, on as many workers as the test has processors
 // (-cpu), does too; no run leaves a page lease behind.
 func TestNativeGoldenParallel(t *testing.T) {
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		h := vecTPCH(t, layout)
-		serial := h.DB.NewCtx(nil, 59, 48<<20)
-		for _, q := range []int{1, 6, 13} {
-			serial.Work.Reset()
-			want, err := h.RunQueryNative(serial, q, p, NativeOpts{Interpret: true, Compact: true})
-			if err != nil {
-				t.Fatal(err)
+	h := vecTPCH(t)
+	serial := h.DB.NewCtx(nil, 59, 48<<20)
+	for _, q := range []int{1, 6, 13} {
+		serial.Work.Reset()
+		want, err := h.RunQueryNative(serial, q, p, NativeOpts{Interpret: true, Compact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label string, got [][]engine.Value) {
+			t.Helper()
+			exactRows(t, label, got, want)
+			if g, w := rowsDigest(got), rowsDigest(want); g != w {
+				t.Fatalf("%s: digest %#x, interpreted %#x", label, g, w)
 			}
-			check := func(label string, got [][]engine.Value) {
-				t.Helper()
-				exactRows(t, label, got, want)
-				if g, w := rowsDigest(got), rowsDigest(want); g != w {
-					t.Fatalf("%s: digest %#x, interpreted %#x", label, g, w)
-				}
-				if n := h.DB.Pool.Leases(); n != 0 {
-					t.Fatalf("%s: %d page leases outstanding", label, n)
-				}
+			if n := h.DB.Pool.Leases(); n != 0 {
+				t.Fatalf("%s: %d page leases outstanding", label, n)
 			}
-			for _, borrow := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{ZeroCopy: borrow})
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("%v q%d x%d borrow=%v", layout, q, workers, borrow), got)
-				}
-				serial.Work.Reset()
-				got, err := h.RunQueryNative(serial, q, p, NativeOpts{ZeroCopy: borrow})
+		}
+		for _, borrow := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, err := h.RunQueryParallelNative(nativeWorkerCtxs(h, workers), q, p, NativeOpts{ZeroCopy: borrow})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(fmt.Sprintf("%v q%d native borrow=%v", layout, q, borrow), got)
+				check(fmt.Sprintf("q%d x%d borrow=%v", q, workers, borrow), got)
 			}
+			serial.Work.Reset()
+			got, err := h.RunQueryNative(serial, q, p, NativeOpts{ZeroCopy: borrow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("q%d native borrow=%v", q, borrow), got)
 		}
 	}
 }
@@ -271,7 +264,7 @@ func TestNativeGoldenParallel(t *testing.T) {
 // which starts no goroutine; every run returns the interpreted rows and
 // leaves no page lease and no goroutine behind.
 func TestNativeWorkersLeaveNothing(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	ctx := h.DB.NewCtx(nil, 57, 48<<20)
 	procs := runtime.GOMAXPROCS(0)
@@ -315,7 +308,7 @@ func TestNativeWorkersLeaveNothing(t *testing.T) {
 // parallel aggregate and join so `go test -race` can watch the partial
 // merge and morsel claiming for unsynchronized access.
 func TestNativeParallelMergeRaceHammer(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	iters := 6
 	if testing.Short() {

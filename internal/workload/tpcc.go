@@ -137,7 +137,7 @@ func newTPCC(cfg TPCCConfig, db *engine.DB) (*TPCC, error) {
 			return nil
 		}
 		var t *engine.Table
-		t, err = db.CreateTable(name, s, storage.NSM)
+		t, err = db.CreateTable(name, s)
 		return t
 	}
 	w.warehouse = mk("warehouse", engine.Schema{

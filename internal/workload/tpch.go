@@ -15,7 +15,6 @@ import (
 // insensitive to dataset scale.
 type TPCHConfig struct {
 	Lineitems int // default 400000 (~38 MB table)
-	Layout    storage.Layout
 	// ArenaBytes is the size of the arena the database is laid out in
 	// (default 256 MB): it fixes the page-table capacity and with it the
 	// simulated address of every page. It is not what BuildTPCH allocates,
@@ -105,12 +104,12 @@ func buildTPCH(cfg TPCHConfig, headroom func(pages int) int) (*TPCH, error) {
 	}
 	pages := 0
 	for _, t := range tables {
-		per := storage.PageRows(cfg.Layout, t.schema.Widths())
+		per := storage.PageRows(t.schema.Widths())
 		pages += (t.rows + per - 1) / per
 	}
 	h.DB = engine.NewDB(engine.Config{ArenaBytes: cfg.ArenaBytes}.Holding(pages + headroom(pages)))
 	for _, t := range tables {
-		tbl, err := h.DB.CreateTable(t.name, t.schema, cfg.Layout)
+		tbl, err := h.DB.CreateTable(t.name, t.schema)
 		if err != nil {
 			return nil, err
 		}

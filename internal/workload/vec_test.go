@@ -1,6 +1,6 @@
 // Golden equivalence tests for the vectorized executor: the vectorized
 // Q1/Q6/Q13 plans must agree with the row-at-a-time seed operators byte
-// for byte — serial plans, both layouts, pinned shared rotations, and
+// for byte — serial plans, pinned shared rotations, and
 // native plans on worker contexts, whose exchanges keep the serial
 // order.
 
@@ -12,33 +12,24 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/share"
-	"repro/internal/storage"
 )
 
 var (
 	vecOnce sync.Once
-	vecDBs  map[storage.Layout]*TPCH
+	vecDB   *TPCH
 	vecErr  error
 )
 
-// vecTPCH builds (once) a small DSS database per layout.
-func vecTPCH(t *testing.T, layout storage.Layout) *TPCH {
+// vecTPCH builds (once) a small DSS database.
+func vecTPCH(t *testing.T) *TPCH {
 	t.Helper()
 	vecOnce.Do(func() {
-		vecDBs = make(map[storage.Layout]*TPCH)
-		for _, l := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-			h, err := BuildTPCH(TPCHConfig{Lineitems: 20000, Layout: l, ArenaBytes: 64 << 20})
-			if err != nil {
-				vecErr = err
-				return
-			}
-			vecDBs[l] = h
-		}
+		vecDB, vecErr = BuildTPCH(TPCHConfig{Lineitems: 20000, ArenaBytes: 64 << 20})
 	})
 	if vecErr != nil {
 		t.Fatal(vecErr)
 	}
-	return vecDBs[layout]
+	return vecDB
 }
 
 // exactRows asserts got and want are byte-identical result sets: every
@@ -63,37 +54,34 @@ func exactRows(t *testing.T, label string, got, want [][]engine.Value) {
 }
 
 // TestVectorizedGoldenSerial: serial vectorized Q1/Q6/Q13 are
-// byte-identical to the row-at-a-time reference on both page layouts
-// (same scan order, same accumulator machinery, same float addition
-// order).
+// byte-identical to the row-at-a-time reference (same scan order, same
+// accumulator machinery, same float addition order).
 func TestVectorizedGoldenSerial(t *testing.T) {
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		h := vecTPCH(t, layout)
-		ctx := h.DB.NewCtx(nil, 40, 48<<20)
-		for _, q := range []int{1, 6, 13} {
-			ctx.Work.Reset()
-			want, err := h.RunQueryRow(ctx, q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatalf("q%d/%v: empty reference result", q, layout)
-			}
-			ctx.Work.Reset()
-			got, err := h.RunQuery(ctx, q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exactRows(t, layout.String()+"/q"+string(rune('0'+q)), got, want)
+	h := vecTPCH(t)
+	ctx := h.DB.NewCtx(nil, 40, 48<<20)
+	for _, q := range []int{1, 6, 13} {
+		ctx.Work.Reset()
+		want, err := h.RunQueryRow(ctx, q, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(want) == 0 {
+			t.Fatalf("q%d: empty reference result", q)
+		}
+		ctx.Work.Reset()
+		got, err := h.RunQuery(ctx, q, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactRows(t, "q"+string(rune('0'+q)), got, want)
 	}
 }
 
 // TestVectorizedGoldenStartPage: rotated scan origins (the circular
 // shared-scan replay contract) stay byte-identical between executors.
 func TestVectorizedGoldenStartPage(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	ctx := h.DB.NewCtx(nil, 41, 48<<20)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30, StartPage: 4}
 	for _, q := range []int{1, 6, 13} {
@@ -116,7 +104,7 @@ func TestVectorizedGoldenStartPage(t *testing.T) {
 // counts {1, 2, 4, 8}: the order-preserving exchange hands the aggregate
 // the serial rows in the serial order, so even float sums match.
 func TestVectorizedGoldenParallel(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	serial := h.DB.NewCtx(nil, 42, 48<<20)
 	for _, q := range []int{1, 6} {
@@ -160,7 +148,7 @@ func TestVectorizedGoldenParallel(t *testing.T) {
 // byte-identical to the vectorized shared execution: private and shared,
 // row and vectorized, all agree bit for bit at the same origin.
 func TestVectorizedGoldenShared(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	// Default registry, no result cache: every query must execute.
 	env := h.NewShareEnvWith(share.Config{}, nil)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}

@@ -8,8 +8,6 @@ package workload
 
 import (
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // leaseCheck fails the test when outstanding page leases survive a run.
@@ -20,34 +18,31 @@ func leaseCheck(t *testing.T, h *TPCH, what string) {
 	}
 }
 
-// TestZeroCopyGoldenSerial: on both layouts, the zero-copy native flavor
-// of Q1/Q6/Q13 is byte-identical to the standard vectorized plan, with
-// no lease leaked. NSM full-row scans and single-column PAX scans take
-// the alias fast path; shapes it rejects fall back to copying per page —
-// either way the rows must match exactly.
+// TestZeroCopyGoldenSerial: the zero-copy native flavor of Q1/Q6/Q13 is
+// byte-identical to the standard vectorized plan, with no lease leaked.
+// Full-row scans take the alias fast path; shapes it rejects fall back to
+// copying per page — either way the rows must match exactly.
 func TestZeroCopyGoldenSerial(t *testing.T) {
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
-	for _, layout := range []storage.Layout{storage.NSM, storage.PAXLayout} {
-		h := vecTPCH(t, layout)
-		ctx := h.DB.NewCtx(nil, 61, 48<<20)
-		for _, q := range []int{1, 6, 13} {
-			ctx.Work.Reset()
-			want, err := h.RunQuery(ctx, q, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatalf("q%d/%v: empty reference result", q, layout)
-			}
-			ctx.Work.Reset()
-			got, err := h.RunQueryNative(ctx, q, p, NativeOpts{ZeroCopy: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := layout.String() + "/q" + string(rune('0'+q)) + "/zero-copy"
-			exactRows(t, name, got, want)
-			leaseCheck(t, h, name)
+	h := vecTPCH(t)
+	ctx := h.DB.NewCtx(nil, 61, 48<<20)
+	for _, q := range []int{1, 6, 13} {
+		ctx.Work.Reset()
+		want, err := h.RunQuery(ctx, q, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(want) == 0 {
+			t.Fatalf("q%d: empty reference result", q)
+		}
+		ctx.Work.Reset()
+		got, err := h.RunQueryNative(ctx, q, p, NativeOpts{ZeroCopy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "q" + string(rune('0'+q)) + "/zero-copy"
+		exactRows(t, name, got, want)
+		leaseCheck(t, h, name)
 	}
 }
 
@@ -55,7 +50,7 @@ func TestZeroCopyGoldenSerial(t *testing.T) {
 // the serial zero-copy plan's rows byte for byte at every worker count,
 // leaking no leases.
 func TestZeroCopyGoldenParallel(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	serial := h.DB.NewCtx(nil, 62, 48<<20)
 	for _, q := range []int{1, 6, 13} {
@@ -80,7 +75,7 @@ func TestZeroCopyGoldenParallel(t *testing.T) {
 // morsel pool, the partitioned join, and the recycle rings; every
 // iteration must end lease-clean.
 func TestZeroCopyParallelRaceHammer(t *testing.T) {
-	h := vecTPCH(t, storage.NSM)
+	h := vecTPCH(t)
 	p := QueryParams{Date: 2000, Discount: 0.05, Quantity: 30}
 	iters := 6
 	if testing.Short() {
